@@ -1,0 +1,83 @@
+"""Golden outputs: CLI datasets pinned byte for byte.
+
+Each case runs one CLI command with a pinned timestamp and compares every
+file it writes against the copy under tests/golden/.  Exact volumes pass
+through LAPACK and qhull, so they are compared within 1e-12 relative; every
+other byte must match.
+
+Regenerate the goldens (only when a change of output is intended, and say
+which bytes changed and why) with:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from isochron.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+TS = "2026-01-01T00:00:00+00:00"
+
+OUT_FLAGS = ("--out", "--out-csv", "--out-json")
+
+CASES = {
+    **{
+        f"sample-{k}": ["region", "sample", "--kind", k, "--samples", "200",
+                        "--out", f"sample-{k}.csv"]
+        for k in ("ir3", "ir4", "ir5")
+    },
+    "scan-params": ["scan", "params", "--grid", "20x20", "--out-csv", "params.csv"],
+    "project-compare": ["region", "project", "--compare", "--step", "0.1",
+                        "--samples", "200", "--out-csv", "project.csv",
+                        "--out-json", "project.json"],
+    "verify-all": ["verify", "--suite", "all", "--samples", "200",
+                   "--out", "verify.json"],
+    **{
+        f"volume-{k}": ["region", "volume", "--kind", k, "--method", "both",
+                        "--out", f"volume-{k}.json"]
+        for k in ("ir3", "ir4", "ir5")
+    },
+}
+
+
+def _run(argv: list[str]) -> list[str]:
+    """Run one case in the current directory; return its output file names.
+
+    Output paths stay relative because the headers record them."""
+    assert main(argv + ["--threads", "1", "--timestamp", TS]) == 0
+    return [argv[i + 1] for i, arg in enumerate(argv) if arg in OUT_FLAGS]
+
+
+def _pin_exact_volume(actual: str, golden: str) -> str:
+    """Check the exact volume within 1e-12 relative, then return actual
+    with the golden's value put back, for a byte comparison of the rest."""
+    got, want = json.loads(actual), json.loads(golden)
+    got_exact, want_exact = got["reports"]["exact"], want["reports"]["exact"]
+    assert got_exact["volume"] == pytest.approx(want_exact["volume"], rel=1e-12)
+    got_exact["volume"] = want_exact["volume"]
+    return json.dumps(got, sort_keys=True, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_output(case, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name in _run(CASES[case]):
+        actual = (tmp_path / name).read_text()
+        golden = (GOLDEN_DIR / name).read_text()
+        if name.startswith("volume-"):
+            actual = _pin_exact_volume(actual, golden)
+        assert actual == golden, f"{name} differs from its golden copy"
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    os.chdir(GOLDEN_DIR)
+    for argv in CASES.values():
+        _run(argv)
