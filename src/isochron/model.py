@@ -138,11 +138,13 @@ def response(params: ModelParams, theta: float, delta: float) -> float:
 def trigger_threshold(params: ModelParams, m: int = 1) -> float:
     """Lowest phase from which m simultaneous unit pulses reach threshold.
 
-    Solves jump_m(theta, m) = 1, giving rise_inv(1 - m*eps_hat).  A reception
-    of multiplicity m fires the receiver iff its phase is >= this value.  The
-    value is <= 1, equals 1 when eps = 0, and goes negative once m*eps_hat
-    exceeds 1 (any reception fires anyone).
+    Solves jump_m(theta, m) = 1, giving (e^(b*x) - 1)/(e^b - 1) with
+    x = 1 - m*eps_hat: the closed form of rise_inv(x), evaluated directly
+    because x may be negative.  A reception of multiplicity m fires the
+    receiver iff its phase is >= this value.  The value is <= 1, equals 1
+    when eps = 0, and goes negative once m*eps_hat exceeds 1 (any reception
+    fires anyone).
     """
     if m < 1:
         raise DomainError(f"pulse multiplicity must be >= 1, got {m}")
-    return rise_inv(params, 1.0 - m * params.eps_hat)
+    return math.expm1(params.b * (1.0 - m * params.eps_hat)) / math.expm1(params.b)

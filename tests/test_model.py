@@ -104,6 +104,26 @@ class TestAgainstOracle:
             )
 
 
+    @pytest.mark.parametrize("eps", [1.2, 2.5])
+    def test_trigger_goes_negative_past_full_coupling(self, eps):
+        p = ModelParams(b=3.0, eps=eps, n=3)
+        for m in (1, 2):
+            if m * p.eps_hat <= 1.0:
+                continue
+            value = trigger_threshold(p, m)
+            assert value < 0.0
+            assert math.isclose(value, float(o_trigger(3.0, p.eps_hat, m)), rel_tol=1e-13)
+
+    def test_trigger_equals_rise_inv_where_defined(self):
+        for b in self.bs:
+            for eps in np.linspace(0.0, 1.0, 41):
+                p = ModelParams(b=b, eps=float(eps), n=3)
+                for m in (1, 2):
+                    x = 1.0 - m * p.eps_hat
+                    if x >= 0.0:
+                        assert trigger_threshold(p, m) == rise_inv(p, x)
+
+
 class TestIdentities:
     """Seeded property checks of the structure the dynamics relies on."""
 

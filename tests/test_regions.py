@@ -274,6 +274,16 @@ class TestExistence:
                     spec, center
                 ), f"mismatch at eps={i/20}, tau={j/20}"
 
+    @pytest.mark.parametrize("eps", [1.2, 2.5])
+    @pytest.mark.parametrize("kind", ["IR3", "IR4", "IR5"])
+    def test_coupling_past_full_strength(self, kind, eps):
+        """Once a single or double pulse fires anyone the trigger threshold
+        is negative; existence and exact volume must still evaluate."""
+        params = ModelParams(b=3.0, eps=eps, n=3, tau=0.58)
+        assert isinstance(region_exists(params, kind), bool)
+        report = region_volume(region_spec(params, kind), method="exact")
+        assert report.volume >= 0.0
+
 
 class TestGMap:
     def test_center_is_fixed(self):
