@@ -6,9 +6,11 @@ override file values, and every resolved option is embedded verbatim in
 each output file's header together with the tool version, the seed, and a
 wall-clock timestamp (pass ``--timestamp`` to pin it when reproducing an
 archived dataset byte for byte).  Exit status is 0 exactly when every
-requested check passed, 2 on configuration errors, and 130 on interrupt —
-in which case any declared output file is flushed with a trailing FAILED
-marker rather than left silently truncated.
+requested check passed, 1 when a check failed, 2 on configuration errors,
+3 when a computation fails at run time (engine stall, horizon exceeded,
+sampler exhaustion), and 130 on interrupt — in which case any declared
+output file is flushed with a trailing FAILED marker rather than left
+silently truncated.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 
 from ._version import __version__
 from .engine import (
-    StateError,
     format_trace_jsonl,
     format_trace_text,
     init_engine,
@@ -33,7 +34,6 @@ from .engine import (
 from .model import DomainError, ModelParams, jump
 from .poincare import (
     PeriodicityResult,
-    SectionError,
     detect_periodicity,
     poincare_map,
     pulse_signature,
@@ -41,6 +41,7 @@ from .poincare import (
 )
 from .regions import (
     KINDS,
+    g_algebra,
     g_map,
     membership,
     region_center,
@@ -54,6 +55,8 @@ from .regions import (
 from .sweep import (
     DEFAULT_SCAN_MAX_ITER,
     DEFAULT_SCAN_STEP,
+    _fmt,
+    _write_json,
     dataset_header,
     emit_param_scan_plot,
     emit_phase_scan_plot,
@@ -73,10 +76,6 @@ from .sweep import (
 THREADS_ENV = "ISOCHRON_THREADS"
 
 FAILED_MARKER = "# FAILED: interrupted before completion"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 class _Run:
@@ -317,9 +316,7 @@ def _cmd_poincare(run: _Run) -> int:
             "result": result.to_json_dict(),
             "signature": None if signature is None else signature.to_json_dict(),
         }
-        with open(out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _write_json(out, payload)
         run.finish_output(out)
     return 0
 
@@ -395,9 +392,7 @@ def _cmd_region_volume(run: _Run) -> int:
             "reports": {k: v.to_json_dict() for k, v in reports.items()},
             "ok": ok,
         }
-        with open(out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _write_json(out, payload)
         run.finish_output(out)
     return 0 if ok else 1
 
@@ -572,9 +567,8 @@ def _cmd_scan_params(run: _Run) -> int:
         run.finish_output(plot_script)
 
     counts = {
-        "IR3": sum(r.exists_ir3 for r in result.records),
-        "IR4": sum(r.exists_ir4 for r in result.records),
-        "IR5": sum(r.exists_ir5 for r in result.records),
+        k: sum(getattr(r, f"exists_{k.lower()}") for r in result.records)
+        for k in KINDS
     }
     total = len(result.records)
     print(
@@ -609,10 +603,11 @@ def _check_g_algebra(params: ModelParams, n: int, seed: int):
         for _ in range(4):
             cur = g_map(cur, tau)
         worst = max(worst, max(abs(a - b) for a, b in zip(cur, sigma)))
-    center = region_center("IR4", tau)
+    algebra = g_algebra(tau)
+    center = algebra.center
     worst = max(worst, max(abs(a - b) for a, b in zip(g_map(center, tau), center)))
     for t in np.linspace(-tau / 8, tau / 8, 25):
-        point = tuple(c + float(t) * d for c, d in zip(center, (0.0, 1.0, 1.0)))
+        point = tuple(c + float(t) * d for c, d in zip(center, algebra.line_direction))
         twice = g_map(g_map(point, tau), tau)
         worst = max(worst, max(abs(a - b) for a, b in zip(twice, point)))
     return worst <= 1e-12, f"max deviation {_fmt(worst)} over {n} samples (tol 1e-12)"
@@ -689,9 +684,7 @@ def _cmd_verify(run: _Run) -> int:
             ],
             "ok": all_ok,
         }
-        with open(out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _write_json(out, payload)
         run.finish_output(out)
     return 0 if all_ok else 1
 
@@ -849,12 +842,14 @@ def main(argv=None) -> int:
             run.flush_failed()
         print("error: interrupted", file=sys.stderr)
         return 130
-    except (DomainError, StateError, SectionError) as exc:
+    except (ValueError, OSError) as exc:
+        # ValueError covers DomainError, StateError, SectionError and
+        # json.JSONDecodeError.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, ValueError, RuntimeError) as exc:
+    except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3
 
 
 if __name__ == "__main__":

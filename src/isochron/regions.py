@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -39,14 +40,6 @@ from .poincare import (
     pulse_equivalent,
     pulse_signature,
 )
-
-KINDS = ("IR3", "IR4", "IR5")
-
-#: Poincare period of a generic orbit in each family.
-EXPECTED_POINCARE_PERIOD = {"IR3": 3, "IR4": 4, "IR5": 5}
-
-#: Orbit period of each family's generic member, in units of the delay.
-EXPECTED_PERIOD_DELAYS = {"IR3": 2, "IR4": 3, "IR5": 3}
 
 _MC_SHARD = 100_000
 
@@ -122,121 +115,146 @@ def _chain_orderings(dim: int, tau: float, order: tuple[int, ...]) -> tuple:
     return tuple(rows)
 
 
-def ir4_spec(params: ModelParams) -> RegionSpec:
-    """Period-4 family in (sigma_1, sigma_2, sigma_3): ordering
-    0 < sigma_2 < sigma_1 < sigma_3 < tau and four bounded functionals."""
-    a, c = jump_coeffs(params, 1)
-    tau = params.tau
-    h = trigger_threshold(params, 1)
-    functionals = (
-        Functional("F1", (a, 0.0, -1.0), c + tau, h),
-        Functional("F2", (-1.0, a, 1.0 - a), a * tau + c, h),
-        Functional("F3", (1.0 - a, -1.0, 0.0), a * tau + c, h),
-        Functional("F4", (0.0, 1.0 - a, a), c, h),
-    )
-    return RegionSpec(
-        kind="IR4",
-        dim=3,
-        labels=("sigma1", "sigma2", "sigma3"),
-        tau=tau,
-        orderings=_chain_orderings(3, tau, (1, 0, 2)),
-        functionals=functionals,
-    )
+def _jump1(params: ModelParams, theta: float) -> float:
+    """Phase after one unit pulse."""
+    return jump(params, theta, params.eps_hat)
 
 
-def ir3_spec(params: ModelParams) -> RegionSpec:
-    """Period-3 family in (sigma_1, sigma_3), oscillators 1 and 2 locked
-    together: ordering 0 < sigma_1 < sigma_3 < tau, three functionals
-    bounded below by the single-pulse trigger threshold and three by the
-    double-pulse one."""
-    a, c = jump_coeffs(params, 1)
-    tau = params.tau
-    h1 = trigger_threshold(params, 1)
-    h2 = trigger_threshold(params, 2)
-    functionals = (
-        Functional("F1", (a, -1.0), c + tau, h1),
-        Functional("F2", (-1.0, 1.0 - a), a * tau + c, h1),
-        Functional("F3", (1.0 - a, a), c, h1),
-        Functional("F4", (0.0, 1.0), 0.0, h2),
-        Functional("F5", (-1.0, 0.0), tau, h2),
-        Functional("F6", (1.0, -1.0), tau, h2),
-    )
-    return RegionSpec(
-        kind="IR3",
-        dim=2,
+@dataclass(frozen=True)
+class Family:
+    """One family of isochronous section states, declared once.
+
+    labels           names of the sigma coordinates
+    order            coordinate indices from smallest to largest: the strict
+                     chain 0 < sigma[order[0]] < ... < sigma[order[-1]] < tau
+    poincare_period  section returns per cycle of a generic member
+    period_delays    orbit period of a generic member, in units of tau
+    functionals      (a, c, tau, h1, h2) -> rows (weights, offset, lower) of
+                     the bounded functionals F1, F2, ..., each <= 1; a and c
+                     are the single-pulse jump coefficients, h1 and h2 the
+                     single- and double-pulse trigger thresholds
+    embed            (params, sigma) -> (phases, ftds) of the canonical
+                     section state of sigma
+    center_value     (params, center) -> the value every bounded functional
+                     takes at the family center
+    locked_pair      oscillators 1 and 2 share raw phase and firing memory
+    """
+
+    labels: tuple[str, ...]
+    order: tuple[int, ...]
+    poincare_period: int
+    period_delays: int
+    functionals: Callable[[float, float, float, float, float], tuple]
+    embed: Callable[[ModelParams, tuple], tuple]
+    center_value: Callable[[ModelParams, tuple], float]
+    locked_pair: bool = False
+
+    @property
+    def dim(self) -> int:
+        return len(self.order)
+
+
+FAMILIES: dict[str, Family] = {
+    # Oscillators 1 and 2 locked together; three functionals are bounded
+    # below by the single-pulse trigger threshold and three by the
+    # double-pulse one.
+    "IR3": Family(
         labels=("sigma1", "sigma3"),
-        tau=tau,
-        orderings=_chain_orderings(2, tau, (0, 1)),
-        functionals=functionals,
-    )
-
-
-def ir5_spec(params: ModelParams) -> RegionSpec:
-    """Period-5 family in (sigma_1, sigma_2a, sigma_2b, sigma_3), where
-    oscillator 2 keeps two firing memories: ordering
-    0 < sigma_2a < sigma_1 < sigma_3 < sigma_2b < tau, five functionals."""
-    a, c = jump_coeffs(params, 1)
-    tau = params.tau
-    h = trigger_threshold(params, 1)
-    functionals = (
-        Functional("F1", (0.0, a, 0.0, -1.0), c + tau, h),
-        Functional("F2", (-1.0, 0.0, 1.0 - a, 0.0), a * tau + c, h),
-        Functional("F3", (0.0, -1.0, a, 1.0 - a), c, h),
-        Functional("F4", (1.0 - a, 0.0, 0.0, a), c, h),
-        Functional("F5", (a, 1.0 - a, -1.0, 0.0), c + tau, h),
-    )
-    return RegionSpec(
-        kind="IR5",
-        dim=4,
+        order=(0, 1),
+        poincare_period=3,
+        period_delays=2,
+        functionals=lambda a, c, tau, h1, h2: (
+            ((a, -1.0), c + tau, h1),
+            ((-1.0, 1.0 - a), a * tau + c, h1),
+            ((1.0 - a, a), c, h1),
+            ((0.0, 1.0), 0.0, h2),
+            ((-1.0, 0.0), tau, h2),
+            ((1.0, -1.0), tau, h2),
+        ),
+        embed=lambda p, s: ((s[0], s[0], 0.0), ((s[0],), (s[0],), (0.0, s[1]))),
+        center_value=lambda p, c: _jump1(p, c[0]) + c[0],
+        locked_pair=True,
+    ),
+    "IR4": Family(
+        labels=("sigma1", "sigma2", "sigma3"),
+        order=(1, 0, 2),
+        poincare_period=4,
+        period_delays=3,
+        functionals=lambda a, c, tau, h1, h2: (
+            ((a, 0.0, -1.0), c + tau, h1),
+            ((-1.0, a, 1.0 - a), a * tau + c, h1),
+            ((1.0 - a, -1.0, 0.0), a * tau + c, h1),
+            ((0.0, 1.0 - a, a), c, h1),
+        ),
+        embed=lambda p, s: (
+            (_jump1(p, s[0]), s[1], 0.0),
+            ((s[0],), (s[1],), (0.0, s[2])),
+        ),
+        center_value=lambda p, c: _jump1(p, c[0]) + c[1],
+    ),
+    # Oscillator 2 keeps two firing memories, sigma_2a and sigma_2b.
+    "IR5": Family(
         labels=("sigma1", "sigma2a", "sigma2b", "sigma3"),
-        tau=tau,
-        orderings=_chain_orderings(4, tau, (1, 0, 3, 2)),
-        functionals=functionals,
-    )
+        order=(1, 0, 3, 2),
+        poincare_period=5,
+        period_delays=3,
+        functionals=lambda a, c, tau, h1, h2: (
+            ((0.0, a, 0.0, -1.0), c + tau, h1),
+            ((-1.0, 0.0, 1.0 - a, 0.0), a * tau + c, h1),
+            ((0.0, -1.0, a, 1.0 - a), c, h1),
+            ((1.0 - a, 0.0, 0.0, a), c, h1),
+            ((a, 1.0 - a, -1.0, 0.0), c + tau, h1),
+        ),
+        embed=lambda p, s: (
+            (_jump1(p, s[0] - s[1]) + s[1], _jump1(p, s[1]), 0.0),
+            ((s[0],), (s[1], s[2]), (0.0, s[3])),
+        ),
+        center_value=lambda p, c: _jump1(p, c[1]) + c[0],
+    ),
+}
+
+KINDS = tuple(FAMILIES)
+
+
+def _family(kind: str) -> Family:
+    try:
+        return FAMILIES[kind]
+    except KeyError:
+        raise DomainError(f"unknown region kind {kind!r}, expected one of {KINDS}")
 
 
 def region_spec(params: ModelParams, kind: str) -> RegionSpec:
-    """Dispatch on the family name ("IR3" | "IR4" | "IR5")."""
-    try:
-        builder = {"IR3": ir3_spec, "IR4": ir4_spec, "IR5": ir5_spec}[kind]
-    except KeyError:
-        raise DomainError(f"unknown region kind {kind!r}, expected one of {KINDS}")
-    return builder(params)
+    """The family's constraint system at these parameters ("IR3" | "IR4" |
+    "IR5"): its ordering chain and its bounded functionals F1, F2, ..."""
+    family = _family(kind)
+    a, c = jump_coeffs(params, 1)
+    tau = params.tau
+    rows = family.functionals(
+        a, c, tau, trigger_threshold(params, 1), trigger_threshold(params, 2)
+    )
+    return RegionSpec(
+        kind=kind,
+        dim=family.dim,
+        labels=family.labels,
+        tau=tau,
+        orderings=_chain_orderings(family.dim, tau, family.order),
+        functionals=tuple(
+            Functional(f"F{i}", weights, offset, lower)
+            for i, (weights, offset, lower) in enumerate(rows, 1)
+        ),
+    )
 
 
 # -- centers and existence ---------------------------------------------------
 
 
-def ir4_center(tau: float) -> tuple[float, float, float]:
-    return (tau / 2, tau / 4, 3 * tau / 4)
-
-
-def ir3_center(tau: float) -> tuple[float, float]:
-    return (tau / 3, 2 * tau / 3)
-
-
-def ir5_center(tau: float) -> tuple[float, float, float, float]:
-    return (2 * tau / 5, tau / 5, 4 * tau / 5, 3 * tau / 5)
-
-
 def region_center(kind: str, tau: float) -> tuple[float, ...]:
-    try:
-        builder = {"IR3": ir3_center, "IR4": ir4_center, "IR5": ir5_center}[kind]
-    except KeyError:
-        raise DomainError(f"unknown region kind {kind!r}, expected one of {KINDS}")
-    return builder(tau)
-
-
-def _exists_value(params: ModelParams, kind: str) -> float:
-    """The common value all bounded functionals take at the family center."""
-    tau = params.tau
-    if kind == "IR4":
-        return jump(params, tau / 2, params.eps_hat) + tau / 4
-    if kind == "IR3":
-        return jump(params, tau / 3, params.eps_hat) + tau / 3
-    if kind == "IR5":
-        return jump(params, tau / 5, params.eps_hat) + 2 * tau / 5
-    raise DomainError(f"unknown region kind {kind!r}, expected one of {KINDS}")
+    """The family center: its k-th smallest coordinate is (k+1)*tau/(dim+1)."""
+    family = _family(kind)
+    center = [0.0] * family.dim
+    for k, i in enumerate(family.order):
+        center[i] = (k + 1) * tau / (family.dim + 1)
+    return tuple(center)
 
 
 def region_exists(params: ModelParams, kind: str) -> bool:
@@ -249,20 +267,8 @@ def region_exists(params: ModelParams, kind: str) -> bool:
     """
     if params.tau <= 0.0:
         return False
-    v = _exists_value(params, kind)
+    v = _family(kind).center_value(params, region_center(kind, params.tau))
     return trigger_threshold(params, 1) <= v <= 1.0
-
-
-def exists_ir4(params: ModelParams) -> bool:
-    return region_exists(params, "IR4")
-
-
-def exists_ir3(params: ModelParams) -> bool:
-    return region_exists(params, "IR3")
-
-
-def exists_ir5(params: ModelParams) -> bool:
-    return region_exists(params, "IR5")
 
 
 # -- membership ---------------------------------------------------------------
@@ -344,7 +350,7 @@ def g_algebra(tau: float) -> AffineMap:
     return AffineMap(
         matrix=((0, -1, 1), (1, -1, 0), (0, -1, 0)),
         offset=(0.0, 0.0, tau),
-        center=ir4_center(tau),
+        center=region_center("IR4", tau),
         line_direction=(0, 1, 1),
     )
 
@@ -352,71 +358,34 @@ def g_algebra(tau: float) -> AffineMap:
 # -- embeddings into section states -------------------------------------------
 
 
-def _require_chain(kind: str, values: tuple[float, ...], names: tuple[str, ...]) -> None:
+def _require_chain(params: ModelParams, kind: str, sigma) -> None:
+    family = _family(kind)
+    if len(sigma) != family.dim:
+        raise DomainError(f"{kind} needs {family.dim} coordinates, got {len(sigma)}")
+    values = tuple(sigma[i] for i in family.order) + (params.tau,)
     chain = (0.0,) + values
-    for i in range(len(values)):
-        if not chain[i] < chain[i + 1]:
-            raise DomainError(
-                f"{kind} ordering violated: need 0 < "
-                + " < ".join(names)
-                + f", got {values}"
-            )
-
-
-def s_embed_ir4(params: ModelParams, sigma) -> NetworkState:
-    """Canonical section state of a period-4 family point: phases
-    (jump(sigma_1), sigma_2, 0), one firing memory per oscillator plus the
-    reference oscillator's just-now firing."""
-    s1, s2, s3 = sigma
-    _require_chain(
-        "IR4", (s2, s1, s3, params.tau), ("sigma2", "sigma1", "sigma3", "tau")
-    )
-    return network_state(
-        phases=(jump(params, s1, params.eps_hat), s2, 0.0),
-        ftds=((s1,), (s2,), (0.0, s3)),
-    )
-
-
-def s_embed_ir3(params: ModelParams, sigma) -> NetworkState:
-    """Canonical section state of a period-3 family point: oscillators 1
-    and 2 share the raw phase sigma_1 and firing memory {sigma_1}.
-
-    Unlike the other families' embeddings this state is not on the closed
-    orbit — the locked pair still has one reception to absorb — so orbits
-    started here carry a transient, and from part of the region's interior
-    that transient escapes to the synchronous orbit rather than settling
-    on the cycle.  Use cycle_state for the exact on-orbit state.
-    """
-    s1, s3 = sigma
-    _require_chain("IR3", (s1, s3, params.tau), ("sigma1", "sigma3", "tau"))
-    return network_state(
-        phases=(s1, s1, 0.0),
-        ftds=((s1,), (s1,), (0.0, s3)),
-    )
-
-
-def s_embed_ir5(params: ModelParams, sigma) -> NetworkState:
-    """Canonical section state of a period-5 family point: oscillator 2
-    carries both firing memories sigma_2a and sigma_2b."""
-    s1, s2a, s2b, s3 = sigma
-    _require_chain(
-        "IR5",
-        (s2a, s1, s3, s2b, params.tau),
-        ("sigma2a", "sigma1", "sigma3", "sigma2b", "tau"),
-    )
-    eh = params.eps_hat
-    return network_state(
-        phases=(jump(params, s1 - s2a, eh) + s2a, jump(params, s2a, eh), 0.0),
-        ftds=((s1,), (s2a, s2b), (0.0, s3)),
-    )
+    if not all(lo < hi for lo, hi in zip(chain, chain[1:])):
+        names = [family.labels[i] for i in family.order] + ["tau"]
+        raise DomainError(
+            f"{kind} ordering violated: need 0 < "
+            + " < ".join(names)
+            + f", got {values}"
+        )
 
 
 def s_embed(params: ModelParams, kind: str, sigma) -> NetworkState:
-    try:
-        builder = {"IR3": s_embed_ir3, "IR4": s_embed_ir4, "IR5": s_embed_ir5}[kind]
-    except KeyError:
-        raise DomainError(f"unknown region kind {kind!r}, expected one of {KINDS}")
-    return builder(params, sigma)
+    """Canonical section state of a family point: the reference oscillator
+    has just fired, and every firing memory is a sigma coordinate.
+
+    For the period-3 family this state is not on the closed orbit — the
+    locked pair still has one reception to absorb — so orbits started here
+    carry a transient, and from part of the region's interior that
+    transient escapes to the synchronous orbit rather than settling on the
+    cycle.  Use cycle_state for the exact on-orbit state.
+    """
+    _require_chain(params, kind, sigma)
+    phases, ftds = FAMILIES[kind].embed(params, sigma)
+    return network_state(phases=phases, ftds=ftds)
 
 
 def cycle_state(params: ModelParams, kind: str, sigma) -> NetworkState:
@@ -431,30 +400,25 @@ def cycle_state(params: ModelParams, kind: str, sigma) -> NetworkState:
     interior they collapse onto the synchronous orbit instead, so exact
     verification must start here.
     """
-    if kind != "IR3":
-        return s_embed(params, kind, sigma)
-    s1, s3 = sigma
-    _require_chain("IR3", (s1, s3, params.tau), ("sigma1", "sigma3", "tau"))
-    theta = jump(params, s1, params.eps_hat)
-    return network_state(
-        phases=(theta, theta, 0.0),
-        ftds=((s1,), (s1,), (0.0, s3)),
-    )
+    state = s_embed(params, kind, sigma)
+    if not FAMILIES[kind].locked_pair:
+        return state
+    theta = _jump1(params, state.phases[0])
+    return network_state(phases=(theta, theta, 0.0), ftds=state.ftds)
 
 
 # -- sampling ------------------------------------------------------------------
 
 
-_ORDERING_PERMUTATION = {"IR3": (0, 1), "IR4": (1, 0, 2), "IR5": (1, 0, 3, 2)}
-
-
 def _ordering_simplex_sample(rng: np.random.Generator, kind: str, tau: float, n: int) -> np.ndarray:
     """Uniform points of the ordering simplex: sort dim uniforms on
-    (0, tau), then permute the ascending values into the family's
-    variable order."""
-    dim = len(_ORDERING_PERMUTATION[kind])
-    u = np.sort(rng.uniform(0.0, tau, size=(n, dim)), axis=1)
-    return u[:, _ORDERING_PERMUTATION[kind]]
+    (0, tau), then scatter the ascending values into the family's chain
+    order."""
+    order = list(_family(kind).order)
+    u = np.sort(rng.uniform(0.0, tau, size=(n, len(order))), axis=1)
+    out = np.empty_like(u)
+    out[:, order] = u
+    return out
 
 
 def sample_interior(
@@ -723,14 +687,15 @@ def region_oracle(
             f"{kind} is empty at (eps={params.eps}, tau={params.tau}); "
             "the oracle needs a nonempty region"
         )
-    expected = EXPECTED_POINCARE_PERIOD[kind]
-    expected_period = EXPECTED_PERIOD_DELAYS[kind] * params.tau
+    family = FAMILIES[kind]
+    expected = family.poincare_period
+    expected_period = family.period_delays * params.tau
     sigmas = sample_interior(params, kind, n_samples, seed=seed)
 
     failures: list[tuple[tuple[float, ...], str]] = []
     counts: dict[int, int] = {}
     signatures = []
-    pair_ok: bool | None = True if kind == "IR3" else None
+    pair_ok: bool | None = True if family.locked_pair else None
 
     for row in sigmas:
         sigma = tuple(float(v) for v in row)
@@ -756,11 +721,11 @@ def region_oracle(
                 (
                     sigma,
                     f"orbit period {result.orbit_period} != "
-                    f"{EXPECTED_PERIOD_DELAYS[kind]}*tau",
+                    f"{family.period_delays}*tau",
                 )
             )
             continue
-        if kind == "IR3":
+        if family.locked_pair:
             state = result.periodic_state
             for _ in range(result.poincare_period):
                 if abs(state.phases[0] - state.phases[1]) > tol:
@@ -810,43 +775,22 @@ def ir4_projection_contains(
     onto the first two phases.
 
     theta_1 = jump(sigma_1) inverts to sigma_1, theta_2 is sigma_2, and the
-    remaining freedom is sigma_3: each constraint is affine in sigma_3, so
-    the test intersects intervals and checks the result is nonempty
-    (allowing tol of slack at every step)."""
+    remaining freedom is sigma_3: every halfspace row of the family is
+    affine in sigma_3, so the test intersects the rows' sigma_3 intervals
+    and checks the result is nonempty (allowing tol of slack at every
+    step)."""
     a, c = jump_coeffs(params, 1)
-    tau = params.tau
-    h = trigger_threshold(params, 1)
     sigma1 = (theta1 - c) / a
     sigma2 = theta2
-
-    # Ordering constraints not involving sigma_3.
-    if not (sigma2 > -tol and sigma1 - sigma2 > -tol and tau - sigma1 > -tol):
-        return False
-
-    lo = sigma1  # sigma_1 < sigma_3
-    hi = tau     # sigma_3 < tau
-
-    def affine_in_sigma3(coeff: float, const: float, lower: float, upper: float):
-        """Constraint lower <= coeff * sigma_3 + const <= upper."""
-        nonlocal lo, hi
-        if abs(coeff) < 1e-15:
-            if const < lower - tol or const > upper + tol:
-                lo, hi = 1.0, 0.0
-            return
-        x1 = (lower - const) / coeff
-        x2 = (upper - const) / coeff
-        lo = max(lo, min(x1, x2))
-        hi = min(hi, max(x1, x2))
-
-    # F1 = a sigma1 + c + tau - sigma3 = theta1 + tau - sigma3
-    affine_in_sigma3(-1.0, theta1 + tau, h, 1.0)
-    # F2 = (1 - a) sigma3 + (a tau + a sigma2 + c - sigma1)
-    affine_in_sigma3(1.0 - a, a * tau + a * sigma2 + c - sigma1, h, 1.0)
-    # F4 = a sigma3 + (c + sigma2 - a sigma2)
-    affine_in_sigma3(a, c + sigma2 - a * sigma2, h, 1.0)
-    # F3 has no sigma3 dependence.
-    f3 = a * (tau - sigma1) + c + sigma1 - sigma2
-    if f3 < h - tol or f3 > 1.0 + tol:
-        return False
-
+    lo, hi = -math.inf, math.inf
+    rows, bounds = _halfspaces(region_spec(params, "IR4"))
+    for (w1, w2, w3), bound in zip(rows.tolist(), bounds.tolist()):
+        rest = bound - w1 * sigma1 - w2 * sigma2  # need w3 * sigma_3 <= rest
+        if abs(w3) < 1e-15:
+            if rest < -tol:
+                return False
+        elif w3 > 0.0:
+            hi = min(hi, rest / w3)
+        else:
+            lo = max(lo, rest / w3)
     return hi - lo > -tol

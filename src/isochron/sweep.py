@@ -36,15 +36,16 @@ from .poincare import (
     states_match,
 )
 from .regions import (
+    KINDS,
     g_map,
-    ir4_center,
     ir4_projection_contains,
     membership,
     membership_margin,
+    region_center,
     region_exists,
     region_spec,
     region_volume,
-    s_embed_ir4,
+    s_embed,
     sample_interior,
 )
 
@@ -318,22 +319,13 @@ class ParamScanResult:
 def _param_cell(args) -> ParamScanRecord:
     eps, tau, b, n, volume_kinds, method, samples, cell_seed = args
     params = ModelParams(b=b, eps=eps, n=n, tau=tau)
-    volumes: dict[str, float | None] = {"IR3": None, "IR4": None, "IR5": None}
+    fields = {f"exists_{kind.lower()}": region_exists(params, kind) for kind in KINDS}
     for kind in volume_kinds:
         report = region_volume(
             region_spec(params, kind), method=method, samples=samples, seed=cell_seed
         )
-        volumes[kind] = report.volume
-    return ParamScanRecord(
-        eps=eps,
-        tau=tau,
-        exists_ir3=region_exists(params, "IR3"),
-        exists_ir4=region_exists(params, "IR4"),
-        exists_ir5=region_exists(params, "IR5"),
-        volume_ir3=volumes["IR3"],
-        volume_ir4=volumes["IR4"],
-        volume_ir5=volumes["IR5"],
-    )
+        fields[f"volume_{kind.lower()}"] = report.volume
+    return ParamScanRecord(eps=eps, tau=tau, **fields)
 
 
 def param_scan(
@@ -445,16 +437,18 @@ def _swap_free_oscillators(state: NetworkState) -> NetworkState:
 
 
 def _invert_family_state(params: ModelParams, state: NetworkState):
-    """Read the family coordinate off a canonical period-4 state, or None
-    when the state has the wrong shape or ordering."""
+    """Read the family coordinate off a period-4 state: (sigma, canonical
+    state of sigma), or None when the state has the wrong shape or
+    ordering."""
     if tuple(len(r) for r in state.ftds) != (1, 1, 2):
         return None
     if state.ftds[2][0] != 0.0:
         return None
     sigma = (state.ftds[0][0], state.ftds[1][0], state.ftds[2][1])
-    if not 0.0 < sigma[1] < sigma[0] < sigma[2] < params.tau:
+    try:
+        return sigma, s_embed(params, "IR4", sigma)
+    except DomainError:
         return None
-    return sigma
 
 
 def _identify_family_cycle(
@@ -467,13 +461,13 @@ def _identify_family_cycle(
         state = result.periodic_state
         for _ in range(result.poincare_period):
             candidate = _swap_free_oscillators(state) if mirrored else state
-            sigma = _invert_family_state(params, candidate)
-            if (
-                sigma is not None
-                and membership(spec, sigma, margin=-tol)
-                and states_match(candidate, s_embed_ir4(params, sigma), tol)
-            ):
-                return mirrored, sigma
+            inverted = _invert_family_state(params, candidate)
+            if inverted is not None:
+                sigma, canonical = inverted
+                if membership(spec, sigma, margin=-tol) and states_match(
+                    candidate, canonical, tol
+                ):
+                    return mirrored, sigma
             state, _ = poincare_map(params, state)
     return None
 
@@ -540,7 +534,7 @@ def projection_compare(
     for row in seeded_sigma:
         sigma = tuple(float(v) for v in row)
         result = detect_periodicity(
-            params, s_embed_ir4(params, sigma), max_iter=16
+            params, s_embed(params, "IR4", sigma), max_iter=16
         )
         if isinstance(result, PeriodicityResult) and result.poincare_period == 4:
             seeded_orbits += 1
@@ -646,11 +640,10 @@ def _perturbed_state(
     params: ModelParams, sigma: tuple[float, float, float], dtheta
 ) -> NetworkState:
     """The canonical period-4 state of sigma with its free phases nudged."""
-    theta1 = jump(params, sigma[0], params.eps_hat) + dtheta[0]
-    theta2 = sigma[1] + dtheta[1]
+    state = s_embed(params, "IR4", sigma)
+    theta1, theta2, theta3 = state.phases
     return network_state(
-        phases=(theta1, theta2, 0.0),
-        ftds=((sigma[0],), (sigma[1],), (0.0, sigma[2])),
+        phases=(theta1 + dtheta[0], theta2 + dtheta[1], theta3), ftds=state.ftds
     )
 
 
@@ -694,7 +687,7 @@ def stability_probe(
         n_run += 1
         start = _perturbed_state(params, moved, dtheta)
         landed, _ = poincare_map(params, start)
-        target = s_embed_ir4(params, g_map(moved, params.tau))
+        target = s_embed(params, "IR4", g_map(moved, params.tau))
         distance = state_distance(landed, target)
         max_distance = max(max_distance, distance)
         if distance > tol:
@@ -773,7 +766,7 @@ def boundary_escape_demo(
     the single-return fixed point, just outside it documents the fast
     collapse onto a stable single-return attractor.
     """
-    state = s_embed_ir4(params, ir4_center(params.tau))
+    state = s_embed(params, "IR4", region_center("IR4", params.tau))
     horizon = 3 * params.tau if horizon is None else horizon
     events = init_engine(params, state).simulate(horizon)
     result = detect_periodicity(params, state, max_iter=max_iter, tol=tol)
@@ -880,32 +873,18 @@ def write_phase_scan_json(
 def write_param_scan_csv(
     result: ParamScanResult, path, timestamp: str | None = None
 ) -> None:
+    exists = [f"exists_{k.lower()}" for k in KINDS]
+    volumes = [f"volume_{k.lower()}" for k in KINDS]
     rows = [
-        (
-            _fmt(r.eps),
-            _fmt(r.tau),
-            int(r.exists_ir3),
-            int(r.exists_ir4),
-            int(r.exists_ir5),
-            _opt(r.volume_ir3),
-            _opt(r.volume_ir4),
-            _opt(r.volume_ir5),
-        )
+        (_fmt(r.eps), _fmt(r.tau))
+        + tuple(int(getattr(r, name)) for name in exists)
+        + tuple(_opt(getattr(r, name)) for name in volumes)
         for r in result.records
     ]
     _write_csv(
         path,
         dataset_header(result.config_dict(), seed=result.seed, timestamp=timestamp),
-        [
-            "eps",
-            "tau",
-            "exists_ir3",
-            "exists_ir4",
-            "exists_ir5",
-            "volume_ir3",
-            "volume_ir4",
-            "volume_ir5",
-        ],
+        ["eps", "tau"] + exists + volumes,
         rows,
     )
 
@@ -985,7 +964,7 @@ def emit_param_scan_plot(
     csv_path: str, kind: str = "IR4", image_path: str = "param_scan.png"
 ) -> str:
     """Gnuplot commands for an existence map over the (eps, tau) plane."""
-    column = {"IR3": 3, "IR4": 4, "IR5": 5}[kind]
+    column = {k: 3 + i for i, k in enumerate(KINDS)}[kind]
     return "\n".join(
         [
             "set datafile separator ','",

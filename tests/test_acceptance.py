@@ -23,7 +23,6 @@ from isochron import (
     detect_periodicity,
     g_map,
     init_engine,
-    ir4_center,
     membership,
     poincare_map,
     pulse_equivalent,
@@ -83,7 +82,7 @@ def test_2_coordinate_map_has_period_four(capsys):
         for _ in range(4):
             cur = g_map(cur, TAU)
         worst = max(worst, max(abs(a - b) for a, b in zip(cur, sigma)))
-    center = ir4_center(TAU)
+    center = region_center("IR4", TAU)
     worst = max(
         worst, max(abs(a - b) for a, b in zip(g_map(center, TAU), center))
     )
@@ -111,7 +110,7 @@ def test_3_canonical_orbit_periods(capsys):
     spec = region_spec(P, "IR4")
     failures = []
 
-    center = ir4_center(TAU)
+    center = region_center("IR4", TAU)
     res = detect_periodicity(P, s_embed(P, "IR4", center))
     if res.poincare_period != 1 or abs(res.orbit_period - 3 * TAU / 4) > 1e-9:
         failures.append("center")

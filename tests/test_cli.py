@@ -44,6 +44,12 @@ class TestParsing:
         assert main(["region", "exists", "--kind", "irx"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_engine_failure_has_its_own_exit_code(self, capsys):
+        # At zero delay this coupling makes the same-timestamp cascade stall.
+        argv = ["scan", "phases", "--tau", "0", "--eps", "1.6", "--step", "0.5"]
+        assert main(argv) == 3
+        assert "cascade exceeded" in capsys.readouterr().err
+
     def test_missing_subcommand_exits(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["region"])

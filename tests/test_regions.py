@@ -9,21 +9,14 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from isochron import (
-    EXPECTED_PERIOD_DELAYS,
-    EXPECTED_POINCARE_PERIOD,
+    FAMILIES,
     DomainError,
     ModelParams,
     cycle_state,
     detect_periodicity,
-    exists_ir3,
-    exists_ir4,
-    exists_ir5,
     g_algebra,
     g_map,
-    ir3_center,
-    ir4_center,
     ir4_projection_contains,
-    ir5_center,
     jump,
     membership,
     membership_many,
@@ -35,9 +28,6 @@ from isochron import (
     region_spec,
     region_volume,
     s_embed,
-    s_embed_ir3,
-    s_embed_ir4,
-    s_embed_ir5,
     sample_interior,
     states_match,
     trigger_threshold,
@@ -205,7 +195,7 @@ class TestMembership:
         spec = region_spec(P, "IR4")
         assert membership(spec, (0.30, 0.10, 0.40))
         assert not membership(spec, (0.10, 0.30, 0.40))  # sigma2 > sigma1
-        assert membership(spec, ir4_center(P.tau))
+        assert membership(spec, region_center("IR4", P.tau))
 
     def test_margin_shrinks_the_region(self):
         spec = region_spec(P, "IR4")
@@ -240,7 +230,7 @@ class TestMembership:
 
 class TestExistence:
     def test_reference_parameters(self):
-        assert exists_ir4(P) and exists_ir3(P) and exists_ir5(P)
+        assert region_exists(P, "IR4") and region_exists(P, "IR3") and region_exists(P, "IR5")
 
     def test_center_values_frozen(self):
         tau = P.tau
@@ -255,9 +245,9 @@ class TestExistence:
         )
 
     def test_known_parameter_points(self):
-        assert exists_ir4(ModelParams(b=3.0, eps=0.45, n=3, tau=0.45))
-        assert not exists_ir4(ModelParams(b=3.0, eps=0.58, n=3, tau=0.10))
-        assert not exists_ir4(ModelParams(b=3.0, eps=0.95, n=3, tau=0.95))
+        assert region_exists(ModelParams(b=3.0, eps=0.45, n=3, tau=0.45), "IR4")
+        assert not region_exists(ModelParams(b=3.0, eps=0.58, n=3, tau=0.10), "IR4")
+        assert not region_exists(ModelParams(b=3.0, eps=0.95, n=3, tau=0.95), "IR4")
 
     @pytest.mark.parametrize("kind", ["IR3", "IR4", "IR5"])
     def test_existence_is_center_membership(self, kind):
@@ -287,7 +277,7 @@ class TestExistence:
 
 class TestGMap:
     def test_center_is_fixed(self):
-        center = ir4_center(P.tau)
+        center = region_center("IR4", P.tau)
         assert g_map(center, P.tau) == pytest.approx(center, abs=1e-15)
 
     def test_fourth_iterate_is_identity(self):
@@ -300,7 +290,7 @@ class TestGMap:
             assert cur == pytest.approx(sigma, abs=1e-12)
 
     def test_square_fixes_the_period2_line(self):
-        c = np.asarray(ir4_center(P.tau))
+        c = np.asarray(region_center("IR4", P.tau))
         d = np.asarray(g_algebra(P.tau).line_direction, dtype=float)
         for t in np.linspace(-0.1, 0.1, 21):
             sigma = tuple(c + t * d)
@@ -352,7 +342,7 @@ class TestGMap:
 class TestEmbeddings:
     def test_period4_structure(self):
         sigma = (0.30, 0.10, 0.40)
-        state = s_embed_ir4(P, sigma)
+        state = s_embed(P, "IR4", sigma)
         assert state.phases == (jump(P, 0.30, P.eps_hat), 0.10, 0.0)
         assert state.ftds == ((0.30,), (0.10,), (0.0, 0.40))
 
@@ -365,13 +355,13 @@ class TestEmbeddings:
             assert len(state.ftds[-1]) == 2
 
     def test_locked_pair_shares_phase_and_memory(self):
-        state = s_embed_ir3(P, (0.15, 0.30))
+        state = s_embed(P, "IR3", (0.15, 0.30))
         assert state.phases[0] == state.phases[1] == 0.15
         assert state.ftds[0] == state.ftds[1] == (0.15,)
 
     def test_period5_double_memory(self):
-        center = ir5_center(P.tau)
-        state = s_embed_ir5(P, center)
+        center = region_center("IR5", P.tau)
+        state = s_embed(P, "IR5", center)
         assert len(state.ftds[1]) == 2
         assert state.phases == pytest.approx(
             (0.46554981915050275, 0.34954981915050276, 0.0), abs=1e-15
@@ -379,13 +369,15 @@ class TestEmbeddings:
 
     def test_ordering_violations_rejected(self):
         with pytest.raises(DomainError):
-            s_embed_ir4(P, (0.10, 0.30, 0.40))  # sigma2 > sigma1
+            s_embed(P, "IR4", (0.10, 0.30, 0.40))  # sigma2 > sigma1
         with pytest.raises(DomainError):
-            s_embed_ir4(P, (0.30, 0.10, 0.60))  # sigma3 > tau
+            s_embed(P, "IR4", (0.30, 0.10, 0.60))  # sigma3 > tau
         with pytest.raises(DomainError):
-            s_embed_ir3(P, (0.40, 0.30))  # sigma1 > sigma3
+            s_embed(P, "IR3", (0.40, 0.30))  # sigma1 > sigma3
         with pytest.raises(DomainError):
-            s_embed_ir5(P, (0.10, 0.20, 0.50, 0.40))  # sigma2a > sigma1
+            s_embed(P, "IR5", (0.10, 0.20, 0.50, 0.40))  # sigma2a > sigma1
+        with pytest.raises(DomainError):
+            s_embed(P, "IR4", (0.30, 0.10))  # too few coordinates
 
     def test_cycle_state_pair_phase_is_pulse_adjusted(self):
         # On the closed orbit the locked pair has already absorbed the
@@ -420,7 +412,7 @@ class TestRawEmbeddingTransient:
         exact = 0
         for row in pts:
             sigma = (float(row[0]), float(row[1]))
-            raw = detect_periodicity(P, s_embed_ir3(P, sigma))
+            raw = detect_periodicity(P, s_embed(P, "IR3", sigma))
             counts[raw.poincare_period] = counts.get(raw.poincare_period, 0) + 1
             cyc = detect_periodicity(P, cycle_state(P, "IR3", sigma))
             if (
@@ -434,7 +426,7 @@ class TestRawEmbeddingTransient:
 
     def test_center_raw_start_needs_one_transient_return(self):
         c = region_center("IR3", P.tau)
-        raw = detect_periodicity(P, s_embed_ir3(P, c))
+        raw = detect_periodicity(P, s_embed(P, "IR3", c))
         assert raw.poincare_period == 3
         assert raw.transient_iters == 1
 
@@ -453,13 +445,13 @@ class TestIntertwining:
         pts = sample_interior(P, "IR4", 50, seed=29)
         for row in pts:
             sigma = tuple(float(v) for v in row)
-            advanced, _ = poincare_map(P, s_embed_ir4(P, sigma))
-            predicted = s_embed_ir4(P, g_map(sigma, P.tau))
+            advanced, _ = poincare_map(P, s_embed(P, "IR4", sigma))
+            predicted = s_embed(P, "IR4", g_map(sigma, P.tau))
             assert states_match(advanced, predicted, tol=1e-12)
 
     def test_four_returns_close_the_orbit(self):
         sigma = (0.30, 0.10, 0.40)
-        state = s_embed_ir4(P, sigma)
+        state = s_embed(P, "IR4", sigma)
         cur = state
         total = 0.0
         for _ in range(4):
@@ -594,8 +586,8 @@ class TestOracle:
         assert d["poincare_period_counts"] == {"4": 3}
 
     def test_expected_periods_table(self):
-        assert EXPECTED_POINCARE_PERIOD == {"IR3": 3, "IR4": 4, "IR5": 5}
-        assert EXPECTED_PERIOD_DELAYS == {"IR3": 2, "IR4": 3, "IR5": 3}
+        assert {k: f.poincare_period for k, f in FAMILIES.items()} == {"IR3": 3, "IR4": 4, "IR5": 5}
+        assert {k: f.period_delays for k, f in FAMILIES.items()} == {"IR3": 2, "IR4": 3, "IR5": 3}
 
 
 class TestPhaseProjectionMembership:
@@ -607,7 +599,7 @@ class TestPhaseProjectionMembership:
             assert ir4_projection_contains(P, theta1, theta2)
 
     def test_center_projection_is_inside(self):
-        c = ir4_center(P.tau)
+        c = region_center("IR4", P.tau)
         assert ir4_projection_contains(
             P, jump(P, c[0], P.eps_hat), c[1]
         )

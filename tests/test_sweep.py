@@ -22,12 +22,12 @@ from isochron import (
     emit_phase_scan_plot,
     emit_projection_plot,
     eq_init_state,
-    ir4_center,
     ir4_projection_contains,
     param_scan,
     phase_scan,
     projection_compare,
     pulse_equivalent,
+    region_center,
     region_exists,
     region_spec,
     region_volume,
@@ -318,7 +318,7 @@ class TestProjectionCompare:
 
 class TestStabilityProbe:
     def test_center_perturbations_converge_in_one_return(self):
-        report = stability_probe(P, ir4_center(P.tau), n_trials=100, seed=0)
+        report = stability_probe(P, region_center("IR4", P.tau), n_trials=100, seed=0)
         assert report.ok
         assert report.n_run == 100
         assert report.n_refused == 0
@@ -327,7 +327,7 @@ class TestStabilityProbe:
 
     def test_wide_perturbations_are_refused_not_failed(self):
         report = stability_probe(
-            P, ir4_center(P.tau), dsigma_max=0.2, n_trials=100, seed=3
+            P, region_center("IR4", P.tau), dsigma_max=0.2, n_trials=100, seed=3
         )
         assert report.n_run + report.n_refused == 100
         assert report.n_refused > 0
@@ -341,12 +341,12 @@ class TestStabilityProbe:
             stability_probe(P, (tau / 4, tau / 2, 3 * tau / 4))
 
     def test_is_deterministic_in_seed(self):
-        a = stability_probe(P, ir4_center(P.tau), n_trials=20, seed=11)
-        b = stability_probe(P, ir4_center(P.tau), n_trials=20, seed=11)
+        a = stability_probe(P, region_center("IR4", P.tau), n_trials=20, seed=11)
+        b = stability_probe(P, region_center("IR4", P.tau), n_trials=20, seed=11)
         assert a == b
 
     def test_json_dict_round_trips(self):
-        report = stability_probe(P, ir4_center(P.tau), n_trials=5, seed=1)
+        report = stability_probe(P, region_center("IR4", P.tau), n_trials=5, seed=1)
         payload = report.to_json_dict()
         assert payload["ok"] is True
         assert json.loads(json.dumps(payload)) == payload
