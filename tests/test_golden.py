@@ -1,6 +1,9 @@
 """Golden outputs: CLI datasets pinned byte for byte.
 
-Each case runs one CLI command with a pinned timestamp and compares every
+The cases cover the interior samples of each family, the existence map,
+the initial-phase scan, the section-map report from each family's center,
+the projection overlay, the verify report and the volumes.  Each case
+runs one CLI command with a pinned timestamp and compares every
 file it writes against the copy under tests/golden/.  Exact volumes pass
 through LAPACK and qhull, so they are compared within 1e-12 relative; every
 other byte must match.
@@ -34,6 +37,12 @@ CASES = {
         for k in ("ir3", "ir4", "ir5")
     },
     "scan-params": ["scan", "params", "--grid", "20x20", "--out-csv", "params.csv"],
+    "scan-phases": ["scan", "phases", "--step", "0.1", "--out-csv", "phases.csv",
+                    "--out-json", "phases.json"],
+    **{
+        f"poincare-{k}": ["poincare", "--center", k, "--out", f"poincare-{k}.json"]
+        for k in ("ir3", "ir4", "ir5")
+    },
     "project-compare": ["region", "project", "--compare", "--step", "0.1",
                         "--samples", "200", "--out-csv", "project.csv",
                         "--out-json", "project.json"],
