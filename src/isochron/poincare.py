@@ -91,17 +91,25 @@ class PeriodicityResult:
     poincare_period   minimal cycle length (detected length reduced over
                       its divisors)
     orbit_period      total time of one minimal cycle
-    periodic_state    first state on the cycle
     detected_period   raw revisit distance before divisor reduction
     return_times      per-iteration return times over one minimal cycle
+    cycle_states      the cycle's section states, each the section map
+                      of the one before
+    receptions        the cycle's pulse receptions, as in PulseSignature
     """
 
     transient_iters: int
     poincare_period: int
     orbit_period: float
-    periodic_state: NetworkState
     detected_period: int
     return_times: tuple[float, ...]
+    cycle_states: tuple[NetworkState, ...]
+    receptions: tuple[tuple[int, int, float], ...]
+
+    @property
+    def periodic_state(self) -> NetworkState:
+        """First state on the cycle."""
+        return self.cycle_states[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -152,6 +160,31 @@ def _minimal_cycle(
     return length
 
 
+def _walk_cycle(
+    params: ModelParams, start: NetworkState, period: int, orbit_period: float, max_time: float
+) -> tuple[tuple[NetworkState, ...], tuple[tuple[int, int, float], ...]]:
+    """Apply the section map period times from start, each return on a
+    fresh engine exactly as poincare_map does, and collect the cycle's
+    states and its receptions timed from the cycle start."""
+    states = [start]
+    receptions: list[tuple[int, int, float]] = []
+    cycle_time = 0.0
+    for _ in range(period):
+        eng = init_engine(params, states[-1])
+        state, elapsed, events = eng.run_until_section(max_time=max_time)
+        for ev in events:
+            if ev.kind != "pulse":
+                continue
+            offset = cycle_time + ev.time
+            if offset >= orbit_period - DEFAULT_MATCH_TOL:
+                offset = 0.0
+            receptions.extend((r, ev.multiplicity, offset) for r in ev.participants)
+        states.append(state)
+        cycle_time += elapsed
+    receptions.sort(key=lambda rec: (rec[2], rec[0]))
+    return tuple(states[:-1]), tuple(receptions)
+
+
 def detect_periodicity(
     params: ModelParams,
     state: NetworkState,
@@ -165,7 +198,8 @@ def detect_periodicity(
     ones (earliest first), so the reported transient is minimal.  The
     detected revisit distance is then reduced over its divisors to the
     minimal Poincare period; the orbit period sums the minimal cycle's
-    return times.  After max_iter iterations a NotPeriodic report is
+    return times, and one more walk of the cycle records its states and
+    receptions.  After max_iter iterations a NotPeriodic report is
     returned (a result, not an error).
     """
     if max_iter < 1:
@@ -192,13 +226,18 @@ def detect_periodicity(
             if states_match(states[j], new, tol):
                 length = i - j
                 minimal = _minimal_cycle(states, j, length, tol)
+                orbit_period = sum(returns[j : j + minimal])
+                cycle_states, receptions = _walk_cycle(
+                    params, states[j], minimal, orbit_period, max_time_per_return
+                )
                 return PeriodicityResult(
                     transient_iters=j,
                     poincare_period=minimal,
-                    orbit_period=sum(returns[j : j + minimal]),
-                    periodic_state=states[j],
+                    orbit_period=orbit_period,
                     detected_period=length,
                     return_times=tuple(returns[j : j + minimal]),
+                    cycle_states=cycle_states,
+                    receptions=receptions,
                 )
         states.append(new)
         bisect.insort(by_phase0, (new.phases[0], i))
@@ -237,19 +276,8 @@ class PulseSignature:
 
 
 def pulse_signature(params: ModelParams, result: PeriodicityResult) -> PulseSignature:
-    """Simulate one period from the cycle state and collect every reception."""
-    period = result.orbit_period
-    eng = init_engine(params, result.periodic_state)
-    events = eng.simulate(period)
-    receptions: list[tuple[int, int, float]] = []
-    for ev in events:
-        if ev.kind != "pulse":
-            continue
-        offset = ev.time if ev.time < period - DEFAULT_MATCH_TOL else 0.0
-        for recipient in ev.participants:
-            receptions.append((recipient, ev.multiplicity or 1, offset))
-    receptions.sort(key=lambda rec: (rec[2], rec[0]))
-    return PulseSignature(period=period, receptions=tuple(receptions))
+    """The reception pattern the detector recorded; nothing is simulated."""
+    return PulseSignature(period=result.orbit_period, receptions=result.receptions)
 
 
 def pulse_equivalent(a: PulseSignature, b: PulseSignature, tol: float = 1e-9) -> bool:

@@ -36,7 +36,7 @@ from .poincare import (
     NotPeriodic,
     PeriodicityResult,
     detect_periodicity,
-    poincare_map,
+    poincare_map,  # unused here; bound so perfbench/tracer.py can wrap it
     pulse_equivalent,
     pulse_signature,
 )
@@ -430,17 +430,25 @@ def sample_interior(
     max_draws: int = 10_000_000,
 ) -> np.ndarray:
     """n interior points of the family, by rejection from the ordering
-    simplex; every returned point clears all constraints by margin."""
+    simplex; every returned point clears all constraints by margin.  An
+    empty family raises RuntimeError before the first draw."""
+    if n < 0:
+        raise DomainError(f"sample count must be >= 0, got {n}")
     spec = region_spec(params, kind)
+    if not region_exists(params, kind):
+        raise RuntimeError(
+            f"{kind} is empty at (eps={params.eps}, tau={params.tau}); "
+            "there are no interior points to sample"
+        )
     rng = np.random.default_rng(seed)
-    out: list[np.ndarray] = []
+    out = [np.empty((0, spec.dim))]
     got = 0
     drawn = 0
     while got < n:
         if drawn >= max_draws:
             raise RuntimeError(
                 f"drew {drawn} candidates but found only {got}/{n} interior "
-                f"points of {kind}; the region may be empty at these parameters"
+                f"points of {kind}; the region is too thin at these parameters"
             )
         chunk = min(max(4 * (n - got), 1024), max_draws - drawn)
         drawn += chunk
@@ -725,14 +733,11 @@ def region_oracle(
                 )
             )
             continue
-        if family.locked_pair:
-            state = result.periodic_state
-            for _ in range(result.poincare_period):
-                if abs(state.phases[0] - state.phases[1]) > tol:
-                    pair_ok = False
-                    failures.append((sigma, "locked pair drifted apart"))
-                    break
-                state, _ = poincare_map(params, state)
+        if family.locked_pair and any(
+            abs(state.phases[0] - state.phases[1]) > tol for state in result.cycle_states
+        ):
+            pair_ok = False
+            failures.append((sigma, "locked pair drifted apart"))
         signatures.append(pulse_signature(params, result))
 
     all_equivalent = all(

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ from ._version import __version__
 from .engine import NetworkState, TraceEvent, format_trace_text, init_engine, network_state
 from .model import DomainError, ModelParams, jump
 from .poincare import (
+    DEFAULT_MATCH_TOL,
     NotPeriodic,
     PeriodicityResult,
     PulseSignature,
@@ -61,13 +63,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _run_tasks(fn, tasks: list, workers: int) -> list:
-    """Run independent tasks, serially or on a process pool; results are
-    gathered in task order either way, so the output is identical."""
+def _run_tasks(fn, tasks: list, workers: int) -> Iterator:
+    """Run independent tasks, serially or on a process pool, and yield
+    their results in task order either way, so the output is identical
+    and a consumer can drop each result before the next arrives."""
     if workers <= 1:
-        return [fn(t) for t in tasks]
+        yield from map(fn, tasks)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        yield from pool.map(fn, tasks)
 
 
 # -- initial-phase scan ---------------------------------------------------------
@@ -100,11 +104,11 @@ class ScanRecord:
     theta1: float
     theta2: float
     periodic: bool
-    transient_iters: int | None
-    poincare_period: int | None
-    orbit_period: float | None
-    signature_id: int | None
-    projection: tuple[tuple[float, float], ...]
+    transient_iters: int | None = None
+    poincare_period: int | None = None
+    orbit_period: float | None = None
+    signature_id: int | None = None
+    projection: tuple[tuple[float, float], ...] = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -159,38 +163,25 @@ def _grid_values(step: float) -> list[float]:
     return [i * step for i in range(count)]
 
 
-def _cycle_projection(
-    params: ModelParams, result: PeriodicityResult
-) -> tuple[tuple[float, float], ...]:
-    """Projections of every state on the minimal cycle."""
-    state = result.periodic_state
-    points = [phase_projection(state)]
-    for _ in range(result.poincare_period - 1):
-        state, _ = poincare_map(params, state)
-        points.append(phase_projection(state))
-    return tuple((p[0], p[1]) for p in points)
-
-
 def _scan_row(args) -> list[tuple]:
-    """Worker task: scan one row of theta_1 against all theta_2 values.
-
-    Returns raw cells (theta1, theta2, result, signature, projection);
-    signature interning happens in the parent for a deterministic table.
-    """
+    """Worker task: run the cycle detector on one row of theta_1 against
+    all theta_2 values; returns (theta1, theta2, result) per cell."""
     params, theta1, theta2s, max_iter, tol = args
     out = []
     for theta2 in theta2s:
-        result = detect_periodicity(
-            params, eq_init_state(params, theta1, theta2), max_iter=max_iter, tol=tol
-        )
-        if isinstance(result, PeriodicityResult):
-            signature = pulse_signature(params, result)
-            projection = _cycle_projection(params, result)
-        else:
-            signature = None
-            projection = ()
-        out.append((theta1, theta2, result, signature, projection))
+        start = eq_init_state(params, theta1, theta2)
+        result = detect_periodicity(params, start, max_iter=max_iter, tol=tol)
+        out.append((theta1, theta2, result))
     return out
+
+
+def _scan_cells(params: ModelParams, step: float, max_iter: int, tol: float, workers: int):
+    """Yield (theta1, theta2, result) over the initial-phase grid in grid
+    order, one row at a time."""
+    values = _grid_values(step)
+    tasks = [(params, t1, values, max_iter, tol) for t1 in values]
+    for row in _run_tasks(_scan_row, tasks, workers):
+        yield from row
 
 
 def phase_scan(
@@ -208,48 +199,30 @@ def phase_scan(
     workers > 1 rows are scanned on a process pool and gathered in grid
     order, so the result is identical to a serial run.
     """
-    values = _grid_values(step)
-    tasks = [(params, t1, values, max_iter, tol) for t1 in values]
-    rows = _run_tasks(_scan_row, tasks, workers)
-
     records: list[ScanRecord] = []
     signatures: list[PulseSignature] = []
-    for row in rows:
-        for theta1, theta2, result, signature, projection in row:
-            if isinstance(result, PeriodicityResult):
-                sid = None
-                for i, known in enumerate(signatures):
-                    if pulse_equivalent(known, signature):
-                        sid = i
-                        break
-                if sid is None:
-                    signatures.append(signature)
-                    sid = len(signatures) - 1
-                records.append(
-                    ScanRecord(
-                        theta1=theta1,
-                        theta2=theta2,
-                        periodic=True,
-                        transient_iters=result.transient_iters,
-                        poincare_period=result.poincare_period,
-                        orbit_period=result.orbit_period,
-                        signature_id=sid,
-                        projection=projection,
-                    )
-                )
-            else:
-                records.append(
-                    ScanRecord(
-                        theta1=theta1,
-                        theta2=theta2,
-                        periodic=False,
-                        transient_iters=None,
-                        poincare_period=None,
-                        orbit_period=None,
-                        signature_id=None,
-                        projection=(),
-                    )
-                )
+    for theta1, theta2, result in _scan_cells(params, step, max_iter, tol, workers):
+        if not isinstance(result, PeriodicityResult):
+            records.append(ScanRecord(theta1=theta1, theta2=theta2, periodic=False))
+            continue
+        signature = pulse_signature(params, result)
+        matches = (i for i, known in enumerate(signatures) if pulse_equivalent(known, signature))
+        sid = next(matches, None)
+        if sid is None:
+            signatures.append(signature)
+            sid = len(signatures) - 1
+        records.append(
+            ScanRecord(
+                theta1=theta1,
+                theta2=theta2,
+                periodic=True,
+                transient_iters=result.transient_iters,
+                poincare_period=result.poincare_period,
+                orbit_period=result.orbit_period,
+                signature_id=sid,
+                projection=tuple(map(phase_projection, result.cycle_states)),
+            )
+        )
     return PhaseScanResult(
         params=params,
         step=step,
@@ -458,8 +431,7 @@ def _identify_family_cycle(
     after relabeling the free oscillators.  Returns (mirrored, sigma) for
     the first cycle state that embeds a member, else None."""
     for mirrored in (False, True):
-        state = result.periodic_state
-        for _ in range(result.poincare_period):
+        for state in result.cycle_states:
             candidate = _swap_free_oscillators(state) if mirrored else state
             inverted = _invert_family_state(params, candidate)
             if inverted is not None:
@@ -468,7 +440,6 @@ def _identify_family_cycle(
                     candidate, canonical, tol
                 ):
                     return mirrored, sigma
-            state, _ = poincare_map(params, state)
     return None
 
 
@@ -502,19 +473,13 @@ def projection_compare(
         for s in analytic_sigma
     )
 
-    scan = phase_scan(params, step=step, max_iter=max_iter, workers=workers)
     numeric: list[tuple[float, float]] = []
     numeric_orbits = 0
     mirror_orbits = 0
     unidentified = 0
-    for record in scan.records:
-        if record.poincare_period != 4:
+    for _, _, result in _scan_cells(params, step, max_iter, DEFAULT_MATCH_TOL, workers):
+        if not isinstance(result, PeriodicityResult) or result.poincare_period != 4:
             continue
-        result = detect_periodicity(
-            params,
-            eq_init_state(params, record.theta1, record.theta2),
-            max_iter=max_iter,
-        )
         identified = _identify_family_cycle(params, spec, result, tol=1e-7)
         if identified is None:
             unidentified += 1
@@ -538,7 +503,7 @@ def projection_compare(
         )
         if isinstance(result, PeriodicityResult) and result.poincare_period == 4:
             seeded_orbits += 1
-            seeded.extend(_cycle_projection(params, result))
+            seeded.extend(map(phase_projection, result.cycle_states))
 
     violations = tuple(
         p for p in numeric if not ir4_projection_contains(params, p[0], p[1], tol=tol)

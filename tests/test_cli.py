@@ -369,6 +369,20 @@ class TestRegionSample:
         assert path.read_bytes() == first
         assert path.read_text().splitlines()[4] == "sigma1,sigma3"
 
+    def test_zero_samples_writes_header_and_columns_only(self, capsys, tmp_path):
+        path = tmp_path / "none.csv"
+        argv = ["region", "sample", "--samples", "0", "--out", str(path), "--timestamp", TS]
+        assert main(argv) == 0
+        lines = path.read_text().splitlines()
+        assert all(ln.startswith("# ") for ln in lines[:-1])
+        assert lines[-1] == "sigma1,sigma2,sigma3"
+
+    def test_empty_region_exits_3(self, capsys):
+        argv = ["region", "sample", "--kind", "ir4", "--b", "1.5", "--eps", "0.7",
+                "--tau", "0.8", "--samples", "10"]
+        assert main(argv) == 3
+        assert "IR4 is empty at (eps=0.7, tau=0.8)" in capsys.readouterr().err
+
 
 class TestRegionProject:
     def test_analytic_rows_are_inside_the_image(self, capsys):
@@ -414,6 +428,12 @@ class TestRegionProject:
         assert payload["contained"] is True
         assert payload["seeded_orbit_count"] == 10
         assert str(csv) in plot.read_text()
+
+    def test_compare_with_zero_samples(self, capsys):
+        argv = ["region", "project", "--compare", "--samples", "0", "--step", "0.5",
+                "--timestamp", TS]
+        assert main(argv) == 0
+        assert "seeded orbits: 0" in capsys.readouterr().out
 
 
 class TestScanPhases:

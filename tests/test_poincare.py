@@ -5,20 +5,27 @@ import math
 import pytest
 
 from isochron import (
+    DEFAULT_MATCH_TOL,
+    KINDS,
     ModelParams,
     NotPeriodic,
     PeriodicityResult,
     SectionError,
+    cycle_state,
     detect_periodicity,
+    eq_init_state,
+    init_engine,
     jump,
     network_state,
     phase_projection,
     poincare_map,
     pulse_equivalent,
     pulse_signature,
+    region_center,
     require_section_state,
     states_match,
 )
+from isochron import poincare
 from isochron.poincare import _minimal_cycle
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
@@ -236,6 +243,84 @@ class TestMinimalCycle:
         assert _minimal_cycle(states, 0, 4, tol=1e-9) == 2
         assert _minimal_cycle([a, a, a], 0, 3, tol=1e-9) == 1
         assert _minimal_cycle([a, b, a, b], 0, 2, tol=1e-9) == 2
+
+
+def simulated_receptions(params, result):
+    """Reference receptions: one continuous simulation of the orbit period
+    from the cycle start, wrapping a reception at the period boundary to
+    offset 0."""
+    period = result.orbit_period
+    receptions = []
+    for ev in init_engine(params, result.periodic_state).simulate(period):
+        if ev.kind != "pulse":
+            continue
+        offset = ev.time if ev.time < period - DEFAULT_MATCH_TOL else 0.0
+        receptions.extend((r, ev.multiplicity, offset) for r in ev.participants)
+    receptions.sort(key=lambda rec: (rec[2], rec[0]))
+    return receptions
+
+
+def per_recipient(receptions):
+    """recipient -> time-ordered [(multiplicity, offset), ...]."""
+    out = {}
+    for recipient, mult, offset in receptions:
+        out.setdefault(recipient, []).append((mult, offset))
+    return out
+
+
+@pytest.fixture(scope="module")
+def walked_cycles():
+    """Every periodic cell of the step-0.1 scan grid plus the cycle from
+    each family's center."""
+    grid = [i * 0.1 for i in range(10)]
+    cases = [
+        (f"cell ({t1:.1f}, {t2:.1f})", eq_init_state(P, t1, t2))
+        for t1 in grid
+        for t2 in grid
+    ]
+    cases += [
+        (f"{kind} center", cycle_state(P, kind, region_center(kind, P.tau)))
+        for kind in KINDS
+    ]
+    results = [(label, detect_periodicity(P, state)) for label, state in cases]
+    return [(label, res) for label, res in results if isinstance(res, PeriodicityResult)]
+
+
+class TestCycleWalk:
+    def test_covers_the_grid_and_every_family(self, walked_cycles):
+        assert len(walked_cycles) == 100 + len(KINDS)
+        assert {res.poincare_period for _, res in walked_cycles} >= {1, 2, 3}
+
+    def test_states_follow_the_section_map_exactly(self, walked_cycles):
+        for label, res in walked_cycles:
+            states = res.cycle_states
+            assert len(states) == res.poincare_period, label
+            assert res.periodic_state is states[0]
+            for k in range(len(states) - 1):
+                assert poincare_map(P, states[k])[0] == states[k + 1], label
+            closing, _ = poincare_map(P, states[-1])
+            assert states_match(closing, states[0], DEFAULT_MATCH_TOL), label
+
+    def test_receptions_match_a_continuous_simulation(self, walked_cycles):
+        for label, res in walked_cycles:
+            want = per_recipient(simulated_receptions(P, res))
+            got = per_recipient(res.receptions)
+            assert got.keys() == want.keys(), label
+            for recipient, seq in want.items():
+                assert [m for m, _ in got[recipient]] == [m for m, _ in seq], label
+                for (_, a), (_, b) in zip(got[recipient], seq):
+                    assert a == pytest.approx(b, abs=1e-12), label
+
+    def test_signature_reads_the_result_without_an_engine(self, monkeypatch):
+        res = detect_periodicity(P, rotating_wave_state(P.tau), max_iter=8)
+
+        def no_engine(*args, **kwargs):
+            raise AssertionError("pulse_signature started an engine")
+
+        monkeypatch.setattr(poincare, "init_engine", no_engine)
+        sig = pulse_signature(P, res)
+        assert sig.period == res.orbit_period
+        assert sig.receptions == res.receptions
 
 
 class TestPulseSignature:

@@ -10,6 +10,7 @@ from scipy.spatial import ConvexHull
 
 from isochron import (
     FAMILIES,
+    KINDS,
     DomainError,
     ModelParams,
     cycle_state,
@@ -32,6 +33,7 @@ from isochron import (
     states_match,
     trigger_threshold,
 )
+from isochron import regions
 from isochron.regions import _enumerate_vertices, _ordering_simplex_sample
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
@@ -480,6 +482,28 @@ class TestSampling:
         params = ModelParams(b=3.0, eps=0.58, n=3, tau=0.10)
         with pytest.raises(RuntimeError):
             sample_interior(params, "IR4", 10, seed=0, max_draws=5000)
+
+    def test_empty_region_raises_before_drawing(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _ordering_simplex_sample(*args)
+
+        monkeypatch.setattr(regions, "_ordering_simplex_sample", counting)
+        params = ModelParams(b=1.5, eps=0.7, n=3, tau=0.8)
+        with pytest.raises(RuntimeError, match=r"IR4 is empty at \(eps=0.7, tau=0.8\)"):
+            sample_interior(params, "IR4", 10)
+        assert calls == []
+
+    def test_zero_samples_is_an_empty_array(self):
+        for kind in KINDS:
+            pts = sample_interior(P, kind, 0)
+            assert pts.shape == (0, region_spec(P, kind).dim)
+
+    def test_negative_sample_count_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="-1"):
+            sample_interior(P, "IR4", -1)
 
 
 class TestVolume:

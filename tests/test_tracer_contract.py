@@ -22,6 +22,7 @@ def _load_tracer_module():
 def test_tracer_installs_and_uninstalls():
     watched = [
         (isochron.regions, "detect_periodicity"),
+        (isochron.regions, "poincare_map"),
         (isochron.regions, "region_volume"),
         (isochron.cli, "pulse_signature"),
         (isochron.cli, "main"),
