@@ -2,10 +2,17 @@
 the period-4 self-map, embeddings, sampling, volumes, and the
 simulation-backed oracle."""
 
+import dataclasses
+import itertools
+import json
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from isochron import (
@@ -34,7 +41,12 @@ from isochron import (
     trigger_threshold,
 )
 from isochron import regions
-from isochron.regions import _enumerate_vertices, _ordering_simplex_sample
+from isochron.regions import (
+    Functional,
+    _enumerate_vertices,
+    _halfspaces,
+    _ordering_simplex_sample,
+)
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
 
@@ -542,14 +554,29 @@ class TestVolume:
         assert serial.volume == threaded.volume
         assert serial.stderr == threaded.stderr
 
-    def test_empty_region_has_zero_volume(self):
-        params = ModelParams(b=3.0, eps=0.58, n=3, tau=0.10)
-        spec = region_spec(params, "IR4")
+    @pytest.mark.parametrize("tau", [0.0, 0.10])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_empty_region_has_zero_volume(self, kind, tau):
+        params = ModelParams(b=3.0, eps=0.58, n=3, tau=tau)
+        spec = region_spec(params, kind)
+        assert _enumerate_vertices(spec).shape == (0, spec.dim)
         exact = region_volume(spec, method="exact")
         assert exact.volume == 0.0
         assert exact.degenerate
         mc = region_volume(spec, method="montecarlo", samples=50_000, seed=0)
         assert mc.volume == 0.0
+
+    def test_all_singular_subsets_give_no_vertices(self):
+        """Parallel halfspaces only: every subset is singular, so the
+        stacked solve gets an empty stack."""
+        flat = tuple(
+            Functional(f"F{i}", (scale, 0.0), 0.0, -1.0) for i, scale in enumerate((1.0, 2.0))
+        )
+        spec = dataclasses.replace(region_spec(P, "IR3"), orderings=(), functionals=flat)
+        assert _enumerate_vertices(spec).shape == (0, 2)
+        exact = region_volume(spec)
+        assert exact.volume == 0.0
+        assert exact.degenerate
 
     def test_report_json_and_validation(self):
         spec = region_spec(P, "IR4")
@@ -562,6 +589,101 @@ class TestVolume:
             region_volume(spec, method="midpoint")
         with pytest.raises(DomainError):
             region_volume(spec, method="montecarlo", samples=0)
+
+
+def _loop_vertices(spec, feas_tol=1e-9):
+    """Reference vertex enumeration: one ``solve`` per dim-subset of the
+    halfspace boundaries, skipping the singular ones."""
+    a, b = _halfspaces(spec)
+    dim = spec.dim
+    seen = {}
+    for idx in itertools.combinations(range(len(a)), dim):
+        sub_a = a[list(idx)]
+        sub_b = b[list(idx)]
+        try:
+            x = np.linalg.solve(sub_a, sub_b)
+        except np.linalg.LinAlgError:
+            continue
+        if not np.all(np.isfinite(x)):
+            continue
+        if np.all(a @ x <= b + feas_tol):
+            key = tuple(int(round(v * 1e10)) for v in x)
+            seen.setdefault(key, x)
+    if not seen:
+        return np.empty((0, dim))
+    return np.vstack(list(seen.values()))
+
+
+def _loop_fan_volume(vertices):
+    """Reference fan sum: one ``det`` per hull facet, added in facet order."""
+    hull = ConvexHull(vertices)
+    apex = vertices[hull.vertices[0]]
+    total = 0.0
+    for facet in hull.simplices:
+        total += abs(np.linalg.det(vertices[facet] - apex))
+    return total / math.factorial(vertices.shape[1])
+
+
+def _reference_report(spec, vertices=None):
+    """``region_volume(spec)`` with the reference loops patched in."""
+    vertices = _loop_vertices(spec) if vertices is None else vertices
+    with mock.patch.object(regions, "_enumerate_vertices", lambda s: vertices), \
+            mock.patch.object(regions, "_fan_volume", _loop_fan_volume):
+        return region_volume(spec)
+
+
+#: 1000 seeded parameter points with the reference route's exact volume and
+#: vertex count for every kind; rows are [b, eps, tau, (volume, count) per
+#: kind in KINDS order].  The file pins this LAPACK/qhull build's bits.
+#: Regenerate it (with the reference loops, never with the code under test):
+#:     PYTHONPATH=src python tests/test_regions.py
+VOLUME_SWEEP = Path(__file__).parent / "golden" / "exact-volume-sweep.json"
+
+
+def _sweep_points(n=1000, seed=20261018):
+    rng = np.random.default_rng(seed)
+    return [
+        (round(rng.uniform(0.5, 8.0), 3), round(rng.uniform(0.001, 3.0), 3),
+         round(rng.uniform(0.0, 1.0), 3))
+        for _ in range(n)
+    ]
+
+
+def _sweep_rows(exact):
+    rows = []
+    for b, eps, tau in _sweep_points():
+        params = ModelParams(b=b, eps=eps, n=3, tau=tau)
+        row = [b, eps, tau]
+        for kind in KINDS:
+            report = exact(region_spec(params, kind))
+            row += [report.volume, report.vertex_count]
+        rows.append(row)
+    return rows
+
+
+class TestVolumeMatchesReferenceLoops:
+    """The stacked solve and the stacked fan determinants reproduce the
+    per-subset and per-facet loops bit for bit."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        b=st.floats(0.1, 10.0),
+        eps=st.floats(0.0, 3.0, exclude_min=True),
+        tau=st.floats(0.0, 1.0),
+    )
+    def test_vertices_and_volume_equal_the_loops(self, b, eps, tau):
+        params = ModelParams(b=b, eps=eps, n=3, tau=tau)
+        for kind in KINDS:
+            spec = region_spec(params, kind)
+            want = _loop_vertices(spec)
+            got = _enumerate_vertices(spec)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert region_volume(spec) == _reference_report(spec, want)
+
+    def test_seeded_sweep_equals_the_reference_volumes(self):
+        golden = json.loads(VOLUME_SWEEP.read_text())
+        assert _sweep_rows(region_volume) == golden
 
 
 class TestOracle:
@@ -633,3 +755,9 @@ class TestPhaseProjectionMembership:
         # theta2 exceeding the inverted sigma_1: ordering fails.
         assert not ir4_projection_contains(P, jump(P, 0.1, P.eps_hat), 0.3)
         assert not ir4_projection_contains(P, 0.05, 0.01)
+
+
+if __name__ == "__main__":
+    rows = _sweep_rows(_reference_report)
+    VOLUME_SWEEP.write_text("[\n" + ",\n".join(json.dumps(r) for r in rows) + "\n]\n")
+    print(f"wrote {VOLUME_SWEEP} ({len(rows)} points)")

@@ -4,10 +4,12 @@ those names breaks the traced benchmark run; this test makes it fail the
 ordinary suite too."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import isochron.cli
 import isochron.regions
+from isochron import ModelParams, region_spec
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -37,3 +39,17 @@ def test_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for (module, name), original in zip(watched, originals):
         assert getattr(module, name) is original, f"{name} was not restored"
+
+
+def test_tracer_counts_the_hull_of_one_exact_volume():
+    """The hull counter patches ``scipy.spatial.ConvexHull``, so it sees the
+    hull only while ``regions`` looks the class up at call time."""
+    spec = region_spec(ModelParams(b=3.0, eps=0.58, n=3, tau=0.58), "IR4")
+    tracer = _load_tracer_module().Tracer()
+    try:
+        tracer.install()
+        isochron.regions.region_volume(spec)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["regions.hull.calls"] == 1
+    assert tracer.counts["regions.vertex_enum.subsets"] == math.comb(12, 3)
