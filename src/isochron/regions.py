@@ -504,22 +504,23 @@ def _halfspaces(spec: RegionSpec) -> tuple[np.ndarray, np.ndarray]:
 
 def _enumerate_vertices(spec: RegionSpec, feas_tol: float = 1e-9) -> np.ndarray:
     """All vertices of the closed polytope: solve every dim-subset of the
-    halfspace boundaries, keep feasible solutions, dedupe."""
+    halfspace boundaries in one stacked call, keep feasible solutions, dedupe.
+
+    ``det != 0`` drops exactly the subsets whose LU factorization (the one
+    ``solve`` runs) has a zero pivot.
+    """
     a, b = _halfspaces(spec)
     dim = spec.dim
+    idx = np.array(list(itertools.combinations(range(len(a)), dim)))
+    sub_a, sub_b = a[idx], b[idx]
+    ok = np.linalg.det(sub_a) != 0.0
+    x = np.linalg.solve(sub_a[ok], sub_b[ok][..., None])[..., 0]
+    x = x[np.all(np.isfinite(x), axis=1)]
+    x = x[np.all(x @ a.T <= b + feas_tol, axis=1)]
     seen: dict[tuple[int, ...], np.ndarray] = {}
-    for idx in itertools.combinations(range(len(a)), dim):
-        sub_a = a[list(idx)]
-        sub_b = b[list(idx)]
-        try:
-            x = np.linalg.solve(sub_a, sub_b)
-        except np.linalg.LinAlgError:
-            continue
-        if not np.all(np.isfinite(x)):
-            continue
-        if np.all(a @ x <= b + feas_tol):
-            key = tuple(int(round(v * 1e10)) for v in x)
-            seen.setdefault(key, x)
+    for row in x:
+        key = tuple(int(round(v * 1e10)) for v in row)
+        seen.setdefault(key, row)
     if not seen:
         return np.empty((0, dim))
     return np.vstack(list(seen.values()))
@@ -527,17 +528,15 @@ def _enumerate_vertices(spec: RegionSpec, feas_tol: float = 1e-9) -> np.ndarray:
 
 def _fan_volume(vertices: np.ndarray) -> float:
     """Volume of the convex hull of the vertices, summed as a fan of
-    simplices from one vertex over the hull's boundary facets."""
+    simplices from one vertex over the hull's boundary facets, in facet
+    order from 0.0 (``sum`` of a list, so the rounding is a plain loop's)."""
+    # Imported at call time: perfbench/tracer.py patches scipy.spatial.ConvexHull.
     from scipy.spatial import ConvexHull
 
     hull = ConvexHull(vertices)
     apex = vertices[hull.vertices[0]]
-    dim = vertices.shape[1]
-    total = 0.0
-    for facet in hull.simplices:
-        edges = vertices[facet] - apex
-        total += abs(np.linalg.det(edges))
-    return total / math.factorial(dim)
+    dets = np.abs(np.linalg.det(vertices[hull.simplices] - apex))
+    return sum(dets.tolist()) / math.factorial(vertices.shape[1])
 
 
 def _volume_exact(spec: RegionSpec) -> VolumeReport:
