@@ -207,6 +207,13 @@ class Engine:
             ftds=tuple(tuple(sorted(row)) for row in rows),
         )
 
+    def _where(self) -> str:
+        """Clock, raw phases and pulses in flight, for error messages."""
+        return (
+            f" (clock={self.clock!r}, theta={self.theta!r},"
+            f" pulses in flight={len(self._heap)})"
+        )
+
     # -- dynamics -----------------------------------------------------------
 
     def step(self) -> list[TraceEvent]:
@@ -260,10 +267,11 @@ class Engine:
         else:
             raise EngineStallError(
                 f"same-timestamp cascade exceeded {_MAX_CASCADE_ROUNDS} rounds at t={t_star}"
+                + self._where()
             )
 
         if not events:
-            raise EngineStallError(f"no event constructed at t={t_star}")
+            raise EngineStallError(f"no event constructed at t={t_star}" + self._where())
         self.events_processed += len(events)
         return events
 
@@ -286,13 +294,14 @@ class Engine:
             if self.next_event_time() - start > max_time:
                 raise HorizonExceededError(
                     f"oscillator {k + 1} did not fire within {max_time} time units"
+                    + self._where()
                 )
             batch = self.step()
             events.extend(batch)
             if any(ev.kind == "fire" and ev.participants[0] == k for ev in batch):
                 return self.state(), self.clock - start, events
         raise HorizonExceededError(
-            f"oscillator {k + 1} did not fire within {max_steps} events"
+            f"oscillator {k + 1} did not fire within {max_steps} events" + self._where()
         )
 
     def simulate(self, horizon: float) -> list[TraceEvent]:

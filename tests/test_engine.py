@@ -12,6 +12,7 @@ import pytest
 
 from isochron.engine import (
     Engine,
+    EngineStallError,
     HorizonExceededError,
     NetworkState,
     StateError,
@@ -224,6 +225,25 @@ class TestRunControls:
         eng = init_engine(P, network_state((0.0, 0.0, 0.0), ((), (), ())))
         with pytest.raises(HorizonExceededError):
             eng.run_until_section(max_time=0.5)
+
+    def test_horizon_error_reports_clock_and_state(self):
+        eng = init_engine(P, network_state((0.5, 0.2, 0.0), ((), (), ())))
+        eng.step()
+        eng.step()
+        with pytest.raises(
+            HorizonExceededError,
+            match=r"within 1e-06 time units \(clock=0\.8, theta=\[.*\], pulses in flight=2\)",
+        ):
+            eng.run_until_section(k=0, max_time=1e-6)
+
+    def test_cascade_stall_reports_clock_and_state(self):
+        params = ModelParams(b=3.0, eps=1.6, n=3, tau=0.0)
+        eng = init_engine(params, network_state((0.5, 0.2, 0.0), ((), (), ())))
+        with pytest.raises(
+            EngineStallError,
+            match=r"cascade exceeded 64 rounds at t=0\.5 \(clock=0\.5, theta=\[0\.0, 0\.0, 0\.0\]",
+        ):
+            eng.run_until_section()
 
     def test_section_choice(self):
         eng = init_engine(P, network_state((0.9, 0.1, 0.0), ((), (), ())))
