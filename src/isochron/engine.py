@@ -28,6 +28,9 @@ from .model import ModelParams, jump_m
 #: phase within this distance of 1 is at threshold.
 COINCIDENCE_TOL = 1e-12
 
+#: What a run appends per timestamp: TraceEvents, reception tuples or nothing.
+Record = Literal["events", "receptions", None]
+
 #: Safety cap on same-timestamp cascade rounds (only reachable for tau = 0
 #: with couplings strong enough to re-fire an oscillator from phase 0).
 _MAX_CASCADE_ROUNDS = 64
@@ -216,53 +219,69 @@ class Engine:
 
     # -- dynamics -----------------------------------------------------------
 
-    def step(self) -> list[TraceEvent]:
-        """Advance to the next timestamp, process it fully, return its events."""
-        t_star = self.next_event_time()
+    def _advance(self, t_star: float, record: Record, out: list, k: int) -> bool:
+        """Move the clock to t_star and process that timestamp completely.
+
+        Each cascade round delivers every pulse due now (within tolerance),
+        aggregated per receiver, and then fires every oscillator at
+        threshold; rounds repeat while the fires put new pulses due now
+        (tau = 0).  ``record`` says what to append to ``out``: TraceEvents
+        ("events"), (recipient, multiplicity, time) per reception
+        ("receptions", in recipient order within a round), or nothing
+        (None).  ``events_processed`` counts the same events in every mode.
+        Returns whether oscillator k fired.
+        """
+        params = self.params
+        n = params.n
+        theta = self.theta
+        heap = self._heap
         dt = t_star - self.clock
         if dt > 0.0:
-            for i in range(self.params.n):
-                self.theta[i] += dt
+            for i in range(n):
+                theta[i] += dt
         self.clock = t_star
 
-        events: list[TraceEvent] = []
+        due = t_star + COINCIDENCE_TOL
+        at_threshold = 1.0 - COINCIDENCE_TOL
+        count = 0
+        k_fired = False
         for _ in range(_MAX_CASCADE_ROUNDS):
-            # Deliveries due now (within tolerance), aggregated per receiver.
-            mult = [0] * self.params.n
-            delivered = False
-            while self._heap and self._heap[0][0] <= t_star + COINCIDENCE_TOL:
-                _, _, sender, m = heapq.heappop(self._heap)
-                delivered = True
-                for j in range(self.params.n):
-                    if j != sender:
-                        mult[j] += m
-            if delivered:
-                # Group receivers by multiplicity for the trace.
-                by_m: dict[int, list[int]] = {}
+            if heap and heap[0][0] <= due:
+                mult = [0] * n
+                while heap and heap[0][0] <= due:
+                    _, _, sender, m = heapq.heappop(heap)
+                    for j in range(n):
+                        if j != sender:
+                            mult[j] += m
+                if record == "events":
+                    # Group receivers by multiplicity for the trace.
+                    by_m: dict[int, list[int]] = {}
+                    for j, m in enumerate(mult):
+                        if m > 0:
+                            by_m.setdefault(m, []).append(j)
+                    for m in sorted(by_m):
+                        out.append(TraceEvent("pulse", t_star, tuple(by_m[m]), multiplicity=m))
+                    count += len(by_m)
+                else:
+                    # One pulse event per distinct multiplicity, as traced.
+                    count += len(set(mult)) - (0 in mult)
+                    if record == "receptions":
+                        out.extend((j, m, t_star) for j, m in enumerate(mult) if m > 0)
                 for j, m in enumerate(mult):
                     if m > 0:
-                        by_m.setdefault(m, []).append(j)
-                for m in sorted(by_m):
-                    events.append(
-                        TraceEvent("pulse", t_star, tuple(by_m[m]), multiplicity=m)
-                    )
-                for j, m in enumerate(mult):
-                    if m > 0:
-                        phi = jump_m(self.params, self.theta[j], m)
-                        self.theta[j] = min(1.0, phi)
+                        theta[j] = min(1.0, jump_m(params, theta[j], m))
 
-            firing = [
-                i for i in range(self.params.n) if self.theta[i] >= 1.0 - COINCIDENCE_TOL
-            ]
-            for i in firing:
-                events.append(TraceEvent("fire", t_star, (i,)))
-                self.theta[i] = 0.0
-                self.schedule_pulse(t_star + self.params.tau, i)
+            for i in range(n):
+                if theta[i] >= at_threshold:
+                    if record == "events":
+                        out.append(TraceEvent("fire", t_star, (i,)))
+                    theta[i] = 0.0
+                    self.schedule_pulse(t_star + params.tau, i)
+                    count += 1
+                    if i == k:
+                        k_fired = True
 
-            more_due = self._heap and self._heap[0][0] <= t_star + COINCIDENCE_TOL
-            if not more_due and not any(
-                self.theta[i] >= 1.0 - COINCIDENCE_TOL for i in range(self.params.n)
-            ):
+            if not (heap and heap[0][0] <= due):
                 break
         else:
             raise EngineStallError(
@@ -270,9 +289,15 @@ class Engine:
                 + self._where()
             )
 
-        if not events:
+        if not count:
             raise EngineStallError(f"no event constructed at t={t_star}" + self._where())
-        self.events_processed += len(events)
+        self.events_processed += count
+        return k_fired
+
+    def step(self) -> list[TraceEvent]:
+        """Advance to the next timestamp, process it fully, return its events."""
+        events: list[TraceEvent] = []
+        self._advance(self.next_event_time(), "events", events, -1)
         return events
 
     def run_until_section(
@@ -280,26 +305,30 @@ class Engine:
         k: int | None = None,
         max_time: float = 100.0,
         max_steps: int = 1_000_000,
-    ) -> tuple[NetworkState, float, list[TraceEvent]]:
+        *,
+        record: Record = "events",
+    ) -> tuple[NetworkState, float, list]:
         """Advance until oscillator k fires (default: the last oscillator).
 
-        Returns (canonical state at the crossing, elapsed time, events seen).
-        The crossing timestamp is processed completely before exporting, so
+        Returns (canonical state at the crossing, elapsed time, record).
+        The record is the run's TraceEvents by default, its receptions as
+        (recipient, multiplicity, time) tuples for ``record="receptions"``,
+        and empty for ``record=None``, which builds no trace at all.  The
+        crossing timestamp is processed completely before exporting, so
         the returned state has phase 0 and a 0 FTD entry for oscillator k.
         """
         k = self.params.n - 1 if k is None else k
         start = self.clock
-        events: list[TraceEvent] = []
+        out: list = []
         for _ in range(max_steps):
-            if self.next_event_time() - start > max_time:
+            t_star = self.next_event_time()
+            if t_star - start > max_time:
                 raise HorizonExceededError(
                     f"oscillator {k + 1} did not fire within {max_time} time units"
                     + self._where()
                 )
-            batch = self.step()
-            events.extend(batch)
-            if any(ev.kind == "fire" and ev.participants[0] == k for ev in batch):
-                return self.state(), self.clock - start, events
+            if self._advance(t_star, record, out, k):
+                return self.state(), self.clock - start, out
         raise HorizonExceededError(
             f"oscillator {k + 1} did not fire within {max_steps} events" + self._where()
         )
@@ -310,9 +339,11 @@ class Engine:
         A horizon shorter than the first event yields an empty trace.
         """
         events: list[TraceEvent] = []
-        while self.next_event_time() <= horizon + COINCIDENCE_TOL:
-            events.extend(self.step())
-        return events
+        while True:
+            t_star = self.next_event_time()
+            if not t_star <= horizon + COINCIDENCE_TOL:
+                return events
+            self._advance(t_star, "events", events, -1)
 
 
 def init_engine(params: ModelParams, state: NetworkState) -> Engine:

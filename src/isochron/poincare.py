@@ -51,7 +51,7 @@ def poincare_map(
     """One application of the section map: (next section state, return time)."""
     require_section_state(params, state, k)
     eng = init_engine(params, state)
-    new_state, elapsed, _ = eng.run_until_section(k=k, max_time=max_time)
+    new_state, elapsed, _ = eng.run_until_section(k=k, max_time=max_time, record=None)
     return new_state, elapsed
 
 
@@ -171,14 +171,12 @@ def _walk_cycle(
     cycle_time = 0.0
     for _ in range(period):
         eng = init_engine(params, states[-1])
-        state, elapsed, events = eng.run_until_section(max_time=max_time)
-        for ev in events:
-            if ev.kind != "pulse":
-                continue
-            offset = cycle_time + ev.time
+        state, elapsed, received = eng.run_until_section(max_time=max_time, record="receptions")
+        for r, m, t in received:
+            offset = cycle_time + t
             if offset >= orbit_period - DEFAULT_MATCH_TOL:
                 offset = 0.0
-            receptions.extend((r, ev.multiplicity, offset) for r in ev.participants)
+            receptions.append((r, m, offset))
         states.append(state)
         cycle_time += elapsed
     receptions.sort(key=lambda rec: (rec[2], rec[0]))
@@ -216,7 +214,7 @@ def detect_periodicity(
 
     new = state
     for i in range(1, max_iter + 1):
-        new, elapsed, _ = eng.run_until_section(max_time=max_time_per_return)
+        new, elapsed, _ = eng.run_until_section(max_time=max_time_per_return, record=None)
         returns.append(elapsed)
 
         lo = bisect.bisect_left(by_phase0, (new.phases[0] - tol, -1))

@@ -186,6 +186,17 @@ class TestSimulate:
         )
         assert "events" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("horizon", ["inf", "nan"])
+    def test_non_finite_horizon_rejected(self, capsys, monkeypatch, horizon):
+        def no_engine(*args, **kwargs):
+            raise AssertionError("an engine was built for a non-finite horizon")
+
+        monkeypatch.setattr(cli, "init_engine", no_engine)
+        assert main(["simulate", "--center", "ir4", "--horizon", horizon]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"horizon must be finite, got {horizon}" in err
+
     def test_invalid_state_rejected(self, capsys):
         bad = json.dumps({"phases": [1.5, 0.2, 0.0], "ftds": [[], [], [0.0]]})
         assert main(["simulate", "--state", bad]) == 2

@@ -9,6 +9,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isochron.engine import (
     Engine,
@@ -285,3 +287,92 @@ class TestTraceFormats:
     def test_empty_trace(self):
         assert format_trace_text([]) == ""
         assert format_trace_jsonl([]) == ""
+
+
+# Fractions that make coincidences (equal phases, equal FTDs, FTD = tau)
+# likely rather than measure-zero.
+_unit = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 0.25, 0.5]))
+_frac = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+
+
+@st.composite
+def params_and_state(draw):
+    """Admissible 3-oscillator parameters and a valid state for them.
+
+    eps < 1 keeps tau = 0 cascades finite: after its reset an oscillator
+    receives at most one pulse from each other firing, less than the whole
+    rise, so nothing re-fires within one timestamp."""
+    params = ModelParams(
+        b=draw(st.floats(0.2, 8.0)),
+        eps=draw(st.floats(0.0, 0.95)),
+        n=3,
+        tau=draw(st.one_of(st.just(0.0), st.floats(0.01, 1.2))),
+    )
+    phases = [draw(_unit) for _ in range(3)]
+    ftds = [
+        [draw(_frac) * params.tau for _ in range(draw(st.integers(0, 2)))] for _ in range(3)
+    ]
+    return params, network_state(phases, ftds)
+
+
+def _in_flight_ftds(eng: Engine) -> list[tuple[int, float]]:
+    """(sender, time since firing) for every pulse in flight, sorted."""
+    tau = eng.params.tau
+    return sorted(
+        (p.sender, eng.clock + tau - p.deliver_at)
+        for p in eng.pending_pulses()
+        for _ in range(p.multiplicity)
+    )
+
+
+class TestSharedLoopProperties:
+    """step(), simulate() and every run_until_section record mode share one
+    event loop; the modes differ only in what they hand back."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(params_and_state())
+    def test_trace_free_returns_equal_traced_returns(self, drawn):
+        params, start = drawn
+        engines = {mode: init_engine(params, start) for mode in ("events", "receptions", None)}
+        for _ in range(4):
+            runs = {
+                mode: eng.run_until_section(record=mode) for mode, eng in engines.items()
+            }
+            traced_state, traced_elapsed, events = runs["events"]
+            for mode in ("receptions", None):
+                state, elapsed, _ = runs[mode]
+                assert repr(state) == repr(traced_state)
+                assert repr(elapsed) == repr(traced_elapsed)
+            assert runs[None][2] == []
+            expanded = [
+                (r, ev.multiplicity, ev.time)
+                for ev in events
+                if ev.kind == "pulse"
+                for r in ev.participants
+            ]
+
+            def by_time(recs):
+                return sorted(recs, key=lambda rec: (rec[2], rec[0]))
+
+            assert by_time(runs["receptions"][2]) == by_time(expanded)
+            counts = {eng.events_processed for eng in engines.values()}
+            assert counts == {engines["events"].events_processed}
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(params_and_state())
+    def test_invariants_hold_after_every_step(self, drawn):
+        params, start = drawn
+        eng = init_engine(params, start)
+        clock = eng.clock
+        for _ in range(30):
+            events = eng.step()
+            assert events and all(ev.time == eng.clock for ev in events)
+            assert eng.clock >= clock
+            clock = eng.clock
+            assert all(0.0 <= p < 1.0 for p in eng.theta)
+            state = eng.state()
+            validate_state(params, state)
+            ftds = sorted((i, s) for i, row in enumerate(state.ftds) for s in row)
+            in_flight = _in_flight_ftds(eng)
+            assert [i for i, _ in ftds] == [i for i, _ in in_flight]
+            assert [s for _, s in ftds] == pytest.approx([s for _, s in in_flight], abs=1e-12)

@@ -22,7 +22,10 @@ from isochron import (
     emit_phase_scan_plot,
     emit_projection_plot,
     eq_init_state,
+    format_trace_text,
+    init_engine,
     ir4_projection_contains,
+    network_state,
     param_scan,
     phase_scan,
     projection_compare,
@@ -31,6 +34,7 @@ from isochron import (
     region_exists,
     region_spec,
     region_volume,
+    s_embed,
     stability_probe,
     validate_state,
     write_param_scan_csv,
@@ -334,6 +338,23 @@ class TestStabilityProbe:
         assert report.n_run > 0
         assert report.ok
         assert report.max_distance <= 1e-12
+
+    def test_failures_carry_the_traced_return(self):
+        # A negative tolerance fails every trial that runs.
+        sigma = region_center("IR4", P.tau)
+        report = stability_probe(P, sigma, n_trials=5, seed=2, tol=-1.0)
+        assert not report.ok
+        assert len(report.failures) == report.n_run > 0
+        for failure in report.failures:
+            embedded = s_embed(P, "IR4", failure.sigma_perturbed)
+            theta1, theta2, theta3 = embedded.phases
+            start = network_state(
+                (theta1 + failure.dtheta[0], theta2 + failure.dtheta[1], theta3),
+                embedded.ftds,
+            )
+            _, _, events = init_engine(P, start).run_until_section()
+            assert failure.trace == format_trace_text(events)
+            assert failure.trace.splitlines()[-1].startswith("F 3 t=")
 
     def test_rejects_non_interior_base_point(self):
         tau = P.tau
