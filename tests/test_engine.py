@@ -5,6 +5,7 @@ rotating-wave orbit used throughout the analytic layer."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -350,10 +351,8 @@ class TestSharedLoopProperties:
                 if ev.kind == "pulse"
                 for r in ev.participants
             ]
-
-            def by_time(recs):
-                return sorted(recs, key=lambda rec: (rec[2], rec[0]))
-
+            # The stable sort _walk_cycle applies: rounds keep their order.
+            by_time = functools.partial(sorted, key=lambda rec: (rec[2], rec[0]))
             assert by_time(runs["receptions"][2]) == by_time(expanded)
             counts = {eng.events_processed for eng in engines.values()}
             assert counts == {engines["events"].events_processed}
