@@ -7,9 +7,17 @@ root-finding / composition against the *definition* (add delta to the rise
 value, invert numerically), and thresholds by solving jump(theta, m) = 1.
 Tests compare the library's closed forms against these values, so an
 algebra slip in either side shows up as a mismatch.
+
+``o_section_return`` is a 50-digit event loop for one section return, the
+arbiter for the engine's rounding: chained, its returns give the exact
+orbit that the engine's double-precision returns approximate.
 """
 
 from __future__ import annotations
+
+import bisect
+import math
+from itertools import chain
 
 import mpmath as mp
 
@@ -54,3 +62,65 @@ def o_trigger(b: float, eps_hat, m: int) -> mp.mpf:
     return mp.findroot(
         lambda th: o_jump(b, th, d) - 1, (mp.mpf(0), mp.mpf(1)), solver="anderson"
     )
+
+
+def _o_jump_closed(b, theta, delta) -> mp.mpf:
+    """jump(theta, delta) by its definition, rise then inverse rise, with
+    the inverse in closed form so that an event loop stays fast."""
+    return mp.expm1(b * (o_rise(b, theta) + delta)) / mp.expm1(b)
+
+
+def o_section_return(b: float, eps: float, tau: float, phases, ftds, tol: float = 1e-12):
+    """One return to the section "the last oscillator just fired", at 50 digits.
+
+    An event loop written apart from the library's engine but with its
+    semantics: at each timestamp every pulse due within tol is received
+    first, multiplicities adding per receiver, and then every oscillator
+    within tol of threshold fires; rounds repeat while fires make pulses
+    due now.  It starts at clock 0, like an engine restarted at each
+    return.  Returns (phases, ftds, elapsed) as mpf values, ready to feed
+    back in for the next return of a 50-digit chain.
+    """
+    n = len(phases)
+    b, tau, eps_hat, tol = mp.mpf(b), mp.mpf(tau), mp.mpf(eps) / (n - 1), mp.mpf(tol)
+    theta = [mp.mpf(p) for p in phases]
+    # (deliver_at, sender), one per pulse in flight, kept sorted.
+    pulses = sorted((tau - mp.mpf(s), i) for i, row in enumerate(ftds) for s in row)
+    clock = mp.mpf(0)
+    while True:
+        t = clock + 1 - max(theta)
+        if pulses and pulses[0][0] < t:
+            t = pulses[0][0]
+        theta = [th + (t - clock) for th in theta]
+        clock = t
+        last_fired = False
+        for _ in range(64):
+            mult = [0] * n
+            while pulses and pulses[0][0] <= t + tol:
+                sender = pulses.pop(0)[1]
+                for j in range(n):
+                    mult[j] += j != sender
+            for j, m in enumerate(mult):
+                if m:
+                    theta[j] = min(mp.mpf(1), _o_jump_closed(b, theta[j], m * eps_hat))
+            for i in range(n):
+                if theta[i] >= 1 - tol:
+                    theta[i] = mp.mpf(0)
+                    bisect.insort(pulses, (t + tau, i))
+                    last_fired = last_fired or i == n - 1
+            if not (pulses and pulses[0][0] <= t + tol):
+                break
+        else:
+            raise RuntimeError(f"cascade did not settle at t={t}")
+        if last_fired:
+            ftds = [sorted(clock + tau - d for d, s in pulses if s == i) for i in range(n)]
+            return theta, ftds, clock
+
+
+def o_distance(state, phases, ftds) -> float:
+    """Largest componentwise distance between a float NetworkState and a
+    50-digit state; infinite if an FTD row differs in length."""
+    if any(len(ra) != len(rb) for ra, rb in zip(state.ftds, ftds)):
+        return math.inf
+    pairs = zip([*state.phases, *chain(*state.ftds)], [*phases, *chain(*ftds)])
+    return float(max(abs(mp.mpf(x) - y) for x, y in pairs))

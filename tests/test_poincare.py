@@ -3,6 +3,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle import o_distance, o_section_return
 
 from isochron import (
     DEFAULT_MATCH_TOL,
@@ -139,6 +142,51 @@ class TestStatesMatch:
             phases=(0.5, 0.2, 0.0), ftds=((0.1,), (0.2,), (0.0, 0.3))
         )
         assert not states_match(a, b, tol=1.0)
+
+
+_unit = st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 0.25, 0.5]))
+_frac = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+
+
+@st.composite
+def params_and_section_state(draw):
+    """Admissible 3-oscillator parameters and a section state for them:
+    oscillator 3 has phase 0 and an FTD of 0.  eps < 1 keeps tau = 0
+    cascades finite."""
+    params = ModelParams(
+        b=draw(st.floats(0.2, 8.0)),
+        eps=draw(st.floats(0.0, 0.95)),
+        n=3,
+        tau=draw(st.one_of(st.just(0.0), st.floats(0.01, 1.2))),
+    )
+    ftds = [
+        [draw(_frac) * params.tau for _ in range(draw(st.integers(0, n_max)))]
+        for n_max in (2, 2, 1)
+    ]
+    ftds[2].append(0.0)
+    return params, network_state([draw(_unit), draw(_unit), 0.0], ftds)
+
+
+#: Largest distance allowed between one section return and the 50-digit
+#: reference, in state components and return time.  Over 42,000 uniform
+#: random draws from params_and_section_state's ranges the state error had
+#: median 6.5e-17, 99th percentile at most 5.9e-16 and maximum 1.4e-14.
+ONE_RETURN_BOUND = 3e-14
+
+
+class TestFiftyDigitArbiter:
+    """The section map against tests/oracle.py's 50-digit event loop."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(params_and_section_state())
+    def test_one_return_agrees_with_the_reference(self, drawn):
+        params, start = drawn
+        state, elapsed = poincare_map(params, start)
+        phases, ftds, ref_elapsed = o_section_return(
+            params.b, params.eps, params.tau, start.phases, start.ftds
+        )
+        assert o_distance(state, phases, ftds) <= ONE_RETURN_BOUND
+        assert abs(elapsed - ref_elapsed) <= ONE_RETURN_BOUND
 
 
 class TestDetectPeriodicity:
