@@ -353,6 +353,12 @@ def init_engine(params: ModelParams, state: NetworkState) -> Engine:
     oscillators at time tau - sigma (an entry of exactly tau delivers at 0).
     """
     validate_state(params, state)
+    return _engine_from(params, state)
+
+
+def _engine_from(params: ModelParams, state: NetworkState) -> Engine:
+    """init_engine without validation, for states already validated or
+    exported by an engine."""
     eng = Engine(params)
     eng.theta = list(state.phases)
     for i, row in enumerate(state.ftds):

@@ -13,10 +13,13 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import ne, sub
 
 from .engine import (
     NetworkState,
-    init_engine,
+    _engine_from,
+    init_engine,  # noqa: F401  (bound here for perfbench/tracer.py)
     is_section_state,
     validate_state,
 )
@@ -50,7 +53,7 @@ def poincare_map(
 ) -> tuple[NetworkState, float]:
     """One application of the section map: (next section state, return time)."""
     require_section_state(params, state, k)
-    eng = init_engine(params, state)
+    eng = _engine_from(params, state)
     new_state, elapsed, _ = eng.run_until_section(k=k, max_time=max_time, record=None)
     return new_state, elapsed
 
@@ -67,15 +70,9 @@ def state_distance(a: NetworkState, b: NetworkState) -> float:
     mismatch (oscillator count or row cardinality) is an infinite
     distance.
     """
-    if a.n != b.n:
+    if a.n != b.n or any(map(ne, map(len, a.ftds), map(len, b.ftds))):
         return math.inf
-    worst = max(abs(x - y) for x, y in zip(a.phases, b.phases))
-    for ra, rb in zip(a.ftds, b.ftds):
-        if len(ra) != len(rb):
-            return math.inf
-        for x, y in zip(ra, rb):
-            worst = max(worst, abs(x - y))
-    return worst
+    return max(map(abs, map(sub, chain(a.phases, *a.ftds), chain(b.phases, *b.ftds))))
 
 
 def states_match(a: NetworkState, b: NetworkState, tol: float = DEFAULT_MATCH_TOL) -> bool:
@@ -160,29 +157,6 @@ def _minimal_cycle(
     return length
 
 
-def _walk_cycle(
-    params: ModelParams, start: NetworkState, period: int, orbit_period: float, max_time: float
-) -> tuple[tuple[NetworkState, ...], tuple[tuple[int, int, float], ...]]:
-    """Apply the section map period times from start, each return on a
-    fresh engine exactly as poincare_map does, and collect the cycle's
-    states and its receptions timed from the cycle start."""
-    states = [start]
-    receptions: list[tuple[int, int, float]] = []
-    cycle_time = 0.0
-    for _ in range(period):
-        eng = init_engine(params, states[-1])
-        state, elapsed, received = eng.run_until_section(max_time=max_time, record="receptions")
-        for r, m, t in received:
-            offset = cycle_time + t
-            if offset >= orbit_period - DEFAULT_MATCH_TOL:
-                offset = 0.0
-            receptions.append((r, m, offset))
-        states.append(state)
-        cycle_time += elapsed
-    receptions.sort(key=lambda rec: (rec[2], rec[0]))
-    return tuple(states[:-1]), tuple(receptions)
-
-
 def detect_periodicity(
     params: ModelParams,
     state: NetworkState,
@@ -192,13 +166,14 @@ def detect_periodicity(
 ) -> PeriodicityResult | NotPeriodic:
     """Iterate the section map until a previously seen state recurs.
 
-    All visited states are kept and the newest is compared against earlier
-    ones (earliest first), so the reported transient is minimal.  The
-    detected revisit distance is then reduced over its divisors to the
-    minimal Poincare period; the orbit period sums the minimal cycle's
-    return times, and one more walk of the cycle records its states and
-    receptions.  After max_iter iterations a NotPeriodic report is
-    returned (a result, not an error).
+    Each return runs on a fresh engine from the previous return's state, as
+    in poincare_map.  All visited states are kept and the newest is compared
+    against earlier ones (earliest first), so the reported transient is
+    minimal.  The detected revisit distance is then reduced over its
+    divisors to the minimal Poincare period; the orbit period sums the
+    minimal cycle's return times, and the cycle's states and receptions are
+    read from its returns.  After max_iter iterations a NotPeriodic report
+    is returned (a result, not an error).
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
@@ -206,16 +181,18 @@ def detect_periodicity(
         raise ValueError(f"tol must be positive, got {tol}")
     require_section_state(params, state)
 
-    eng = init_engine(params, state)
     states = [state]
     # Sorted view of (first phase, index) pairs for cheap match prefiltering.
     by_phase0: list[tuple[float, int]] = [(state.phases[0], 0)]
     returns: list[float] = []
+    received: list[list[tuple[int, int, float]]] = []
 
     new = state
     for i in range(1, max_iter + 1):
-        new, elapsed, _ = eng.run_until_section(max_time=max_time_per_return, record=None)
+        eng = _engine_from(params, new)
+        new, elapsed, got = eng.run_until_section(max_time=max_time_per_return, record="receptions")
         returns.append(elapsed)
+        received.append(got)
 
         lo = bisect.bisect_left(by_phase0, (new.phases[0] - tol, -1))
         hi = bisect.bisect_right(by_phase0, (new.phases[0] + tol, len(states)))
@@ -225,17 +202,26 @@ def detect_periodicity(
                 length = i - j
                 minimal = _minimal_cycle(states, j, length, tol)
                 orbit_period = sum(returns[j : j + minimal])
-                cycle_states, receptions = _walk_cycle(
-                    params, states[j], minimal, orbit_period, max_time_per_return
-                )
+                # Receptions timed from the cycle start; one at the period
+                # boundary belongs to offset 0 of the next pass.
+                receptions = []
+                cycle_time = 0.0
+                for m in range(j, j + minimal):
+                    for r, mult, t in received[m]:
+                        offset = cycle_time + t
+                        if offset >= orbit_period - DEFAULT_MATCH_TOL:
+                            offset = 0.0
+                        receptions.append((r, mult, offset))
+                    cycle_time += returns[m]
+                receptions.sort(key=lambda rec: (rec[2], rec[0]))
                 return PeriodicityResult(
                     transient_iters=j,
                     poincare_period=minimal,
                     orbit_period=orbit_period,
                     detected_period=length,
                     return_times=tuple(returns[j : j + minimal]),
-                    cycle_states=cycle_states,
-                    receptions=receptions,
+                    cycle_states=tuple(states[j : j + minimal]),
+                    receptions=tuple(receptions),
                 )
         states.append(new)
         bisect.insort(by_phase0, (new.phases[0], i))

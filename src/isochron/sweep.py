@@ -201,16 +201,20 @@ def phase_scan(
     """
     records: list[ScanRecord] = []
     signatures: list[PulseSignature] = []
+    # Signature ids by per-recipient multiplicity pattern, which equivalent
+    # signatures share; only the period is left to compare within a bucket.
+    buckets: dict[tuple, list[int]] = {}
     for theta1, theta2, result in _scan_cells(params, step, max_iter, tol, workers):
         if not isinstance(result, PeriodicityResult):
             records.append(ScanRecord(theta1=theta1, theta2=theta2, periodic=False))
             continue
         signature = pulse_signature(params, result)
-        matches = (i for i, known in enumerate(signatures) if pulse_equivalent(known, signature))
-        sid = next(matches, None)
+        bucket = buckets.setdefault(tuple(sorted(signature.per_recipient().items())), [])
+        sid = next((i for i in bucket if pulse_equivalent(signatures[i], signature)), None)
         if sid is None:
             signatures.append(signature)
             sid = len(signatures) - 1
+            bucket.append(sid)
         records.append(
             ScanRecord(
                 theta1=theta1,

@@ -351,7 +351,8 @@ class TestSharedLoopProperties:
                 if ev.kind == "pulse"
                 for r in ev.participants
             ]
-            # The stable sort _walk_cycle applies: rounds keep their order.
+            # The stable sort detect_periodicity applies to a cycle's
+            # receptions: rounds keep their order.
             by_time = functools.partial(sorted, key=lambda rec: (rec[2], rec[0]))
             assert by_time(runs["receptions"][2]) == by_time(expanded)
             counts = {eng.events_processed for eng in engines.values()}

@@ -26,6 +26,7 @@ from isochron import (
     pulse_signature,
     region_center,
     require_section_state,
+    state_distance,
     states_match,
 )
 from isochron import poincare
@@ -141,6 +142,20 @@ class TestStatesMatch:
         b = network_state(
             phases=(0.5, 0.2, 0.0), ftds=((0.1,), (0.2,), (0.0, 0.3))
         )
+        assert not states_match(a, b, tol=1.0)
+
+    def test_empty_ftd_rows_compare_by_phases(self):
+        a = network_state(phases=(0.5, 0.2, 0.0), ftds=((), (), (0.0,)))
+        b = network_state(phases=(0.5, 0.2 + 1e-12, 0.0), ftds=((), (), (0.0,)))
+        assert state_distance(a, b) == abs(a.phases[1] - b.phases[1])
+        assert states_match(a, b, tol=1e-9)
+        assert not states_match(a, b, tol=1e-13)
+
+    def test_rows_of_unequal_length_never_match(self):
+        # Same number of FTD entries in total, spread over different rows.
+        a = network_state(phases=(0.5, 0.2, 0.0), ftds=((0.1,), (), (0.0,)))
+        b = network_state(phases=(0.5, 0.2, 0.0), ftds=((), (0.1,), (0.0,)))
+        assert state_distance(a, b) == math.inf
         assert not states_match(a, b, tol=1.0)
 
 
@@ -283,6 +298,27 @@ class TestDetectPeriodicity:
         assert d["iterations"] == 2
 
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from([0.3, 0.45, 0.58, 0.7]),
+    )
+    def test_cycle_is_the_section_map_chain(self, theta1, theta2, tau):
+        params = ModelParams(b=3.0, eps=0.58, n=3, tau=tau)
+        start = eq_init_state(params, theta1, theta2)
+        res = detect_periodicity(params, start, max_iter=200)
+        assert isinstance(res, PeriodicityResult)
+        j, p = res.transient_iters, res.poincare_period
+        chain, times = [start], []
+        for _ in range(j + p):
+            state, elapsed = poincare_map(params, chain[-1])
+            chain.append(state)
+            times.append(elapsed)
+        assert repr(res.cycle_states) == repr(tuple(chain[j : j + p]))
+        assert res.return_times == tuple(times[j : j + p])
+
+
 class TestMinimalCycle:
     def test_reduces_detected_length_over_divisors(self):
         a = network_state(phases=(0.1, 0.2, 0.0), ftds=((0.1,), (0.2,), (0.0,)))
@@ -366,6 +402,7 @@ class TestCycleWalk:
             raise AssertionError("pulse_signature started an engine")
 
         monkeypatch.setattr(poincare, "init_engine", no_engine)
+        monkeypatch.setattr(poincare, "_engine_from", no_engine)
         sig = pulse_signature(P, res)
         assert sig.period == res.orbit_period
         assert sig.receptions == res.receptions
