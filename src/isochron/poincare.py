@@ -206,13 +206,13 @@ def detect_periodicity(
                 # boundary belongs to offset 0 of the next pass.
                 receptions = []
                 cycle_time = 0.0
-                for m in range(j, j + minimal):
-                    for r, mult, t in received[m]:
+                for idx in range(j, j + minimal):
+                    for r, m, t in received[idx]:
                         offset = cycle_time + t
                         if offset >= orbit_period - DEFAULT_MATCH_TOL:
                             offset = 0.0
-                        receptions.append((r, mult, offset))
-                    cycle_time += returns[m]
+                        receptions.append((r, m, offset))
+                    cycle_time += returns[idx]
                 receptions.sort(key=lambda rec: (rec[2], rec[0]))
                 return PeriodicityResult(
                     transient_iters=j,
