@@ -1,8 +1,10 @@
 """Golden outputs: CLI datasets pinned byte for byte.
 
-The cases cover the interior samples of each family, the existence map,
-the initial-phase scan, the section-map report from each family's center,
-the projection overlay, the verify report and the volumes.  Each case
+The cases cover the interior samples of each family, the existence map
+(bare, and with Monte Carlo volumes of every family), the initial-phase
+scan, the section-map report from each family's center and from a start
+that does not close within its budget, the projection overlay, the verify
+report and the volumes.  Each case
 runs one CLI command with a pinned timestamp and compares every
 file it writes against the copy under tests/golden/.  Exact volumes pass
 through LAPACK and qhull, so they are compared within 1e-12 relative; every
@@ -11,13 +13,17 @@ other byte must match.
 Regenerate the goldens (only when a change of output is intended, and say
 which bytes changed and why) with:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [CASE ...]
+
+Named cases are regenerated alone, so adding a case rewrites no existing
+golden; with no names, every case is.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,12 +43,18 @@ CASES = {
         for k in ("ir3", "ir4", "ir5")
     },
     "scan-params": ["scan", "params", "--grid", "20x20", "--out-csv", "params.csv"],
+    "scan-params-mc": ["scan", "params", "--grid", "4x4", "--volume-kinds", "ir3,ir4,ir5",
+                       "--volume-method", "montecarlo", "--volume-samples", "2000",
+                       "--out-csv", "params-mc.csv", "--out-json", "params-mc.json"],
     "scan-phases": ["scan", "phases", "--step", "0.1", "--out-csv", "phases.csv",
                     "--out-json", "phases.json"],
     **{
         f"poincare-{k}": ["poincare", "--center", k, "--out", f"poincare-{k}.json"]
         for k in ("ir3", "ir4", "ir5")
     },
+    "poincare-miss": ["poincare", "--state",
+                      '{"phases":[0.3,0.7,0.0],"ftds":[[0.3],[],[0.0]]}',
+                      "--max-iter", "1", "--out", "poincare-miss.json"],
     "project-compare": ["region", "project", "--compare", "--step", "0.1",
                         "--samples", "200", "--out-csv", "project.csv",
                         "--out-json", "project.json"],
@@ -88,5 +100,5 @@ def test_golden_output(case, tmp_path, monkeypatch, capsys):
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     os.chdir(GOLDEN_DIR)
-    for argv in CASES.values():
-        _run(argv)
+    for case in sys.argv[1:] or CASES:
+        _run(CASES[case])
