@@ -34,7 +34,6 @@ from .engine import (
 )
 from .model import DomainError, ModelParams, jump
 from .poincare import (
-    PeriodicityResult,
     detect_periodicity,
     poincare_map,
     pulse_signature,
@@ -300,7 +299,7 @@ def _cmd_poincare(run: _Run) -> int:
     run.declare_output(out, dataset_header(run.config, timestamp=timestamp))
 
     result = detect_periodicity(params, state, max_iter=max_iter, tol=tol)
-    periodic = isinstance(result, PeriodicityResult)
+    periodic = result.periodic
     signature = pulse_signature(params, result) if periodic else None
 
     if periodic:
@@ -311,15 +310,14 @@ def _cmd_poincare(run: _Run) -> int:
     else:
         print(f"not periodic within {result.iterations} section returns")
     if out is not None:
-        payload = {
-            "version": __version__,
-            "config": run.config,
-            "timestamp": timestamp,
-            "periodic": periodic,
-            "result": result.to_json_dict(),
-            "signature": None if signature is None else signature.to_json_dict(),
-        }
-        _write_json(out, payload)
+        _write_json(
+            out,
+            timestamp,
+            config=run.config,
+            periodic=periodic,
+            result=result,
+            signature=signature,
+        )
         run.finish_output(out)
     return 0
 
@@ -387,15 +385,7 @@ def _cmd_region_volume(run: _Run) -> int:
             f"(|exact - montecarlo| = {_fmt(diff)}, 3*stderr = {_fmt(bound)})"
         )
     if out is not None:
-        payload = {
-            "version": __version__,
-            "config": run.config,
-            "seed": seed,
-            "timestamp": timestamp,
-            "reports": {k: v.to_json_dict() for k, v in reports.items()},
-            "ok": ok,
-        }
-        _write_json(out, payload)
+        _write_json(out, timestamp, config=run.config, seed=seed, reports=reports, ok=ok)
         run.finish_output(out)
     return 0 if ok else 1
 
@@ -570,7 +560,7 @@ def _cmd_scan_params(run: _Run) -> int:
         run.finish_output(plot_script)
 
     counts = {
-        k: sum(getattr(r, f"exists_{k.lower()}") for r in result.records)
+        k: sum(r.exists[k] for r in result.records)
         for k in KINDS
     }
     total = len(result.records)
@@ -676,18 +666,14 @@ def _cmd_verify(run: _Run) -> int:
     print(f"verify: {'PASS' if all_ok else 'FAIL'} ({len(checks)} checks)")
 
     if out is not None:
-        payload = {
-            "version": __version__,
-            "config": run.config,
-            "seed": seed,
-            "timestamp": timestamp,
-            "checks": [
-                {"name": name, "ok": ok, "detail": detail}
-                for name, ok, detail in checks
-            ],
-            "ok": all_ok,
-        }
-        _write_json(out, payload)
+        _write_json(
+            out,
+            timestamp,
+            config=run.config,
+            seed=seed,
+            checks=[{"name": n, "ok": ok, "detail": d} for n, ok, d in checks],
+            ok=all_ok,
+        )
         run.finish_output(out)
     return 0 if all_ok else 1
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import ne, sub
 
+from ._serial import Record
 from .engine import (
     NetworkState,
     _engine_from,
@@ -81,7 +82,7 @@ def states_match(a: NetworkState, b: NetworkState, tol: float = DEFAULT_MATCH_TO
 
 
 @dataclass(frozen=True)
-class PeriodicityResult:
+class PeriodicityResult(Record):
     """A detected cycle of the section map.
 
     transient_iters   iterations before the orbit first revisits a state
@@ -103,42 +104,25 @@ class PeriodicityResult:
     cycle_states: tuple[NetworkState, ...]
     receptions: tuple[tuple[int, int, float], ...]
 
+    periodic = True
+    _omit = ("cycle_states", "receptions")
+    _extra = ("periodic", "periodic_state")
+
     @property
     def periodic_state(self) -> NetworkState:
         """First state on the cycle."""
         return self.cycle_states[0]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "periodic": True,
-            "transient_iters": self.transient_iters,
-            "poincare_period": self.poincare_period,
-            "detected_period": self.detected_period,
-            "orbit_period": self.orbit_period,
-            "return_times": list(self.return_times),
-            "periodic_state": {
-                "phases": list(self.periodic_state.phases),
-                "ftds": [list(r) for r in self.periodic_state.ftds],
-            },
-        }
-
 
 @dataclass(frozen=True)
-class NotPeriodic:
+class NotPeriodic(Record):
     """Report that no revisit was found within the iteration budget."""
 
     iterations: int
     last_state: NetworkState
 
-    def to_json_dict(self) -> dict:
-        return {
-            "periodic": False,
-            "iterations": self.iterations,
-            "last_state": {
-                "phases": list(self.last_state.phases),
-                "ftds": [list(r) for r in self.last_state.ftds],
-            },
-        }
+    periodic = False
+    _extra = ("periodic",)
 
 
 def _minimal_cycle(
@@ -230,7 +214,7 @@ def detect_periodicity(
 
 
 @dataclass(frozen=True)
-class PulseSignature:
+class PulseSignature(Record):
     """Reception pattern of one periodic cycle.
 
     receptions lists every pulse reception over one period as
@@ -242,21 +226,18 @@ class PulseSignature:
     period: float
     receptions: tuple[tuple[int, int, float], ...]
 
+    _reshape = {
+        "receptions": lambda recs: [
+            {"recipient": r + 1, "multiplicity": m, "offset": t} for r, m, t in recs
+        ]
+    }
+
     def per_recipient(self) -> dict[int, tuple[int, ...]]:
         """Time-ordered multiplicity sequence for each recipient."""
         out: dict[int, list[int]] = {}
         for recipient, mult, _ in self.receptions:
             out.setdefault(recipient, []).append(mult)
         return {r: tuple(ms) for r, ms in out.items()}
-
-    def to_json_dict(self) -> dict:
-        return {
-            "period": self.period,
-            "receptions": [
-                {"recipient": r + 1, "multiplicity": m, "offset": t}
-                for r, m, t in self.receptions
-            ],
-        }
 
 
 def pulse_signature(params: ModelParams, result: PeriodicityResult) -> PulseSignature:

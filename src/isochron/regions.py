@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._serial import Record, rows
 from .engine import NetworkState, network_state
 from .model import (
     DomainError,
@@ -61,7 +62,7 @@ class Functional:
 
 
 @dataclass(frozen=True)
-class RegionSpec:
+class RegionSpec(Record):
     """One family's constraint system in sigma-space.
 
     orderings are strict halfspaces (weights . sigma + offset > 0);
@@ -75,26 +76,7 @@ class RegionSpec:
     orderings: tuple[tuple[tuple[float, ...], float], ...]
     functionals: tuple[Functional, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "labels": list(self.labels),
-            "tau": self.tau,
-            "orderings": [
-                {"weights": list(w), "offset": w0} for w, w0 in self.orderings
-            ],
-            "functionals": [
-                {
-                    "label": f.label,
-                    "weights": list(f.weights),
-                    "offset": f.offset,
-                    "lower": f.lower,
-                    "upper": f.upper,
-                }
-                for f in self.functionals
-            ],
-        }
+    _reshape = {"orderings": rows("weights", "offset")}
 
 
 def _chain_orderings(dim: int, tau: float, order: tuple[int, ...]) -> tuple:
@@ -464,7 +446,7 @@ def sample_interior(
 
 
 @dataclass(frozen=True)
-class VolumeReport:
+class VolumeReport(Record):
     """Region volume with provenance: method, budget, seed, uncertainty."""
 
     volume: float
@@ -474,17 +456,6 @@ class VolumeReport:
     seed: int | None = None
     degenerate: bool = False
     vertex_count: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "volume": self.volume,
-            "stderr": self.stderr,
-            "method": self.method,
-            "samples": self.samples,
-            "seed": self.seed,
-            "degenerate": self.degenerate,
-            "vertex_count": self.vertex_count,
-        }
 
 
 def _halfspaces(spec: RegionSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -632,7 +603,7 @@ def region_volume(
 
 
 @dataclass(frozen=True)
-class OracleReport:
+class OracleReport(Record):
     """Cross-check of the analytic family against the event engine.
 
     Every sampled interior point is embedded and iterated; failures carry
@@ -652,28 +623,12 @@ class OracleReport:
     center_poincare_period: int | None
     center_orbit_period: float | None
 
+    _reshape = {"failures": rows("sigma", "reason")}
+    _extra = ("ok",)
+
     @property
     def ok(self) -> bool:
         return not self.failures and self.all_pulse_equivalent
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "expected_poincare_period": self.expected_poincare_period,
-            "poincare_period_counts": {
-                str(k): v for k, v in sorted(self.poincare_period_counts.items())
-            },
-            "failures": [
-                {"sigma": list(s), "reason": r} for s, r in self.failures
-            ],
-            "all_pulse_equivalent": self.all_pulse_equivalent,
-            "pair_synchronized": self.pair_synchronized,
-            "center_poincare_period": self.center_poincare_period,
-            "center_orbit_period": self.center_orbit_period,
-            "ok": self.ok,
-        }
 
 
 def region_oracle(

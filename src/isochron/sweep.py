@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._serial import Record, plain
 from ._version import __version__
 from .engine import NetworkState, TraceEvent, format_trace_text, init_engine, network_state
 from .model import DomainError, ModelParams, jump
@@ -90,7 +91,7 @@ def eq_init_state(params: ModelParams, theta1: float, theta2: float) -> NetworkS
 
 
 @dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(Record):
     """One grid cell of an initial-phase scan.
 
     For periodic orbits, transient_iters / poincare_period / orbit_period
@@ -110,21 +111,9 @@ class ScanRecord:
     signature_id: int | None = None
     projection: tuple[tuple[float, float], ...] = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "theta1": self.theta1,
-            "theta2": self.theta2,
-            "periodic": self.periodic,
-            "transient_iters": self.transient_iters,
-            "poincare_period": self.poincare_period,
-            "orbit_period": self.orbit_period,
-            "signature_id": self.signature_id,
-            "projection": [list(p) for p in self.projection],
-        }
-
 
 @dataclass(frozen=True)
-class PhaseScanResult:
+class PhaseScanResult(Record):
     """Full initial-phase scan: one record per grid cell plus the interned
     signature table (signature_id indexes it)."""
 
@@ -135,6 +124,9 @@ class PhaseScanResult:
     records: tuple[ScanRecord, ...]
     signatures: tuple[PulseSignature, ...]
 
+    _command = "phase_scan"
+    _config = ("params", "step", "max_iter", "tol")
+
     def observed_periods(self) -> set[int]:
         return {
             r.poincare_period for r in self.records if r.poincare_period is not None
@@ -142,18 +134,6 @@ class PhaseScanResult:
 
     def not_periodic_count(self) -> int:
         return sum(1 for r in self.records if not r.periodic)
-
-    def config_dict(self) -> dict:
-        return {
-            "command": "phase_scan",
-            "b": self.params.b,
-            "eps": self.params.eps,
-            "n": self.params.n,
-            "tau": self.params.tau,
-            "step": self.step,
-            "max_iter": self.max_iter,
-            "tol": self.tol,
-        }
 
 
 def _grid_values(step: float) -> list[float]:
@@ -241,33 +221,20 @@ def phase_scan(
 
 
 @dataclass(frozen=True)
-class ParamScanRecord:
-    """Existence flags (and optional region volumes) at one (eps, tau)."""
+class ParamScanRecord(Record):
+    """Existence flag and region volume of each family (keyed by KINDS) at
+    one (eps, tau); a volume is None unless the scan computed it."""
 
     eps: float
     tau: float
-    exists_ir3: bool
-    exists_ir4: bool
-    exists_ir5: bool
-    volume_ir3: float | None = None
-    volume_ir4: float | None = None
-    volume_ir5: float | None = None
+    exists: dict[str, bool]
+    volumes: dict[str, float | None]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "eps": self.eps,
-            "tau": self.tau,
-            "exists_ir3": self.exists_ir3,
-            "exists_ir4": self.exists_ir4,
-            "exists_ir5": self.exists_ir5,
-            "volume_ir3": self.volume_ir3,
-            "volume_ir4": self.volume_ir4,
-            "volume_ir5": self.volume_ir5,
-        }
+    _spread = {"exists": "exists_{}", "volumes": "volume_{}"}
 
 
 @dataclass(frozen=True)
-class ParamScanResult:
+class ParamScanResult(Record):
     """Existence/volume map over a rectangular (eps, tau) grid."""
 
     b: float
@@ -280,29 +247,22 @@ class ParamScanResult:
     seed: int
     records: tuple[ParamScanRecord, ...]
 
-    def config_dict(self) -> dict:
-        return {
-            "command": "param_scan",
-            "b": self.b,
-            "n": self.n,
-            "eps_values": [float(v) for v in self.eps_values],
-            "tau_values": [float(v) for v in self.tau_values],
-            "volume_kinds": list(self.volume_kinds),
-            "volume_method": self.volume_method,
-            "volume_samples": self.volume_samples,
-        }
+    _command = "param_scan"
+    _config = (
+        "b", "n", "eps_values", "tau_values", "volume_kinds", "volume_method", "volume_samples"
+    )
 
 
 def _param_cell(args) -> ParamScanRecord:
     eps, tau, b, n, volume_kinds, method, samples, cell_seed = args
     params = ModelParams(b=b, eps=eps, n=n, tau=tau)
-    fields = {f"exists_{kind.lower()}": region_exists(params, kind) for kind in KINDS}
+    exists = {kind: region_exists(params, kind) for kind in KINDS}
+    volumes = dict.fromkeys(KINDS)
     for kind in volume_kinds:
-        report = region_volume(
+        volumes[kind] = region_volume(
             region_spec(params, kind), method=method, samples=samples, seed=cell_seed
-        )
-        fields[f"volume_{kind.lower()}"] = report.volume
-    return ParamScanRecord(eps=eps, tau=tau, **fields)
+        ).volume
+    return ParamScanRecord(eps=eps, tau=tau, exists=exists, volumes=volumes)
 
 
 def param_scan(
@@ -347,7 +307,7 @@ def param_scan(
 
 
 @dataclass(frozen=True)
-class ProjectionCompareReport:
+class ProjectionCompareReport(Record):
     """Overlay dataset: the period-4 family's analytic phase-plane image
     against the family orbits a scan actually finds, plus orbits recovered
     by seeding directly from family points.
@@ -377,32 +337,8 @@ class ProjectionCompareReport:
     contained: bool
     violations: tuple[tuple[float, float], ...]
 
-    def config_dict(self) -> dict:
-        return {
-            "command": "projection_compare",
-            "b": self.params.b,
-            "eps": self.params.eps,
-            "n": self.params.n,
-            "tau": self.params.tau,
-            "n_samples": self.n_samples,
-            "step": self.step,
-            "tol": self.tol,
-        }
-
-    def to_json_dict(self) -> dict:
-        return {
-            **self.config_dict(),
-            "seed": self.seed,
-            "analytic_points": [list(p) for p in self.analytic_points],
-            "numeric_points": [list(p) for p in self.numeric_points],
-            "numeric_orbit_count": self.numeric_orbit_count,
-            "mirror_orbit_count": self.mirror_orbit_count,
-            "unidentified_period4_count": self.unidentified_period4_count,
-            "seeded_points": [list(p) for p in self.seeded_points],
-            "seeded_orbit_count": self.seeded_orbit_count,
-            "contained": self.contained,
-            "violations": [list(p) for p in self.violations],
-        }
+    _command = "projection_compare"
+    _config = ("params", "n_samples", "step", "tol")
 
 
 def _swap_free_oscillators(state: NetworkState) -> NetworkState:
@@ -545,7 +481,7 @@ class StabilityFailure:
 
 
 @dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(Record):
     """Outcome of randomized one-return convergence trials around a
     period-4 family point.
 
@@ -566,43 +502,13 @@ class StabilityReport:
     max_distance: float
     failures: tuple[StabilityFailure, ...]
 
+    _command = "stability_probe"
+    _config = ("params", "sigma", "dtheta_max", "dsigma_max", "n_trials", "tol")
+    _extra = ("ok",)
+
     @property
     def ok(self) -> bool:
         return self.n_run > 0 and not self.failures
-
-    def config_dict(self) -> dict:
-        return {
-            "command": "stability_probe",
-            "b": self.params.b,
-            "eps": self.params.eps,
-            "n": self.params.n,
-            "tau": self.params.tau,
-            "sigma": list(self.sigma),
-            "dtheta_max": self.dtheta_max,
-            "dsigma_max": self.dsigma_max,
-            "n_trials": self.n_trials,
-            "tol": self.tol,
-        }
-
-    def to_json_dict(self) -> dict:
-        return {
-            **self.config_dict(),
-            "seed": self.seed,
-            "n_run": self.n_run,
-            "n_refused": self.n_refused,
-            "max_distance": self.max_distance,
-            "ok": self.ok,
-            "failures": [
-                {
-                    "sigma_perturbed": list(f.sigma_perturbed),
-                    "dtheta": list(f.dtheta),
-                    "dsigma": list(f.dsigma),
-                    "distance": f.distance,
-                    "trace": f.trace,
-                }
-                for f in self.failures
-            ],
-        }
 
 
 def _perturbed_state(
@@ -690,7 +596,7 @@ def stability_probe(
 
 
 @dataclass(frozen=True)
-class EscapeReport:
+class EscapeReport(Record):
     """From the period-4 family's center state: the early event trace and
     where the orbit settles.  Outside the family's existence region the
     dynamics abandon the four-return pattern and converge to a single-
@@ -704,23 +610,9 @@ class EscapeReport:
     events: tuple[TraceEvent, ...]
     result: PeriodicityResult | NotPeriodic
 
-    def config_dict(self) -> dict:
-        return {
-            "command": "boundary_escape_demo",
-            "b": self.params.b,
-            "eps": self.params.eps,
-            "n": self.params.n,
-            "tau": self.params.tau,
-            "horizon": self.horizon,
-        }
-
-    def to_json_dict(self) -> dict:
-        return {
-            **self.config_dict(),
-            "region_nonempty": self.region_nonempty,
-            "events": len(self.events),
-            "result": self.result.to_json_dict(),
-        }
+    _command = "boundary_escape_demo"
+    _config = ("params", "horizon")
+    _reshape = {"events": len}
 
 
 def boundary_escape_demo(
@@ -778,14 +670,17 @@ def _write_csv(path, header_lines: list[str], columns: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _write_json(path, payload: dict) -> None:
+def _write_json(path, timestamp: str | None, **fields) -> None:
+    """A JSON dataset: tool version, timestamp, and each field in its
+    plain() form, keys sorted."""
+    payload = {"version": __version__, "timestamp": timestamp, **plain(fields)}
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
-def _opt(value, fmt=_fmt) -> str:
-    return "" if value is None else fmt(value)
+def _opt(value) -> str:
+    return "" if value is None else _fmt(value)
 
 
 def write_phase_scan_csv(
@@ -798,10 +693,10 @@ def write_phase_scan_csv(
             _fmt(r.theta1),
             _fmt(r.theta2),
             int(r.periodic),
-            "" if r.transient_iters is None else r.transient_iters,
-            "" if r.poincare_period is None else r.poincare_period,
+            _opt(r.transient_iters),
+            _opt(r.poincare_period),
             _opt(r.orbit_period),
-            "" if r.signature_id is None else r.signature_id,
+            _opt(r.signature_id),
             ";".join(f"{_fmt(x)} {_fmt(y)}" for x, y in r.projection),
         )
         for r in result.records
@@ -828,14 +723,11 @@ def write_phase_scan_json(
 ) -> None:
     _write_json(
         path,
-        {
-            "version": __version__,
-            "config": result.config_dict(),
-            "seed": seed,
-            "timestamp": timestamp,
-            "signatures": [s.to_json_dict() for s in result.signatures],
-            "records": [r.to_json_dict() for r in result.records],
-        },
+        timestamp,
+        config=result.config_dict(),
+        seed=seed,
+        signatures=result.signatures,
+        records=result.records,
     )
 
 
@@ -846,8 +738,8 @@ def write_param_scan_csv(
     volumes = [f"volume_{k.lower()}" for k in KINDS]
     rows = [
         (_fmt(r.eps), _fmt(r.tau))
-        + tuple(int(getattr(r, name)) for name in exists)
-        + tuple(_opt(getattr(r, name)) for name in volumes)
+        + tuple(int(r.exists[k]) for k in KINDS)
+        + tuple(_opt(r.volumes[k]) for k in KINDS)
         for r in result.records
     ]
     _write_csv(
@@ -862,14 +754,7 @@ def write_param_scan_json(
     result: ParamScanResult, path, timestamp: str | None = None
 ) -> None:
     _write_json(
-        path,
-        {
-            "version": __version__,
-            "config": result.config_dict(),
-            "seed": result.seed,
-            "timestamp": timestamp,
-            "records": [r.to_json_dict() for r in result.records],
-        },
+        path, timestamp, config=result.config_dict(), seed=result.seed, records=result.records
     )
 
 
@@ -896,14 +781,7 @@ def write_projection_csv(
 def write_projection_json(
     report: ProjectionCompareReport, path, timestamp: str | None = None
 ) -> None:
-    _write_json(
-        path,
-        {
-            "version": __version__,
-            "timestamp": timestamp,
-            **report.to_json_dict(),
-        },
-    )
+    _write_json(path, timestamp, **report.to_json_dict())
 
 
 # -- plot-script emitters ----------------------------------------------------------

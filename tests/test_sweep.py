@@ -223,26 +223,26 @@ class TestParamScan:
     def test_existence_flags_match_direct_evaluation(self):
         for record in param_grid_scan().records:
             params = ModelParams(b=3.0, eps=record.eps, n=3, tau=record.tau)
-            assert record.exists_ir3 == region_exists(params, "IR3")
-            assert record.exists_ir4 == region_exists(params, "IR4")
-            assert record.exists_ir5 == region_exists(params, "IR5")
+            assert record.exists["IR3"] == region_exists(params, "IR3")
+            assert record.exists["IR4"] == region_exists(params, "IR4")
+            assert record.exists["IR5"] == region_exists(params, "IR5")
 
     def test_volume_zero_exactly_where_family_is_empty(self):
         for record in param_grid_scan().records:
-            assert record.volume_ir4 is not None
-            assert (record.volume_ir4 > 0.0) == record.exists_ir4
-            assert record.volume_ir3 is None
-            assert record.volume_ir5 is None
+            assert record.volumes["IR4"] is not None
+            assert (record.volumes["IR4"] > 0.0) == record.exists["IR4"]
+            assert record.volumes["IR3"] is None
+            assert record.volumes["IR5"] is None
 
     def test_volumes_match_direct_evaluation(self):
         for record in param_grid_scan().records:
             params = ModelParams(b=3.0, eps=record.eps, n=3, tau=record.tau)
             direct = region_volume(region_spec(params, "IR4")).volume
-            assert record.volume_ir4 == pytest.approx(direct, rel=1e-12, abs=0.0)
+            assert record.volumes["IR4"] == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     def test_frozen_reference_volume(self):
         by_cell = {(r.eps, r.tau): r for r in param_grid_scan().records}
-        assert by_cell[(0.45, 0.45)].volume_ir4 == pytest.approx(
+        assert by_cell[(0.45, 0.45)].volumes["IR4"] == pytest.approx(
             0.003101626636086506, rel=1e-12
         )
 
@@ -256,7 +256,7 @@ class TestParamScan:
         serial = param_scan((0.45, 0.7), (0.45, 0.7), workers=1, **kwargs)
         parallel = param_scan((0.45, 0.7), (0.45, 0.7), workers=2, **kwargs)
         assert serial.records == parallel.records
-        assert any(r.volume_ir4 > 0.0 for r in serial.records)
+        assert any(r.volumes["IR4"] > 0.0 for r in serial.records)
 
     @pytest.mark.parametrize(
         "eps_values,tau_values", [((0.5,), (0.4, 0.6)), ((0.4, 0.6), (0.5,))]
