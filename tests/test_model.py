@@ -6,8 +6,11 @@ from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isochron.model import (
     DomainError,
@@ -38,6 +41,10 @@ COEFF_A2 = 5.697343422671991
 COEFF_C2 = 0.24612058028951905
 TRIGGER_1 = 0.38850711097530377         # root of jump(x, 0.29) = 1
 TRIGGER_2 = 0.13232121776449274         # root of jump(x, 0.58) = 1
+
+#: Bound on |jump - oracle| / max(1, |oracle|) for single and composed jumps,
+#: about twice the largest error measured over random draws (see CHANGES.md).
+JUMP_BOUND = 2.5e-15
 
 
 class TestFrozenValues:
@@ -191,6 +198,38 @@ class TestIdentities:
             th = rng.uniform(0.0, 1.0)
             assert response(p, th, p.eps_hat) > 0.0
         assert response(P, 0.5, 0.0) == 0.0
+
+
+def _scaled_error(value: float, reference: mp.mpf) -> float:
+    return float(abs(mp.mpf(value) - reference) / max(1, abs(reference)))
+
+
+_steepness = st.floats(0.2, 8.0)
+_theta = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 0.5, 1.0 - 2.0**-53])
+)
+_strength = st.floats(0.0, 0.5)
+
+
+class TestJumpComposition:
+    """Pulse strengths compose additively, judged by the 50-digit oracle:
+    both routes to the same total strength stay within JUMP_BOUND of it."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_steepness, _theta, _strength, _strength)
+    def test_two_jumps_equal_one_of_the_summed_strength(self, b, theta, d1, d2):
+        p = ModelParams(b=b, eps=0.3)
+        reference = o_jump(b, theta, mp.mpf(d1) + mp.mpf(d2))
+        assert _scaled_error(jump(p, jump(p, theta, d1), d2), reference) <= JUMP_BOUND
+        assert _scaled_error(jump(p, theta, d1 + d2), reference) <= JUMP_BOUND
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_steepness, st.floats(0.0, 1.0), st.integers(2, 4), _theta)
+    def test_double_reception_equals_two_single_ones(self, b, eps, n, theta):
+        p = ModelParams(b=b, eps=eps, n=n)
+        reference = o_jump(b, theta, 2 * mp.mpf(p.eps_hat))
+        assert _scaled_error(jump_m(p, theta, 2), reference) <= JUMP_BOUND
+        assert _scaled_error(jump_m(p, jump_m(p, theta, 1), 1), reference) <= JUMP_BOUND
 
 
 class TestValidation:
