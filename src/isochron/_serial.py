@@ -11,7 +11,7 @@ _reshape   field -> function computing its JSON value
 _spread    field -> key pattern: the field's JSON form is a dict whose
            entry k is written at top level as pattern.format(k.lower());
            by default a params field (a ModelParams) gives b, eps, n and tau
-_extra     properties appended to to_json_dict()
+_extra     non-field attributes (properties) appended to to_json_dict()
 
 Any other field is written under its own name in its plain() form.  Each
 class's field plan is built once, on first use.

@@ -559,10 +559,7 @@ def _cmd_scan_params(run: _Run) -> int:
         _write_lines(plot_script, [emit_param_scan_plot(str(out_csv), kind=kind)])
         run.finish_output(plot_script)
 
-    counts = {
-        k: sum(r.exists[k] for r in result.records)
-        for k in KINDS
-    }
+    counts = {k: sum(r.exists[k] for r in result.records) for k in KINDS}
     total = len(result.records)
     print(
         f"{total} cells; nonempty: "

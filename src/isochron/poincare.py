@@ -94,6 +94,8 @@ class PeriodicityResult(Record):
     cycle_states      the cycle's section states, each the section map
                       of the one before
     receptions        the cycle's pulse receptions, as in PulseSignature
+
+    periodic is True here and False on NotPeriodic.
     """
 
     transient_iters: int
