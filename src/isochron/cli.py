@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -259,8 +258,6 @@ def _cmd_simulate(run: _Run) -> int:
     params = run.params()
     state = _resolve_state(run, params)
     horizon = run.get("horizon", 3 * params.tau, float)
-    if not math.isfinite(horizon):
-        raise DomainError(f"horizon must be finite, got {horizon}")
     out_text = run.get("out_text")
     out_jsonl = run.get("out_jsonl")
     timestamp = run.timestamp()

@@ -39,7 +39,7 @@ class ModelParams:
     eps: float
     n: int = 3
     tau: float = 0.0
-    # cached affine coefficients of the single-pulse jump, see jump()
+    # cached affine coefficients of jump_m for m = 1 and m = 2, see _affine()
     _a1: float = field(init=False, repr=False, compare=False)
     _c1: float = field(init=False, repr=False, compare=False)
     _a2: float = field(init=False, repr=False, compare=False)
@@ -55,10 +55,10 @@ class ModelParams:
         if self.tau < 0.0 or not math.isfinite(self.tau):
             raise DomainError(f"delay tau must be non-negative, got {self.tau}")
         e1 = self.eps_hat
-        object.__setattr__(self, "_a1", math.exp(self.b * e1))
-        object.__setattr__(self, "_c1", math.expm1(self.b * e1) / math.expm1(self.b))
-        object.__setattr__(self, "_a2", math.exp(2.0 * self.b * e1))
-        object.__setattr__(self, "_c2", math.expm1(2.0 * self.b * e1) / math.expm1(self.b))
+        for m in (1, 2):
+            a, c = _affine(self.b, m * e1)
+            object.__setattr__(self, f"_a{m}", a)
+            object.__setattr__(self, f"_c{m}", c)
 
     @property
     def eps_hat(self) -> float:
@@ -96,34 +96,36 @@ def jump(params: ModelParams, theta: float, delta: float) -> float:
         raise DomainError(f"phase must be >= 0, got {theta}")
     if delta < 0.0:
         raise DomainError(f"pulse strength must be >= 0, got {delta}")
-    a = math.exp(params.b * delta)
-    return a * theta + math.expm1(params.b * delta) / math.expm1(params.b)
+    a, c = _affine(params.b, delta)
+    return a * theta + c
+
+
+def _affine(b: float, delta: float) -> tuple[float, float]:
+    """jump's affine coefficients for strength delta, rounded the one way
+    that jump, jump_m and jump_coeffs all share."""
+    return math.exp(b * delta), math.expm1(b * delta) / math.expm1(b)
 
 
 def jump_m(params: ModelParams, theta: float, m: int) -> float:
-    """Post-reception phase for m simultaneous unit pulses (strength m*eps_hat).
-
-    The m = 1 and m = 2 affine coefficients are cached on the params.
-    """
+    """Post-reception phase for m simultaneous unit pulses (strength m*eps_hat),
+    as a * theta + c with jump_coeffs' coefficients."""
     if m < 1:
         raise DomainError(f"pulse multiplicity must be >= 1, got {m}")
     if theta < 0.0:
         raise DomainError(f"phase must be >= 0, got {theta}")
-    if m == 1:
-        return params._a1 * theta + params._c1
-    if m == 2:
-        return params._a2 * theta + params._c2
-    return jump(params, theta, m * params.eps_hat)
+    a, c = jump_coeffs(params, m)
+    return a * theta + c
 
 
 def jump_coeffs(params: ModelParams, m: int = 1) -> tuple[float, float]:
-    """Affine coefficients (a, c) with jump_m(theta, m) = a * theta + c."""
+    """Affine coefficients (a, c) with jump_m(theta, m) = a * theta + c and
+    jump(theta, m * eps_hat) = the same value; m = 1 and m = 2 are cached
+    on the params."""
     if m == 1:
         return params._a1, params._c1
     if m == 2:
         return params._a2, params._c2
-    a = math.exp(params.b * m * params.eps_hat)
-    return a, math.expm1(params.b * m * params.eps_hat) / math.expm1(params.b)
+    return _affine(params.b, m * params.eps_hat)
 
 
 def response(params: ModelParams, theta: float, delta: float) -> float:

@@ -14,17 +14,23 @@ import bisect
 import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import ne, sub
+from operator import itemgetter, ne, sub
+from typing import TYPE_CHECKING
 
 from ._serial import Record
 from .engine import (
     NetworkState,
     _engine_from,
+    _widen,
     init_engine,  # noqa: F401  (bound here for perfbench/tracer.py)
     is_section_state,
+    lockstep_returns,
     validate_state,
 )
 from .model import ModelParams
+
+if TYPE_CHECKING:  # numpy loads on first use, as in engine.lockstep_returns
+    import numpy as np
 
 #: Default tolerance for declaring two section states equal.
 DEFAULT_MATCH_TOL = 1e-9
@@ -131,8 +137,9 @@ def _minimal_cycle(
     states: list[NetworkState], j: int, length: int, tol: float
 ) -> int:
     """Reduce a detected cycle states[j:j+length] to its minimal period by
-    testing every divisor (wrapping indices inside the cycle)."""
-    for d in range(1, length + 1):
+    testing every divisor (wrapping indices inside the cycle); d = length
+    would compare each state with itself, so it is not tested."""
+    for d in range(1, length):
         if length % d:
             continue
         if all(
@@ -141,6 +148,49 @@ def _minimal_cycle(
         ):
             return d
     return length
+
+
+def _cycle_result(
+    transient: int,
+    states: list[NetworkState],
+    returns: list[float],
+    received: list[list[tuple[int, int, float]]],
+    tol: float,
+) -> PeriodicityResult:
+    """The result for an orbit whose state after `transient` returns recurs
+    after len(states) more: states, returns and received hold those
+    returns' start states, return times and receptions."""
+    length = len(states)
+    minimal = _minimal_cycle(states, 0, length, tol)
+    orbit_period = sum(returns[:minimal])
+    # Receptions timed from the cycle start; one at the period boundary
+    # belongs to offset 0 of the next pass.
+    receptions = []
+    cycle_time = 0.0
+    for idx in range(minimal):
+        for r, m, t in received[idx]:
+            offset = cycle_time + t
+            if offset >= orbit_period - DEFAULT_MATCH_TOL:
+                offset = 0.0
+            receptions.append((r, m, offset))
+        cycle_time += returns[idx]
+    receptions.sort(key=itemgetter(2, 0))
+    return PeriodicityResult(
+        transient_iters=transient,
+        poincare_period=minimal,
+        orbit_period=orbit_period,
+        detected_period=length,
+        return_times=tuple(returns[:minimal]),
+        cycle_states=tuple(states[:minimal]),
+        receptions=tuple(receptions),
+    )
+
+
+def _check_budget(max_iter: int, tol: float) -> None:
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    if tol <= 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
 
 
 def detect_periodicity(
@@ -161,22 +211,28 @@ def detect_periodicity(
     read from its returns.  After max_iter iterations a NotPeriodic report
     is returned (a result, not an error).
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_budget(max_iter, tol)
     require_section_state(params, state)
+    return _continue_detection(params, [state], [], [], max_iter, tol, max_time_per_return)
 
-    states = [state]
+
+def _continue_detection(
+    params: ModelParams,
+    states: list[NetworkState],
+    returns: list[float],
+    received: list[list[tuple[int, int, float]]],
+    max_iter: int,
+    tol: float,
+    max_time: float,
+) -> PeriodicityResult | NotPeriodic:
+    """detect_periodicity's loop, resumed after len(states) - 1 returns in
+    which no state recurred."""
     # Sorted view of (first phase, index) pairs for cheap match prefiltering.
-    by_phase0: list[tuple[float, int]] = [(state.phases[0], 0)]
-    returns: list[float] = []
-    received: list[list[tuple[int, int, float]]] = []
-
-    new = state
-    for i in range(1, max_iter + 1):
+    by_phase0 = sorted((s.phases[0], idx) for idx, s in enumerate(states))
+    new = states[-1]
+    for i in range(len(states), max_iter + 1):
         eng = _engine_from(params, new)
-        new, elapsed, got = eng.run_until_section(max_time=max_time_per_return, record="receptions")
+        new, elapsed, got = eng.run_until_section(max_time=max_time, record="receptions")
         returns.append(elapsed)
         received.append(got)
 
@@ -185,34 +241,169 @@ def detect_periodicity(
         candidates = sorted(idx for _, idx in by_phase0[lo:hi])
         for j in candidates:
             if states_match(states[j], new, tol):
-                length = i - j
-                minimal = _minimal_cycle(states, j, length, tol)
-                orbit_period = sum(returns[j : j + minimal])
-                # Receptions timed from the cycle start; one at the period
-                # boundary belongs to offset 0 of the next pass.
-                receptions = []
-                cycle_time = 0.0
-                for idx in range(j, j + minimal):
-                    for r, m, t in received[idx]:
-                        offset = cycle_time + t
-                        if offset >= orbit_period - DEFAULT_MATCH_TOL:
-                            offset = 0.0
-                        receptions.append((r, m, offset))
-                    cycle_time += returns[idx]
-                receptions.sort(key=lambda rec: (rec[2], rec[0]))
-                return PeriodicityResult(
-                    transient_iters=j,
-                    poincare_period=minimal,
-                    orbit_period=orbit_period,
-                    detected_period=length,
-                    return_times=tuple(returns[j : j + minimal]),
-                    cycle_states=tuple(states[j : j + minimal]),
-                    receptions=tuple(receptions),
-                )
+                return _cycle_result(j, states[j:], returns[j:], received[j:], tol)
         states.append(new)
         bisect.insort(by_phase0, (new.phases[0], i))
 
     return NotPeriodic(iterations=max_iter, last_state=new)
+
+
+#: Returns that detect_periodicity_many runs in lockstep; a start still
+#: unmatched after them continues alone in detect_periodicity's loop,
+#: which bounds the lockstep history and its all-pairs comparison.
+_LOCKSTEP_ITER = 64
+
+
+def detect_periodicity_many(
+    params: ModelParams,
+    states,
+    max_iter: int = 10_000,
+    tol: float = DEFAULT_MATCH_TOL,
+    max_time_per_return: float = 100.0,
+) -> list[PeriodicityResult | NotPeriodic]:
+    """detect_periodicity for many starts at once, one result per start.
+
+    The starts' section returns run in lockstep on float64 arrays
+    (engine.lockstep_returns) and each start's visited states stay in
+    arrays, compared by detect_periodicity's rule: the same phase-0
+    prefilter bounds, equal FTD row lengths, state_distance <= tol, the
+    earliest match first.  Every result is repr-identical to what
+    detect_periodicity returns for that start.  If any start raises, the
+    error of the first such start (in the given order) is raised.
+    """
+    import numpy as np
+
+    _check_budget(max_iter, tol)
+    n, tau = params.n, params.tau
+    states = list(states)
+    errors: dict[int, Exception] = {}
+    for idx, state in enumerate(states):
+        try:
+            require_section_state(params, state)
+        except ValueError as exc:
+            errors[idx] = exc
+            del states[idx:]
+            break
+    count = len(states)
+    results: list = [None] * count
+
+    width = max((sum(map(len, s.ftds)) for s in states), default=0)
+    cur_ph = np.array([s.phases for s in states], dtype=float).reshape(count, n)
+    cur_ftd = np.zeros((count, width))
+    cur_snd = np.full((count, width), n)
+    for r, s in enumerate(states):
+        entries = [(i, x) for i, row in enumerate(s.ftds) for x in row]
+        if entries:
+            cur_snd[r, : len(entries)], cur_ftd[r, : len(entries)] = zip(*entries)
+    oscillators = np.arange(n)
+
+    # The history of the start at live[p] after `it` returns: its phases,
+    # FTD entries (by sender, then ascending) and FTD row lengths at
+    # h_*[it, p]; the return from there took h_ret[it, p], and its
+    # receptions are in logs[it].  A start leaves these arrays when it
+    # finishes.
+    live = np.arange(count)
+    h_ph = cur_ph[None]
+    h_ftd = cur_ftd[None]
+    h_cnt = np.count_nonzero(cur_snd[:, :, None] == oscillators, axis=1)[None]
+    h_ret = np.zeros((0, count))
+    logs: list[tuple[np.ndarray, ...]] = []
+
+    def history(p: int, j: int, it: int):
+        """The states after j..it-1 returns of the start at live[p], and the
+        return times and receptions of the returns from them."""
+        b = int(live[p])
+        seen = []
+        for idx, (ph, cnt, ftd) in enumerate(
+            zip(h_ph[j:it, p].tolist(), h_cnt[j:it, p].tolist(), h_ftd[j:it, p].tolist()), j
+        ):
+            if idx == 0:
+                seen.append(states[b])
+                continue
+            rows, lo = [], 0
+            for c in cnt:
+                rows.append(tuple(ftd[lo : lo + c]))
+                lo += c
+            seen.append(NetworkState(tuple(ph), tuple(rows)))
+        received = []
+        for pos, bounds, recipients, mults, times in logs[j:it]:
+            lo, hi = bounds[pos[b]], bounds[pos[b] + 1]
+            received.append(
+                list(zip(recipients[lo:hi].tolist(), mults[lo:hi].tolist(), times[lo:hi].tolist()))
+            )
+        return seen, h_ret[j:it, p].tolist(), received
+
+    for it in range(1, max_iter + 1):
+        if not live.size:
+            break
+        times = np.where(cur_snd < n, tau - cur_ftd, np.inf)
+        out = lockstep_returns(params, cur_ph, times, cur_snd, max_time_per_return)
+        pos = np.full(count, -1)
+        pos[live] = np.arange(live.size)
+        logs.append(
+            (pos.tolist(), out.bounds.tolist(), out.recipients, out.multiplicities, out.times)
+        )
+
+        if out.ftds.shape[1] > width:
+            width = out.ftds.shape[1]
+            h_ftd = _widen(h_ftd, width, 0.0)
+        new_ftd = _widen(out.ftds, width, 0.0)
+        new_cnt = np.count_nonzero(out.senders[:, :, None] == oscillators, axis=1)
+
+        # detect_periodicity's rule: the phase-0 prefilter, then equal row
+        # lengths and state_distance <= tol, the earliest match first.
+        p0 = out.phases[:, 0]
+        old_p0 = h_ph[:, :, 0].T
+        row, j = np.nonzero((old_p0 >= (p0 - tol)[:, None]) & (old_p0 <= (p0 + tol)[:, None]))
+        hit = (h_cnt[j, row] == new_cnt[row]).all(axis=1) & (
+            np.maximum(
+                np.abs(h_ph[j, row] - out.phases[row]).max(axis=1),
+                np.abs(h_ftd[j, row] - new_ftd[row]).max(axis=1, initial=0.0),
+            )
+            <= tol
+        )
+        row, first = np.unique(row[hit], return_index=True)
+        found = dict(zip(row.tolist(), j[hit][first].tolist()))
+
+        h_ph = np.concatenate((h_ph, out.phases[None]))
+        h_ftd = np.concatenate((h_ftd, new_ftd[None]))
+        h_cnt = np.concatenate((h_cnt, new_cnt[None]))
+        h_ret = np.concatenate((h_ret, out.elapsed[None]))
+
+        if it in (max_iter, _LOCKSTEP_ITER):
+            finishing = range(live.size)
+        else:
+            finishing = sorted({*found, *out.errors})
+        keep = np.ones(live.size, dtype=bool)
+        keep[list(finishing)] = False
+        for p in finishing:
+            b = int(live[p])
+            if p in out.errors:
+                errors[b] = out.errors[p]
+            elif p in found:
+                j = found[p]
+                results[b] = _cycle_result(j, *history(p, j, it), tol)
+            elif it == max_iter:
+                last = history(p, it, it + 1)[0][0]
+                results[b] = NotPeriodic(iterations=max_iter, last_state=last)
+            elif it == _LOCKSTEP_ITER:
+                seen, returns, received = history(p, 0, it)
+                seen += history(p, it, it + 1)[0]
+                try:
+                    results[b] = _continue_detection(
+                        params, seen, returns, received, max_iter, tol, max_time_per_return
+                    )
+                except RuntimeError as exc:  # an engine error, raised below in start order
+                    errors[b] = exc
+        if errors:
+            keep &= live < min(errors)
+        live = live[keep]
+        cur_ph, cur_ftd, cur_snd = out.phases[keep], out.ftds[keep], out.senders[keep]
+        h_ph, h_ftd, h_cnt, h_ret = h_ph[:, keep], h_ftd[:, keep], h_cnt[:, keep], h_ret[:, keep]
+
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 @dataclass(frozen=True)

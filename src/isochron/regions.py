@@ -21,6 +21,7 @@ import math
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .poincare import (
     NotPeriodic,
     PeriodicityResult,
     detect_periodicity,
+    detect_periodicity_many,
     poincare_map,  # unused here; bound so perfbench/tracer.py can wrap it
     pulse_equivalent,
     pulse_signature,
@@ -473,6 +475,15 @@ def _halfspaces(spec: RegionSpec) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(rows_a), np.asarray(rows_b)
 
 
+@cache
+def _subset_index(rows: int, dim: int) -> np.ndarray:
+    """Every dim-subset of range(rows), one per row in combinations order
+    (read-only: the cached table is shared by every call)."""
+    idx = np.array(list(itertools.combinations(range(rows), dim)))
+    idx.setflags(write=False)
+    return idx
+
+
 def _enumerate_vertices(spec: RegionSpec, feas_tol: float = 1e-9) -> np.ndarray:
     """All vertices of the closed polytope: solve every dim-subset of the
     halfspace boundaries in one stacked call, keep feasible solutions, dedupe.
@@ -482,7 +493,7 @@ def _enumerate_vertices(spec: RegionSpec, feas_tol: float = 1e-9) -> np.ndarray:
     """
     a, b = _halfspaces(spec)
     dim = spec.dim
-    idx = np.array(list(itertools.combinations(range(len(a)), dim)))
+    idx = _subset_index(len(a), dim)
     sub_a, sub_b = a[idx], b[idx]
     ok = np.linalg.det(sub_a) != 0.0
     x = np.linalg.solve(sub_a[ok], sub_b[ok][..., None])[..., 0]
@@ -659,11 +670,11 @@ def region_oracle(
     signatures = []
     pair_ok: bool | None = True if family.locked_pair else None
 
-    for row in sigmas:
-        sigma = tuple(float(v) for v in row)
-        result = detect_periodicity(
-            params, cycle_state(params, kind, sigma), max_iter=max_iter, tol=tol
-        )
+    samples = [tuple(float(v) for v in row) for row in sigmas]
+    results = detect_periodicity_many(
+        params, [cycle_state(params, kind, s) for s in samples], max_iter=max_iter, tol=tol
+    )
+    for sigma, result in zip(samples, results):
         if isinstance(result, NotPeriodic):
             failures.append((sigma, f"no cycle within {max_iter} iterations"))
             continue

@@ -31,6 +31,7 @@ from .poincare import (
     PeriodicityResult,
     PulseSignature,
     detect_periodicity,
+    detect_periodicity_many,
     phase_projection,
     poincare_map,
     pulse_equivalent,
@@ -57,6 +58,12 @@ DEFAULT_SCAN_STEP = 0.01
 
 #: Default iteration budget before an orbit is declared not periodic.
 DEFAULT_SCAN_MAX_ITER = 10_000
+
+#: Starts per lockstep detection batch (detect_periodicity_many): a scan
+#: task takes this many grid cells, rounded down to whole grid rows (at
+#: least one), and projection_compare seeds its orbits in batches of this
+#: size.  Larger batches run faster and hold more results at once.
+_SCAN_BLOCK_CELLS = 300
 
 
 def _fmt(x: float) -> str:
@@ -143,25 +150,28 @@ def _grid_values(step: float) -> list[float]:
     return [i * step for i in range(count)]
 
 
-def _scan_row(args) -> list[tuple]:
-    """Worker task: run the cycle detector on one row of theta_1 against
-    all theta_2 values; returns (theta1, theta2, result) per cell."""
-    params, theta1, theta2s, max_iter, tol = args
-    out = []
-    for theta2 in theta2s:
-        start = eq_init_state(params, theta1, theta2)
-        result = detect_periodicity(params, start, max_iter=max_iter, tol=tol)
-        out.append((theta1, theta2, result))
-    return out
+def _scan_rows(args) -> list[tuple]:
+    """Worker task: run the cycle detector on a block of theta_1 rows
+    against all theta_2 values, as one batch; returns (theta1, theta2,
+    result) per cell in grid order."""
+    params, theta1s, theta2s, max_iter, tol = args
+    cells = [(theta1, theta2) for theta1 in theta1s for theta2 in theta2s]
+    starts = [eq_init_state(params, theta1, theta2) for theta1, theta2 in cells]
+    results = detect_periodicity_many(params, starts, max_iter=max_iter, tol=tol)
+    return [(theta1, theta2, result) for (theta1, theta2), result in zip(cells, results)]
 
 
 def _scan_cells(params: ModelParams, step: float, max_iter: int, tol: float, workers: int):
     """Yield (theta1, theta2, result) over the initial-phase grid in grid
-    order, one row at a time."""
+    order, one block of whole grid rows at a time."""
     values = _grid_values(step)
-    tasks = [(params, t1, values, max_iter, tol) for t1 in values]
-    for row in _run_tasks(_scan_row, tasks, workers):
-        yield from row
+    rows = max(1, _SCAN_BLOCK_CELLS // len(values))
+    tasks = [
+        (params, values[i : i + rows], values, max_iter, tol)
+        for i in range(0, len(values), rows)
+    ]
+    for block in _run_tasks(_scan_rows, tasks, workers):
+        yield from block
 
 
 def phase_scan(
@@ -436,14 +446,15 @@ def projection_compare(
     seeded_sigma = sample_interior(params, "IR4", n_samples, seed=seed + 1)
     seeded: list[tuple[float, float]] = []
     seeded_orbits = 0
-    for row in seeded_sigma:
-        sigma = tuple(float(v) for v in row)
-        result = detect_periodicity(
-            params, s_embed(params, "IR4", sigma), max_iter=16
-        )
-        if isinstance(result, PeriodicityResult) and result.poincare_period == 4:
-            seeded_orbits += 1
-            seeded.extend(map(phase_projection, result.cycle_states))
+    for lo in range(0, len(seeded_sigma), _SCAN_BLOCK_CELLS):
+        seeds = [
+            s_embed(params, "IR4", tuple(float(v) for v in row))
+            for row in seeded_sigma[lo : lo + _SCAN_BLOCK_CELLS]
+        ]
+        for result in detect_periodicity_many(params, seeds, max_iter=16):
+            if isinstance(result, PeriodicityResult) and result.poincare_period == 4:
+                seeded_orbits += 1
+                seeded.extend(map(phase_projection, result.cycle_states))
 
     violations = tuple(
         p for p in numeric if not ir4_projection_contains(params, p[0], p[1], tol=tol)
@@ -670,12 +681,31 @@ def _write_csv(path, header_lines: list[str], columns: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+class _Streamed(list):
+    """A sequence that the JSON encoder walks one item at a time, each in
+    its plain() form, so no plain() copy of the whole sequence is built."""
+
+    def __init__(self, items) -> None:
+        super().__init__()
+        self._items = items
+
+    def __iter__(self):
+        return map(plain, self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+
 def _write_json(path, timestamp: str | None, **fields) -> None:
     """A JSON dataset: tool version, timestamp, and each field in its
-    plain() form, keys sorted."""
-    payload = {"version": __version__, "timestamp": timestamp, **plain(fields)}
+    plain() form, keys sorted.  Sequences are encoded item by item, with
+    the bytes json.dump(sort_keys=True, indent=1) writes."""
+    payload = {"version": __version__, "timestamp": timestamp}
+    for key, value in fields.items():
+        payload[key] = _Streamed(value) if isinstance(value, (tuple, list)) else plain(value)
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        for chunk in json.JSONEncoder(sort_keys=True, indent=1).iterencode(payload):
+            fh.write(chunk)
         fh.write("\n")
 
 
@@ -688,7 +718,7 @@ def write_phase_scan_csv(
 ) -> None:
     """One row per grid cell; projection points are semicolon-joined
     "x y" pairs so the cell needs no quoting."""
-    rows = [
+    rows = (
         (
             _fmt(r.theta1),
             _fmt(r.theta2),
@@ -700,7 +730,7 @@ def write_phase_scan_csv(
             ";".join(f"{_fmt(x)} {_fmt(y)}" for x, y in r.projection),
         )
         for r in result.records
-    ]
+    )
     _write_csv(
         path,
         dataset_header(result.config_dict(), seed=seed, timestamp=timestamp),
@@ -736,12 +766,12 @@ def write_param_scan_csv(
 ) -> None:
     exists = [f"exists_{k.lower()}" for k in KINDS]
     volumes = [f"volume_{k.lower()}" for k in KINDS]
-    rows = [
+    rows = (
         (_fmt(r.eps), _fmt(r.tau))
         + tuple(int(r.exists[k]) for k in KINDS)
         + tuple(_opt(r.volumes[k]) for k in KINDS)
         for r in result.records
-    ]
+    )
     _write_csv(
         path,
         dataset_header(result.config_dict(), seed=result.seed, timestamp=timestamp),
@@ -763,13 +793,15 @@ def write_projection_csv(
 ) -> None:
     """Long format: one point per row, tagged by which set it belongs to
     (analytic image, scan attractor, or seeded orbit)."""
-    rows = []
-    for label, points in (
-        ("analytic", report.analytic_points),
-        ("scan", report.numeric_points),
-        ("seeded", report.seeded_points),
-    ):
-        rows.extend((label, _fmt(x), _fmt(y)) for x, y in points)
+    rows = (
+        (label, _fmt(x), _fmt(y))
+        for label, points in (
+            ("analytic", report.analytic_points),
+            ("scan", report.numeric_points),
+            ("seeded", report.seeded_points),
+        )
+        for x, y in points
+    )
     _write_csv(
         path,
         dataset_header(report.config_dict(), seed=report.seed, timestamp=timestamp),

@@ -17,6 +17,7 @@ from isochron import (
 )
 from isochron import cli
 from isochron.cli import FAILED_MARKER, THREADS_ENV, main
+from isochron.engine import Engine
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
 
@@ -188,10 +189,11 @@ class TestSimulate:
 
     @pytest.mark.parametrize("horizon", ["inf", "nan"])
     def test_non_finite_horizon_rejected(self, capsys, monkeypatch, horizon):
-        def no_engine(*args, **kwargs):
-            raise AssertionError("an engine was built for a non-finite horizon")
+        # Engine.simulate rejects the horizon before it processes any event.
+        def no_event(*args, **kwargs):
+            raise AssertionError("an event was processed for a non-finite horizon")
 
-        monkeypatch.setattr(cli, "init_engine", no_engine)
+        monkeypatch.setattr(Engine, "_advance", no_event)
         assert main(["simulate", "--center", "ir4", "--horizon", horizon]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")

@@ -9,6 +9,7 @@ import functools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,10 +24,11 @@ from isochron.engine import (
     format_trace_text,
     init_engine,
     is_section_state,
+    lockstep_returns,
     network_state,
     validate_state,
 )
-from isochron.model import ModelParams, jump, jump_m
+from isochron.model import DomainError, ModelParams, jump, jump_m
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
 
@@ -254,6 +256,13 @@ class TestRunControls:
         assert state.phases[0] == 0.0
         assert elapsed == pytest.approx(0.1, abs=1e-15)
 
+    @pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
+    def test_simulate_rejects_a_non_finite_horizon(self, horizon):
+        eng = init_engine(P, rotating_wave_state(P.tau))
+        with pytest.raises(DomainError, match=f"horizon must be finite, got {horizon}"):
+            eng.simulate(horizon)
+        assert eng.clock == 0.0 and eng.events_processed == 0
+
     def test_simulate_horizon_inclusive(self):
         eng = init_engine(P, rotating_wave_state(P.tau))
         events = eng.simulate(0.29)
@@ -376,3 +385,69 @@ class TestSharedLoopProperties:
             in_flight = _in_flight_ftds(eng)
             assert [i for i, _ in ftds] == [i for i, _ in in_flight]
             assert [s for _, s in ftds] == pytest.approx([s for _, s in in_flight], abs=1e-12)
+
+
+@st.composite
+def lockstep_batch(draw):
+    """Parameters with n = 3..5, tau = 0, 1e-13, 1e-12 (= COINCIDENCE_TOL)
+    or drawn, and 1-6 states in which the last oscillator may or may not
+    have just fired."""
+    n = draw(st.integers(3, 5))
+    tau = draw(st.one_of(st.sampled_from([0.0, 1e-13, 1e-12]), st.floats(0.01, 1.2)))
+    params = ModelParams(b=draw(st.floats(0.2, 8.0)), eps=draw(st.floats(0.0, 1.8)), n=n, tau=tau)
+    states = [
+        network_state(
+            [draw(_unit) for _ in range(n)],
+            [[draw(_frac) * tau for _ in range(draw(st.integers(0, 2)))] for _ in range(n)],
+        )
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    return params, states
+
+
+def as_arrays(params, states):
+    """Phases, delivery times and senders as init_engine schedules them."""
+    width = max(sum(map(len, s.ftds)) for s in states)
+    times = np.full((len(states), width), np.inf)
+    senders = np.full((len(states), width), params.n)
+    for r, s in enumerate(states):
+        pulses = [(params.tau - x, i) for i, row in enumerate(s.ftds) for x in row]
+        for q, (t, i) in enumerate(pulses):
+            times[r, q], senders[r, q] = t, i
+    return np.array([s.phases for s in states]), times, senders
+
+
+class TestLockstepReturns:
+    """lockstep_returns is run_until_section(record="receptions"), row by row."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(lockstep_batch())
+    def test_rows_equal_scalar_returns(self, drawn):
+        params, states = drawn
+        got = lockstep_returns(params, *as_arrays(params, states))
+        n = params.n
+        for r, start in enumerate(states):
+            try:
+                state, elapsed, receptions = init_engine(params, start).run_until_section(
+                    record="receptions"
+                )
+            except RuntimeError as exc:
+                assert type(got.errors[r]) is type(exc)
+                assert str(got.errors[r]) == str(exc)
+                continue
+            assert r not in got.errors
+            rows = [[] for _ in range(n)]
+            for i, x in zip(got.senders[r].tolist(), got.ftds[r].tolist()):
+                if i < n:
+                    rows[i].append(x)
+            exported = NetworkState(tuple(got.phases[r].tolist()), tuple(map(tuple, rows)))
+            assert repr(exported) == repr(state)
+            assert repr(got.elapsed[r].item()) == repr(elapsed)
+            lo, hi = got.bounds[r], got.bounds[r + 1]
+            assert list(
+                zip(
+                    got.recipients[lo:hi].tolist(),
+                    got.multiplicities[lo:hi].tolist(),
+                    got.times[lo:hi].tolist(),
+                )
+            ) == receptions

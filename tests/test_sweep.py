@@ -44,6 +44,8 @@ from isochron import (
     write_projection_csv,
     write_projection_json,
 )
+from isochron import sweep
+from isochron.engine import EngineStallError
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
 # Period-4 family exists here, but a step-0.05 phase grid finds none of
@@ -208,6 +210,36 @@ class TestPhaseScanReference:
         parallel = phase_scan(P, step=0.1, workers=3)
         assert serial.records == parallel.records
         assert serial.signatures == parallel.signatures
+
+    def test_blocks_and_workers_leave_the_bytes_unchanged(self, tmp_path, monkeypatch):
+        # One task per grid row, serially and on two workers, against the
+        # whole step-0.1 grid in one block.
+        written = []
+        for block, workers in ((1000, 1), (1, 1), (1, 2)):
+            monkeypatch.setattr(sweep, "_SCAN_BLOCK_CELLS", block)
+            result = phase_scan(P, step=0.1, workers=workers)
+            csv_path = tmp_path / f"{block}-{workers}.csv"
+            json_path = tmp_path / f"{block}-{workers}.json"
+            write_phase_scan_csv(result, csv_path)
+            write_phase_scan_json(result, json_path)
+            written.append((csv_path.read_bytes(), json_path.read_bytes()))
+        assert written[0] == written[1] == written[2]
+
+    def test_first_failing_cell_in_grid_order_raises(self):
+        # At zero delay this coupling stalls the cascade of some cells.
+        stall = ModelParams(b=3.0, eps=1.6, n=3, tau=0.0)
+        first = None
+        for t1 in (0.0, 0.5):
+            for t2 in (0.0, 0.5):
+                try:
+                    detect_periodicity(stall, eq_init_state(stall, t1, t2))
+                except EngineStallError as exc:
+                    first = first or exc
+        assert first is not None
+        for workers in (1, 2):
+            with pytest.raises(EngineStallError) as exc:
+                phase_scan(stall, step=0.5, workers=workers)
+            assert str(exc.value) == str(first)
 
     def test_config_dict_round_trips_through_json(self):
         config = scan05().config_dict()
