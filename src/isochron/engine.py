@@ -20,10 +20,9 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Literal
+from typing import Iterable, Literal
 
-from .model import DomainError, ModelParams, jump_coeffs, jump_m
+from .model import DomainError, ModelParams, jump_m
 
 #: Two event times closer than this are treated as one timestamp, and a
 #: phase within this distance of 1 is at threshold.
@@ -31,12 +30,6 @@ COINCIDENCE_TOL = 1e-12
 
 #: What a run appends per timestamp: TraceEvents, reception tuples or nothing.
 Record = Literal["events", "receptions", None]
-
-# The lockstep path imports numpy where it runs, so that importing the
-# package still loads numpy with regions: loading it with the engine
-# raised the peak memory of runs that never batch (0.7 MB on param-atlas).
-if TYPE_CHECKING:
-    import numpy as np
 
 #: Safety cap on same-timestamp cascade rounds (only reachable for tau = 0
 #: with couplings strong enough to re-fire an oscillator from phase 0).
@@ -323,8 +316,16 @@ class Engine:
         and empty for ``record=None``, which builds no trace at all.  The
         crossing timestamp is processed completely before exporting, so
         the returned state has phase 0 and a 0 FTD entry for oscillator k.
+        A lockstep.LockstepEngine runs a section return of many networks
+        through this same entry point.
         """
         k = self.params.n - 1 if k is None else k
+        return self._section_return(k, max_time, max_steps, record)
+
+    def _section_return(
+        self, k: int, max_time: float, max_steps: int, record: Record
+    ) -> tuple[NetworkState, float, list]:
+        """run_until_section with k resolved; subclasses replace it."""
         start = self.clock
         out: list = []
         for _ in range(max_steps):
@@ -375,209 +376,3 @@ def _engine_from(params: ModelParams, state: NetworkState) -> Engine:
         for sigma in row:
             eng.schedule_pulse(params.tau - sigma, i)
     return eng
-
-
-@dataclass(frozen=True)
-class LockstepReturns:
-    """One section return of every row of a batch, as lockstep_returns
-    exports it.  Row r's state is phases[r] plus the FTD entries ftds[r, q]
-    of senders[r, q], ordered by sender and then ascending, with the empty
-    slots at the end (sender n, entry 0.0).  Row r's receptions are the
-    slice bounds[r]:bounds[r+1] of recipients, multiplicities and times,
-    in the order run_until_section records them.  errors maps a row to
-    what the scalar engine raised for it; that row's other fields are
-    meaningless."""
-
-    phases: np.ndarray
-    ftds: np.ndarray
-    senders: np.ndarray
-    elapsed: np.ndarray
-    recipients: np.ndarray
-    multiplicities: np.ndarray
-    times: np.ndarray
-    bounds: np.ndarray
-    errors: dict[int, Exception]
-
-
-def lockstep_returns(
-    params: ModelParams,
-    phases: np.ndarray,
-    times: np.ndarray,
-    senders: np.ndarray,
-    max_time: float = 100.0,
-    max_steps: int = 1_000_000,
-) -> LockstepReturns:
-    """One section return of the last oscillator for many networks at once.
-
-    Row r starts at clock 0 with phases[r] and the pulses in flight
-    times[r, q] (delivery time) from senders[r, q], empty slots holding
-    (inf, n); it is the engine that init_engine would build, scheduling
-    the pulses in row order.  All rows advance one timestamp per step with
-    Engine._advance's float operations, in the same order, so every row
-    ends bit for bit where run_until_section(record="receptions") ends.
-
-    A row whose return leaves that common path -- a same-timestamp
-    cascade, a timestamp with no event, the max_time horizon or the
-    max_steps budget -- is replayed from its start on a scalar Engine,
-    which handles it or raises exactly as for a single network.
-    """
-    import numpy as np
-
-    rows, n = phases.shape
-    k = n - 1
-    tau = params.tau
-    at_threshold = 1.0 - COINCIDENCE_TOL
-    oscillators = np.arange(n)
-
-    # Each row's pulses form a queue in delivery order: a timestamp
-    # delivers a prefix of the pending pulses (their slots turn to inf)
-    # and its fires fill the next n slots (inf where an oscillator did not
-    # fire), because a pulse sent now lands no earlier than a pending one.
-    row_ix = np.arange(rows)[:, None]
-    order = np.argsort(times, axis=1, kind="stable")
-    q_time, q_send = times[row_ix, order], senders[row_ix, order]
-    tail = q_time.shape[1]
-    theta = phases.astype(float)
-    clock = np.zeros(rows)
-    live = np.arange(rows)
-    a_tab, c_tab = _coeff_table(params, tail)
-    # Where each row's return ended: phases, clock and pulse queue.
-    end_theta = np.zeros((rows, n))
-    end_clock = np.zeros(rows)
-    end_time = np.full(q_time.shape, np.inf)
-    end_send = np.full(q_time.shape, n)
-    replay: list[int] = []
-    # Per step: the stepped rows, their timestamp and their multiplicities.
-    log = [(live[:0], clock[:0], np.zeros((0, n), dtype=np.intp))]
-
-    for _ in range(max_steps):
-        if not live.size:
-            break
-        t_fire = (clock + 1.0) - theta.max(axis=1)
-        t_star = np.minimum(t_fire, q_time.min(axis=1, initial=np.inf))
-        dt = t_star - clock
-        np.add(theta, dt[:, None], out=theta, where=(dt > 0.0)[:, None])
-        clock = t_star
-        due_at = t_star + COINCIDENCE_TOL
-
-        due = q_time <= due_at[:, None]
-        mult = (due[:, :, None] & (q_send[:, :, None] != oscillators)).sum(axis=1)
-        q_time[due] = np.inf
-        got = mult > 0
-        theta = np.where(got, np.minimum(1.0, a_tab[mult] * theta + c_tab[mult]), theta)
-        fire = theta >= at_threshold
-        theta[fire] = 0.0
-        fired = fire.any(axis=1)
-        # No event at all (n >= 2, so a due pulse always has a receiver).
-        bad = (t_star > max_time) | ~(fired | got.any(axis=1))
-        log.append((live, t_star, mult))
-
-        if fired.any():
-            land = t_star + tau
-            bad |= fired & (land <= due_at)
-            if tail + n > q_time.shape[1]:
-                width = 2 * (tail + n)
-                q_time, q_send = _widen(q_time, width, np.inf), _widen(q_send, width, n)
-                end_time, end_send = _widen(end_time, width, np.inf), _widen(end_send, width, n)
-                a_tab, c_tab = _coeff_table(params, width)
-            q_time[:, tail : tail + n] = np.where(fire, land[:, None], np.inf)
-            q_send[:, tail : tail + n] = np.where(fire, oscillators, n)
-            tail += n
-
-        done = fire[:, k] & ~bad
-        leave = done | bad
-        if leave.any():
-            d = live[done]
-            end_theta[d], end_clock[d] = theta[done], clock[done]
-            end_time[d], end_send[d] = q_time[done], q_send[done]
-            replay.extend(live[bad].tolist())
-            keep = ~leave
-            live, theta, clock = live[keep], theta[keep], clock[keep]
-            q_time, q_send = q_time[keep], q_send[keep]
-    replay.extend(live.tolist())
-
-    # Engine.state(): sigma = clock + tau - t, clamped.  Reversed, each
-    # row's pending pulses run from the latest delivery (the smallest
-    # sigma) back, and a stable sort by sender keeps that order.
-    sigma = (end_clock[:, None] + tau) - end_time
-    sigma = np.where(sigma < 0.0, 0.0, np.where(sigma > tau, tau, sigma))[:, ::-1]
-    key = np.where(np.isfinite(end_time), end_send, n)[:, ::-1]
-    by = np.argsort(key, axis=1, kind="stable")
-    out_senders = key[row_ix, by]
-    out_ftds = np.where(out_senders < n, sigma[row_ix, by], 0.0)
-
-    stepped, at, mults = (np.concatenate(col) for col in zip(*log))
-    r, j = np.nonzero(mults > 0)
-    rec = [stepped[r], j, mults[r, j], at[r]]
-    if replay:
-        kept = ~np.isin(rec[0], replay)
-        rec = [col[kept] for col in rec]
-    errors: dict[int, Exception] = {}
-    replayed: list[tuple[int, int, int, float]] = []
-    for row in sorted(replay):
-        eng = Engine(params)
-        eng.theta = phases[row].tolist()
-        for t, sender in zip(times[row].tolist(), senders[row].tolist()):
-            if sender < n:
-                eng.schedule_pulse(t, sender)
-        try:
-            state, took, got = eng.run_until_section(
-                max_time=max_time, max_steps=max_steps, record="receptions"
-            )
-        except (EngineStallError, HorizonExceededError) as exc:
-            errors[row] = exc  # the caller raises it, in its own order
-            continue
-        entries = [(i, x) for i, ftd in enumerate(state.ftds) for x in ftd]
-        out_ftds = _widen(out_ftds, len(entries), 0.0)
-        out_senders = _widen(out_senders, len(entries), n)
-        end_theta[row], end_clock[row] = state.phases, took
-        out_senders[row], out_ftds[row] = n, 0.0
-        if entries:
-            out_senders[row, : len(entries)], out_ftds[row, : len(entries)] = zip(*entries)
-        replayed.extend((row, *reception) for reception in got)
-    if replayed:
-        rec = [
-            np.concatenate([col, np.asarray(add, dtype=col.dtype)])
-            for col, add in zip(rec, zip(*replayed))
-        ]
-    grouped = np.argsort(rec[0], kind="stable")
-    rec_rows, recipients, multiplicities, at = (col[grouped] for col in rec)
-    width = int(np.count_nonzero(out_senders < n, axis=1).max(initial=0))
-    return LockstepReturns(
-        phases=end_theta,
-        ftds=out_ftds[:, :width],
-        senders=out_senders[:, :width],
-        elapsed=end_clock,
-        recipients=recipients,
-        multiplicities=multiplicities,
-        times=at,
-        bounds=np.searchsorted(rec_rows, np.arange(rows + 1)),
-        errors=errors,
-    )
-
-
-def _coeff_table(params: ModelParams, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """jump_coeffs for m = 0..size or more, with an identity entry at m = 0."""
-    return _coeff_table_pow2(params, max(16, 1 << (size - 1).bit_length()))
-
-
-@lru_cache(maxsize=8)
-def _coeff_table_pow2(params: ModelParams, size: int) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
-    pairs = [(1.0, 0.0)] + [jump_coeffs(params, m) for m in range(1, size + 1)]
-    a, c = np.array(pairs).T.copy()
-    a.setflags(write=False)
-    c.setflags(write=False)
-    return a, c
-
-
-def _widen(a: np.ndarray, width: int, fill) -> np.ndarray:
-    """a with its last axis extended to width by fill."""
-    import numpy as np
-
-    if a.shape[-1] >= width:
-        return a
-    out = np.full((*a.shape[:-1], width), fill, dtype=a.dtype)
-    out[..., : a.shape[-1]] = a
-    return out

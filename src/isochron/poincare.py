@@ -15,22 +15,17 @@ import math
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter, ne, sub
-from typing import TYPE_CHECKING
 
 from ._serial import Record
 from .engine import (
+    COINCIDENCE_TOL,
     NetworkState,
     _engine_from,
-    _widen,
     init_engine,  # noqa: F401  (bound here for perfbench/tracer.py)
     is_section_state,
-    lockstep_returns,
     validate_state,
 )
 from .model import ModelParams
-
-if TYPE_CHECKING:  # numpy loads on first use, as in engine.lockstep_returns
-    import numpy as np
 
 #: Default tolerance for declaring two section states equal.
 DEFAULT_MATCH_TOL = 1e-9
@@ -137,9 +132,8 @@ def _minimal_cycle(
     states: list[NetworkState], j: int, length: int, tol: float
 ) -> int:
     """Reduce a detected cycle states[j:j+length] to its minimal period by
-    testing every divisor (wrapping indices inside the cycle); d = length
-    would compare each state with itself, so it is not tested."""
-    for d in range(1, length):
+    testing every divisor (wrapping indices inside the cycle)."""
+    for d in range(1, length + 1):
         if length % d:
             continue
         if all(
@@ -213,26 +207,17 @@ def detect_periodicity(
     """
     _check_budget(max_iter, tol)
     require_section_state(params, state)
-    return _continue_detection(params, [state], [], [], max_iter, tol, max_time_per_return)
 
-
-def _continue_detection(
-    params: ModelParams,
-    states: list[NetworkState],
-    returns: list[float],
-    received: list[list[tuple[int, int, float]]],
-    max_iter: int,
-    tol: float,
-    max_time: float,
-) -> PeriodicityResult | NotPeriodic:
-    """detect_periodicity's loop, resumed after len(states) - 1 returns in
-    which no state recurred."""
+    states = [state]
     # Sorted view of (first phase, index) pairs for cheap match prefiltering.
-    by_phase0 = sorted((s.phases[0], idx) for idx, s in enumerate(states))
-    new = states[-1]
-    for i in range(len(states), max_iter + 1):
+    by_phase0: list[tuple[float, int]] = [(state.phases[0], 0)]
+    returns: list[float] = []
+    received: list[list[tuple[int, int, float]]] = []
+
+    new = state
+    for i in range(1, max_iter + 1):
         eng = _engine_from(params, new)
-        new, elapsed, got = eng.run_until_section(max_time=max_time, record="receptions")
+        new, elapsed, got = eng.run_until_section(max_time=max_time_per_return, record="receptions")
         returns.append(elapsed)
         received.append(got)
 
@@ -248,12 +233,6 @@ def _continue_detection(
     return NotPeriodic(iterations=max_iter, last_state=new)
 
 
-#: Returns that detect_periodicity_many runs in lockstep; a start still
-#: unmatched after them continues alone in detect_periodicity's loop,
-#: which bounds the lockstep history and its all-pairs comparison.
-_LOCKSTEP_ITER = 64
-
-
 def detect_periodicity_many(
     params: ModelParams,
     states,
@@ -264,18 +243,27 @@ def detect_periodicity_many(
     """detect_periodicity for many starts at once, one result per start.
 
     The starts' section returns run in lockstep on float64 arrays
-    (engine.lockstep_returns) and each start's visited states stay in
+    (lockstep.LockstepEngine) and each start's visited states stay in
     arrays, compared by detect_periodicity's rule: the same phase-0
     prefilter bounds, equal FTD row lengths, state_distance <= tol, the
     earliest match first.  Every result is repr-identical to what
     detect_periodicity returns for that start.  If any start raises, the
     error of the first such start (in the given order) is raised.
+
+    At tau <= COINCIDENCE_TOL every fire puts its own pulse due within
+    the same timestamp, a cascade the lockstep path hands to the scalar
+    engine anyway, so such starts go to detect_periodicity one by one.
     """
+    _check_budget(max_iter, tol)
+    states = list(states)
+    if params.tau <= COINCIDENCE_TOL:
+        return [detect_periodicity(params, s, max_iter, tol, max_time_per_return) for s in states]
+
     import numpy as np
 
-    _check_budget(max_iter, tol)
-    n, tau = params.n, params.tau
-    states = list(states)
+    from .lockstep import LockstepEngine, _widen
+
+    n = params.n
     errors: dict[int, Exception] = {}
     for idx, state in enumerate(states):
         try:
@@ -286,72 +274,67 @@ def detect_periodicity_many(
             break
     count = len(states)
     results: list = [None] * count
+    eng = LockstepEngine(params, states)
+    oscillators = np.arange(n)
 
     width = max((sum(map(len, s.ftds)) for s in states), default=0)
-    cur_ph = np.array([s.phases for s in states], dtype=float).reshape(count, n)
-    cur_ftd = np.zeros((count, width))
-    cur_snd = np.full((count, width), n)
+    start_ftd = np.zeros((count, width))
+    start_snd = np.full((count, width), n)
     for r, s in enumerate(states):
         entries = [(i, x) for i, row in enumerate(s.ftds) for x in row]
         if entries:
-            cur_snd[r, : len(entries)], cur_ftd[r, : len(entries)] = zip(*entries)
-    oscillators = np.arange(n)
+            start_snd[r, : len(entries)], start_ftd[r, : len(entries)] = zip(*entries)
 
-    # The history of the start at live[p] after `it` returns: its phases,
-    # FTD entries (by sender, then ascending) and FTD row lengths at
-    # h_*[it, p]; the return from there took h_ret[it, p], and its
-    # receptions are in logs[it].  A start leaves these arrays when it
-    # finishes.
+    # hist holds, for the start at live[p] after i returns, its phases,
+    # FTD entries (by sender, then ascending), FTD row lengths and the
+    # time of its i-th return at [i, p]: the first `filled` entries of a
+    # first axis that doubles when full.  The receptions of its i-th
+    # return are in logs[i - 1], with the starts that ran it.  A start
+    # leaves hist when it finishes.
     live = np.arange(count)
-    h_ph = cur_ph[None]
-    h_ftd = cur_ftd[None]
-    h_cnt = np.count_nonzero(cur_snd[:, :, None] == oscillators, axis=1)[None]
-    h_ret = np.zeros((0, count))
-    logs: list[tuple[np.ndarray, ...]] = []
+    hist = [
+        eng.phases[None],
+        start_ftd[None],
+        np.count_nonzero(start_snd[:, :, None] == oscillators, axis=1)[None],
+        np.zeros((1, count)),
+    ]
+    filled = 1
+    logs: list[tuple] = []
 
-    def history(p: int, j: int, it: int):
-        """The states after j..it-1 returns of the start at live[p], and the
-        return times and receptions of the returns from them."""
-        b = int(live[p])
-        seen = []
-        for idx, (ph, cnt, ftd) in enumerate(
-            zip(h_ph[j:it, p].tolist(), h_cnt[j:it, p].tolist(), h_ftd[j:it, p].tolist()), j
-        ):
-            if idx == 0:
-                seen.append(states[b])
-                continue
-            rows, lo = [], 0
-            for c in cnt:
-                rows.append(tuple(ftd[lo : lo + c]))
-                lo += c
-            seen.append(NetworkState(tuple(ph), tuple(rows)))
-        received = []
-        for pos, bounds, recipients, mults, times in logs[j:it]:
-            lo, hi = bounds[pos[b]], bounds[pos[b] + 1]
-            received.append(
-                list(zip(recipients[lo:hi].tolist(), mults[lo:hi].tolist(), times[lo:hi].tolist()))
-            )
-        return seen, h_ret[j:it, p].tolist(), received
+    def state_at(p: int, i: int) -> NetworkState:
+        """The state of the start at live[p] after i returns."""
+        if i == 0:
+            return states[int(live[p])]
+        rows, lo = [], 0
+        ftd = hist[1][i, p].tolist()
+        for c in hist[2][i, p].tolist():
+            rows.append(tuple(ftd[lo : lo + c]))
+            lo += c
+        return NetworkState(tuple(hist[0][i, p].tolist()), tuple(rows))
+
+    def received(p: int, i: int) -> list[tuple[int, int, float]]:
+        """The receptions of the (i+1)-th return of the start at live[p]."""
+        stepped, bounds, recipients, mults, times = logs[i]
+        at = bisect.bisect_left(stepped, int(live[p]))
+        lo, hi = bounds[at], bounds[at + 1]
+        return list(zip(recipients[lo:hi].tolist(), mults[lo:hi].tolist(), times[lo:hi].tolist()))
 
     for it in range(1, max_iter + 1):
         if not live.size:
             break
-        times = np.where(cur_snd < n, tau - cur_ftd, np.inf)
-        out = lockstep_returns(params, cur_ph, times, cur_snd, max_time_per_return)
-        pos = np.full(count, -1)
-        pos[live] = np.arange(live.size)
+        out = eng.run_until_section(max_time=max_time_per_return, record="receptions")
         logs.append(
-            (pos.tolist(), out.bounds.tolist(), out.recipients, out.multiplicities, out.times)
+            (live.tolist(), out.bounds.tolist(), out.recipients, out.multiplicities, out.times)
         )
 
-        if out.ftds.shape[1] > width:
-            width = out.ftds.shape[1]
-            h_ftd = _widen(h_ftd, width, 0.0)
+        width = max(out.ftds.shape[1], hist[1].shape[2])
+        hist[1] = _widen(hist[1], width, 0.0)
         new_ftd = _widen(out.ftds, width, 0.0)
         new_cnt = np.count_nonzero(out.senders[:, :, None] == oscillators, axis=1)
 
         # detect_periodicity's rule: the phase-0 prefilter, then equal row
         # lengths and state_distance <= tol, the earliest match first.
+        h_ph, h_ftd, h_cnt = (h[:filled] for h in hist[:3])
         p0 = out.phases[:, 0]
         old_p0 = h_ph[:, :, 0].T
         row, j = np.nonzero((old_p0 >= (p0 - tol)[:, None]) & (old_p0 <= (p0 + tol)[:, None]))
@@ -365,15 +348,13 @@ def detect_periodicity_many(
         row, first = np.unique(row[hit], return_index=True)
         found = dict(zip(row.tolist(), j[hit][first].tolist()))
 
-        h_ph = np.concatenate((h_ph, out.phases[None]))
-        h_ftd = np.concatenate((h_ftd, new_ftd[None]))
-        h_cnt = np.concatenate((h_cnt, new_cnt[None]))
-        h_ret = np.concatenate((h_ret, out.elapsed[None]))
+        if filled == len(hist[0]):
+            hist = [np.concatenate((h, np.empty_like(h))) for h in hist]
+        for h, new in zip(hist, (out.phases, new_ftd, new_cnt, out.elapsed)):
+            h[filled] = new
+        filled += 1
 
-        if it in (max_iter, _LOCKSTEP_ITER):
-            finishing = range(live.size)
-        else:
-            finishing = sorted({*found, *out.errors})
+        finishing = range(live.size) if it == max_iter else sorted({*found, *out.errors})
         keep = np.ones(live.size, dtype=bool)
         keep[list(finishing)] = False
         for p in finishing:
@@ -382,24 +363,21 @@ def detect_periodicity_many(
                 errors[b] = out.errors[p]
             elif p in found:
                 j = found[p]
-                results[b] = _cycle_result(j, *history(p, j, it), tol)
-            elif it == max_iter:
-                last = history(p, it, it + 1)[0][0]
-                results[b] = NotPeriodic(iterations=max_iter, last_state=last)
-            elif it == _LOCKSTEP_ITER:
-                seen, returns, received = history(p, 0, it)
-                seen += history(p, it, it + 1)[0]
-                try:
-                    results[b] = _continue_detection(
-                        params, seen, returns, received, max_iter, tol, max_time_per_return
-                    )
-                except RuntimeError as exc:  # an engine error, raised below in start order
-                    errors[b] = exc
+                results[b] = _cycle_result(
+                    j,
+                    [state_at(p, i) for i in range(j, it)],
+                    hist[3][j + 1 : it + 1, p].tolist(),
+                    [received(p, i) for i in range(j, it)],
+                    tol,
+                )
+            else:
+                results[b] = NotPeriodic(iterations=max_iter, last_state=state_at(p, it))
         if errors:
             keep &= live < min(errors)
-        live = live[keep]
-        cur_ph, cur_ftd, cur_snd = out.phases[keep], out.ftds[keep], out.senders[keep]
-        h_ph, h_ftd, h_cnt, h_ret = h_ph[:, keep], h_ftd[:, keep], h_cnt[:, keep], h_ret[:, keep]
+        if not keep.all():
+            live = live[keep]
+            hist = [h[:, keep] for h in hist]
+            eng.keep(keep)
 
     if errors:
         raise errors[min(errors)]

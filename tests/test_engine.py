@@ -24,10 +24,10 @@ from isochron.engine import (
     format_trace_text,
     init_engine,
     is_section_state,
-    lockstep_returns,
     network_state,
     validate_state,
 )
+from isochron.lockstep import LockstepEngine
 from isochron.model import DomainError, ModelParams, jump, jump_m
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
@@ -405,43 +405,37 @@ def lockstep_batch(draw):
     return params, states
 
 
-def as_arrays(params, states):
-    """Phases, delivery times and senders as init_engine schedules them."""
-    width = max(sum(map(len, s.ftds)) for s in states)
-    times = np.full((len(states), width), np.inf)
-    senders = np.full((len(states), width), params.n)
-    for r, s in enumerate(states):
-        pulses = [(params.tau - x, i) for i, row in enumerate(s.ftds) for x in row]
-        for q, (t, i) in enumerate(pulses):
-            times[r, q], senders[r, q] = t, i
-    return np.array([s.phases for s in states]), times, senders
+def exported_state(got, r, n):
+    """Row r of a LockstepReturns as a NetworkState."""
+    rows = [[] for _ in range(n)]
+    for i, x in zip(got.senders[r].tolist(), got.ftds[r].tolist()):
+        if i < n:
+            rows[i].append(x)
+    return NetworkState(tuple(got.phases[r].tolist()), tuple(map(tuple, rows)))
 
 
-class TestLockstepReturns:
-    """lockstep_returns is run_until_section(record="receptions"), row by row."""
+class TestLockstepEngine:
+    """A LockstepEngine's section return is run_until_section(record=
+    "receptions") of each row's own engine, and it restarts each row from
+    the state it exported."""
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(lockstep_batch())
-    def test_rows_equal_scalar_returns(self, drawn):
-        params, states = drawn
-        got = lockstep_returns(params, *as_arrays(params, states))
-        n = params.n
-        for r, start in enumerate(states):
+    @staticmethod
+    def assert_rows_match(params, starts, got):
+        """Each row of got against a scalar engine from its start; returns
+        the rows that did not raise and the scalar engines' event count."""
+        ok, events = [], 0
+        for r, start in enumerate(starts):
+            eng = init_engine(params, start)
             try:
-                state, elapsed, receptions = init_engine(params, start).run_until_section(
-                    record="receptions"
-                )
+                state, elapsed, receptions = eng.run_until_section(record="receptions")
             except RuntimeError as exc:
                 assert type(got.errors[r]) is type(exc)
                 assert str(got.errors[r]) == str(exc)
                 continue
+            finally:
+                events += eng.events_processed
             assert r not in got.errors
-            rows = [[] for _ in range(n)]
-            for i, x in zip(got.senders[r].tolist(), got.ftds[r].tolist()):
-                if i < n:
-                    rows[i].append(x)
-            exported = NetworkState(tuple(got.phases[r].tolist()), tuple(map(tuple, rows)))
-            assert repr(exported) == repr(state)
+            assert repr(exported_state(got, r, params.n)) == repr(state)
             assert repr(got.elapsed[r].item()) == repr(elapsed)
             lo, hi = got.bounds[r], got.bounds[r + 1]
             assert list(
@@ -451,3 +445,47 @@ class TestLockstepReturns:
                     got.times[lo:hi].tolist(),
                 )
             ) == receptions
+            ok.append(r)
+        return ok, events
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(lockstep_batch())
+    def test_rows_equal_scalar_returns(self, drawn):
+        params, states = drawn
+        lockstep = LockstepEngine(params, states)
+        got = lockstep.run_until_section(record="receptions")
+        ok, events = self.assert_rows_match(params, states, got)
+        assert lockstep.events_processed == events
+        assert type(lockstep.events_processed) is int
+        # The second return starts from the exported states, as a new
+        # engine would; rows that raised are dropped first.
+        keep = np.zeros(len(states), dtype=bool)
+        keep[ok] = True
+        lockstep.keep(keep)
+        again = lockstep.run_until_section(record="receptions")
+        starts = [exported_state(got, r, params.n) for r in ok]
+        _, more = self.assert_rows_match(params, starts, again)
+        assert lockstep.events_processed == events + more
+
+    def test_only_returns_of_the_last_oscillator_with_receptions(self):
+        lockstep = LockstepEngine(P, [rotating_wave_state(P.tau)])
+        with pytest.raises(ValueError, match="last oscillator"):
+            lockstep.run_until_section(k=0, record="receptions")
+        with pytest.raises(ValueError, match="receptions"):
+            lockstep.run_until_section()
+
+    def test_returns_go_through_engine_run_until_section(self, monkeypatch):
+        # run_until_section is the one entry point of a section return,
+        # batched or not, so what wraps it sees lockstep returns too.
+        calls = []
+        original = Engine.run_until_section
+
+        def counted(engine, *args, **kwargs):
+            calls.append(type(engine))
+            return original(engine, *args, **kwargs)
+
+        monkeypatch.setattr(Engine, "run_until_section", counted)
+        LockstepEngine(P, [rotating_wave_state(P.tau)] * 2).run_until_section(
+            record="receptions"
+        )
+        assert calls == [LockstepEngine]

@@ -34,7 +34,7 @@ from isochron import (
     state_distance,
     states_match,
 )
-from isochron import poincare
+from isochron import lockstep, poincare
 from isochron.engine import EngineStallError, HorizonExceededError
 from isochron.poincare import _minimal_cycle
 
@@ -599,14 +599,24 @@ class TestBatchedDetection:
         want = assert_batch_matches(P, starts, max_iter=3)
         assert sum(isinstance(w, NotPeriodic) for w in want) >= 8
 
-    def test_long_orbits_continue_alone(self, monkeypatch):
-        # Starts still unmatched after _LOCKSTEP_ITER returns finish in
-        # detect_periodicity's own loop.
-        monkeypatch.setattr(poincare, "_LOCKSTEP_ITER", 2)
-        grid = [i * 0.1 for i in range(10)]
-        starts = [eq_init_state(P, t1, t2) for t1 in grid for t2 in grid]
-        want = assert_batch_matches(P, starts)
-        assert max(w.transient_iters + w.detected_period for w in want) > 2
+    def test_long_orbits_grow_the_history(self):
+        # Weak coupling: these starts need up to about 120 returns, so the
+        # history arrays double several times while starts finish at many
+        # different returns.
+        weak = ModelParams(b=3.0, eps=0.005, n=3, tau=0.58)
+        grid = [i * 0.2 for i in range(5)]
+        starts = [eq_init_state(weak, t1, t2) for t1 in grid for t2 in grid]
+        want = assert_batch_matches(weak, starts)
+        assert max(w.transient_iters + w.detected_period for w in want) > 64
+
+    def test_zero_delay_runs_on_the_scalar_detector(self, monkeypatch):
+        # At tau <= COINCIDENCE_TOL every fire cascades within its own
+        # timestamp, so no lockstep engine is built.
+        monkeypatch.setattr(lockstep, "LockstepEngine", None)
+        for tau in (0.0, 1e-12):
+            params = ModelParams(b=3.0, eps=0.58, n=3, tau=tau)
+            starts = [eq_init_state(params, t1, t2) for t1 in (0.1, 0.5) for t2 in (0.3, 0.7)]
+            assert_batch_matches(params, starts)
 
     def test_cascade_stall_raises_like_the_scalar_detector(self):
         # At zero delay this coupling re-fires within one timestamp forever.

@@ -8,8 +8,9 @@ import math
 from pathlib import Path
 
 import isochron.cli
+import isochron.poincare
 import isochron.regions
-from isochron import ModelParams, region_spec
+from isochron import ModelParams, eq_init_state, region_spec
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -53,3 +54,26 @@ def test_tracer_counts_the_hull_of_one_exact_volume():
         tracer.uninstall()
     assert tracer.counts["regions.hull.calls"] == 1
     assert tracer.counts["regions.vertex_enum.subsets"] == math.comb(12, 3)
+
+
+def test_tracer_counts_the_events_of_batched_detection():
+    """Batched detection runs its section returns on a LockstepEngine
+    through Engine.run_until_section, so the tracer counts their events:
+    exactly as many as the engines of the scalar detector process."""
+    params = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
+    grid = (0.1, 0.4, 0.7)
+    starts = [eq_init_state(params, t1, t2) for t1 in grid for t2 in grid]
+    counts = {}
+    for name, detect in (
+        ("scalar", lambda: [isochron.poincare.detect_periodicity(params, s) for s in starts]),
+        ("batched", lambda: isochron.poincare.detect_periodicity_many(params, starts)),
+    ):
+        tracer = _load_tracer_module().Tracer()
+        try:
+            tracer.install()
+            detect()
+        finally:
+            tracer.uninstall()
+        counts[name] = tracer.counts
+    assert counts["batched"]["engine.events"] == counts["scalar"]["engine.events"] > 0
+    assert counts["batched"]["engine.section_returns"] > 0
