@@ -360,6 +360,7 @@ def _cmd_region_volume(run: _Run) -> int:
     out = run.get("out")
     timestamp = run.timestamp()
     spec = region_spec(params, kind)
+    run.declare_output(out, dataset_header(run.config, seed=seed, timestamp=timestamp))
 
     reports = {}
     if method in ("exact", "both"):
@@ -630,6 +631,7 @@ def _cmd_verify(run: _Run) -> int:
     tol = run.get("tol", 1e-9, float)
     out = run.get("out")
     timestamp = run.timestamp()
+    run.declare_output(out, dataset_header(run.config, seed=seed, timestamp=timestamp))
 
     kinds = KINDS if suite == "all" else (_parse_kind(suite),)
     checks: list[tuple[str, bool, str]] = []

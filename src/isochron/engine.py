@@ -119,12 +119,11 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class PendingPulse:
-    """A pulse in flight: emitted by ``sender``, reaching all others at
-    ``deliver_at`` with the sender's multiplicity (1 per firing)."""
+    """A pulse in flight: emitted by ``sender`` (one per firing), reaching
+    all others at ``deliver_at``."""
 
     deliver_at: float
     sender: int
-    multiplicity: int = 1
 
 
 def format_trace_text(events: Iterable[TraceEvent]) -> str:
@@ -156,34 +155,29 @@ def format_trace_jsonl(events: Iterable[TraceEvent]) -> str:
 class Engine:
     """Event-driven integrator for one network.
 
-    Use :func:`init_engine` to build one from a NetworkState.  ``step()``
+    ``Engine(params, state)`` starts at clock 0 from a state, trusting it;
+    :func:`init_engine` validates the state first.  Every FTD entry sigma
+    becomes one pulse in flight reaching the other oscillators at time
+    tau - sigma (an entry of exactly tau delivers at 0).  ``step()``
     advances to and processes the next timestamp and returns its events;
     ``state()`` exports the canonical NetworkState at the current clock.
     """
 
-    def __init__(self, params: ModelParams) -> None:
+    def __init__(self, params: ModelParams, state: NetworkState) -> None:
         self.params = params
         self.clock = 0.0
-        self.theta: list[float] = [0.0] * params.n
-        # heap entries: (deliver_at, insertion seq, sender, multiplicity)
-        self._heap: list[tuple[float, int, int, int]] = []
-        self._seq = 0
+        self.theta: list[float] = list(state.phases)
+        # heap entries: (deliver_at, sender), one per pulse in flight
+        tau = params.tau
+        self._heap = [(tau - sigma, i) for i, row in enumerate(state.ftds) for sigma in row]
+        heapq.heapify(self._heap)
         self.events_processed = 0
-
-    # -- construction -------------------------------------------------------
-
-    def schedule_pulse(self, deliver_at: float, sender: int, multiplicity: int = 1) -> None:
-        heapq.heappush(self._heap, (deliver_at, self._seq, sender, multiplicity))
-        self._seq += 1
 
     # -- inspection ---------------------------------------------------------
 
     def pending_pulses(self) -> list[PendingPulse]:
-        """Pulses in flight, ordered by (deliver_at, insertion order)."""
-        return [
-            PendingPulse(deliver_at=t, sender=s, multiplicity=m)
-            for (t, _, s, m) in sorted(self._heap)
-        ]
+        """Pulses in flight, ordered by (deliver_at, sender)."""
+        return [PendingPulse(deliver_at=t, sender=s) for t, s in sorted(self._heap)]
 
     def next_event_time(self) -> float:
         """Absolute time of the next event (pulse delivery or flow fire)."""
@@ -201,10 +195,9 @@ class Engine:
         """
         tau = self.params.tau
         rows: list[list[float]] = [[] for _ in range(self.params.n)]
-        for (t, _, sender, mult) in self._heap:
+        for t, sender in self._heap:
             sigma = self.clock + tau - t
-            sigma = 0.0 if sigma < 0.0 else (tau if sigma > tau else sigma)
-            rows[sender].extend([sigma] * mult)
+            rows[sender].append(0.0 if sigma < 0.0 else (tau if sigma > tau else sigma))
         return NetworkState(
             phases=tuple(self.theta),
             ftds=tuple(tuple(sorted(row)) for row in rows),
@@ -223,7 +216,8 @@ class Engine:
         """Move the clock to t_star and process that timestamp completely.
 
         Each cascade round delivers every pulse due now (within tolerance),
-        aggregated per receiver, and then fires every oscillator at
+        each receiver getting the due pulses of all other senders as one
+        multiplicity, and then fires every oscillator at
         threshold; rounds repeat while the fires put new pulses due now
         (tau = 0).  ``record`` says what to append to ``out``: TraceEvents
         ("events"), (recipient, multiplicity, time) per reception
@@ -247,12 +241,11 @@ class Engine:
         k_fired = False
         for _ in range(_MAX_CASCADE_ROUNDS):
             if heap and heap[0][0] <= due:
-                mult = [0] * n
+                sent = [0] * n
                 while heap and heap[0][0] <= due:
-                    _, _, sender, m = heapq.heappop(heap)
-                    for j in range(n):
-                        if j != sender:
-                            mult[j] += m
+                    sent[heapq.heappop(heap)[1]] += 1
+                total = sum(sent)
+                mult = [total - s for s in sent]
                 if record == "events":
                     # Group receivers by multiplicity for the trace.
                     by_m: dict[int, list[int]] = {}
@@ -276,7 +269,7 @@ class Engine:
                     if record == "events":
                         out.append(TraceEvent("fire", t_star, (i,)))
                     theta[i] = 0.0
-                    self.schedule_pulse(t_star + params.tau, i)
+                    heapq.heappush(heap, (t_star + params.tau, i))
                     count += 1
                     if i == k:
                         k_fired = True
@@ -358,21 +351,6 @@ class Engine:
 
 
 def init_engine(params: ModelParams, state: NetworkState) -> Engine:
-    """Start an engine at clock 0 from a validated state.
-
-    Every FTD entry sigma becomes one pulse in flight reaching the other
-    oscillators at time tau - sigma (an entry of exactly tau delivers at 0).
-    """
+    """Validate a state, then start an Engine at clock 0 from it."""
     validate_state(params, state)
-    return _engine_from(params, state)
-
-
-def _engine_from(params: ModelParams, state: NetworkState) -> Engine:
-    """init_engine without validation, for states already validated or
-    exported by an engine."""
-    eng = Engine(params)
-    eng.theta = list(state.phases)
-    for i, row in enumerate(state.ftds):
-        for sigma in row:
-            eng.schedule_pulse(params.tau - sigma, i)
-    return eng
+    return Engine(params, state)

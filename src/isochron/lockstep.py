@@ -50,7 +50,7 @@ class LockstepEngine(Engine):
     """Section returns of many networks with the same parameters at once,
     on float64 arrays.
 
-    Row r starts as init_engine(params, states[r]) would.  Each
+    Row r starts as Engine(params, states[r]) would.  Each
     run_until_section(record="receptions") runs every row to the next fire
     of the last oscillator, returns a LockstepReturns and restarts each
     row at clock 0 from the state it exported, as detect_periodicity
@@ -73,24 +73,14 @@ class LockstepEngine(Engine):
         # No Engine.__init__: there is no single clock, phase list or heap.
         self.params = params
         self.events_processed = 0
-        n, tau = params.n, params.tau
-        rows = len(states)
-        width = max((sum(map(len, s.ftds)) for s in states), default=0)
-        # Each row's start: phases, and its pulses in flight as delivery
-        # times and senders in init_engine's order, empty slots (inf, n).
-        self.phases = np.array([s.phases for s in states], dtype=float).reshape(rows, n)
-        self.times = np.full((rows, width), np.inf)
-        self.senders = np.full((rows, width), n)
-        for r, s in enumerate(states):
-            pulses = [(tau - x, i) for i, row in enumerate(s.ftds) for x in row]
-            if pulses:
-                self.times[r, : len(pulses)], self.senders[r, : len(pulses)] = zip(*pulses)
+        # Each row's start, in LockstepReturns' layout.
+        self.phases, self.ftds, self.senders = _encode(params.n, states)
         # jump_coeffs by multiplicity; grows to the largest one a step meets.
         self._coeffs = _coeff_table(params, 1)
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the rows the boolean mask selects, in order."""
-        self.phases, self.times, self.senders = self.phases[rows], self.times[rows], self.senders[rows]
+        self.phases, self.ftds, self.senders = self.phases[rows], self.ftds[rows], self.senders[rows]
 
     def _section_return(
         self, k: int, max_time: float, max_steps: int, record: Record
@@ -101,7 +91,7 @@ class LockstepEngine(Engine):
             raise ValueError(
                 'a LockstepEngine runs returns of the last oscillator with record="receptions"'
             )
-        phases, times, senders = self.phases, self.times, self.senders
+        phases, ftds, senders = self.phases, self.ftds, self.senders
         rows = len(phases)
         at_threshold = 1.0 - COINCIDENCE_TOL
         oscillators = np.arange(n)
@@ -112,6 +102,7 @@ class LockstepEngine(Engine):
         # not fire), because a pulse sent now lands no earlier than a
         # pending one.
         row_ix = np.arange(rows)[:, None]
+        times = np.where(senders < n, tau - ftds, np.inf)
         order = np.argsort(times, axis=1, kind="stable")
         q_time, q_send = times[row_ix, order], senders[row_ix, order]
         tail = q_time.shape[1]
@@ -206,27 +197,24 @@ class LockstepEngine(Engine):
 
         errors: dict[int, Exception] = {}
         replayed: list[tuple[int, int, int, float]] = []
+        ended: dict[int, NetworkState] = {}
         for row in sorted(replay):
-            eng = Engine(params)
-            eng.theta = phases[row].tolist()
-            for t, sender in zip(times[row].tolist(), senders[row].tolist()):
-                if sender < n:
-                    eng.schedule_pulse(t, sender)
+            eng = Engine(params, _decode(phases[row], ftds[row], senders[row]))
             try:
-                state, took, got = eng._section_return(k, max_time, max_steps, record)
+                ended[row], end_clock[row], got = eng._section_return(k, max_time, max_steps, record)
             except (EngineStallError, HorizonExceededError) as exc:
                 errors[row] = exc  # the caller raises it, in its own order
                 continue
             finally:
                 self.events_processed += eng.events_processed
-            entries = [(i, x) for i, ftd in enumerate(state.ftds) for x in ftd]
-            out_ftds = _widen(out_ftds, len(entries), 0.0)
-            out_senders = _widen(out_senders, len(entries), n)
-            end_theta[row], end_clock[row] = state.phases, took
-            out_senders[row], out_ftds[row] = n, 0.0
-            if entries:
-                out_senders[row, : len(entries)], out_ftds[row, : len(entries)] = zip(*entries)
             replayed.extend((row, *reception) for reception in got)
+        if ended:
+            # Replayed rows still hold only empty slots in out_ftds and out_senders.
+            back = list(ended)
+            end_theta[back], ftds_back, senders_back = _encode(n, list(ended.values()))
+            w = ftds_back.shape[1]
+            out_ftds, out_senders = _widen(out_ftds, w, 0.0), _widen(out_senders, w, n)
+            out_ftds[back, :w], out_senders[back, :w] = ftds_back, senders_back
         if replayed:
             rec = [
                 np.concatenate([col, np.asarray(add, dtype=col.dtype)])
@@ -237,11 +225,9 @@ class LockstepEngine(Engine):
         width = int(np.count_nonzero(out_senders < n, axis=1).max(initial=0))
         out_ftds, out_senders = out_ftds[:, :width], out_senders[:, :width]
 
-        # The next return starts where this one ended, as _engine_from
-        # starts an engine from the exported state.
-        self.phases = end_theta
-        self.times = np.where(out_senders < n, tau - out_ftds, np.inf)
-        self.senders = out_senders
+        # The next return starts where this one ended, as Engine starts
+        # from the exported state.
+        self.phases, self.ftds, self.senders = end_theta, out_ftds, out_senders
         return LockstepReturns(
             phases=end_theta,
             ftds=out_ftds,
@@ -253,6 +239,30 @@ class LockstepEngine(Engine):
             bounds=np.searchsorted(rec_rows, np.arange(rows + 1)),
             errors=errors,
         )
+
+
+def _encode(n: int, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The states of n oscillators as rows: phases, FTD entries ordered by
+    sender and then as in the state, and their senders; the empty slots
+    at the end of a row are (0.0, n)."""
+    width = max((sum(map(len, s.ftds)) for s in states), default=0)
+    phases = np.array([s.phases for s in states], dtype=float).reshape(len(states), n)
+    ftds = np.zeros((len(states), width))
+    senders = np.full((len(states), width), n)
+    for r, s in enumerate(states):
+        entries = [(i, x) for i, row in enumerate(s.ftds) for x in row]
+        if entries:
+            senders[r, : len(entries)], ftds[r, : len(entries)] = zip(*entries)
+    return phases, ftds, senders
+
+
+def _decode(phases: np.ndarray, ftds: np.ndarray, senders: np.ndarray) -> NetworkState:
+    """The NetworkState of one row that _encode wrote."""
+    rows: list[list[float]] = [[] for _ in phases]
+    for i, x in zip(senders.tolist(), ftds.tolist()):
+        if i < len(rows):
+            rows[i].append(x)
+    return NetworkState(tuple(phases.tolist()), tuple(map(tuple, rows)))
 
 
 def _coeff_table(params: ModelParams, size: int) -> tuple[np.ndarray, np.ndarray]:

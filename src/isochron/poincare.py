@@ -13,14 +13,15 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter, ne, sub
 
 from ._serial import Record
 from .engine import (
     COINCIDENCE_TOL,
+    Engine,
     NetworkState,
-    _engine_from,
     init_engine,  # noqa: F401  (bound here for perfbench/tracer.py)
     is_section_state,
     validate_state,
@@ -55,7 +56,7 @@ def poincare_map(
 ) -> tuple[NetworkState, float]:
     """One application of the section map: (next section state, return time)."""
     require_section_state(params, state, k)
-    eng = _engine_from(params, state)
+    eng = Engine(params, state)
     new_state, elapsed, _ = eng.run_until_section(k=k, max_time=max_time, record=None)
     return new_state, elapsed
 
@@ -132,11 +133,10 @@ def _minimal_cycle(
     states: list[NetworkState], j: int, length: int, tol: float
 ) -> int:
     """Reduce a detected cycle states[j:j+length] to its minimal period by
-    testing every divisor (wrapping indices inside the cycle)."""
-    for d in range(1, length + 1):
-        if length % d:
-            continue
-        if all(
+    testing every proper divisor (wrapping indices inside the cycle); the
+    length itself needs no test."""
+    for d in range(1, length):
+        if length % d == 0 and all(
             states_match(states[j + m], states[j + (m + d) % length], tol)
             for m in range(length)
         ):
@@ -216,7 +216,7 @@ def detect_periodicity(
 
     new = state
     for i in range(1, max_iter + 1):
-        eng = _engine_from(params, new)
+        eng = Engine(params, new)
         new, elapsed, got = eng.run_until_section(max_time=max_time_per_return, record="receptions")
         returns.append(elapsed)
         received.append(got)
@@ -261,7 +261,7 @@ def detect_periodicity_many(
 
     import numpy as np
 
-    from .lockstep import LockstepEngine, _widen
+    from .lockstep import LockstepEngine, _decode, _widen
 
     n = params.n
     errors: dict[int, Exception] = {}
@@ -275,29 +275,15 @@ def detect_periodicity_many(
     count = len(states)
     results: list = [None] * count
     eng = LockstepEngine(params, states)
-    oscillators = np.arange(n)
-
-    width = max((sum(map(len, s.ftds)) for s in states), default=0)
-    start_ftd = np.zeros((count, width))
-    start_snd = np.full((count, width), n)
-    for r, s in enumerate(states):
-        entries = [(i, x) for i, row in enumerate(s.ftds) for x in row]
-        if entries:
-            start_snd[r, : len(entries)], start_ftd[r, : len(entries)] = zip(*entries)
 
     # hist holds, for the start at live[p] after i returns, its phases,
-    # FTD entries (by sender, then ascending), FTD row lengths and the
-    # time of its i-th return at [i, p]: the first `filled` entries of a
-    # first axis that doubles when full.  The receptions of its i-th
-    # return are in logs[i - 1], with the starts that ran it.  A start
-    # leaves hist when it finishes.
+    # FTD entries and their senders (LockstepReturns' layout, padded to a
+    # common width) and the time of its i-th return at [i, p]: the first
+    # `filled` entries of a first axis that doubles when full.  The
+    # receptions of its i-th return are in logs[i - 1], with the starts
+    # that ran it.  A start leaves hist when it finishes.
     live = np.arange(count)
-    hist = [
-        eng.phases[None],
-        start_ftd[None],
-        np.count_nonzero(start_snd[:, :, None] == oscillators, axis=1)[None],
-        np.zeros((1, count)),
-    ]
+    hist = [eng.phases[None], eng.ftds[None], eng.senders[None], np.zeros((1, count))]
     filled = 1
     logs: list[tuple] = []
 
@@ -305,12 +291,7 @@ def detect_periodicity_many(
         """The state of the start at live[p] after i returns."""
         if i == 0:
             return states[int(live[p])]
-        rows, lo = [], 0
-        ftd = hist[1][i, p].tolist()
-        for c in hist[2][i, p].tolist():
-            rows.append(tuple(ftd[lo : lo + c]))
-            lo += c
-        return NetworkState(tuple(hist[0][i, p].tolist()), tuple(rows))
+        return _decode(hist[0][i, p], hist[1][i, p], hist[2][i, p])
 
     def received(p: int, i: int) -> list[tuple[int, int, float]]:
         """The receptions of the (i+1)-th return of the start at live[p]."""
@@ -328,17 +309,17 @@ def detect_periodicity_many(
         )
 
         width = max(out.ftds.shape[1], hist[1].shape[2])
-        hist[1] = _widen(hist[1], width, 0.0)
-        new_ftd = _widen(out.ftds, width, 0.0)
-        new_cnt = np.count_nonzero(out.senders[:, :, None] == oscillators, axis=1)
+        hist[1], hist[2] = _widen(hist[1], width, 0.0), _widen(hist[2], width, n)
+        new_ftd, new_snd = _widen(out.ftds, width, 0.0), _widen(out.senders, width, n)
 
         # detect_periodicity's rule: the phase-0 prefilter, then equal row
-        # lengths and state_distance <= tol, the earliest match first.
-        h_ph, h_ftd, h_cnt = (h[:filled] for h in hist[:3])
+        # lengths (equal padded senders) and state_distance <= tol, the
+        # earliest match first.
+        h_ph, h_ftd, h_snd = (h[:filled] for h in hist[:3])
         p0 = out.phases[:, 0]
         old_p0 = h_ph[:, :, 0].T
         row, j = np.nonzero((old_p0 >= (p0 - tol)[:, None]) & (old_p0 <= (p0 + tol)[:, None]))
-        hit = (h_cnt[j, row] == new_cnt[row]).all(axis=1) & (
+        hit = (h_snd[j, row] == new_snd[row]).all(axis=1) & (
             np.maximum(
                 np.abs(h_ph[j, row] - out.phases[row]).max(axis=1),
                 np.abs(h_ftd[j, row] - new_ftd[row]).max(axis=1, initial=0.0),
@@ -350,7 +331,7 @@ def detect_periodicity_many(
 
         if filled == len(hist[0]):
             hist = [np.concatenate((h, np.empty_like(h))) for h in hist]
-        for h, new in zip(hist, (out.phases, new_ftd, new_cnt, out.elapsed)):
+        for h, new in zip(hist, (out.phases, new_ftd, new_snd, out.elapsed)):
             h[filled] = new
         filled += 1
 
@@ -405,6 +386,10 @@ class PulseSignature(Record):
 
     def per_recipient(self) -> dict[int, tuple[int, ...]]:
         """Time-ordered multiplicity sequence for each recipient."""
+        return dict(self._per_recipient)
+
+    @cached_property
+    def _per_recipient(self) -> dict[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {}
         for recipient, mult, _ in self.receptions:
             out.setdefault(recipient, []).append(mult)

@@ -625,3 +625,24 @@ class TestInterrupt:
             == 130
         )
         assert csv.read_text() == f"partial\n{FAILED_MARKER}\n"
+
+    @pytest.mark.parametrize(
+        "argv, patched",
+        [
+            (["verify", "--samples", "3"], "region_exists"),
+            (["region", "volume", "--method", "both", "--samples", "100"], "region_volume"),
+        ],
+        ids=["verify", "region-volume"],
+    )
+    def test_marker_written_for_json_output(self, capsys, tmp_path, monkeypatch, argv, patched):
+        out = tmp_path / "out.json"
+
+        def boom(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, patched, boom)
+        assert main([*argv, "--out", str(out), "--timestamp", TS]) == 130
+        assert "interrupted" in capsys.readouterr().err
+        lines = out.read_text().splitlines()
+        assert lines[0] == f"# isochron {__version__}"
+        assert lines[-2:] == [f"# timestamp: {TS}", FAILED_MARKER]

@@ -27,7 +27,7 @@ from isochron.engine import (
     network_state,
     validate_state,
 )
-from isochron.lockstep import LockstepEngine
+from isochron.lockstep import LockstepEngine, _decode, _encode
 from isochron.model import DomainError, ModelParams, jump, jump_m
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
@@ -331,7 +331,6 @@ def _in_flight_ftds(eng: Engine) -> list[tuple[int, float]]:
     return sorted(
         (p.sender, eng.clock + tau - p.deliver_at)
         for p in eng.pending_pulses()
-        for _ in range(p.multiplicity)
     )
 
 
@@ -403,6 +402,30 @@ def lockstep_batch(draw):
         for _ in range(draw(st.integers(1, 6)))
     ]
     return params, states
+
+
+class TestRowEncoding:
+    """LockstepEngine's rows, LockstepReturns and batched detection's
+    history share one encoding of states as array rows."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(lockstep_batch())
+    def test_decode_inverts_encode(self, drawn):
+        params, states = drawn
+        phases, ftds, senders = _encode(params.n, states)
+        assert phases.shape == (len(states), params.n)
+        for r, state in enumerate(states):
+            assert repr(_decode(phases[r], ftds[r], senders[r])) == repr(state)
+
+    def test_empty_rows_and_padding(self):
+        states = [
+            network_state((0.5, 0.25, 0.0), ((), (), ())),
+            network_state((0.0, 0.5, 0.25), ((0.1, 0.3), (), (0.0,))),
+        ]
+        phases, ftds, senders = _encode(3, states)
+        assert senders.tolist() == [[3, 3, 3], [0, 0, 2]]
+        assert ftds.tolist() == [[0.0, 0.0, 0.0], [0.1, 0.3, 0.0]]
+        assert [_decode(phases[r], ftds[r], senders[r]) for r in range(2)] == states
 
 
 def exported_state(got, r, n):

@@ -439,7 +439,7 @@ class TestCycleWalk:
             raise AssertionError("pulse_signature started an engine")
 
         monkeypatch.setattr(poincare, "init_engine", no_engine)
-        monkeypatch.setattr(poincare, "_engine_from", no_engine)
+        monkeypatch.setattr(poincare, "Engine", no_engine)
         sig = pulse_signature(P, res)
         assert sig.period == res.orbit_period
         assert sig.receptions == res.receptions
