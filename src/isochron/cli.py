@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from datetime import datetime, timezone
+from functools import cached_property
 
 import numpy as np
 
@@ -78,19 +79,19 @@ FAILED_MARKER = "# FAILED: interrupted before completion"
 
 
 class _Run:
-    """Resolved options for one invocation.
+    """Resolved options and declared outputs of one invocation.
 
     Every option funnels through get(), which applies the precedence
     flag > config file > built-in default and records the resolved value,
     so `config` returns the complete effective configuration for the
-    output headers.  Output files are declared before long computations
-    begin; on interrupt, declared-but-unfinished files are flushed with a
+    output headers.  A command names its output options in outputs()
+    before it computes and writes every file through write(); on
+    interrupt, each declared file not yet written is flushed with a
     FAILED marker.
     """
 
     def __init__(self, args: argparse.Namespace, command: str):
         self.args = args
-        self.command = command
         self.file_config: dict = {}
         path = getattr(args, "config", None)
         if path is not None:
@@ -99,8 +100,8 @@ class _Run:
             if not isinstance(self.file_config, dict):
                 raise DomainError("config file must hold a JSON object")
         self.resolved: dict = {"command": command}
-        self._declared: list[tuple[str, list[str]]] = []
-        self._done: set[str] = set()
+        # Declared outputs not yet written: path -> header lines.
+        self._unfinished: dict[str, list[str]] = {}
 
     def get(self, name: str, default=None, cast=None):
         value = getattr(self.args, name, None)
@@ -133,7 +134,10 @@ class _Run:
         self.resolved["threads"] = value
         return value
 
+    @cached_property
     def timestamp(self) -> str:
+        """The headers' wall-clock stamp, read once so every file of the
+        run carries the same one."""
         value = getattr(self.args, "timestamp", None)
         if value is None:
             value = self.file_config.get("timestamp")
@@ -141,28 +145,49 @@ class _Run:
             value = datetime.now(timezone.utc).isoformat(timespec="seconds")
         return value
 
-    def declare_output(self, path: str | None, header_lines: list[str]) -> None:
-        if path is not None:
-            self._declared.append((str(path), header_lines))
+    def outputs(self, *names: str, seed: int | None = None) -> tuple:
+        """Resolve the named output options and declare every given path.
 
-    def finish_output(self, path: str | None) -> None:
+        Call it after the command's other options and before it computes:
+        the header is built once, from the options resolved so far.  A plot
+        script plots the CSV, so one without --out-csv is rejected.
+        Returns the header, then each path (None where not given).
+        """
+        paths = {name: self.get(name) for name in names}
+        if paths.get("plot_script") is not None and paths.get("out_csv") is None:
+            raise DomainError("--plot-script needs --out-csv, the CSV it plots")
+        header = dataset_header(self.config, seed=seed, timestamp=self.timestamp)
+        for path in paths.values():
+            if path is not None:
+                self._unfinished[str(path)] = header
+        return (header, *paths.values())
+
+    def write(self, path, writer, *args, **kwargs) -> None:
+        """Write one output with writer(*args, path=path, **kwargs) and mark
+        it finished; a None path (option not given) writes nothing."""
         if path is not None:
-            self._done.add(str(path))
+            writer(*args, path=path, **kwargs)
+            self._unfinished.pop(str(path), None)
+
+    def write_report(self, path, **fields) -> None:
+        """A JSON report: the resolved config plus fields."""
+        self.write(path, _write_json, timestamp=self.timestamp, config=self.config, **fields)
+
+    def write_or_print(self, path, lines: list[str]) -> None:
+        """Write lines to path, or print them when no path was given."""
+        if path is None:
+            print(*lines, sep="\n")
+        self.write(path, _write_lines, lines)
 
     def flush_failed(self) -> None:
-        """Flush every declared-but-unfinished output with a FAILED marker."""
-        for path, header_lines in self._declared:
-            if path in self._done:
-                continue
+        """Flush every declared output not yet written with a FAILED marker."""
+        for path, header_lines in self._unfinished.items():
             try:
                 if os.path.exists(path):
                     with open(path, "a") as fh:
                         fh.write(FAILED_MARKER + "\n")
                 else:
-                    with open(path, "w") as fh:
-                        for line in header_lines:
-                            fh.write(line + "\n")
-                        fh.write(FAILED_MARKER + "\n")
+                    _write_lines(header_lines + [FAILED_MARKER], path)
             except OSError:  # pragma: no cover - best-effort flush
                 pass
 
@@ -196,6 +221,14 @@ def _add_state_options(parser: argparse.ArgumentParser) -> None:
         "--center",
         choices=[k.lower() for k in KINDS],
         help="start from the named family's center state instead of --state",
+    )
+
+
+def _add_dataset_outputs(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out-csv", help="write the CSV dataset here")
+    parser.add_argument("--out-json", help="write the JSON dataset here")
+    parser.add_argument(
+        "--plot-script", help="write a gnuplot script of the --out-csv dataset here"
     )
 
 
@@ -245,10 +278,22 @@ def _resolve_state(run: _Run, params: ModelParams):
     return state
 
 
-def _write_lines(path, lines: list[str]) -> None:
+def _write_lines(lines: list[str], path) -> None:
     with open(path, "w") as fh:
         for line in lines:
             fh.write(line + "\n")
+
+
+def _write_plot(emit, csv_path, path, **kwargs) -> None:
+    """The gnuplot script that emit writes for the CSV at csv_path."""
+    _write_lines([emit(str(csv_path), **kwargs)], path)
+
+
+def _write_trace_jsonl(events, path, config: dict, timestamp: str) -> None:
+    meta = json.dumps(
+        {"version": __version__, "config": config, "timestamp": timestamp}, sort_keys=True
+    )
+    _write_lines([meta] + format_trace_jsonl(events).splitlines(), path)
 
 
 # -- simulate / poincare --------------------------------------------------------------
@@ -258,29 +303,17 @@ def _cmd_simulate(run: _Run) -> int:
     params = run.params()
     state = _resolve_state(run, params)
     horizon = run.get("horizon", 3 * params.tau, float)
-    out_text = run.get("out_text")
-    out_jsonl = run.get("out_jsonl")
-    timestamp = run.timestamp()
-    header = dataset_header(run.config, timestamp=timestamp)
-    run.declare_output(out_text, header)
-    run.declare_output(out_jsonl, header)
+    header, out_text, out_jsonl = run.outputs("out_text", "out_jsonl")
 
     events = init_engine(params, state).simulate(horizon)
 
     text = format_trace_text(events)
-    if out_text is not None:
-        _write_lines(out_text, header + text.splitlines())
-        run.finish_output(out_text)
-    if out_jsonl is not None:
-        meta = json.dumps(
-            {"version": __version__, "config": run.config, "timestamp": timestamp},
-            sort_keys=True,
-        )
-        _write_lines(out_jsonl, [meta] + format_trace_jsonl(events).splitlines())
-        run.finish_output(out_jsonl)
+    run.write(out_text, _write_lines, header + text.splitlines())
+    run.write(
+        out_jsonl, _write_trace_jsonl, events, config=run.config, timestamp=run.timestamp
+    )
     if out_text is None and out_jsonl is None:
-        for line in header:
-            print(line)
+        print(*header, sep="\n")
         print(text, end="")
     print(f"simulated {_fmt(horizon)} time units: {len(events)} events")
     return 0
@@ -291,9 +324,7 @@ def _cmd_poincare(run: _Run) -> int:
     state = _resolve_state(run, params)
     max_iter = run.get("max_iter", DEFAULT_SCAN_MAX_ITER, int)
     tol = run.get("tol", 1e-9, float)
-    out = run.get("out")
-    timestamp = run.timestamp()
-    run.declare_output(out, dataset_header(run.config, timestamp=timestamp))
+    _, out = run.outputs("out")
 
     result = detect_periodicity(params, state, max_iter=max_iter, tol=tol)
     periodic = result.periodic
@@ -306,16 +337,7 @@ def _cmd_poincare(run: _Run) -> int:
         )
     else:
         print(f"not periodic within {result.iterations} section returns")
-    if out is not None:
-        _write_json(
-            out,
-            timestamp,
-            config=run.config,
-            periodic=periodic,
-            result=result,
-            signature=signature,
-        )
-        run.finish_output(out)
+    run.write_report(out, periodic=periodic, result=result, signature=signature)
     return 0
 
 
@@ -357,10 +379,8 @@ def _cmd_region_volume(run: _Run) -> int:
     samples = run.get("samples", 1_000_000, int)
     seed = run.get("seed", 0, int)
     threads = run.threads()
-    out = run.get("out")
-    timestamp = run.timestamp()
+    _, out = run.outputs("out", seed=seed)
     spec = region_spec(params, kind)
-    run.declare_output(out, dataset_header(run.config, seed=seed, timestamp=timestamp))
 
     reports = {}
     if method in ("exact", "both"):
@@ -382,9 +402,7 @@ def _cmd_region_volume(run: _Run) -> int:
             f"check: {'PASS' if ok else 'FAIL'} "
             f"(|exact - montecarlo| = {_fmt(diff)}, 3*stderr = {_fmt(bound)})"
         )
-    if out is not None:
-        _write_json(out, timestamp, config=run.config, seed=seed, reports=reports, ok=ok)
-        run.finish_output(out)
+    run.write_report(out, seed=seed, reports=reports, ok=ok)
     return 0 if ok else 1
 
 
@@ -393,21 +411,13 @@ def _cmd_region_sample(run: _Run) -> int:
     params = run.params()
     n = run.get("samples", 100, int)
     seed = run.get("seed", 0, int)
-    out = run.get("out")
-    timestamp = run.timestamp()
+    header, out = run.outputs("out", seed=seed)
     spec = region_spec(params, kind)
-    header = dataset_header(run.config, seed=seed, timestamp=timestamp)
-    run.declare_output(out, header)
 
     points = sample_interior(params, kind, n, seed=seed)
     lines = header + [",".join(spec.labels)]
     lines += [",".join(_fmt(v) for v in row) for row in points]
-    if out is not None:
-        _write_lines(out, lines)
-        run.finish_output(out)
-    else:
-        for line in lines:
-            print(line)
+    run.write_or_print(out, lines)
     print(f"sampled {n} interior points of {kind}")
     return 0
 
@@ -420,24 +430,18 @@ def _cmd_region_project(run: _Run) -> int:
     step = run.get("step", 0.05, float)
     tol = run.get("tol", 1e-6, float)
     threads = run.threads()
-    out_csv = run.get("out_csv")
-    out_json = run.get("out_json")
-    plot_script = run.get("plot_script")
-    timestamp = run.timestamp()
-    header = dataset_header(run.config, seed=seed, timestamp=timestamp)
-    run.declare_output(out_csv, header)
-    run.declare_output(out_json, header)
+    header, out_csv, out_json, plot_script = run.outputs(
+        "out_csv", "out_json", "plot_script", seed=seed
+    )
+    if out_json is not None and not compare:
+        raise DomainError("--out-json needs --compare: only the overlay has a JSON report")
 
     if compare:
         report = projection_compare(
             params, n_samples=n, seed=seed, step=step, tol=tol, workers=threads
         )
-        if out_csv is not None:
-            write_projection_csv(report, out_csv, timestamp=timestamp)
-            run.finish_output(out_csv)
-        if out_json is not None:
-            write_projection_json(report, out_json, timestamp=timestamp)
-            run.finish_output(out_json)
+        run.write(out_csv, write_projection_csv, report, timestamp=run.timestamp)
+        run.write(out_json, write_projection_json, report, timestamp=run.timestamp)
         print(
             f"scan orbits: {report.numeric_orbit_count} "
             f"({report.mirror_orbit_count} mirror-imaged, "
@@ -453,17 +457,10 @@ def _cmd_region_project(run: _Run) -> int:
             f"analytic,{_fmt(jump(params, float(s[0]), params.eps_hat))},{_fmt(float(s[1]))}"
             for s in sigmas
         ]
-        if out_csv is not None:
-            _write_lines(out_csv, lines)
-            run.finish_output(out_csv)
-        else:
-            for line in lines:
-                print(line)
+        run.write_or_print(out_csv, lines)
         print(f"projected {n} family points to the phase plane")
         ok = True
-    if plot_script is not None and out_csv is not None:
-        _write_lines(plot_script, [emit_projection_plot(str(out_csv))])
-        run.finish_output(plot_script)
+    run.write(plot_script, _write_plot, emit_projection_plot, out_csv)
     return 0 if ok else 1
 
 
@@ -476,25 +473,13 @@ def _cmd_scan_phases(run: _Run) -> int:
     max_iter = run.get("max_iter", DEFAULT_SCAN_MAX_ITER, int)
     tol = run.get("tol", 1e-9, float)
     threads = run.threads()
-    out_csv = run.get("out_csv")
-    out_json = run.get("out_json")
-    plot_script = run.get("plot_script")
-    timestamp = run.timestamp()
-    header = dataset_header(run.config, timestamp=timestamp)
-    run.declare_output(out_csv, header)
-    run.declare_output(out_json, header)
+    _, out_csv, out_json, plot_script = run.outputs("out_csv", "out_json", "plot_script")
 
     result = phase_scan(params, step=step, max_iter=max_iter, tol=tol, workers=threads)
 
-    if out_csv is not None:
-        write_phase_scan_csv(result, out_csv, timestamp=timestamp)
-        run.finish_output(out_csv)
-    if out_json is not None:
-        write_phase_scan_json(result, out_json, timestamp=timestamp)
-        run.finish_output(out_json)
-    if plot_script is not None and out_csv is not None:
-        _write_lines(plot_script, [emit_phase_scan_plot(str(out_csv))])
-        run.finish_output(plot_script)
+    run.write(out_csv, write_phase_scan_csv, result, timestamp=run.timestamp)
+    run.write(out_json, write_phase_scan_json, result, timestamp=run.timestamp)
+    run.write(plot_script, _write_plot, emit_phase_scan_plot, out_csv)
 
     census: dict[int, int] = {}
     for record in result.records:
@@ -525,13 +510,9 @@ def _cmd_scan_params(run: _Run) -> int:
     volume_samples = run.get("volume_samples", 100_000, int)
     seed = run.get("seed", 0, int)
     threads = run.threads()
-    out_csv = run.get("out_csv")
-    out_json = run.get("out_json")
-    plot_script = run.get("plot_script")
-    timestamp = run.timestamp()
-    header = dataset_header(run.config, seed=seed, timestamp=timestamp)
-    run.declare_output(out_csv, header)
-    run.declare_output(out_json, header)
+    _, out_csv, out_json, plot_script = run.outputs(
+        "out_csv", "out_json", "plot_script", seed=seed
+    )
 
     eps_values = [i / n_eps for i in range(1, n_eps + 1)]
     tau_values = [j / n_tau for j in range(1, n_tau + 1)]
@@ -547,15 +528,9 @@ def _cmd_scan_params(run: _Run) -> int:
         workers=threads,
     )
 
-    if out_csv is not None:
-        write_param_scan_csv(result, out_csv, timestamp=timestamp)
-        run.finish_output(out_csv)
-    if out_json is not None:
-        write_param_scan_json(result, out_json, timestamp=timestamp)
-        run.finish_output(out_json)
-    if plot_script is not None and out_csv is not None:
-        _write_lines(plot_script, [emit_param_scan_plot(str(out_csv), kind=kind)])
-        run.finish_output(plot_script)
+    run.write(out_csv, write_param_scan_csv, result, timestamp=run.timestamp)
+    run.write(out_json, write_param_scan_json, result, timestamp=run.timestamp)
+    run.write(plot_script, _write_plot, emit_param_scan_plot, out_csv, kind=kind)
 
     counts = {k: sum(r.exists[k] for r in result.records) for k in KINDS}
     total = len(result.records)
@@ -629,9 +604,7 @@ def _cmd_verify(run: _Run) -> int:
     n = run.get("samples", 1000, int)
     seed = run.get("seed", 0, int)
     tol = run.get("tol", 1e-9, float)
-    out = run.get("out")
-    timestamp = run.timestamp()
-    run.declare_output(out, dataset_header(run.config, seed=seed, timestamp=timestamp))
+    _, out = run.outputs("out", seed=seed)
 
     kinds = KINDS if suite == "all" else (_parse_kind(suite),)
     checks: list[tuple[str, bool, str]] = []
@@ -661,16 +634,12 @@ def _cmd_verify(run: _Run) -> int:
     all_ok = all(ok for _, ok, _ in checks)
     print(f"verify: {'PASS' if all_ok else 'FAIL'} ({len(checks)} checks)")
 
-    if out is not None:
-        _write_json(
-            out,
-            timestamp,
-            config=run.config,
-            seed=seed,
-            checks=[{"name": n, "ok": ok, "detail": d} for n, ok, d in checks],
-            ok=all_ok,
-        )
-        run.finish_output(out)
+    run.write_report(
+        out,
+        seed=seed,
+        checks=[{"name": n, "ok": ok, "detail": d} for n, ok, d in checks],
+        ok=all_ok,
+    )
     return 0 if all_ok else 1
 
 
@@ -752,11 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--step", type=float, help="scan grid step for --compare")
     p.add_argument("--tol", type=float, help="containment tolerance for --compare")
-    p.add_argument("--out-csv", dest="out_csv", help="write the CSV here")
-    p.add_argument("--out-json", dest="out_json", help="write the JSON report here")
-    p.add_argument(
-        "--plot-script", dest="plot_script", help="write a gnuplot script here"
-    )
+    _add_dataset_outputs(p)
     p.set_defaults(handler=_cmd_region_project)
 
     scan = sub.add_parser("scan", help="produce sweep datasets")
@@ -767,11 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, help="grid step (default 0.01)")
     p.add_argument("--max-iter", dest="max_iter", type=int, help="section-return budget")
     p.add_argument("--tol", type=float, help="state-match tolerance (default 1e-9)")
-    p.add_argument("--out-csv", dest="out_csv", help="write the CSV dataset here")
-    p.add_argument("--out-json", dest="out_json", help="write the JSON dataset here")
-    p.add_argument(
-        "--plot-script", dest="plot_script", help="write a gnuplot script here"
-    )
+    _add_dataset_outputs(p)
     p.set_defaults(handler=_cmd_scan_phases)
 
     p = scan_sub.add_parser("params", help="map family existence over (eps, tau)")
@@ -793,11 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="Monte Carlo budget per cell",
     )
     p.add_argument("--seed", type=int, help="root seed (default 0)")
-    p.add_argument("--out-csv", dest="out_csv", help="write the CSV dataset here")
-    p.add_argument("--out-json", dest="out_json", help="write the JSON dataset here")
-    p.add_argument(
-        "--plot-script", dest="plot_script", help="write a gnuplot script here"
-    )
+    _add_dataset_outputs(p)
     p.set_defaults(handler=_cmd_scan_params)
 
     p = sub.add_parser("verify", help="run the oracle suite and report pass/fail")

@@ -35,6 +35,10 @@ Record = Literal["events", "receptions", None]
 #: with couplings strong enough to re-fire an oscillator from phase 0).
 _MAX_CASCADE_ROUNDS = 64
 
+#: Safety cap on the events of one section return; a return that needs
+#: more raises HorizonExceededError.
+_MAX_SECTION_EVENTS = 1_000_000
+
 
 class StateError(ValueError):
     """A network state violates one of its structural invariants."""
@@ -297,7 +301,6 @@ class Engine:
         self,
         k: int | None = None,
         max_time: float = 100.0,
-        max_steps: int = 1_000_000,
         *,
         record: Record = "events",
     ) -> tuple[NetworkState, float, list]:
@@ -313,15 +316,15 @@ class Engine:
         through this same entry point.
         """
         k = self.params.n - 1 if k is None else k
-        return self._section_return(k, max_time, max_steps, record)
+        return self._section_return(k, max_time, record)
 
     def _section_return(
-        self, k: int, max_time: float, max_steps: int, record: Record
+        self, k: int, max_time: float, record: Record
     ) -> tuple[NetworkState, float, list]:
         """run_until_section with k resolved; subclasses replace it."""
         start = self.clock
         out: list = []
-        for _ in range(max_steps):
+        for _ in range(_MAX_SECTION_EVENTS):
             t_star = self.next_event_time()
             if t_star - start > max_time:
                 raise HorizonExceededError(
@@ -331,7 +334,8 @@ class Engine:
             if self._advance(t_star, record, out, k):
                 return self.state(), self.clock - start, out
         raise HorizonExceededError(
-            f"oscillator {k + 1} did not fire within {max_steps} events" + self._where()
+            f"oscillator {k + 1} did not fire within {_MAX_SECTION_EVENTS} events"
+            + self._where()
         )
 
     def simulate(self, horizon: float) -> list[TraceEvent]:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import (
+    _MAX_SECTION_EVENTS,
     COINCIDENCE_TOL,
     Engine,
     EngineStallError,
@@ -58,9 +59,9 @@ class LockstepEngine(Engine):
     per step with Engine._advance's float operations, in the same order,
     so every row ends bit for bit where the scalar run ends.  A row whose
     return leaves that common path -- a same-timestamp cascade, a
-    timestamp with no event, the max_time horizon or the max_steps budget
-    -- is replayed from its start on a scalar Engine, which handles it or
-    raises exactly as for a single network.
+    timestamp with no event, the max_time horizon or the
+    _MAX_SECTION_EVENTS budget -- is replayed from its start on a scalar
+    Engine, which handles it or raises exactly as for a single network.
 
     It is an Engine so that run_until_section stays the one entry point of
     a section return, batched or not (perfbench/tracer.py counts engine
@@ -82,9 +83,7 @@ class LockstepEngine(Engine):
         """Keep only the rows the boolean mask selects, in order."""
         self.phases, self.ftds, self.senders = self.phases[rows], self.ftds[rows], self.senders[rows]
 
-    def _section_return(
-        self, k: int, max_time: float, max_steps: int, record: Record
-    ) -> LockstepReturns:
+    def _section_return(self, k: int, max_time: float, record: Record) -> LockstepReturns:
         params = self.params
         n, tau = params.n, params.tau
         if k != n - 1 or record != "receptions":
@@ -120,7 +119,7 @@ class LockstepEngine(Engine):
         # and which of their oscillators fired.
         log = [(live[:0], clock[:0], np.zeros((0, n), dtype=np.intp), np.zeros((0, n), bool))]
 
-        for _ in range(max_steps):
+        for _ in range(_MAX_SECTION_EVENTS):
             if not live.size:
                 break
             t_fire = (clock + 1.0) - theta.max(axis=1)
@@ -201,7 +200,7 @@ class LockstepEngine(Engine):
         for row in sorted(replay):
             eng = Engine(params, _decode(phases[row], ftds[row], senders[row]))
             try:
-                ended[row], end_clock[row], got = eng._section_return(k, max_time, max_steps, record)
+                ended[row], end_clock[row], got = eng._section_return(k, max_time, record)
             except (EngineStallError, HorizonExceededError) as exc:
                 errors[row] = exc  # the caller raises it, in its own order
                 continue

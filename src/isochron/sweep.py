@@ -293,6 +293,8 @@ def param_scan(
     tau_values = tuple(float(v) for v in tau_values)
     if len(eps_values) < 2 or len(tau_values) < 2:
         raise DomainError("parameter grid needs at least 2 values per axis")
+    if volume_method not in ("exact", "montecarlo"):
+        raise DomainError(f"unknown volume method {volume_method!r}")
     cells = [(e, t) for e in eps_values for t in tau_values]
     cell_seeds = np.random.SeedSequence(seed).generate_state(len(cells))
     tasks = [

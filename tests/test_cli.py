@@ -646,3 +646,76 @@ class TestInterrupt:
         lines = out.read_text().splitlines()
         assert lines[0] == f"# isochron {__version__}"
         assert lines[-2:] == [f"# timestamp: {TS}", FAILED_MARKER]
+
+
+#: Every file-writing command: its argv, the computation an interrupt is
+#: raised from, and each of its output flags with a file name.
+WRITERS = {
+    "simulate": (["simulate", "--center", "ir4"], "init_engine",
+                 {"--out-text": "trace.txt", "--out-jsonl": "trace.jsonl"}),
+    "poincare": (["poincare", "--center", "ir4"], "detect_periodicity",
+                 {"--out": "report.json"}),
+    "region-volume": (["region", "volume", "--samples", "100"], "region_volume",
+                      {"--out": "volume.json"}),
+    "region-sample": (["region", "sample", "--samples", "5"], "sample_interior",
+                      {"--out": "points.csv"}),
+    "region-project": (["region", "project", "--samples", "5"], "sample_interior",
+                       {"--out-csv": "project.csv", "--plot-script": "project.gp"}),
+    "region-project-compare": (
+        ["region", "project", "--compare", "--samples", "5", "--step", "0.5"],
+        "projection_compare",
+        {"--out-csv": "project.csv", "--out-json": "project.json",
+         "--plot-script": "project.gp"},
+    ),
+    "scan-phases": (["scan", "phases", "--step", "0.5"], "phase_scan",
+                    {"--out-csv": "phases.csv", "--out-json": "phases.json",
+                     "--plot-script": "phases.gp"}),
+    "scan-params": (["scan", "params", "--grid", "2x2"], "param_scan",
+                    {"--out-csv": "params.csv", "--out-json": "params.json",
+                     "--plot-script": "params.gp"}),
+    "verify": (["verify", "--samples", "3"], "region_exists", {"--out": "verify.json"}),
+}
+
+
+class TestOutputPath:
+    """Every output a command is asked for is written, or on interrupt left
+    as its header plus the FAILED marker; an output the command would drop
+    is refused before it computes."""
+
+    @pytest.mark.parametrize("interrupted", [False, True], ids=["run", "interrupt"])
+    @pytest.mark.parametrize("case", sorted(WRITERS))
+    def test_every_requested_file(self, capsys, tmp_path, monkeypatch, case, interrupted):
+        argv, computation, outputs = WRITERS[case]
+        for flag, name in outputs.items():
+            argv = [*argv, flag, str(tmp_path / name)]
+        if interrupted:
+
+            def boom(*args, **kwargs):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(cli, computation, boom)
+        assert main([*argv, "--timestamp", TS]) == (130 if interrupted else 0)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(outputs.values())
+        for name in outputs.values():
+            lines = (tmp_path / name).read_text().splitlines()
+            if interrupted:
+                assert lines[0] == f"# isochron {__version__}"
+                assert lines[-2:] == [f"# timestamp: {TS}", FAILED_MARKER]
+            else:
+                assert lines and FAILED_MARKER not in lines
+
+    @pytest.mark.parametrize(
+        "argv, needs",
+        [
+            (["scan", "phases", "--step", "0.5", "--plot-script"], "--out-csv"),
+            (["scan", "params", "--grid", "2x2", "--plot-script"], "--out-csv"),
+            (["region", "project", "--samples", "5", "--plot-script"], "--out-csv"),
+            (["region", "project", "--samples", "5", "--out-json"], "--compare"),
+        ],
+        ids=["scan-phases-plot", "scan-params-plot", "region-project-plot",
+             "region-project-json"],
+    )
+    def test_dropped_output_rejected(self, capsys, tmp_path, argv, needs):
+        assert main([*argv, str(tmp_path / "out")]) == 2
+        assert f"needs {needs}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -428,15 +428,6 @@ class TestRowEncoding:
         assert [_decode(phases[r], ftds[r], senders[r]) for r in range(2)] == states
 
 
-def exported_state(got, r, n):
-    """Row r of a LockstepReturns as a NetworkState."""
-    rows = [[] for _ in range(n)]
-    for i, x in zip(got.senders[r].tolist(), got.ftds[r].tolist()):
-        if i < n:
-            rows[i].append(x)
-    return NetworkState(tuple(got.phases[r].tolist()), tuple(map(tuple, rows)))
-
-
 class TestLockstepEngine:
     """A LockstepEngine's section return is run_until_section(record=
     "receptions") of each row's own engine, and it restarts each row from
@@ -458,7 +449,7 @@ class TestLockstepEngine:
             finally:
                 events += eng.events_processed
             assert r not in got.errors
-            assert repr(exported_state(got, r, params.n)) == repr(state)
+            assert repr(_decode(got.phases[r], got.ftds[r], got.senders[r])) == repr(state)
             assert repr(got.elapsed[r].item()) == repr(elapsed)
             lo, hi = got.bounds[r], got.bounds[r + 1]
             assert list(
@@ -486,7 +477,7 @@ class TestLockstepEngine:
         keep[ok] = True
         lockstep.keep(keep)
         again = lockstep.run_until_section(record="receptions")
-        starts = [exported_state(got, r, params.n) for r in ok]
+        starts = [_decode(got.phases[r], got.ftds[r], got.senders[r]) for r in ok]
         _, more = self.assert_rows_match(params, starts, again)
         assert lockstep.events_processed == events + more
 

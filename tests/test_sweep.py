@@ -297,6 +297,12 @@ class TestParamScan:
         with pytest.raises(DomainError):
             param_scan(eps_values, tau_values)
 
+    def test_rejects_unknown_volume_method(self):
+        # No cell reads the method without volume kinds, so only an up-front
+        # check can keep it out of the dataset's config.
+        with pytest.raises(DomainError, match="unknown volume method 'foo'"):
+            param_scan((0.4, 0.6), (0.4, 0.6), volume_method="foo")
+
     def test_config_dict_round_trips_through_json(self):
         config = param_grid_scan().config_dict()
         assert config["command"] == "param_scan"
