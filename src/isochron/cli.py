@@ -35,14 +35,13 @@ from .engine import (
 from .model import DomainError, ModelParams, jump
 from .poincare import (
     detect_periodicity,
-    poincare_map,
+    poincare_map,  # noqa: F401  (bound here for perfbench/tracer.py)
     pulse_signature,
-    state_distance,
 )
 from .regions import (
     KINDS,
-    g_algebra,
-    g_map,
+    g_algebra_deviation,
+    intertwining_distances,
     membership,
     region_center,
     region_exists,
@@ -150,12 +149,20 @@ class _Run:
 
         Call it after the command's other options and before it computes:
         the header is built once, from the options resolved so far.  A plot
-        script plots the CSV, so one without --out-csv is rejected.
+        script plots the CSV, so one without --out-csv is rejected, and so
+        are two options naming one file, which would overwrite each other.
         Returns the header, then each path (None where not given).
         """
         paths = {name: self.get(name) for name in names}
         if paths.get("plot_script") is not None and paths.get("out_csv") is None:
             raise DomainError("--plot-script needs --out-csv, the CSV it plots")
+        seen: dict[str, str] = {}
+        for name, path in paths.items():
+            if path is not None:
+                flag = "--" + name.replace("_", "-")
+                other = seen.setdefault(os.path.realpath(path), flag)
+                if other != flag:
+                    raise DomainError(f"{other} and {flag} name the same file {path}")
         header = dataset_header(self.config, seed=seed, timestamp=self.timestamp)
         for path in paths.values():
             if path is not None:
@@ -544,67 +551,16 @@ def _cmd_scan_params(run: _Run) -> int:
 # -- verify -----------------------------------------------------------------------
 
 
-def _check_intertwining(params: ModelParams, n: int, seed: int, tol: float):
-    sigmas = sample_interior(params, "IR4", n, seed=seed)
-    worst = 0.0
-    for row in sigmas:
-        sigma = tuple(float(v) for v in row)
-        landed, _ = poincare_map(params, s_embed(params, "IR4", sigma))
-        target = s_embed(params, "IR4", g_map(sigma, params.tau))
-        worst = max(worst, state_distance(landed, target))
-    return worst <= tol, f"max deviation {_fmt(worst)} over {n} samples (tol {_fmt(tol)})"
-
-
-def _check_g_algebra(params: ModelParams, n: int, seed: int):
-    tau = params.tau
-    rng = np.random.default_rng(seed)
-    points = rng.uniform(0.0, tau, size=(n, 3))
-    worst = 0.0
-    for row in points:
-        sigma = tuple(float(v) for v in row)
-        cur = sigma
-        for _ in range(4):
-            cur = g_map(cur, tau)
-        worst = max(worst, max(abs(a - b) for a, b in zip(cur, sigma)))
-    algebra = g_algebra(tau)
-    center = algebra.center
-    worst = max(worst, max(abs(a - b) for a, b in zip(g_map(center, tau), center)))
-    for t in np.linspace(-tau / 8, tau / 8, 25):
-        point = tuple(c + float(t) * d for c, d in zip(center, algebra.line_direction))
-        twice = g_map(g_map(point, tau), tau)
-        worst = max(worst, max(abs(a - b) for a, b in zip(twice, point)))
-    return worst <= 1e-12, f"max deviation {_fmt(worst)} over {n} samples (tol 1e-12)"
-
-
-def _check_stability(params: ModelParams, n: int, seed: int):
-    report = stability_probe(
-        params, region_center("IR4", params.tau), n_trials=n, seed=seed
-    )
-    detail = (
-        f"{report.n_run} trials converged (max distance {_fmt(report.max_distance)}, "
-        f"{report.n_refused} refused)"
-    )
-    return report.ok, detail
-
-
-def _check_oracle(params: ModelParams, kind: str, n: int, seed: int):
-    report = region_oracle(params, kind, n_samples=n, seed=seed)
-    counts = ", ".join(
-        f"{k}: {v}" for k, v in sorted(report.poincare_period_counts.items())
-    )
-    detail = f"section periods {{{counts}}}, {len(report.failures)} failures"
-    if report.pair_synchronized is not None:
-        detail += f", locked pair {'kept' if report.pair_synchronized else 'broken'}"
-    return report.ok, detail
-
-
 def _cmd_verify(run: _Run) -> int:
     suite = run.get("suite", "ir4")
     params = run.params()
     n = run.get("samples", 1000, int)
+    if n < 1:
+        raise DomainError(f"--samples must be at least 1, got {n}")
     seed = run.get("seed", 0, int)
     tol = run.get("tol", 1e-9, float)
     _, out = run.outputs("out", seed=seed)
+    tau = params.tau
 
     kinds = KINDS if suite == "all" else (_parse_kind(suite),)
     checks: list[tuple[str, bool, str]] = []
@@ -620,14 +576,25 @@ def _cmd_verify(run: _Run) -> int:
         if not exists:
             continue
         if kind == "IR4":
-            ok, detail = _check_intertwining(params, n, seed, tol)
-            checks.append(("intertwining", ok, detail))
-            ok, detail = _check_g_algebra(params, max(n, 1000), seed)
-            checks.append(("return-map-algebra", ok, detail))
-            ok, detail = _check_stability(params, min(n, 100), seed)
-            checks.append(("stability", ok, detail))
-        ok, detail = _check_oracle(params, kind, min(n, 100), seed)
-        checks.append((f"{kind.lower()}-oracle", ok, detail))
+            sigmas = sample_interior(params, "IR4", n, seed=seed)
+            worst = max(intertwining_distances(params, sigmas))
+            detail = f"max deviation {_fmt(worst)} over {n} samples (tol {_fmt(tol)})"
+            checks.append(("intertwining", worst <= tol, detail))
+            points = np.random.default_rng(seed).uniform(0.0, tau, size=(max(n, 1000), 3))
+            worst = g_algebra_deviation(tau, points, np.linspace(-tau / 8, tau / 8, 25))
+            detail = f"max deviation {_fmt(worst)} over {len(points)} samples (tol 1e-12)"
+            checks.append(("return-map-algebra", worst <= 1e-12, detail))
+            probe = stability_probe(
+                params, region_center("IR4", tau), n_trials=min(n, 100), seed=seed
+            )
+            detail = f"max distance {_fmt(probe.max_distance)}, {probe.n_refused} refused"
+            checks.append(("stability", probe.ok, f"{probe.n_run} trials converged ({detail})"))
+        oracle = region_oracle(params, kind, n_samples=min(n, 100), seed=seed)
+        counts = ", ".join(f"{k}: {v}" for k, v in sorted(oracle.poincare_period_counts.items()))
+        detail = f"section periods {{{counts}}}, {len(oracle.failures)} failures"
+        if oracle.pair_synchronized is not None:
+            detail += f", locked pair {'kept' if oracle.pair_synchronized else 'broken'}"
+        checks.append((f"{kind.lower()}-oracle", oracle.ok, detail))
 
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")

@@ -39,9 +39,10 @@ from .poincare import (
     PeriodicityResult,
     detect_periodicity,
     detect_periodicity_many,
-    poincare_map,  # unused here; bound so perfbench/tracer.py can wrap it
+    poincare_map,
     pulse_equivalent,
     pulse_signature,
+    state_distance,
 )
 
 _MC_SHARD = 100_000
@@ -389,6 +390,45 @@ def cycle_state(params: ModelParams, kind: str, sigma) -> NetworkState:
         return state
     theta = _jump1(params, state.phases[0])
     return network_state(phases=(theta, theta, 0.0), ftds=state.ftds)
+
+
+# -- checks of the period-4 self-map -------------------------------------------
+
+
+def intertwining_distances(params: ModelParams, sigmas, starts=None) -> list[float]:
+    """For each period-4 point sigma, the state_distance between one
+    simulated section return from starts[i] (default: the canonical state
+    of sigma) and the canonical state of g(sigma).  The section map
+    intertwines g exactly when every distance is at rounding level."""
+    distances = []
+    for i, row in enumerate(sigmas):
+        sigma = tuple(float(v) for v in row)
+        start = s_embed(params, "IR4", sigma) if starts is None else starts[i]
+        landed, _ = poincare_map(params, start)
+        target = s_embed(params, "IR4", g_map(sigma, params.tau))
+        distances.append(state_distance(landed, target))
+    return distances
+
+
+def g_algebra_deviation(tau: float, points, line_offsets) -> float:
+    """Worst error of three identities of g at tau: g^4 fixes every row of
+    points, g fixes the center, and g^2 fixes center + t * line_direction
+    for every t in line_offsets.  g acts on coordinate columns, so each
+    identity is one pass over arrays."""
+    algebra = g_algebra(tau)
+    t = np.asarray(line_offsets, dtype=float)
+    line = tuple(c + t * d for c, d in zip(algebra.center, algebra.line_direction))
+    worst = 0.0
+    for power, cols in (
+        (4, tuple(np.asarray(points, dtype=float).T)),
+        (1, algebra.center),
+        (2, line),
+    ):
+        cur = cols
+        for _ in range(power):
+            cur = g_map(cur, tau)
+        worst = max(worst, float(np.max(np.abs(np.subtract(cur, cols)), initial=0.0)))
+    return worst
 
 
 # -- sampling ------------------------------------------------------------------

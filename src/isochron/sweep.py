@@ -33,15 +33,15 @@ from .poincare import (
     detect_periodicity,
     detect_periodicity_many,
     phase_projection,
-    poincare_map,
+    poincare_map,  # noqa: F401  (bound here for perfbench/tracer.py)
     pulse_equivalent,
     pulse_signature,
-    state_distance,
     states_match,
 )
 from .regions import (
     KINDS,
     g_map,
+    intertwining_distances,
     ir4_projection_contains,
     membership,
     membership_margin,
@@ -524,17 +524,6 @@ class StabilityReport(Record):
         return self.n_run > 0 and not self.failures
 
 
-def _perturbed_state(
-    params: ModelParams, sigma: tuple[float, float, float], dtheta
-) -> NetworkState:
-    """The canonical period-4 state of sigma with its free phases nudged."""
-    state = s_embed(params, "IR4", sigma)
-    theta1, theta2, theta3 = state.phases
-    return network_state(
-        phases=(theta1 + dtheta[0], theta2 + dtheta[1], theta3), ftds=state.ftds
-    )
-
-
 def stability_probe(
     params: ModelParams,
     sigma: tuple[float, float, float],
@@ -557,10 +546,8 @@ def stability_probe(
             f"sigma {sigma} is not interior to the period-4 family"
         )
     rng = np.random.default_rng(seed)
-    failures: list[StabilityFailure] = []
-    n_run = 0
+    trials = []  # (moved, dtheta, dsigma, start) of every trial that runs
     n_refused = 0
-    max_distance = 0.0
     for _ in range(n_trials):
         dtheta = tuple(rng.uniform(-dtheta_max, dtheta_max, size=2))
         dsigma = tuple(rng.uniform(-dsigma_max, dsigma_max, size=3))
@@ -572,15 +559,17 @@ def stability_probe(
         ):
             n_refused += 1
             continue
-        n_run += 1
-        start = _perturbed_state(params, moved, dtheta)
-        landed, _ = poincare_map(params, start)
-        target = s_embed(params, "IR4", g_map(moved, params.tau))
-        distance = state_distance(landed, target)
-        max_distance = max(max_distance, distance)
+        # The canonical state of moved with its free phases nudged.
+        state = s_embed(params, "IR4", moved)
+        phases = (state.phases[0] + dtheta[0], state.phases[1] + dtheta[1], state.phases[2])
+        trials.append((moved, dtheta, dsigma, network_state(phases=phases, ftds=state.ftds)))
+    distances = intertwining_distances(
+        params, [t[0] for t in trials], starts=[t[3] for t in trials]
+    )
+    failures = []
+    for (moved, dtheta, dsigma, start), distance in zip(trials, distances):
         if distance > tol:
-            engine = init_engine(params, start)
-            _, _, events = engine.run_until_section()
+            _, _, events = init_engine(params, start).run_until_section()
             failures.append(
                 StabilityFailure(
                     sigma_perturbed=moved,
@@ -598,9 +587,9 @@ def stability_probe(
         n_trials=n_trials,
         seed=seed,
         tol=tol,
-        n_run=n_run,
+        n_run=len(trials),
         n_refused=n_refused,
-        max_distance=max_distance,
+        max_distance=max(distances, default=0.0),
         failures=tuple(failures),
     )
 

@@ -579,6 +579,12 @@ class TestVerify:
         assert len(payload["checks"]) == 9
         assert all(c["ok"] for c in payload["checks"])
 
+    def test_zero_samples_rejected_before_any_output(self, capsys, tmp_path):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--samples", "0", "--out", str(out)]) == 2
+        assert "--samples must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_region_fails_with_exit_1(self, capsys):
         assert main(["verify", "--tau", "0.10", "--samples", "3"]) == 1
         out = capsys.readouterr().out
@@ -705,17 +711,23 @@ class TestOutputPath:
                 assert lines and FAILED_MARKER not in lines
 
     @pytest.mark.parametrize(
-        "argv, needs",
+        "argv, error",
         [
-            (["scan", "phases", "--step", "0.5", "--plot-script"], "--out-csv"),
-            (["scan", "params", "--grid", "2x2", "--plot-script"], "--out-csv"),
-            (["region", "project", "--samples", "5", "--plot-script"], "--out-csv"),
-            (["region", "project", "--samples", "5", "--out-json"], "--compare"),
+            (["scan", "phases", "--step", "0.5", "--plot-script"], "needs --out-csv"),
+            (["scan", "params", "--grid", "2x2", "--plot-script"], "needs --out-csv"),
+            (["region", "project", "--samples", "5", "--plot-script"], "needs --out-csv"),
+            (["region", "project", "--samples", "5", "--out-json"], "needs --compare"),
+            (["scan", "phases", "--step", "0.5", "--out-csv", "SAME", "--out-json"],
+             "--out-csv and --out-json name the same file"),
+            (["scan", "params", "--grid", "2x2", "--out-csv", "SAME", "--plot-script"],
+             "--out-csv and --plot-script name the same file"),
         ],
         ids=["scan-phases-plot", "scan-params-plot", "region-project-plot",
-             "region-project-json"],
+             "region-project-json", "scan-phases-same-path", "scan-params-same-script"],
     )
-    def test_dropped_output_rejected(self, capsys, tmp_path, argv, needs):
+    def test_dropped_output_rejected(self, capsys, tmp_path, argv, error):
+        # "SAME" stands for a second spelling of the output path given last.
+        argv = [f"{tmp_path}/./out" if a == "SAME" else a for a in argv]
         assert main([*argv, str(tmp_path / "out")]) == 2
-        assert f"needs {needs}" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []

@@ -476,6 +476,35 @@ class TestIntertwining:
         assert total == pytest.approx(3 * P.tau, abs=1e-12)
 
 
+class TestSharedChecks:
+    """The intertwining and g-algebra checks that verify and the acceptance
+    tests share report failures, not only passes."""
+
+    def test_intertwining_reports_starts_of_other_points(self):
+        sigmas = sample_interior(P, "IR4", 20, seed=29)
+        canonical = [s_embed(P, "IR4", tuple(float(v) for v in row)) for row in sigmas]
+        distances = regions.intertwining_distances(P, sigmas)
+        assert distances == regions.intertwining_distances(P, sigmas, starts=canonical)
+        assert max(distances) <= 1e-12
+        assert min(regions.intertwining_distances(P, sigmas, starts=canonical[::-1])) > 1e-9
+
+    @pytest.mark.parametrize(
+        "perturb",
+        [lambda v: v + 1e-9, lambda v: v * (1.0 + 1e-9)],
+        ids=["shifted", "scaled"],
+    )
+    def test_g_algebra_deviation_sees_a_perturbed_map(self, monkeypatch, perturb):
+        tau = P.tau
+        points = np.random.default_rng(3).uniform(0.0, tau, size=(100, 3))
+        offsets = np.linspace(-tau / 8, tau / 8, 25)
+        assert regions.g_algebra_deviation(tau, points, offsets) <= 1e-12
+        exact = regions.g_map
+        monkeypatch.setattr(
+            regions, "g_map", lambda sigma, tau: tuple(perturb(v) for v in exact(sigma, tau))
+        )
+        assert regions.g_algebra_deviation(tau, points, offsets) > 1e-12
+
+
 class TestSampling:
     @pytest.mark.parametrize("kind", ["IR3", "IR4", "IR5"])
     def test_samples_are_interior(self, kind):

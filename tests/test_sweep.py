@@ -394,6 +394,22 @@ class TestStabilityProbe:
             assert failure.trace == format_trace_text(events)
             assert failure.trace.splitlines()[-1].startswith("F 3 t=")
 
+    def test_failures_pair_each_trial_with_its_distance(self, monkeypatch):
+        # Distances 0, 1, 2, ... in trial order: at tol 0.5 every trial but
+        # the first fails, each with its own distance and perturbed point.
+        ran = []
+
+        def numbered(params, sigmas, starts):
+            ran.extend(sigmas)
+            return [float(i) for i in range(len(sigmas))]
+
+        monkeypatch.setattr(sweep, "intertwining_distances", numbered)
+        report = stability_probe(P, region_center("IR4", P.tau), n_trials=5, seed=2, tol=0.5)
+        assert report.n_run == len(ran) == 5
+        assert [f.distance for f in report.failures] == [1.0, 2.0, 3.0, 4.0]
+        assert [f.sigma_perturbed for f in report.failures] == ran[1:]
+        assert report.max_distance == 4.0
+
     def test_rejects_non_interior_base_point(self):
         tau = P.tau
         with pytest.raises(DomainError):

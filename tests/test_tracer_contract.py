@@ -10,6 +10,7 @@ from pathlib import Path
 import isochron.cli
 import isochron.poincare
 import isochron.regions
+import isochron.sweep
 from isochron import ModelParams, eq_init_state, region_spec
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -26,6 +27,8 @@ def test_tracer_installs_and_uninstalls():
     watched = [
         (isochron.regions, "detect_periodicity"),
         (isochron.regions, "poincare_map"),
+        (isochron.cli, "poincare_map"),
+        (isochron.sweep, "poincare_map"),
         (isochron.regions, "region_volume"),
         (isochron.cli, "pulse_signature"),
         (isochron.cli, "main"),
