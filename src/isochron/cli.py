@@ -133,6 +133,12 @@ class _Run:
         self.resolved["threads"] = value
         return value
 
+    def seed(self) -> int:
+        value = self.get("seed", 0, int)
+        if value < 0:
+            raise DomainError(f"--seed must be non-negative, got {value}")
+        return value
+
     @cached_property
     def timestamp(self) -> str:
         """The headers' wall-clock stamp, read once so every file of the
@@ -384,7 +390,7 @@ def _cmd_region_volume(run: _Run) -> int:
     if method not in ("exact", "montecarlo", "both"):
         raise DomainError(f"unknown volume method {method!r}")
     samples = run.get("samples", 1_000_000, int)
-    seed = run.get("seed", 0, int)
+    seed = run.seed()
     threads = run.threads()
     _, out = run.outputs("out", seed=seed)
     spec = region_spec(params, kind)
@@ -417,7 +423,7 @@ def _cmd_region_sample(run: _Run) -> int:
     kind = _parse_kind(run.get("kind", "ir4"))
     params = run.params()
     n = run.get("samples", 100, int)
-    seed = run.get("seed", 0, int)
+    seed = run.seed()
     header, out = run.outputs("out", seed=seed)
     spec = region_spec(params, kind)
 
@@ -432,7 +438,7 @@ def _cmd_region_sample(run: _Run) -> int:
 def _cmd_region_project(run: _Run) -> int:
     params = run.params()
     n = run.get("samples", 1000, int)
-    seed = run.get("seed", 0, int)
+    seed = run.seed()
     compare = bool(run.get("compare", False))
     step = run.get("step", 0.05, float)
     tol = run.get("tol", 1e-6, float)
@@ -515,7 +521,7 @@ def _cmd_scan_params(run: _Run) -> int:
     )
     volume_method = run.get("volume_method", "exact")
     volume_samples = run.get("volume_samples", 100_000, int)
-    seed = run.get("seed", 0, int)
+    seed = run.seed()
     threads = run.threads()
     _, out_csv, out_json, plot_script = run.outputs(
         "out_csv", "out_json", "plot_script", seed=seed
@@ -557,7 +563,7 @@ def _cmd_verify(run: _Run) -> int:
     n = run.get("samples", 1000, int)
     if n < 1:
         raise DomainError(f"--samples must be at least 1, got {n}")
-    seed = run.get("seed", 0, int)
+    seed = run.seed()
     tol = run.get("tol", 1e-9, float)
     _, out = run.outputs("out", seed=seed)
     tau = params.tau

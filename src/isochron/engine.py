@@ -35,9 +35,10 @@ Record = Literal["events", "receptions", None]
 #: with couplings strong enough to re-fire an oscillator from phase 0).
 _MAX_CASCADE_ROUNDS = 64
 
-#: Safety cap on the events of one section return; a return that needs
-#: more raises HorizonExceededError.
+#: Safety caps on one section return, in events and in time units; a
+#: return that needs more raises HorizonExceededError.
 _MAX_SECTION_EVENTS = 1_000_000
+_MAX_SECTION_TIME = 100.0
 
 
 class StateError(ValueError):
@@ -45,7 +46,7 @@ class StateError(ValueError):
 
 
 class HorizonExceededError(RuntimeError):
-    """No section crossing happened within the configured time bound."""
+    """No section crossing happened within _MAX_SECTION_TIME or _MAX_SECTION_EVENTS."""
 
 
 class EngineStallError(RuntimeError):
@@ -98,10 +99,9 @@ def validate_state(params: ModelParams, state: NetworkState) -> None:
             raise StateError(f"FTDs of oscillator {i + 1} not ascending: {row}")
 
 
-def is_section_state(state: NetworkState, k: int | None = None) -> bool:
-    """True if oscillator k (default: the last) just fired: phase 0, FTD 0."""
-    k = state.n - 1 if k is None else k
-    return state.phases[k] == 0.0 and any(s == 0.0 for s in state.ftds[k])
+def is_section_state(state: NetworkState) -> bool:
+    """True if the last oscillator just fired: phase 0, FTD 0."""
+    return state.phases[-1] == 0.0 and 0.0 in state.ftds[-1]
 
 
 @dataclass(frozen=True)
@@ -119,15 +119,6 @@ class TraceEvent:
     time: float
     participants: tuple[int, ...]
     multiplicity: int | None = None
-
-
-@dataclass(frozen=True)
-class PendingPulse:
-    """A pulse in flight: emitted by ``sender`` (one per firing), reaching
-    all others at ``deliver_at``."""
-
-    deliver_at: float
-    sender: int
 
 
 def format_trace_text(events: Iterable[TraceEvent]) -> str:
@@ -179,10 +170,6 @@ class Engine:
 
     # -- inspection ---------------------------------------------------------
 
-    def pending_pulses(self) -> list[PendingPulse]:
-        """Pulses in flight, ordered by (deliver_at, sender)."""
-        return [PendingPulse(deliver_at=t, sender=s) for t, s in sorted(self._heap)]
-
     def next_event_time(self) -> float:
         """Absolute time of the next event (pulse delivery or flow fire)."""
         t_fire = self.clock + 1.0 - max(self.theta)
@@ -216,7 +203,7 @@ class Engine:
 
     # -- dynamics -----------------------------------------------------------
 
-    def _advance(self, t_star: float, record: Record, out: list, k: int) -> bool:
+    def _advance(self, t_star: float, record: Record, out: list) -> bool:
         """Move the clock to t_star and process that timestamp completely.
 
         Each cascade round delivers every pulse due now (within tolerance),
@@ -227,7 +214,7 @@ class Engine:
         ("events"), (recipient, multiplicity, time) per reception
         ("receptions", in recipient order within a round), or nothing
         (None).  ``events_processed`` counts the same events in every mode.
-        Returns whether oscillator k fired.
+        Returns whether the last oscillator fired.
         """
         params = self.params
         n = params.n
@@ -242,7 +229,7 @@ class Engine:
         due = t_star + COINCIDENCE_TOL
         at_threshold = 1.0 - COINCIDENCE_TOL
         count = 0
-        k_fired = False
+        last_fired = False
         for _ in range(_MAX_CASCADE_ROUNDS):
             if heap and heap[0][0] <= due:
                 sent = [0] * n
@@ -275,8 +262,8 @@ class Engine:
                     theta[i] = 0.0
                     heapq.heappush(heap, (t_star + params.tau, i))
                     count += 1
-                    if i == k:
-                        k_fired = True
+                    if i == n - 1:
+                        last_fired = True
 
             if not (heap and heap[0][0] <= due):
                 break
@@ -289,52 +276,45 @@ class Engine:
         if not count:
             raise EngineStallError(f"no event constructed at t={t_star}" + self._where())
         self.events_processed += count
-        return k_fired
+        return last_fired
 
     def step(self) -> list[TraceEvent]:
         """Advance to the next timestamp, process it fully, return its events."""
         events: list[TraceEvent] = []
-        self._advance(self.next_event_time(), "events", events, -1)
+        self._advance(self.next_event_time(), "events", events)
         return events
 
-    def run_until_section(
-        self,
-        k: int | None = None,
-        max_time: float = 100.0,
-        *,
-        record: Record = "events",
-    ) -> tuple[NetworkState, float, list]:
-        """Advance until oscillator k fires (default: the last oscillator).
+    def run_until_section(self, *, record: Record = "events") -> tuple[NetworkState, float, list]:
+        """Advance until the last oscillator fires.
 
         Returns (canonical state at the crossing, elapsed time, record).
         The record is the run's TraceEvents by default, its receptions as
         (recipient, multiplicity, time) tuples for ``record="receptions"``,
         and empty for ``record=None``, which builds no trace at all.  The
         crossing timestamp is processed completely before exporting, so
-        the returned state has phase 0 and a 0 FTD entry for oscillator k.
-        A lockstep.LockstepEngine runs a section return of many networks
+        the returned state has phase 0 and a 0 FTD entry for the last
+        oscillator.  A return longer than _MAX_SECTION_TIME time units or
+        _MAX_SECTION_EVENTS events raises HorizonExceededError.  A
+        lockstep.LockstepEngine runs a section return of many networks
         through this same entry point.
         """
-        k = self.params.n - 1 if k is None else k
-        return self._section_return(k, max_time, record)
+        return self._section_return(record)
 
-    def _section_return(
-        self, k: int, max_time: float, record: Record
-    ) -> tuple[NetworkState, float, list]:
-        """run_until_section with k resolved; subclasses replace it."""
+    def _section_return(self, record: Record) -> tuple[NetworkState, float, list]:
+        """run_until_section's body; subclasses replace it."""
         start = self.clock
         out: list = []
         for _ in range(_MAX_SECTION_EVENTS):
             t_star = self.next_event_time()
-            if t_star - start > max_time:
+            if t_star - start > _MAX_SECTION_TIME:
                 raise HorizonExceededError(
-                    f"oscillator {k + 1} did not fire within {max_time} time units"
-                    + self._where()
+                    f"oscillator {self.params.n} did not fire within"
+                    f" {_MAX_SECTION_TIME} time units" + self._where()
                 )
-            if self._advance(t_star, record, out, k):
+            if self._advance(t_star, record, out):
                 return self.state(), self.clock - start, out
         raise HorizonExceededError(
-            f"oscillator {k + 1} did not fire within {_MAX_SECTION_EVENTS} events"
+            f"oscillator {self.params.n} did not fire within {_MAX_SECTION_EVENTS} events"
             + self._where()
         )
 
@@ -351,7 +331,7 @@ class Engine:
             t_star = self.next_event_time()
             if not t_star <= horizon + COINCIDENCE_TOL:
                 return events
-            self._advance(t_star, "events", events, -1)
+            self._advance(t_star, "events", events)
 
 
 def init_engine(params: ModelParams, state: NetworkState) -> Engine:

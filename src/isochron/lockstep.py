@@ -16,6 +16,7 @@ import numpy as np
 
 from .engine import (
     _MAX_SECTION_EVENTS,
+    _MAX_SECTION_TIME,
     COINCIDENCE_TOL,
     Engine,
     EngineStallError,
@@ -59,7 +60,7 @@ class LockstepEngine(Engine):
     per step with Engine._advance's float operations, in the same order,
     so every row ends bit for bit where the scalar run ends.  A row whose
     return leaves that common path -- a same-timestamp cascade, a
-    timestamp with no event, the max_time horizon or the
+    timestamp with no event, the _MAX_SECTION_TIME horizon or the
     _MAX_SECTION_EVENTS budget -- is replayed from its start on a scalar
     Engine, which handles it or raises exactly as for a single network.
 
@@ -83,13 +84,11 @@ class LockstepEngine(Engine):
         """Keep only the rows the boolean mask selects, in order."""
         self.phases, self.ftds, self.senders = self.phases[rows], self.ftds[rows], self.senders[rows]
 
-    def _section_return(self, k: int, max_time: float, record: Record) -> LockstepReturns:
+    def _section_return(self, record: Record) -> LockstepReturns:
         params = self.params
         n, tau = params.n, params.tau
-        if k != n - 1 or record != "receptions":
-            raise ValueError(
-                'a LockstepEngine runs returns of the last oscillator with record="receptions"'
-            )
+        if record != "receptions":
+            raise ValueError('a LockstepEngine runs returns with record="receptions"')
         phases, ftds, senders = self.phases, self.ftds, self.senders
         rows = len(phases)
         at_threshold = 1.0 - COINCIDENCE_TOL
@@ -141,7 +140,7 @@ class LockstepEngine(Engine):
             theta[fire] = 0.0
             fired = fire.any(axis=1)
             # No event at all (n >= 2, so a due pulse always has a receiver).
-            bad = (t_star > max_time) | ~(fired | got.any(axis=1))
+            bad = (t_star > _MAX_SECTION_TIME) | ~(fired | got.any(axis=1))
             log.append((live, t_star, mult, fire))
 
             if fired.any():
@@ -155,7 +154,7 @@ class LockstepEngine(Engine):
                 q_send[:, tail : tail + n] = np.where(fire, oscillators, n)
                 tail += n
 
-            done = fire[:, k] & ~bad
+            done = fire[:, -1] & ~bad
             leave = done | bad
             if leave.any():
                 d = live[done]
@@ -200,7 +199,7 @@ class LockstepEngine(Engine):
         for row in sorted(replay):
             eng = Engine(params, _decode(phases[row], ftds[row], senders[row]))
             try:
-                ended[row], end_clock[row], got = eng._section_return(k, max_time, record)
+                ended[row], end_clock[row], got = eng._section_return(record)
             except (EngineStallError, HorizonExceededError) as exc:
                 errors[row] = exc  # the caller raises it, in its own order
                 continue

@@ -36,28 +36,19 @@ class SectionError(ValueError):
     """A state handed to the section map is not a canonical section state."""
 
 
-def require_section_state(
-    params: ModelParams, state: NetworkState, k: int | None = None
-) -> None:
-    """Raise SectionError unless oscillator k (default: last) just fired."""
+def require_section_state(params: ModelParams, state: NetworkState) -> None:
+    """Raise SectionError unless the last oscillator just fired."""
     validate_state(params, state)
-    if not is_section_state(state, k):
-        kk = state.n if k is None else k + 1
+    if not is_section_state(state):
         raise SectionError(
-            f"expected phase 0 and a zero firing-time distance for oscillator {kk}"
+            f"expected phase 0 and a zero firing-time distance for oscillator {state.n}"
         )
 
 
-def poincare_map(
-    params: ModelParams,
-    state: NetworkState,
-    k: int | None = None,
-    max_time: float = 100.0,
-) -> tuple[NetworkState, float]:
+def poincare_map(params: ModelParams, state: NetworkState) -> tuple[NetworkState, float]:
     """One application of the section map: (next section state, return time)."""
-    require_section_state(params, state, k)
-    eng = Engine(params, state)
-    new_state, elapsed, _ = eng.run_until_section(k=k, max_time=max_time, record=None)
+    require_section_state(params, state)
+    new_state, elapsed, _ = Engine(params, state).run_until_section(record=None)
     return new_state, elapsed
 
 
@@ -192,7 +183,6 @@ def detect_periodicity(
     state: NetworkState,
     max_iter: int = 10_000,
     tol: float = DEFAULT_MATCH_TOL,
-    max_time_per_return: float = 100.0,
 ) -> PeriodicityResult | NotPeriodic:
     """Iterate the section map until a previously seen state recurs.
 
@@ -216,8 +206,7 @@ def detect_periodicity(
 
     new = state
     for i in range(1, max_iter + 1):
-        eng = Engine(params, new)
-        new, elapsed, got = eng.run_until_section(max_time=max_time_per_return, record="receptions")
+        new, elapsed, got = Engine(params, new).run_until_section(record="receptions")
         returns.append(elapsed)
         received.append(got)
 
@@ -238,7 +227,6 @@ def detect_periodicity_many(
     states,
     max_iter: int = 10_000,
     tol: float = DEFAULT_MATCH_TOL,
-    max_time_per_return: float = 100.0,
 ) -> list[PeriodicityResult | NotPeriodic]:
     """detect_periodicity for many starts at once, one result per start.
 
@@ -257,7 +245,7 @@ def detect_periodicity_many(
     _check_budget(max_iter, tol)
     states = list(states)
     if params.tau <= COINCIDENCE_TOL:
-        return [detect_periodicity(params, s, max_iter, tol, max_time_per_return) for s in states]
+        return [detect_periodicity(params, s, max_iter, tol) for s in states]
 
     import numpy as np
 
@@ -303,7 +291,7 @@ def detect_periodicity_many(
     for it in range(1, max_iter + 1):
         if not live.size:
             break
-        out = eng.run_until_section(max_time=max_time_per_return, record="receptions")
+        out = eng.run_until_section(record="receptions")
         logs.append(
             (live.tolist(), out.bounds.tolist(), out.recipients, out.multiplicities, out.times)
         )

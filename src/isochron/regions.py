@@ -37,7 +37,7 @@ from .model import (
 from .poincare import (
     NotPeriodic,
     PeriodicityResult,
-    detect_periodicity,
+    detect_periodicity,  # noqa: F401  (bound here for perfbench/tracer.py)
     detect_periodicity_many,
     poincare_map,
     pulse_equivalent,
@@ -565,19 +565,12 @@ def _volume_exact(spec: RegionSpec) -> VolumeReport:
     from scipy.spatial import QhullError
 
     vertices = _enumerate_vertices(spec)
-    if len(vertices) < spec.dim + 1:
-        return VolumeReport(
-            volume=0.0, stderr=0.0, method="exact",
-            degenerate=True, vertex_count=len(vertices),
-        )
-    try:
-        vol = float(_fan_volume(vertices))
-    except QhullError:
-        # Vertices exist but span no full-dimensional body.
-        return VolumeReport(
-            volume=0.0, stderr=0.0, method="exact",
-            degenerate=True, vertex_count=len(vertices),
-        )
+    vol = 0.0
+    if len(vertices) > spec.dim:
+        try:
+            vol = float(_fan_volume(vertices))
+        except QhullError:
+            pass  # vertices exist but span no full-dimensional body
     return VolumeReport(
         volume=vol, stderr=0.0, method="exact",
         degenerate=vol == 0.0, vertex_count=len(vertices),
@@ -694,7 +687,8 @@ def region_oracle(
     (cycle_state), and verify the family's claims exactly: zero transient,
     the expected minimal Poincare period, the expected orbit period,
     pairwise pulse equivalence, and — for the period-3 family — that the
-    locked pair stays locked around the whole cycle."""
+    locked pair stays locked around the whole cycle.  The family's center
+    is detected in the same batch, after the samples."""
     if not region_exists(params, kind):
         raise DomainError(
             f"{kind} is empty at (eps={params.eps}, tau={params.tau}); "
@@ -711,9 +705,9 @@ def region_oracle(
     pair_ok: bool | None = True if family.locked_pair else None
 
     samples = [tuple(float(v) for v in row) for row in sigmas]
-    results = detect_periodicity_many(
-        params, [cycle_state(params, kind, s) for s in samples], max_iter=max_iter, tol=tol
-    )
+    starts = [cycle_state(params, kind, s) for s in samples]
+    starts.append(cycle_state(params, kind, region_center(kind, params.tau)))
+    *results, center_result = detect_periodicity_many(params, starts, max_iter=max_iter, tol=tol)
     for sigma, result in zip(samples, results):
         if isinstance(result, NotPeriodic):
             failures.append((sigma, f"no cycle within {max_iter} iterations"))
@@ -751,12 +745,6 @@ def region_oracle(
 
     center_tp: int | None = None
     center_t: float | None = None
-    center_result = detect_periodicity(
-        params,
-        cycle_state(params, kind, region_center(kind, params.tau)),
-        max_iter=max_iter,
-        tol=tol,
-    )
     if isinstance(center_result, PeriodicityResult):
         center_tp = center_result.poincare_period
         center_t = center_result.orbit_period

@@ -731,3 +731,35 @@ class TestOutputPath:
         assert main([*argv, str(tmp_path / "out")]) == 2
         assert error in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestSeed:
+    """Every seeded command rejects a negative seed, from a flag or from
+    --config, before it computes or creates a file."""
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["region", "volume", "--method", "both", "--samples", "10", "--out"],
+            ["region", "sample", "--samples", "5", "--out"],
+            ["region", "project", "--samples", "5", "--out-csv"],
+            ["scan", "params", "--grid", "2x2", "--volume-kinds", "ir4",
+             "--volume-method", "montecarlo", "--volume-samples", "10", "--out-csv"],
+            ["verify", "--samples", "3", "--out"],
+        ],
+        ids=["region-volume", "region-sample", "region-project", "scan-params", "verify"],
+    )
+    def test_negative_seed_rejected(self, capsys, tmp_path, argv, source):
+        out = tmp_path / "out"
+        if source == "flag":
+            argv = [*argv, str(out), "--seed", "-1"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"seed": -1}))
+            argv = [*argv, str(out), "--config", str(config)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--seed must be non-negative, got -1" in captured.err
+        assert captured.out == ""
+        assert not out.exists()

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isochron import engine
 from isochron.engine import (
     Engine,
     EngineStallError,
@@ -74,7 +75,6 @@ class TestStateValidation:
     def test_is_section_state(self):
         assert is_section_state(rotating_wave_state(P.tau))
         assert not is_section_state(network_state((0.1, 0.2, 0.0), ((), (), (0.3,))))
-        assert is_section_state(network_state((0.0, 0.2, 0.1), ((0.0,), (), (0.3,))), k=0)
 
 
 class TestScheduling:
@@ -85,9 +85,7 @@ class TestScheduling:
         assert [e.kind for e in events] == ["fire"]
         t_fire = events[0].time
         assert t_fire == pytest.approx(0.1, abs=1e-15)
-        (pulse,) = eng.pending_pulses()
-        assert pulse.deliver_at == t_fire + p.tau  # bit-exact
-        assert pulse.sender == 0
+        assert eng._heap == [(t_fire + p.tau, 0)]  # bit-exact, sent by oscillator 1
 
     def test_next_event_prefers_earlier_pulse(self):
         eng = init_engine(P, network_state((0.5, 0.1, 0.0), ((0.5,), (), ())))
@@ -226,20 +224,23 @@ class TestRotatingWaveOrbit:
 
 
 class TestRunControls:
-    def test_horizon_error(self):
+    def test_horizon_error(self, monkeypatch):
+        monkeypatch.setattr(engine, "_MAX_SECTION_TIME", 0.5)
         eng = init_engine(P, network_state((0.0, 0.0, 0.0), ((), (), ())))
         with pytest.raises(HorizonExceededError):
-            eng.run_until_section(max_time=0.5)
+            eng.run_until_section()
 
-    def test_horizon_error_reports_clock_and_state(self):
+    def test_horizon_error_reports_clock_and_state(self, monkeypatch):
+        monkeypatch.setattr(engine, "_MAX_SECTION_TIME", 1e-6)
         eng = init_engine(P, network_state((0.5, 0.2, 0.0), ((), (), ())))
         eng.step()
         eng.step()
         with pytest.raises(
             HorizonExceededError,
-            match=r"within 1e-06 time units \(clock=0\.8, theta=\[.*\], pulses in flight=2\)",
+            match=r"oscillator 3 did not fire within 1e-06 time units"
+            r" \(clock=0\.8, theta=\[.*\], pulses in flight=2\)",
         ):
-            eng.run_until_section(k=0, max_time=1e-6)
+            eng.run_until_section()
 
     def test_cascade_stall_reports_clock_and_state(self):
         params = ModelParams(b=3.0, eps=1.6, n=3, tau=0.0)
@@ -249,12 +250,6 @@ class TestRunControls:
             match=r"cascade exceeded 64 rounds at t=0\.5 \(clock=0\.5, theta=\[0\.0, 0\.0, 0\.0\]",
         ):
             eng.run_until_section()
-
-    def test_section_choice(self):
-        eng = init_engine(P, network_state((0.9, 0.1, 0.0), ((), (), ())))
-        state, elapsed, _ = eng.run_until_section(k=0)
-        assert state.phases[0] == 0.0
-        assert elapsed == pytest.approx(0.1, abs=1e-15)
 
     @pytest.mark.parametrize("horizon", [math.inf, -math.inf, math.nan])
     def test_simulate_rejects_a_non_finite_horizon(self, horizon):
@@ -328,10 +323,7 @@ def params_and_state(draw):
 def _in_flight_ftds(eng: Engine) -> list[tuple[int, float]]:
     """(sender, time since firing) for every pulse in flight, sorted."""
     tau = eng.params.tau
-    return sorted(
-        (p.sender, eng.clock + tau - p.deliver_at)
-        for p in eng.pending_pulses()
-    )
+    return sorted((sender, eng.clock + tau - t) for t, sender in eng._heap)
 
 
 class TestSharedLoopProperties:
@@ -483,10 +475,10 @@ class TestLockstepEngine:
 
     def test_only_returns_of_the_last_oscillator_with_receptions(self):
         lockstep = LockstepEngine(P, [rotating_wave_state(P.tau)])
-        with pytest.raises(ValueError, match="last oscillator"):
-            lockstep.run_until_section(k=0, record="receptions")
         with pytest.raises(ValueError, match="receptions"):
             lockstep.run_until_section()
+        with pytest.raises(ValueError, match="receptions"):
+            lockstep.run_until_section(record=None)
 
     def test_returns_go_through_engine_run_until_section(self, monkeypatch):
         # run_until_section is the one entry point of a section return,

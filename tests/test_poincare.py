@@ -34,7 +34,7 @@ from isochron import (
     state_distance,
     states_match,
 )
-from isochron import lockstep, poincare
+from isochron import engine, lockstep, poincare
 from isochron.engine import EngineStallError, HorizonExceededError
 from isochron.poincare import _minimal_cycle
 
@@ -103,14 +103,6 @@ class TestSectionMap:
         )
         with pytest.raises(SectionError):
             poincare_map(P, off_section)
-
-    def test_section_oscillator_selectable(self):
-        state = network_state(
-            phases=(0.0, 0.2, 0.1), ftds=((0.0, 0.1), (0.2,), (0.3,))
-        )
-        require_section_state(P, state, k=0)
-        with pytest.raises(SectionError):
-            require_section_state(P, state)  # default: last oscillator
 
     def test_zero_ftd_alone_is_not_enough(self):
         # Phase 0 without a zero firing-time distance: not a section state.
@@ -538,6 +530,12 @@ def assert_batch_matches(params, states, **kwargs):
     return want
 
 
+def shorten_horizon(monkeypatch, limit: float) -> None:
+    """Cap a section return at limit time units, in both engines."""
+    monkeypatch.setattr(engine, "_MAX_SECTION_TIME", limit)
+    monkeypatch.setattr(lockstep, "_MAX_SECTION_TIME", limit)
+
+
 @st.composite
 def section_states(draw):
     """Parameters with n = 3..5 oscillators, tau = 0, 1e-13 or 1e-12
@@ -625,21 +623,23 @@ class TestBatchedDetection:
         want = assert_batch_matches(stall, starts)
         assert any(isinstance(w, EngineStallError) for w in want)
 
-    def test_horizon_raises_like_the_scalar_detector(self):
+    def test_horizon_raises_like_the_scalar_detector(self, monkeypatch):
         # The first return from (0.9, 0.95) takes 0.63; (0.4, 0.3) never
         # takes more than 0.48.
+        shorten_horizon(monkeypatch, 0.62)
         starts = [eq_init_state(P, 0.4, 0.3), eq_init_state(P, 0.9, 0.95)]
-        want = assert_batch_matches(P, starts, max_time_per_return=0.62)
+        want = assert_batch_matches(P, starts)
         assert isinstance(want[1], HorizonExceededError)
 
-    def test_first_failing_start_wins(self):
+    def test_first_failing_start_wins(self, monkeypatch):
+        shorten_horizon(monkeypatch, 0.62)
         good = sync_state()
         slow = eq_init_state(P, 0.9, 0.95)
         bad = network_state((0.1, 0.2, 0.3), ((), (), ()))
         with pytest.raises(SectionError):
-            detect_periodicity_many(P, [good, bad, slow], max_time_per_return=0.62)
+            detect_periodicity_many(P, [good, bad, slow])
         with pytest.raises(HorizonExceededError):
-            detect_periodicity_many(P, [good, slow, bad], max_time_per_return=0.62)
+            detect_periodicity_many(P, [good, slow, bad])
 
     def test_rejects_bad_budget_and_tolerance(self):
         with pytest.raises(ValueError, match="max_iter"):

@@ -755,6 +755,16 @@ class TestOracle:
             3 * P.tau / 5, abs=1e-9
         )
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_center_equals_the_scalar_detector(self, kind):
+        # The center runs in the samples' batch; its report is what one
+        # scalar detection of its cycle state gives, bit for bit.
+        rep = region_oracle(P, kind, n_samples=5, seed=3)
+        center = cycle_state(P, kind, region_center(kind, P.tau))
+        want = detect_periodicity(P, center, max_iter=64)
+        assert rep.center_poincare_period == want.poincare_period
+        assert repr(rep.center_orbit_period) == repr(want.orbit_period)
+
     def test_oracle_refuses_empty_region(self):
         params = ModelParams(b=3.0, eps=0.58, n=3, tau=0.10)
         with pytest.raises(DomainError):
