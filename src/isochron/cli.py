@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -137,6 +138,12 @@ class _Run:
         value = self.get("seed", 0, int)
         if value < 0:
             raise DomainError(f"--seed must be non-negative, got {value}")
+        return value
+
+    def tol(self, default: float) -> float:
+        value = self.get("tol", default, float)
+        if not 0.0 <= value < math.inf:
+            raise DomainError(f"--tol must be finite and non-negative, got {value}")
         return value
 
     @cached_property
@@ -441,7 +448,7 @@ def _cmd_region_project(run: _Run) -> int:
     seed = run.seed()
     compare = bool(run.get("compare", False))
     step = run.get("step", 0.05, float)
-    tol = run.get("tol", 1e-6, float)
+    tol = run.tol(1e-6)
     threads = run.threads()
     header, out_csv, out_json, plot_script = run.outputs(
         "out_csv", "out_json", "plot_script", seed=seed
@@ -564,7 +571,7 @@ def _cmd_verify(run: _Run) -> int:
     if n < 1:
         raise DomainError(f"--samples must be at least 1, got {n}")
     seed = run.seed()
-    tol = run.get("tol", 1e-9, float)
+    tol = run.tol(1e-9)
     _, out = run.outputs("out", seed=seed)
     tau = params.tau
 

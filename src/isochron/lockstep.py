@@ -3,9 +3,11 @@
 Independent networks with the same parameters can advance in lockstep:
 every step moves each one to its own next timestamp with the scalar
 engine's float operations, in its order, so each ends bit for bit where
-its own Engine would.  Only batched detection
-(poincare.detect_periodicity_many) imports this module, so runs that
-never batch do not load it, nor numpy with the engine.
+its own Engine would.  Batched detection
+(poincare.detect_periodicity_many) and the intertwining check
+(regions.intertwining_distances, which verify and
+sweep.stability_probe call) import this module lazily, so runs that do
+neither do not load it, nor numpy with the engine.
 """
 
 from __future__ import annotations
@@ -52,7 +54,8 @@ class LockstepEngine(Engine):
     """Section returns of many networks with the same parameters at once,
     on float64 arrays.
 
-    Row r starts as Engine(params, states[r]) would.  Each
+    Row r starts as Engine(params, state) would from the state that
+    _encode wrote as phases[r], ftds[r] and senders[r].  Each
     run_until_section(record="receptions") runs every row to the next fire
     of the last oscillator, returns a LockstepReturns and restarts each
     row at clock 0 from the state it exported, as detect_periodicity
@@ -71,12 +74,14 @@ class LockstepEngine(Engine):
     state, ...) do not apply to it.
     """
 
-    def __init__(self, params: ModelParams, states: list[NetworkState]) -> None:
+    def __init__(
+        self, params: ModelParams, phases: np.ndarray, ftds: np.ndarray, senders: np.ndarray
+    ) -> None:
         # No Engine.__init__: there is no single clock, phase list or heap.
         self.params = params
         self.events_processed = 0
         # Each row's start, in LockstepReturns' layout.
-        self.phases, self.ftds, self.senders = _encode(params.n, states)
+        self.phases, self.ftds, self.senders = phases, ftds, senders
         # jump_coeffs by multiplicity; grows to the largest one a step meets.
         self._coeffs = _coeff_table(params, 1)
 

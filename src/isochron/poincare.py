@@ -174,8 +174,8 @@ def _cycle_result(
 def _check_budget(max_iter: int, tol: float) -> None:
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
 def detect_periodicity(
@@ -249,7 +249,7 @@ def detect_periodicity_many(
 
     import numpy as np
 
-    from .lockstep import LockstepEngine, _decode, _widen
+    from .lockstep import LockstepEngine, _decode, _encode, _widen
 
     n = params.n
     errors: dict[int, Exception] = {}
@@ -262,7 +262,7 @@ def detect_periodicity_many(
             break
     count = len(states)
     results: list = [None] * count
-    eng = LockstepEngine(params, states)
+    eng = LockstepEngine(params, *_encode(n, states))
 
     # hist holds, for the start at live[p] after i returns, its phases,
     # FTD entries and their senders (LockstepReturns' layout, padded to a

@@ -30,7 +30,6 @@ from .engine import NetworkState, network_state
 from .model import (
     DomainError,
     ModelParams,
-    jump,
     jump_coeffs,
     trigger_threshold,
 )
@@ -39,13 +38,19 @@ from .poincare import (
     PeriodicityResult,
     detect_periodicity,  # noqa: F401  (bound here for perfbench/tracer.py)
     detect_periodicity_many,
-    poincare_map,
+    poincare_map,  # noqa: F401  (bound here for perfbench/tracer.py)
     pulse_equivalent,
     pulse_signature,
-    state_distance,
+    require_section_state,
 )
 
 _MC_SHARD = 100_000
+
+#: Rows per LockstepEngine in intertwining_distances.  An engine's due
+#: mask (rows x pulses x oscillators) and per-step log grow with its rows:
+#: at 20,000 rows the check's tracemalloc peak is about 34 MiB as one
+#: engine and about 3 MiB in blocks of 1000.
+_INTERTWINING_BLOCK = 1000
 
 
 @dataclass(frozen=True)
@@ -100,9 +105,11 @@ def _chain_orderings(dim: int, tau: float, order: tuple[int, ...]) -> tuple:
     return tuple(rows)
 
 
-def _jump1(params: ModelParams, theta: float) -> float:
-    """Phase after one unit pulse."""
-    return jump(params, theta, params.eps_hat)
+def _jump1(params: ModelParams, theta):
+    """Phase after one unit pulse, jump(params, theta, eps_hat) bit for bit;
+    theta is a phase or a column of phases."""
+    a, c = jump_coeffs(params, 1)
+    return a * theta + c
 
 
 @dataclass(frozen=True)
@@ -119,7 +126,8 @@ class Family:
                      are the single-pulse jump coefficients, h1 and h2 the
                      single- and double-pulse trigger thresholds
     embed            (params, sigma) -> (phases, ftds) of the canonical
-                     section state of sigma
+                     section state of sigma; sigma may hold coordinate
+                     columns, and then so do phases and ftds
     center_value     (params, center) -> the value every bounded functional
                      takes at the family center
     locked_pair      oscillators 1 and 2 share raw phase and firing memory
@@ -343,13 +351,23 @@ def g_algebra(tau: float) -> AffineMap:
 # -- embeddings into section states -------------------------------------------
 
 
+def _on_chain(params: ModelParams, kind: str, sigma):
+    """Whether sigma satisfies its family's strict chain
+    0 < sigma[order[0]] < ... < sigma[order[-1]] < tau; on coordinate
+    columns, one answer per row."""
+    chain = (0.0, *(sigma[i] for i in FAMILIES[kind].order), params.tau)
+    ok = True
+    for lo, hi in zip(chain, chain[1:]):
+        ok = ok & (lo < hi)
+    return ok
+
+
 def _require_chain(params: ModelParams, kind: str, sigma) -> None:
     family = _family(kind)
     if len(sigma) != family.dim:
         raise DomainError(f"{kind} needs {family.dim} coordinates, got {len(sigma)}")
-    values = tuple(sigma[i] for i in family.order) + (params.tau,)
-    chain = (0.0,) + values
-    if not all(lo < hi for lo, hi in zip(chain, chain[1:])):
+    if not _on_chain(params, kind, sigma):
+        values = tuple(sigma[i] for i in family.order) + (params.tau,)
         names = [family.labels[i] for i in family.order] + ["tau"]
         raise DomainError(
             f"{kind} ordering violated: need 0 < "
@@ -371,6 +389,21 @@ def s_embed(params: ModelParams, kind: str, sigma) -> NetworkState:
     _require_chain(params, kind, sigma)
     phases, ftds = FAMILIES[kind].embed(params, sigma)
     return network_state(phases=phases, ftds=ftds)
+
+
+def _embed_rows(params: ModelParams, kind: str, cols) -> tuple:
+    """s_embed of the points whose coordinate columns are cols, as
+    lockstep rows: phases, FTD entries ordered by sender and then
+    ascending, and their senders.  No chain check."""
+    phases, ftds = FAMILIES[kind].embed(params, cols)
+    size = len(cols[0])
+
+    def stack(values) -> np.ndarray:
+        return np.column_stack([np.broadcast_to(v, size) for v in values])
+
+    entries = np.concatenate([np.sort(stack(row), axis=1) for row in ftds], axis=1)
+    senders = np.repeat(np.arange(len(ftds)), [len(row) for row in ftds])
+    return stack(phases), entries, np.tile(senders, (size, 1))
 
 
 def cycle_state(params: ModelParams, kind: str, sigma) -> NetworkState:
@@ -396,17 +429,89 @@ def cycle_state(params: ModelParams, kind: str, sigma) -> NetworkState:
 
 
 def intertwining_distances(params: ModelParams, sigmas, starts=None) -> list[float]:
-    """For each period-4 point sigma, the state_distance between one
-    simulated section return from starts[i] (default: the canonical state
-    of sigma) and the canonical state of g(sigma).  The section map
-    intertwines g exactly when every distance is at rounding level."""
-    distances = []
-    for i, row in enumerate(sigmas):
-        sigma = tuple(float(v) for v in row)
-        start = s_embed(params, "IR4", sigma) if starts is None else starts[i]
-        landed, _ = poincare_map(params, start)
-        target = s_embed(params, "IR4", g_map(sigma, params.tau))
-        distances.append(state_distance(landed, target))
+    """For each period-4 point sigma (a row of three coordinates), the
+    state_distance between one poincare_map return from starts[i]
+    (default: the canonical state of sigma) and the canonical state of
+    g(sigma).  The section map intertwines g exactly when every distance
+    is at rounding level.
+
+    The returns run in blocks of rows on a LockstepEngine and the states
+    are compared as rows, so every distance is the one the per-point loop
+    gives.  If a point fails, the error that loop raises first is raised:
+    for the first failing point, its chain check, its start's
+    require_section_state, its return, then the chain check of g(sigma).
+    """
+    from .lockstep import LockstepEngine, _encode, _widen
+
+    sigmas = np.asarray(sigmas, dtype=float)
+    if not len(sigmas):
+        return []
+    if sigmas.ndim != 2 or sigmas.shape[1] != 3:
+        raise DomainError(f"IR4 needs rows of 3 coordinates, got shape {sigmas.shape}")
+    n, tau = params.n, params.tau
+
+    def require_start(i: int) -> None:
+        """The checks of point i before its section return."""
+        if starts is None:
+            require_section_state(params, s_embed(params, "IR4", tuple(sigmas[i].tolist())))
+        else:
+            require_section_state(params, starts[i])
+
+    distances: list[float] = []
+    for lo in range(0, len(sigmas), _INTERTWINING_BLOCK):
+        block = sigmas[lo : lo + _INTERTWINING_BLOCK]
+        cols, size = tuple(block.T), len(block)
+        # stop is the first row whose start fails; only the rows before it run.
+        if starts is None:
+            rows = _embed_rows(params, "IR4", cols)
+            # On the chain, the embedding's FTD entries lie in (0, tau), its
+            # rows are sorted and its last oscillator has just fired, so of
+            # require_section_state's checks only the oscillator count and
+            # the phase range can fail.
+            phases = rows[0]
+            ok = _on_chain(params, "IR4", cols) & ((phases >= 0.0) & (phases < 1.0)).all(axis=1)
+            ok &= phases.shape[1] == n
+            stop = size if ok.all() else int(np.argmin(ok))
+            rows = tuple(a[:stop] for a in rows)
+        else:
+            stop = size
+            for r in range(size):
+                try:
+                    require_start(lo + r)
+                except ValueError:
+                    stop = r
+                    break
+            rows = _encode(n, starts[lo : lo + stop])
+        out = LockstepEngine(params, *rows).run_until_section(record="receptions")
+        targets = g_map(cols, tau)
+        on_chain = _on_chain(params, "IR4", targets)[:stop]
+        off_chain = size if on_chain.all() else int(np.argmin(on_chain))
+        ran_out = min(out.errors, default=size)
+        first = min(stop, ran_out, off_chain)
+        if first < size:
+            # The per-point loop's error: the first failing point's first
+            # failing check.
+            if first == ran_out:
+                raise out.errors[first]
+            if first == off_chain:
+                s_embed(params, "IR4", g_map(tuple(block[first].tolist()), tau))
+            require_start(lo + first)
+
+        t_phases, t_ftds, t_senders = _embed_rows(params, "IR4", targets)
+        if t_phases.shape[1] != n:
+            # state_distance: other oscillator counts are infinitely far.
+            distances.extend([math.inf] * size)
+            continue
+        width = max(out.ftds.shape[1], t_ftds.shape[1])
+        gap = np.maximum(
+            np.abs(out.phases - t_phases).max(axis=1),
+            np.abs(_widen(out.ftds, width, 0.0) - _widen(t_ftds, width, 0.0)).max(
+                axis=1, initial=0.0
+            ),
+        )
+        # state_distance: FTD rows of other lengths are infinitely far.
+        gap[(_widen(out.senders, width, n) != _widen(t_senders, width, n)).any(axis=1)] = math.inf
+        distances.extend(gap.tolist())
     return distances
 
 

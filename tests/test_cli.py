@@ -763,3 +763,36 @@ class TestSeed:
         assert "--seed must be non-negative, got -1" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+
+class TestTol:
+    """Every command with --tol rejects a NaN, infinite or negative
+    tolerance, from a flag or from --config, before it computes or creates
+    a file."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0], ids=str)
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["poincare", "--center", "ir4", "--out"], "tol must be positive and finite"),
+            (["scan", "phases", "--step", "0.5", "--out-csv"], "tol must be positive and finite"),
+            (["region", "project", "--compare", "--samples", "5", "--out-csv"],
+             "--tol must be finite and non-negative"),
+            (["verify", "--samples", "3", "--out"], "--tol must be finite and non-negative"),
+        ],
+        ids=["poincare", "scan-phases", "region-project", "verify"],
+    )
+    def test_bad_tol_rejected(self, capsys, tmp_path, argv, message, source, value):
+        out = tmp_path / "out"
+        if source == "flag":
+            argv = [*argv, str(out), "--tol", str(value)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"tol": value}))
+            argv = [*argv, str(out), "--config", str(config)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"{message}, got {value}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()

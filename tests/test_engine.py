@@ -458,7 +458,7 @@ class TestLockstepEngine:
     @given(lockstep_batch())
     def test_rows_equal_scalar_returns(self, drawn):
         params, states = drawn
-        lockstep = LockstepEngine(params, states)
+        lockstep = LockstepEngine(params, *_encode(params.n, states))
         got = lockstep.run_until_section(record="receptions")
         ok, events = self.assert_rows_match(params, states, got)
         assert lockstep.events_processed == events
@@ -474,7 +474,7 @@ class TestLockstepEngine:
         assert lockstep.events_processed == events + more
 
     def test_only_returns_of_the_last_oscillator_with_receptions(self):
-        lockstep = LockstepEngine(P, [rotating_wave_state(P.tau)])
+        lockstep = LockstepEngine(P, *_encode(P.n, [rotating_wave_state(P.tau)]))
         with pytest.raises(ValueError, match="receptions"):
             lockstep.run_until_section()
         with pytest.raises(ValueError, match="receptions"):
@@ -491,7 +491,7 @@ class TestLockstepEngine:
             return original(engine, *args, **kwargs)
 
         monkeypatch.setattr(Engine, "run_until_section", counted)
-        LockstepEngine(P, [rotating_wave_state(P.tau)] * 2).run_until_section(
+        LockstepEngine(P, *_encode(P.n, [rotating_wave_state(P.tau)] * 2)).run_until_section(
             record="receptions"
         )
         assert calls == [LockstepEngine]

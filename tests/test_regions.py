@@ -6,14 +6,16 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
+from test_poincare import shorten_horizon
 
 from isochron import (
     FAMILIES,
@@ -26,9 +28,11 @@ from isochron import (
     g_map,
     ir4_projection_contains,
     jump,
+    jump_coeffs,
     membership,
     membership_many,
     membership_margin,
+    network_state,
     poincare_map,
     region_center,
     region_exists,
@@ -37,10 +41,13 @@ from isochron import (
     region_volume,
     s_embed,
     sample_interior,
+    state_distance,
     states_match,
     trigger_threshold,
 )
 from isochron import regions
+from isochron.engine import HorizonExceededError, StateError
+from isochron.poincare import SectionError
 from isochron.regions import (
     Functional,
     _enumerate_vertices,
@@ -503,6 +510,158 @@ class TestSharedChecks:
             regions, "g_map", lambda sigma, tau: tuple(perturb(v) for v in exact(sigma, tau))
         )
         assert regions.g_algebra_deviation(tau, points, offsets) > 1e-12
+
+
+def scalar_intertwining(params, sigmas, starts=None):
+    """The per-point loop that intertwining_distances batches, kept as its
+    reference: one poincare_map return per point against s_embed(g(sigma))."""
+    distances = []
+    for i, row in enumerate(sigmas):
+        sigma = tuple(float(v) for v in row)
+        start = s_embed(params, "IR4", sigma) if starts is None else starts[i]
+        landed, _ = poincare_map(params, start)
+        target = s_embed(params, "IR4", g_map(sigma, params.tau))
+        distances.append(state_distance(landed, target))
+    return distances
+
+
+def assert_intertwining_matches(params, sigmas, starts=None):
+    """intertwining_distances gives the reference loop's distances (by repr)
+    or raises its error (type and message); returns what the loop gave."""
+    try:
+        want = scalar_intertwining(params, sigmas, starts)
+    except (ValueError, RuntimeError) as exc:
+        with pytest.raises(type(exc)) as got:
+            regions.intertwining_distances(params, sigmas, starts)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return exc
+    got = regions.intertwining_distances(params, sigmas, starts)
+    assert [repr(d) for d in got] == [repr(d) for d in want]
+    return want
+
+
+@st.composite
+def chain_points(draw, family: bool):
+    """Parameters with n = 3, and points of the period-4 chain
+    0 < sigma2 < sigma1 < sigma3 < tau: with family, interior points of a
+    family that is not empty; without, points of the ordering simplex at
+    any tau, 1e-12 included (where every return is replayed on the scalar
+    engine)."""
+    b, eps = draw(st.floats(0.2, 8.0)), draw(st.floats(0.01, 0.95))
+    seed = draw(st.integers(0, 2**16))
+    if not family:
+        tau = draw(st.one_of(st.floats(0.02, 1.5), st.just(1e-12)))
+        rng = np.random.default_rng(seed)
+        sigmas = _ordering_simplex_sample(rng, "IR4", tau, draw(st.integers(1, 20)))
+        return ModelParams(b=b, eps=eps, n=3, tau=tau), sigmas
+    # The family exists where its center value (a/2 + 1/4) tau + c lies in
+    # [h1, 1]; tau is drawn inside that window, away from its ends.
+    unit = ModelParams(b=b, eps=eps, n=3, tau=1.0)
+    a, c = jump_coeffs(unit, 1)
+    lo, hi = (max(trigger_threshold(unit, 1) - c, 0.0) / (a / 2 + 0.25), (1.0 - c) / (a / 2 + 0.25))
+    params = ModelParams(b=b, eps=eps, n=3, tau=lo + draw(st.floats(0.05, 0.95)) * (hi - lo))
+    assume(region_exists(params, "IR4"))
+    try:
+        return params, sample_interior(params, "IR4", 20, seed=seed, max_draws=100_000)
+    except RuntimeError:  # too thin to sample
+        assume(False)
+
+
+class TestBatchedIntertwining:
+    """intertwining_distances is the per-point loop, point by point."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(chain_points(family=True))
+    def test_random_family_points(self, drawn):
+        params, sigmas = drawn
+        assert max(assert_intertwining_matches(params, sigmas)) <= 1e-9
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(chain_points(family=False))
+    def test_random_chain_points(self, drawn):
+        params, sigmas = drawn
+        assert_intertwining_matches(params, sigmas)
+
+    def test_nudged_starts(self):
+        # As in stability_probe: canonical starts with their free phases nudged.
+        sigmas = sample_interior(P, "IR4", 40, seed=5)
+        nudges = np.random.default_rng(6).uniform(-1e-4, 1e-4, size=(40, 2))
+        starts = []
+        for row, (d1, d2) in zip(sigmas, nudges):
+            state = s_embed(P, "IR4", tuple(float(v) for v in row))
+            phases = (state.phases[0] + d1, state.phases[1] + d2, state.phases[2])
+            starts.append(network_state(phases=phases, ftds=state.ftds))
+        assert max(assert_intertwining_matches(P, sigmas, starts)) <= 1e-9
+
+    def test_reversed_starts(self):
+        sigmas = sample_interior(P, "IR4", 20, seed=29)
+        canonical = [s_embed(P, "IR4", tuple(float(v) for v in row)) for row in sigmas]
+        assert min(assert_intertwining_matches(P, sigmas, canonical[::-1])) > 0.0
+
+    def test_empty_input(self):
+        assert regions.intertwining_distances(P, []) == []
+        assert regions.intertwining_distances(P, np.empty((0, 3)), starts=[]) == []
+
+    @pytest.mark.parametrize("block", [7, regions._INTERTWINING_BLOCK])
+    def test_block_boundaries(self, monkeypatch, block):
+        monkeypatch.setattr(regions, "_INTERTWINING_BLOCK", block)
+        sigmas = sample_interior(P, "IR4", 2 * block + 3, seed=13)
+        assert max(assert_intertwining_matches(P, sigmas)) <= 1e-12
+
+    @pytest.mark.parametrize("row", [0, 6, 7, 20])
+    def test_off_chain_point_raises_like_the_loop(self, monkeypatch, row):
+        monkeypatch.setattr(regions, "_INTERTWINING_BLOCK", 7)
+        sigmas = sample_interior(P, "IR4", 21, seed=13)
+        sigmas[row] = (0.3, 0.35, 0.4)
+        assert isinstance(assert_intertwining_matches(P, sigmas), DomainError)
+        # sigma2 too small for g(sigma) to stay below tau in floating point:
+        # the point itself is on the chain, its image is not.
+        sigmas[row] = (0.3, 1e-20, 0.4)
+        assert "ordering violated" in str(assert_intertwining_matches(P, sigmas))
+
+    def test_phase_out_of_range_raises_like_the_loop(self):
+        wide = ModelParams(b=3.0, eps=0.58, n=3, tau=1.5)
+        sigmas = [(0.3, 0.2, 0.4), (1.2, 1.1, 1.3)]
+        assert isinstance(assert_intertwining_matches(wide, sigmas), StateError)
+
+    def test_off_section_start_raises_like_the_loop(self):
+        sigmas = sample_interior(P, "IR4", 5, seed=13)
+        starts = [s_embed(P, "IR4", tuple(float(v) for v in row)) for row in sigmas]
+        starts[3] = network_state((0.1, 0.2, 0.3), ((), (), ()))
+        assert isinstance(assert_intertwining_matches(P, sigmas, starts), SectionError)
+
+    def test_other_oscillator_counts(self):
+        four = ModelParams(b=3.0, eps=0.58, n=4, tau=0.58)
+        sigmas = sample_interior(P, "IR4", 3, seed=13)
+        # The canonical states have three oscillators: the starts fail.
+        assert isinstance(assert_intertwining_matches(four, sigmas), StateError)
+        # Four-oscillator starts land infinitely far from them.
+        starts = [network_state((t, 0.2, 0.3, 0.0), ((), (), (), (0.0,))) for t in (0.1, 0.5, 0.9)]
+        assert assert_intertwining_matches(four, sigmas, starts) == [math.inf] * 3
+
+    def test_horizon_raises_like_the_loop(self, monkeypatch):
+        # These returns take 0.33 to 0.53: the horizon stops some of them.
+        shorten_horizon(monkeypatch, 0.4)
+        sigmas = sample_interior(P, "IR4", 30, seed=13)
+        assert isinstance(assert_intertwining_matches(P, sigmas), HorizonExceededError)
+        # The first failing point decides, whichever check fails it.
+        sigmas[-1] = (0.3, 0.35, 0.4)
+        assert isinstance(assert_intertwining_matches(P, sigmas), HorizonExceededError)
+        sigmas[0] = (0.3, 0.35, 0.4)
+        assert isinstance(assert_intertwining_matches(P, sigmas), DomainError)
+
+    def test_memory_stays_bounded(self):
+        # One engine for all 20,000 points peaks near 34 MiB, blocks of
+        # 1000 near 3 MiB.
+        sigmas = sample_interior(P, "IR4", 20_000, seed=1)
+        tracemalloc.start()
+        try:
+            regions.intertwining_distances(P, sigmas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestSampling:
