@@ -15,12 +15,17 @@ _extra     non-field attributes (properties) appended to to_json_dict()
 
 Any other field is written under its own name in its plain() form.  Each
 class's field plan is built once, on first use.
+
+write_json writes a value's plain() form as text, byte for byte as
+json.dump(..., sort_keys=True, indent=1) would, without building the
+plain() copy or the text of the whole value.
 """
 
 from __future__ import annotations
 
 from dataclasses import fields, is_dataclass
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 _SCALARS = frozenset({bool, int, float, str, type(None)})
 
@@ -48,13 +53,14 @@ def rows(*keys):
 
 @cache
 def _plan(cls, config_only: bool):
-    """(direct, spread) field plans: (name, convert) and (name, pattern)."""
+    """(direct, spread) field plans: (name, convert) and (name, pattern);
+    convert is None where the field's value is written in its plain() form."""
     if config_only:
         names = cls._config
     else:
         names = [f.name for f in fields(cls) if f.name not in cls._omit]
         names += cls._extra
-    direct = tuple((n, cls._reshape.get(n, plain)) for n in names if n not in cls._spread)
+    direct = tuple((n, cls._reshape.get(n)) for n in names if n not in cls._spread)
     spread = tuple((n, cls._spread[n]) for n in names if n in cls._spread)
     return direct, spread
 
@@ -69,9 +75,14 @@ class Record:
     _spread: dict = {"params": "{}"}
     _extra: tuple[str, ...] = ()
 
-    def _render(self, config_only: bool) -> dict:
+    def _fields(self, config_only: bool) -> dict:
+        """Each key of the JSON form with a value whose plain() form is the
+        key's JSON value."""
         direct, spread = _plan(type(self), config_only)
-        out = {name: convert(getattr(self, name)) for name, convert in direct}
+        out = {
+            name: getattr(self, name) if convert is None else convert(getattr(self, name))
+            for name, convert in direct
+        }
         for name, pattern in spread:
             for k, v in plain(getattr(self, name)).items():
                 out[pattern.format(k.lower())] = v
@@ -80,7 +91,84 @@ class Record:
         return out
 
     def to_json_dict(self) -> dict:
-        return self._render(False)
+        return plain(self._fields(False))
 
     def config_dict(self) -> dict:
-        return self._render(True)
+        return plain(self._fields(True))
+
+
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_WORDS = {None: "null", True: "true", False: "false"}
+
+
+def _emit(value, indent: str, out: list) -> None:
+    """Append the text of plain(value), as json.dumps(plain(value),
+    sort_keys=True, indent=1) writes it, nested at indent, to out."""
+    kind = type(value)
+    if kind is float:
+        text = float.__repr__(value)
+        out.append(_FLOAT_WORDS.get(text, text))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is bool or value is None:
+        out.append(_WORDS[value])
+    elif isinstance(value, (tuple, list)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + " "
+        out.append("[\n" + inner)
+        for i, item in enumerate(value):
+            if i:
+                out.append(",\n" + inner)
+            _emit(item, inner, out)
+        out.append("\n" + indent + "]")
+    elif isinstance(value, dict):
+        _emit_dict({str(k): v for k, v in value.items()}, indent, out)
+    elif isinstance(value, Record):
+        _emit_dict(value._fields(False), indent, out)
+    elif is_dataclass(value):
+        _emit_dict({f.name: getattr(value, f.name) for f in fields(value) if f.init}, indent, out)
+    # plain() passes anything else through, and json encodes subclasses of
+    # its scalar types by the base type's rule.
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        _emit(float(value), indent, out)
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _emit_dict(value: dict, indent: str, out: list) -> None:
+    if not value:
+        out.append("{}")
+        return
+    inner = indent + " "
+    for i, key in enumerate(sorted(value)):
+        out.append(("{\n" if not i else ",\n") + inner + encode_basestring_ascii(key) + ": ")
+        _emit(value[key], inner, out)
+    out.append("\n" + indent + "}")
+
+
+def write_json(fh, payload: dict) -> None:
+    """Write plain(payload) and a newline to the text file fh, byte for byte
+    as json.dump(plain(payload), fh, sort_keys=True, indent=1) would.  The
+    items of each list or tuple in payload are written one at a time."""
+    for i, key in enumerate(sorted(payload)):
+        fh.write(("{\n " if not i else ",\n ") + encode_basestring_ascii(str(key)) + ": ")
+        value = payload[key]
+        if not isinstance(value, (tuple, list)) or not value:
+            out: list = []
+            _emit(value, " ", out)
+            fh.write("".join(out))
+            continue
+        for j, item in enumerate(value):
+            out = ["[\n  " if not j else ",\n  "]
+            _emit(item, "  ", out)
+            fh.write("".join(out))
+        fh.write("\n ]")
+    fh.write("\n}\n" if payload else "{}\n")

@@ -35,6 +35,8 @@ from .engine import (
 )
 from .model import DomainError, ModelParams, jump
 from .poincare import (
+    DEFAULT_MATCH_TOL,
+    _check_budget,
     detect_periodicity,
     poincare_map,  # noqa: F401  (bound here for perfbench/tracer.py)
     pulse_signature,
@@ -139,6 +141,14 @@ class _Run:
         if value < 0:
             raise DomainError(f"--seed must be non-negative, got {value}")
         return value
+
+    def budget(self) -> tuple[int, float]:
+        """--max-iter and --tol of a cycle detection, checked by the
+        detector's own rule."""
+        max_iter = self.get("max_iter", DEFAULT_SCAN_MAX_ITER, int)
+        tol = self.get("tol", DEFAULT_MATCH_TOL, float)
+        _check_budget(max_iter, tol, ("--max-iter", "--tol"))
+        return max_iter, tol
 
     def tol(self, default: float) -> float:
         value = self.get("tol", default, float)
@@ -342,8 +352,7 @@ def _cmd_simulate(run: _Run) -> int:
 def _cmd_poincare(run: _Run) -> int:
     params = run.params()
     state = _resolve_state(run, params)
-    max_iter = run.get("max_iter", DEFAULT_SCAN_MAX_ITER, int)
-    tol = run.get("tol", 1e-9, float)
+    max_iter, tol = run.budget()
     _, out = run.outputs("out")
 
     result = detect_periodicity(params, state, max_iter=max_iter, tol=tol)
@@ -490,8 +499,7 @@ def _cmd_region_project(run: _Run) -> int:
 def _cmd_scan_phases(run: _Run) -> int:
     params = run.params()
     step = run.get("step", DEFAULT_SCAN_STEP, float)
-    max_iter = run.get("max_iter", DEFAULT_SCAN_MAX_ITER, int)
-    tol = run.get("tol", 1e-9, float)
+    max_iter, tol = run.budget()
     threads = run.threads()
     _, out_csv, out_json, plot_script = run.outputs("out_csv", "out_json", "plot_script")
 

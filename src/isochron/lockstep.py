@@ -13,6 +13,7 @@ neither do not load it, nor numpy with the engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -201,8 +202,10 @@ class LockstepEngine(Engine):
         errors: dict[int, Exception] = {}
         replayed: list[tuple[int, int, int, float]] = []
         ended: dict[int, NetworkState] = {}
-        for row in sorted(replay):
-            eng = Engine(params, _decode(phases[row], ftds[row], senders[row]))
+        replay.sort()
+        starts = _decode(phases[replay], ftds[replay], senders[replay])
+        for row, start in zip(replay, starts):
+            eng = Engine(params, start)
             try:
                 ended[row], end_clock[row], got = eng._section_return(record)
             except (EngineStallError, HorizonExceededError) as exc:
@@ -244,6 +247,147 @@ class LockstepEngine(Engine):
         )
 
 
+#: Returns in the first chunk of a _History; each next chunk holds twice as
+#: many, up to 8 times as many.  A chunk is the unit in which the history
+#: grows and drops rows, so neither step copies more than one chunk at a
+#: time, and short orbits allocate little.
+_CHUNK = 16
+
+
+class _History:
+    """Every row's section returns so far, for batched detection.
+
+    Column k of entry [i, p] holds, for row p after i returns: 0 its
+    phases, 1 FTD entries and 2 their senders (LockstepReturns' layout),
+    then 3 the time and 4-5 the deliveries (_deliveries) of its i-th
+    return.  Entry 0 is the start, with no deliveries.  Entries are stored
+    in chunks, chunk c from entry starts[c] on, each padded to its own
+    widest entry and sized to its own integer types.  Only stored entries
+    are ever written, so the unused part of the last chunk is not touched.
+    """
+
+    def __init__(self, n: int, phases: np.ndarray, ftds: np.ndarray, senders: np.ndarray) -> None:
+        self.n = n
+        self.fills = (0.0, 0.0, n, 0.0, 0.0, 0)
+        self.chunks: list[list[np.ndarray]] = []
+        self.starts: list[int] = []
+        self.filled = 0
+        rows = len(phases)
+        no_deliveries = [np.zeros((rows, 0)), np.zeros((rows, n, 0))]
+        self._store([phases, ftds, senders, np.zeros((rows, 1)), *no_deliveries])
+
+    def append(self, out: LockstepReturns) -> None:
+        """Store every row's return."""
+        deliveries = _deliveries(self.n, out.bounds, out.recipients, out.multiplicities, out.times)
+        self._store([out.phases, out.ftds, out.senders, out.elapsed[:, None], *deliveries])
+
+    def _store(self, entry: list[np.ndarray]) -> None:
+        entry[2] = entry[2].astype(np.min_scalar_type(self.n))
+        entry[5] = entry[5].astype(np.min_scalar_type(int(entry[5].max(initial=0))))
+        if not self.chunks or self._used(len(self.chunks) - 1) == len(self.chunks[-1][0]):
+            size = _CHUNK << min(len(self.chunks), 3)
+            self.starts.append(self.filled)
+            self.chunks.append([np.empty((size, *e.shape), e.dtype) for e in entry])
+        at = self.filled - self.starts[-1]
+        chunk = self.chunks[-1]
+        for k, (e, fill) in enumerate(zip(entry, self.fills)):
+            width = e.shape[-1]
+            if width > chunk[k].shape[-1] or not np.can_cast(e.dtype, chunk[k].dtype):
+                grown = np.empty(
+                    (*chunk[k].shape[:-1], max(width, chunk[k].shape[-1])),
+                    np.result_type(e, chunk[k]),
+                )
+                grown[:at, ..., : chunk[k].shape[-1]] = chunk[k][:at]
+                grown[:at, ..., chunk[k].shape[-1] :] = fill
+                chunk[k] = grown
+            chunk[k][at, ..., :width] = e
+            chunk[k][at, ..., width:] = fill
+        self.filled += 1
+
+    def _used(self, c: int) -> int:
+        return min(len(self.chunks[c][0]), self.filled - self.starts[c])
+
+    def gather(self, cols, at: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
+        """Columns cols of the entries [at[s], rows[s]], padded to a common
+        width."""
+        chunk_of = np.searchsorted(self.starts, at, side="right") - 1
+        at = at - np.asarray(self.starts)[chunk_of]
+        which = np.flatnonzero(np.bincount(chunk_of)).tolist()
+        out = []
+        for k in cols:
+            parts = [self.chunks[c][k] for c in which] or [self.chunks[0][k]]
+            width = max(part.shape[-1] for part in parts)
+            got = np.full(
+                (len(at), *parts[0].shape[2:-1], width), self.fills[k], np.result_type(*parts)
+            )
+            for c, part in zip(which, parts):
+                pick = chunk_of == c
+                got[pick, ..., : part.shape[-1]] = part[at[pick], rows[pick]]
+            out.append(got)
+        return out
+
+    def match(self, phases, ftds, senders, tol: float) -> np.ndarray:
+        """For each row, the earliest entry its given state matches by
+        detect_periodicity's rule, or -1: the phase-0 prefilter, then equal
+        row lengths (equal padded senders) and state_distance <= tol.  The
+        FTDs are compared only where every phase is within tol."""
+        p0 = phases[:, 0]
+        lo, hi = p0 - tol, p0 + tol
+        matched = np.full(len(phases), -1)
+        for c, chunk in enumerate(self.chunks):
+            old = chunk[0][: self._used(c), :, 0]
+            at, row = np.nonzero((old >= lo) & (old <= hi))
+            near = np.abs(chunk[0][at, row] - phases[row]).max(axis=1) <= tol
+            at, row = at[near], row[near]
+            if not at.size:
+                continue
+            width = max(ftds.shape[1], chunk[1].shape[-1])
+            hit = (
+                _widen(chunk[2][at, row], width, self.n) == _widen(senders[row], width, self.n)
+            ).all(axis=1) & (
+                np.abs(_widen(chunk[1][at, row], width, 0.0) - _widen(ftds[row], width, 0.0)).max(
+                    axis=1, initial=0.0
+                )
+                <= tol
+            )
+            row, first = np.unique(row[hit], return_index=True)
+            fresh = matched[row] < 0
+            matched[row[fresh]] = self.starts[c] + at[hit][first][fresh]
+        return matched
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the rows the boolean mask selects, in order."""
+        kept = int(rows.sum())
+        for c, chunk in enumerate(self.chunks):
+            used = self._used(c)
+            for k, column in enumerate(chunk):
+                chunk[k] = np.empty((len(column), kept, *column.shape[2:]), column.dtype)
+                chunk[k][:used] = column[:used, rows]
+
+
+def _deliveries(n: int, bounds, recipients, multiplicities, times):
+    """Receptions as deliveries: row r's receptions recipients[lo:hi],
+    multiplicities[lo:hi] and times[lo:hi] (lo, hi = bounds[r],
+    bounds[r + 1]), in recorded order, as the times (rows, width) and the
+    multiplicity per recipient (rows, n, width; 0: none) of the row's
+    deliveries.  A delivery is a run of receptions at one time with rising
+    recipients, so reading each delivery's recipients in rising order
+    gives back the recorded order."""
+    rows = len(bounds) - 1
+    row = np.repeat(np.arange(rows), np.diff(bounds))
+    new = np.ones(len(row), dtype=bool)
+    new[1:] = row[1:] != row[:-1]
+    new[1:] |= (times[1:] != times[:-1]) | (recipients[1:] <= recipients[:-1])
+    starts = np.nonzero(new)[0]
+    slot = np.arange(len(starts)) - np.searchsorted(row[starts], row[starts])
+    width = int(slot.max(initial=-1)) + 1
+    when = np.zeros((rows, width))
+    when[row[starts], slot] = times[starts]
+    mult = np.zeros((rows, n, width), dtype=multiplicities.dtype)
+    mult[row, recipients, slot[np.cumsum(new) - 1]] = multiplicities
+    return when, mult
+
+
 def _encode(n: int, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The states of n oscillators as rows: phases, FTD entries ordered by
     sender and then as in the state, and their senders; the empty slots
@@ -259,13 +403,32 @@ def _encode(n: int, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return phases, ftds, senders
 
 
-def _decode(phases: np.ndarray, ftds: np.ndarray, senders: np.ndarray) -> NetworkState:
-    """The NetworkState of one row that _encode wrote."""
-    rows: list[list[float]] = [[] for _ in phases]
-    for i, x in zip(senders.tolist(), ftds.tolist()):
-        if i < len(rows):
-            rows[i].append(x)
-    return NetworkState(tuple(phases.tolist()), tuple(map(tuple, rows)))
+def _decode(phases: np.ndarray, ftds: np.ndarray, senders: np.ndarray) -> list[NetworkState]:
+    """The NetworkStates of rows that _encode wrote."""
+    if not len(phases):
+        return []
+    n = phases.shape[1]
+    counts = (senders[:, :, None] == np.arange(n)).sum(axis=1)
+    # Rows with the same count of entries per sender share the column range
+    # of each sender's entries, so each such group is decoded column-wise.
+    order = np.lexsort(counts.T[::-1])
+    counts = counts[order]
+    edges = (np.flatnonzero((counts[1:] != counts[:-1]).any(axis=1)) + 1).tolist()
+    out: list = [None] * len(phases)
+    for lo, hi in zip([0, *edges], [*edges, len(order)]):
+        rows = order[lo:hi]
+        cuts = np.cumsum([0, *counts[lo].tolist()]).tolist()
+        columns = ftds[rows].T.tolist()
+        rows_ftds = zip(
+            *(
+                zip(*columns[a:b]) if b > a else repeat((), len(rows))
+                for a, b in zip(cuts, cuts[1:])
+            )
+        )
+        states = map(NetworkState, zip(*phases[rows].T.tolist()), rows_ftds)
+        for r, state in zip(rows.tolist(), states):
+            out[r] = state
+    return out
 
 
 def _coeff_table(params: ModelParams, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter, ne, sub
+from operator import ne, sub
 
 from ._serial import Record
 from .engine import (
@@ -120,62 +120,136 @@ class NotPeriodic(Record):
     _extra = ("periodic",)
 
 
-def _minimal_cycle(
-    states: list[NetworkState], j: int, length: int, tol: float
-) -> int:
-    """Reduce a detected cycle states[j:j+length] to its minimal period by
-    testing every proper divisor (wrapping indices inside the cycle); the
-    length itself needs no test."""
-    for d in range(1, length):
-        if length % d == 0 and all(
-            states_match(states[j + m], states[j + (m + d) % length], tol)
-            for m in range(length)
-        ):
-            return d
-    return length
+def _assemble(n: int, tol: float, chunks: list[tuple]) -> list[PeriodicityResult]:
+    """The results of detected cycles, built on arrays for all at once.
+
+    Each chunk holds some cycles as (transients, lengths, phases, ftds,
+    senders, returns, times, multiplicities).  Cycle k's orbit revisits,
+    after lengths[k] more returns, the state it reached after
+    transients[k] returns; its lengths[k] states are consecutive rows of
+    the other arrays, in cycle order and chunk after chunk.  A row holds a
+    state in lockstep's row layout (phases, FTD entries, their senders),
+    then the time (returns[:, 0]) and the deliveries (lockstep._deliveries)
+    of the return that leaves it.
+
+    The detected length is reduced over its proper divisors: the least d
+    for which every state is within tol of the one d returns on, wrapping
+    inside the cycle.  The orbit period sums the minimal cycle's return
+    times from the left.  Its receptions are timed from the cycle start,
+    a reception at the period boundary counting at offset 0 of the next
+    pass, and ordered by offset and then recipient, ties in cycle order.
+    """
+    if not chunks:
+        return []
+    import numpy as np
+
+    from .lockstep import _decode, _widen
+
+    def stack(arrays, fill):
+        width = max(a.shape[-1] for a in arrays)
+        return np.concatenate([_widen(a, width, fill) for a in arrays])
+
+    cols = list(zip(*chunks))
+    transients, lengths, phases, returns = (np.concatenate(cols[i]) for i in (0, 1, 2, 5))
+    ftds, senders = stack(cols[3], 0.0), stack(cols[4], n)
+    times, multiplicities = stack(cols[6], 0.0), stack(cols[7], 0)
+
+    count = len(lengths)
+    first = np.cumsum(lengths) - lengths
+    cycle = np.repeat(np.arange(count), lengths)
+    pos = np.arange(len(cycle)) - first[cycle]
+
+    period = lengths.copy()
+    divisors = {d for length in set(lengths.tolist()) for d in range(1, length) if length % d == 0}
+    for d in sorted(divisors):
+        open_ = (lengths % d == 0) & (period == lengths) & (lengths > d)
+        row = np.nonzero(open_[cycle])[0]
+        if not row.size:
+            continue
+        k = cycle[row]
+        other = first[k] + (pos[row] + d) % lengths[k]
+        match = (senders[row] == senders[other]).all(axis=1) & (
+            np.maximum(
+                np.abs(phases[row] - phases[other]).max(axis=1),
+                np.abs(ftds[row] - ftds[other]).max(axis=1, initial=0.0),
+            )
+            <= tol
+        )
+        period[open_ & (np.bincount(k[~match], minlength=count) == 0)] = d
+
+    # clock[k, m]: the time of the minimal cycle's first m returns, summed
+    # from the left as sum() does.
+    on = pos < period[cycle]
+    clock = np.zeros((count, int(period.max(initial=0)) + 1))
+    clock[cycle[on], pos[on] + 1] = returns[on, 0]
+    np.cumsum(clock, axis=1, out=clock)
+    orbit = clock[np.arange(count), period]
+
+    row, slot, who = np.nonzero((multiplicities > 0).transpose(0, 2, 1) & on[:, None, None])
+    k = cycle[row]
+    offset = clock[k, pos[row]] + times[row, slot]
+    offset[offset >= (orbit - DEFAULT_MATCH_TOL)[k]] = 0.0
+    order = np.lexsort((who, offset, k))
+    receptions = list(
+        zip(
+            who[order].tolist(),
+            multiplicities[row, who, slot][order].tolist(),
+            offset[order].tolist(),
+        )
+    )
+    rec_end = np.cumsum(np.bincount(k, minlength=count)).tolist()
+
+    states = _decode(phases[on], ftds[on], senders[on])
+    return_times = returns[on, 0].tolist()
+    results = []
+    lo = rec_lo = 0
+    for transient, minimal, length, orbit_period, rec_hi in zip(
+        transients.tolist(), period.tolist(), lengths.tolist(), orbit.tolist(), rec_end
+    ):
+        hi = lo + minimal
+        results.append(
+            PeriodicityResult(
+                transient_iters=transient,
+                poincare_period=minimal,
+                orbit_period=orbit_period,
+                detected_period=length,
+                return_times=tuple(return_times[lo:hi]),
+                cycle_states=tuple(states[lo:hi]),
+                receptions=tuple(receptions[rec_lo:rec_hi]),
+            )
+        )
+        lo, rec_lo = hi, rec_hi
+    return results
 
 
-def _cycle_result(
-    transient: int,
-    states: list[NetworkState],
-    returns: list[float],
-    received: list[list[tuple[int, int, float]]],
-    tol: float,
-) -> PeriodicityResult:
-    """The result for an orbit whose state after `transient` returns recurs
-    after len(states) more: states, returns and received hold those
-    returns' start states, return times and receptions."""
-    length = len(states)
-    minimal = _minimal_cycle(states, 0, length, tol)
-    orbit_period = sum(returns[:minimal])
-    # Receptions timed from the cycle start; one at the period boundary
-    # belongs to offset 0 of the next pass.
-    receptions = []
-    cycle_time = 0.0
-    for idx in range(minimal):
-        for r, m, t in received[idx]:
-            offset = cycle_time + t
-            if offset >= orbit_period - DEFAULT_MATCH_TOL:
-                offset = 0.0
-            receptions.append((r, m, offset))
-        cycle_time += returns[idx]
-    receptions.sort(key=itemgetter(2, 0))
-    return PeriodicityResult(
-        transient_iters=transient,
-        poincare_period=minimal,
-        orbit_period=orbit_period,
-        detected_period=length,
-        return_times=tuple(returns[:minimal]),
-        cycle_states=tuple(states[:minimal]),
-        receptions=tuple(receptions),
+def _cycle_rows(n: int, cycles: list[tuple]) -> tuple:
+    """Cycles that detect_periodicity's loop found, as one _assemble chunk.
+    Each cycle is (transient, states, returns, received): its states, the
+    time of the return that leaves each and that return's receptions."""
+    import numpy as np
+
+    from .lockstep import _deliveries, _encode
+
+    states = [s for cycle in cycles for s in cycle[1]]
+    received = [got for cycle in cycles for got in cycle[3]]
+    flat = np.array([*chain(*received)], dtype=float).reshape(-1, 3)
+    bounds = np.cumsum([0, *map(len, received)])
+    return (
+        np.array([cycle[0] for cycle in cycles], dtype=int),
+        np.array([len(cycle[1]) for cycle in cycles], dtype=int),
+        *_encode(n, states),
+        np.array([r for cycle in cycles for r in cycle[2]], dtype=float)[:, None],
+        *_deliveries(n, bounds, flat[:, 0].astype(int), flat[:, 1].astype(int), flat[:, 2]),
     )
 
 
-def _check_budget(max_iter: int, tol: float) -> None:
+def _check_budget(max_iter: int, tol: float, names: tuple[str, str] = ("max_iter", "tol")) -> None:
+    """Raise ValueError unless max_iter >= 1 and 0 < tol < inf, calling the
+    two values by names."""
     if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+        raise ValueError(f"{names[0]} must be >= 1, got {max_iter}")
     if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+        raise ValueError(f"{names[1]} must be positive and finite, got {tol}")
 
 
 def detect_periodicity(
@@ -189,13 +263,25 @@ def detect_periodicity(
     Each return runs on a fresh engine from the previous return's state, as
     in poincare_map.  All visited states are kept and the newest is compared
     against earlier ones (earliest first), so the reported transient is
-    minimal.  The detected revisit distance is then reduced over its
-    divisors to the minimal Poincare period; the orbit period sums the
-    minimal cycle's return times, and the cycle's states and receptions are
-    read from its returns.  After max_iter iterations a NotPeriodic report
-    is returned (a result, not an error).
+    minimal.  The cycle goes to _assemble, as detect_periodicity_many's
+    cycles do: the detected revisit distance is reduced over its divisors
+    to the minimal Poincare period, the orbit period sums the minimal
+    cycle's return times, and the cycle's states and receptions are read
+    from its returns.  After max_iter iterations a NotPeriodic report is
+    returned (a result, not an error).
     """
     _check_budget(max_iter, tol)
+    found = _detect_cycle(params, state, max_iter, tol)
+    if isinstance(found, NotPeriodic):
+        return found
+    return _assemble(params.n, tol, [_cycle_rows(params.n, [found])])[0]
+
+
+def _detect_cycle(
+    params: ModelParams, state: NetworkState, max_iter: int, tol: float
+) -> tuple | NotPeriodic:
+    """detect_periodicity's loop: the cycle it finds, as _cycle_rows takes
+    it, or NotPeriodic."""
     require_section_state(params, state)
 
     states = [state]
@@ -215,7 +301,7 @@ def detect_periodicity(
         candidates = sorted(idx for _, idx in by_phase0[lo:hi])
         for j in candidates:
             if states_match(states[j], new, tol):
-                return _cycle_result(j, states[j:], returns[j:], received[j:], tol)
+                return j, states[j:], returns[j:], received[j:]
         states.append(new)
         bisect.insort(by_phase0, (new.phases[0], i))
 
@@ -231,25 +317,32 @@ def detect_periodicity_many(
     """detect_periodicity for many starts at once, one result per start.
 
     The starts' section returns run in lockstep on float64 arrays
-    (lockstep.LockstepEngine) and each start's visited states stay in
-    arrays, compared by detect_periodicity's rule: the same phase-0
-    prefilter bounds, equal FTD row lengths, state_distance <= tol, the
-    earliest match first.  Every result is repr-identical to what
-    detect_periodicity returns for that start.  If any start raises, the
-    error of the first such start (in the given order) is raised.
+    (lockstep.LockstepEngine).  Each start's visited states, return times
+    and receptions stay in a lockstep._History, compared by
+    detect_periodicity's rule: the same phase-0 prefilter bounds, equal
+    FTD row lengths, state_distance <= tol, the earliest match first.  A
+    start that finishes leaves the history; a found cycle's rows are
+    copied out, and _assemble builds every cycle of the batch at the end.
+    Every result is repr-identical to what detect_periodicity returns for
+    that start.  If any start raises, the error of the first such start
+    (in the given order) is raised.
 
     At tau <= COINCIDENCE_TOL every fire puts its own pulse due within
     the same timestamp, a cascade the lockstep path hands to the scalar
-    engine anyway, so such starts go to detect_periodicity one by one.
+    engine anyway, so such starts run detect_periodicity's loop one by
+    one, and their cycles are assembled together.
     """
     _check_budget(max_iter, tol)
     states = list(states)
     if params.tau <= COINCIDENCE_TOL:
-        return [detect_periodicity(params, s, max_iter, tol) for s in states]
+        found = [_detect_cycle(params, s, max_iter, tol) for s in states]
+        cycles = [f for f in found if isinstance(f, tuple)]
+        built = iter(_assemble(params.n, tol, [_cycle_rows(params.n, cycles)]))
+        return [next(built) if isinstance(f, tuple) else f for f in found]
 
     import numpy as np
 
-    from .lockstep import LockstepEngine, _decode, _encode, _widen
+    from .lockstep import LockstepEngine, _decode, _encode, _History
 
     n = params.n
     errors: dict[int, Exception] = {}
@@ -264,92 +357,58 @@ def detect_periodicity_many(
     results: list = [None] * count
     eng = LockstepEngine(params, *_encode(n, states))
 
-    # hist holds, for the start at live[p] after i returns, its phases,
-    # FTD entries and their senders (LockstepReturns' layout, padded to a
-    # common width) and the time of its i-th return at [i, p]: the first
-    # `filled` entries of a first axis that doubles when full.  The
-    # receptions of its i-th return are in logs[i - 1], with the starts
-    # that ran it.  A start leaves hist when it finishes.
+    # hist holds every live start's states, return times and receptions,
+    # row p for the start at live[p]; a start leaves it when it finishes.
+    # A found cycle's rows are copied out then, and every cycle of the
+    # batch is assembled at the end.
     live = np.arange(count)
-    hist = [eng.phases[None], eng.ftds[None], eng.senders[None], np.zeros((1, count))]
-    filled = 1
-    logs: list[tuple] = []
-
-    def state_at(p: int, i: int) -> NetworkState:
-        """The state of the start at live[p] after i returns."""
-        if i == 0:
-            return states[int(live[p])]
-        return _decode(hist[0][i, p], hist[1][i, p], hist[2][i, p])
-
-    def received(p: int, i: int) -> list[tuple[int, int, float]]:
-        """The receptions of the (i+1)-th return of the start at live[p]."""
-        stepped, bounds, recipients, mults, times = logs[i]
-        at = bisect.bisect_left(stepped, int(live[p]))
-        lo, hi = bounds[at], bounds[at + 1]
-        return list(zip(recipients[lo:hi].tolist(), mults[lo:hi].tolist(), times[lo:hi].tolist()))
+    hist = _History(n, eng.phases, eng.ftds, eng.senders)
+    cycles: list[tuple] = []
+    cycle_starts: list[int] = []
 
     for it in range(1, max_iter + 1):
         if not live.size:
             break
         out = eng.run_until_section(record="receptions")
-        logs.append(
-            (live.tolist(), out.bounds.tolist(), out.recipients, out.multiplicities, out.times)
-        )
+        matched = hist.match(out.phases, out.ftds, out.senders, tol)
+        hist.append(out)
 
-        width = max(out.ftds.shape[1], hist[1].shape[2])
-        hist[1], hist[2] = _widen(hist[1], width, 0.0), _widen(hist[2], width, n)
-        new_ftd, new_snd = _widen(out.ftds, width, 0.0), _widen(out.senders, width, n)
-
-        # detect_periodicity's rule: the phase-0 prefilter, then equal row
-        # lengths (equal padded senders) and state_distance <= tol, the
-        # earliest match first.
-        h_ph, h_ftd, h_snd = (h[:filled] for h in hist[:3])
-        p0 = out.phases[:, 0]
-        old_p0 = h_ph[:, :, 0].T
-        row, j = np.nonzero((old_p0 >= (p0 - tol)[:, None]) & (old_p0 <= (p0 + tol)[:, None]))
-        hit = (h_snd[j, row] == new_snd[row]).all(axis=1) & (
-            np.maximum(
-                np.abs(h_ph[j, row] - out.phases[row]).max(axis=1),
-                np.abs(h_ftd[j, row] - new_ftd[row]).max(axis=1, initial=0.0),
+        failed = np.zeros(live.size, dtype=bool)
+        failed[list(out.errors)] = True
+        matched[failed] = -1
+        for p, exc in out.errors.items():
+            errors[int(live[p])] = exc
+        done = np.nonzero(matched >= 0)[0]
+        if done.size:
+            # The found cycles' rows: states j..it-1, each with the return
+            # that leaves it.
+            j = matched[done]
+            lengths = it - j
+            at = np.repeat(j - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+            p = np.repeat(done, lengths)
+            cycles.append(
+                (j, lengths, *hist.gather((0, 1, 2), at, p), *hist.gather((3, 4, 5), at + 1, p))
             )
-            <= tol
-        )
-        row, first = np.unique(row[hit], return_index=True)
-        found = dict(zip(row.tolist(), j[hit][first].tolist()))
-
-        if filled == len(hist[0]):
-            hist = [np.concatenate((h, np.empty_like(h))) for h in hist]
-        for h, new in zip(hist, (out.phases, new_ftd, new_snd, out.elapsed)):
-            h[filled] = new
-        filled += 1
-
-        finishing = range(live.size) if it == max_iter else sorted({*found, *out.errors})
-        keep = np.ones(live.size, dtype=bool)
-        keep[list(finishing)] = False
-        for p in finishing:
-            b = int(live[p])
-            if p in out.errors:
-                errors[b] = out.errors[p]
-            elif p in found:
-                j = found[p]
-                results[b] = _cycle_result(
-                    j,
-                    [state_at(p, i) for i in range(j, it)],
-                    hist[3][j + 1 : it + 1, p].tolist(),
-                    [received(p, i) for i in range(j, it)],
-                    tol,
-                )
-            else:
-                results[b] = NotPeriodic(iterations=max_iter, last_state=state_at(p, it))
+            cycle_starts += live[done].tolist()
+        leave = failed | (matched >= 0)
+        if it == max_iter:
+            last = np.nonzero(~leave)[0]
+            ends = _decode(*hist.gather((0, 1, 2), np.full(last.size, it), last))
+            for p, state in zip(last.tolist(), ends):
+                results[live[p]] = NotPeriodic(iterations=max_iter, last_state=state)
+            leave[:] = True
+        keep = ~leave
         if errors:
             keep &= live < min(errors)
         if not keep.all():
             live = live[keep]
-            hist = [h[:, keep] for h in hist]
+            hist.keep(keep)
             eng.keep(keep)
 
     if errors:
         raise errors[min(errors)]
+    for b, result in zip(cycle_starts, _assemble(n, tol, cycles)):
+        results[b] = result
     return results
 
 

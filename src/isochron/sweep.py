@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._serial import Record, plain
+from ._serial import Record, write_json
 from ._version import __version__
 from .engine import NetworkState, TraceEvent, format_trace_text, init_engine, network_state
 from .model import DomainError, ModelParams, jump
@@ -90,11 +90,11 @@ def eq_init_state(params: ModelParams, theta1: float, theta2: float) -> NetworkS
     first two oscillators remembers a firing theta_i ago iff theta_i lies
     within the delay window (boundary included); the reference oscillator
     fired at time zero."""
+    theta1, theta2 = float(theta1), float(theta2)
     ftd1 = (theta1,) if theta1 <= params.tau else ()
     ftd2 = (theta2,) if theta2 <= params.tau else ()
-    return network_state(
-        phases=(theta1, theta2, 0.0), ftds=(ftd1, ftd2, (0.0,))
-    )
+    # Rows of at most one entry are sorted already, as network_state keeps them.
+    return NetworkState((theta1, theta2, 0.0), (ftd1, ftd2, (0.0,)))
 
 
 @dataclass(frozen=True)
@@ -672,32 +672,12 @@ def _write_csv(path, header_lines: list[str], columns: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-class _Streamed(list):
-    """A sequence that the JSON encoder walks one item at a time, each in
-    its plain() form, so no plain() copy of the whole sequence is built."""
-
-    def __init__(self, items) -> None:
-        super().__init__()
-        self._items = items
-
-    def __iter__(self):
-        return map(plain, self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
 def _write_json(path, timestamp: str | None, **fields) -> None:
     """A JSON dataset: tool version, timestamp, and each field in its
-    plain() form, keys sorted.  Sequences are encoded item by item, with
-    the bytes json.dump(sort_keys=True, indent=1) writes."""
-    payload = {"version": __version__, "timestamp": timestamp}
-    for key, value in fields.items():
-        payload[key] = _Streamed(value) if isinstance(value, (tuple, list)) else plain(value)
+    plain() form, keys sorted, with the bytes json.dump(sort_keys=True,
+    indent=1) writes.  Sequences are written item by item."""
     with open(path, "w") as fh:
-        for chunk in json.JSONEncoder(sort_keys=True, indent=1).iterencode(payload):
-            fh.write(chunk)
-        fh.write("\n")
+        write_json(fh, {"version": __version__, "timestamp": timestamp, **fields})
 
 
 def _opt(value) -> str:

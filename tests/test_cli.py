@@ -796,3 +796,33 @@ class TestTol:
         assert f"{message}, got {value}" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+
+class TestMaxIter:
+    """poincare and scan phases reject a section-return budget below 1,
+    from a flag or from --config, naming --max-iter, before they compute or
+    create a file."""
+
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poincare", "--center", "ir4", "--out"],
+            ["scan", "phases", "--step", "0.5", "--out-csv"],
+        ],
+        ids=["poincare", "scan-phases"],
+    )
+    def test_bad_max_iter_rejected(self, capsys, tmp_path, argv, source, value):
+        out = tmp_path / "out"
+        if source == "flag":
+            argv = [*argv, str(out), "--max-iter", str(value)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"max_iter": value}))
+            argv = [*argv, str(out), "--config", str(config)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: --max-iter must be >= 1, got {value}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()

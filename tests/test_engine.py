@@ -28,7 +28,7 @@ from isochron.engine import (
     network_state,
     validate_state,
 )
-from isochron.lockstep import LockstepEngine, _decode, _encode
+from isochron.lockstep import LockstepEngine, _decode, _deliveries, _encode
 from isochron.model import DomainError, ModelParams, jump, jump_m
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
@@ -406,8 +406,7 @@ class TestRowEncoding:
         params, states = drawn
         phases, ftds, senders = _encode(params.n, states)
         assert phases.shape == (len(states), params.n)
-        for r, state in enumerate(states):
-            assert repr(_decode(phases[r], ftds[r], senders[r])) == repr(state)
+        assert list(map(repr, _decode(phases, ftds, senders))) == list(map(repr, states))
 
     def test_empty_rows_and_padding(self):
         states = [
@@ -417,7 +416,36 @@ class TestRowEncoding:
         phases, ftds, senders = _encode(3, states)
         assert senders.tolist() == [[3, 3, 3], [0, 0, 2]]
         assert ftds.tolist() == [[0.0, 0.0, 0.0], [0.1, 0.3, 0.0]]
-        assert [_decode(phases[r], ftds[r], senders[r]) for r in range(2)] == states
+        assert _decode(phases, ftds, senders) == states
+        assert _decode(phases[:0], ftds[:0], senders[:0]) == []
+
+
+class TestDeliveries:
+    def test_reading_back_keeps_the_recorded_order(self):
+        # Row 0: two timestamps, recipients rising within each.  Row 1: no
+        # receptions.  Row 2: one timestamp recorded as recipient 1 and then
+        # 0 (as the scalar engine orders a delivery's multiplicities), then
+        # recipient 0 again (a cascade's second round).
+        received = [
+            [(0, 1, 0.25), (2, 1, 0.25), (1, 2, 0.5)],
+            [],
+            [(1, 1, 0.75), (0, 2, 0.75), (0, 1, 0.75)],
+        ]
+        flat = [r for got in received for r in got]
+        recipients, multiplicities, times = map(np.array, zip(*flat))
+        bounds = np.cumsum([0, *map(len, received)])
+        when, mult = _deliveries(3, bounds, recipients, multiplicities, times)
+        assert mult.shape == (3, 3, 3)
+        back = [
+            [
+                (r, int(mult[row, r, d]), float(when[row, d]))
+                for d in range(mult.shape[2])
+                for r in range(3)
+                if mult[row, r, d]
+            ]
+            for row in range(3)
+        ]
+        assert back == received
 
 
 class TestLockstepEngine:
@@ -430,6 +458,7 @@ class TestLockstepEngine:
         """Each row of got against a scalar engine from its start; returns
         the rows that did not raise and the scalar engines' event count."""
         ok, events = [], 0
+        decoded = _decode(got.phases, got.ftds, got.senders)
         for r, start in enumerate(starts):
             eng = init_engine(params, start)
             try:
@@ -441,7 +470,7 @@ class TestLockstepEngine:
             finally:
                 events += eng.events_processed
             assert r not in got.errors
-            assert repr(_decode(got.phases[r], got.ftds[r], got.senders[r])) == repr(state)
+            assert repr(decoded[r]) == repr(state)
             assert repr(got.elapsed[r].item()) == repr(elapsed)
             lo, hi = got.bounds[r], got.bounds[r + 1]
             assert list(
@@ -469,7 +498,8 @@ class TestLockstepEngine:
         keep[ok] = True
         lockstep.keep(keep)
         again = lockstep.run_until_section(record="receptions")
-        starts = [_decode(got.phases[r], got.ftds[r], got.senders[r]) for r in ok]
+        decoded = _decode(got.phases, got.ftds, got.senders)
+        starts = [decoded[r] for r in ok]
         _, more = self.assert_rows_match(params, starts, again)
         assert lockstep.events_processed == events + more
 

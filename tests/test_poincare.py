@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -36,7 +37,7 @@ from isochron import (
 )
 from isochron import engine, lockstep, poincare
 from isochron.engine import EngineStallError, HorizonExceededError
-from isochron.poincare import _minimal_cycle
+from isochron.poincare import _assemble, _cycle_rows
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
 
@@ -348,14 +349,132 @@ class TestDetectPeriodicity:
         assert res.return_times == tuple(times[j : j + p])
 
 
+def assemble(states, returns=None, received=None, tol=1e-9, transient=0):
+    """The result _assemble builds for one detected cycle of three
+    oscillators."""
+    returns = returns or [0.1 * (i + 1) for i in range(len(states))]
+    received = received or [[] for _ in states]
+    return _assemble(3, tol, [_cycle_rows(3, [(transient, states, returns, received)])])[0]
+
+
+def reference_cycle(transient, states, returns, received, tol):
+    """A detected cycle's result, built return by return: the least proper
+    divisor d of the length under which every state matches the one d
+    returns on (wrapping inside the cycle), the left-to-right sum of the
+    minimal cycle's return times, and its receptions timed from the cycle
+    start, wrapped to 0 at the period boundary, ordered by offset and then
+    recipient."""
+    length = len(states)
+    minimal = next(
+        (
+            d
+            for d in range(1, length)
+            if length % d == 0
+            and all(states_match(states[m], states[(m + d) % length], tol) for m in range(length))
+        ),
+        length,
+    )
+    orbit_period = sum(returns[:minimal])
+    receptions, cycle_time = [], 0.0
+    for idx in range(minimal):
+        for r, m, t in received[idx]:
+            offset = cycle_time + t
+            receptions.append((r, m, 0.0 if offset >= orbit_period - DEFAULT_MATCH_TOL else offset))
+        cycle_time += returns[idx]
+    receptions.sort(key=lambda rec: (rec[2], rec[0]))
+    return PeriodicityResult(
+        transient_iters=transient,
+        poincare_period=minimal,
+        orbit_period=orbit_period,
+        detected_period=length,
+        return_times=tuple(returns[:minimal]),
+        cycle_states=tuple(states[:minimal]),
+        receptions=tuple(receptions),
+    )
+
+
+_A = network_state(phases=(0.1, 0.2, 0.0), ftds=((0.1,), (0.2,), (0.0,)))
+_B = network_state(phases=(0.3, 0.4, 0.0), ftds=((0.3,), (), (0.0, 0.4)))
+#: Within 1e-9 of _A, but not equal to it.
+_A_NEAR = network_state(phases=(0.1 + 4e-10, 0.2, 0.0), ftds=((0.1,), (0.2 - 4e-10,), (0.0,)))
+#: _A with one more FTD entry: never within any tol of _A.
+_A_LONGER = network_state(phases=(0.1, 0.2, 0.0), ftds=((0.1,), (0.2,), (0.0, 0.5)))
+
+
+@st.composite
+def detected_cycles(draw):
+    """A detected cycle: a repeated base pattern of states (some replaced
+    by near or differently shaped copies), return times, and receptions
+    at arbitrary times, at 0, at the end of their return and at the wrap
+    threshold just before it."""
+    base = draw(st.lists(st.sampled_from([_A, _B, _A_NEAR]), min_size=1, max_size=3))
+    states = base * draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        states[draw(st.integers(0, len(states) - 1))] = draw(st.sampled_from([_A_NEAR, _A_LONGER]))
+    returns = [draw(st.sampled_from([0.25, 0.5, 0.375])) for _ in states]
+    received = [
+        [
+            (
+                draw(st.integers(0, 2)),
+                draw(st.integers(1, 2)),
+                draw(
+                    st.one_of(
+                        st.sampled_from([0.0, ret, ret - DEFAULT_MATCH_TOL]), st.floats(0.0, ret)
+                    )
+                ),
+            )
+            for _ in range(draw(st.integers(0, 4)))
+        ]
+        for ret in returns
+    ]
+    return draw(st.integers(0, 5)), states, returns, received
+
+
 class TestMinimalCycle:
+    """_assemble, the one cycle builder of both detectors."""
+
     def test_reduces_detected_length_over_divisors(self):
-        a = network_state(phases=(0.1, 0.2, 0.0), ftds=((0.1,), (0.2,), (0.0,)))
-        b = network_state(phases=(0.3, 0.4, 0.0), ftds=((0.3,), (0.4,), (0.0,)))
-        states = [a, b, a, b]
-        assert _minimal_cycle(states, 0, 4, tol=1e-9) == 2
-        assert _minimal_cycle([a, a, a], 0, 3, tol=1e-9) == 1
-        assert _minimal_cycle([a, b, a, b], 0, 2, tol=1e-9) == 2
+        a, b = _A, _B
+        four = assemble([a, b, a, b])
+        assert (four.poincare_period, four.detected_period) == (2, 4)
+        assert four.cycle_states == (a, b)
+        assert four.return_times == (0.1, 0.2)
+        assert assemble([a, a, a]).poincare_period == 1
+        assert assemble([a, b, a, b][:2]).poincare_period == 2
+
+    def test_states_within_tol_reduce_and_other_shapes_do_not(self):
+        assert assemble([_A, _A_NEAR]).poincare_period == 1
+        assert assemble([_A, _A_NEAR], tol=1e-10).poincare_period == 2
+        assert assemble([_A, _A_LONGER], tol=1.0).poincare_period == 2
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(detected_cycles(), min_size=1, max_size=5), st.sampled_from([1e-9, 1e-10]))
+    def test_many_cycles_at_once_equal_the_return_by_return_build(self, cycles, tol):
+        # Cycles assembled together, in chunks of different widths, are
+        # each repr-identical to the build of that cycle alone, return by
+        # return.
+        want = [reference_cycle(*cycle, tol) for cycle in cycles]
+        chunks = [_cycle_rows(3, cycles[:2]), _cycle_rows(3, cycles[2:])]
+        assert list(map(repr, _assemble(3, tol, chunks))) == list(map(repr, want))
+
+    def test_prefilter_rounding_leaves_a_reducible_cycle(self):
+        # The third state is within tol of the second, but the second's
+        # phase 0 falls outside the rounded prefilter bounds around the
+        # third's, so no match is found there; the fourth matches the second
+        # and the detected length 2 reduces to 1.
+        params = ModelParams(
+            b=4.290460230418813, eps=0.8972177923561984, n=3, tau=0.229223571539693
+        )
+        start = eq_init_state(params, 0.9, 0.1)
+        tol = 0.43986737451856583
+        chain = [start]
+        for _ in range(3):
+            chain.append(poincare_map(params, chain[-1])[0])
+        old, new = chain[2].phases[0], chain[3].phases[0]
+        assert state_distance(chain[2], chain[3]) <= tol
+        assert not new - tol <= old <= new + tol
+        want = assert_batch_matches(params, [start], max_iter=10, tol=tol)[0]
+        assert (want.transient_iters, want.detected_period, want.poincare_period) == (2, 2, 1)
 
 
 def simulated_receptions(params, result):
@@ -606,6 +725,40 @@ class TestBatchedDetection:
         starts = [eq_init_state(weak, t1, t2) for t1 in grid for t2 in grid]
         want = assert_batch_matches(weak, starts)
         assert max(w.transient_iters + w.detected_period for w in want) > 64
+
+    def test_finished_starts_release_their_history(self, monkeypatch):
+        # Weak coupling, as above: once only the longest orbits are left, a
+        # batch holds their history plus the copied-out cycle of each start
+        # that finished, and not the states or receptions of the finished
+        # starts' earlier returns.
+        weak = ModelParams(b=3.0, eps=0.005, n=3, tau=0.58)
+        grid = [i * 0.2 for i in range(5)]
+        starts = [eq_init_state(weak, t1, t2) for t1 in grid for t2 in grid]
+        results = detect_periodicity_many(weak, starts)
+        ends = [r.transient_iters + r.detected_period for r in results]
+        longest = [s for s, e in zip(starts, ends) if e == max(ends)]
+        real = lockstep.LockstepEngine._section_return
+
+        def held_at_last_return(batch):
+            held = []
+
+            def spy(self, record):
+                held.append(tracemalloc.get_traced_memory()[0])
+                return real(self, record)
+
+            monkeypatch.setattr(lockstep.LockstepEngine, "_section_return", spy)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                detect_periodicity_many(weak, batch)
+            finally:
+                tracemalloc.stop()
+            assert len(held) == max(ends)
+            return held[-1] - base
+
+        finished = len(starts) - len(longest)
+        assert finished >= 20
+        assert held_at_last_return(starts) - held_at_last_return(longest) < 2048 * finished
 
     def test_zero_delay_runs_on_the_scalar_detector(self, monkeypatch):
         # At tau <= COINCIDENCE_TOL every fire cascades within its own

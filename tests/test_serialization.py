@@ -8,10 +8,15 @@ every sequence a list.
 
 from __future__ import annotations
 
+import io
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from isochron._serial import plain, write_json
 from isochron.engine import TraceEvent, network_state
 from isochron.model import ModelParams
 from isochron.poincare import NotPeriodic
@@ -181,3 +186,59 @@ def test_json_form_is_pinned(case):
     if config is not None:
         assert json.loads(json.dumps(config)) == config
         assert instance.config_dict() == config
+
+
+def dumped(payload: dict) -> str:
+    buffer = io.StringIO()
+    write_json(buffer, payload)
+    return buffer.getvalue()
+
+
+def json_dumped(payload: dict) -> str:
+    return json.dumps(plain(payload), sort_keys=True, indent=1) + "\n"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+#: The JSON goldens the dataset writer produced (the others hold lists).
+WRITTEN = sorted(p.name for p in GOLDEN.glob("*.json") if p.read_text().startswith("{"))
+
+
+@pytest.mark.parametrize("name", WRITTEN)
+def test_writer_matches_json_dump_on_every_golden(name):
+    text = (GOLDEN / name).read_text()
+    payload = json.loads(text)
+    assert dumped(payload) == json_dumped(payload) == text
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_writer_matches_json_dump_on_records(case):
+    instance, _, _ = CASES[case]
+    payload = {"record": instance, "records": (instance, instance), "none": ()}
+    assert dumped(payload) == json_dumped(payload)
+
+
+_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 1e-310, float("nan"), float("inf"), -float("inf")])
+    | st.text()
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    st.recursive(
+        _LEAVES,
+        lambda children: st.lists(children)
+        | st.tuples(children, children)
+        | st.dictionaries(st.text(), children)
+        | st.dictionaries(st.integers(), children),
+        max_leaves=25,
+    )
+)
+def test_writer_matches_json_dump_on_drawn_values(value):
+    payload = {"value": value, "items": [value, (), {}, [value]], "empty": []}
+    assert dumped(payload) == json_dumped(payload)
