@@ -3,11 +3,11 @@
 Independent networks with the same parameters can advance in lockstep:
 every step moves each one to its own next timestamp with the scalar
 engine's float operations, in its order, so each ends bit for bit where
-its own Engine would.  Batched detection
-(poincare.detect_periodicity_many) and the intertwining check
-(regions.intertwining_distances, which verify and
-sweep.stability_probe call) import this module lazily, so runs that do
-neither do not load it, nor numpy with the engine.
+its own Engine would.  Cycle detection (poincare.detect_periodicity_many,
+and detect_periodicity as a batch of one) and the intertwining check
+(regions.intertwining_distances, which verify and sweep.stability_probe
+call) import this module lazily, so runs that do neither do not load it,
+nor numpy with the engine.
 """
 
 from __future__ import annotations
@@ -59,14 +59,16 @@ class LockstepEngine(Engine):
     _encode wrote as phases[r], ftds[r] and senders[r].  Each
     run_until_section(record="receptions") runs every row to the next fire
     of the last oscillator, returns a LockstepReturns and restarts each
-    row at clock 0 from the state it exported, as detect_periodicity
-    starts a new engine for each return.  All rows advance one timestamp
+    row at clock 0 from the state it exported, as poincare_map starts a
+    new engine for each return.  All rows advance one timestamp
     per step with Engine._advance's float operations, in the same order,
     so every row ends bit for bit where the scalar run ends.  A row whose
     return leaves that common path -- a same-timestamp cascade, a
     timestamp with no event, the _MAX_SECTION_TIME horizon or the
     _MAX_SECTION_EVENTS budget -- is replayed from its start on a scalar
     Engine, which handles it or raises exactly as for a single network.
+    At tau <= COINCIDENCE_TOL every fire cascades, so every row is
+    replayed on every return.
 
     It is an Engine so that run_until_section stays the one entry point of
     a section return, batched or not (perfbench/tracer.py counts engine
@@ -200,7 +202,9 @@ class LockstepEngine(Engine):
         )
 
         errors: dict[int, Exception] = {}
-        replayed: list[tuple[int, int, int, float]] = []
+        # Replayed receptions, and the row of each.
+        replayed: list[tuple[int, int, float]] = []
+        replayed_rows: list[int] = []
         ended: dict[int, NetworkState] = {}
         replay.sort()
         starts = _decode(phases[replay], ftds[replay], senders[replay])
@@ -213,7 +217,8 @@ class LockstepEngine(Engine):
                 continue
             finally:
                 self.events_processed += eng.events_processed
-            replayed.extend((row, *reception) for reception in got)
+            replayed += got
+            replayed_rows += repeat(row, len(got))
         if ended:
             # Replayed rows still hold only empty slots in out_ftds and out_senders.
             back = list(ended)
@@ -224,7 +229,7 @@ class LockstepEngine(Engine):
         if replayed:
             rec = [
                 np.concatenate([col, np.asarray(add, dtype=col.dtype)])
-                for col, add in zip(rec, zip(*replayed))
+                for col, add in zip(rec, (replayed_rows, *zip(*replayed)))
             ]
         grouped = np.argsort(rec[0], kind="stable")
         rec_rows, recipients, multiplicities, at = (col[grouped] for col in rec)
@@ -328,8 +333,8 @@ class _History:
 
     def match(self, phases, ftds, senders, tol: float) -> np.ndarray:
         """For each row, the earliest entry its given state matches by
-        detect_periodicity's rule, or -1: the phase-0 prefilter, then equal
-        row lengths (equal padded senders) and state_distance <= tol.  The
+        detection's rule, or -1: phase 0 within tol, then equal row
+        lengths (equal padded senders) and state_distance <= tol.  The
         FTDs are compared only where every phase is within tol."""
         p0 = phases[:, 0]
         lo, hi = p0 - tol, p0 + tol

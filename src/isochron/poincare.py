@@ -10,7 +10,6 @@ alone.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,7 +18,6 @@ from operator import ne, sub
 
 from ._serial import Record
 from .engine import (
-    COINCIDENCE_TOL,
     Engine,
     NetworkState,
     init_engine,  # noqa: F401  (bound here for perfbench/tracer.py)
@@ -222,27 +220,6 @@ def _assemble(n: int, tol: float, chunks: list[tuple]) -> list[PeriodicityResult
     return results
 
 
-def _cycle_rows(n: int, cycles: list[tuple]) -> tuple:
-    """Cycles that detect_periodicity's loop found, as one _assemble chunk.
-    Each cycle is (transient, states, returns, received): its states, the
-    time of the return that leaves each and that return's receptions."""
-    import numpy as np
-
-    from .lockstep import _deliveries, _encode
-
-    states = [s for cycle in cycles for s in cycle[1]]
-    received = [got for cycle in cycles for got in cycle[3]]
-    flat = np.array([*chain(*received)], dtype=float).reshape(-1, 3)
-    bounds = np.cumsum([0, *map(len, received)])
-    return (
-        np.array([cycle[0] for cycle in cycles], dtype=int),
-        np.array([len(cycle[1]) for cycle in cycles], dtype=int),
-        *_encode(n, states),
-        np.array([r for cycle in cycles for r in cycle[2]], dtype=float)[:, None],
-        *_deliveries(n, bounds, flat[:, 0].astype(int), flat[:, 1].astype(int), flat[:, 2]),
-    )
-
-
 def _check_budget(max_iter: int, tol: float, names: tuple[str, str] = ("max_iter", "tol")) -> None:
     """Raise ValueError unless max_iter >= 1 and 0 < tol < inf, calling the
     two values by names."""
@@ -258,54 +235,12 @@ def detect_periodicity(
     max_iter: int = 10_000,
     tol: float = DEFAULT_MATCH_TOL,
 ) -> PeriodicityResult | NotPeriodic:
-    """Iterate the section map until a previously seen state recurs.
-
-    Each return runs on a fresh engine from the previous return's state, as
-    in poincare_map.  All visited states are kept and the newest is compared
-    against earlier ones (earliest first), so the reported transient is
-    minimal.  The cycle goes to _assemble, as detect_periodicity_many's
-    cycles do: the detected revisit distance is reduced over its divisors
-    to the minimal Poincare period, the orbit period sums the minimal
-    cycle's return times, and the cycle's states and receptions are read
-    from its returns.  After max_iter iterations a NotPeriodic report is
-    returned (a result, not an error).
+    """Iterate the section map until a previously seen state recurs:
+    detect_periodicity_many for a batch of one, by its rule.  After
+    max_iter iterations a NotPeriodic report is returned (a result, not an
+    error).
     """
-    _check_budget(max_iter, tol)
-    found = _detect_cycle(params, state, max_iter, tol)
-    if isinstance(found, NotPeriodic):
-        return found
-    return _assemble(params.n, tol, [_cycle_rows(params.n, [found])])[0]
-
-
-def _detect_cycle(
-    params: ModelParams, state: NetworkState, max_iter: int, tol: float
-) -> tuple | NotPeriodic:
-    """detect_periodicity's loop: the cycle it finds, as _cycle_rows takes
-    it, or NotPeriodic."""
-    require_section_state(params, state)
-
-    states = [state]
-    # Sorted view of (first phase, index) pairs for cheap match prefiltering.
-    by_phase0: list[tuple[float, int]] = [(state.phases[0], 0)]
-    returns: list[float] = []
-    received: list[list[tuple[int, int, float]]] = []
-
-    new = state
-    for i in range(1, max_iter + 1):
-        new, elapsed, got = Engine(params, new).run_until_section(record="receptions")
-        returns.append(elapsed)
-        received.append(got)
-
-        lo = bisect.bisect_left(by_phase0, (new.phases[0] - tol, -1))
-        hi = bisect.bisect_right(by_phase0, (new.phases[0] + tol, len(states)))
-        candidates = sorted(idx for _, idx in by_phase0[lo:hi])
-        for j in candidates:
-            if states_match(states[j], new, tol):
-                return j, states[j:], returns[j:], received[j:]
-        states.append(new)
-        bisect.insort(by_phase0, (new.phases[0], i))
-
-    return NotPeriodic(iterations=max_iter, last_state=new)
+    return detect_periodicity_many(params, [state], max_iter, tol)[0]
 
 
 def detect_periodicity_many(
@@ -314,31 +249,24 @@ def detect_periodicity_many(
     max_iter: int = 10_000,
     tol: float = DEFAULT_MATCH_TOL,
 ) -> list[PeriodicityResult | NotPeriodic]:
-    """detect_periodicity for many starts at once, one result per start.
+    """Iterate the section map from many starts at once until, for each,
+    a previously seen state recurs; one result per start.
 
-    The starts' section returns run in lockstep on float64 arrays
-    (lockstep.LockstepEngine).  Each start's visited states, return times
-    and receptions stay in a lockstep._History, compared by
-    detect_periodicity's rule: the same phase-0 prefilter bounds, equal
-    FTD row lengths, state_distance <= tol, the earliest match first.  A
-    start that finishes leaves the history; a found cycle's rows are
+    Each return runs as if on a fresh engine from the previous return's
+    state, as in poincare_map; the starts' returns run in lockstep on
+    float64 arrays (lockstep.LockstepEngine).  Each start's visited
+    states, return times and receptions stay in a lockstep._History, and
+    the newest state is compared against earlier ones by one rule: phase 0
+    within tol (the prefilter), equal FTD row lengths, state_distance <=
+    tol, the earliest match first, so the reported transient is minimal.
+    A start that finishes leaves the history; a found cycle's rows are
     copied out, and _assemble builds every cycle of the batch at the end.
-    Every result is repr-identical to what detect_periodicity returns for
-    that start.  If any start raises, the error of the first such start
-    (in the given order) is raised.
-
-    At tau <= COINCIDENCE_TOL every fire puts its own pulse due within
-    the same timestamp, a cascade the lockstep path hands to the scalar
-    engine anyway, so such starts run detect_periodicity's loop one by
-    one, and their cycles are assembled together.
+    A start with no revisit after max_iter iterations gets a NotPeriodic
+    report.  If any start raises, the error of the first such start (in
+    the given order) is raised.
     """
     _check_budget(max_iter, tol)
     states = list(states)
-    if params.tau <= COINCIDENCE_TOL:
-        found = [_detect_cycle(params, s, max_iter, tol) for s in states]
-        cycles = [f for f in found if isinstance(f, tuple)]
-        built = iter(_assemble(params.n, tol, [_cycle_rows(params.n, cycles)]))
-        return [next(built) if isinstance(f, tuple) else f for f in found]
 
     import numpy as np
 

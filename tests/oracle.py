@@ -11,6 +11,11 @@ algebra slip in either side shows up as a mismatch.
 ``o_section_return`` is a 50-digit event loop for one section return, the
 arbiter for the engine's rounding: chained, its returns give the exact
 orbit that the engine's double-precision returns approximate.
+
+``scalar_detect`` is the float reference for cycle detection: the
+library's detector runs many starts in lockstep on arrays and builds their
+cycles together, while this one runs each return on its own scalar engine
+and builds its one cycle return by return (``cycle_result``).
 """
 
 from __future__ import annotations
@@ -20,6 +25,15 @@ import math
 from itertools import chain
 
 import mpmath as mp
+
+from isochron import (
+    DEFAULT_MATCH_TOL,
+    Engine,
+    NotPeriodic,
+    PeriodicityResult,
+    require_section_state,
+    states_match,
+)
 
 mp.mp.dps = 50
 
@@ -124,3 +138,76 @@ def o_distance(state, phases, ftds) -> float:
         return math.inf
     pairs = zip([*state.phases, *chain(*state.ftds)], [*phases, *chain(*ftds)])
     return float(max(abs(mp.mpf(x) - y) for x, y in pairs))
+
+
+def scalar_detect(params, state, max_iter: int = 10_000, tol: float = DEFAULT_MATCH_TOL):
+    """detect_periodicity, one start at a time on the scalar engine.
+
+    Each return runs on a fresh Engine from the previous return's state.
+    All visited states are kept, and the newest is compared against the
+    earlier ones whose phase 0 lies within tol of its own (a sorted
+    prefilter), earliest first, so the reported transient is minimal.
+    Returns cycle_result's build of the found cycle, or NotPeriodic after
+    max_iter iterations; what the engine or the section check raises
+    propagates.
+    """
+    require_section_state(params, state)
+    states = [state]
+    # Sorted (phase 0, index) pairs, for the prefilter.
+    by_phase0 = [(state.phases[0], 0)]
+    returns, received = [], []
+    new = state
+    for i in range(1, max_iter + 1):
+        new, elapsed, got = Engine(params, new).run_until_section(record="receptions")
+        returns.append(elapsed)
+        received.append(got)
+        lo = bisect.bisect_left(by_phase0, (new.phases[0] - tol, -1))
+        hi = bisect.bisect_right(by_phase0, (new.phases[0] + tol, len(states)))
+        for j in sorted(idx for _, idx in by_phase0[lo:hi]):
+            if states_match(states[j], new, tol):
+                return cycle_result(j, states[j:], returns[j:], received[j:], tol)
+        states.append(new)
+        bisect.insort(by_phase0, (new.phases[0], i))
+    return NotPeriodic(iterations=max_iter, last_state=new)
+
+
+def cycle_result(transient, states, returns, received, tol):
+    """A detected cycle's result, built return by return.
+
+    The cycle revisits, after len(states) more returns, the state it
+    reached after transient returns; returns[m] and received[m] are the
+    time and the receptions of the return that leaves states[m].  The
+    minimal period is the least proper divisor d of the length under which
+    every state matches the one d returns on (wrapping inside the cycle).
+    The orbit period is the left-to-right sum of the minimal cycle's
+    return times, and its receptions are timed from the cycle start,
+    wrapped to 0 at the period boundary, ordered by offset and then
+    recipient.
+    """
+    length = len(states)
+    minimal = next(
+        (
+            d
+            for d in range(1, length)
+            if length % d == 0
+            and all(states_match(states[m], states[(m + d) % length], tol) for m in range(length))
+        ),
+        length,
+    )
+    orbit_period = sum(returns[:minimal])
+    receptions, cycle_time = [], 0.0
+    for idx in range(minimal):
+        for r, m, t in received[idx]:
+            offset = cycle_time + t
+            receptions.append((r, m, 0.0 if offset >= orbit_period - DEFAULT_MATCH_TOL else offset))
+        cycle_time += returns[idx]
+    receptions.sort(key=lambda rec: (rec[2], rec[0]))
+    return PeriodicityResult(
+        transient_iters=transient,
+        poincare_period=minimal,
+        orbit_period=orbit_period,
+        detected_period=length,
+        return_times=tuple(returns[:minimal]),
+        cycle_states=tuple(states[:minimal]),
+        receptions=tuple(receptions),
+    )

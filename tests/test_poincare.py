@@ -4,10 +4,11 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import o_distance, o_section_return
+from oracle import cycle_result, o_distance, o_section_return, scalar_detect
 
 from isochron import (
     DEFAULT_MATCH_TOL,
@@ -37,7 +38,7 @@ from isochron import (
 )
 from isochron import engine, lockstep, poincare
 from isochron.engine import EngineStallError, HorizonExceededError
-from isochron.poincare import _assemble, _cycle_rows
+from isochron.poincare import _assemble
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
 
@@ -349,48 +350,31 @@ class TestDetectPeriodicity:
         assert res.return_times == tuple(times[j : j + p])
 
 
+def cycle_rows(n: int, cycles: list[tuple]) -> tuple:
+    """Cycles as cycle_result takes them, as one _assemble chunk.  Each
+    cycle is (transient, states, returns, received): its states, the time
+    of the return that leaves each and that return's receptions."""
+    states = [s for cycle in cycles for s in cycle[1]]
+    received = [got for cycle in cycles for got in cycle[3]]
+    flat = np.array([*itertools.chain(*received)], dtype=float).reshape(-1, 3)
+    bounds = np.cumsum([0, *map(len, received)])
+    return (
+        np.array([cycle[0] for cycle in cycles], dtype=int),
+        np.array([len(cycle[1]) for cycle in cycles], dtype=int),
+        *lockstep._encode(n, states),
+        np.array([r for cycle in cycles for r in cycle[2]], dtype=float)[:, None],
+        *lockstep._deliveries(
+            n, bounds, flat[:, 0].astype(int), flat[:, 1].astype(int), flat[:, 2]
+        ),
+    )
+
+
 def assemble(states, returns=None, received=None, tol=1e-9, transient=0):
     """The result _assemble builds for one detected cycle of three
     oscillators."""
     returns = returns or [0.1 * (i + 1) for i in range(len(states))]
     received = received or [[] for _ in states]
-    return _assemble(3, tol, [_cycle_rows(3, [(transient, states, returns, received)])])[0]
-
-
-def reference_cycle(transient, states, returns, received, tol):
-    """A detected cycle's result, built return by return: the least proper
-    divisor d of the length under which every state matches the one d
-    returns on (wrapping inside the cycle), the left-to-right sum of the
-    minimal cycle's return times, and its receptions timed from the cycle
-    start, wrapped to 0 at the period boundary, ordered by offset and then
-    recipient."""
-    length = len(states)
-    minimal = next(
-        (
-            d
-            for d in range(1, length)
-            if length % d == 0
-            and all(states_match(states[m], states[(m + d) % length], tol) for m in range(length))
-        ),
-        length,
-    )
-    orbit_period = sum(returns[:minimal])
-    receptions, cycle_time = [], 0.0
-    for idx in range(minimal):
-        for r, m, t in received[idx]:
-            offset = cycle_time + t
-            receptions.append((r, m, 0.0 if offset >= orbit_period - DEFAULT_MATCH_TOL else offset))
-        cycle_time += returns[idx]
-    receptions.sort(key=lambda rec: (rec[2], rec[0]))
-    return PeriodicityResult(
-        transient_iters=transient,
-        poincare_period=minimal,
-        orbit_period=orbit_period,
-        detected_period=length,
-        return_times=tuple(returns[:minimal]),
-        cycle_states=tuple(states[:minimal]),
-        receptions=tuple(receptions),
-    )
+    return _assemble(3, tol, [cycle_rows(3, [(transient, states, returns, received)])])[0]
 
 
 _A = network_state(phases=(0.1, 0.2, 0.0), ftds=((0.1,), (0.2,), (0.0,)))
@@ -431,7 +415,7 @@ def detected_cycles(draw):
 
 
 class TestMinimalCycle:
-    """_assemble, the one cycle builder of both detectors."""
+    """_assemble, the detector's cycle builder, against cycle_result."""
 
     def test_reduces_detected_length_over_divisors(self):
         a, b = _A, _B
@@ -453,8 +437,8 @@ class TestMinimalCycle:
         # Cycles assembled together, in chunks of different widths, are
         # each repr-identical to the build of that cycle alone, return by
         # return.
-        want = [reference_cycle(*cycle, tol) for cycle in cycles]
-        chunks = [_cycle_rows(3, cycles[:2]), _cycle_rows(3, cycles[2:])]
+        want = [cycle_result(*cycle, tol) for cycle in cycles]
+        chunks = [cycle_rows(3, cycles[:2]), cycle_rows(3, cycles[2:])]
         assert list(map(repr, _assemble(3, tol, chunks))) == list(map(repr, want))
 
     def test_prefilter_rounding_leaves_a_reducible_cycle(self):
@@ -623,20 +607,22 @@ class TestPulseEquivalence:
         assert pulse_equivalent(a, a)
 
 
-def detect_each(params, states, **kwargs):
-    """detect_periodicity per start: its result, or the exception it raised."""
+def detect_each(params, states, detect=scalar_detect, **kwargs):
+    """detect (by default the reference, scalar_detect) per start: its
+    result, or the exception it raised."""
     out = []
     for state in states:
         try:
-            out.append(detect_periodicity(params, state, **kwargs))
+            out.append(detect(params, state, **kwargs))
         except Exception as exc:  # compared by type and message below
             out.append(exc)
     return out
 
 
 def assert_batch_matches(params, states, **kwargs):
-    """detect_periodicity_many equals detect_periodicity start by start (by
-    repr), and raises what the first raising start raises."""
+    """detect_periodicity_many equals scalar_detect start by start (by
+    repr), and raises what the first raising start raises; so does
+    detect_periodicity, a batch of one, on each start."""
     want = detect_each(params, states, **kwargs)
     raised = [w for w in want if isinstance(w, Exception)]
     if raised:
@@ -646,6 +632,8 @@ def assert_batch_matches(params, states, **kwargs):
     else:
         got = detect_periodicity_many(params, states, **kwargs)
         assert [repr(g) for g in got] == [repr(w) for w in want]
+    single = detect_each(params, states, detect_periodicity, **kwargs)
+    assert [repr(g) for g in single] == [repr(w) for w in want]
     return want
 
 
@@ -673,7 +661,8 @@ def section_states(draw):
 
 
 class TestBatchedDetection:
-    """detect_periodicity_many is detect_periodicity, start by start."""
+    """detect_periodicity_many and detect_periodicity are scalar_detect,
+    start by start."""
 
     def test_reference_grid_is_repr_identical(self):
         grid = [i * 0.05 for i in range(20)]
@@ -760,14 +749,25 @@ class TestBatchedDetection:
         assert finished >= 20
         assert held_at_last_return(starts) - held_at_last_return(longest) < 2048 * finished
 
-    def test_zero_delay_runs_on_the_scalar_detector(self, monkeypatch):
-        # At tau <= COINCIDENCE_TOL every fire cascades within its own
-        # timestamp, so no lockstep engine is built.
-        monkeypatch.setattr(lockstep, "LockstepEngine", None)
+    def test_zero_delay_replays_every_return_on_the_scalar_engine(self, monkeypatch):
+        # At tau <= COINCIDENCE_TOL every fire puts its own pulse due within
+        # the same timestamp, a cascade, so the lockstep engine replays each
+        # row's every return from its start on a scalar Engine.
+        replayed = []
+
+        class Counted(engine.Engine):
+            def __init__(self, params, state):
+                replayed.append(state)
+                super().__init__(params, state)
+
+        monkeypatch.setattr(lockstep, "Engine", Counted)
         for tau in (0.0, 1e-12):
             params = ModelParams(b=3.0, eps=0.58, n=3, tau=tau)
             starts = [eq_init_state(params, t1, t2) for t1 in (0.1, 0.5) for t2 in (0.3, 0.7)]
-            assert_batch_matches(params, starts)
+            want = assert_batch_matches(params, starts)
+            replayed.clear()
+            detect_periodicity_many(params, starts)
+            assert len(replayed) == sum(w.transient_iters + w.detected_period for w in want)
 
     def test_cascade_stall_raises_like_the_scalar_detector(self):
         # At zero delay this coupling re-fires within one timestamp forever.

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracle import scalar_detect
 from scipy.spatial import ConvexHull
 from test_poincare import shorten_horizon
 
@@ -920,7 +921,7 @@ class TestOracle:
         # scalar detection of its cycle state gives, bit for bit.
         rep = region_oracle(P, kind, n_samples=5, seed=3)
         center = cycle_state(P, kind, region_center(kind, P.tau))
-        want = detect_periodicity(P, center, max_iter=64)
+        want = scalar_detect(P, center, max_iter=64)
         assert rep.center_poincare_period == want.poincare_period
         assert repr(rep.center_orbit_period) == repr(want.orbit_period)
 

@@ -7,6 +7,8 @@ import importlib.util
 import math
 from pathlib import Path
 
+from oracle import scalar_detect
+
 import isochron.cli
 import isochron.poincare
 import isochron.regions
@@ -62,13 +64,14 @@ def test_tracer_counts_the_hull_of_one_exact_volume():
 def test_tracer_counts_the_events_of_batched_detection():
     """Batched detection runs its section returns on a LockstepEngine
     through Engine.run_until_section, so the tracer counts their events:
-    exactly as many as the engines of the scalar detector process."""
+    exactly as many as the engines of the scalar reference detector
+    (tests/oracle.py) process."""
     params = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
     grid = (0.1, 0.4, 0.7)
     starts = [eq_init_state(params, t1, t2) for t1 in grid for t2 in grid]
     counts = {}
     for name, detect in (
-        ("scalar", lambda: [isochron.poincare.detect_periodicity(params, s) for s in starts]),
+        ("scalar", lambda: [scalar_detect(params, s) for s in starts]),
         ("batched", lambda: isochron.poincare.detect_periodicity_many(params, starts)),
     ):
         tracer = _load_tracer_module().Tracer()
