@@ -8,9 +8,10 @@ wall-clock timestamp (pass ``--timestamp`` to pin it when reproducing an
 archived dataset byte for byte).  Exit status is 0 exactly when every
 requested check passed, 1 when a check failed, 2 on configuration errors,
 3 when a computation fails at run time (engine stall, horizon exceeded,
-sampler exhaustion), and 130 on interrupt — in which case any declared
-output file is flushed with a trailing FAILED marker rather than left
-silently truncated.
+sampler exhaustion), and 130 on interrupt.  On exit 3 and 130 every
+declared output file not yet written is flushed with a trailing FAILED
+line rather than left missing or silently truncated: the first line of
+the error on exit 3, FAILED_MARKER on interrupt.
 """
 
 from __future__ import annotations
@@ -88,8 +89,8 @@ class _Run:
     so `config` returns the complete effective configuration for the
     output headers.  A command names its output options in outputs()
     before it computes and writes every file through write(); on
-    interrupt, each declared file not yet written is flushed with a
-    FAILED marker.
+    interrupt or a run-time failure, each declared file not yet written
+    is flushed with a FAILED line.
     """
 
     def __init__(self, args: argparse.Namespace, command: str):
@@ -209,15 +210,15 @@ class _Run:
             print(*lines, sep="\n")
         self.write(path, _write_lines, lines)
 
-    def flush_failed(self) -> None:
-        """Flush every declared output not yet written with a FAILED marker."""
+    def flush_failed(self, marker: str = FAILED_MARKER) -> None:
+        """Flush every declared output not yet written with the marker line."""
         for path, header_lines in self._unfinished.items():
             try:
                 if os.path.exists(path):
                     with open(path, "a") as fh:
-                        fh.write(FAILED_MARKER + "\n")
+                        fh.write(marker + "\n")
                 else:
-                    _write_lines(header_lines + [FAILED_MARKER], path)
+                    _write_lines(header_lines + [marker], path)
             except OSError:  # pragma: no cover - best-effort flush
                 pass
 
@@ -778,6 +779,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
+        if run is not None:
+            run.flush_failed("# FAILED: " + str(exc).partition("\n")[0])
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -28,11 +28,9 @@ from .model import DomainError, ModelParams, jump_m
 #: phase within this distance of 1 is at threshold.
 COINCIDENCE_TOL = 1e-12
 
-#: What a run appends per timestamp: TraceEvents, reception tuples or nothing.
-Record = Literal["events", "receptions", None]
-
-#: Safety cap on same-timestamp cascade rounds (only reachable for tau = 0
-#: with couplings strong enough to re-fire an oscillator from phase 0).
+#: Safety cap on same-timestamp cascade rounds (only reachable for
+#: tau <= COINCIDENCE_TOL, where a fire's own pulses are due at once, with
+#: couplings strong enough to re-fire an oscillator from phase 0).
 _MAX_CASCADE_ROUNDS = 64
 
 #: Safety caps on one section return, in events and in time units; a
@@ -203,18 +201,18 @@ class Engine:
 
     # -- dynamics -----------------------------------------------------------
 
-    def _advance(self, t_star: float, record: Record, out: list) -> bool:
+    def _advance(self, t_star: float, trace: bool, out: list) -> bool:
         """Move the clock to t_star and process that timestamp completely.
 
         Each cascade round delivers every pulse due now (within tolerance),
         each receiver getting the due pulses of all other senders as one
         multiplicity, and then fires every oscillator at
         threshold; rounds repeat while the fires put new pulses due now
-        (tau = 0).  ``record`` says what to append to ``out``: TraceEvents
-        ("events"), (recipient, multiplicity, time) per reception
-        ("receptions", in recipient order within a round), or nothing
-        (None).  ``events_processed`` counts the same events in every mode.
-        Returns whether the last oscillator fired.
+        (tau <= COINCIDENCE_TOL).  With ``trace`` each round appends its
+        TraceEvents to ``out``; without, a round that delivers appends its
+        delivery (t_star, multiplicities), one multiplicity per oscillator
+        and 0 for none.  ``events_processed`` counts the same events either
+        way.  Returns whether the last oscillator fired.
         """
         params = self.params
         n = params.n
@@ -237,7 +235,7 @@ class Engine:
                     sent[heapq.heappop(heap)[1]] += 1
                 total = sum(sent)
                 mult = [total - s for s in sent]
-                if record == "events":
+                if trace:
                     # Group receivers by multiplicity for the trace.
                     by_m: dict[int, list[int]] = {}
                     for j, m in enumerate(mult):
@@ -249,15 +247,14 @@ class Engine:
                 else:
                     # One pulse event per distinct multiplicity, as traced.
                     count += len(set(mult)) - (0 in mult)
-                    if record == "receptions":
-                        out.extend((j, m, t_star) for j, m in enumerate(mult) if m > 0)
+                    out.append((t_star, mult))
                 for j, m in enumerate(mult):
                     if m > 0:
                         theta[j] = min(1.0, jump_m(params, theta[j], m))
 
             for i in range(n):
                 if theta[i] >= at_threshold:
-                    if record == "events":
+                    if trace:
                         out.append(TraceEvent("fire", t_star, (i,)))
                     theta[i] = 0.0
                     heapq.heappush(heap, (t_star + params.tau, i))
@@ -281,26 +278,27 @@ class Engine:
     def step(self) -> list[TraceEvent]:
         """Advance to the next timestamp, process it fully, return its events."""
         events: list[TraceEvent] = []
-        self._advance(self.next_event_time(), "events", events)
+        self._advance(self.next_event_time(), True, events)
         return events
 
-    def run_until_section(self, *, record: Record = "events") -> tuple[NetworkState, float, list]:
+    def run_until_section(self, *, trace: bool = False) -> tuple[NetworkState, float, list]:
         """Advance until the last oscillator fires.
 
-        Returns (canonical state at the crossing, elapsed time, record).
-        The record is the run's TraceEvents by default, its receptions as
-        (recipient, multiplicity, time) tuples for ``record="receptions"``,
-        and empty for ``record=None``, which builds no trace at all.  The
-        crossing timestamp is processed completely before exporting, so
-        the returned state has phase 0 and a 0 FTD entry for the last
-        oscillator.  A return longer than _MAX_SECTION_TIME time units or
-        _MAX_SECTION_EVENTS events raises HorizonExceededError.  A
-        lockstep.LockstepEngine runs a section return of many networks
+        Returns (canonical state at the crossing, elapsed time, deliveries).
+        The deliveries are the return's delivery rounds in order, each a
+        (time, multiplicities) pair with one multiplicity per oscillator
+        (0: none); a same-timestamp cascade gives several at one time.
+        With ``trace=True`` the third item is the run's TraceEvents
+        instead.  The crossing timestamp is processed completely before
+        exporting, so the returned state has phase 0 and a 0 FTD entry for
+        the last oscillator.  A return longer than _MAX_SECTION_TIME time
+        units or _MAX_SECTION_EVENTS events raises HorizonExceededError.
+        A lockstep.LockstepEngine runs a section return of many networks
         through this same entry point.
         """
-        return self._section_return(record)
+        return self._section_return(trace)
 
-    def _section_return(self, record: Record) -> tuple[NetworkState, float, list]:
+    def _section_return(self, trace: bool) -> tuple[NetworkState, float, list]:
         """run_until_section's body; subclasses replace it."""
         start = self.clock
         out: list = []
@@ -311,7 +309,7 @@ class Engine:
                     f"oscillator {self.params.n} did not fire within"
                     f" {_MAX_SECTION_TIME} time units" + self._where()
                 )
-            if self._advance(t_star, record, out):
+            if self._advance(t_star, trace, out):
                 return self.state(), self.clock - start, out
         raise HorizonExceededError(
             f"oscillator {self.params.n} did not fire within {_MAX_SECTION_EVENTS} events"
@@ -331,7 +329,7 @@ class Engine:
             t_star = self.next_event_time()
             if not t_star <= horizon + COINCIDENCE_TOL:
                 return events
-            self._advance(t_star, "events", events)
+            self._advance(t_star, True, events)
 
 
 def init_engine(params: ModelParams, state: NetworkState) -> Engine:

@@ -25,7 +25,6 @@ from .engine import (
     EngineStallError,
     HorizonExceededError,
     NetworkState,
-    Record,
 )
 from .model import ModelParams, jump_coeffs
 
@@ -35,19 +34,18 @@ class LockstepReturns:
     """One section return of every row of a LockstepEngine.  Row r's state
     is phases[r] plus the FTD entries ftds[r, q] of senders[r, q], ordered
     by sender and then ascending, with the empty slots at the end (sender
-    n, entry 0.0).  Row r's receptions are the slice bounds[r]:bounds[r+1]
-    of recipients, multiplicities and times, in the order
-    run_until_section records them.  errors maps a row to what the scalar
-    engine raised for it; that row's other fields are meaningless."""
+    n, entry 0.0).  Row r's deliveries are run_until_section's, in order:
+    delivery d is at time when[r, d] with multiplicity mult[r, i, d] for
+    oscillator i (0: none), and the slots after the row's last delivery
+    are 0.  errors maps a row to what the scalar engine raised for it;
+    that row's other fields are meaningless."""
 
     phases: np.ndarray
     ftds: np.ndarray
     senders: np.ndarray
     elapsed: np.ndarray
-    recipients: np.ndarray
-    multiplicities: np.ndarray
-    times: np.ndarray
-    bounds: np.ndarray
+    when: np.ndarray
+    mult: np.ndarray
     errors: dict[int, Exception]
 
 
@@ -57,18 +55,20 @@ class LockstepEngine(Engine):
 
     Row r starts as Engine(params, state) would from the state that
     _encode wrote as phases[r], ftds[r] and senders[r].  Each
-    run_until_section(record="receptions") runs every row to the next fire
-    of the last oscillator, returns a LockstepReturns and restarts each
-    row at clock 0 from the state it exported, as poincare_map starts a
-    new engine for each return.  All rows advance one timestamp
+    run_until_section() runs every row to the next fire of the last
+    oscillator, returns a LockstepReturns and restarts each row at clock 0
+    from the state it exported, as poincare_map starts a new engine for
+    each return; there is no trace=True.  All rows advance one timestamp
     per step with Engine._advance's float operations, in the same order,
-    so every row ends bit for bit where the scalar run ends.  A row whose
-    return leaves that common path -- a same-timestamp cascade, a
-    timestamp with no event, the _MAX_SECTION_TIME horizon or the
-    _MAX_SECTION_EVENTS budget -- is replayed from its start on a scalar
-    Engine, which handles it or raises exactly as for a single network.
-    At tau <= COINCIDENCE_TOL every fire cascades, so every row is
-    replayed on every return.
+    so every row ends bit for bit where the scalar run ends; a step is at
+    most one delivery round of a row, and the step log gives each row's
+    deliveries.  A row whose return leaves that common path -- a
+    same-timestamp cascade, a timestamp with no event, the
+    _MAX_SECTION_TIME horizon or the _MAX_SECTION_EVENTS budget -- is
+    replayed from its start on a scalar Engine, which handles it or raises
+    exactly as for a single network, and its deliveries are the scalar
+    engine's.  At tau <= COINCIDENCE_TOL every fire cascades, so every row
+    is replayed on every return.
 
     It is an Engine so that run_until_section stays the one entry point of
     a section return, batched or not (perfbench/tracer.py counts engine
@@ -92,11 +92,11 @@ class LockstepEngine(Engine):
         """Keep only the rows the boolean mask selects, in order."""
         self.phases, self.ftds, self.senders = self.phases[rows], self.ftds[rows], self.senders[rows]
 
-    def _section_return(self, record: Record) -> LockstepReturns:
+    def _section_return(self, trace: bool) -> LockstepReturns:
         params = self.params
         n, tau = params.n, params.tau
-        if record != "receptions":
-            raise ValueError('a LockstepEngine runs returns with record="receptions"')
+        if trace:
+            raise ValueError("a LockstepEngine runs returns without a trace")
         phases, ftds, senders = self.phases, self.ftds, self.senders
         rows = len(phases)
         at_threshold = 1.0 - COINCIDENCE_TOL
@@ -185,25 +185,24 @@ class LockstepEngine(Engine):
         out_ftds = np.where(out_senders < n, sigma[row_ix, by], 0.0)
 
         stepped, at, mults, fires = (np.concatenate(col) for col in zip(*log))
-        r, j = np.nonzero(mults > 0)
-        rec = [stepped[r], j, mults[r, j], at[r]]
         if replay:
             ran = ~np.isin(stepped, replay)
-            mults, fires = mults[ran], fires[ran]
-            kept = ~np.isin(rec[0], replay)
-            rec = [col[kept] for col in rec]
+            stepped, at, mults, fires = stepped[ran], at[ran], mults[ran], fires[ran]
         # Engine._advance's count: one event per distinct multiplicity a
         # delivery hands out, and one per fire.
-        mults.sort(axis=1)
+        ranked = np.sort(mults, axis=1)
         self.events_processed += int(
-            np.count_nonzero(mults[:, 1:] != mults[:, :-1])
-            + np.count_nonzero(mults[:, 0])
+            np.count_nonzero(ranked[:, 1:] != ranked[:, :-1])
+            + np.count_nonzero(ranked[:, 0])
             + np.count_nonzero(fires)
         )
+        # A step that delivers is one delivery round of its row.
+        delivered = ranked[:, -1] > 0
+        stepped, at, mults = stepped[delivered], at[delivered], mults[delivered]
 
         errors: dict[int, Exception] = {}
-        # Replayed receptions, and the row of each.
-        replayed: list[tuple[int, int, float]] = []
+        # Replayed deliveries, and the row of each.
+        replayed: list[tuple[float, list[int]]] = []
         replayed_rows: list[int] = []
         ended: dict[int, NetworkState] = {}
         replay.sort()
@@ -211,7 +210,7 @@ class LockstepEngine(Engine):
         for row, start in zip(replay, starts):
             eng = Engine(params, start)
             try:
-                ended[row], end_clock[row], got = eng._section_return(record)
+                ended[row], end_clock[row], got = eng._section_return(False)
             except (EngineStallError, HorizonExceededError) as exc:
                 errors[row] = exc  # the caller raises it, in its own order
                 continue
@@ -227,12 +226,20 @@ class LockstepEngine(Engine):
             out_ftds, out_senders = _widen(out_ftds, w, 0.0), _widen(out_senders, w, n)
             out_ftds[back, :w], out_senders[back, :w] = ftds_back, senders_back
         if replayed:
-            rec = [
-                np.concatenate([col, np.asarray(add, dtype=col.dtype)])
-                for col, add in zip(rec, (replayed_rows, *zip(*replayed)))
-            ]
-        grouped = np.argsort(rec[0], kind="stable")
-        rec_rows, recipients, multiplicities, at = (col[grouped] for col in rec)
+            times, counts = zip(*replayed)
+            stepped = np.concatenate([stepped, replayed_rows])
+            at, mults = np.concatenate([at, times]), np.concatenate([mults, counts])
+
+        # Each row's deliveries in order: a stable sort by row keeps the
+        # steps' order, and a replayed row has only its scalar deliveries.
+        order = np.argsort(stepped, kind="stable")
+        stepped = stepped[order]
+        slot = np.arange(len(stepped)) - np.searchsorted(stepped, stepped)
+        slots = int(slot.max(initial=-1)) + 1
+        when = np.zeros((rows, slots))
+        when[stepped, slot] = at[order]
+        mult = np.zeros((rows, n, slots), dtype=mults.dtype)
+        mult[stepped, :, slot] = mults[order]
         width = int(np.count_nonzero(out_senders < n, axis=1).max(initial=0))
         out_ftds, out_senders = out_ftds[:, :width], out_senders[:, :width]
 
@@ -244,10 +251,8 @@ class LockstepEngine(Engine):
             ftds=out_ftds,
             senders=out_senders,
             elapsed=end_clock,
-            recipients=recipients,
-            multiplicities=multiplicities,
-            times=at,
-            bounds=np.searchsorted(rec_rows, np.arange(rows + 1)),
+            when=when,
+            mult=mult,
             errors=errors,
         )
 
@@ -264,11 +269,12 @@ class _History:
 
     Column k of entry [i, p] holds, for row p after i returns: 0 its
     phases, 1 FTD entries and 2 their senders (LockstepReturns' layout),
-    then 3 the time and 4-5 the deliveries (_deliveries) of its i-th
-    return.  Entry 0 is the start, with no deliveries.  Entries are stored
-    in chunks, chunk c from entry starts[c] on, each padded to its own
-    widest entry and sized to its own integer types.  Only stored entries
-    are ever written, so the unused part of the last chunk is not touched.
+    then 3 the time and 4-5 the deliveries (LockstepReturns' when and
+    mult) of its i-th return.  Entry 0 is the start, with no deliveries.
+    Entries are stored in chunks, chunk c from entry starts[c] on, each
+    padded to its own widest entry and sized to its own integer types.
+    Only stored entries are ever written, so the unused part of the last
+    chunk is not touched.
     """
 
     def __init__(self, n: int, phases: np.ndarray, ftds: np.ndarray, senders: np.ndarray) -> None:
@@ -283,8 +289,7 @@ class _History:
 
     def append(self, out: LockstepReturns) -> None:
         """Store every row's return."""
-        deliveries = _deliveries(self.n, out.bounds, out.recipients, out.multiplicities, out.times)
-        self._store([out.phases, out.ftds, out.senders, out.elapsed[:, None], *deliveries])
+        self._store([out.phases, out.ftds, out.senders, out.elapsed[:, None], out.when, out.mult])
 
     def _store(self, entry: list[np.ndarray]) -> None:
         entry[2] = entry[2].astype(np.min_scalar_type(self.n))
@@ -368,29 +373,6 @@ class _History:
             for k, column in enumerate(chunk):
                 chunk[k] = np.empty((len(column), kept, *column.shape[2:]), column.dtype)
                 chunk[k][:used] = column[:used, rows]
-
-
-def _deliveries(n: int, bounds, recipients, multiplicities, times):
-    """Receptions as deliveries: row r's receptions recipients[lo:hi],
-    multiplicities[lo:hi] and times[lo:hi] (lo, hi = bounds[r],
-    bounds[r + 1]), in recorded order, as the times (rows, width) and the
-    multiplicity per recipient (rows, n, width; 0: none) of the row's
-    deliveries.  A delivery is a run of receptions at one time with rising
-    recipients, so reading each delivery's recipients in rising order
-    gives back the recorded order."""
-    rows = len(bounds) - 1
-    row = np.repeat(np.arange(rows), np.diff(bounds))
-    new = np.ones(len(row), dtype=bool)
-    new[1:] = row[1:] != row[:-1]
-    new[1:] |= (times[1:] != times[:-1]) | (recipients[1:] <= recipients[:-1])
-    starts = np.nonzero(new)[0]
-    slot = np.arange(len(starts)) - np.searchsorted(row[starts], row[starts])
-    width = int(slot.max(initial=-1)) + 1
-    when = np.zeros((rows, width))
-    when[row[starts], slot] = times[starts]
-    mult = np.zeros((rows, n, width), dtype=multiplicities.dtype)
-    mult[row, recipients, slot[np.cumsum(new) - 1]] = multiplicities
-    return when, mult
 
 
 def _encode(n: int, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -46,7 +46,7 @@ def require_section_state(params: ModelParams, state: NetworkState) -> None:
 def poincare_map(params: ModelParams, state: NetworkState) -> tuple[NetworkState, float]:
     """One application of the section map: (next section state, return time)."""
     require_section_state(params, state)
-    new_state, elapsed, _ = Engine(params, state).run_until_section(record=None)
+    new_state, elapsed, _ = Engine(params, state).run_until_section()
     return new_state, elapsed
 
 
@@ -122,13 +122,13 @@ def _assemble(n: int, tol: float, chunks: list[tuple]) -> list[PeriodicityResult
     """The results of detected cycles, built on arrays for all at once.
 
     Each chunk holds some cycles as (transients, lengths, phases, ftds,
-    senders, returns, times, multiplicities).  Cycle k's orbit revisits,
+    senders, returns, when, mult).  Cycle k's orbit revisits,
     after lengths[k] more returns, the state it reached after
     transients[k] returns; its lengths[k] states are consecutive rows of
     the other arrays, in cycle order and chunk after chunk.  A row holds a
     state in lockstep's row layout (phases, FTD entries, their senders),
-    then the time (returns[:, 0]) and the deliveries (lockstep._deliveries)
-    of the return that leaves it.
+    then the time (returns[:, 0]) and the deliveries (LockstepReturns' when
+    and mult) of the return that leaves it.
 
     The detected length is reduced over its proper divisors: the least d
     for which every state is within tol of the one d returns on, wrapping
@@ -150,7 +150,7 @@ def _assemble(n: int, tol: float, chunks: list[tuple]) -> list[PeriodicityResult
     cols = list(zip(*chunks))
     transients, lengths, phases, returns = (np.concatenate(cols[i]) for i in (0, 1, 2, 5))
     ftds, senders = stack(cols[3], 0.0), stack(cols[4], n)
-    times, multiplicities = stack(cols[6], 0.0), stack(cols[7], 0)
+    when, mult = stack(cols[6], 0.0), stack(cols[7], 0)
 
     count = len(lengths)
     first = np.cumsum(lengths) - lengths
@@ -183,15 +183,15 @@ def _assemble(n: int, tol: float, chunks: list[tuple]) -> list[PeriodicityResult
     np.cumsum(clock, axis=1, out=clock)
     orbit = clock[np.arange(count), period]
 
-    row, slot, who = np.nonzero((multiplicities > 0).transpose(0, 2, 1) & on[:, None, None])
+    row, slot, who = np.nonzero((mult > 0).transpose(0, 2, 1) & on[:, None, None])
     k = cycle[row]
-    offset = clock[k, pos[row]] + times[row, slot]
+    offset = clock[k, pos[row]] + when[row, slot]
     offset[offset >= (orbit - DEFAULT_MATCH_TOL)[k]] = 0.0
     order = np.lexsort((who, offset, k))
     receptions = list(
         zip(
             who[order].tolist(),
-            multiplicities[row, who, slot][order].tolist(),
+            mult[row, who, slot][order].tolist(),
             offset[order].tolist(),
         )
     )
@@ -255,7 +255,7 @@ def detect_periodicity_many(
     Each return runs as if on a fresh engine from the previous return's
     state, as in poincare_map; the starts' returns run in lockstep on
     float64 arrays (lockstep.LockstepEngine).  Each start's visited
-    states, return times and receptions stay in a lockstep._History, and
+    states, return times and deliveries stay in a lockstep._History, and
     the newest state is compared against earlier ones by one rule: phase 0
     within tol (the prefilter), equal FTD row lengths, state_distance <=
     tol, the earliest match first, so the reported transient is minimal.
@@ -285,7 +285,7 @@ def detect_periodicity_many(
     results: list = [None] * count
     eng = LockstepEngine(params, *_encode(n, states))
 
-    # hist holds every live start's states, return times and receptions,
+    # hist holds every live start's states, return times and deliveries,
     # row p for the start at live[p]; a start leaves it when it finishes.
     # A found cycle's rows are copied out then, and every cycle of the
     # batch is assembled at the end.
@@ -297,7 +297,7 @@ def detect_periodicity_many(
     for it in range(1, max_iter + 1):
         if not live.size:
             break
-        out = eng.run_until_section(record="receptions")
+        out = eng.run_until_section()
         matched = hist.match(out.phases, out.ftds, out.senders, tol)
         hist.append(out)
 

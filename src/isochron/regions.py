@@ -482,7 +482,7 @@ def intertwining_distances(params: ModelParams, sigmas, starts=None) -> list[flo
                     stop = r
                     break
             rows = _encode(n, starts[lo : lo + stop])
-        out = LockstepEngine(params, *rows).run_until_section(record="receptions")
+        out = LockstepEngine(params, *rows).run_until_section()
         targets = g_map(cols, tau)
         on_chain = _on_chain(params, "IR4", targets)[:stop]
         off_chain = size if on_chain.all() else int(np.argmin(on_chain))

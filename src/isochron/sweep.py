@@ -178,7 +178,7 @@ def phase_scan(
     params: ModelParams,
     step: float = DEFAULT_SCAN_STEP,
     max_iter: int = DEFAULT_SCAN_MAX_ITER,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_MATCH_TOL,
     workers: int = 1,
 ) -> PhaseScanResult:
     """Scan the initial-phase square [0,1)^2 on a regular grid.
@@ -569,7 +569,7 @@ def stability_probe(
     failures = []
     for (moved, dtheta, dsigma, start), distance in zip(trials, distances):
         if distance > tol:
-            _, _, events = init_engine(params, start).run_until_section()
+            _, _, events = init_engine(params, start).run_until_section(trace=True)
             failures.append(
                 StabilityFailure(
                     sigma_perturbed=moved,
@@ -621,7 +621,7 @@ def boundary_escape_demo(
     params: ModelParams,
     horizon: float | None = None,
     max_iter: int = 1000,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_MATCH_TOL,
 ) -> EscapeReport:
     """Simulate from the period-4 center state and report the attractor.
 
@@ -684,9 +684,7 @@ def _opt(value) -> str:
     return "" if value is None else _fmt(value)
 
 
-def write_phase_scan_csv(
-    result: PhaseScanResult, path, seed: int | None = None, timestamp: str | None = None
-) -> None:
+def write_phase_scan_csv(result: PhaseScanResult, path, timestamp: str | None = None) -> None:
     """One row per grid cell; projection points are semicolon-joined
     "x y" pairs so the cell needs no quoting."""
     rows = (
@@ -704,7 +702,7 @@ def write_phase_scan_csv(
     )
     _write_csv(
         path,
-        dataset_header(result.config_dict(), seed=seed, timestamp=timestamp),
+        dataset_header(result.config_dict(), timestamp=timestamp),
         [
             "theta1",
             "theta2",
@@ -719,14 +717,14 @@ def write_phase_scan_csv(
     )
 
 
-def write_phase_scan_json(
-    result: PhaseScanResult, path, seed: int | None = None, timestamp: str | None = None
-) -> None:
+def write_phase_scan_json(result: PhaseScanResult, path, timestamp: str | None = None) -> None:
+    """The phase scan as JSON; a phase scan draws no random numbers, so its
+    seed is null."""
     _write_json(
         path,
         timestamp,
         config=result.config_dict(),
-        seed=seed,
+        seed=None,
         signatures=result.signatures,
         records=result.records,
     )

@@ -158,9 +158,9 @@ def scalar_detect(params, state, max_iter: int = 10_000, tol: float = DEFAULT_MA
     returns, received = [], []
     new = state
     for i in range(1, max_iter + 1):
-        new, elapsed, got = Engine(params, new).run_until_section(record="receptions")
+        new, elapsed, deliveries = Engine(params, new).run_until_section()
         returns.append(elapsed)
-        received.append(got)
+        received.append([(j, m, t) for t, mult in deliveries for j, m in enumerate(mult) if m])
         lo = bisect.bisect_left(by_phase0, (new.phases[0] - tol, -1))
         hi = bisect.bisect_right(by_phase0, (new.phases[0] + tol, len(states)))
         for j in sorted(idx for _, idx in by_phase0[lo:hi]):

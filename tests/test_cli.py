@@ -45,11 +45,21 @@ class TestParsing:
         assert main(["region", "exists", "--kind", "irx"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_engine_failure_has_its_own_exit_code(self, capsys):
+    def test_engine_failure_has_its_own_exit_code(self, capsys, tmp_path):
         # At zero delay this coupling makes the same-timestamp cascade stall.
+        # Each declared output is left as its header and the error's first
+        # line, as an interrupt leaves it.
+        csv, out_json = tmp_path / "a.csv", tmp_path / "a.json"
         argv = ["scan", "phases", "--tau", "0", "--eps", "1.6", "--step", "0.5"]
+        argv += ["--out-csv", str(csv), "--out-json", str(out_json), "--timestamp", TS]
         assert main(argv) == 3
-        assert "cascade exceeded" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "cascade exceeded" in err
+        failed = "# FAILED: " + err.removeprefix("error: ").splitlines()[0]
+        for path in (csv, out_json):
+            lines = path.read_text().splitlines()
+            assert lines[0].startswith("# isochron ")
+            assert lines[-2:] == [f"# timestamp: {TS}", failed]
 
     def test_missing_subcommand_exits(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,6 @@ rotating-wave orbit used throughout the analytic layer."""
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 
@@ -28,7 +27,7 @@ from isochron.engine import (
     network_state,
     validate_state,
 )
-from isochron.lockstep import LockstepEngine, _decode, _deliveries, _encode
+from isochron.lockstep import LockstepEngine, _decode, _encode
 from isochron.model import DomainError, ModelParams, jump, jump_m
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
@@ -171,7 +170,7 @@ class TestCascade:
         # later the same state recurs, with return time exactly tau.
         sync = network_state((0.0, 0.0, 0.0), ((0.0,), (0.0,), (0.0,)))
         eng = init_engine(P, sync)
-        state, elapsed, events = eng.run_until_section()
+        state, elapsed, events = eng.run_until_section(trace=True)
         assert elapsed == pytest.approx(P.tau, abs=1e-15)
         assert state.phases == (0.0, 0.0, 0.0)
         assert state.ftds == ((0.0,), (0.0,), (0.0,))
@@ -185,7 +184,7 @@ class TestRotatingWaveOrbit:
 
     def test_one_period_event_sequence(self):
         eng = init_engine(P, rotating_wave_state(P.tau))
-        state, elapsed, events = eng.run_until_section()
+        state, elapsed, events = eng.run_until_section(trace=True)
         assert [(e.kind, e.participants) for e in events] == [
             ("pulse", (0, 1)),
             ("fire", (0,)),
@@ -327,36 +326,37 @@ def _in_flight_ftds(eng: Engine) -> list[tuple[int, float]]:
 
 
 class TestSharedLoopProperties:
-    """step(), simulate() and every run_until_section record mode share one
-    event loop; the modes differ only in what they hand back."""
+    """step(), simulate() and run_until_section with and without a trace
+    share one event loop; they differ only in what they hand back."""
+
+    @staticmethod
+    def rounds(n: int, events) -> list:
+        """A trace's delivery rounds as (time, multiplicity per oscillator):
+        each run of pulse events at one time with no fire between them."""
+        out: list = []
+        after_pulse_at = None
+        for ev in events:
+            if ev.kind == "pulse":
+                if after_pulse_at != ev.time:
+                    out.append((ev.time, [0] * n))
+                for r in ev.participants:
+                    out[-1][1][r] = ev.multiplicity
+                after_pulse_at = ev.time
+            else:
+                after_pulse_at = None
+        return out
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(params_and_state())
     def test_trace_free_returns_equal_traced_returns(self, drawn):
         params, start = drawn
-        engines = {mode: init_engine(params, start) for mode in ("events", "receptions", None)}
+        traced, plain = init_engine(params, start), init_engine(params, start)
         for _ in range(4):
-            runs = {
-                mode: eng.run_until_section(record=mode) for mode, eng in engines.items()
-            }
-            traced_state, traced_elapsed, events = runs["events"]
-            for mode in ("receptions", None):
-                state, elapsed, _ = runs[mode]
-                assert repr(state) == repr(traced_state)
-                assert repr(elapsed) == repr(traced_elapsed)
-            assert runs[None][2] == []
-            expanded = [
-                (r, ev.multiplicity, ev.time)
-                for ev in events
-                if ev.kind == "pulse"
-                for r in ev.participants
-            ]
-            # The stable sort detect_periodicity applies to a cycle's
-            # receptions: rounds keep their order.
-            by_time = functools.partial(sorted, key=lambda rec: (rec[2], rec[0]))
-            assert by_time(runs["receptions"][2]) == by_time(expanded)
-            counts = {eng.events_processed for eng in engines.values()}
-            assert counts == {engines["events"].events_processed}
+            state, elapsed, events = traced.run_until_section(trace=True)
+            got = plain.run_until_section()
+            assert repr(got[:2]) == repr((state, elapsed))
+            assert got[2] == self.rounds(params.n, events)
+            assert plain.events_processed == traced.events_processed
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(params_and_state())
@@ -421,36 +421,24 @@ class TestRowEncoding:
 
 
 class TestDeliveries:
-    def test_reading_back_keeps_the_recorded_order(self):
-        # Row 0: two timestamps, recipients rising within each.  Row 1: no
-        # receptions.  Row 2: one timestamp recorded as recipient 1 and then
-        # 0 (as the scalar engine orders a delivery's multiplicities), then
-        # recipient 0 again (a cascade's second round).
-        received = [
-            [(0, 1, 0.25), (2, 1, 0.25), (1, 2, 0.5)],
-            [],
-            [(1, 1, 0.75), (0, 2, 0.75), (0, 1, 0.75)],
-        ]
-        flat = [r for got in received for r in got]
-        recipients, multiplicities, times = map(np.array, zip(*flat))
-        bounds = np.cumsum([0, *map(len, received)])
-        when, mult = _deliveries(3, bounds, recipients, multiplicities, times)
-        assert mult.shape == (3, 3, 3)
-        back = [
-            [
-                (r, int(mult[row, r, d]), float(when[row, d]))
-                for d in range(mult.shape[2])
-                for r in range(3)
-                if mult[row, r, d]
-            ]
-            for row in range(3)
-        ]
-        assert back == received
+    def test_zero_delay_cascade_gives_two_deliveries_at_one_time(self):
+        # Oscillator 2 reaches threshold by flow; its pulse takes oscillators
+        # 1 and 3 over threshold in the same timestamp, and their pulses are
+        # a second delivery round at that time.  The lockstep engine replays
+        # the cascade on a scalar engine and hands back the same deliveries.
+        params = ModelParams(b=3.0, eps=0.58, n=3, tau=0.0)
+        start = network_state((0.0, 0.05, 0.0), ((), (), (0.0,)))
+        _, elapsed, deliveries = init_engine(params, start).run_until_section()
+        rounds = [[1, 1, 0], [1, 0, 1], [1, 2, 1]]
+        assert deliveries == list(zip([0.0, elapsed, elapsed], rounds))
+        got = LockstepEngine(params, *_encode(params.n, [start])).run_until_section()
+        assert got.when.tolist() == [[0.0, elapsed, elapsed]]
+        assert got.mult[0].T.tolist() == rounds
 
 
 class TestLockstepEngine:
-    """A LockstepEngine's section return is run_until_section(record=
-    "receptions") of each row's own engine, and it restarts each row from
+    """A LockstepEngine's section return is run_until_section() of each
+    row's own engine, deliveries included, and it restarts each row from
     the state it exported."""
 
     @staticmethod
@@ -462,7 +450,7 @@ class TestLockstepEngine:
         for r, start in enumerate(starts):
             eng = init_engine(params, start)
             try:
-                state, elapsed, receptions = eng.run_until_section(record="receptions")
+                state, elapsed, deliveries = eng.run_until_section()
             except RuntimeError as exc:
                 assert type(got.errors[r]) is type(exc)
                 assert str(got.errors[r]) == str(exc)
@@ -472,14 +460,9 @@ class TestLockstepEngine:
             assert r not in got.errors
             assert repr(decoded[r]) == repr(state)
             assert repr(got.elapsed[r].item()) == repr(elapsed)
-            lo, hi = got.bounds[r], got.bounds[r + 1]
-            assert list(
-                zip(
-                    got.recipients[lo:hi].tolist(),
-                    got.multiplicities[lo:hi].tolist(),
-                    got.times[lo:hi].tolist(),
-                )
-            ) == receptions
+            # Padded with empty deliveries to the widest row.
+            pad = [(0.0, [0] * params.n)] * (got.when.shape[1] - len(deliveries))
+            assert list(zip(got.when[r].tolist(), got.mult[r].T.tolist())) == deliveries + pad
             ok.append(r)
         return ok, events
 
@@ -488,7 +471,7 @@ class TestLockstepEngine:
     def test_rows_equal_scalar_returns(self, drawn):
         params, states = drawn
         lockstep = LockstepEngine(params, *_encode(params.n, states))
-        got = lockstep.run_until_section(record="receptions")
+        got = lockstep.run_until_section()
         ok, events = self.assert_rows_match(params, states, got)
         assert lockstep.events_processed == events
         assert type(lockstep.events_processed) is int
@@ -497,18 +480,16 @@ class TestLockstepEngine:
         keep = np.zeros(len(states), dtype=bool)
         keep[ok] = True
         lockstep.keep(keep)
-        again = lockstep.run_until_section(record="receptions")
+        again = lockstep.run_until_section()
         decoded = _decode(got.phases, got.ftds, got.senders)
         starts = [decoded[r] for r in ok]
         _, more = self.assert_rows_match(params, starts, again)
         assert lockstep.events_processed == events + more
 
-    def test_only_returns_of_the_last_oscillator_with_receptions(self):
+    def test_runs_returns_without_a_trace_only(self):
         lockstep = LockstepEngine(P, *_encode(P.n, [rotating_wave_state(P.tau)]))
-        with pytest.raises(ValueError, match="receptions"):
-            lockstep.run_until_section()
-        with pytest.raises(ValueError, match="receptions"):
-            lockstep.run_until_section(record=None)
+        with pytest.raises(ValueError, match="without a trace"):
+            lockstep.run_until_section(trace=True)
 
     def test_returns_go_through_engine_run_until_section(self, monkeypatch):
         # run_until_section is the one entry point of a section return,
@@ -521,7 +502,5 @@ class TestLockstepEngine:
             return original(engine, *args, **kwargs)
 
         monkeypatch.setattr(Engine, "run_until_section", counted)
-        LockstepEngine(P, *_encode(P.n, [rotating_wave_state(P.tau)] * 2)).run_until_section(
-            record="receptions"
-        )
+        LockstepEngine(P, *_encode(P.n, [rotating_wave_state(P.tau)] * 2)).run_until_section()
         assert calls == [LockstepEngine]

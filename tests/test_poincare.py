@@ -353,19 +353,23 @@ class TestDetectPeriodicity:
 def cycle_rows(n: int, cycles: list[tuple]) -> tuple:
     """Cycles as cycle_result takes them, as one _assemble chunk.  Each
     cycle is (transient, states, returns, received): its states, the time
-    of the return that leaves each and that return's receptions."""
+    of the return that leaves each and that return's receptions.  Each
+    reception becomes a delivery of its own, in the order received."""
     states = [s for cycle in cycles for s in cycle[1]]
     received = [got for cycle in cycles for got in cycle[3]]
-    flat = np.array([*itertools.chain(*received)], dtype=float).reshape(-1, 3)
-    bounds = np.cumsum([0, *map(len, received)])
+    slots = max(map(len, received), default=0)
+    when = np.zeros((len(received), slots))
+    mult = np.zeros((len(received), n, slots), dtype=int)
+    for row, got in enumerate(received):
+        for slot, (r, m, t) in enumerate(got):
+            when[row, slot], mult[row, r, slot] = t, m
     return (
         np.array([cycle[0] for cycle in cycles], dtype=int),
         np.array([len(cycle[1]) for cycle in cycles], dtype=int),
         *lockstep._encode(n, states),
         np.array([r for cycle in cycles for r in cycle[2]], dtype=float)[:, None],
-        *lockstep._deliveries(
-            n, bounds, flat[:, 0].astype(int), flat[:, 1].astype(int), flat[:, 2]
-        ),
+        when,
+        mult,
     )
 
 
@@ -731,9 +735,9 @@ class TestBatchedDetection:
         def held_at_last_return(batch):
             held = []
 
-            def spy(self, record):
+            def spy(self, trace):
                 held.append(tracemalloc.get_traced_memory()[0])
-                return real(self, record)
+                return real(self, trace)
 
             monkeypatch.setattr(lockstep.LockstepEngine, "_section_return", spy)
             tracemalloc.start()

@@ -390,7 +390,7 @@ class TestStabilityProbe:
                 (theta1 + failure.dtheta[0], theta2 + failure.dtheta[1], theta3),
                 embedded.ftds,
             )
-            _, _, events = init_engine(P, start).run_until_section()
+            _, _, events = init_engine(P, start).run_until_section(trace=True)
             assert failure.trace == format_trace_text(events)
             assert failure.trace.splitlines()[-1].startswith("F 3 t=")
 
@@ -491,19 +491,18 @@ class TestDatasetWriters:
 
     def test_phase_scan_csv_layout(self, tmp_path):
         path = tmp_path / "scan.csv"
-        write_phase_scan_csv(scan25(), path, seed=0)
+        write_phase_scan_csv(scan25(), path)
         lines = path.read_text().splitlines()
         assert lines[0] == f"# isochron {__version__}"
         assert lines[1].startswith("# config: ")
         config = json.loads(lines[1].removeprefix("# config: "))
         assert config["command"] == "phase_scan"
         assert config["step"] == 0.25
-        assert lines[2] == "# seed: 0"
-        assert lines[3] == (
+        assert lines[2] == (
             "theta1,theta2,periodic,transient_iters,poincare_period,"
             "orbit_period,signature_id,projection"
         )
-        assert len(lines) == 4 + 16
+        assert len(lines) == 3 + 16
 
     def test_phase_scan_csv_floats_use_17_significant_digits(self, tmp_path):
         path = tmp_path / "scan.csv"
@@ -542,14 +541,14 @@ class TestDatasetWriters:
 
     def test_phase_scan_json_round_trips(self, tmp_path):
         path = tmp_path / "scan.json"
-        write_phase_scan_json(scan25(), path, seed=5)
+        write_phase_scan_json(scan25(), path)
         payload = json.loads(path.read_text())
         assert payload["version"] == __version__
-        assert payload["seed"] == 5
+        assert payload["seed"] is None
         assert payload["config"]["command"] == "phase_scan"
         assert len(payload["records"]) == 16
         assert len(payload["signatures"]) == len(scan25().signatures)
-        write_phase_scan_json(scan25(), tmp_path / "again.json", seed=5)
+        write_phase_scan_json(scan25(), tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_param_scan_writers(self, tmp_path):
