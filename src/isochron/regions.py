@@ -273,11 +273,10 @@ def membership(spec: RegionSpec, sigma, margin: float = 0.0) -> bool:
     if len(sigma) != spec.dim:
         raise DomainError(f"sigma must have {spec.dim} components, got {len(sigma)}")
     for w, w0 in spec.orderings:
-        if sum(wi * si for wi, si in zip(w, sigma)) + w0 <= margin:
+        if not sum(wi * si for wi, si in zip(w, sigma)) + w0 > margin:
             return False
     for f in spec.functionals:
-        v = f.value(sigma)
-        if v < f.lower + margin or v > f.upper - margin:
+        if not f.lower + margin <= f.value(sigma) <= f.upper - margin:
             return False
     return True
 
@@ -296,8 +295,11 @@ def membership_margin(spec: RegionSpec, sigma) -> float:
 
 
 def membership_many(spec: RegionSpec, sigmas: np.ndarray, margin: float = 0.0) -> np.ndarray:
-    """Vectorized membership over an (n, dim) array of sigma points."""
+    """Vectorized membership over an (n, dim) array of sigma points, one matmul
+    per constraint: a stacked matmul rounds differently, so hit counts would move."""
     sigmas = np.asarray(sigmas, dtype=float)
+    if sigmas.ndim != 2 or sigmas.shape[1] != spec.dim:
+        raise DomainError(f"sigmas must have shape (rows, {spec.dim}), got {sigmas.shape}")
     ok = np.ones(len(sigmas), dtype=bool)
     for w, w0 in spec.orderings:
         ok &= sigmas @ np.asarray(w) + w0 > margin
@@ -539,15 +541,28 @@ def g_algebra_deviation(tau: float, points, line_offsets) -> float:
 # -- sampling ------------------------------------------------------------------
 
 
+#: Compare-exchange pairs that sort 0 to 4 wires (Knuth, TAOCP vol. 3, 5.3.4).
+_NETWORKS = ((), (), ((0, 1),), ((0, 1), (1, 2), (0, 1)), ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)))
+
+
+def _network_sort(x: np.ndarray, wires: tuple[int, ...]) -> np.ndarray:
+    """Sort each row of x in place: column wires[k] gets the k-th smallest."""
+    buf = np.empty(len(x))
+    for i, j in _NETWORKS[len(wires)]:
+        lo, hi = x[:, wires[i]], x[:, wires[j]]
+        np.minimum(lo, hi, out=buf)
+        np.maximum(lo, hi, out=hi)
+        lo[...] = buf
+    return x
+
+
 def _ordering_simplex_sample(rng: np.random.Generator, kind: str, tau: float, n: int) -> np.ndarray:
-    """Uniform points of the ordering simplex: sort dim uniforms on
-    (0, tau), then scatter the ascending values into the family's chain
-    order."""
-    order = list(_family(kind).order)
-    u = np.sort(rng.uniform(0.0, tau, size=(n, len(order))), axis=1)
-    out = np.empty_like(u)
-    out[:, order] = u
-    return out
+    """Uniform points of the ordering simplex: dim uniforms on (0, tau) a row,
+    sorted in place by a compare-exchange network wired in the family's chain
+    order.  Column order[k] gets the k-th smallest value, and comparators only
+    move values, so rows equal np.sort's scattered into chain order, bit for bit."""
+    order = _family(kind).order
+    return _network_sort(rng.uniform(0.0, tau, size=(n, len(order))), order)
 
 
 def sample_interior(
@@ -687,9 +702,8 @@ def _volume_montecarlo(
 ) -> VolumeReport:
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
-    dim = spec.dim
     tau = spec.tau
-    simplex_volume = tau**dim / math.factorial(dim)
+    simplex_volume = tau**spec.dim / math.factorial(spec.dim)
     if simplex_volume == 0.0:
         return VolumeReport(
             volume=0.0, stderr=0.0, method="montecarlo",

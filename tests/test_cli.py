@@ -297,6 +297,11 @@ class TestRegionQueries:
         assert main(["region", "member", "--sigma", "0.10,0.30,0.40"]) == 0
         assert capsys.readouterr().out.strip() == "false"
 
+    @pytest.mark.parametrize("sigma", ["nan,nan,nan", "0.30,0.10,nan", "inf,0.10,0.40"])
+    def test_member_of_a_nonfinite_point_is_false(self, capsys, sigma):
+        assert main(["region", "member", "--sigma", sigma]) == 0
+        assert capsys.readouterr().out.strip() == "false"
+
     def test_member_dimension_checked(self, capsys):
         assert main(["region", "member", "--sigma", "0.30,0.10"]) == 2
         err = capsys.readouterr().err

@@ -53,6 +53,7 @@ from isochron.regions import (
     Functional,
     _enumerate_vertices,
     _halfspaces,
+    _network_sort,
     _ordering_simplex_sample,
     _subset_index,
 )
@@ -249,6 +250,34 @@ class TestMembership:
         spec = region_spec(P, "IR4")
         with pytest.raises(DomainError):
             membership(spec, (0.1, 0.2))
+
+    @pytest.mark.parametrize(
+        "sigmas",
+        [np.zeros(3), np.zeros(0), np.zeros((2, 4)), np.zeros((2, 2)), np.zeros((1, 1, 3))],
+        ids=["one-point", "one-empty", "too-wide", "too-narrow", "three-d"],
+    )
+    def test_vectorized_rejects_all_but_rows_of_dim_columns(self, sigmas):
+        """A single point is not read as dim points of one coordinate each."""
+        with pytest.raises(DomainError, match=r"shape \(rows, 3\), got \("):
+            membership_many(region_spec(P, "IR4"), sigmas)
+
+    def test_vectorized_empty_rows_give_an_empty_mask(self):
+        mask = membership_many(region_spec(P, "IR4"), np.zeros((0, 3)))
+        assert mask.shape == (0,) and mask.dtype == bool
+
+    def test_nonfinite_points_are_outside(self):
+        spec = region_spec(P, "IR4")
+        member = (0.30, 0.10, 0.40)
+        bad = [
+            [v if i == col else member[i] for i in range(3)]
+            for col in range(3)
+            for v in (np.nan, np.inf, -np.inf)
+        ]
+        sigmas = np.array([member, *bad, [np.nan] * 3, [np.inf] * 3, [-np.inf] * 3])
+        with np.errstate(invalid="ignore"):
+            mask = membership_many(spec, sigmas)
+        assert mask.tolist() == [True] + [False] * (len(sigmas) - 1)
+        assert [membership(spec, row) for row in sigmas.tolist()] == mask.tolist()
 
 
 class TestExistence:
@@ -706,6 +735,72 @@ class TestSampling:
     def test_negative_sample_count_is_a_domain_error(self):
         with pytest.raises(DomainError, match="-1"):
             sample_interior(P, "IR4", -1)
+
+
+def sort_and_scatter(x: np.ndarray, wires) -> np.ndarray:
+    """Reference for the sorting network: np.sort each row, then scatter
+    the ascending values into the columns wires[0], wires[1], ..."""
+    out = np.empty_like(x)
+    out[:, list(wires)] = np.sort(x, axis=1)
+    return out
+
+
+#: Rows for the network: ties, 0.0, repeated values and subnormals are
+#: all likely draws.  Uniform draws are never NaN or -0.0, and neither are these.
+NETWORK_VALUES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 0.25, 0.58, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0, allow_subnormal=True),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308, allow_subnormal=True),
+)
+
+
+class TestSortingNetwork:
+    """The sampler sorts with a compare-exchange network; every row it
+    returns must equal np.sort's scattered into chain order, bit for bit."""
+
+    @pytest.mark.parametrize("n", [0, 1, 1023, 100_000])
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_sampler_equals_sort_and_scatter(self, kind, seed, n):
+        got = _ordering_simplex_sample(np.random.default_rng(seed), kind, P.tau, n)
+        family = FAMILIES[kind]
+        uniforms = np.random.default_rng(seed).uniform(0.0, P.tau, size=(n, family.dim))
+        want = sort_and_scatter(uniforms, family.order)
+        assert got.shape == want.shape == (n, family.dim)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda dim: st.tuples(
+                st.permutations(range(dim)),
+                st.lists(st.lists(NETWORK_VALUES, min_size=dim, max_size=dim), max_size=8),
+            )
+        )
+    )
+    def test_network_on_drawn_rows(self, drawn):
+        wires, rows = drawn
+        x = np.array(rows, dtype=float).reshape(len(rows), len(wires))
+        want = sort_and_scatter(x, wires)
+        assert _network_sort(x, tuple(wires)) is x
+        assert x.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_network_sorts_every_zero_one_row(self, dim):
+        """The 0-1 principle: a comparator network that sorts every 0-1
+        input sorts every input."""
+        x = np.array(list(itertools.product((0.0, 1.0), repeat=dim)))
+        for wires in itertools.permutations(range(dim)):
+            want = sort_and_scatter(x, wires)
+            assert _network_sort(x.copy(), wires).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_network_sorts_every_permutation(self, dim):
+        x = np.array(list(itertools.permutations(np.linspace(0.1, 0.9, dim))))
+        for wires in itertools.permutations(range(dim)):
+            got = _network_sort(x.copy(), wires)
+            assert np.all(np.diff(got[:, list(wires)], axis=1) > 0)
+            assert got.tobytes() == sort_and_scatter(x, wires).tobytes()
 
 
 class TestVolume:

@@ -83,3 +83,24 @@ def test_tracer_counts_the_events_of_batched_detection():
         counts[name] = tracer.counts
     assert counts["batched"]["engine.events"] == counts["scalar"]["engine.events"] > 0
     assert counts["batched"]["engine.section_returns"] > 0
+
+
+def test_tracer_counts_the_rows_of_both_sampler_callers():
+    """A Monte Carlo volume and sample_interior both test their draws
+    through the ``membership_many`` global of ``isochron.regions``, the one
+    the tracer wraps, so every drawn row is counted."""
+    params = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
+    tracer = _load_tracer_module().Tracer()
+    try:
+        tracer.install()
+        isochron.regions.region_volume(
+            region_spec(params, "IR4"), method="montecarlo", samples=100_000
+        )
+        volume = dict(tracer.counts)
+        isochron.regions.sample_interior(params, "IR4", 10)
+    finally:
+        tracer.uninstall()
+    assert volume["regions.membership_many.rows"] == 100_000
+    assert volume["regions.sampler.rows"] == 0
+    assert tracer.counts["regions.sampler.rows"] > 0
+    assert tracer.counts["regions.sampler.accepted"] >= 10
