@@ -48,6 +48,14 @@ CASES = {
                        "--out-csv", "params-mc.csv", "--out-json", "params-mc.json"],
     "scan-phases": ["scan", "phases", "--step", "0.1", "--out-csv", "phases.csv",
                     "--out-json", "phases.json"],
+    "scan-phases-tau0": ["scan", "phases", "--tau", "0", "--step", "0.05",
+                         "--out-csv", "phases-tau0.csv", "--out-json", "phases-tau0.json"],
+    "scan-phases-tiny-tau": ["scan", "phases", "--tau", "1e-12", "--step", "0.05",
+                             "--out-csv", "phases-tiny-tau.csv",
+                             "--out-json", "phases-tiny-tau.json"],
+    "scan-phases-budget": ["scan", "phases", "--step", "0.1", "--max-iter", "4",
+                           "--out-csv", "phases-budget.csv",
+                           "--out-json", "phases-budget.json"],
     **{
         f"poincare-{k}": ["poincare", "--center", k, "--out", f"poincare-{k}.json"]
         for k in ("ir3", "ir4", "ir5")
