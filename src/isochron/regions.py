@@ -296,16 +296,19 @@ def membership_margin(spec: RegionSpec, sigma) -> float:
 
 def membership_many(spec: RegionSpec, sigmas: np.ndarray, margin: float = 0.0) -> np.ndarray:
     """Vectorized membership over an (n, dim) array of sigma points, one matmul
-    per constraint: a stacked matmul rounds differently, so hit counts would move."""
+    per constraint: a stacked matmul rounds differently, so hit counts would move.
+    A row holding +-inf or NaN is outside, without a warning (a zero weight
+    times inf is NaN, and NaN compares False)."""
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.ndim != 2 or sigmas.shape[1] != spec.dim:
         raise DomainError(f"sigmas must have shape (rows, {spec.dim}), got {sigmas.shape}")
     ok = np.ones(len(sigmas), dtype=bool)
-    for w, w0 in spec.orderings:
-        ok &= sigmas @ np.asarray(w) + w0 > margin
-    for f in spec.functionals:
-        v = sigmas @ np.asarray(f.weights) + f.offset
-        ok &= (v >= f.lower + margin) & (v <= f.upper - margin)
+    with np.errstate(invalid="ignore"):
+        for w, w0 in spec.orderings:
+            ok &= sigmas @ np.asarray(w) + w0 > margin
+        for f in spec.functionals:
+            v = sigmas @ np.asarray(f.weights) + f.offset
+            ok &= (v >= f.lower + margin) & (v <= f.upper - margin)
     return ok
 
 

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -278,6 +279,13 @@ class TestMembership:
             mask = membership_many(spec, sigmas)
         assert mask.tolist() == [True] + [False] * (len(sigmas) - 1)
         assert [membership(spec, row) for row in sigmas.tolist()] == mask.tolist()
+
+    def test_nonfinite_points_raise_no_warning(self):
+        sigmas = np.array([[np.inf, np.inf, np.inf], [-np.inf, 0.1, 0.2], [np.nan, 0.1, 0.2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mask = membership_many(region_spec(P, "IR4"), sigmas)
+        assert mask.tolist() == [False] * 3
 
 
 class TestExistence:
