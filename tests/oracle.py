@@ -16,6 +16,10 @@ orbit that the engine's double-precision returns approximate.
 library's detector runs many starts in lockstep on arrays and builds their
 cycles together, while this one runs each return on its own scalar engine
 and builds its one cycle return by return (``cycle_result``).
+
+``scan_reference`` is the reference for the initial-phase scan: one
+``PeriodicityResult`` and one ``PulseSignature`` per cell, interned by
+``pulse_equivalent``, where the library's scan works on cycle columns.
 """
 
 from __future__ import annotations
@@ -31,9 +35,16 @@ from isochron import (
     Engine,
     NotPeriodic,
     PeriodicityResult,
+    ScanRecord,
+    detect_periodicity_many,
+    eq_init_state,
+    phase_projection,
+    pulse_equivalent,
+    pulse_signature,
     require_section_state,
     states_match,
 )
+from isochron.sweep import _grid_values
 
 mp.mp.dps = 50
 
@@ -211,3 +222,43 @@ def cycle_result(transient, states, returns, received, tol):
         cycle_states=tuple(states[:minimal]),
         receptions=tuple(receptions),
     )
+
+
+def scan_reference(params, step: float, max_iter: int = 10_000, tol: float = DEFAULT_MATCH_TOL):
+    """phase_scan's records and signature table, cell by cell.
+
+    Each cell's start is eq_init_state's, every start is detected in one
+    detect_periodicity_many batch, and each periodic cell's pulse_signature
+    is interned: a bucket per sorted per_recipient() pattern, then the
+    first signature in it that pulse_equivalent accepts, else a new id.
+    """
+    values = _grid_values(step)
+    cells = [(theta1, theta2) for theta1 in values for theta2 in values]
+    starts = [eq_init_state(params, theta1, theta2) for theta1, theta2 in cells]
+    records, signatures, buckets = [], [], {}
+    for (theta1, theta2), result in zip(
+        cells, detect_periodicity_many(params, starts, max_iter=max_iter, tol=tol)
+    ):
+        if not isinstance(result, PeriodicityResult):
+            records.append(ScanRecord(theta1=theta1, theta2=theta2, periodic=False))
+            continue
+        signature = pulse_signature(params, result)
+        bucket = buckets.setdefault(tuple(sorted(signature.per_recipient().items())), [])
+        sid = next((i for i in bucket if pulse_equivalent(signatures[i], signature)), None)
+        if sid is None:
+            signatures.append(signature)
+            sid = len(signatures) - 1
+            bucket.append(sid)
+        records.append(
+            ScanRecord(
+                theta1=theta1,
+                theta2=theta2,
+                periodic=True,
+                transient_iters=result.transient_iters,
+                poincare_period=result.poincare_period,
+                orbit_period=result.orbit_period,
+                signature_id=sid,
+                projection=tuple(map(phase_projection, result.cycle_states)),
+            )
+        )
+    return tuple(records), tuple(signatures)

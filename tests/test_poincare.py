@@ -37,7 +37,7 @@ from isochron import (
     states_match,
 )
 from isochron import engine, lockstep, poincare
-from isochron.engine import EngineStallError, HorizonExceededError
+from isochron.engine import EngineStallError, HorizonExceededError, NetworkState, StateError
 from isochron.poincare import _assemble
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
@@ -797,6 +797,46 @@ class TestBatchedDetection:
             detect_periodicity_many(P, [good, bad, slow])
         with pytest.raises(HorizonExceededError):
             detect_periodicity_many(P, [good, slow, bad])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            NetworkState((1.0, 0.2, 0.0), ((), (), (0.0,))),
+            NetworkState((math.nan, 0.2, 0.0), ((), (), (0.0,))),
+            NetworkState((0.1, 0.2, 0.0), ((0.7,), (), (0.0,))),
+            NetworkState((0.1, 0.2, 0.0), ((0.3, 0.1), (), (0.0,))),
+            NetworkState((0.1, 0.0), ((), (0.0,))),
+            NetworkState((0.1, 0.2, 0.0), ((), (0.0,))),
+            NetworkState((0.1, 0.2, 0.3), ((), (), (0.0,))),
+            NetworkState((0.1, 0.2, 0.0), ((), (), (0.1,))),
+            NetworkState((1.0, 0.2, 0.3), ((), (), (0.1,))),
+        ],
+        ids=[
+            "phase-one",
+            "phase-nan",
+            "ftd-above-tau",
+            "ftds-descending",
+            "wrong-n",
+            "wrong-ftd-rows",
+            "last-phase",
+            "last-ftd",
+            "state-and-section",
+        ],
+    )
+    @pytest.mark.parametrize("at", [0, 2, 3], ids=["first", "middle", "last"])
+    def test_bad_start_raises_require_section_states_error(self, bad, at):
+        # Starts are checked together, as rows; the first bad one raises
+        # what require_section_state raises for it (StateError before
+        # SectionError), also when a later start is bad too.
+        with pytest.raises((StateError, SectionError)) as want:
+            require_section_state(P, bad)
+        starts = [sync_state(), eq_init_state(P, 0.3, 0.6), eq_init_state(P, 0.7, 0.1)]
+        starts.insert(at, bad)
+        if at < 3:
+            starts.append(network_state((0.1, 0.2, 0.3), ((), (), (0.0,))))
+        with pytest.raises(type(want.value)) as got:
+            detect_periodicity_many(P, starts)
+        assert str(got.value) == str(want.value)
 
     def test_rejects_bad_budget_and_tolerance(self):
         with pytest.raises(ValueError, match="max_iter"):

@@ -7,6 +7,9 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracle import scan_reference
 
 from isochron import (
     DEFAULT_SCAN_MAX_ITER,
@@ -45,7 +48,7 @@ from isochron import (
     write_projection_json,
 )
 from isochron import sweep
-from isochron.engine import EngineStallError
+from isochron.engine import EngineStallError, HorizonExceededError
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
 # Period-4 family exists here, but a step-0.05 phase grid finds none of
@@ -240,6 +243,28 @@ class TestPhaseScanReference:
             with pytest.raises(EngineStallError) as exc:
                 phase_scan(stall, step=0.5, workers=workers)
             assert str(exc.value) == str(first)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(0.2, 8.0),
+        st.floats(0.0, 0.95),
+        st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(0.01, 1.2)),
+        st.sampled_from([0.1, 0.2, 0.25]),
+        st.sampled_from([1, 3, 10_000]),
+        st.sampled_from([1, 2]),
+    )
+    def test_scan_equals_the_cell_by_cell_reference(self, b, eps, tau, step, max_iter, workers):
+        params = ModelParams(b=b, eps=eps, n=3, tau=tau)
+        try:
+            records, signatures = scan_reference(params, step, max_iter)
+        except (EngineStallError, HorizonExceededError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                phase_scan(params, step=step, max_iter=max_iter, workers=workers)
+            assert str(raised.value) == str(exc)
+            return
+        got = phase_scan(params, step=step, max_iter=max_iter, workers=workers)
+        assert repr(got.records) == repr(records)
+        assert repr(got.signatures) == repr(signatures)
 
     def test_config_dict_round_trips_through_json(self):
         config = scan05().config_dict()
