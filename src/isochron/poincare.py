@@ -16,6 +16,8 @@ from functools import cached_property
 from itertools import chain
 from operator import ne, sub
 
+import numpy as np
+
 from ._serial import Record
 from .engine import (
     Engine,
@@ -118,8 +120,30 @@ class NotPeriodic(Record):
     _extra = ("periodic",)
 
 
-def _assemble(n: int, tol: float, chunks: list[tuple]) -> list[PeriodicityResult]:
-    """The results of detected cycles, built on arrays for all at once.
+@dataclass(frozen=True)
+class _CycleTable:
+    """Detected cycles as columns, the array stage of cycle assembly.
+
+    Per cycle: transients, periods (minimal), detected and orbits (orbit
+    periods).  Each cycle's period states follow the previous cycle's as
+    rows of phases, ftds and senders (lockstep's layout), and returns holds
+    the time of the return that leaves each.  receptions are the columns
+    (cycle, who, mult, offset), cycle by cycle, in PulseSignature's order.
+    """
+
+    transients: np.ndarray
+    periods: np.ndarray
+    detected: np.ndarray
+    orbits: np.ndarray
+    phases: np.ndarray
+    ftds: np.ndarray
+    senders: np.ndarray
+    returns: np.ndarray
+    receptions: tuple
+
+
+def _cycle_table(n: int, tol: float, chunks: list[tuple]) -> _CycleTable:
+    """The detected cycles of chunks, on arrays for all at once.
 
     Each chunk holds some cycles as (transients, lengths, phases, ftds,
     senders, returns, when, mult).  Cycle k's orbit revisits,
@@ -137,11 +161,7 @@ def _assemble(n: int, tol: float, chunks: list[tuple]) -> list[PeriodicityResult
     a reception at the period boundary counting at offset 0 of the next
     pass, and ordered by offset and then recipient, ties in cycle order.
     """
-    if not chunks:
-        return []
-    import numpy as np
-
-    from .lockstep import _decode, _widen
+    from .lockstep import _widen
 
     def stack(arrays, fill):
         width = max(a.shape[-1] for a in arrays)
@@ -188,23 +208,46 @@ def _assemble(n: int, tol: float, chunks: list[tuple]) -> list[PeriodicityResult
     offset = clock[k, pos[row]] + when[row, slot]
     offset[offset >= (orbit - DEFAULT_MATCH_TOL)[k]] = 0.0
     order = np.lexsort((who, offset, k))
-    receptions = list(
-        zip(
-            who[order].tolist(),
-            mult[row, who, slot][order].tolist(),
-            offset[order].tolist(),
-        )
+    return _CycleTable(
+        transients=transients,
+        periods=period,
+        detected=lengths,
+        orbits=orbit,
+        phases=phases[on],
+        ftds=ftds[on],
+        senders=senders[on],
+        returns=returns[on, 0],
+        receptions=(k[order], who[order], mult[row, who, slot][order], offset[order]),
     )
-    rec_end = np.cumsum(np.bincount(k, minlength=count)).tolist()
 
-    states = _decode(phases[on], ftds[on], senders[on])
-    return_times = returns[on, 0].tolist()
+
+def _cycle_results(table: _CycleTable, cycles) -> list[PeriodicityResult]:
+    """The PeriodicityResults of the table's given cycles, in that order:
+    the object stage of cycle assembly."""
+    from .lockstep import _decode
+
+    def spans(sizes):
+        # The entries of the given cycles, where each cycle has sizes[k].
+        ends = np.cumsum(sizes[cycles])
+        return np.repeat(np.cumsum(sizes)[cycles] - ends, sizes[cycles]) + np.arange(
+            ends[-1] if ends.size else 0
+        )
+
+    cycles = np.asarray(cycles, dtype=int)
+    rec_cycle, who, mult, offset = table.receptions
+    received = np.bincount(rec_cycle, minlength=len(table.periods))
+    rows, recs = spans(table.periods), spans(received)
+    states = _decode(table.phases[rows], table.ftds[rows], table.senders[rows])
+    return_times = table.returns[rows].tolist()
+    receptions = list(zip(who[recs].tolist(), mult[recs].tolist(), offset[recs].tolist()))
     results = []
     lo = rec_lo = 0
-    for transient, minimal, length, orbit_period, rec_hi in zip(
-        transients.tolist(), period.tolist(), lengths.tolist(), orbit.tolist(), rec_end
+    for transient, minimal, length, orbit_period, count in zip(
+        *(column[cycles].tolist() for column in (table.transients, table.periods, table.detected)),
+        table.orbits[cycles].tolist(),
+        received[cycles].tolist(),
     ):
-        hi = lo + minimal
+        hi, rec_hi = lo + minimal, rec_lo + count
         results.append(
             PeriodicityResult(
                 transient_iters=transient,
@@ -260,7 +303,7 @@ def detect_periodicity_many(
     within tol (the prefilter), equal FTD row lengths, state_distance <=
     tol, the earliest match first, so the reported transient is minimal.
     A start that finishes leaves the history; a found cycle's rows are
-    copied out, and _assemble builds every cycle of the batch at the end.
+    copied out, and every cycle of the batch is assembled at the end.
     A start with no revisit after max_iter iterations gets a NotPeriodic
     report.  If any start raises, the error of the first such start (in
     the given order) is raised.
@@ -268,31 +311,66 @@ def detect_periodicity_many(
     _check_budget(max_iter, tol)
     states = list(states)
 
-    import numpy as np
+    from .lockstep import _decode, _encode
 
-    from .lockstep import LockstepEngine, _decode, _encode, _History
+    # The starts are checked as rows, after the shape check that _encode
+    # needs; require_section_state raises the first bad start's error.
+    n = params.n
+    fits = [len(s.phases) == n == len(s.ftds) for s in states]
+    rows = _encode(n, states[: fits.index(False) if False in fits else None])
+    errors: dict[int, Exception] = {}
+    bad = _first_bad_row(params, *rows)
+    if bad < len(states):
+        try:
+            require_section_state(params, states[bad])
+        except ValueError as exc:
+            errors[bad] = exc
+            rows = tuple(column[:bad] for column in rows)
+    cycle, ends, table = _detect(params, *rows, max_iter, tol, errors)
+    results: list = [None] * len(cycle)
+    periodic = np.flatnonzero(cycle >= 0)
+    for s, result in zip(periodic.tolist(), _cycle_results(table, cycle[periodic])):
+        results[s] = result
+    for s, state in zip(np.flatnonzero(cycle < 0).tolist(), _decode(*ends)):
+        results[s] = NotPeriodic(iterations=max_iter, last_state=state)
+    return results
+
+
+def _first_bad_row(params: ModelParams, phases, ftds, senders) -> int:
+    """The first of the rows (lockstep's layout) that require_section_state
+    rejects, or the row count."""
+    n, entry = params.n, senders < params.n
+    bad = ~((phases >= 0.0) & (phases < 1.0)).all(axis=1)
+    bad |= (entry & ~((ftds >= 0.0) & (ftds <= params.tau) & np.isfinite(ftds))).any(axis=1)
+    descending = (senders[:, 1:] == senders[:, :-1]) & (ftds[:, :-1] > ftds[:, 1:])
+    bad |= (entry[:, 1:] & descending).any(axis=1) | (phases[:, -1] != 0.0)
+    bad |= ~((senders == n - 1) & (ftds == 0.0)).any(axis=1)
+    return int(np.argmax(bad)) if bad.any() else len(phases)
+
+
+def _detect(params: ModelParams, phases, ftds, senders, max_iter: int, tol: float, errors: dict):
+    """detect_periodicity_many's loop, on section states given as rows in
+    lockstep's layout; returns (cycle, ends, table).  cycle[s] is start s's
+    cycle in the _CycleTable, or -1 if it found none within max_iter
+    returns; ends holds the last rows of those, in start order.  errors
+    maps starts to errors already found; the first start's is raised.
+    """
+    from .lockstep import LockstepEngine, _History
 
     n = params.n
-    errors: dict[int, Exception] = {}
-    for idx, state in enumerate(states):
-        try:
-            require_section_state(params, state)
-        except ValueError as exc:
-            errors[idx] = exc
-            del states[idx:]
-            break
-    count = len(states)
-    results: list = [None] * count
-    eng = LockstepEngine(params, *_encode(n, states))
+    count = len(phases)
+    eng = LockstepEngine(params, phases, ftds, senders)
 
     # hist holds every live start's states, return times and deliveries,
     # row p for the start at live[p]; a start leaves it when it finishes.
-    # A found cycle's rows are copied out then, and every cycle of the
-    # batch is assembled at the end.
+    # A found cycle's rows are copied out then (after an empty chunk that
+    # gives the columns their shapes), and assembled at the end.
     live = np.arange(count)
     hist = _History(n, eng.phases, eng.ftds, eng.senders)
-    cycles: list[tuple] = []
-    cycle_starts: list[int] = []
+    none = np.zeros(0, dtype=int)
+    cycles = [(none, none, *hist.gather((0, 1, 2), none, none), *hist.gather((3, 4, 5), none, none))]
+    cycle = np.full(count, -1)
+    ends = hist.gather((0, 1, 2), none, none)
 
     for it in range(1, max_iter + 1):
         if not live.size:
@@ -317,13 +395,11 @@ def detect_periodicity_many(
             cycles.append(
                 (j, lengths, *hist.gather((0, 1, 2), at, p), *hist.gather((3, 4, 5), at + 1, p))
             )
-            cycle_starts += live[done].tolist()
+            cycle[live[done]] = np.arange(done.size) + (cycle.max(initial=-1) + 1)
         leave = failed | (matched >= 0)
         if it == max_iter:
             last = np.nonzero(~leave)[0]
-            ends = _decode(*hist.gather((0, 1, 2), np.full(last.size, it), last))
-            for p, state in zip(last.tolist(), ends):
-                results[live[p]] = NotPeriodic(iterations=max_iter, last_state=state)
+            ends = hist.gather((0, 1, 2), np.full(last.size, it), last)
             leave[:] = True
         keep = ~leave
         if errors:
@@ -335,9 +411,7 @@ def detect_periodicity_many(
 
     if errors:
         raise errors[min(errors)]
-    for b, result in zip(cycle_starts, _assemble(n, tol, cycles)):
-        results[b] = result
-    return results
+    return cycle, ends, _cycle_table(n, tol, cycles)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import csv
 import json
 import math
 from collections.abc import Iterator
+from itertools import chain
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -30,12 +31,15 @@ from .poincare import (
     NotPeriodic,
     PeriodicityResult,
     PulseSignature,
+    _cycle_results,
+    _detect,
     detect_periodicity,
     detect_periodicity_many,
     phase_projection,
     poincare_map,  # noqa: F401  (bound here for perfbench/tracer.py)
-    pulse_equivalent,
-    pulse_signature,
+    pulse_equivalent,  # noqa: F401  (bound here for perfbench/tracer.py)
+    pulse_signature,  # noqa: F401  (bound here for perfbench/tracer.py)
+    require_section_state,
     states_match,
 )
 from .regions import (
@@ -62,7 +66,10 @@ DEFAULT_SCAN_MAX_ITER = 10_000
 #: Starts per lockstep detection batch (detect_periodicity_many): a scan
 #: task takes this many grid cells, rounded down to whole grid rows (at
 #: least one), and projection_compare seeds its orbits in batches of this
-#: size.  Larger batches run faster and hold more results at once.
+#: size.  Larger batches run faster and hold more results at once: at 1000
+#: cells the CLI scan of the 0.01 grid at the reference parameters peaks at
+#: 46.1-46.4 MB RSS against 41.2 MB at 300 (2-core Xeon, Python 3.11),
+#: beyond the benchmark's 5% peak_rss_mb bound.
 _SCAN_BLOCK_CELLS = 300
 
 
@@ -150,28 +157,33 @@ def _grid_values(step: float) -> list[float]:
     return [i * step for i in range(count)]
 
 
-def _scan_rows(args) -> list[tuple]:
-    """Worker task: run the cycle detector on a block of theta_1 rows
-    against all theta_2 values, as one batch; returns (theta1, theta2,
-    result) per cell in grid order."""
-    params, theta1s, theta2s, max_iter, tol = args
-    cells = [(theta1, theta2) for theta1 in theta1s for theta2 in theta2s]
-    starts = [eq_init_state(params, theta1, theta2) for theta1, theta2 in cells]
-    results = detect_periodicity_many(params, starts, max_iter=max_iter, tol=tol)
-    return [(theta1, theta2, result) for (theta1, theta2), result in zip(cells, results)]
+def _scan_rows(args):
+    """Worker task: poincare._detect's (cycle, ends, table) for a block of
+    grid cells, detected as one batch.  The starts are eq_init_state's,
+    built as rows with its float operations: phases (theta_1, theta_2, 0),
+    then the FTD entry theta_i of each theta_i <= tau and the reference
+    oscillator's 0.0, in sender order."""
+    params, cells, max_iter, tol = args
+    phases = np.array([(theta1, theta2, 0.0) for theta1, theta2 in cells])
+    held = phases <= params.tau
+    order = np.argsort(~held, axis=1, kind="stable")[:, : held.sum(axis=1).max()]
+    held = np.take_along_axis(held, order, axis=1)
+    ftds = np.where(held, np.take_along_axis(phases, order, axis=1), 0.0)
+    return _detect(params, phases, ftds, np.where(held, order, 3), max_iter, tol, {})
 
 
 def _scan_cells(params: ModelParams, step: float, max_iter: int, tol: float, workers: int):
-    """Yield (theta1, theta2, result) over the initial-phase grid in grid
-    order, one block of whole grid rows at a time."""
+    """Yield (cells, (cycle, ends, table)) over the initial-phase grid: the
+    (theta1, theta2) cells of each block of whole grid rows, in grid
+    order, and _scan_rows' result for them."""
     values = _grid_values(step)
-    rows = max(1, _SCAN_BLOCK_CELLS // len(values))
-    tasks = [
-        (params, values[i : i + rows], values, max_iter, tol)
-        for i in range(0, len(values), rows)
-    ]
-    for block in _run_tasks(_scan_rows, tasks, workers):
-        yield from block
+    if params.n != 3:  # every grid start has three oscillators
+        require_section_state(params, eq_init_state(params, 0.0, 0.0))
+    cells = [(theta1, theta2) for theta1 in values for theta2 in values]
+    size = max(1, _SCAN_BLOCK_CELLS // len(values)) * len(values)
+    blocks = [cells[i : i + size] for i in range(0, len(cells), size)]
+    tasks = [(params, block, max_iter, tol) for block in blocks]
+    yield from zip(blocks, _run_tasks(_scan_rows, tasks, workers))
 
 
 def phase_scan(
@@ -183,39 +195,45 @@ def phase_scan(
 ) -> PhaseScanResult:
     """Scan the initial-phase square [0,1)^2 on a regular grid.
 
-    Each cell builds its initial state with eq_init_state, runs the cycle
-    detector, and records the orbit's period data, interned pulse
-    signature, and attractor projection.  Cells are independent; with
-    workers > 1 rows are scanned on a process pool and gathered in grid
-    order, so the result is identical to a serial run.
+    Each cell starts from eq_init_state, runs the cycle detector, and
+    records the orbit's period data, interned pulse signature, and
+    attractor projection.  Cells are independent; with workers > 1 rows
+    are scanned on a process pool and gathered in grid order, so the
+    result is identical to a serial run.  The records are read off each
+    block's cycle table; a PulseSignature is built only for a new one.
     """
     records: list[ScanRecord] = []
     signatures: list[PulseSignature] = []
     # Signature ids by per-recipient multiplicity pattern, which equivalent
-    # signatures share; only the period is left to compare within a bucket.
-    buckets: dict[tuple, list[int]] = {}
-    for theta1, theta2, result in _scan_cells(params, step, max_iter, tol, workers):
-        if not isinstance(result, PeriodicityResult):
-            records.append(ScanRecord(theta1=theta1, theta2=theta2, periodic=False))
-            continue
-        signature = pulse_signature(params, result)
-        bucket = buckets.setdefault(tuple(sorted(signature.per_recipient().items())), [])
-        sid = next((i for i in bucket if pulse_equivalent(signatures[i], signature)), None)
-        if sid is None:
-            signatures.append(signature)
-            sid = len(signatures) - 1
-            bucket.append(sid)
-        records.append(
-            ScanRecord(
-                theta1=theta1,
-                theta2=theta2,
-                periodic=True,
-                transient_iters=result.transient_iters,
-                poincare_period=result.poincare_period,
-                orbit_period=result.orbit_period,
-                signature_id=sid,
-                projection=tuple(map(phase_projection, result.cycle_states)),
-            )
+    # signatures share: the (recipient, multiplicity) pairs, stably sorted
+    # by recipient.  Only the period is left to compare within a bucket.
+    buckets: dict[bytes, list[int]] = {}
+    for cells, (cycle, _, table) in _scan_cells(params, step, max_iter, tol, workers):
+        rec_cycle, who, mult, offset = table.receptions
+        by = np.lexsort((who, rec_cycle))
+        pairs = np.stack([who[by], mult[by]], axis=1).astype(np.int64)
+        recs = [0, *np.cumsum(np.bincount(rec_cycle, minlength=len(table.periods))).tolist()]
+        rows = [0, *np.cumsum(table.periods).tolist()]
+        points = list(map(tuple, table.phases[:, :-1].tolist()))
+        transients, periods, orbits = (
+            column.tolist() for column in (table.transients, table.periods, table.orbits)
+        )
+        fields = {}
+        for k in cycle[cycle >= 0].tolist():  # in grid order, as ids are given
+            lo, hi = recs[k], recs[k + 1]
+            bucket = buckets.setdefault(pairs[lo:hi].tobytes(), [])
+            # pulse_equivalent's period tolerance
+            sid = next((i for i in bucket if abs(signatures[i].period - orbits[k]) <= 1e-9), None)
+            if sid is None:
+                sid = len(signatures)
+                received = zip(who[lo:hi].tolist(), mult[lo:hi].tolist(), offset[lo:hi].tolist())
+                signatures.append(PulseSignature(period=orbits[k], receptions=tuple(received)))
+                bucket.append(sid)
+            projection = tuple(points[rows[k] : rows[k + 1]])
+            fields[k] = (True, transients[k], periods[k], orbits[k], sid, projection)
+        records += (
+            ScanRecord(*cell, *fields[k]) if k >= 0 else ScanRecord(*cell, False)
+            for cell, k in zip(cells, cycle.tolist())
         )
     return PhaseScanResult(
         params=params,
@@ -429,9 +447,13 @@ def projection_compare(
     numeric_orbits = 0
     mirror_orbits = 0
     unidentified = 0
-    for _, _, result in _scan_cells(params, step, max_iter, DEFAULT_MATCH_TOL, workers):
-        if not isinstance(result, PeriodicityResult) or result.poincare_period != 4:
-            continue
+    found = (
+        _cycle_results(table, [k for k in cycle.tolist() if k >= 0 and table.periods[k] == 4])
+        for _, (cycle, _, table) in _scan_cells(
+            params, step, max_iter, DEFAULT_MATCH_TOL, workers
+        )
+    )
+    for result in chain.from_iterable(found):
         identified = _identify_family_cycle(params, spec, result, tol=1e-7)
         if identified is None:
             unidentified += 1

@@ -38,7 +38,7 @@ from isochron import (
 )
 from isochron import engine, lockstep, poincare
 from isochron.engine import EngineStallError, HorizonExceededError, NetworkState, StateError
-from isochron.poincare import _assemble
+from isochron.poincare import _cycle_results, _cycle_table
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
 
@@ -351,7 +351,7 @@ class TestDetectPeriodicity:
 
 
 def cycle_rows(n: int, cycles: list[tuple]) -> tuple:
-    """Cycles as cycle_result takes them, as one _assemble chunk.  Each
+    """Cycles as cycle_result takes them, as one chunk of _cycle_table.  Each
     cycle is (transient, states, returns, received): its states, the time
     of the return that leaves each and that return's receptions.  Each
     reception becomes a delivery of its own, in the order received."""
@@ -373,12 +373,19 @@ def cycle_rows(n: int, cycles: list[tuple]) -> tuple:
     )
 
 
+def assemble_all(n: int, tol: float, chunks: list[tuple]) -> list:
+    """Every cycle of the chunks as a PeriodicityResult, through both
+    stages of cycle assembly: the cycle table, then its objects."""
+    table = _cycle_table(n, tol, chunks)
+    return _cycle_results(table, range(len(table.periods)))
+
+
 def assemble(states, returns=None, received=None, tol=1e-9, transient=0):
-    """The result _assemble builds for one detected cycle of three
+    """The result cycle assembly builds for one detected cycle of three
     oscillators."""
     returns = returns or [0.1 * (i + 1) for i in range(len(states))]
     received = received or [[] for _ in states]
-    return _assemble(3, tol, [cycle_rows(3, [(transient, states, returns, received)])])[0]
+    return assemble_all(3, tol, [cycle_rows(3, [(transient, states, returns, received)])])[0]
 
 
 _A = network_state(phases=(0.1, 0.2, 0.0), ftds=((0.1,), (0.2,), (0.0,)))
@@ -419,7 +426,7 @@ def detected_cycles(draw):
 
 
 class TestMinimalCycle:
-    """_assemble, the detector's cycle builder, against cycle_result."""
+    """Cycle assembly, the detector's cycle builder, against cycle_result."""
 
     def test_reduces_detected_length_over_divisors(self):
         a, b = _A, _B
@@ -443,7 +450,11 @@ class TestMinimalCycle:
         # return.
         want = [cycle_result(*cycle, tol) for cycle in cycles]
         chunks = [cycle_rows(3, cycles[:2]), cycle_rows(3, cycles[2:])]
-        assert list(map(repr, _assemble(3, tol, chunks))) == list(map(repr, want))
+        assert list(map(repr, assemble_all(3, tol, chunks))) == list(map(repr, want))
+        # The object stage builds any of the table's cycles, in any order.
+        picked = list(range(len(cycles)))[::-2]
+        got = _cycle_results(_cycle_table(3, tol, chunks), picked)
+        assert list(map(repr, got)) == [repr(want[k]) for k in picked]
 
     def test_prefilter_rounding_leaves_a_reducible_cycle(self):
         # The third state is within tol of the second, but the second's
