@@ -11,6 +11,7 @@ alone.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -120,26 +121,10 @@ class NotPeriodic(Record):
     _extra = ("periodic",)
 
 
-@dataclass(frozen=True)
-class _CycleTable:
-    """Detected cycles as columns, the array stage of cycle assembly.
-
-    Per cycle: transients, periods (minimal), detected and orbits (orbit
-    periods).  Each cycle's period states follow the previous cycle's as
-    rows of phases, ftds and senders (lockstep's layout), and returns holds
-    the time of the return that leaves each.  receptions are the columns
-    (cycle, who, mult, offset), cycle by cycle, in PulseSignature's order.
-    """
-
-    transients: np.ndarray
-    periods: np.ndarray
-    detected: np.ndarray
-    orbits: np.ndarray
-    phases: np.ndarray
-    ftds: np.ndarray
-    senders: np.ndarray
-    returns: np.ndarray
-    receptions: tuple
+#: Detected cycles as columns, the array stage of cycle assembly (see _cycle_table).
+_CycleTable = namedtuple(
+    "_CycleTable", "transients periods detected orbits phases ftds senders returns receptions"
+)
 
 
 def _cycle_table(n: int, tol: float, chunks: list[tuple]) -> _CycleTable:
@@ -160,6 +145,12 @@ def _cycle_table(n: int, tol: float, chunks: list[tuple]) -> _CycleTable:
     times from the left.  Its receptions are timed from the cycle start,
     a reception at the period boundary counting at offset 0 of the next
     pass, and ordered by offset and then recipient, ties in cycle order.
+
+    The table holds per cycle its transient, its minimal and detected
+    periods and its orbit period.  The rows of a cycle's minimal period
+    follow the previous cycle's: phases, ftds and senders, and returns,
+    the time of the return that leaves each.  receptions are the columns
+    (cycle, who, mult, offset), cycle by cycle, each cycle's in order.
     """
     from .lockstep import _widen
 

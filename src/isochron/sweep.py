@@ -165,7 +165,7 @@ def _scan_rows(args):
     oscillator's 0.0, in sender order."""
     params, cells, max_iter, tol = args
     phases = np.array([(theta1, theta2, 0.0) for theta1, theta2 in cells])
-    held = phases <= params.tau
+    held = phases <= params.tau  # the reference oscillator's 0.0 always is
     order = np.argsort(~held, axis=1, kind="stable")[:, : held.sum(axis=1).max()]
     held = np.take_along_axis(held, order, axis=1)
     ftds = np.where(held, np.take_along_axis(phases, order, axis=1), 0.0)
