@@ -16,9 +16,9 @@ import csv
 import json
 import math
 from collections.abc import Iterator
-from itertools import chain
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -165,7 +165,7 @@ def _scan_rows(args):
     oscillator's 0.0, in sender order."""
     params, cells, max_iter, tol = args
     phases = np.array([(theta1, theta2, 0.0) for theta1, theta2 in cells])
-    held = phases <= params.tau  # the reference oscillator's 0.0 always is
+    held = phases <= params.tau  # so the reference oscillator's 0.0 always
     order = np.argsort(~held, axis=1, kind="stable")[:, : held.sum(axis=1).max()]
     held = np.take_along_axis(held, order, axis=1)
     ftds = np.where(held, np.take_along_axis(phases, order, axis=1), 0.0)
