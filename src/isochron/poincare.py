@@ -17,8 +17,6 @@ from functools import cached_property
 from itertools import chain
 from operator import ne, sub
 
-import numpy as np
-
 from ._serial import Record
 from .engine import (
     Engine,
@@ -152,6 +150,8 @@ def _cycle_table(n: int, tol: float, chunks: list[tuple]) -> _CycleTable:
     the time of the return that leaves each.  receptions are the columns
     (cycle, who, mult, offset), cycle by cycle, each cycle's in order.
     """
+    import numpy as np
+
     from .lockstep import _widen
 
     def stack(arrays, fill):
@@ -215,6 +215,8 @@ def _cycle_table(n: int, tol: float, chunks: list[tuple]) -> _CycleTable:
 def _cycle_results(table: _CycleTable, cycles) -> list[PeriodicityResult]:
     """The PeriodicityResults of the table's given cycles, in that order:
     the object stage of cycle assembly."""
+    import numpy as np
+
     from .lockstep import _decode
 
     def spans(sizes):
@@ -302,6 +304,8 @@ def detect_periodicity_many(
     _check_budget(max_iter, tol)
     states = list(states)
 
+    import numpy as np
+
     from .lockstep import _decode, _encode
 
     # The starts are checked as rows, after the shape check that _encode
@@ -330,6 +334,8 @@ def detect_periodicity_many(
 def _first_bad_row(params: ModelParams, phases, ftds, senders) -> int:
     """The first of the rows (lockstep's layout) that require_section_state
     rejects, or the row count."""
+    import numpy as np
+
     n, entry = params.n, senders < params.n
     bad = ~((phases >= 0.0) & (phases < 1.0)).all(axis=1)
     bad |= (entry & ~((ftds >= 0.0) & (ftds <= params.tau) & np.isfinite(ftds))).any(axis=1)
@@ -346,6 +352,8 @@ def _detect(params: ModelParams, phases, ftds, senders, max_iter: int, tol: floa
     returns; ends holds the last rows of those, in start order.  errors
     maps starts to errors already found; the first start's is raised.
     """
+    import numpy as np
+
     from .lockstep import LockstepEngine, _History
 
     n = params.n
