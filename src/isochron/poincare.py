@@ -219,17 +219,11 @@ def _cycle_results(table: _CycleTable, cycles) -> list[PeriodicityResult]:
 
     from .lockstep import _decode
 
-    def spans(sizes):
-        # The entries of the given cycles, where each cycle has sizes[k].
-        ends = np.cumsum(sizes[cycles])
-        return np.repeat(np.cumsum(sizes)[cycles] - ends, sizes[cycles]) + np.arange(
-            ends[-1] if ends.size else 0
-        )
-
     cycles = np.asarray(cycles, dtype=int)
     rec_cycle, who, mult, offset = table.receptions
     received = np.bincount(rec_cycle, minlength=len(table.periods))
-    rows, recs = spans(table.periods), spans(received)
+    rows = _ranges((np.cumsum(table.periods) - table.periods)[cycles], table.periods[cycles])
+    recs = _ranges((np.cumsum(received) - received)[cycles], received[cycles])
     states = _decode(table.phases[rows], table.ftds[rows], table.senders[rows])
     return_times = table.returns[rows].tolist()
     receptions = list(zip(who[recs].tolist(), mult[recs].tolist(), offset[recs].tolist()))
@@ -254,6 +248,14 @@ def _cycle_results(table: _CycleTable, cycles) -> list[PeriodicityResult]:
         )
         lo, rec_lo = hi, rec_hi
     return results
+
+
+def _ranges(starts, sizes):
+    """The ranges starts[i] .. starts[i] + sizes[i] - 1, one after another."""
+    import numpy as np
+
+    ends = np.cumsum(sizes)
+    return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1] if len(ends) else 0)
 
 
 def _check_budget(max_iter: int, tol: float, names: tuple[str, str] = ("max_iter", "tol")) -> None:
@@ -367,7 +369,7 @@ def _detect(params: ModelParams, phases, ftds, senders, max_iter: int, tol: floa
     live = np.arange(count)
     hist = _History(n, eng.phases, eng.ftds, eng.senders)
     none = np.zeros(0, dtype=int)
-    cycles = [(none, none, *hist.gather((0, 1, 2), none, none), *hist.gather((3, 4, 5), none, none))]
+    cycles = [(none, none, *hist.gather(range(6), none, none))]
     cycle = np.full(count, -1)
     ends = hist.gather((0, 1, 2), none, none)
 
@@ -389,8 +391,7 @@ def _detect(params: ModelParams, phases, ftds, senders, max_iter: int, tol: floa
             # that leaves it.
             j = matched[done]
             lengths = it - j
-            at = np.repeat(j - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
-            p = np.repeat(done, lengths)
+            at, p = _ranges(j, lengths), np.repeat(done, lengths)
             cycles.append(
                 (j, lengths, *hist.gather((0, 1, 2), at, p), *hist.gather((3, 4, 5), at + 1, p))
             )

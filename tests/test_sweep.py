@@ -6,6 +6,7 @@ import functools
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from isochron import (
     DomainError,
     ModelParams,
     PeriodicityResult,
+    PulseSignature,
     __version__,
     boundary_escape_demo,
     dataset_header,
@@ -48,7 +50,7 @@ from isochron import (
     write_projection_csv,
     write_projection_json,
 )
-from isochron import sweep
+from isochron import poincare, sweep
 from isochron.engine import EngineStallError, HorizonExceededError, StateError
 from isochron.lockstep import _encode
 
@@ -290,6 +292,39 @@ class TestPhaseScanReference:
         got = phase_scan(params, step=step, max_iter=max_iter, workers=workers)
         assert repr(got.records) == repr(records)
         assert repr(got.signatures) == repr(signatures)
+
+    def test_interning_follows_pulse_equivalent(self, monkeypatch):
+        # Four one-state cycles of recipient 1 alone: the first two differ
+        # only in the order of their multiplicities, the third is the first
+        # with its period 5e-10 longer, the fourth with it 2e-9 longer.
+        periods = [1.0, 1.0, 1.0 + 5e-10, 1.0 + 2e-9]
+        table = poincare._CycleTable(
+            transients=np.zeros(4, dtype=int),
+            periods=np.ones(4, dtype=int),
+            detected=np.ones(4, dtype=int),
+            orbits=np.array(periods),
+            phases=np.array([[0.1 * k, 0.2, 0.0] for k in range(4)]),
+            ftds=np.zeros((4, 1)),
+            senders=np.full((4, 1), 2),
+            returns=np.array(periods),
+            receptions=(
+                np.repeat(np.arange(4), 2),
+                np.zeros(8, dtype=int),
+                np.array([2, 1, 1, 2, 2, 1, 2, 1]),
+                np.tile([0.25, 0.5], 4),
+            ),
+        )
+        cells = [(0.0, 0.1 * k) for k in range(4)]
+        block = (cells, (np.arange(4), None, table))
+        monkeypatch.setattr(sweep, "_scan_cells", lambda *args: [block])
+        result = phase_scan(P)
+        assert [r.signature_id for r in result.records] == [0, 1, 0, 2]
+        sigs = [
+            PulseSignature(period=t, receptions=tuple(zip([0, 0], m, [0.25, 0.5])))
+            for t, m in zip(periods, [(2, 1), (1, 2), (2, 1), (2, 1)])
+        ]
+        assert [pulse_equivalent(sigs[0], s) for s in sigs] == [True, False, True, False]
+        assert result.signatures == (sigs[0], sigs[1], sigs[3])
 
     def test_config_dict_round_trips_through_json(self):
         config = scan05().config_dict()
