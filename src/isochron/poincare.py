@@ -229,10 +229,9 @@ def _cycle_results(table: _CycleTable, cycles) -> list[PeriodicityResult]:
     receptions = list(zip(who[recs].tolist(), mult[recs].tolist(), offset[recs].tolist()))
     results = []
     lo = rec_lo = 0
+    columns = (table.transients, table.periods, table.detected, table.orbits, received)
     for transient, minimal, length, orbit_period, count in zip(
-        *(column[cycles].tolist() for column in (table.transients, table.periods, table.detected)),
-        table.orbits[cycles].tolist(),
-        received[cycles].tolist(),
+        *(column[cycles].tolist() for column in columns)
     ):
         hi, rec_hi = lo + minimal, rec_lo + count
         results.append(
@@ -254,8 +253,7 @@ def _ranges(starts, sizes):
     """The ranges starts[i] .. starts[i] + sizes[i] - 1, one after another."""
     import numpy as np
 
-    ends = np.cumsum(sizes)
-    return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1] if len(ends) else 0)
+    return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
 
 
 def _check_budget(max_iter: int, tol: float, names: tuple[str, str] = ("max_iter", "tol")) -> None:
@@ -395,7 +393,7 @@ def _detect(params: ModelParams, phases, ftds, senders, max_iter: int, tol: floa
             cycles.append(
                 (j, lengths, *hist.gather((0, 1, 2), at, p), *hist.gather((3, 4, 5), at + 1, p))
             )
-            cycle[live[done]] = np.arange(done.size) + (cycle.max(initial=-1) + 1)
+            cycle[live[done]] = cycle.max() + 1 + np.arange(done.size)  # in the order found
         leave = failed | (matched >= 0)
         if it == max_iter:
             last = np.nonzero(~leave)[0]

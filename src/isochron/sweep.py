@@ -68,7 +68,7 @@ DEFAULT_SCAN_MAX_ITER = 10_000
 #: least one), and projection_compare seeds its orbits in batches of this
 #: size.  Larger batches run faster and hold more results at once: at 1000
 #: cells the CLI scan of the 0.01 grid at the reference parameters peaks at
-#: 46.1-46.4 MB RSS against 41.2 MB at 300 (2-core Xeon, Python 3.11),
+#: 46.1-46.5 MB RSS against 41.2-41.3 MB at 300 (2-core Xeon, Python 3.11),
 #: beyond the benchmark's 5% peak_rss_mb bound.
 _SCAN_BLOCK_CELLS = 300
 
@@ -165,7 +165,7 @@ def _scan_rows(args):
     oscillator's 0.0, in sender order."""
     params, cells, max_iter, tol = args
     phases = np.array([(theta1, theta2, 0.0) for theta1, theta2 in cells])
-    held = phases <= params.tau  # so the reference oscillator's 0.0 always
+    held = phases <= params.tau  # with 0.0 <= tau, the reference's entry is held
     order = np.argsort(~held, axis=1, kind="stable")[:, : held.sum(axis=1).max()]
     held = np.take_along_axis(held, order, axis=1)
     ftds = np.where(held, np.take_along_axis(phases, order, axis=1), 0.0)
