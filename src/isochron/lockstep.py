@@ -379,14 +379,15 @@ def _encode(n: int, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The states of n oscillators as rows: phases, FTD entries ordered by
     sender and then as in the state, and their senders; the empty slots
     at the end of a row are (0.0, n)."""
-    width = max((sum(map(len, s.ftds)) for s in states), default=0)
+    who = [[i for i, row in enumerate(s.ftds) for _ in row] for s in states]
+    sizes = np.array(list(map(len, who)), dtype=int)
+    row = np.repeat(np.arange(len(states)), sizes)
+    col = np.arange(len(row)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     phases = np.array([s.phases for s in states], dtype=float).reshape(len(states), n)
-    ftds = np.zeros((len(states), width))
-    senders = np.full((len(states), width), n)
-    for r, s in enumerate(states):
-        entries = [(i, x) for i, row in enumerate(s.ftds) for x in row]
-        if entries:
-            senders[r, : len(entries)], ftds[r, : len(entries)] = zip(*entries)
+    ftds = np.zeros((len(states), int(sizes.max(initial=0))))
+    senders = np.full(ftds.shape, n)
+    ftds[row, col] = [x for s in states for entries in s.ftds for x in entries]
+    senders[row, col] = [i for entries in who for i in entries]
     return phases, ftds, senders
 
 

@@ -301,27 +301,11 @@ def detect_periodicity_many(
     report.  If any start raises, the error of the first such start (in
     the given order) is raised.
     """
-    _check_budget(max_iter, tol)
-    states = list(states)
-
     import numpy as np
 
-    from .lockstep import _decode, _encode
+    from .lockstep import _decode
 
-    # The starts are checked as rows, after the shape check that _encode
-    # needs; require_section_state raises the first bad start's error.
-    n = params.n
-    fits = [len(s.phases) == n == len(s.ftds) for s in states]
-    rows = _encode(n, states[: fits.index(False) if False in fits else None])
-    errors: dict[int, Exception] = {}
-    bad = _first_bad_row(params, *rows)
-    if bad < len(states):
-        try:
-            require_section_state(params, states[bad])
-        except ValueError as exc:
-            errors[bad] = exc
-            rows = tuple(column[:bad] for column in rows)
-    cycle, ends, table = _detect(params, *rows, max_iter, tol, errors)
+    cycle, ends, table = _detect(params, list(states), max_iter, tol)
     results: list = [None] * len(cycle)
     periodic = np.flatnonzero(cycle >= 0)
     for s, result in zip(periodic.tolist(), _cycle_results(table, cycle[periodic])):
@@ -331,34 +315,61 @@ def detect_periodicity_many(
     return results
 
 
-def _first_bad_row(params: ModelParams, phases, ftds, senders) -> int:
-    """The first of the rows (lockstep's layout) that require_section_state
-    rejects, or the row count."""
+def _section_rows(params: ModelParams, states: list):
+    """The starts as rows in lockstep's layout, up to the first that
+    require_section_state rejects, and {index: its error} ({} if none).
+    Rows of real numbers are checked at once, after the length check that
+    _encode needs; other starts are checked one by one, in order."""
     import numpy as np
 
-    n, entry = params.n, senders < params.n
-    bad = ~((phases >= 0.0) & (phases < 1.0)).all(axis=1)
-    bad |= (entry & ~((ftds >= 0.0) & (ftds <= params.tau) & np.isfinite(ftds))).any(axis=1)
-    descending = (senders[:, 1:] == senders[:, :-1]) & (ftds[:, :-1] > ftds[:, 1:])
-    bad |= (entry[:, 1:] & descending).any(axis=1) | (phases[:, -1] != 0.0)
-    bad |= ~((senders == n - 1) & (ftds == 0.0)).any(axis=1)
-    return int(np.argmax(bad)) if bad.any() else len(phases)
+    from .lockstep import _encode
+
+    n = params.n
+    fits = [len(s.phases) == n == len(s.ftds) for s in states]
+    head = states[: fits.index(False) if False in fits else None]
+    values = ([s.phases for s in head], [x for s in head for row in s.ftds for x in row])
+    try:
+        real = {np.asarray(v).dtype.kind for v in values} <= set("biuf")
+    except ValueError:
+        real = False
+    bad, rows = 0, None
+    if real:
+        rows = phases, ftds, senders = _encode(n, head)
+        entry = senders < n
+        wrong = ~((phases >= 0.0) & (phases < 1.0)).all(axis=1)
+        wrong |= (entry & ~((ftds >= 0.0) & (ftds <= params.tau) & np.isfinite(ftds))).any(axis=1)
+        descending = (senders[:, 1:] == senders[:, :-1]) & (ftds[:, :-1] > ftds[:, 1:])
+        wrong |= (entry[:, 1:] & descending).any(axis=1) | (phases[:, -1] != 0.0)
+        wrong |= ~((senders == n - 1) & (ftds == 0.0)).any(axis=1)
+        bad = int(np.argmax(wrong)) if wrong.any() else len(head)
+    errors: dict[int, Exception] = {}
+    for idx in range(bad, len(states)):
+        try:
+            require_section_state(params, states[idx])
+        except ValueError as exc:
+            errors[idx] = exc
+            break
+    if errors or not real:
+        rows = _encode(n, states[: min(errors, default=len(states))])
+    return rows, errors
 
 
-def _detect(params: ModelParams, phases, ftds, senders, max_iter: int, tol: float, errors: dict):
-    """detect_periodicity_many's loop, on section states given as rows in
-    lockstep's layout; returns (cycle, ends, table).  cycle[s] is start s's
-    cycle in the _CycleTable, or -1 if it found none within max_iter
-    returns; ends holds the last rows of those, in start order.  errors
-    maps starts to errors already found; the first start's is raised.
+def _detect(params: ModelParams, states: list, max_iter: int, tol: float):
+    """detect_periodicity_many's loop; returns (cycle, ends, table).
+    cycle[s] is start s's cycle in the _CycleTable, or -1 if it found none
+    within max_iter returns; ends holds the last rows (lockstep's layout)
+    of those, in start order.
     """
+    _check_budget(max_iter, tol)
+
     import numpy as np
 
     from .lockstep import LockstepEngine, _History
 
+    rows, errors = _section_rows(params, states)
     n = params.n
-    count = len(phases)
-    eng = LockstepEngine(params, phases, ftds, senders)
+    count = len(rows[0])
+    eng = LockstepEngine(params, *rows)
 
     # hist holds every live start's states, return times and deliveries,
     # row p for the start at live[p]; a start leaves it when it finishes.

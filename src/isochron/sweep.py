@@ -37,9 +37,8 @@ from .poincare import (
     detect_periodicity_many,
     phase_projection,
     poincare_map,  # noqa: F401  (bound here for perfbench/tracer.py)
-    pulse_equivalent,  # noqa: F401  (bound here for perfbench/tracer.py)
-    pulse_signature,  # noqa: F401  (bound here for perfbench/tracer.py)
-    require_section_state,
+    pulse_equivalent,
+    pulse_signature,
     states_match,
 )
 from .regions import (
@@ -68,7 +67,7 @@ DEFAULT_SCAN_MAX_ITER = 10_000
 #: least one), and projection_compare seeds its orbits in batches of this
 #: size.  Larger batches run faster and hold more results at once: at 1000
 #: cells the CLI scan of the 0.01 grid at the reference parameters peaks at
-#: 46.1-46.5 MB RSS against 41.2-41.3 MB at 300 (2-core Xeon, Python 3.11),
+#: 46.7-46.8 MB RSS against 41.1 MB at 300 (2-core Xeon, Python 3.11),
 #: beyond the benchmark's 5% peak_rss_mb bound.
 _SCAN_BLOCK_CELLS = 300
 
@@ -159,17 +158,9 @@ def _grid_values(step: float) -> list[float]:
 
 def _scan_rows(args):
     """Worker task: poincare._detect's (cycle, ends, table) for a block of
-    grid cells, detected as one batch.  The starts are eq_init_state's,
-    built as rows with its float operations: phases (theta_1, theta_2, 0),
-    then the FTD entry theta_i of each theta_i <= tau and the reference
-    oscillator's 0.0, in sender order."""
+    grid cells, their eq_init_state starts detected as one batch."""
     params, cells, max_iter, tol = args
-    phases = np.array([(theta1, theta2, 0.0) for theta1, theta2 in cells])
-    held = phases <= params.tau  # with 0.0 <= tau, the reference's entry is held
-    order = np.argsort(~held, axis=1, kind="stable")[:, : held.sum(axis=1).max()]
-    held = np.take_along_axis(held, order, axis=1)
-    ftds = np.where(held, np.take_along_axis(phases, order, axis=1), 0.0)
-    return _detect(params, phases, ftds, np.where(held, order, 3), max_iter, tol, {})
+    return _detect(params, [eq_init_state(params, *cell) for cell in cells], max_iter, tol)
 
 
 def _scan_cells(params: ModelParams, step: float, max_iter: int, tol: float, workers: int):
@@ -177,8 +168,6 @@ def _scan_cells(params: ModelParams, step: float, max_iter: int, tol: float, wor
     (theta1, theta2) cells of each block of whole grid rows, in grid
     order, and _scan_rows' result for them."""
     values = _grid_values(step)
-    if params.n != 3:  # every grid start has three oscillators
-        require_section_state(params, eq_init_state(params, 0.0, 0.0))
     cells = [(theta1, theta2) for theta1 in values for theta2 in values]
     size = max(1, _SCAN_BLOCK_CELLS // len(values)) * len(values)
     blocks = [cells[i : i + size] for i in range(0, len(cells), size)]
@@ -197,42 +186,49 @@ def phase_scan(
 
     Each cell starts from eq_init_state, runs the cycle detector, and
     records the orbit's period data, interned pulse signature, and
-    attractor projection.  Cells are independent; with workers > 1 rows
-    are scanned on a process pool and gathered in grid order, so the
-    result is identical to a serial run.  The records are read off each
-    block's cycle table; a PulseSignature is built only for a new one.
+    attractor projection, read off its block's cycle table.  Cells are
+    independent; with workers > 1 rows are scanned on a process pool and
+    gathered in grid order, so the result is identical to a serial run.
     """
     records: list[ScanRecord] = []
     signatures: list[PulseSignature] = []
     # Signature ids by per-recipient multiplicity pattern, which equivalent
-    # signatures share: the (recipient, multiplicity) pairs, stably sorted
-    # by recipient.  Only the period is left to compare within a bucket.
-    buckets: dict[bytes, list[int]] = {}
+    # signatures share; only the period is left to compare within a bucket.
+    buckets: dict[tuple, list[int]] = {}
+    # Signature ids by the pulses a cycle receives (recipient and
+    # multiplicity, in order) and its orbit period: cells alike in both
+    # intern alike, so only each such class's first cell is interned.
+    interned: dict[tuple, int] = {}
     for cells, (cycle, _, table) in _scan_cells(params, step, max_iter, tol, workers):
-        rec_cycle, who, mult, offset = table.receptions
-        by = np.lexsort((who, rec_cycle))
-        pairs = np.stack([who[by], mult[by]], axis=1).astype(np.int64)
+        rec_cycle, who, mult, _ = table.receptions
+        pulses = np.stack([who, mult], axis=1)
         recs = [0, *np.cumsum(np.bincount(rec_cycle, minlength=len(table.periods))).tolist()]
         rows = [0, *np.cumsum(table.periods).tolist()]
         points = list(map(tuple, table.phases[:, :-1].tolist()))
         transients, periods, orbits = (
             column.tolist() for column in (table.transients, table.periods, table.orbits)
         )
-        fields = {}
-        for k in cycle[cycle >= 0].tolist():  # in grid order, as ids are given
-            lo, hi = recs[k], recs[k + 1]
-            bucket = buckets.setdefault(pairs[lo:hi].tobytes(), [])
-            # pulse_equivalent's period tolerance
-            sid = next((i for i in bucket if abs(signatures[i].period - orbits[k]) <= 1e-9), None)
+        keys = [(pulses[lo:hi].tobytes(), t) for lo, hi, t in zip(recs, recs[1:], orbits)]
+        new: dict[tuple, int] = {}  # the first cycle of each class, in grid order
+        for k in cycle[cycle >= 0].tolist():
+            if keys[k] not in interned:
+                new.setdefault(keys[k], k)
+        for key, result in zip(new, _cycle_results(table, list(new.values()))):
+            signature = pulse_signature(params, result)
+            bucket = buckets.setdefault(tuple(sorted(signature.per_recipient().items())), [])
+            sid = next((i for i in bucket if pulse_equivalent(signatures[i], signature)), None)
             if sid is None:
-                sid = len(signatures)
-                received = zip(who[lo:hi].tolist(), mult[lo:hi].tolist(), offset[lo:hi].tolist())
-                signatures.append(PulseSignature(period=orbits[k], receptions=tuple(received)))
+                signatures.append(signature)
+                sid = len(signatures) - 1
                 bucket.append(sid)
-            projection = tuple(points[rows[k] : rows[k + 1]])
-            fields[k] = (True, transients[k], periods[k], orbits[k], sid, projection)
+            interned[key] = sid
         records += (
-            ScanRecord(*cell, *fields[k]) if k >= 0 else ScanRecord(*cell, False)
+            ScanRecord(
+                *cell, True, transients[k], periods[k], orbits[k], interned[keys[k]],
+                tuple(points[rows[k] : rows[k + 1]]),
+            )
+            if k >= 0
+            else ScanRecord(*cell, False)
             for cell, k in zip(cells, cycle.tolist())
         )
     return PhaseScanResult(

@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -848,6 +849,41 @@ class TestBatchedDetection:
         with pytest.raises(type(want.value)) as got:
             detect_periodicity_many(P, starts)
         assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "starts",
+        [
+            [NetworkState(("0.5", 0.2, 0.0), ((), (), (0.0,)))],
+            [NetworkState((0.1, 0.2, 0.0), (("0.5",), (), (0.0,)))],
+            [
+                NetworkState((1.0, 0.2, 0.0), ((), (), (0.0,))),
+                NetworkState(("x", 0.2, 0.0), ((), (), (0.0,))),
+            ],
+            [sync_state(), NetworkState((0.1, None, 0.0), ((), (), (0.0,)))],
+            [sync_state(), NetworkState((0.1, (0.2,), 0.0), ((), (), (0.0,)))],
+        ],
+        ids=["numeric-string", "numeric-string-ftd", "string-after-bad", "none", "nested"],
+    )
+    def test_starts_not_of_real_numbers_are_checked_one_by_one(self, starts):
+        # Rows show only real numbers, so a batch holding anything else is
+        # checked start by start, in order, as require_section_state checks.
+        for state in starts:
+            try:
+                require_section_state(P, state)
+            except (TypeError, ValueError) as exc:
+                want = exc
+                break
+        with pytest.raises(type(want)) as got:
+            detect_periodicity_many(P, starts)
+        assert str(got.value) == str(want)
+
+    def test_fractions_are_read_as_numbers(self):
+        start = eq_init_state(P, 0.3, 0.6)
+        exact = NetworkState(
+            tuple(map(Fraction, start.phases)),
+            tuple(tuple(map(Fraction, row)) for row in start.ftds),
+        )
+        assert repr(detect_periodicity_many(P, [exact])) == repr([detect_periodicity(P, start)])
 
     def test_rejects_bad_budget_and_tolerance(self):
         with pytest.raises(ValueError, match="max_iter"):

@@ -52,7 +52,6 @@ from isochron import (
 )
 from isochron import poincare, sweep
 from isochron.engine import EngineStallError, HorizonExceededError, StateError
-from isochron.lockstep import _encode
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
 # Period-4 family exists here, but a step-0.05 phase grid finds none of
@@ -133,20 +132,6 @@ class TestPhaseScanGrid:
         result = phase_scan(P, step=0.25, max_iter=200)
         cells = [(r.theta1, r.theta2) for r in result.records]
         assert cells == sorted(cells)
-
-    @pytest.mark.parametrize("tau", [0.0, 1e-12, 0.3, 0.5, 1.2])
-    def test_block_rows_are_the_encoded_starts(self, tau, monkeypatch):
-        # A block's starts are built as rows, bit for bit the rows that
-        # _encode makes of eq_init_state's states.
-        params = ModelParams(b=3.0, eps=0.58, n=3, tau=tau)
-        cells = [(i * 0.1, j * 0.1) for i in range(10) for j in range(10)]
-        got = []
-        monkeypatch.setattr(sweep, "_detect", lambda params, *rows_etc: got.append(rows_etc[:3]))
-        sweep._scan_rows((params, cells, 10, 1e-9))
-        want = _encode(3, [eq_init_state(params, t1, t2) for t1, t2 in cells])
-        for g, w in zip(got[0], want):
-            assert g.dtype == w.dtype and g.shape == w.shape
-            assert g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_grid_starts_need_three_oscillators(self, n):

@@ -104,3 +104,17 @@ def test_tracer_counts_the_rows_of_both_sampler_callers():
     assert volume["regions.sampler.rows"] == 0
     assert tracer.counts["regions.sampler.rows"] > 0
     assert tracer.counts["regions.sampler.accepted"] >= 10
+
+
+def test_tracer_counts_the_interning_of_a_phase_scan():
+    """phase_scan interns each class of cells through the
+    ``pulse_signature`` and ``pulse_equivalent`` globals of
+    ``isochron.sweep``, the ones the tracer wraps."""
+    tracer = _load_tracer_module().Tracer()
+    try:
+        tracer.install()
+        isochron.sweep.phase_scan(ModelParams(b=3.0, eps=0.58, n=3, tau=0.58), step=0.05)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["sweep.intern.compares"] > 0
+    assert tracer.span_name.count(tracer.names.index("poincare.signature")) > 0
