@@ -338,28 +338,18 @@ class _History:
 
     def match(self, phases, ftds, senders, tol: float) -> np.ndarray:
         """For each row, the earliest entry its given state matches by
-        detection's rule, or -1: phase 0 within tol, then equal row
-        lengths (equal padded senders) and state_distance <= tol.  The
-        FTDs are compared only where every phase is within tol."""
+        detection's rule, or -1: phase 0 within tol (the prefilter), then
+        _row_distance <= tol."""
         p0 = phases[:, 0]
         lo, hi = p0 - tol, p0 + tol
         matched = np.full(len(phases), -1)
         for c, chunk in enumerate(self.chunks):
             old = chunk[0][: self._used(c), :, 0]
             at, row = np.nonzero((old >= lo) & (old <= hi))
-            near = np.abs(chunk[0][at, row] - phases[row]).max(axis=1) <= tol
-            at, row = at[near], row[near]
             if not at.size:
                 continue
-            width = max(ftds.shape[1], chunk[1].shape[-1])
-            hit = (
-                _widen(chunk[2][at, row], width, self.n) == _widen(senders[row], width, self.n)
-            ).all(axis=1) & (
-                np.abs(_widen(chunk[1][at, row], width, 0.0) - _widen(ftds[row], width, 0.0)).max(
-                    axis=1, initial=0.0
-                )
-                <= tol
-            )
+            new = [phases[row], ftds[row], senders[row]]
+            hit = _row_distance(self.n, [col[at, row] for col in chunk[:3]], new) <= tol
             row, first = np.unique(row[hit], return_index=True)
             fresh = matched[row] < 0
             matched[row[fresh]] = self.starts[c] + at[hit][first][fresh]
@@ -417,6 +407,37 @@ def _decode(phases: np.ndarray, ftds: np.ndarray, senders: np.ndarray) -> list[N
         for r, state in zip(rows.tolist(), states):
             out[r] = state
     return out
+
+
+def _row_distance(n: int, a, b) -> np.ndarray:
+    """state_distance of the states that rows a and b hold (each phases,
+    ftds, senders, as _encode(n, ...) writes them), row by row: infinite
+    where the oscillator counts or the FTD row lengths differ."""
+    if a[0].shape[1] != b[0].shape[1]:
+        return np.full(len(a[0]), np.inf)
+    width = max(a[1].shape[1], b[1].shape[1])
+    gap = np.maximum(
+        np.abs(a[0] - b[0]).max(axis=1),
+        np.abs(_widen(a[1], width, 0.0) - _widen(b[1], width, 0.0)).max(axis=1, initial=0.0),
+    )
+    gap[(_widen(a[2], width, n) != _widen(b[2], width, n)).any(axis=1)] = np.inf
+    return gap
+
+
+def _bad_rows(params: ModelParams, phases, ftds, senders) -> np.ndarray:
+    """Which rows (as _encode writes them) hold states that
+    require_section_state rejects: rows not of params.n oscillators, a
+    phase outside [0, 1), an FTD entry outside [0, tau] or below the one
+    before it, or oscillator n not just fired (phase 0 and an FTD 0)."""
+    n = params.n
+    if phases.shape[1] != n:
+        return np.ones(len(phases), dtype=bool)
+    entry = senders < n
+    bad = ~((phases >= 0.0) & (phases < 1.0)).all(axis=1) | (phases[:, -1] != 0.0)
+    bad |= (entry & ~((ftds >= 0.0) & (ftds <= params.tau))).any(axis=1)
+    descending = (senders[:, 1:] == senders[:, :-1]) & (ftds[:, :-1] > ftds[:, 1:])
+    bad |= (entry[:, 1:] & descending).any(axis=1)
+    return bad | ~((senders == n - 1) & (ftds == 0.0)).any(axis=1)
 
 
 def _coeff_table(params: ModelParams, size: int) -> tuple[np.ndarray, np.ndarray]:

@@ -152,7 +152,7 @@ def _cycle_table(n: int, tol: float, chunks: list[tuple]) -> _CycleTable:
     """
     import numpy as np
 
-    from .lockstep import _widen
+    from .lockstep import _row_distance, _widen
 
     def stack(arrays, fill):
         width = max(a.shape[-1] for a in arrays)
@@ -177,13 +177,8 @@ def _cycle_table(n: int, tol: float, chunks: list[tuple]) -> _CycleTable:
             continue
         k = cycle[row]
         other = first[k] + (pos[row] + d) % lengths[k]
-        match = (senders[row] == senders[other]).all(axis=1) & (
-            np.maximum(
-                np.abs(phases[row] - phases[other]).max(axis=1),
-                np.abs(ftds[row] - ftds[other]).max(axis=1, initial=0.0),
-            )
-            <= tol
-        )
+        states = phases, ftds, senders
+        match = _row_distance(n, [c[row] for c in states], [c[other] for c in states]) <= tol
         period[open_ & (np.bincount(k[~match], minlength=count) == 0)] = d
 
     # clock[k, m]: the time of the minimal cycle's first m returns, summed
@@ -322,7 +317,7 @@ def _section_rows(params: ModelParams, states: list):
     _encode needs; other starts are checked one by one, in order."""
     import numpy as np
 
-    from .lockstep import _encode
+    from .lockstep import _bad_rows, _encode
 
     n = params.n
     fits = [len(s.phases) == n == len(s.ftds) for s in states]
@@ -334,13 +329,8 @@ def _section_rows(params: ModelParams, states: list):
         real = False
     bad, rows = 0, None
     if real:
-        rows = phases, ftds, senders = _encode(n, head)
-        entry = senders < n
-        wrong = ~((phases >= 0.0) & (phases < 1.0)).all(axis=1)
-        wrong |= (entry & ~((ftds >= 0.0) & (ftds <= params.tau) & np.isfinite(ftds))).any(axis=1)
-        descending = (senders[:, 1:] == senders[:, :-1]) & (ftds[:, :-1] > ftds[:, 1:])
-        wrong |= (entry[:, 1:] & descending).any(axis=1) | (phases[:, -1] != 0.0)
-        wrong |= ~((senders == n - 1) & (ftds == 0.0)).any(axis=1)
+        rows = _encode(n, head)
+        wrong = _bad_rows(params, *rows)
         bad = int(np.argmax(wrong)) if wrong.any() else len(head)
     errors: dict[int, Exception] = {}
     for idx in range(bad, len(states)):

@@ -36,6 +36,7 @@ from .model import (
 from .poincare import (
     NotPeriodic,
     PeriodicityResult,
+    _section_rows,
     detect_periodicity,  # noqa: F401  (bound here for perfbench/tracer.py)
     detect_periodicity_many,
     poincare_map,  # noqa: F401  (bound here for perfbench/tracer.py)
@@ -446,7 +447,7 @@ def intertwining_distances(params: ModelParams, sigmas, starts=None) -> list[flo
     for the first failing point, its chain check, its start's
     require_section_state, its return, then the chain check of g(sigma).
     """
-    from .lockstep import LockstepEngine, _encode, _widen
+    from .lockstep import LockstepEngine, _bad_rows, _row_distance
 
     sigmas = np.asarray(sigmas, dtype=float)
     if not len(sigmas):
@@ -455,13 +456,6 @@ def intertwining_distances(params: ModelParams, sigmas, starts=None) -> list[flo
         raise DomainError(f"IR4 needs rows of 3 coordinates, got shape {sigmas.shape}")
     n, tau = params.n, params.tau
 
-    def require_start(i: int) -> None:
-        """The checks of point i before its section return."""
-        if starts is None:
-            require_section_state(params, s_embed(params, "IR4", tuple(sigmas[i].tolist())))
-        else:
-            require_section_state(params, starts[i])
-
     distances: list[float] = []
     for lo in range(0, len(sigmas), _INTERTWINING_BLOCK):
         block = sigmas[lo : lo + _INTERTWINING_BLOCK]
@@ -469,24 +463,12 @@ def intertwining_distances(params: ModelParams, sigmas, starts=None) -> list[flo
         # stop is the first row whose start fails; only the rows before it run.
         if starts is None:
             rows = _embed_rows(params, "IR4", cols)
-            # On the chain, the embedding's FTD entries lie in (0, tau), its
-            # rows are sorted and its last oscillator has just fired, so of
-            # require_section_state's checks only the oscillator count and
-            # the phase range can fail.
-            phases = rows[0]
-            ok = _on_chain(params, "IR4", cols) & ((phases >= 0.0) & (phases < 1.0)).all(axis=1)
-            ok &= phases.shape[1] == n
-            stop = size if ok.all() else int(np.argmin(ok))
+            bad = ~_on_chain(params, "IR4", cols) | _bad_rows(params, *rows)
+            stop = int(np.argmax(bad)) if bad.any() else size
             rows = tuple(a[:stop] for a in rows)
         else:
-            stop = size
-            for r in range(size):
-                try:
-                    require_start(lo + r)
-                except ValueError:
-                    stop = r
-                    break
-            rows = _encode(n, starts[lo : lo + stop])
+            rows, errors = _section_rows(params, starts[lo : lo + size])
+            stop = min(errors, default=size)
         out = LockstepEngine(params, *rows).run_until_section()
         targets = g_map(cols, tau)
         on_chain = _on_chain(params, "IR4", targets)[:stop]
@@ -496,27 +478,16 @@ def intertwining_distances(params: ModelParams, sigmas, starts=None) -> list[flo
         if first < size:
             # The per-point loop's error: the first failing point's first
             # failing check.
+            sigma = tuple(block[first].tolist())
             if first == ran_out:
                 raise out.errors[first]
             if first == off_chain:
-                s_embed(params, "IR4", g_map(tuple(block[first].tolist()), tau))
-            require_start(lo + first)
-
-        t_phases, t_ftds, t_senders = _embed_rows(params, "IR4", targets)
-        if t_phases.shape[1] != n:
-            # state_distance: other oscillator counts are infinitely far.
-            distances.extend([math.inf] * size)
-            continue
-        width = max(out.ftds.shape[1], t_ftds.shape[1])
-        gap = np.maximum(
-            np.abs(out.phases - t_phases).max(axis=1),
-            np.abs(_widen(out.ftds, width, 0.0) - _widen(t_ftds, width, 0.0)).max(
-                axis=1, initial=0.0
-            ),
-        )
-        # state_distance: FTD rows of other lengths are infinitely far.
-        gap[(_widen(out.senders, width, n) != _widen(t_senders, width, n)).any(axis=1)] = math.inf
-        distances.extend(gap.tolist())
+                s_embed(params, "IR4", g_map(sigma, tau))
+            if starts is not None:
+                raise errors[first]
+            require_section_state(params, s_embed(params, "IR4", sigma))
+        landed = (out.phases, out.ftds, out.senders)
+        distances.extend(_row_distance(n, landed, _embed_rows(params, "IR4", targets)).tolist())
     return distances
 
 
@@ -680,8 +651,8 @@ def _fan_volume(vertices: np.ndarray) -> float:
 
     hull = ConvexHull(vertices)
     apex = vertices[hull.vertices[0]]
-    dets = np.abs(np.linalg.det(vertices[hull.simplices] - apex))
-    return sum(dets.tolist()) / math.factorial(vertices.shape[1])
+    dets = np.linalg.det(vertices[hull.simplices] - apex)
+    return sum(map(abs, dets.tolist())) / math.factorial(vertices.shape[1])
 
 
 def _volume_exact(spec: RegionSpec) -> VolumeReport:
