@@ -443,13 +443,17 @@ def intertwining_distances(params: ModelParams, sigmas, starts=None) -> list[flo
 
     The returns run in blocks of rows on a LockstepEngine and the states
     are compared as rows, so every distance is the one the per-point loop
-    gives.  If a point fails, the error that loop raises first is raised:
-    for the first failing point, its chain check, its start's
-    require_section_state, its return, then the chain check of g(sigma).
+    gives.  Given starts must be one per point, or DomainError is raised
+    before any return runs.  If a point fails, the error that loop raises
+    first is raised: for the first failing point, its chain check, its
+    start's require_section_state, its return, then the chain check of
+    g(sigma).
     """
     from .lockstep import LockstepEngine, _bad_rows, _row_distance
 
     sigmas = np.asarray(sigmas, dtype=float)
+    if starts is not None and len(starts) != len(sigmas):
+        raise DomainError(f"got {len(starts)} starts for {len(sigmas)} points")
     if not len(sigmas):
         return []
     if sigmas.ndim != 2 or sigmas.shape[1] != 3:

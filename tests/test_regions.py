@@ -47,7 +47,7 @@ from isochron import (
     states_match,
     trigger_threshold,
 )
-from isochron import regions
+from isochron import lockstep, regions
 from isochron.engine import HorizonExceededError, StateError
 from isochron.poincare import SectionError
 from isochron.regions import (
@@ -640,6 +640,19 @@ class TestBatchedIntertwining:
     def test_empty_input(self):
         assert regions.intertwining_distances(P, []) == []
         assert regions.intertwining_distances(P, np.empty((0, 3)), starts=[]) == []
+
+    @pytest.mark.parametrize("count", [0, 2, 4, 7])
+    def test_starts_must_be_one_per_point(self, monkeypatch, count):
+        sigmas = sample_interior(P, "IR4", 10, seed=13)
+        canonical = [s_embed(P, "IR4", tuple(float(v) for v in row)) for row in sigmas]
+        points = sigmas[: 0 if count == 0 else 3]
+        starts = canonical[: 1 if count == 0 else count]
+        # The lengths are checked before any return runs, whatever the block size.
+        monkeypatch.setattr(regions, "_INTERTWINING_BLOCK", 2)
+        monkeypatch.setattr(lockstep.LockstepEngine, "run_until_section", None)
+        with pytest.raises(DomainError) as got:
+            regions.intertwining_distances(P, points, starts)
+        assert f"{len(starts)} starts for {len(points)} points" in str(got.value)
 
     @pytest.mark.parametrize("block", [7, regions._INTERTWINING_BLOCK])
     def test_block_boundaries(self, monkeypatch, block):
