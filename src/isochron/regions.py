@@ -490,8 +490,8 @@ def intertwining_distances(params: ModelParams, sigmas, starts=None) -> list[flo
             if starts is not None:
                 raise errors[first]
             require_section_state(params, s_embed(params, "IR4", sigma))
-        landed = (out.phases, out.ftds, out.senders)
-        distances.extend(_row_distance(n, landed, _embed_rows(params, "IR4", targets)).tolist())
+        target = _embed_rows(params, "IR4", targets)
+        distances += _row_distance(n, (out.phases, out.ftds, out.senders), target).tolist()
     return distances
 
 
