@@ -111,7 +111,7 @@ class _Run:
         if value is None:
             value = self.file_config.get(name, default)
         if cast is not None and value is not None:
-            value = cast(value)
+            value = _read(name, cast, value)
         self.resolved[name] = value
         return value
 
@@ -128,10 +128,9 @@ class _Run:
         )
 
     def threads(self) -> int:
-        value = self.get("threads")
+        value = self.get("threads", cast=int)
         if value is None:
-            value = os.environ.get(THREADS_ENV, 1)
-        value = int(value)
+            value = int(os.environ.get(THREADS_ENV, 1))
         if value < 1:
             raise DomainError(f"thread count must be positive, got {value}")
         self.resolved["threads"] = value
@@ -177,7 +176,7 @@ class _Run:
         are two options naming one file, which would overwrite each other.
         Returns the header, then each path (None where not given).
         """
-        paths = {name: self.get(name) for name in names}
+        paths = {name: self.get(name, cast=os.fspath) for name in names}
         if paths.get("plot_script") is not None and paths.get("out_csv") is None:
             raise DomainError("--plot-script needs --out-csv, the CSV it plots")
         seen: dict[str, str] = {}
@@ -263,21 +262,34 @@ def _add_dataset_outputs(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _read(name: str, parse, value):
+    """parse(value), or a DomainError naming the option if the value has a
+    type that parse cannot read (a config file can hold any JSON type)."""
+    try:
+        return parse(value)
+    except (TypeError, AttributeError) as exc:
+        raise DomainError(f"--{name.replace('_', '-')}: cannot read {value!r}: {exc}") from exc
+
+
 def _parse_kind(value: str) -> str:
-    kind = value.upper()
+    kind = str(value).upper()
     if kind not in KINDS:
         raise DomainError(f"unknown region kind {value!r}; expected one of {KINDS}")
     return kind
 
 
-def _parse_floats(value: str) -> tuple[float, ...]:
+def _parse_floats(value) -> tuple[float, ...]:
+    """Comma-separated floats, or a list of numbers from a config file."""
     try:
-        return tuple(float(part) for part in value.split(","))
+        return tuple(map(float, value.split(",") if isinstance(value, str) else value))
     except ValueError as exc:
         raise DomainError(f"expected comma-separated floats, got {value!r}") from exc
 
 
-def _parse_grid(value: str) -> tuple[int, int]:
+def _parse_grid(value) -> tuple[int, int]:
+    """A grid like 100x100, or a pair of counts from a config file."""
+    if not isinstance(value, str):
+        return tuple(value)
     try:
         left, _, right = value.lower().partition("x")
         counts = (int(left), int(right))
@@ -301,10 +313,7 @@ def _resolve_state(run: _Run, params: ModelParams):
     payload = json.loads(state_json) if isinstance(state_json, str) else state_json
     if not isinstance(payload, dict) or set(payload) != {"phases", "ftds"}:
         raise DomainError('state must be an object with keys "phases" and "ftds"')
-    state = network_state(
-        phases=tuple(float(p) for p in payload["phases"]),
-        ftds=tuple(tuple(float(t) for t in row) for row in payload["ftds"]),
-    )
+    state = _read("state", lambda p: network_state(**p), payload)
     validate_state(params, state)
     return state
 
@@ -387,9 +396,7 @@ def _cmd_region_member(run: _Run) -> int:
     sigma_raw = run.get("sigma")
     if sigma_raw is None:
         raise DomainError("region member requires --sigma")
-    sigma = (
-        _parse_floats(sigma_raw) if isinstance(sigma_raw, str) else tuple(sigma_raw)
-    )
+    sigma = _read("sigma", _parse_floats, sigma_raw)
     spec = region_spec(params, kind)
     if len(sigma) != spec.dim:
         raise DomainError(
@@ -525,16 +532,11 @@ def _cmd_scan_params(run: _Run) -> int:
     b = run.get("b", 3.0, float)
     n = run.get("n", 3, int)
     grid_raw = run.get("grid", "100x100")
-    n_eps, n_tau = (
-        _parse_grid(grid_raw) if isinstance(grid_raw, str) else tuple(grid_raw)
-    )
+    n_eps, n_tau = _read("grid", _parse_grid, grid_raw)
     kind = _parse_kind(run.get("kind", "ir4"))
-    volume_raw = run.get("volume_kinds", "")
-    volume_kinds = tuple(
-        _parse_kind(part)
-        for part in (volume_raw.split(",") if volume_raw else [])
-        if part
-    )
+    volume_raw = run.get("volume_kinds", "") or ""
+    parts = _read("volume_kinds", lambda v: v.split(","), volume_raw)
+    volume_kinds = tuple(_parse_kind(part) for part in parts if part)
     volume_method = run.get("volume_method", "exact")
     volume_samples = run.get("volume_samples", 100_000, int)
     seed = run.seed()

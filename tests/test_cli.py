@@ -129,6 +129,39 @@ class TestConfigResolution:
         assert lines[4] == "sigma1,sigma2,sigma3"
         assert len(lines) == 5 + 3
 
+    @pytest.mark.parametrize(
+        "argv, config, option",
+        [
+            (["region", "exists"], {"eps": [1]}, "--eps"),
+            (["scan", "params", "--out-csv", "{out}"], {"grid": 5}, "--grid"),
+            (
+                ["scan", "params", "--grid", "2x2", "--out-csv", "{out}"],
+                {"volume_kinds": ["ir3"]},
+                "--volume-kinds",
+            ),
+            (["region", "member"], {"sigma": 5}, "--sigma"),
+            (
+                ["scan", "phases", "--step", "0.5", "--out-csv", "{out}"],
+                {"threads": [2]},
+                "--threads",
+            ),
+            (
+                ["simulate", "--state", '{"phases": 5, "ftds": []}', "--out-text", "{out}"],
+                {},
+                "--state",
+            ),
+        ],
+    )
+    def test_value_of_a_wrong_json_type_is_a_config_error(
+        self, capsys, tmp_path, argv, config, option
+    ):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(config))
+        argv = [arg.replace("{out}", str(out)) for arg in argv]
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {option}: ")
+        assert not out.exists()
+
     def test_state_center_accepted_from_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"center": "ir4"}))
