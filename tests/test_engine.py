@@ -27,8 +27,9 @@ from isochron.engine import (
     network_state,
     validate_state,
 )
-from isochron.lockstep import LockstepEngine, _decode, _encode
+from isochron.lockstep import LockstepEngine, _bad_rows, _decode, _encode, _row_distance
 from isochron.model import DomainError, ModelParams, jump, jump_m
+from isochron.poincare import require_section_state, state_distance
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
 
@@ -418,6 +419,129 @@ class TestRowEncoding:
         assert ftds.tolist() == [[0.0, 0.0, 0.0], [0.1, 0.3, 0.0]]
         assert _decode(phases, ftds, senders) == states
         assert _decode(phases[:0], ftds[:0], senders[:0]) == []
+
+
+_TAU = st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(0.01, 1.5))
+
+
+@st.composite
+def row_pairs(draw):
+    """n, and pairs of states of n oscillators (or all of the second ones
+    of n + 1): equal, a rounding step apart with the same FTD row lengths,
+    or drawn apart, with empty FTD rows and rows of unequal length."""
+    n, tau = draw(st.integers(2, 4)), draw(_TAU)
+
+    def state(n: int) -> NetworkState:
+        rows = [[draw(_frac) * tau for _ in range(draw(st.integers(0, 2)))] for _ in range(n)]
+        return network_state([draw(_unit) for _ in range(n)], rows)
+
+    firsts = [state(n) for _ in range(draw(st.integers(1, 6)))]
+    if draw(st.booleans()):
+        return n, firsts, [state(n + 1) for _ in firsts]
+    nudge = st.sampled_from([0.0, 1e-12, -1e-9])
+    seconds = []
+    for a in firsts:
+        how = draw(st.sampled_from(["same", "near", "apart"]))
+        if how == "apart":
+            seconds.append(state(n))
+        else:
+            shift = draw(nudge) if how == "near" else 0.0
+            phases = [p + shift for p in a.phases]
+            seconds.append(network_state(phases, [[s + shift for s in row] for row in a.ftds]))
+    return n, firsts, seconds
+
+
+#: One defect each that require_section_state rejects (none: a section state).
+_DEFECTS = [
+    None,
+    "phase-one",
+    "phase-nan",
+    "phase-negative",
+    "ftd-above-tau",
+    "ftd-nan",
+    "ftd-negative",
+    "ftds-descending",
+    "last-phase",
+    "no-zero-ftd",
+]
+
+
+@st.composite
+def section_candidates(draw):
+    """Parameters, and section states of params.n oscillators with at most
+    one defect each; with wrong_n, params are for one oscillator more."""
+    n, tau = draw(st.integers(2, 4)), draw(_TAU)
+    states = []
+    for _ in range(draw(st.integers(1, 6))):
+        phases = [draw(_unit) for _ in range(n - 1)] + [0.0]
+        ftds = [sorted(draw(_frac) * tau for _ in range(draw(st.integers(0, 2)))) for _ in range(n)]
+        ftds[-1] = sorted(ftds[-1] + [0.0])
+        i = draw(st.integers(0, n - 1))
+        defect = draw(st.sampled_from(_DEFECTS))
+        if defect in ("phase-one", "phase-nan", "phase-negative"):
+            phases[i] = {"phase-one": 1.0, "phase-nan": math.nan, "phase-negative": -1e-300}[defect]
+        elif defect in ("ftd-above-tau", "ftd-nan", "ftd-negative"):
+            bad = {"ftd-above-tau": tau + 1e-12, "ftd-nan": math.nan, "ftd-negative": -0.25}
+            ftds[i].append(bad[defect])
+        elif defect == "ftds-descending":
+            ftds[i] = [tau, tau / 2, *ftds[i]]
+        elif defect == "last-phase":
+            phases[-1] = draw(st.floats(1e-300, 0.75))
+        elif defect == "no-zero-ftd":
+            ftds[-1] = [s for s in ftds[-1] if s != 0.0]
+        states.append(NetworkState(tuple(phases), tuple(map(tuple, ftds))))
+    wrong_n = draw(st.booleans()) and draw(st.booleans())
+    return ModelParams(b=3.0, eps=0.58, n=n + wrong_n, tau=tau), n, states
+
+
+def rejected(params: ModelParams, state: NetworkState) -> bool:
+    try:
+        require_section_state(params, state)
+    except ValueError:
+        return True
+    return False
+
+
+#: Starts for n = 3 oscillators at tau = 0.58, each with the defect it is named by.
+_NAMED_STARTS = {
+    "section-state": NetworkState((0.1, 0.2, 0.0), ((0.3,), (), (0.0,))),
+    "phase-one": NetworkState((1.0, 0.2, 0.0), ((), (), (0.0,))),
+    "phase-nan": NetworkState((math.nan, 0.2, 0.0), ((), (), (0.0,))),
+    "ftd-above-tau": NetworkState((0.1, 0.2, 0.0), ((0.7,), (), (0.0,))),
+    "ftds-descending": NetworkState((0.1, 0.2, 0.0), ((0.3, 0.1), (), (0.0,))),
+    "last-phase": NetworkState((0.1, 0.2, 0.3), ((), (), (0.0,))),
+    "no-zero-ftd": NetworkState((0.1, 0.2, 0.0), ((), (), (0.1,))),
+    "zero-ftd-of-another": NetworkState((0.1, 0.2, 0.0), ((), (0.0,), ())),
+    "wrong-n": NetworkState((0.1, 0.0), ((), (0.0,))),
+}
+
+
+class TestRowRules:
+    """lockstep's row rules are state_distance and require_section_state,
+    row by row."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(row_pairs())
+    def test_row_distance_is_state_distance(self, drawn):
+        n, firsts, seconds = drawn
+        rows_a, rows_b = _encode(n, firsts), _encode(seconds[0].n, seconds)
+        got = _row_distance(n, rows_a, rows_b).tolist()
+        assert list(map(repr, got)) == [repr(state_distance(a, b)) for a, b in zip(firsts, seconds)]
+        # Symmetric, with the other side's fill.
+        assert _row_distance(seconds[0].n, rows_b, rows_a).tolist() == got
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(section_candidates())
+    def test_bad_rows_are_the_rejected_states(self, drawn):
+        params, n, states = drawn
+        got = _bad_rows(params, *_encode(n, states)).tolist()
+        assert got == [rejected(params, state) for state in states]
+
+    @pytest.mark.parametrize("name", list(_NAMED_STARTS))
+    def test_bad_rows_named_cases(self, name):
+        state = _NAMED_STARTS[name]
+        got = _bad_rows(P, *_encode(state.n, [state, state])).tolist()
+        assert got == [rejected(P, state)] * 2 == [name != "section-state"] * 2
 
 
 class TestDeliveries:
