@@ -130,7 +130,11 @@ class _Run:
     def threads(self) -> int:
         value = self.get("threads", cast=int)
         if value is None:
-            value = int(os.environ.get(THREADS_ENV, 1))
+            raw = os.environ.get(THREADS_ENV, "1")
+            try:
+                value = int(raw)
+            except ValueError:
+                raise DomainError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
         if value < 1:
             raise DomainError(f"thread count must be positive, got {value}")
         self.resolved["threads"] = value
@@ -163,6 +167,8 @@ class _Run:
         value = getattr(self.args, "timestamp", None)
         if value is None:
             value = self.file_config.get("timestamp")
+            if value is not None:
+                value = _read("timestamp", _parse_text, value)
         if value is None:
             value = datetime.now(timezone.utc).isoformat(timespec="seconds")
         return value
@@ -269,6 +275,20 @@ def _read(name: str, parse, value):
         return parse(value)
     except (TypeError, AttributeError) as exc:
         raise DomainError(f"--{name.replace('_', '-')}: cannot read {value!r}: {exc}") from exc
+
+
+def _parse_bool(value) -> bool:
+    """An on/off value, which a config file must give as a JSON boolean."""
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false")
+    return value
+
+
+def _parse_text(value) -> str:
+    """A value that a config file must give as a JSON string."""
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
 
 
 def _parse_kind(value: str) -> str:
@@ -463,7 +483,7 @@ def _cmd_region_project(run: _Run) -> int:
     params = run.params()
     n = run.get("samples", 1000, int)
     seed = run.seed()
-    compare = bool(run.get("compare", False))
+    compare = run.get("compare", False, _parse_bool)
     step = run.get("step", 0.05, float)
     tol = run.tol(1e-6)
     threads = run.threads()

@@ -92,6 +92,15 @@ class LockstepEngine(Engine):
         """Keep only the rows the boolean mask selects, in order."""
         self.phases, self.ftds, self.senders = self.phases[rows], self.ftds[rows], self.senders[rows]
 
+    def add(self, phases: np.ndarray, ftds: np.ndarray, senders: np.ndarray) -> None:
+        """Append rows that start from the states _encode wrote as phases,
+        ftds and senders."""
+        n = self.params.n
+        width = max(self.ftds.shape[1], ftds.shape[1])
+        self.phases = np.concatenate([self.phases, phases])
+        self.ftds = np.concatenate([_widen(self.ftds, width, 0.0), _widen(ftds, width, 0.0)])
+        self.senders = np.concatenate([_widen(self.senders, width, n), _widen(senders, width, n)])
+
     def _section_return(self, trace: bool) -> LockstepReturns:
         params = self.params
         n, tau = params.n, params.tau
@@ -100,13 +109,12 @@ class LockstepEngine(Engine):
         phases, ftds, senders = self.phases, self.ftds, self.senders
         rows = len(phases)
         at_threshold = 1.0 - COINCIDENCE_TOL
-        oscillators = np.arange(n)
 
         # Each row's pulses form a queue in delivery order: a timestamp
         # delivers a prefix of the pending pulses (their slots turn to inf)
-        # and its fires fill the next n slots (inf where an oscillator did
-        # not fire), because a pulse sent now lands no earlier than a
-        # pending one.
+        # and its fires fill the next slots, in oscillator order, because a
+        # pulse sent now lands no earlier than a pending one.  Every slot
+        # after a row's last pulse is empty (inf, sender n).
         row_ix = np.arange(rows)[:, None]
         times = np.where(senders < n, tau - ftds, np.inf)
         order = np.argsort(times, axis=1, kind="stable")
@@ -136,12 +144,15 @@ class LockstepEngine(Engine):
             clock = t_star
             due_at = t_star + COINCIDENCE_TOL
 
-            due = q_time <= due_at[:, None]
-            mult = (due[:, :, None] & (q_send[:, :, None] != oscillators)).sum(axis=1)
+            # A due pulse reaches every oscillator but its sender.
+            row, slot = np.nonzero(q_time <= due_at[:, None])
+            sent = np.bincount(row * n + q_send[row, slot], minlength=live.size * n)
+            sent = sent.reshape(live.size, n)
+            mult = sent.sum(axis=1)[:, None] - sent
             top = int(mult.max(initial=0))
             if top >= len(a_tab):
                 a_tab, c_tab = self._coeffs = _coeff_table(params, top)
-            q_time[due] = np.inf
+            q_time[row, slot] = np.inf
             got = mult > 0
             theta = np.where(got, np.minimum(1.0, a_tab[mult] * theta + c_tab[mult]), theta)
             fire = theta >= at_threshold
@@ -154,20 +165,30 @@ class LockstepEngine(Engine):
             if fired.any():
                 land = t_star + tau
                 bad |= fired & (land <= due_at)
-                if tail + n > q_time.shape[1]:
+                who_row, who = np.nonzero(fire)
+                count = np.bincount(who_row, minlength=live.size)
+                most = int(count.max())
+                if tail + most > q_time.shape[1]:
+                    # Drop the slots every row has delivered, and leave room
+                    # for as many pending ones again.
+                    pending = (q_time[:, :tail] < np.inf).any(axis=0)
+                    gone = int(np.argmax(pending)) if pending.any() else tail
+                    tail -= gone
                     width = 2 * (tail + n)
-                    q_time, q_send = _widen(q_time, width, np.inf), _widen(q_send, width, n)
+                    q_time = _widen(q_time[:, gone : gone + width], width, np.inf)
+                    q_send = _widen(q_send[:, gone : gone + width], width, n)
                     end_time, end_send = _widen(end_time, width, np.inf), _widen(end_send, width, n)
-                q_time[:, tail : tail + n] = np.where(fire, land[:, None], np.inf)
-                q_send[:, tail : tail + n] = np.where(fire, oscillators, n)
-                tail += n
+                into = tail + np.arange(who.size) - (np.cumsum(count) - count)[who_row]
+                q_time[who_row, into], q_send[who_row, into] = land[who_row], who
+                tail += most
 
             done = fire[:, -1] & ~bad
             leave = done | bad
             if leave.any():
                 d = live[done]
                 end_theta[d], end_clock[d] = theta[done], clock[done]
-                end_time[d], end_send[d] = q_time[done], q_send[done]
+                width = q_time.shape[1]
+                end_time[d, :width], end_send[d, :width] = q_time[done], q_send[done]
                 replay.extend(live[bad].tolist())
                 keep = ~leave
                 live, theta, clock = live[keep], theta[keep], clock[keep]
@@ -176,13 +197,15 @@ class LockstepEngine(Engine):
 
         # Engine.state(): sigma = clock + tau - t, clamped.  Reversed, each
         # row's pending pulses run from the latest delivery (the smallest
-        # sigma) back, and a stable sort by sender keeps that order.
-        sigma = (end_clock[:, None] + tau) - end_time
-        sigma = np.where(sigma < 0.0, 0.0, np.where(sigma > tau, tau, sigma))[:, ::-1]
+        # sigma) back, and a stable sort by sender keeps that order; the
+        # empty slots sort last.
         key = np.where(np.isfinite(end_time), end_send, n)[:, ::-1]
-        by = np.argsort(key, axis=1, kind="stable")
+        width = int(np.count_nonzero(key < n, axis=1).max(initial=0))
+        by = np.argsort(key, axis=1, kind="stable")[:, :width]
         out_senders = key[row_ix, by]
-        out_ftds = np.where(out_senders < n, sigma[row_ix, by], 0.0)
+        sigma = (end_clock[:, None] + tau) - end_time[:, ::-1][row_ix, by]
+        sigma = np.where(sigma < 0.0, 0.0, np.where(sigma > tau, tau, sigma))
+        out_ftds = np.where(out_senders < n, sigma, 0.0)
 
         stepped, at, mults, fires = (np.concatenate(col) for col in zip(*log))
         if replay:
@@ -257,112 +280,109 @@ class LockstepEngine(Engine):
         )
 
 
-#: Returns in the first chunk of a _History; each next chunk holds twice as
-#: many, up to 8 times as many.  A chunk is the unit in which the history
-#: grows and drops rows, so neither step copies more than one chunk at a
-#: time, and short orbits allocate little.
-_CHUNK = 16
-
-
 class _History:
-    """Every row's section returns so far, for batched detection.
+    """The section returns of a LockstepEngine's rows so far, for batched
+    detection, as one flat log.
 
-    Column k of entry [i, p] holds, for row p after i returns: 0 its
+    Entry e is the state of row slot[e] after age[e] returns: column 0 its
     phases, 1 FTD entries and 2 their senders (LockstepReturns' layout),
     then 3 the time and 4-5 the deliveries (LockstepReturns' when and
-    mult) of its i-th return.  Entry 0 is the start, with no deliveries.
-    Entries are stored in chunks, chunk c from entry starts[c] on, each
-    padded to its own widest entry and sized to its own integer types.
-    Only stored entries are ever written, so the unused part of the last
-    chunk is not touched.
+    mult) of the return that reached it.  A row's entry at age 0 is its
+    start, with no deliveries.  Each row's entries follow in age order, so
+    rows of any age share the log and none pads another; entries are
+    padded to the widest one logged.  The first size entries are used, and
+    a row that leaves takes its entries with it.
     """
 
-    def __init__(self, n: int, phases: np.ndarray, ftds: np.ndarray, senders: np.ndarray) -> None:
+    def __init__(self, n: int) -> None:
         self.n = n
         self.fills = (0.0, 0.0, n, 0.0, 0.0, 0)
-        self.chunks: list[list[np.ndarray]] = []
-        self.starts: list[int] = []
-        self.filled = 0
-        rows = len(phases)
-        no_deliveries = [np.zeros((rows, 0)), np.zeros((rows, n, 0))]
-        self._store([phases, ftds, senders, np.zeros((rows, 1)), *no_deliveries])
+        self.size = 0
+        self.slot = self.age = np.zeros(0, dtype=np.int32)
+        small = np.min_scalar_type(n)
+        self.columns = [
+            np.zeros((0, n)),
+            np.zeros((0, 0)),
+            np.zeros((0, 0), small),
+            np.zeros((0, 1)),
+            np.zeros((0, 0)),
+            np.zeros((0, n, 0), np.uint8),
+        ]
 
-    def append(self, out: LockstepReturns) -> None:
-        """Store every row's return."""
-        self._store([out.phases, out.ftds, out.senders, out.elapsed[:, None], out.when, out.mult])
-
-    def _store(self, entry: list[np.ndarray]) -> None:
-        entry[2] = entry[2].astype(np.min_scalar_type(self.n))
+    def add(self, slots: np.ndarray, ages: np.ndarray, entry: list[np.ndarray]) -> None:
+        """Log entry (the six columns, one row per entry) as the states of
+        rows slots after ages returns."""
+        entry = [*entry[:2], entry[2].astype(np.min_scalar_type(self.n)), *entry[3:]]
         entry[5] = entry[5].astype(np.min_scalar_type(int(entry[5].max(initial=0))))
-        if not self.chunks or self._used(len(self.chunks) - 1) == len(self.chunks[-1][0]):
-            size = _CHUNK << min(len(self.chunks), 3)
-            self.starts.append(self.filled)
-            self.chunks.append([np.empty((size, *e.shape), e.dtype) for e in entry])
-        at = self.filled - self.starts[-1]
-        chunk = self.chunks[-1]
+        at = self.size
+        if at + len(slots) > len(self.slot):
+            self._resize(at + len(slots) + len(self.slot) // 4)
+        self.size += len(slots)
+        self.slot[at : self.size], self.age[at : self.size] = slots, ages
         for k, (e, fill) in enumerate(zip(entry, self.fills)):
+            column = self.columns[k]
             width = e.shape[-1]
-            if width > chunk[k].shape[-1] or not np.can_cast(e.dtype, chunk[k].dtype):
-                grown = np.empty(
-                    (*chunk[k].shape[:-1], max(width, chunk[k].shape[-1])),
-                    np.result_type(e, chunk[k]),
+            if width > column.shape[-1] or not np.can_cast(e.dtype, column.dtype):
+                grown = np.full(
+                    (*column.shape[:-1], max(width, column.shape[-1])),
+                    fill,
+                    np.result_type(e, column),
                 )
-                grown[:at, ..., : chunk[k].shape[-1]] = chunk[k][:at]
-                grown[:at, ..., chunk[k].shape[-1] :] = fill
-                chunk[k] = grown
-            chunk[k][at, ..., :width] = e
-            chunk[k][at, ..., width:] = fill
-        self.filled += 1
+                grown[:at, ..., : column.shape[-1]] = column[:at]
+                self.columns[k] = column = grown
+            column[at : self.size, ..., :width] = e
+            column[at : self.size, ..., width:] = fill
 
-    def _used(self, c: int) -> int:
-        return min(len(self.chunks[c][0]), self.filled - self.starts[c])
+    def _resize(self, capacity: int) -> None:
+        """Reallocate the log for capacity entries, one column at a time, so
+        that it is never held twice."""
 
-    def gather(self, cols, at: np.ndarray, rows: np.ndarray) -> list[np.ndarray]:
-        """Columns cols of the entries [at[s], rows[s]], padded to a common
-        width."""
-        chunk_of = np.searchsorted(self.starts, at, side="right") - 1
-        at = at - np.asarray(self.starts)[chunk_of]
-        which = np.flatnonzero(np.bincount(chunk_of)).tolist()
-        out = []
-        for k in cols:
-            parts = [self.chunks[c][k] for c in which] or [self.chunks[0][k]]
-            width = max(part.shape[-1] for part in parts)
-            got = np.full(
-                (len(at), *parts[0].shape[2:-1], width), self.fills[k], np.result_type(*parts)
-            )
-            for c, part in zip(which, parts):
-                pick = chunk_of == c
-                got[pick, ..., : part.shape[-1]] = part[at[pick], rows[pick]]
-            out.append(got)
-        return out
+        def moved(column: np.ndarray) -> np.ndarray:
+            out = np.empty((capacity, *column.shape[1:]), column.dtype)
+            out[: self.size] = column[: self.size]
+            return out
+
+        self.slot, self.age = moved(self.slot), moved(self.age)
+        for k in range(len(self.columns)):
+            self.columns[k] = moved(self.columns[k])
 
     def match(self, phases, ftds, senders, tol: float) -> np.ndarray:
-        """For each row, the earliest entry its given state matches by
-        detection's rule, or -1: phase 0 within tol (the prefilter), then
-        _row_distance <= tol."""
+        """For each row, the age of its earliest logged state that its
+        given state matches by detection's rule, or -1: phase 0 within tol
+        (the prefilter), then _row_distance <= tol."""
         p0 = phases[:, 0]
         lo, hi = p0 - tol, p0 + tol
+        slot = self.slot[: self.size]
+        old = self.columns[0][: self.size, 0]
+        at = np.flatnonzero((old >= lo[slot]) & (old <= hi[slot]))
+        row = slot[at]
+        new = [phases[row], ftds[row], senders[row]]
+        hit = _row_distance(self.n, [col[at] for col in self.columns[:3]], new) <= tol
+        row, first = np.unique(row[hit], return_index=True)
         matched = np.full(len(phases), -1)
-        for c, chunk in enumerate(self.chunks):
-            old = chunk[0][: self._used(c), :, 0]
-            at, row = np.nonzero((old >= lo) & (old <= hi))
-            if not at.size:
-                continue
-            new = [phases[row], ftds[row], senders[row]]
-            hit = _row_distance(self.n, [col[at, row] for col in chunk[:3]], new) <= tol
-            row, first = np.unique(row[hit], return_index=True)
-            fresh = matched[row] < 0
-            matched[row[fresh]] = self.starts[c] + at[hit][first][fresh]
+        matched[row] = self.age[at[hit][first]]
         return matched
 
+    def entries(self, cols, lo: np.ndarray, hi: np.ndarray) -> list[np.ndarray]:
+        """Columns cols of each row r's entries from age lo[r] to hi[r] - 1,
+        row after row, in age order."""
+        slot, age = self.slot[: self.size], self.age[: self.size]
+        at = np.flatnonzero((age >= lo[slot]) & (age < hi[slot]))
+        at = at[np.argsort(slot[at], kind="stable")]
+        return [self.columns[k][at] for k in cols]
+
     def keep(self, rows: np.ndarray) -> None:
-        """Keep only the rows the boolean mask selects, in order."""
-        kept = int(rows.sum())
-        for c, chunk in enumerate(self.chunks):
-            used = self._used(c)
-            for k, column in enumerate(chunk):
-                chunk[k] = np.empty((len(column), kept, *column.shape[2:]), column.dtype)
-                chunk[k][:used] = column[:used, rows]
+        """Keep only the entries of the rows the boolean mask selects, as
+        the rows of the kept ones in order.  Entries move down in place, and
+        the log shrinks once it has room for over twice the kept entries
+        and two more per row."""
+        at = np.flatnonzero(rows[self.slot[: self.size]])
+        self.size = len(at)
+        for column in [self.slot, self.age, *self.columns]:
+            np.take(column, at, axis=0, out=column[: self.size])
+        self.slot[: self.size] = (np.cumsum(rows) - 1)[self.slot[: self.size]]
+        if len(self.slot) > 2 * (self.size + 2 * len(rows)):
+            self._resize(self.size + 2 * len(rows))
 
 
 def _encode(n: int, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

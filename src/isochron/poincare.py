@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from operator import ne, sub
 
 from ._serial import Record
@@ -285,28 +285,31 @@ def detect_periodicity_many(
 
     Each return runs as if on a fresh engine from the previous return's
     state, as in poincare_map; the starts' returns run in lockstep on
-    float64 arrays (lockstep.LockstepEngine).  Each start's visited
-    states, return times and deliveries stay in a lockstep._History, and
-    the newest state is compared against earlier ones by one rule: phase 0
-    within tol (the prefilter), equal FTD row lengths, state_distance <=
-    tol, the earliest match first, so the reported transient is minimal.
-    A start that finishes leaves the history; a found cycle's rows are
-    copied out, and every cycle of the batch is assembled at the end.
-    A start with no revisit after max_iter iterations gets a NotPeriodic
-    report.  If any start raises, the error of the first such start (in
-    the given order) is raised.
+    float64 arrays (lockstep.LockstepEngine), at most _LIVE_ROWS of them
+    at a time, the next start taking the row of one that finished.  Each
+    running start's visited states, return times and deliveries stay in a
+    lockstep._History, and the newest state is compared against earlier
+    ones by one rule: phase 0 within tol (the prefilter), equal FTD row
+    lengths, state_distance <= tol, the earliest match first, so the
+    reported transient is minimal.  A start that finishes leaves the
+    history, and a found cycle's rows are copied out.  A start with no
+    revisit after max_iter iterations gets a NotPeriodic report.  If any
+    start raises, the error of the first such start (in the given order)
+    is raised.
     """
     import numpy as np
 
     from .lockstep import _decode
 
-    cycle, ends, table = _detect(params, list(states), max_iter, tol)
-    results: list = [None] * len(cycle)
-    periodic = np.flatnonzero(cycle >= 0)
-    for s, result in zip(periodic.tolist(), _cycle_results(table, cycle[periodic])):
-        results[s] = result
-    for s, state in zip(np.flatnonzero(cycle < 0).tolist(), _decode(*ends)):
-        results[s] = NotPeriodic(iterations=max_iter, last_state=state)
+    results: list = []
+    for cycle, ends, table in _detect(params, states, max_iter, tol):
+        block: list = [None] * len(cycle)
+        periodic = np.flatnonzero(cycle >= 0)
+        for s, result in zip(periodic.tolist(), _cycle_results(table, cycle[periodic])):
+            block[s] = result
+        for s, state in zip(np.flatnonzero(cycle < 0).tolist(), _decode(*ends)):
+            block[s] = NotPeriodic(iterations=max_iter, last_state=state)
+        results += block
     return results
 
 
@@ -344,73 +347,172 @@ def _section_rows(params: ModelParams, states: list):
     return rows, errors
 
 
-def _detect(params: ModelParams, states: list, max_iter: int, tol: float):
-    """detect_periodicity_many's loop; returns (cycle, ends, table).
-    cycle[s] is start s's cycle in the _CycleTable, or -1 if it found none
-    within max_iter returns; ends holds the last rows (lockstep's layout)
-    of those, in start order.
+#: Starts that detection runs at once, as the rows of one LockstepEngine,
+#: and the size of the blocks of starts whose results it hands back
+#: together.  More rows share each return's fixed cost and hold more
+#: history and results at once: on the 0.01 grid at the reference
+#: parameters the CLI scan peaks at PEAK_RSS resident.
+_LIVE_ROWS = 300
+
+
+class _Block:
+    """One block of a detection stream's starts while it runs: each start's
+    cycle in the block's table (-1 for none yet), the found cycles' rows
+    as _cycle_table chunks, the last rows of the starts that found none,
+    and how many starts have not finished."""
+
+    def __init__(self, n: int, size: int) -> None:
+        import numpy as np
+
+        self.n = n
+        self.cycle = np.full(size, -1)
+        self.found = 0
+        none = np.zeros(0, dtype=int)
+        rows = (np.zeros((0, n)), np.zeros((0, 0)), np.zeros((0, 0), np.min_scalar_type(n)))
+        no_returns = (np.zeros((0, 1)), np.zeros((0, 0)), np.zeros((0, n, 0), np.uint8))
+        self.chunks = [(none, none, *rows, *no_returns)]
+        self.ends = [(none, *rows)]
+        self.left = size
+
+    def add_cycles(self, at, chunk: tuple) -> None:
+        """The starts at (offsets in the block) found the cycles of chunk."""
+        import numpy as np
+
+        self.cycle[at] = self.found + np.arange(len(at))  # in the order found
+        self.found += len(at)
+        self.chunks.append(chunk)
+        self.left -= len(at)
+
+    def add_ends(self, at, phases, ftds, senders) -> None:
+        """The starts at found no cycle, and ended in these rows."""
+        self.ends.append((at, phases, ftds, senders))
+        self.left -= len(at)
+
+    def result(self, tol: float) -> tuple:
+        """(cycle, ends, table), as _detect yields them."""
+        import numpy as np
+
+        from .lockstep import _widen
+
+        at, phases, ftds, senders = zip(*self.ends)
+        width = max(f.shape[1] for f in ftds)
+        order = np.argsort(np.concatenate(at))
+        ends = (
+            np.concatenate(phases)[order],
+            np.concatenate([_widen(f, width, 0.0) for f in ftds])[order],
+            np.concatenate([_widen(s, width, self.n) for s in senders])[order],
+        )
+        return self.cycle, ends, _cycle_table(self.n, tol, self.chunks)
+
+
+def _detect(params: ModelParams, states, max_iter: int, tol: float):
+    """detect_periodicity_many's stream over an iterable of starts.  It
+    yields (cycle, ends, table) for each block of _LIVE_ROWS starts (the
+    last may be shorter), in order, once every start of the block has
+    finished: cycle[s] is the block's start s's cycle in the _CycleTable,
+    or -1 if it found none within max_iter returns; ends holds the last
+    rows (lockstep's layout) of those, in start order.
+
+    At most _LIVE_ROWS starts run at once, as the rows of one
+    LockstepEngine, and after every return the next starts, in the given
+    order, take the rows of those that finished or failed.  Once a start
+    has failed no later start is admitted, and the error of the first
+    failing start is raised when the starts before it have finished.
     """
     _check_budget(max_iter, tol)
 
     import numpy as np
 
-    from .lockstep import LockstepEngine, _History
+    from .lockstep import LockstepEngine, _encode, _History
 
-    rows, errors = _section_rows(params, states)
     n = params.n
-    count = len(rows[0])
-    eng = LockstepEngine(params, *rows)
+    width = _LIVE_ROWS
+    states = iter(states)
+    eng = LockstepEngine(params, *_encode(n, []))
+    hist = _History(n)
+    # Per row, in start order: its start's index and its returns so far.
+    start = age = np.zeros(0, dtype=int)
+    errors: dict[int, Exception] = {}
+    blocks: dict[int, _Block] = {}
+    # The checked rows of the newest block not yet admitted, from start
+    # first on; pulled counts the starts taken from states.
+    waiting, first, pulled = _encode(n, []), 0, 0
+    yielded = 0
 
-    # hist holds every live start's states, return times and deliveries,
-    # row p for the start at live[p]; a start leaves it when it finishes.
-    # A found cycle's rows are copied out then (after an empty chunk that
-    # gives the columns their shapes), and assembled at the end.
-    live = np.arange(count)
-    hist = _History(n, eng.phases, eng.ftds, eng.senders)
-    none = np.zeros(0, dtype=int)
-    cycles = [(none, none, *hist.gather(range(6), none, none))]
-    cycle = np.full(count, -1)
-    ends = hist.gather((0, 1, 2), none, none)
-
-    for it in range(1, max_iter + 1):
-        if not live.size:
+    while True:
+        # Admit the next starts into the free rows, none after a failed one.
+        while len(start) < width:
+            if not len(waiting[0]):
+                block = [] if errors else list(islice(states, width))
+                if not block:
+                    break
+                blocks[pulled // width] = _Block(n, len(block))
+                waiting, bad = _section_rows(params, block)
+                errors.update((pulled + i, exc) for i, exc in bad.items())
+                first, pulled = pulled, pulled + len(block)
+            take = min(width - len(start), len(waiting[0]), min(errors, default=pulled) - first)
+            if take <= 0:
+                break
+            rows, waiting = [c[:take] for c in waiting], [c[take:] for c in waiting]
+            eng.add(*rows)
+            no_returns = [np.zeros((take, 1)), np.zeros((take, 0)), np.zeros((take, n, 0))]
+            slots = np.arange(len(start), len(start) + take)
+            hist.add(slots, np.zeros(take, dtype=int), rows + no_returns)
+            start = np.concatenate([start, first + np.arange(take)])
+            age = np.concatenate([age, np.zeros(take, dtype=int)])
+            first += take
+        if not len(start):
             break
-        out = eng.run_until_section()
-        matched = hist.match(out.phases, out.ftds, out.senders, tol)
-        hist.append(out)
 
-        failed = np.zeros(live.size, dtype=bool)
+        out = eng.run_until_section()
+        age = age + 1
+        matched = hist.match(out.phases, out.ftds, out.senders, tol)
+        returned = [out.phases, out.ftds, out.senders, out.elapsed[:, None], out.when, out.mult]
+        hist.add(np.arange(len(start)), age, returned)
+        failed = np.zeros(len(start), dtype=bool)
         failed[list(out.errors)] = True
-        matched[failed] = -1
-        for p, exc in out.errors.items():
-            errors[int(live[p])] = exc
-        done = np.nonzero(matched >= 0)[0]
+        errors.update((int(start[p]), exc) for p, exc in out.errors.items())
+        found = (matched >= 0) & ~failed
+        last = ~found & ~failed & (age == max_iter)
+
+        done = np.flatnonzero(found)
         if done.size:
-            # The found cycles' rows: states j..it-1, each with the return
-            # that leaves it.
+            # The found cycles' rows: each start's states j..age-1, each
+            # with the return that leaves it.
             j = matched[done]
-            lengths = it - j
-            at, p = _ranges(j, lengths), np.repeat(done, lengths)
-            cycles.append(
-                (j, lengths, *hist.gather((0, 1, 2), at, p), *hist.gather((3, 4, 5), at + 1, p))
-            )
-            cycle[live[done]] = cycle.max() + 1 + np.arange(done.size)  # in the order found
-        leave = failed | (matched >= 0)
-        if it == max_iter:
-            last = np.nonzero(~leave)[0]
-            ends = hist.gather((0, 1, 2), np.full(last.size, it), last)
-            leave[:] = True
-        keep = ~leave
+            lengths = age[done] - j
+            lo = np.where(found, matched, age)
+            cols = [
+                *hist.entries((0, 1, 2), lo, age),
+                *hist.entries((3, 4, 5), lo + 1, age + 1),
+            ]
+            owner = start[done] // width
+            for b in np.unique(owner).tolist():
+                mine = owner == b
+                each = np.repeat(mine, lengths)
+                chunk = (j[mine], lengths[mine], *(col[each] for col in cols))
+                blocks[b].add_cycles(start[done[mine]] - b * width, chunk)
+        done = np.flatnonzero(last)
+        owner = start[done] // width
+        for b in np.unique(owner).tolist():
+            rows = done[owner == b]
+            ended = (out.phases[rows], out.ftds[rows], out.senders[rows])
+            blocks[b].add_ends(start[rows] - b * width, *ended)
+
+        leave = found | last | failed
         if errors:
-            keep &= live < min(errors)
-        if not keep.all():
-            live = live[keep]
-            hist.keep(keep)
+            leave |= start > min(errors)
+        if leave.any():
+            keep = ~leave
+            start, age = start[keep], age[keep]
             eng.keep(keep)
+            hist.keep(keep)
+        while yielded in blocks and not blocks[yielded].left:
+            yield blocks.pop(yielded).result(tol)
+            yielded += 1
 
     if errors:
         raise errors[min(errors)]
-    return cycle, ends, _cycle_table(n, tol, cycles)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import math
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -61,15 +61,6 @@ DEFAULT_SCAN_STEP = 0.01
 
 #: Default iteration budget before an orbit is declared not periodic.
 DEFAULT_SCAN_MAX_ITER = 10_000
-
-#: Starts per lockstep detection batch (detect_periodicity_many): a scan
-#: task takes this many grid cells, rounded down to whole grid rows (at
-#: least one), and projection_compare seeds its orbits in batches of this
-#: size.  Larger batches run faster and hold more results at once: at 1000
-#: cells the CLI scan of the 0.01 grid at the reference parameters peaks at
-#: 46.7-46.8 MB RSS against 41.1 MB at 300 (2-core Xeon, Python 3.11),
-#: beyond the benchmark's 5% peak_rss_mb bound.
-_SCAN_BLOCK_CELLS = 300
 
 
 def _fmt(x: float) -> str:
@@ -156,23 +147,30 @@ def _grid_values(step: float) -> list[float]:
     return [i * step for i in range(count)]
 
 
-def _scan_rows(args):
-    """Worker task: poincare._detect's (cycle, ends, table) for a block of
-    grid cells, their eq_init_state starts detected as one batch."""
+def _scan_span(args) -> list:
+    """Worker task: poincare._detect's blocks over a span of grid cells,
+    from their eq_init_state starts."""
     params, cells, max_iter, tol = args
-    return _detect(params, [eq_init_state(params, *cell) for cell in cells], max_iter, tol)
+    return list(_detect(params, (eq_init_state(params, *cell) for cell in cells), max_iter, tol))
 
 
 def _scan_cells(params: ModelParams, step: float, max_iter: int, tol: float, workers: int):
-    """Yield (cells, (cycle, ends, table)) over the initial-phase grid: the
-    (theta1, theta2) cells of each block of whole grid rows, in grid
-    order, and _scan_rows' result for them."""
+    """Yield (cells, (cycle, ends, table)) over the initial-phase grid, in
+    grid order: the (theta1, theta2) cells of each block of poincare._detect's
+    stream of their eq_init_state starts, and its result for them.  With
+    workers > 1 each worker streams one contiguous span of the grid."""
     values = _grid_values(step)
     cells = [(theta1, theta2) for theta1 in values for theta2 in values]
-    size = max(1, _SCAN_BLOCK_CELLS // len(values)) * len(values)
-    blocks = [cells[i : i + size] for i in range(0, len(cells), size)]
-    tasks = [(params, block, max_iter, tol) for block in blocks]
-    yield from zip(blocks, _run_tasks(_scan_rows, tasks, workers))
+    if workers <= 1:
+        starts = (eq_init_state(params, *cell) for cell in cells)
+        blocks = _detect(params, starts, max_iter, tol)
+    else:
+        size = -(-len(cells) // workers)
+        tasks = [(params, cells[i : i + size], max_iter, tol) for i in range(0, len(cells), size)]
+        blocks = chain.from_iterable(_run_tasks(_scan_span, tasks, workers))
+    rest = iter(cells)
+    for block in blocks:
+        yield list(islice(rest, len(block[0]))), block
 
 
 def phase_scan(
@@ -466,15 +464,11 @@ def projection_compare(
     seeded_sigma = sample_interior(params, "IR4", n_samples, seed=seed + 1)
     seeded: list[tuple[float, float]] = []
     seeded_orbits = 0
-    for lo in range(0, len(seeded_sigma), _SCAN_BLOCK_CELLS):
-        seeds = [
-            s_embed(params, "IR4", tuple(float(v) for v in row))
-            for row in seeded_sigma[lo : lo + _SCAN_BLOCK_CELLS]
-        ]
-        for result in detect_periodicity_many(params, seeds, max_iter=16):
-            if isinstance(result, PeriodicityResult) and result.poincare_period == 4:
-                seeded_orbits += 1
-                seeded.extend(map(phase_projection, result.cycle_states))
+    seeds = (s_embed(params, "IR4", tuple(map(float, row))) for row in seeded_sigma)
+    for result in detect_periodicity_many(params, seeds, max_iter=16):
+        if isinstance(result, PeriodicityResult) and result.poincare_period == 4:
+            seeded_orbits += 1
+            seeded.extend(map(phase_projection, result.cycle_states))
 
     violations = tuple(
         p for p in numeric if not ir4_projection_contains(params, p[0], p[1], tol=tol)

@@ -25,6 +25,8 @@ P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
 TS = "2026-01-01T00:00:00+00:00"
 
 GENERIC_SIGMA = (0.30, 0.10, 0.40)
+#: region project with an output, and --compare left to the config file.
+PROJECT_COMPARE = ["region", "project", "--samples", "5", "--step", "0.5", "--out-csv", "{out}"]
 
 
 def state_flag(sigma=GENERIC_SIGMA) -> str:
@@ -150,6 +152,19 @@ class TestConfigResolution:
                 {},
                 "--state",
             ),
+            (PROJECT_COMPARE, {"compare": "false"}, "--compare"),
+            (PROJECT_COMPARE, {"compare": 1}, "--compare"),
+            (PROJECT_COMPARE, {"compare": []}, "--compare"),
+            (
+                ["region", "sample", "--samples", "3", "--out", "{out}"],
+                {"timestamp": [1]},
+                "--timestamp",
+            ),
+            (
+                ["scan", "phases", "--step", "0.5", "--out-csv", "{out}"],
+                {"timestamp": 5},
+                "--timestamp",
+            ),
         ],
     )
     def test_value_of_a_wrong_json_type_is_a_config_error(
@@ -161,6 +176,14 @@ class TestConfigResolution:
         assert main(argv + ["--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {option}: ")
         assert not out.exists()
+
+    def test_compare_false_in_a_config_file_runs_no_comparison(self, capsys, tmp_path):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+        cfg.write_text(json.dumps({"compare": False}))
+        argv = PROJECT_COMPARE + ["--config", str(cfg), "--timestamp", TS]
+        assert main([arg.replace("{out}", str(out)) for arg in argv]) == 0
+        assert capsys.readouterr().out == "projected 5 family points to the phase plane\n"
+        assert out.read_text().splitlines()[-6] == "set,theta1,theta2"
 
     def test_state_center_accepted_from_config_file(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -547,6 +570,11 @@ class TestScanPhases:
         monkeypatch.setenv(THREADS_ENV, "3")
         assert main(base) == 0
         assert out.read_bytes() == via_flag
+
+    def test_threads_variable_not_an_integer_rejected(self, capsys, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV, "abc")
+        assert main(["scan", "phases", "--step", "0.25"]) == 2
+        assert capsys.readouterr().err == f"error: {THREADS_ENV} must be an integer, got 'abc'\n"
 
     def test_nonpositive_threads_rejected(self, capsys):
         assert main(["scan", "phases", "--step", "0.25", "--threads", "0"]) == 2

@@ -891,3 +891,118 @@ class TestBatchedDetection:
         with pytest.raises(ValueError, match="tol"):
             detect_periodicity_many(P, [sync_state()], tol=0.0)
         assert detect_periodicity_many(P, []) == []
+
+
+WEAK = ModelParams(b=3.0, eps=0.005, n=3, tau=0.58)
+
+
+def interleaved_weak_starts():
+    """Weak-coupling starts, the longest orbit first, then alternately a
+    short and a long one, so that short starts admitted late share the
+    engine with long-lived rows."""
+    grid = [i * 0.2 for i in range(5)]
+    starts = [eq_init_state(WEAK, t1, t2) for t1 in grid for t2 in grid]
+    ends = [r.transient_iters + r.detected_period for r in map(scalar_detect, [WEAK] * 25, starts)]
+    by_length = sorted(range(len(starts)), key=ends.__getitem__, reverse=True)
+    order = itertools.chain.from_iterable(itertools.zip_longest(by_length[:13], by_length[:12:-1]))
+    return [starts[s] for s in order if s is not None]
+
+
+#: Sets of starts for the detection stream: params, the starts and the
+#: detector's keyword arguments.
+STREAMS = {
+    "reference-grid": lambda: (
+        P,
+        [eq_init_state(P, i * 0.05, j * 0.05) for i in range(20) for j in range(20)],
+        {},
+    ),
+    "weak-interleaved": lambda: (WEAK, interleaved_weak_starts(), {}),
+    "three-returns": lambda: (
+        P,
+        [eq_init_state(P, t1, t2) for t1 in (0.13, 0.37, 0.61, 0.89) for t2 in (0.2, 0.5, 0.8)],
+        {"max_iter": 3},
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def streams():
+    """Each set of STREAMS with its scalar_detect results."""
+    out = {}
+    for name, make in STREAMS.items():
+        params, starts, kwargs = make()
+        out[name] = params, starts, kwargs, detect_each(params, starts, **kwargs)
+    return out
+
+
+def spy_returns(monkeypatch) -> list:
+    """Record each lockstep return as (rows, events, failed rows)."""
+    returns = []
+    real = lockstep.LockstepEngine._section_return
+
+    def spy(self, trace):
+        rows, before = len(self.phases), self.events_processed
+        out = real(self, trace)
+        returns.append((rows, self.events_processed - before, sorted(out.errors)))
+        return out
+
+    monkeypatch.setattr(lockstep.LockstepEngine, "_section_return", spy)
+    return returns
+
+
+class TestDetectionStream:
+    """Detection keeps at most poincare._LIVE_ROWS starts live and admits
+    the next ones, in order, as rows finish; every start's result is still
+    scalar_detect's."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 7, poincare._LIVE_ROWS])
+    @pytest.mark.parametrize("name", list(STREAMS))
+    def test_any_number_of_live_rows_gives_the_scalar_results(
+        self, streams, monkeypatch, name, rows
+    ):
+        params, starts, kwargs, want = streams[name]
+        monkeypatch.setattr(poincare, "_LIVE_ROWS", rows)
+        got = detect_periodicity_many(params, starts, **kwargs)
+        assert [repr(g) for g in got] == [repr(w) for w in want]
+        if name == "three-returns":
+            # Starts admitted after the first seven end after three returns.
+            assert sum(isinstance(w, NotPeriodic) for w in want[7:]) >= 4
+
+    def test_no_start_waits_on_a_slower_one(self, streams, monkeypatch):
+        # 50 live rows: every return but the last few steps 50 rows, so the
+        # returns number at most the row-returns over 50 plus the longest
+        # orbit's, and the rows' events are those of one row at a time.
+        _, starts, _, want = streams["reference-grid"]
+        lengths = [w.transient_iters + w.detected_period for w in want]
+        events = []
+        for rows in (50, 1):
+            monkeypatch.setattr(poincare, "_LIVE_ROWS", rows)
+            returns = spy_returns(monkeypatch)
+            detect_periodicity_many(P, starts)
+            events.append(sum(e for _, e, _ in returns))
+            if rows == 50:
+                assert len(returns) <= math.ceil(sum(lengths) / 50) + max(lengths)
+                assert max(r for r, _, _ in returns) == 50
+        assert events[0] == events[1]
+
+    @pytest.mark.parametrize("late", ["horizon", "section"])
+    def test_a_late_start_failing_first_loses_to_an_earlier_start(self, monkeypatch, late):
+        # Two live rows.  The first start fails at its third return; the
+        # rotating wave finishes at its first, and the third start takes
+        # its row and fails before the first does: at its first return, or
+        # when checked, as a bad section state.
+        shorten_horizon(monkeypatch, 0.5)
+        monkeypatch.setattr(poincare, "_LIVE_ROWS", 2)
+        bad = {
+            "horizon": eq_init_state(P, 0.9, 0.95),
+            "section": network_state((0.1, 0.2, 0.3), ((), (), ())),
+        }[late]
+        starts = [eq_init_state(P, 0.15, 0.3), rotating_wave_state(P.tau), bad]
+        want = assert_batch_matches(P, starts)
+        assert isinstance(want[0], HorizonExceededError)
+        assert str(want[2]) != str(want[0])
+        returns = spy_returns(monkeypatch)
+        with pytest.raises(HorizonExceededError):
+            detect_periodicity_many(P, starts)
+        failed = {"horizon": [[], [1], [0]], "section": [[], [], [0]]}[late]
+        assert [f for _, _, f in returns] == failed

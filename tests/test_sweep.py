@@ -227,18 +227,18 @@ class TestPhaseScanReference:
         assert serial.signatures == parallel.signatures
 
     def test_blocks_and_workers_leave_the_bytes_unchanged(self, tmp_path, monkeypatch):
-        # One task per grid row, serially and on two workers, against the
-        # whole step-0.1 grid in one block.
+        # The whole step-0.1 grid live at once, against one and seven live
+        # rows, serially and on two workers.
         written = []
-        for block, workers in ((1000, 1), (1, 1), (1, 2)):
-            monkeypatch.setattr(sweep, "_SCAN_BLOCK_CELLS", block)
+        for rows, workers in ((1000, 1), (1, 1), (1, 2), (7, 2)):
+            monkeypatch.setattr(poincare, "_LIVE_ROWS", rows)
             result = phase_scan(P, step=0.1, workers=workers)
-            csv_path = tmp_path / f"{block}-{workers}.csv"
-            json_path = tmp_path / f"{block}-{workers}.json"
+            csv_path = tmp_path / f"{rows}-{workers}.csv"
+            json_path = tmp_path / f"{rows}-{workers}.json"
             write_phase_scan_csv(result, csv_path)
             write_phase_scan_json(result, json_path)
             written.append((csv_path.read_bytes(), json_path.read_bytes()))
-        assert written[0] == written[1] == written[2]
+        assert written[0] == written[1] == written[2] == written[3]
 
     def test_first_failing_cell_in_grid_order_raises(self):
         # At zero delay this coupling stalls the cascade of some cells.
