@@ -109,12 +109,13 @@ class LockstepEngine(Engine):
         phases, ftds, senders = self.phases, self.ftds, self.senders
         rows = len(phases)
         at_threshold = 1.0 - COINCIDENCE_TOL
+        oscillators = np.arange(n)
 
         # Each row's pulses form a queue in delivery order: a timestamp
         # delivers a prefix of the pending pulses (their slots turn to inf)
-        # and its fires fill the next slots, in oscillator order, because a
-        # pulse sent now lands no earlier than a pending one.  Every slot
-        # after a row's last pulse is empty (inf, sender n).
+        # and its fires fill the next n slots (inf where an oscillator did
+        # not fire), because a pulse sent now lands no earlier than a
+        # pending one.
         row_ix = np.arange(rows)[:, None]
         times = np.where(senders < n, tau - ftds, np.inf)
         order = np.argsort(times, axis=1, kind="stable")
@@ -165,10 +166,7 @@ class LockstepEngine(Engine):
             if fired.any():
                 land = t_star + tau
                 bad |= fired & (land <= due_at)
-                who_row, who = np.nonzero(fire)
-                count = np.bincount(who_row, minlength=live.size)
-                most = int(count.max())
-                if tail + most > q_time.shape[1]:
+                if tail + n > q_time.shape[1]:
                     # Drop the slots every row has delivered, and leave room
                     # for as many pending ones again.
                     pending = (q_time[:, :tail] < np.inf).any(axis=0)
@@ -178,9 +176,9 @@ class LockstepEngine(Engine):
                     q_time = _widen(q_time[:, gone : gone + width], width, np.inf)
                     q_send = _widen(q_send[:, gone : gone + width], width, n)
                     end_time, end_send = _widen(end_time, width, np.inf), _widen(end_send, width, n)
-                into = tail + np.arange(who.size) - (np.cumsum(count) - count)[who_row]
-                q_time[who_row, into], q_send[who_row, into] = land[who_row], who
-                tail += most
+                q_time[:, tail : tail + n] = np.where(fire, land[:, None], np.inf)
+                q_send[:, tail : tail + n] = np.where(fire, oscillators, n)
+                tail += n
 
             done = fire[:, -1] & ~bad
             leave = done | bad
@@ -316,7 +314,7 @@ class _History:
         entry[5] = entry[5].astype(np.min_scalar_type(int(entry[5].max(initial=0))))
         at = self.size
         if at + len(slots) > len(self.slot):
-            self._resize(at + len(slots) + len(self.slot) // 4)
+            self._resize(at + 2 * len(slots) + len(self.slot) // 4)
         self.size += len(slots)
         self.slot[at : self.size], self.age[at : self.size] = slots, ages
         for k, (e, fill) in enumerate(zip(entry, self.fills)):

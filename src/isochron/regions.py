@@ -47,10 +47,10 @@ from .poincare import (
 
 _MC_SHARD = 100_000
 
-#: Rows per LockstepEngine in intertwining_distances.  An engine's due
-#: mask (rows x pulses x oscillators) and per-step log grow with its rows:
-#: at 20,000 rows the check's tracemalloc peak is about 34 MiB as one
-#: engine and about 3 MiB in blocks of 1000.
+#: Rows per LockstepEngine in intertwining_distances.  An engine's pulse
+#: queue (rows x pulses) and per-step log grow with its rows: at 20,000
+#: rows the check's tracemalloc peak is about 25 MiB as one engine and
+#: about 2.3 MiB in blocks of 1000.
 _INTERTWINING_BLOCK = 1000
 
 

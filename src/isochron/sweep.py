@@ -156,9 +156,10 @@ def _scan_span(args) -> list:
 
 def _scan_cells(params: ModelParams, step: float, max_iter: int, tol: float, workers: int):
     """Yield (cells, (cycle, ends, table)) over the initial-phase grid, in
-    grid order: the (theta1, theta2) cells of each block of poincare._detect's
-    stream of their eq_init_state starts, and its result for them.  With
-    workers > 1 each worker streams one contiguous span of the grid."""
+    grid order: the (theta1, theta2) cells of each block that
+    poincare._detect hands back for their eq_init_state starts, and its
+    result for them.  With workers > 1 each worker streams one contiguous
+    span of the grid."""
     values = _grid_values(step)
     cells = [(theta1, theta2) for theta1 in values for theta2 in values]
     if workers <= 1:
@@ -184,9 +185,11 @@ def phase_scan(
 
     Each cell starts from eq_init_state, runs the cycle detector, and
     records the orbit's period data, interned pulse signature, and
-    attractor projection, read off its block's cycle table.  Cells are
-    independent; with workers > 1 rows are scanned on a process pool and
-    gathered in grid order, so the result is identical to a serial run.
+    attractor projection, read off its block's cycle table.  The cells run
+    as one detection stream; with workers > 1 the grid is cut into one
+    contiguous span per worker, each streamed on a process pool, and the
+    blocks are gathered in grid order, so the result is identical to a
+    serial run.
     """
     records: list[ScanRecord] = []
     signatures: list[PulseSignature] = []
