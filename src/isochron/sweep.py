@@ -34,7 +34,6 @@ from .poincare import (
     _cycle_results,
     _detect,
     detect_periodicity,
-    detect_periodicity_many,
     phase_projection,
     poincare_map,  # noqa: F401  (bound here for perfbench/tracer.py)
     pulse_equivalent,
@@ -410,6 +409,14 @@ def _identify_family_cycle(
     return None
 
 
+def _period4_cycles(blocks) -> Iterator[PeriodicityResult]:
+    """The cycles of minimal period 4 in poincare._detect's blocks, in start
+    order, built block by block."""
+    for cycle, _, table in blocks:
+        four = [k for k in cycle.tolist() if k >= 0 and table.periods[k] == 4]
+        yield from _cycle_results(table, four)
+
+
 def projection_compare(
     params: ModelParams,
     n_samples: int = 200,
@@ -444,13 +451,8 @@ def projection_compare(
     numeric_orbits = 0
     mirror_orbits = 0
     unidentified = 0
-    found = (
-        _cycle_results(table, [k for k in cycle.tolist() if k >= 0 and table.periods[k] == 4])
-        for _, (cycle, _, table) in _scan_cells(
-            params, step, max_iter, DEFAULT_MATCH_TOL, workers
-        )
-    )
-    for result in chain.from_iterable(found):
+    scan = _scan_cells(params, step, max_iter, DEFAULT_MATCH_TOL, workers)
+    for result in _period4_cycles(block for _, block in scan):
         identified = _identify_family_cycle(params, spec, result, tol=1e-7)
         if identified is None:
             unidentified += 1
@@ -468,10 +470,9 @@ def projection_compare(
     seeded: list[tuple[float, float]] = []
     seeded_orbits = 0
     seeds = (s_embed(params, "IR4", tuple(map(float, row))) for row in seeded_sigma)
-    for result in detect_periodicity_many(params, seeds, max_iter=16):
-        if isinstance(result, PeriodicityResult) and result.poincare_period == 4:
-            seeded_orbits += 1
-            seeded.extend(map(phase_projection, result.cycle_states))
+    for result in _period4_cycles(_detect(params, seeds, 16, DEFAULT_MATCH_TOL)):
+        seeded_orbits += 1
+        seeded.extend(map(phase_projection, result.cycle_states))
 
     violations = tuple(
         p for p in numeric if not ir4_projection_contains(params, p[0], p[1], tol=tol)

@@ -990,19 +990,23 @@ class TestDetectionStream:
         # Two live rows.  The first start fails at its third return; the
         # rotating wave finishes at its first, and the third start takes
         # its row and fails before the first does: at its first return, or
-        # when checked, as a bad section state.
+        # when checked, as a bad section state.  The fourth start, after a
+        # failed one, is never admitted.
         shorten_horizon(monkeypatch, 0.5)
         monkeypatch.setattr(poincare, "_LIVE_ROWS", 2)
         bad = {
             "horizon": eq_init_state(P, 0.9, 0.95),
             "section": network_state((0.1, 0.2, 0.3), ((), (), ())),
         }[late]
-        starts = [eq_init_state(P, 0.15, 0.3), rotating_wave_state(P.tau), bad]
+        starts = [eq_init_state(P, 0.15, 0.3), rotating_wave_state(P.tau), bad, sync_state()]
         want = assert_batch_matches(P, starts)
         assert isinstance(want[0], HorizonExceededError)
         assert str(want[2]) != str(want[0])
         returns = spy_returns(monkeypatch)
         with pytest.raises(HorizonExceededError):
             detect_periodicity_many(P, starts)
-        failed = {"horizon": [[], [1], [0]], "section": [[], [], [0]]}[late]
-        assert [f for _, _, f in returns] == failed
+        want_returns = {
+            "horizon": [(2, []), (2, [1]), (1, [0])],
+            "section": [(2, []), (1, []), (1, [0])],
+        }[late]
+        assert [(rows, failed) for rows, _, failed in returns] == want_returns
