@@ -6,9 +6,10 @@ override file values, and every resolved option is embedded verbatim in
 each output file's header together with the tool version, the seed, and a
 wall-clock timestamp (pass ``--timestamp`` to pin it when reproducing an
 archived dataset byte for byte).  Exit status is 0 exactly when every
-requested check passed, 1 when a check failed, 2 on configuration errors,
-3 when a computation fails at run time (engine stall, horizon exceeded,
-sampler exhaustion), and 130 on interrupt.  On exit 3 and 130 every
+requested check passed, 1 when a check failed, 2 on configuration errors
+(an empty region family among them), 3 when a computation fails at run
+time (engine stall, horizon exceeded, sampler exhaustion), and 130 on
+interrupt.  On exit 3 and 130 every
 declared output file not yet written is flushed with a trailing FAILED
 line rather than left missing or silently truncated: the first line of
 the error on exit 3, FAILED_MARKER on interrupt.
@@ -34,7 +35,7 @@ from .engine import (
     network_state,
     validate_state,
 )
-from .model import DomainError, ModelParams, jump
+from .model import DomainError, ModelParams
 from .poincare import (
     DEFAULT_MATCH_TOL,
     _check_budget,
@@ -44,6 +45,7 @@ from .poincare import (
 )
 from .regions import (
     KINDS,
+    _ir4_phase_plane,
     g_algebra_deviation,
     intertwining_distances,
     membership,
@@ -509,10 +511,10 @@ def _cmd_region_project(run: _Run) -> int:
         ok = report.contained
     else:
         sigmas = sample_interior(params, "IR4", n, seed=seed)
+        theta1, theta2 = _ir4_phase_plane(params, sigmas.T)
         lines = header + ["set,theta1,theta2"]
         lines += [
-            f"analytic,{_fmt(jump(params, float(s[0]), params.eps_hat))},{_fmt(float(s[1]))}"
-            for s in sigmas
+            f"analytic,{_fmt(t1)},{_fmt(t2)}" for t1, t2 in zip(theta1.tolist(), theta2.tolist())
         ]
         run.write_or_print(out_csv, lines)
         print(f"projected {n} family points to the phase plane")

@@ -6,8 +6,7 @@ engine's float operations, in its order, so each ends bit for bit where
 its own Engine would.  Cycle detection (poincare.detect_periodicity_many,
 and detect_periodicity as a batch of one) and the intertwining check
 (regions.intertwining_distances, which verify and sweep.stability_probe
-call) import this module lazily, so runs that do neither do not load it,
-nor numpy with the engine.
+call) run their section returns here.
 """
 
 from __future__ import annotations
@@ -346,13 +345,13 @@ class _History:
 
     def match(self, phases, ftds, senders, tol: float) -> np.ndarray:
         """For each row, the age of its earliest logged state that its
-        given state matches by detection's rule, or -1: phase 0 within tol
-        (the prefilter), then _row_distance <= tol."""
-        p0 = phases[:, 0]
-        lo, hi = p0 - tol, p0 + tol
+        given state matches by detection's rule, _row_distance <= tol, or
+        -1.  The prefilter keeps the entries whose phase 0 is within tol of
+        the row's by the subtraction _row_distance makes, so it drops no
+        match."""
         slot = self.slot[: self.size]
         old = self.columns[0][: self.size, 0]
-        at = np.flatnonzero((old >= lo[slot]) & (old <= hi[slot]))
+        at = np.flatnonzero(np.abs(old - phases[slot, 0]) <= tol)
         row = slot[at]
         new = [phases[row], ftds[row], senders[row]]
         hit = _row_distance(self.n, [col[at] for col in self.columns[:3]], new) <= tol

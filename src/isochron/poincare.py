@@ -17,6 +17,8 @@ from functools import cached_property
 from itertools import chain, islice
 from operator import ne, sub
 
+import numpy as np
+
 from ._serial import Record
 from .engine import (
     Engine,
@@ -25,6 +27,7 @@ from .engine import (
     is_section_state,
     validate_state,
 )
+from .lockstep import LockstepEngine, _bad_rows, _decode, _encode, _History, _widen
 from .model import ModelParams
 
 #: Default tolerance for declaring two section states equal.
@@ -78,10 +81,10 @@ class PeriodicityResult(Record):
     """A detected cycle of the section map.
 
     transient_iters   iterations before the orbit first revisits a state
-    poincare_period   minimal cycle length (detected length reduced over
-                      its divisors)
+    poincare_period   minimal cycle length: detection stops at the first
+                      revisit, so the revisit distance is minimal
     orbit_period      total time of one minimal cycle
-    detected_period   raw revisit distance before divisor reduction
+    detected_period   the revisit distance, always equal to poincare_period
     return_times      per-iteration return times over one minimal cycle
     cycle_states      the cycle's section states, each the section map
                       of the one before
@@ -121,88 +124,72 @@ class NotPeriodic(Record):
 
 #: Detected cycles as columns, the array stage of cycle assembly (see _cycle_table).
 _CycleTable = namedtuple(
-    "_CycleTable", "transients periods detected orbits phases ftds senders returns receptions"
+    "_CycleTable", "transients periods orbits phases ftds senders returns receptions"
 )
 
 
-def _cycle_table(n: int, tol: float, chunks: list[tuple]) -> _CycleTable:
+def _cycle_table(n: int, chunks: list[tuple]) -> _CycleTable:
     """The detected cycles of chunks, on arrays for all at once.
 
-    Each chunk holds some cycles as (transients, lengths, phases, ftds,
-    senders, returns, when, mult).  Cycle k's orbit revisits,
-    after lengths[k] more returns, the state it reached after
-    transients[k] returns; its lengths[k] states are consecutive rows of
-    the other arrays, in cycle order and chunk after chunk.  A row holds a
+    Each chunk holds some cycles as (transients, periods, phases, ftds,
+    senders, returns, when, mult).  Cycle k's orbit revisits, after
+    periods[k] more returns, the state it reached after transients[k]
+    returns; its periods[k] states are consecutive rows of the other
+    arrays, in cycle order and chunk after chunk.  A row holds a
     state in lockstep's row layout (phases, FTD entries, their senders),
     then the time (returns[:, 0]) and the deliveries (LockstepReturns' when
     and mult) of the return that leaves it.
 
-    The detected length is reduced over its proper divisors: the least d
-    for which every state is within tol of the one d returns on, wrapping
-    inside the cycle.  The orbit period sums the minimal cycle's return
-    times from the left.  Its receptions are timed from the cycle start,
-    a reception at the period boundary counting at offset 0 of the next
-    pass, and ordered by offset and then recipient, ties in cycle order.
+    Detection stops at the first revisit, so every cycle is minimal: were
+    each state of cycle k within the match tolerance of the one d returns
+    on, for a proper divisor d of periods[k], the state after
+    transients[k] + d returns would have matched the one after
+    transients[k], and detection would have stopped there.  The orbit
+    period sums the cycle's return times from the left.  Its receptions
+    are timed from the cycle start, a reception at the period boundary
+    counting at offset 0 of the next pass, and ordered by offset and then
+    recipient, ties in cycle order.
 
-    The table holds per cycle its transient, its minimal and detected
-    periods and its orbit period.  The rows of a cycle's minimal period
-    follow the previous cycle's: phases, ftds and senders, and returns,
-    the time of the return that leaves each.  receptions are the columns
-    (cycle, who, mult, offset), cycle by cycle, each cycle's in order.
+    The table holds per cycle its transient, its period and its orbit
+    period, then the rows of all cycles as given: phases, ftds and
+    senders, and returns, the time of the return that leaves each.
+    receptions are the columns (cycle, who, mult, offset), cycle by
+    cycle, each cycle's in order.
     """
-    import numpy as np
-
-    from .lockstep import _row_distance, _widen
 
     def stack(arrays, fill):
         width = max(a.shape[-1] for a in arrays)
         return np.concatenate([_widen(a, width, fill) for a in arrays])
 
     cols = list(zip(*chunks))
-    transients, lengths, phases, returns = (np.concatenate(cols[i]) for i in (0, 1, 2, 5))
+    transients, periods, phases, returns = (np.concatenate(cols[i]) for i in (0, 1, 2, 5))
     ftds, senders = stack(cols[3], 0.0), stack(cols[4], n)
     when, mult = stack(cols[6], 0.0), stack(cols[7], 0)
 
-    count = len(lengths)
-    first = np.cumsum(lengths) - lengths
-    cycle = np.repeat(np.arange(count), lengths)
-    pos = np.arange(len(cycle)) - first[cycle]
+    count = len(periods)
+    cycle = np.repeat(np.arange(count), periods)
+    pos = np.arange(len(cycle)) - (np.cumsum(periods) - periods)[cycle]
 
-    period = lengths.copy()
-    divisors = {d for length in set(lengths.tolist()) for d in range(1, length) if length % d == 0}
-    for d in sorted(divisors):
-        open_ = (lengths % d == 0) & (period == lengths) & (lengths > d)
-        row = np.nonzero(open_[cycle])[0]
-        if not row.size:
-            continue
-        k = cycle[row]
-        other = first[k] + (pos[row] + d) % lengths[k]
-        states = phases, ftds, senders
-        match = _row_distance(n, [c[row] for c in states], [c[other] for c in states]) <= tol
-        period[open_ & (np.bincount(k[~match], minlength=count) == 0)] = d
-
-    # clock[k, m]: the time of the minimal cycle's first m returns, summed
-    # from the left as sum() does.
-    on = pos < period[cycle]
-    clock = np.zeros((count, int(period.max(initial=0)) + 1))
-    clock[cycle[on], pos[on] + 1] = returns[on, 0]
+    # clock[k, m]: the time of cycle k's first m returns, summed from the
+    # left as sum() does.
+    clock = np.zeros((count, int(periods.max(initial=0)) + 1))
+    clock[cycle, pos + 1] = returns[:, 0]
     np.cumsum(clock, axis=1, out=clock)
-    orbit = clock[np.arange(count), period]
+    orbit = clock[np.arange(count), periods]
 
-    row, slot, who = np.nonzero((mult > 0).transpose(0, 2, 1) & on[:, None, None])
+    row, slot, who = np.nonzero((mult > 0).transpose(0, 2, 1))
     k = cycle[row]
     offset = clock[k, pos[row]] + when[row, slot]
     offset[offset >= (orbit - DEFAULT_MATCH_TOL)[k]] = 0.0
     order = np.lexsort((who, offset, k))
     return _CycleTable(
         transients=transients,
-        periods=period,
-        detected=lengths,
+        periods=periods,
         orbits=orbit,
-        phases=phases[on],
-        ftds=ftds[on],
-        senders=senders[on],
-        returns=returns[on, 0],
+        phases=phases,
+        ftds=ftds,
+        senders=senders,
+        returns=returns[:, 0],
         receptions=(k[order], who[order], mult[row, who, slot][order], offset[order]),
     )
 
@@ -210,10 +197,6 @@ def _cycle_table(n: int, tol: float, chunks: list[tuple]) -> _CycleTable:
 def _cycle_results(table: _CycleTable, cycles) -> list[PeriodicityResult]:
     """The PeriodicityResults of the table's given cycles, in that order:
     the object stage of cycle assembly."""
-    import numpy as np
-
-    from .lockstep import _decode
-
     cycles = np.asarray(cycles, dtype=int)
     rec_cycle, who, mult, offset = table.receptions
     received = np.bincount(rec_cycle, minlength=len(table.periods))
@@ -224,17 +207,17 @@ def _cycle_results(table: _CycleTable, cycles) -> list[PeriodicityResult]:
     receptions = list(zip(who[recs].tolist(), mult[recs].tolist(), offset[recs].tolist()))
     results = []
     lo = rec_lo = 0
-    columns = (table.transients, table.periods, table.detected, table.orbits, received)
-    for transient, minimal, length, orbit_period, count in zip(
+    columns = (table.transients, table.periods, table.orbits, received)
+    for transient, period, orbit_period, count in zip(
         *(column[cycles].tolist() for column in columns)
     ):
-        hi, rec_hi = lo + minimal, rec_lo + count
+        hi, rec_hi = lo + period, rec_lo + count
         results.append(
             PeriodicityResult(
                 transient_iters=transient,
-                poincare_period=minimal,
+                poincare_period=period,
                 orbit_period=orbit_period,
-                detected_period=length,
+                detected_period=period,
                 return_times=tuple(return_times[lo:hi]),
                 cycle_states=tuple(states[lo:hi]),
                 receptions=tuple(receptions[rec_lo:rec_hi]),
@@ -246,8 +229,6 @@ def _cycle_results(table: _CycleTable, cycles) -> list[PeriodicityResult]:
 
 def _ranges(starts, sizes):
     """The ranges starts[i] .. starts[i] + sizes[i] - 1, one after another."""
-    import numpy as np
-
     return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
 
 
@@ -289,18 +270,15 @@ def detect_periodicity_many(
     at a time, the next start taking the row of one that finished.  Each
     running start's visited states, return times and deliveries stay in a
     lockstep._History, and the newest state is compared against earlier
-    ones by one rule: phase 0 within tol (the prefilter), equal FTD row
-    lengths, state_distance <= tol, the earliest match first, so the
-    reported transient is minimal.  A start that finishes leaves the
+    ones by one rule: equal FTD row lengths and state_distance <= tol, the
+    earliest match first, so the reported transient and period are
+    minimal.  The prefilter on phase 0 (_History.match) makes the same
+    subtraction as the distance, so it drops no match.  A start that finishes leaves the
     history, and a found cycle's rows are copied out.  A start with no
     revisit after max_iter iterations gets a NotPeriodic report.  If any
     start raises, the error of the first such start (in the given order)
     is raised.
     """
-    import numpy as np
-
-    from .lockstep import _decode
-
     results: list = []
     for cycle, ends, table in _detect(params, states, max_iter, tol):
         block: list = [None] * len(cycle)
@@ -318,10 +296,6 @@ def _section_rows(params: ModelParams, states: list):
     require_section_state rejects, and {index: its error} ({} if none).
     Rows of real numbers are checked at once, after the length check that
     _encode needs; other starts are checked one by one, in order."""
-    import numpy as np
-
-    from .lockstep import _bad_rows, _encode
-
     n = params.n
     fits = [len(s.phases) == n == len(s.ftds) for s in states]
     head = states[: fits.index(False) if False in fits else None]
@@ -364,8 +338,6 @@ class _Block:
     and how many starts have not finished."""
 
     def __init__(self, n: int, size: int) -> None:
-        import numpy as np
-
         self.n = n
         self.cycle = np.full(size, -1)
         self.found = 0
@@ -378,8 +350,6 @@ class _Block:
 
     def add_cycles(self, at, chunk: tuple) -> None:
         """The starts at (offsets in the block) found the cycles of chunk."""
-        import numpy as np
-
         self.cycle[at] = self.found + np.arange(len(at))  # in the order found
         self.found += len(at)
         self.chunks.append(chunk)
@@ -390,12 +360,8 @@ class _Block:
         self.ends.append((at, phases, ftds, senders))
         self.left -= len(at)
 
-    def result(self, tol: float) -> tuple:
+    def result(self) -> tuple:
         """(cycle, ends, table), as _detect yields them."""
-        import numpy as np
-
-        from .lockstep import _widen
-
         at, phases, ftds, senders = zip(*self.ends)
         width = max(f.shape[1] for f in ftds)
         order = np.argsort(np.concatenate(at))
@@ -404,7 +370,7 @@ class _Block:
             np.concatenate([_widen(f, width, 0.0) for f in ftds])[order],
             np.concatenate([_widen(s, width, self.n) for s in senders])[order],
         )
-        return self.cycle, ends, _cycle_table(self.n, tol, self.chunks)
+        return self.cycle, ends, _cycle_table(self.n, self.chunks)
 
 
 def _detect(params: ModelParams, states, max_iter: int, tol: float):
@@ -422,11 +388,6 @@ def _detect(params: ModelParams, states, max_iter: int, tol: float):
     failing start is raised when the starts before it have finished.
     """
     _check_budget(max_iter, tol)
-
-    import numpy as np
-
-    from .lockstep import LockstepEngine, _encode, _History
-
     n = params.n
     width = _LIVE_ROWS
     states = iter(states)
@@ -510,7 +471,7 @@ def _detect(params: ModelParams, states, max_iter: int, tol: float):
             eng.keep(keep)
             hist.keep(keep)
         while yielded in blocks and not blocks[yielded].left:
-            yield blocks.pop(yielded).result(tol)
+            yield blocks.pop(yielded).result()
             yielded += 1
 
     if errors:

@@ -27,6 +27,7 @@ import numpy as np
 
 from ._serial import Record, rows
 from .engine import NetworkState, network_state
+from .lockstep import LockstepEngine, _bad_rows, _row_distance
 from .model import (
     DomainError,
     ModelParams,
@@ -265,6 +266,14 @@ def region_exists(params: ModelParams, kind: str) -> bool:
     return trigger_threshold(params, 1) <= v <= 1.0
 
 
+def _require_nonempty(params: ModelParams, kind: str) -> None:
+    """Raise DomainError if the family is empty at params.  Existence is a
+    closed-form check on the configuration, so an empty family is a
+    configuration error, found before anything is drawn or run."""
+    if not region_exists(params, kind):
+        raise DomainError(f"{kind} is empty at (eps={params.eps}, tau={params.tau})")
+
+
 # -- membership ---------------------------------------------------------------
 
 
@@ -397,6 +406,14 @@ def s_embed(params: ModelParams, kind: str, sigma) -> NetworkState:
     return network_state(phases=phases, ftds=ftds)
 
 
+def _ir4_phase_plane(params: ModelParams, sigma) -> tuple:
+    """(theta1, theta2) = (jump(sigma1, eps_hat), sigma2), the first two
+    phases of the period-4 embedding: the family's image in the phase
+    plane.  sigma may hold coordinate columns, and then so does the
+    result.  No chain check."""
+    return FAMILIES["IR4"].embed(params, sigma)[0][:2]
+
+
 def _embed_rows(params: ModelParams, kind: str, cols) -> tuple:
     """s_embed of the points whose coordinate columns are cols, as
     lockstep rows: phases, FTD entries ordered by sender and then
@@ -449,8 +466,6 @@ def intertwining_distances(params: ModelParams, sigmas, starts=None) -> list[flo
     start's require_section_state, its return, then the chain check of
     g(sigma).
     """
-    from .lockstep import LockstepEngine, _bad_rows, _row_distance
-
     sigmas = np.asarray(sigmas, dtype=float)
     if starts is not None and len(starts) != len(sigmas):
         raise DomainError(f"got {len(starts)} starts for {len(sigmas)} points")
@@ -553,15 +568,12 @@ def sample_interior(
 ) -> np.ndarray:
     """n interior points of the family, by rejection from the ordering
     simplex; every returned point clears all constraints by margin.  An
-    empty family raises RuntimeError before the first draw."""
+    empty family raises DomainError before the first draw, and a family
+    too thin to fill n points within max_draws draws RuntimeError."""
     if n < 0:
         raise DomainError(f"sample count must be >= 0, got {n}")
     spec = region_spec(params, kind)
-    if not region_exists(params, kind):
-        raise RuntimeError(
-            f"{kind} is empty at (eps={params.eps}, tau={params.tau}); "
-            "there are no interior points to sample"
-        )
+    _require_nonempty(params, kind)
     rng = np.random.default_rng(seed)
     out = [np.empty((0, spec.dim))]
     got = 0
@@ -786,11 +798,7 @@ def region_oracle(
     pairwise pulse equivalence, and — for the period-3 family — that the
     locked pair stays locked around the whole cycle.  The family's center
     is detected in the same batch, after the samples."""
-    if not region_exists(params, kind):
-        raise DomainError(
-            f"{kind} is empty at (eps={params.eps}, tau={params.tau}); "
-            "the oracle needs a nonempty region"
-        )
+    _require_nonempty(params, kind)
     family = FAMILIES[kind]
     expected = family.poincare_period
     expected_period = family.period_delays * params.tau

@@ -25,7 +25,7 @@ import numpy as np
 from ._serial import Record, write_json
 from ._version import __version__
 from .engine import NetworkState, TraceEvent, format_trace_text, init_engine, network_state
-from .model import DomainError, ModelParams, jump
+from .model import DomainError, ModelParams
 from .poincare import (
     DEFAULT_MATCH_TOL,
     NotPeriodic,
@@ -42,6 +42,8 @@ from .poincare import (
 )
 from .regions import (
     KINDS,
+    _ir4_phase_plane,
+    _require_nonempty,
     g_map,
     intertwining_distances,
     ir4_projection_contains,
@@ -436,16 +438,11 @@ def projection_compare(
     family points (which always recover the family, even at parameters
     where the scan grid finds no period-4 orbit).
     """
-    if not region_exists(params, "IR4"):
-        raise DomainError(
-            f"the period-4 family is empty at (eps={params.eps}, tau={params.tau})"
-        )
+    _require_nonempty(params, "IR4")
     spec = region_spec(params, "IR4")
     analytic_sigma = sample_interior(params, "IR4", n_samples, seed=seed)
-    analytic = tuple(
-        (jump(params, float(s[0]), params.eps_hat), float(s[1]))
-        for s in analytic_sigma
-    )
+    theta1, theta2 = _ir4_phase_plane(params, analytic_sigma.T)
+    analytic = tuple(zip(theta1.tolist(), theta2.tolist()))
 
     numeric: list[tuple[float, float]] = []
     numeric_orbits = 0
@@ -463,7 +460,7 @@ def projection_compare(
             mirror_orbits += 1
         cur = sigma
         for _ in range(4):
-            numeric.append((jump(params, cur[0], params.eps_hat), cur[1]))
+            numeric.append(_ir4_phase_plane(params, cur))
             cur = g_map(cur, params.tau)
 
     seeded_sigma = sample_interior(params, "IR4", n_samples, seed=seed + 1)
@@ -568,17 +565,15 @@ def stability_probe(
         dtheta = tuple(rng.uniform(-dtheta_max, dtheta_max, size=2))
         dsigma = tuple(rng.uniform(-dsigma_max, dsigma_max, size=3))
         moved = tuple(s + d for s, d in zip(sigma, dsigma))
-        theta1 = jump(params, moved[0], params.eps_hat) + dtheta[0]
-        theta2 = moved[1] + dtheta[1]
+        theta1, theta2 = (t + d for t, d in zip(_ir4_phase_plane(params, moved), dtheta))
         if not membership(spec, moved) or not (
             0.0 <= theta1 < 1.0 and 0.0 <= theta2 < 1.0
         ):
             n_refused += 1
             continue
         # The canonical state of moved with its free phases nudged.
-        state = s_embed(params, "IR4", moved)
-        phases = (state.phases[0] + dtheta[0], state.phases[1] + dtheta[1], state.phases[2])
-        trials.append((moved, dtheta, dsigma, network_state(phases=phases, ftds=state.ftds)))
+        ftds = s_embed(params, "IR4", moved).ftds
+        trials.append((moved, dtheta, dsigma, network_state((theta1, theta2, 0.0), ftds)))
     distances = intertwining_distances(
         params, [t[0] for t in trials], starts=[t[3] for t in trials]
     )

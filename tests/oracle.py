@@ -155,12 +155,13 @@ def scalar_detect(params, state, max_iter: int = 10_000, tol: float = DEFAULT_MA
     """detect_periodicity, one start at a time on the scalar engine.
 
     Each return runs on a fresh Engine from the previous return's state.
-    All visited states are kept, and the newest is compared against the
-    earlier ones whose phase 0 lies within tol of its own (a sorted
-    prefilter), earliest first, so the reported transient is minimal.
-    Returns cycle_result's build of the found cycle, or NotPeriodic after
-    max_iter iterations; what the engine or the section check raises
-    propagates.
+    All visited states are kept, and the newest is compared by
+    states_match against the earlier ones whose phase 0 lies within 2 *
+    tol of its own (a sorted prefilter, wide enough that the rounding of
+    its bounds drops no match), earliest first, so the reported transient
+    is minimal.  Returns cycle_result's build of the found cycle, or
+    NotPeriodic after max_iter iterations; what the engine or the section
+    check raises propagates.
     """
     require_section_state(params, state)
     states = [state]
@@ -172,8 +173,8 @@ def scalar_detect(params, state, max_iter: int = 10_000, tol: float = DEFAULT_MA
         new, elapsed, deliveries = Engine(params, new).run_until_section()
         returns.append(elapsed)
         received.append([(j, m, t) for t, mult in deliveries for j, m in enumerate(mult) if m])
-        lo = bisect.bisect_left(by_phase0, (new.phases[0] - tol, -1))
-        hi = bisect.bisect_right(by_phase0, (new.phases[0] + tol, len(states)))
+        lo = bisect.bisect_left(by_phase0, (new.phases[0] - 2 * tol, -1))
+        hi = bisect.bisect_right(by_phase0, (new.phases[0] + 2 * tol, len(states)))
         for j in sorted(idx for _, idx in by_phase0[lo:hi]):
             if states_match(states[j], new, tol):
                 return cycle_result(j, states[j:], returns[j:], received[j:], tol)
@@ -189,8 +190,10 @@ def cycle_result(transient, states, returns, received, tol):
     reached after transient returns; returns[m] and received[m] are the
     time and the receptions of the return that leaves states[m].  The
     minimal period is the least proper divisor d of the length under which
-    every state matches the one d returns on (wrapping inside the cycle).
-    The orbit period is the left-to-right sum of the minimal cycle's
+    every state matches the one d returns on (wrapping inside the cycle),
+    else the length.  The library's detector reports the length as the
+    period, so this reduction is the independent check that its cycles
+    are minimal.  The orbit period is the left-to-right sum of the minimal cycle's
     return times, and its receptions are timed from the cycle start,
     wrapped to 0 at the period boundary, ordered by offset and then
     recipient.

@@ -461,11 +461,28 @@ class TestRegionSample:
         assert all(ln.startswith("# ") for ln in lines[:-1])
         assert lines[-1] == "sigma1,sigma2,sigma3"
 
-    def test_empty_region_exits_3(self, capsys):
+    def test_empty_region_exits_2(self, capsys):
         argv = ["region", "sample", "--kind", "ir4", "--b", "1.5", "--eps", "0.7",
                 "--tau", "0.8", "--samples", "10"]
-        assert main(argv) == 3
+        assert main(argv) == 2
         assert "IR4 is empty at (eps=0.7, tau=0.8)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["region", "sample", "--kind", "ir4", "--out"],
+            ["region", "project", "--out-csv"],
+            ["region", "project", "--compare", "--out-csv"],
+        ],
+        ids=["sample", "project", "compare"],
+    )
+    def test_empty_family_is_one_configuration_error(self, capsys, tmp_path, argv):
+        # Every command that needs the period-4 family refuses an empty one
+        # the same way, before it writes anything.
+        out = tmp_path / "out.csv"
+        assert main([*argv, str(out), "--eps", "0.7", "--tau", "0.6"]) == 2
+        assert capsys.readouterr().err == "error: IR4 is empty at (eps=0.7, tau=0.6)\n"
+        assert not out.exists()
 
 
 class TestRegionProject:

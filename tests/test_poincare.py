@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracle import cycle_result, o_distance, o_section_return, scalar_detect
 
@@ -374,19 +374,11 @@ def cycle_rows(n: int, cycles: list[tuple]) -> tuple:
     )
 
 
-def assemble_all(n: int, tol: float, chunks: list[tuple]) -> list:
+def assemble_all(n: int, chunks: list[tuple]) -> list:
     """Every cycle of the chunks as a PeriodicityResult, through both
     stages of cycle assembly: the cycle table, then its objects."""
-    table = _cycle_table(n, tol, chunks)
+    table = _cycle_table(n, chunks)
     return _cycle_results(table, range(len(table.periods)))
-
-
-def assemble(states, returns=None, received=None, tol=1e-9, transient=0):
-    """The result cycle assembly builds for one detected cycle of three
-    oscillators."""
-    returns = returns or [0.1 * (i + 1) for i in range(len(states))]
-    received = received or [[] for _ in states]
-    return assemble_all(3, tol, [cycle_rows(3, [(transient, states, returns, received)])])[0]
 
 
 _A = network_state(phases=(0.1, 0.2, 0.0), ftds=((0.1,), (0.2,), (0.0,)))
@@ -399,12 +391,11 @@ _A_LONGER = network_state(phases=(0.1, 0.2, 0.0), ftds=((0.1,), (0.2,), (0.0, 0.
 
 @st.composite
 def detected_cycles(draw):
-    """A detected cycle: a repeated base pattern of states (some replaced
-    by near or differently shaped copies), return times, and receptions
-    at arbitrary times, at 0, at the end of their return and at the wrap
-    threshold just before it."""
-    base = draw(st.lists(st.sampled_from([_A, _B, _A_NEAR]), min_size=1, max_size=3))
-    states = base * draw(st.integers(1, 3))
+    """A cycle: a pattern of states (one perhaps replaced by a near or a
+    differently shaped copy), return times, and receptions at arbitrary
+    times, at 0, at the end of their return and at the wrap threshold just
+    before it."""
+    states = draw(st.lists(st.sampled_from([_A, _B, _A_NEAR]), min_size=1, max_size=6))
     if draw(st.booleans()):
         states[draw(st.integers(0, len(states) - 1))] = draw(st.sampled_from([_A_NEAR, _A_LONGER]))
     returns = [draw(st.sampled_from([0.25, 0.5, 0.375])) for _ in states]
@@ -429,39 +420,30 @@ def detected_cycles(draw):
 class TestMinimalCycle:
     """Cycle assembly, the detector's cycle builder, against cycle_result."""
 
-    def test_reduces_detected_length_over_divisors(self):
-        a, b = _A, _B
-        four = assemble([a, b, a, b])
-        assert (four.poincare_period, four.detected_period) == (2, 4)
-        assert four.cycle_states == (a, b)
-        assert four.return_times == (0.1, 0.2)
-        assert assemble([a, a, a]).poincare_period == 1
-        assert assemble([a, b, a, b][:2]).poincare_period == 2
-
-    def test_states_within_tol_reduce_and_other_shapes_do_not(self):
-        assert assemble([_A, _A_NEAR]).poincare_period == 1
-        assert assemble([_A, _A_NEAR], tol=1e-10).poincare_period == 2
-        assert assemble([_A, _A_LONGER], tol=1.0).poincare_period == 2
-
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(st.lists(detected_cycles(), min_size=1, max_size=5), st.sampled_from([1e-9, 1e-10]))
-    def test_many_cycles_at_once_equal_the_return_by_return_build(self, cycles, tol):
+    def test_many_cycles_at_once_equal_the_return_by_return_build(self, drawn, tol):
+        # Detection finds only minimal cycles, so only the drawn cycles that
+        # the return-by-return build leaves unreduced are assembled.
+        built = [cycle_result(*cycle, tol) for cycle in drawn]
+        cycles = [c for c, w in zip(drawn, built) if w.poincare_period == w.detected_period]
+        want = [w for w in built if w.poincare_period == w.detected_period]
+        assume(cycles)
         # Cycles assembled together, in chunks of different widths, are
         # each repr-identical to the build of that cycle alone, return by
         # return.
-        want = [cycle_result(*cycle, tol) for cycle in cycles]
         chunks = [cycle_rows(3, cycles[:2]), cycle_rows(3, cycles[2:])]
-        assert list(map(repr, assemble_all(3, tol, chunks))) == list(map(repr, want))
+        assert list(map(repr, assemble_all(3, chunks))) == list(map(repr, want))
         # The object stage builds any of the table's cycles, in any order.
         picked = list(range(len(cycles)))[::-2]
-        got = _cycle_results(_cycle_table(3, tol, chunks), picked)
+        got = _cycle_results(_cycle_table(3, chunks), picked)
         assert list(map(repr, got)) == [repr(want[k]) for k in picked]
 
-    def test_prefilter_rounding_leaves_a_reducible_cycle(self):
+    def test_match_is_exact_where_rounded_bounds_miss(self):
         # The third state is within tol of the second, but the second's
-        # phase 0 falls outside the rounded prefilter bounds around the
-        # third's, so no match is found there; the fourth matches the second
-        # and the detected length 2 reduces to 1.
+        # phase 0 falls outside the rounded bounds p0 - tol, p0 + tol around
+        # the third's.  The prefilter makes the distance's own subtraction,
+        # so the third state matches the second: a cycle of length 1.
         params = ModelParams(
             b=4.290460230418813, eps=0.8972177923561984, n=3, tau=0.229223571539693
         )
@@ -474,7 +456,32 @@ class TestMinimalCycle:
         assert state_distance(chain[2], chain[3]) <= tol
         assert not new - tol <= old <= new + tol
         want = assert_batch_matches(params, [start], max_iter=10, tol=tol)[0]
-        assert (want.transient_iters, want.detected_period, want.poincare_period) == (2, 2, 1)
+        assert (want.transient_iters, want.detected_period, want.poincare_period) == (2, 1, 1)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        b=st.floats(0.2, 8.0),
+        eps=st.floats(0.0, 0.95),
+        tau=st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(0.01, 1.2)),
+        tol=st.floats(1e-9, 0.5),
+        thetas=st.lists(st.tuples(_unit, _unit), min_size=1, max_size=4),
+    )
+    @example(
+        b=4.290460230418813,
+        eps=0.8972177923561984,
+        tau=0.229223571539693,
+        tol=0.43986737451856583,
+        thetas=[(0.9, 0.1)],
+    )
+    def test_detected_cycles_are_minimal(self, b, eps, tau, tol, thetas):
+        # Batched detection is the reference start by start, and
+        # cycle_result's divisor reduction leaves every found cycle as it is.
+        params = ModelParams(b=b, eps=eps, n=3, tau=tau)
+        starts = [eq_init_state(params, t1, t2) for t1, t2 in thetas]
+        want = assert_batch_matches(params, starts, max_iter=40, tol=tol)
+        for w in want:
+            if isinstance(w, PeriodicityResult):
+                assert w.detected_period == w.poincare_period
 
 
 def simulated_receptions(params, result):

@@ -732,7 +732,7 @@ class TestSampling:
 
     def test_empty_region_raises(self):
         params = ModelParams(b=3.0, eps=0.58, n=3, tau=0.10)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(DomainError):
             sample_interior(params, "IR4", 10, seed=0, max_draws=5000)
 
     def test_empty_region_raises_before_drawing(self, monkeypatch):
@@ -744,7 +744,7 @@ class TestSampling:
 
         monkeypatch.setattr(regions, "_ordering_simplex_sample", counting)
         params = ModelParams(b=1.5, eps=0.7, n=3, tau=0.8)
-        with pytest.raises(RuntimeError, match=r"IR4 is empty at \(eps=0.7, tau=0.8\)"):
+        with pytest.raises(DomainError, match=r"IR4 is empty at \(eps=0.7, tau=0.8\)"):
             sample_interior(params, "IR4", 10)
         assert calls == []
 
@@ -1077,6 +1077,21 @@ class TestPhaseProjectionMembership:
         # theta2 exceeding the inverted sigma_1: ordering fails.
         assert not ir4_projection_contains(P, jump(P, 0.1, P.eps_hat), 0.3)
         assert not ir4_projection_contains(P, 0.05, 0.01)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(0.2, 8.0), st.floats(0.0, 0.95), st.floats(0.01, 1.2), st.integers(0, 2**16)
+    )
+    def test_phase_plane_is_jump_point_by_point(self, b, eps, tau, seed):
+        # The helper on coordinate columns equals jump and sigma2 point by
+        # point, and on one point's coordinates too.
+        params = ModelParams(b=b, eps=eps, n=3, tau=tau)
+        sigmas = _ordering_simplex_sample(np.random.default_rng(seed), "IR4", tau, 50)
+        theta1, theta2 = regions._ir4_phase_plane(params, sigmas.T)
+        want = [(jump(params, s1, params.eps_hat), s2) for s1, s2, _ in sigmas.tolist()]
+        assert list(zip(theta1.tolist(), theta2.tolist())) == want
+        for point, expected in zip(sigmas.tolist(), want):
+            assert regions._ir4_phase_plane(params, tuple(point)) == expected
 
 
 if __name__ == "__main__":

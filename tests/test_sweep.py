@@ -286,7 +286,6 @@ class TestPhaseScanReference:
         table = poincare._CycleTable(
             transients=np.zeros(4, dtype=int),
             periods=np.ones(4, dtype=int),
-            detected=np.ones(4, dtype=int),
             orbits=np.array(periods),
             phases=np.array([[0.1 * k, 0.2, 0.0] for k in range(4)]),
             ftds=np.zeros((4, 1)),
