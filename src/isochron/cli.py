@@ -486,6 +486,8 @@ def _cmd_region_project(run: _Run) -> int:
     n = run.get("samples", 1000, int)
     seed = run.seed()
     compare = run.get("compare", False, _parse_bool)
+    if not compare and run.get("step", cast=float) is not None:
+        raise DomainError("--step needs --compare: only the overlay scans a grid")
     step = run.get("step", 0.05, float)
     tol = run.tol(1e-6)
     threads = run.threads()

@@ -194,23 +194,79 @@ def _cycle_table(n: int, chunks: list[tuple]) -> _CycleTable:
     )
 
 
+def _take_cycles(table: _CycleTable, cycles) -> _CycleTable:
+    """The table of the given cycles of table, in that order."""
+    cycles = np.asarray(cycles, dtype=int)
+    rec_cycle, who, mult, offset = table.receptions
+    first = np.searchsorted(rec_cycle, cycles)  # receptions are in cycle order
+    received = np.searchsorted(rec_cycle, cycles, side="right") - first
+    rows = _ranges((np.cumsum(table.periods) - table.periods)[cycles], table.periods[cycles])
+    recs = _ranges(first, received)
+    return _CycleTable(
+        transients=table.transients[cycles],
+        periods=table.periods[cycles],
+        orbits=table.orbits[cycles],
+        phases=table.phases[rows],
+        ftds=table.ftds[rows],
+        senders=table.senders[rows],
+        returns=table.returns[rows],
+        receptions=(np.repeat(np.arange(len(cycles)), received), who[recs], mult[recs], offset[recs]),
+    )
+
+
+def _stack_tables(tables: list) -> _CycleTable:
+    """The cycles of the given tables as one table, table after table."""
+    n = tables[0].phases.shape[1]
+    width = max(t.ftds.shape[1] for t in tables)
+    shift = np.cumsum([0, *(len(t.periods) for t in tables)])
+    k, who, mult, offset = zip(*(t.receptions for t in tables))
+    return _CycleTable(
+        *(np.concatenate(column) for column in zip(*(t[:4] for t in tables))),
+        ftds=np.concatenate([_widen(t.ftds, width, 0.0) for t in tables]),
+        senders=np.concatenate([_widen(t.senders, width, n) for t in tables]),
+        returns=np.concatenate([t.returns for t in tables]),
+        receptions=(
+            np.concatenate([c + s for c, s in zip(k, shift)]),
+            *map(np.concatenate, (who, mult, offset)),
+        ),
+    )
+
+
+def _mirror_table(table: _CycleTable) -> _CycleTable:
+    """The table with oscillators 0 and 1 swapped in every cycle.
+
+    Phase columns 0 and 1 swap, and so do those senders and recipients
+    (a ^ (a < 2) swaps 0 and 1 and keeps the rest).  Each row's FTD
+    entries are then re-sorted stably by sender, in _encode's order, and
+    the receptions by (cycle, offset, recipient), in _cycle_table's;
+    transients, periods and times are kept.
+    """
+    senders = table.senders ^ (table.senders < 2)
+    by_sender = np.argsort(senders, axis=1, kind="stable")
+    k, who, mult, offset = table.receptions
+    who = who ^ (who < 2)
+    order = np.lexsort((who, offset, k))
+    return table._replace(
+        phases=table.phases[:, [1, 0, *range(2, table.phases.shape[1])]],
+        ftds=np.take_along_axis(table.ftds, by_sender, axis=1),
+        senders=np.take_along_axis(senders, by_sender, axis=1),
+        receptions=(k[order], who[order], mult[order], offset[order]),
+    )
+
+
 def _cycle_results(table: _CycleTable, cycles) -> list[PeriodicityResult]:
     """The PeriodicityResults of the table's given cycles, in that order:
     the object stage of cycle assembly."""
-    cycles = np.asarray(cycles, dtype=int)
+    table = _take_cycles(table, cycles)
     rec_cycle, who, mult, offset = table.receptions
     received = np.bincount(rec_cycle, minlength=len(table.periods))
-    rows = _ranges((np.cumsum(table.periods) - table.periods)[cycles], table.periods[cycles])
-    recs = _ranges((np.cumsum(received) - received)[cycles], received[cycles])
-    states = _decode(table.phases[rows], table.ftds[rows], table.senders[rows])
-    return_times = table.returns[rows].tolist()
-    receptions = list(zip(who[recs].tolist(), mult[recs].tolist(), offset[recs].tolist()))
+    states = _decode(table.phases, table.ftds, table.senders)
+    return_times = table.returns.tolist()
+    receptions = list(zip(who.tolist(), mult.tolist(), offset.tolist()))
     results = []
     lo = rec_lo = 0
     columns = (table.transients, table.periods, table.orbits, received)
-    for transient, period, orbit_period, count in zip(
-        *(column[cycles].tolist() for column in columns)
-    ):
+    for transient, period, orbit_period, count in zip(*(column.tolist() for column in columns)):
         hi, rec_hi = lo + period, rec_lo + count
         results.append(
             PeriodicityResult(
@@ -324,10 +380,12 @@ def _section_rows(params: ModelParams, states: list):
 #: Starts that detection runs at once, as the rows of one LockstepEngine,
 #: and the size of the blocks of starts whose results it hands back
 #: together.  More rows share each return's fixed cost but hold more
-#: history: the CLI scan of the 0.01 grid at the reference parameters
-#: peaks at 41.9 MB resident at 300 rows, 40.8 MB at 100 and 45.1 MB at
-#: 1000 (41.1 MB with the earlier blocks of 300 cells that each ran until
-#: their slowest cell finished; 2-core Xeon, Python 3.11).
+#: history.  The CLI scan of the 0.01 grid at the reference parameters,
+#: which detects the 5,050 cells with theta1 <= theta2, peaks at 42.5 MB
+#: resident at 300 rows, 42.3 MB at 100 and 43.0 MB at 1000: its peak now
+#: comes after detection, while the records are built beside the
+#: triangle's cycle table (41.6, 40.7 and 44.4 MB when the whole grid was
+#: detected; 2-core Xeon, Python 3.11).
 _LIVE_ROWS = 300
 
 

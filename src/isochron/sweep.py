@@ -18,7 +18,7 @@ import math
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -27,12 +27,16 @@ from ._version import __version__
 from .engine import NetworkState, TraceEvent, format_trace_text, init_engine, network_state
 from .model import DomainError, ModelParams
 from .poincare import (
+    _LIVE_ROWS,
     DEFAULT_MATCH_TOL,
     NotPeriodic,
     PeriodicityResult,
     PulseSignature,
     _cycle_results,
     _detect,
+    _mirror_table,
+    _stack_tables,
+    _take_cycles,
     detect_periodicity,
     phase_projection,
     poincare_map,  # noqa: F401  (bound here for perfbench/tracer.py)
@@ -149,30 +153,64 @@ def _grid_values(step: float) -> list[float]:
 
 
 def _scan_span(args) -> list:
-    """Worker task: poincare._detect's blocks over a span of grid cells,
-    from their eq_init_state starts."""
+    """Worker task: (cycle, table) of each of poincare._detect's blocks
+    over a span of grid cells, from their eq_init_state starts."""
     params, cells, max_iter, tol = args
-    return list(_detect(params, (eq_init_state(params, *cell) for cell in cells), max_iter, tol))
+    starts = (eq_init_state(params, *cell) for cell in cells)
+    return [(cycle, table) for cycle, _, table in _detect(params, starts, max_iter, tol)]
+
+
+def _scan_triangle(params: ModelParams, values: list, max_iter: int, tol: float, workers: int):
+    """(grid, table): the _CycleTable of the grid cells with theta1 <=
+    theta2, and grid[i, j], the cycle in it of cell (values[i], values[j])
+    or, below the diagonal, of its transpose; -1 where that cell found
+    none within max_iter returns.  The triangle runs as one
+    poincare._detect stream, or with workers > 1 as one span of equal cell
+    count per worker."""
+    triangle = [(a, b) for i, a in enumerate(values) for b in values[i:]]
+    span = -(-len(triangle) // max(workers, 1))
+    tasks = [(params, triangle[i : i + span], max_iter, tol) for i in range(0, len(triangle), span)]
+    cycles, tables = zip(*chain.from_iterable(_run_tasks(_scan_span, tasks, workers)))
+    found = np.cumsum([0, *(len(t.periods) for t in tables)])
+    grid = np.full((len(values), len(values)), -1)
+    grid[np.triu_indices(len(values))] = np.concatenate(
+        [np.where(c >= 0, c + shift, -1) for c, shift in zip(cycles, found)]
+    )
+    return np.maximum(grid, grid.T), _stack_tables(tables)
 
 
 def _scan_cells(params: ModelParams, step: float, max_iter: int, tol: float, workers: int):
-    """Yield (cells, (cycle, ends, table)) over the initial-phase grid, in
-    grid order: the (theta1, theta2) cells of each block that
-    poincare._detect hands back for their eq_init_state starts, and its
-    result for them.  With workers > 1 each worker streams one contiguous
-    span of the grid."""
+    """Yield (cells, cycle, table) for each block of rows of the
+    initial-phase grid, in grid order: the block's (theta1, theta2) cells,
+    and each cell's cycle in the _CycleTable table, or -1 if it found none
+    within max_iter returns.  A block holds whole rows, about _LIVE_ROWS
+    cells as detection's blocks do.
+
+    The oscillators are identical, so swapping the free two maps cell
+    (a, b)'s eq_init_state start, and with it the whole orbit, onto cell
+    (b, a)'s.  So only the triangle theta1 <= theta2 is detected
+    (_scan_triangle), and a cell below the diagonal reads the
+    _mirror_table of its transpose's cycle.  The first failing cell in
+    grid order lies in the triangle, since its mirror fails too, so the
+    error raised is the full grid's."""
     values = _grid_values(step)
-    cells = [(theta1, theta2) for theta1 in values for theta2 in values]
-    if workers <= 1:
-        starts = (eq_init_state(params, *cell) for cell in cells)
-        blocks = _detect(params, starts, max_iter, tol)
-    else:
-        size = -(-len(cells) // workers)
-        tasks = [(params, cells[i : i + size], max_iter, tol) for i in range(0, len(cells), size)]
-        blocks = chain.from_iterable(_run_tasks(_scan_span, tasks, workers))
-    rest = iter(cells)
-    for block in blocks:
-        yield list(islice(rest, len(block[0]))), block
+    grid, triangle = _scan_triangle(params, values, max_iter, tol, workers)
+    below = np.tri(len(values), k=-1, dtype=bool)
+    rows = max(1, _LIVE_ROWS // len(values))
+    for lo in range(0, len(values), rows):
+        source = grid[lo : lo + rows].ravel()
+        mirrored = below[lo : lo + rows].ravel() & (source >= 0)
+        direct = ~below[lo : lo + rows].ravel() & (source >= 0)
+        cycle = np.full(len(source), -1)
+        cycle[mirrored] = np.arange(mirrored.sum())
+        cycle[direct] = mirrored.sum() + np.arange(direct.sum())
+        table = _stack_tables(
+            [
+                _mirror_table(_take_cycles(triangle, source[mirrored])),
+                _take_cycles(triangle, source[direct]),
+            ]
+        )
+        yield [(a, b) for a in values[lo : lo + rows] for b in values], cycle, table
 
 
 def phase_scan(
@@ -186,11 +224,12 @@ def phase_scan(
 
     Each cell starts from eq_init_state, runs the cycle detector, and
     records the orbit's period data, interned pulse signature, and
-    attractor projection, read off its block's cycle table.  The cells run
-    as one detection stream; with workers > 1 the grid is cut into one
-    contiguous span per worker, each streamed on a process pool, and the
-    blocks are gathered in grid order, so the result is identical to a
-    serial run.
+    attractor projection, read off its block's cycle table.  Only the cells
+    with theta1 <= theta2 are detected; each cell below the diagonal reads
+    the mirror image of its transpose's cycle (see _scan_cells), the same
+    result bit for bit.  With workers > 1 that triangle is cut into one
+    span per worker, each streamed on a process pool, and the blocks are
+    gathered in order, so the result is identical to a serial run.
     """
     records: list[ScanRecord] = []
     signatures: list[PulseSignature] = []
@@ -201,12 +240,20 @@ def phase_scan(
     # multiplicity, in order) and its orbit period: cells alike in both
     # intern alike, so only each such class's first cell is interned.
     interned: dict[tuple, int] = {}
-    for cells, (cycle, _, table) in _scan_cells(params, step, max_iter, tol, workers):
+    # Projections by value: cells on one attractor often project onto the
+    # very same points, and then share one tuple, which keeps the records
+    # small.
+    projections: dict[tuple, tuple] = {}
+    for cells, cycle, table in _scan_cells(params, step, max_iter, tol, workers):
         rec_cycle, who, mult, _ = table.receptions
         pulses = np.stack([who, mult], axis=1)
         recs = [0, *np.cumsum(np.bincount(rec_cycle, minlength=len(table.periods))).tolist()]
         rows = [0, *np.cumsum(table.periods).tolist()]
         points = list(map(tuple, table.phases[:, :-1].tolist()))
+        projected = [
+            projections.setdefault(p, p)
+            for p in (tuple(points[lo:hi]) for lo, hi in zip(rows, rows[1:]))
+        ]
         transients, periods, orbits = (
             column.tolist() for column in (table.transients, table.periods, table.orbits)
         )
@@ -226,8 +273,7 @@ def phase_scan(
             interned[key] = sid
         records += (
             ScanRecord(
-                *cell, True, transients[k], periods[k], orbits[k], interned[keys[k]],
-                tuple(points[rows[k] : rows[k + 1]]),
+                *cell, True, transients[k], periods[k], orbits[k], interned[keys[k]], projected[k]
             )
             if k >= 0
             else ScanRecord(*cell, False)
@@ -412,9 +458,9 @@ def _identify_family_cycle(
 
 
 def _period4_cycles(blocks) -> Iterator[PeriodicityResult]:
-    """The cycles of minimal period 4 in poincare._detect's blocks, in start
+    """The cycles of minimal period 4 in (cycle, table) blocks, in start
     order, built block by block."""
-    for cycle, _, table in blocks:
+    for cycle, table in blocks:
         four = [k for k in cycle.tolist() if k >= 0 and table.periods[k] == 4]
         yield from _cycle_results(table, four)
 
@@ -449,7 +495,7 @@ def projection_compare(
     mirror_orbits = 0
     unidentified = 0
     scan = _scan_cells(params, step, max_iter, DEFAULT_MATCH_TOL, workers)
-    for result in _period4_cycles(block for _, block in scan):
+    for result in _period4_cycles((cycle, table) for _, cycle, table in scan):
         identified = _identify_family_cycle(params, spec, result, tol=1e-7)
         if identified is None:
             unidentified += 1
@@ -467,7 +513,8 @@ def projection_compare(
     seeded: list[tuple[float, float]] = []
     seeded_orbits = 0
     seeds = (s_embed(params, "IR4", tuple(map(float, row))) for row in seeded_sigma)
-    for result in _period4_cycles(_detect(params, seeds, 16, DEFAULT_MATCH_TOL)):
+    blocks = ((cycle, table) for cycle, _, table in _detect(params, seeds, 16, DEFAULT_MATCH_TOL))
+    for result in _period4_cycles(blocks):
         seeded_orbits += 1
         seeded.extend(map(phase_projection, result.cycle_states))
 

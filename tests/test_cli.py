@@ -26,7 +26,7 @@ TS = "2026-01-01T00:00:00+00:00"
 
 GENERIC_SIGMA = (0.30, 0.10, 0.40)
 #: region project with an output, and --compare left to the config file.
-PROJECT_COMPARE = ["region", "project", "--samples", "5", "--step", "0.5", "--out-csv", "{out}"]
+PROJECT_COMPARE = ["region", "project", "--samples", "5", "--out-csv", "{out}"]
 
 
 def state_flag(sigma=GENERIC_SIGMA) -> str:
@@ -535,6 +535,24 @@ class TestRegionProject:
                 "--timestamp", TS]
         assert main(argv) == 0
         assert "seeded orbits: 0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_step_needs_compare(self, capsys, tmp_path, source):
+        # Only the overlay scans a grid, so a step without it is refused
+        # before any output is declared.
+        out = tmp_path / "out.csv"
+        argv = ["region", "project", "--samples", "5", "--out-csv", str(out)]
+        if source == "flag":
+            argv += ["--step", "7"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"step": 7}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--step needs --compare" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestScanPhases:

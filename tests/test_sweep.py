@@ -5,14 +5,17 @@ the boundary-escape demonstration, and the reproducible dataset writers."""
 import functools
 import json
 import re
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import scan_reference
 
 from isochron import (
+    DEFAULT_MATCH_TOL,
     DEFAULT_SCAN_MAX_ITER,
     DEFAULT_SCAN_STEP,
     DomainError,
@@ -23,6 +26,7 @@ from isochron import (
     boundary_escape_demo,
     dataset_header,
     detect_periodicity,
+    detect_periodicity_many,
     emit_param_scan_plot,
     emit_phase_scan_plot,
     emit_projection_plot,
@@ -299,7 +303,7 @@ class TestPhaseScanReference:
             ),
         )
         cells = [(0.0, 0.1 * k) for k in range(4)]
-        block = (cells, (np.arange(4), None, table))
+        block = (cells, np.arange(4), table)
         monkeypatch.setattr(sweep, "_scan_cells", lambda *args: [block])
         result = phase_scan(P)
         assert [r.signature_id for r in result.records] == [0, 1, 0, 2]
@@ -314,6 +318,86 @@ class TestPhaseScanReference:
         config = scan05().config_dict()
         assert config["command"] == "phase_scan"
         assert json.loads(json.dumps(config)) == config
+
+
+def mirror(result):
+    """A detection result with the two free oscillators swapped: each state
+    by sweep._swap_free_oscillators, and the receptions' recipients 0 and 1
+    swapped and stably re-sorted by (offset, recipient)."""
+    if not result.periodic:
+        return replace(result, last_state=sweep._swap_free_oscillators(result.last_state))
+    receptions = [({0: 1, 1: 0}.get(r, r), m, t) for r, m, t in result.receptions]
+    return replace(
+        result,
+        cycle_states=tuple(map(sweep._swap_free_oscillators, result.cycle_states)),
+        receptions=tuple(sorted(receptions, key=lambda rec: (rec[2], rec[0]))),
+    )
+
+
+class TestMirror:
+    """Swapping the two free oscillators maps cell (a, b)'s scan start onto
+    cell (b, a)'s, and detection commutes with the swap bit for bit, which
+    lets the scan detect only the cells with theta1 <= theta2."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(0.2, 8.0),
+        st.floats(0.0, 0.95),
+        st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(0.01, 1.2)),
+        st.lists(st.tuples(st.integers(0, 99), st.integers(0, 99)), min_size=2, max_size=2),
+        st.sampled_from([1, 3, 10_000]),
+    )
+    # Cycles whose states hold FTD entries of both free oscillators (period
+    # 4 and period 3), so that the mirror must re-sort FTD entries by sender.
+    @example(3.0, 0.58, 0.58, [(20, 65), (10, 55)], 10_000)
+    def test_detection_commutes_with_the_mirror(self, b, eps, tau, cells, max_iter):
+        params = ModelParams(b=b, eps=eps, n=3, tau=tau)
+        values = sweep._grid_values(0.01)
+        starts = [eq_init_state(params, values[i], values[j]) for i, j in cells]
+        mirrored = [eq_init_state(params, values[j], values[i]) for i, j in cells]
+        try:
+            results = detect_periodicity_many(params, starts, max_iter)
+        except (EngineStallError, HorizonExceededError) as exc:
+            with pytest.raises(type(exc)):
+                detect_periodicity_many(params, mirrored, max_iter)
+            return
+        got = detect_periodicity_many(params, mirrored, max_iter)
+        assert repr(got) == repr(list(map(mirror, results)))
+        for cycle, _, table in poincare._detect(params, starts, max_iter, DEFAULT_MATCH_TOL):
+            found = cycle[cycle >= 0]
+            swapped = poincare._cycle_results(poincare._mirror_table(table), found)
+            want = map(mirror, poincare._cycle_results(table, found))
+            assert repr(swapped) == repr(list(want))
+
+    def test_only_the_triangle_is_detected(self, monkeypatch):
+        # Every cell of the step-0.1 grid at P is periodic: the 55 cells
+        # with theta1 <= theta2 (n (n + 1) / 2 for n = 10) are detected, in
+        # spans of equal size, and the 45 below the diagonal are mirrored.
+        counted, mirrored = [], []
+        detect, mirror_table = sweep._detect, sweep._mirror_table
+
+        def counting(params, states, *args):
+            states = list(states)
+            counted.append(len(states))
+            return detect(params, states, *args)
+
+        def counting_mirror(table):
+            mirrored.append(len(table.periods))
+            return mirror_table(table)
+
+        monkeypatch.setattr(sweep, "_detect", counting)
+        monkeypatch.setattr(sweep, "_mirror_table", counting_mirror)
+        # Threads in place of processes, so that the workers count here.
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", ThreadPoolExecutor)
+        for workers in (1, 2):
+            counted.clear()
+            mirrored.clear()
+            result = phase_scan(P, step=0.1, workers=workers)
+            assert result.not_periodic_count() == 0
+            assert sum(counted) == 55
+            assert len(counted) == workers
+            assert max(counted) - min(counted) <= 1
+            assert sum(mirrored) == 45
 
 
 class TestParamScan:
