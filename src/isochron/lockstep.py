@@ -94,11 +94,9 @@ class LockstepEngine(Engine):
     def add(self, phases: np.ndarray, ftds: np.ndarray, senders: np.ndarray) -> None:
         """Append rows that start from the states _encode wrote as phases,
         ftds and senders."""
-        n = self.params.n
-        width = max(self.ftds.shape[1], ftds.shape[1])
         self.phases = np.concatenate([self.phases, phases])
-        self.ftds = np.concatenate([_widen(self.ftds, width, 0.0), _widen(ftds, width, 0.0)])
-        self.senders = np.concatenate([_widen(self.senders, width, n), _widen(senders, width, n)])
+        self.ftds = _stack([self.ftds, ftds], 0.0)
+        self.senders = _stack([self.senders, senders], self.params.n)
 
     def _section_return(self, trace: bool) -> LockstepReturns:
         params = self.params
@@ -470,3 +468,9 @@ def _widen(a: np.ndarray, width: int, fill) -> np.ndarray:
     out = np.full((*a.shape[:-1], width), fill, dtype=a.dtype)
     out[..., : a.shape[-1]] = a
     return out
+
+
+def _stack(arrays, fill) -> np.ndarray:
+    """The arrays concatenated, each widened by fill to the widest."""
+    width = max(a.shape[-1] for a in arrays)
+    return np.concatenate([_widen(a, width, fill) for a in arrays])

@@ -27,7 +27,7 @@ from .engine import (
     is_section_state,
     validate_state,
 )
-from .lockstep import LockstepEngine, _bad_rows, _decode, _encode, _History, _widen
+from .lockstep import LockstepEngine, _bad_rows, _decode, _encode, _History, _stack
 from .model import ModelParams
 
 #: Default tolerance for declaring two section states equal.
@@ -156,15 +156,10 @@ def _cycle_table(n: int, chunks: list[tuple]) -> _CycleTable:
     receptions are the columns (cycle, who, mult, offset), cycle by
     cycle, each cycle's in order.
     """
-
-    def stack(arrays, fill):
-        width = max(a.shape[-1] for a in arrays)
-        return np.concatenate([_widen(a, width, fill) for a in arrays])
-
     cols = list(zip(*chunks))
     transients, periods, phases, returns = (np.concatenate(cols[i]) for i in (0, 1, 2, 5))
-    ftds, senders = stack(cols[3], 0.0), stack(cols[4], n)
-    when, mult = stack(cols[6], 0.0), stack(cols[7], 0)
+    ftds, senders = _stack(cols[3], 0.0), _stack(cols[4], n)
+    when, mult = _stack(cols[6], 0.0), _stack(cols[7], 0)
 
     count = len(periods)
     cycle = np.repeat(np.arange(count), periods)
@@ -210,20 +205,20 @@ def _take_cycles(table: _CycleTable, cycles) -> _CycleTable:
         ftds=table.ftds[rows],
         senders=table.senders[rows],
         returns=table.returns[rows],
-        receptions=(np.repeat(np.arange(len(cycles)), received), who[recs], mult[recs], offset[recs]),
+        receptions=(
+            np.repeat(np.arange(len(cycles)), received), who[recs], mult[recs], offset[recs]
+        ),
     )
 
 
 def _stack_tables(tables: list) -> _CycleTable:
     """The cycles of the given tables as one table, table after table."""
-    n = tables[0].phases.shape[1]
-    width = max(t.ftds.shape[1] for t in tables)
     shift = np.cumsum([0, *(len(t.periods) for t in tables)])
     k, who, mult, offset = zip(*(t.receptions for t in tables))
     return _CycleTable(
         *(np.concatenate(column) for column in zip(*(t[:4] for t in tables))),
-        ftds=np.concatenate([_widen(t.ftds, width, 0.0) for t in tables]),
-        senders=np.concatenate([_widen(t.senders, width, n) for t in tables]),
+        ftds=_stack([t.ftds for t in tables], 0.0),
+        senders=_stack([t.senders for t in tables], tables[0].phases.shape[1]),
         returns=np.concatenate([t.returns for t in tables]),
         receptions=(
             np.concatenate([c + s for c, s in zip(k, shift)]),
@@ -421,12 +416,9 @@ class _Block:
     def result(self) -> tuple:
         """(cycle, ends, table), as _detect yields them."""
         at, phases, ftds, senders = zip(*self.ends)
-        width = max(f.shape[1] for f in ftds)
         order = np.argsort(np.concatenate(at))
         ends = (
-            np.concatenate(phases)[order],
-            np.concatenate([_widen(f, width, 0.0) for f in ftds])[order],
-            np.concatenate([_widen(s, width, self.n) for s in senders])[order],
+            np.concatenate(phases)[order], _stack(ftds, 0.0)[order], _stack(senders, self.n)[order]
         )
         return self.cycle, ends, _cycle_table(self.n, self.chunks)
 
