@@ -376,11 +376,10 @@ def _section_rows(params: ModelParams, states: list):
 #: and the size of the blocks of starts whose results it hands back
 #: together.  More rows share each return's fixed cost but hold more
 #: history.  The CLI scan of the 0.01 grid at the reference parameters,
-#: which detects the 5,050 cells with theta1 <= theta2, peaks at 42.5 MB
-#: resident at 300 rows, 42.3 MB at 100 and 43.0 MB at 1000: its peak now
+#: which detects its 5,050 cells with theta1 <= theta2, peaks at 42.3 MB
+#: resident at 100 rows, 42.5 MB at 300 and 43.0 MB at 1000: the peak
 #: comes after detection, while the records are built beside the
-#: triangle's cycle table (41.6, 40.7 and 44.4 MB when the whole grid was
-#: detected; 2-core Xeon, Python 3.11).
+#: triangle's cycle table (2-core Xeon, Python 3.11).
 _LIVE_ROWS = 300
 
 
