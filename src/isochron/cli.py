@@ -108,10 +108,17 @@ class _Run:
         # Declared outputs not yet written: path -> header lines.
         self._unfinished: dict[str, list[str]] = {}
 
+    def given(self, name: str) -> bool:
+        """Whether the flag or the config file gives name a value; a JSON
+        null gives none."""
+        return getattr(self.args, name, None) is not None or self.file_config.get(name) is not None
+
     def get(self, name: str, default=None, cast=None):
         value = getattr(self.args, name, None)
         if value is None:
-            value = self.file_config.get(name, default)
+            value = self.file_config.get(name)
+        if value is None:
+            value = default
         if cast is not None and value is not None:
             value = _read(name, cast, value)
         self.resolved[name] = value
@@ -309,16 +316,20 @@ def _parse_floats(value) -> tuple[float, ...]:
 
 
 def _parse_grid(value) -> tuple[int, int]:
-    """A grid like 100x100, or a pair of counts from a config file."""
-    if not isinstance(value, str):
-        return tuple(value)
-    try:
-        left, _, right = value.lower().partition("x")
-        counts = (int(left), int(right))
-    except ValueError as exc:
-        raise DomainError(f"expected a grid like 100x100, got {value!r}") from exc
+    """A grid like 100x100, or a pair of integer counts from a config
+    file; each count at least 2."""
+    if isinstance(value, str):
+        try:
+            left, _, right = value.lower().partition("x")
+            counts = (int(left), int(right))
+        except ValueError as exc:
+            raise DomainError(f"--grid: expected a grid like 100x100, got {value!r}") from exc
+    else:
+        counts = tuple(value)
+        if len(counts) != 2 or any(type(c) is not int for c in counts):
+            raise TypeError("expected two integers")
     if min(counts) < 2:
-        raise DomainError(f"grid needs at least 2 cells per axis, got {value!r}")
+        raise DomainError(f"--grid: needs at least 2 cells per axis, got {value!r}")
     return counts
 
 
@@ -486,10 +497,13 @@ def _cmd_region_project(run: _Run) -> int:
     n = run.get("samples", 1000, int)
     seed = run.seed()
     compare = run.get("compare", False, _parse_bool)
-    if not compare and run.get("step", cast=float) is not None:
+    if compare:
+        step = run.get("step", 0.05, float)
+        tol = run.tol(1e-6)
+    elif run.given("step"):
         raise DomainError("--step needs --compare: only the overlay scans a grid")
-    step = run.get("step", 0.05, float)
-    tol = run.tol(1e-6)
+    elif run.given("tol"):
+        raise DomainError("--tol needs --compare: only the overlay checks containment")
     threads = run.threads()
     header, out_csv, out_json, plot_script = run.outputs(
         "out_csv", "out_json", "plot_script", seed=seed

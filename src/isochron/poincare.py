@@ -330,15 +330,13 @@ def detect_periodicity_many(
     start raises, the error of the first such start (in the given order)
     is raised.
     """
-    results: list = []
-    for cycle, ends, table in _detect(params, states, max_iter, tol):
-        block: list = [None] * len(cycle)
-        periodic = np.flatnonzero(cycle >= 0)
-        for s, result in zip(periodic.tolist(), _cycle_results(table, cycle[periodic])):
-            block[s] = result
-        for s, state in zip(np.flatnonzero(cycle < 0).tolist(), _decode(*ends)):
-            block[s] = NotPeriodic(iterations=max_iter, last_state=state)
-        results += block
+    cycle, ends, table = _detect(params, states, max_iter, tol)
+    results: list = [None] * len(cycle)
+    periodic = np.flatnonzero(cycle >= 0)
+    for s, result in zip(periodic.tolist(), _cycle_results(table, cycle[periodic])):
+        results[s] = result
+    for s, state in zip(np.flatnonzero(cycle < 0).tolist(), _decode(*ends)):
+        results[s] = NotPeriodic(iterations=max_iter, last_state=state)
     return results
 
 
@@ -372,69 +370,31 @@ def _section_rows(params: ModelParams, states: list):
     return rows, errors
 
 
-#: Starts that detection runs at once, as the rows of one LockstepEngine,
-#: and the size of the blocks of starts whose results it hands back
-#: together.  More rows share each return's fixed cost but hold more
-#: history.  The CLI scan of the 0.01 grid at the reference parameters,
-#: which detects its 5,050 cells with theta1 <= theta2, peaks at 42.3 MB
-#: resident at 100 rows, 42.5 MB at 300 and 43.0 MB at 1000: the peak
-#: comes after detection, while the records are built beside the
-#: triangle's cycle table (2-core Xeon, Python 3.11).
+#: Starts that detection runs at once, as the rows of one LockstepEngine.
+#: More rows share each return's fixed cost but hold more history.  The
+#: CLI scan of the 0.01 grid at the reference parameters, which detects
+#: its 5,050 cells with theta1 <= theta2, peaks at 42.6-42.7 MB resident
+#: at 100 rows, 42.5-42.6 MB at 300 and 43.2-43.3 MB at 1000 (three runs
+#: each): the peak comes after detection, while the records are built
+#: beside the triangle's cycle table (2-core Xeon, Python 3.11).
 _LIVE_ROWS = 300
 
 
-class _Block:
-    """One block of a detection stream's starts while it runs: each start's
-    cycle in the block's table (-1 for none yet), the found cycles' rows
-    as _cycle_table chunks, the last rows of the starts that found none,
-    and how many starts have not finished."""
-
-    def __init__(self, n: int, size: int) -> None:
-        self.n = n
-        self.cycle = np.full(size, -1)
-        self.found = 0
-        none = np.zeros(0, dtype=int)
-        rows = (np.zeros((0, n)), np.zeros((0, 0)), np.zeros((0, 0), np.min_scalar_type(n)))
-        no_returns = (np.zeros((0, 1)), np.zeros((0, 0)), np.zeros((0, n, 0), np.uint8))
-        self.chunks = [(none, none, *rows, *no_returns)]
-        self.ends = [(none, *rows)]
-        self.left = size
-
-    def add_cycles(self, at, chunk: tuple) -> None:
-        """The starts at (offsets in the block) found the cycles of chunk."""
-        self.cycle[at] = self.found + np.arange(len(at))  # in the order found
-        self.found += len(at)
-        self.chunks.append(chunk)
-        self.left -= len(at)
-
-    def add_ends(self, at, phases, ftds, senders) -> None:
-        """The starts at found no cycle, and ended in these rows."""
-        self.ends.append((at, phases, ftds, senders))
-        self.left -= len(at)
-
-    def result(self) -> tuple:
-        """(cycle, ends, table), as _detect yields them."""
-        at, phases, ftds, senders = zip(*self.ends)
-        order = np.argsort(np.concatenate(at))
-        ends = (
-            np.concatenate(phases)[order], _stack(ftds, 0.0)[order], _stack(senders, self.n)[order]
-        )
-        return self.cycle, ends, _cycle_table(self.n, self.chunks)
-
-
-def _detect(params: ModelParams, states, max_iter: int, tol: float):
-    """detect_periodicity_many's stream over an iterable of starts.  It
-    yields (cycle, ends, table) for each block of _LIVE_ROWS starts (the
-    last may be shorter), in order, once every start of the block has
-    finished: cycle[s] is the block's start s's cycle in the _CycleTable,
-    or -1 if it found none within max_iter returns; ends holds the last
-    rows (lockstep's layout) of those, in start order.
+def _detect(params: ModelParams, states, max_iter: int, tol: float) -> tuple:
+    """detect_periodicity_many's detection over an iterable of starts:
+    (cycle, ends, table), once every start has finished.  cycle[s] is
+    start s's cycle in the _CycleTable table, whose cycles are in the
+    order they were found, or -1 if it found none within max_iter
+    returns; ends holds the last rows (lockstep's layout) of those, in
+    start order.
 
     At most _LIVE_ROWS starts run at once, as the rows of one
     LockstepEngine, and after every return the next starts, in the given
-    order, take the rows of those that finished or failed.  Once a start
-    has failed no later start is admitted, and the error of the first
-    failing start is raised when the starts before it have finished.
+    order, take the rows of those that finished or failed.  Starts are
+    taken from states and checked _LIVE_ROWS at a time, as rows are
+    needed.  Once a start has failed no later start is admitted, and the
+    error of the first failing start is raised when the starts before it
+    have finished.
     """
     _check_budget(max_iter, tol)
     n = params.n
@@ -445,23 +405,26 @@ def _detect(params: ModelParams, states, max_iter: int, tol: float):
     # Per row, in start order: its start's index and its returns so far.
     start = age = np.zeros(0, dtype=int)
     errors: dict[int, Exception] = {}
-    blocks: dict[int, _Block] = {}
-    # The checked rows of the newest block not yet admitted, from start
+    # The found cycles' rows as _cycle_table chunks, and the starts that
+    # found them; the last rows of the starts that found none.
+    none = np.zeros(0, dtype=int)
+    empty = (np.zeros((0, n)), np.zeros((0, 0)), np.zeros((0, 0), np.min_scalar_type(n)))
+    no_returns = (np.zeros((0, 1)), np.zeros((0, 0)), np.zeros((0, n, 0), np.uint8))
+    chunks, finders, ends = [(none, none, *empty, *no_returns)], [none], [empty]
+    # The checked rows of the newest starts not yet admitted, from start
     # first on; pulled counts the starts taken from states.
     waiting, first, pulled = _encode(n, []), 0, 0
-    yielded = 0
 
     while True:
         # Admit the next starts into the free rows, none after a failed one.
         while len(start) < width:
             if not len(waiting[0]):
-                block = [] if errors else list(islice(states, width))
-                if not block:
+                batch = [] if errors else list(islice(states, width))
+                if not batch:
                     break
-                blocks[pulled // width] = _Block(n, len(block))
-                waiting, bad = _section_rows(params, block)
+                waiting, bad = _section_rows(params, batch)
                 errors.update((pulled + i, exc) for i, exc in bad.items())
-                first, pulled = pulled, pulled + len(block)
+                first, pulled = pulled, pulled + len(batch)
             take = min(width - len(start), len(waiting[0]), min(errors, default=pulled) - first)
             if take <= 0:
                 break
@@ -487,29 +450,20 @@ def _detect(params: ModelParams, states, max_iter: int, tol: float):
         found = (matched >= 0) & ~failed
         last = ~found & ~failed & (age == max_iter)
 
-        done = np.flatnonzero(found)
-        if done.size:
-            # The found cycles' rows: each start's states j..age-1, each
-            # with the return that leaves it.
-            j = matched[done]
-            lengths = age[done] - j
+        if found.any():
+            # The found cycles' rows: each start's states matched..age-1,
+            # each with the return that leaves it.
             lo = np.where(found, matched, age)
-            cols = [
-                *hist.entries((0, 1, 2), lo, age),
-                *hist.entries((3, 4, 5), lo + 1, age + 1),
-            ]
-            owner = start[done] // width
-            for b in np.unique(owner).tolist():
-                mine = owner == b
-                each = np.repeat(mine, lengths)
-                chunk = (j[mine], lengths[mine], *(col[each] for col in cols))
-                blocks[b].add_cycles(start[done[mine]] - b * width, chunk)
-        done = np.flatnonzero(last)
-        owner = start[done] // width
-        for b in np.unique(owner).tolist():
-            rows = done[owner == b]
-            ended = (out.phases[rows], out.ftds[rows], out.senders[rows])
-            blocks[b].add_ends(start[rows] - b * width, *ended)
+            chunks.append(
+                (
+                    matched[found],
+                    (age - matched)[found],
+                    *hist.entries((0, 1, 2), lo, age),
+                    *hist.entries((3, 4, 5), lo + 1, age + 1),
+                )
+            )
+            finders.append(start[found])
+        ends.append((out.phases[last], out.ftds[last], out.senders[last]))
 
         leave = found | last | failed
         if errors:
@@ -519,12 +473,17 @@ def _detect(params: ModelParams, states, max_iter: int, tol: float):
             start, age = start[keep], age[keep]
             eng.keep(keep)
             hist.keep(keep)
-        while yielded in blocks and not blocks[yielded].left:
-            yield blocks.pop(yielded).result()
-            yielded += 1
 
     if errors:
         raise errors[min(errors)]
+    finders = np.concatenate(finders)
+    cycle = np.full(pulled, -1)
+    cycle[finders] = np.arange(len(finders))
+    # A start that finds no cycle ends max_iter returns after it was
+    # admitted, and starts are admitted in order, so ends are in start order.
+    phases, ftds, senders = zip(*ends)
+    ends = (np.concatenate(phases), _stack(ftds, 0.0), _stack(senders, n))
+    return cycle, ends, _cycle_table(n, chunks)
 
 
 @dataclass(frozen=True)

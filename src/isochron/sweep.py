@@ -18,7 +18,6 @@ import math
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .poincare import (
     _stack_tables,
     _take_cycles,
     detect_periodicity,
-    phase_projection,
     poincare_map,  # noqa: F401  (bound here for perfbench/tracer.py)
     pulse_equivalent,
     pulse_signature,
@@ -152,12 +150,13 @@ def _grid_values(step: float) -> list[float]:
     return [i * step for i in range(count)]
 
 
-def _scan_span(args) -> list:
-    """Worker task: (cycle, table) of each of poincare._detect's blocks
-    over a span of grid cells, from their eq_init_state starts."""
+def _scan_span(args) -> tuple:
+    """Worker task: poincare._detect's (cycle, table) over a span of grid
+    cells, from their eq_init_state starts."""
     params, cells, max_iter, tol = args
     starts = (eq_init_state(params, *cell) for cell in cells)
-    return [(cycle, table) for cycle, _, table in _detect(params, starts, max_iter, tol)]
+    cycle, _, table = _detect(params, starts, max_iter, tol)
+    return cycle, table
 
 
 def _scan_triangle(params: ModelParams, values: list, max_iter: int, tol: float, workers: int):
@@ -170,7 +169,7 @@ def _scan_triangle(params: ModelParams, values: list, max_iter: int, tol: float,
     triangle = [(a, b) for i, a in enumerate(values) for b in values[i:]]
     span = -(-len(triangle) // max(workers, 1))
     tasks = [(params, triangle[i : i + span], max_iter, tol) for i in range(0, len(triangle), span)]
-    cycles, tables = zip(*chain.from_iterable(_run_tasks(_scan_span, tasks, workers)))
+    cycles, tables = zip(*_run_tasks(_scan_span, tasks, workers))
     found = np.cumsum([0, *(len(t.periods) for t in tables)])
     grid = np.full((len(values), len(values)), -1)
     grid[np.triu_indices(len(values))] = np.concatenate(
@@ -184,7 +183,7 @@ def _scan_cells(params: ModelParams, step: float, max_iter: int, tol: float, wor
     initial-phase grid, in grid order: the block's (theta1, theta2) cells,
     and each cell's cycle in the _CycleTable table, or -1 if it found none
     within max_iter returns.  A block holds whole rows, about _LIVE_ROWS
-    cells as detection's blocks do.
+    cells, which bounds the memory used while its records are built.
 
     The oscillators are identical, so swapping the free two maps cell
     (a, b)'s eq_init_state start, and with it the whole orbit, onto cell
@@ -228,7 +227,7 @@ def phase_scan(
     with theta1 <= theta2 are detected; each cell below the diagonal reads
     the mirror image of its transpose's cycle (see _scan_cells), the same
     result bit for bit.  With workers > 1 that triangle is cut into one
-    span per worker, each streamed on a process pool, and the blocks are
+    span per worker, each detected on a process pool, and the spans are
     gathered in order, so the result is identical to a serial run.
     """
     records: list[ScanRecord] = []
@@ -457,12 +456,10 @@ def _identify_family_cycle(
     return None
 
 
-def _period4_cycles(blocks) -> Iterator[PeriodicityResult]:
-    """The cycles of minimal period 4 in (cycle, table) blocks, in start
-    order, built block by block."""
-    for cycle, table in blocks:
-        four = [k for k in cycle.tolist() if k >= 0 and table.periods[k] == 4]
-        yield from _cycle_results(table, four)
+def _period4_cycles(cycle, table) -> list[int]:
+    """The period-4 cycles in table of the starts, in start order, where
+    cycle[s] is start s's cycle in table or -1."""
+    return [k for k in cycle.tolist() if k >= 0 and table.periods[k] == 4]
 
 
 def projection_compare(
@@ -494,29 +491,29 @@ def projection_compare(
     numeric_orbits = 0
     mirror_orbits = 0
     unidentified = 0
-    scan = _scan_cells(params, step, max_iter, DEFAULT_MATCH_TOL, workers)
-    for result in _period4_cycles((cycle, table) for _, cycle, table in scan):
-        identified = _identify_family_cycle(params, spec, result, tol=1e-7)
-        if identified is None:
-            unidentified += 1
-            continue
-        mirrored, sigma = identified
-        numeric_orbits += 1
-        if mirrored:
-            mirror_orbits += 1
-        cur = sigma
-        for _ in range(4):
-            numeric.append(_ir4_phase_plane(params, cur))
-            cur = g_map(cur, params.tau)
+    for _, cycle, table in _scan_cells(params, step, max_iter, DEFAULT_MATCH_TOL, workers):
+        for result in _cycle_results(table, _period4_cycles(cycle, table)):
+            identified = _identify_family_cycle(params, spec, result, tol=1e-7)
+            if identified is None:
+                unidentified += 1
+                continue
+            mirrored, sigma = identified
+            numeric_orbits += 1
+            if mirrored:
+                mirror_orbits += 1
+            cur = sigma
+            for _ in range(4):
+                numeric.append(_ir4_phase_plane(params, cur))
+                cur = g_map(cur, params.tau)
 
     seeded_sigma = sample_interior(params, "IR4", n_samples, seed=seed + 1)
-    seeded: list[tuple[float, float]] = []
-    seeded_orbits = 0
     seeds = (s_embed(params, "IR4", tuple(map(float, row))) for row in seeded_sigma)
-    blocks = ((cycle, table) for cycle, _, table in _detect(params, seeds, 16, DEFAULT_MATCH_TOL))
-    for result in _period4_cycles(blocks):
-        seeded_orbits += 1
-        seeded.extend(map(phase_projection, result.cycle_states))
+    cycle, _, table = _detect(params, seeds, 16, DEFAULT_MATCH_TOL)
+    # The seeded cycles' states are only projected, so their phases are read
+    # off the table, with no PeriodicityResult built.
+    four = _take_cycles(table, _period4_cycles(cycle, table))
+    seeded = list(map(tuple, four.phases[:, :-1].tolist()))
+    seeded_orbits = len(four.periods)
 
     violations = tuple(
         p for p in numeric if not ir4_projection_contains(params, p[0], p[1], tol=tol)

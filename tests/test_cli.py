@@ -165,6 +165,8 @@ class TestConfigResolution:
                 {"timestamp": 5},
                 "--timestamp",
             ),
+            (["scan", "params", "--out-csv", "{out}"], {"grid": ["a", "b"]}, "--grid"),
+            (["scan", "params", "--out-csv", "{out}"], {"grid": [2.5, 3]}, "--grid"),
         ],
     )
     def test_value_of_a_wrong_json_type_is_a_config_error(
@@ -176,6 +178,28 @@ class TestConfigResolution:
         assert main(argv + ["--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {option}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, config, option, default",
+        [
+            (["region", "sample", "--out", "{out}"], {"samples": None}, "samples", 100),
+            (
+                ["region", "project", "--samples", "5", "--out-csv", "{out}"],
+                {"step": None, "compare": True},
+                "step",
+                0.05,
+            ),
+        ],
+    )
+    def test_null_in_a_config_file_is_the_default(
+        self, capsys, tmp_path, argv, config, option, default
+    ):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        cfg.write_text(json.dumps(config))
+        argv = [arg.replace("{out}", str(out)) for arg in argv]
+        assert main(argv + ["--config", str(cfg), "--timestamp", TS]) == 0
+        resolved = json.loads(out.read_text().splitlines()[1][len("# config: ") :])
+        assert resolved[option] == default
 
     def test_compare_false_in_a_config_file_runs_no_comparison(self, capsys, tmp_path):
         cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
@@ -537,22 +561,31 @@ class TestRegionProject:
         assert "seeded orbits: 0" in capsys.readouterr().out
 
     @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_step_needs_compare(self, capsys, tmp_path, source):
-        # Only the overlay scans a grid, so a step without it is refused
-        # before any output is declared.
+    @pytest.mark.parametrize("option", ["step", "tol"])
+    def test_step_and_tol_need_compare(self, capsys, tmp_path, option, source):
+        # Only the overlay scans a grid and checks containment, so a step
+        # or a tolerance without it is refused before any output is
+        # declared.
         out = tmp_path / "out.csv"
         argv = ["region", "project", "--samples", "5", "--out-csv", str(out)]
         if source == "flag":
-            argv += ["--step", "7"]
+            argv += [f"--{option}", "7"]
         else:
             config = tmp_path / "config.json"
-            config.write_text(json.dumps({"step": 7}))
+            config.write_text(json.dumps({option: 7}))
             argv += ["--config", str(config)]
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert "--step needs --compare" in captured.err
+        assert f"--{option} needs --compare" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+    def test_header_records_no_overlay_options_without_compare(self, capsys):
+        assert main(["region", "project", "--samples", "2", "--timestamp", TS]) == 0
+        header = capsys.readouterr().out.splitlines()[1]
+        resolved = json.loads(header[len("# config: ") :])
+        assert resolved["command"] == "region project"
+        assert "step" not in resolved and "tol" not in resolved
 
 
 class TestScanPhases:
@@ -648,9 +681,19 @@ class TestScanParams:
         eps_values = sorted({float(r.split(",")[0]) for r in rows})
         assert eps_values == pytest.approx([1 / 3, 2 / 3, 1.0])
 
-    def test_bad_grid_rejected(self, capsys):
-        assert main(["scan", "params", "--grid", "1x5"]) == 2
-        assert main(["scan", "params", "--grid", "fine"]) == 2
+    @pytest.mark.parametrize("grid", ["1x5", "fine", [1, 2, 3], [1, 5]])
+    def test_bad_grid_rejected(self, capsys, tmp_path, grid):
+        # A grid from a config file obeys the flag's KxM rule: two counts,
+        # each at least 2.
+        argv = ["scan", "params"]
+        if isinstance(grid, str):
+            argv += ["--grid", grid]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"grid": grid}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: --grid: ")
 
 
 class TestVerify:

@@ -992,6 +992,36 @@ class TestDetectionStream:
                 assert max(r for r, _, _ in returns) == 50
         assert events[0] == events[1]
 
+    def test_starts_are_taken_as_rows_free_up(self, streams, monkeypatch):
+        # Two live rows: at every return at most _LIVE_ROWS starts have been
+        # taken beyond those admitted, so a scan never holds all its starts.
+        _, starts, _, want = streams["reference-grid"]
+        starts, want = starts[:10], want[:10]
+        taken, admitted, seen = [0], [0], []
+
+        def counted():
+            for state in starts:
+                taken[0] += 1
+                yield state
+
+        add, section_return = lockstep.LockstepEngine.add, lockstep.LockstepEngine._section_return
+
+        def counting_add(self, phases, *rows):
+            admitted[0] += len(phases)
+            return add(self, phases, *rows)
+
+        def spy(self, trace):
+            seen.append((taken[0], admitted[0]))
+            return section_return(self, trace)
+
+        monkeypatch.setattr(poincare, "_LIVE_ROWS", 2)
+        monkeypatch.setattr(lockstep.LockstepEngine, "add", counting_add)
+        monkeypatch.setattr(lockstep.LockstepEngine, "_section_return", spy)
+        got = detect_periodicity_many(P, counted())
+        assert [repr(g) for g in got] == [repr(w) for w in want]
+        assert seen[0] == (2, 2) and taken[0] == admitted[0] == 10
+        assert all(took <= rows + 2 for took, rows in seen)
+
     @pytest.mark.parametrize("late", ["horizon", "section"])
     def test_a_late_start_failing_first_loses_to_an_earlier_start(self, monkeypatch, late):
         # Two live rows.  The first start fails at its third return; the

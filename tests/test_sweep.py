@@ -363,11 +363,11 @@ class TestMirror:
             return
         got = detect_periodicity_many(params, mirrored, max_iter)
         assert repr(got) == repr(list(map(mirror, results)))
-        for cycle, _, table in poincare._detect(params, starts, max_iter, DEFAULT_MATCH_TOL):
-            found = cycle[cycle >= 0]
-            swapped = poincare._cycle_results(poincare._mirror_table(table), found)
-            want = map(mirror, poincare._cycle_results(table, found))
-            assert repr(swapped) == repr(list(want))
+        cycle, _, table = poincare._detect(params, starts, max_iter, DEFAULT_MATCH_TOL)
+        found = cycle[cycle >= 0]
+        swapped = poincare._cycle_results(poincare._mirror_table(table), found)
+        want = map(mirror, poincare._cycle_results(table, found))
+        assert repr(swapped) == repr(list(want))
 
     def test_only_the_triangle_is_detected(self, monkeypatch):
         # Every cell of the step-0.1 grid at P is periodic: the 55 cells
