@@ -18,7 +18,14 @@ class's field plan is built once, on first use.
 
 write_json writes a value's plain() form as text, byte for byte as
 json.dump(..., sort_keys=True, indent=1) would, without building the
-plain() copy or the text of the whole value.
+plain() copy or the text of the whole value.  The recursive _emit writes
+any value.  A list item whose class writes no _spread, _command or
+_reshape field is written through its class's %-template instead, built
+once per class and depth from its field plan: each field's value is
+filled in by its exact type, as _emit would write it, and a tuple's text
+is made once per tuple object.  Every other item and value goes to _emit.
+List items are written _BATCH at a time, so the text of a long list is
+never held whole.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from __future__ import annotations
 from dataclasses import fields, is_dataclass
 from functools import cache
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 
 _SCALARS = frozenset({bool, int, float, str, type(None)})
 
@@ -100,20 +108,33 @@ class Record:
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _WORDS = {None: "null", True: "true", False: "false"}
 
+#: List items joined into one write.  Joining all 10^4 records of the
+#: 0.01-grid scan at once raised the CLI's peak from 42.6 to 49.7 MB;
+#: batches of 256 keep it within 0.2 MB of one write per item.
+_BATCH = 256
+
+
+def _float_text(value: float) -> str:
+    text = float.__repr__(value)
+    return _FLOAT_WORDS.get(text, text)
+
+
+# The text of a scalar, keyed by its exact type.
+_SCALAR_TEXT = {
+    float: _float_text,
+    int: int.__repr__,
+    str: encode_basestring_ascii,
+    bool: _WORDS.__getitem__,
+    type(None): _WORDS.__getitem__,
+}
+
 
 def _emit(value, indent: str, out: list) -> None:
     """Append the text of plain(value), as json.dumps(plain(value),
     sort_keys=True, indent=1) writes it, nested at indent, to out."""
-    kind = type(value)
-    if kind is float:
-        text = float.__repr__(value)
-        out.append(_FLOAT_WORDS.get(text, text))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif kind is str:
-        out.append(encode_basestring_ascii(value))
-    elif kind is bool or value is None:
-        out.append(_WORDS[value])
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        out.append(scalar(value))
     elif isinstance(value, (tuple, list)):
         if not value:
             out.append("[]")
@@ -138,9 +159,9 @@ def _emit(value, indent: str, out: list) -> None:
     elif isinstance(value, int):
         out.append(int.__repr__(value))
     elif isinstance(value, float):
-        _emit(float(value), indent, out)
+        out.append(_float_text(float(value)))
     else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit_dict(value: dict, indent: str, out: list) -> None:
@@ -154,21 +175,63 @@ def _emit_dict(value: dict, indent: str, out: list) -> None:
     out.append("\n" + indent + "}")
 
 
+@cache
+def _template(cls, indent: str):
+    """(getter, template) of a Record class written at indent: getter(item)
+    gives its written values in key order, and template % their texts is
+    its _emit text.  None for any other class, or where a field is spread
+    or reshaped or a command is written."""
+    if not issubclass(cls, Record) or cls._command is not None:
+        return None
+    direct, spread = _plan(cls, False)
+    keys = sorted(name for name, convert in direct)
+    # attrgetter of a single name gives the bare value, not a tuple.
+    if spread or len(keys) < 2 or any(convert for name, convert in direct):
+        return None
+    lines = [f"\n{indent} {encode_basestring_ascii(k)}: %s" for k in keys]
+    return attrgetter(*keys), "{" + ",".join(lines) + "\n" + indent + "}"
+
+
+def _text(value, indent: str) -> str:
+    out: list = []
+    _emit(value, indent, out)
+    return "".join(out)
+
+
+def _item_text(item, indent: str, tuples: dict) -> str:
+    """The _emit text of a list item at indent.  tuples maps id(t) to (t,
+    its text) for each tuple field written so far at this indent."""
+    compiled = _template(type(item), indent)
+    if compiled is None:
+        return _text(item, indent)
+    getter, template = compiled
+    texts = []
+    for value in getter(item):
+        scalar = _SCALAR_TEXT.get(type(value))
+        if scalar is not None:
+            texts.append(scalar(value))
+        elif type(value) is not tuple:
+            texts.append(_text(value, indent + " "))
+        else:
+            if id(value) not in tuples:
+                tuples[id(value)] = (value, _text(value, indent + " "))
+            texts.append(tuples[id(value)][1])
+    return template % tuple(texts)
+
+
 def write_json(fh, payload: dict) -> None:
     """Write plain(payload) and a newline to the text file fh, byte for byte
     as json.dump(plain(payload), fh, sort_keys=True, indent=1) would.  The
-    items of each list or tuple in payload are written one at a time."""
+    items of each list or tuple in payload are written _BATCH at a time."""
+    tuples: dict = {}
     for i, key in enumerate(sorted(payload)):
         fh.write(("{\n " if not i else ",\n ") + encode_basestring_ascii(str(key)) + ": ")
         value = payload[key]
         if not isinstance(value, (tuple, list)) or not value:
-            out: list = []
-            _emit(value, " ", out)
-            fh.write("".join(out))
+            fh.write(_text(value, " "))
             continue
-        for j, item in enumerate(value):
-            out = ["[\n  " if not j else ",\n  "]
-            _emit(item, "  ", out)
-            fh.write("".join(out))
+        for start in range(0, len(value), _BATCH):
+            batch = [_item_text(item, "  ", tuples) for item in value[start : start + _BATCH]]
+            fh.write(("[\n  " if not start else ",\n  ") + ",\n  ".join(batch))
         fh.write("\n ]")
     fh.write("\n}\n" if payload else "{}\n")

@@ -172,7 +172,7 @@ class _Run:
     @cached_property
     def timestamp(self) -> str:
         """The headers' wall-clock stamp, read once so every file of the
-        run carries the same one."""
+        run carries the same one; it must hold no line break."""
         value = getattr(self.args, "timestamp", None)
         if value is None:
             value = self.file_config.get("timestamp")
@@ -180,6 +180,9 @@ class _Run:
                 value = _read("timestamp", _parse_text, value)
         if value is None:
             value = datetime.now(timezone.utc).isoformat(timespec="seconds")
+        if "\n" in value or "\r" in value:
+            # A line break would end the header's comment line.
+            raise DomainError(f"--timestamp must be one line, got {value!r}")
         return value
 
     def outputs(self, *names: str, seed: int | None = None) -> tuple:

@@ -18,6 +18,7 @@ import math
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -739,21 +740,49 @@ def _opt(value) -> str:
     return "" if value is None else _fmt(value)
 
 
+class _Cells(dict):
+    """The _opt text of each CSV cell value, formatted once per distinct
+    value.  A zero is formatted each time: 0.0 == -0.0 and the two hash
+    alike, but they are written "0" and "-0"."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._points: dict = {}
+
+    def __missing__(self, value) -> str:
+        text = _opt(value)
+        if value:
+            self[value] = text
+        return text
+
+    def points(self, points: tuple) -> str:
+        """Points as one cell, "x y" pairs joined by ";", formatted once per
+        tuple object (equal tuples differ when one holds -0.0)."""
+        seen = self._points.get(id(points))
+        if seen is None:
+            text = ";".join(f"{_fmt(x)} {_fmt(y)}" for x, y in points)
+            seen = self._points[id(points)] = (points, text)
+        return seen[1]
+
+
 def write_phase_scan_csv(result: PhaseScanResult, path, timestamp: str | None = None) -> None:
     """One row per grid cell; projection points are semicolon-joined
     "x y" pairs so the cell needs no quoting."""
-    rows = (
-        (
-            _fmt(r.theta1),
-            _fmt(r.theta2),
-            int(r.periodic),
-            _opt(r.transient_iters),
-            _opt(r.poincare_period),
-            _opt(r.orbit_period),
-            _opt(r.signature_id),
-            ";".join(f"{_fmt(x)} {_fmt(y)}" for x, y in r.projection),
-        )
-        for r in result.records
+    records = result.records
+    cells = _Cells()
+
+    def column(name: str, text=cells.__getitem__):
+        return map(text, map(attrgetter(name), records))
+
+    rows = zip(
+        column("theta1"),
+        column("theta2"),
+        column("periodic", int),
+        column("transient_iters"),
+        column("poincare_period"),
+        column("orbit_period"),
+        column("signature_id"),
+        column("projection", cells.points),
     )
     _write_csv(
         path,
@@ -790,10 +819,11 @@ def write_param_scan_csv(
 ) -> None:
     exists = [f"exists_{k.lower()}" for k in KINDS]
     volumes = [f"volume_{k.lower()}" for k in KINDS]
+    cells = _Cells()
     rows = (
-        (_fmt(r.eps), _fmt(r.tau))
+        (cells[r.eps], cells[r.tau])
         + tuple(int(r.exists[k]) for k in KINDS)
-        + tuple(_opt(r.volumes[k]) for k in KINDS)
+        + tuple(cells[r.volumes[k]] for k in KINDS)
         for r in result.records
     )
     _write_csv(
@@ -817,6 +847,7 @@ def write_projection_csv(
 ) -> None:
     """Long format: one point per row, tagged by which set it belongs to
     (analytic image, scan attractor, or seeded orbit)."""
+    # Nearly every point differs, so its cells are formatted one by one.
     rows = (
         (label, _fmt(x), _fmt(y))
         for label, points in (
@@ -843,13 +874,18 @@ def write_projection_json(
 # -- plot-script emitters ----------------------------------------------------------
 
 
+def _gp_string(text: str) -> str:
+    """text as a gnuplot single-quoted string, which writes ' as ''."""
+    return "'" + text.replace("'", "''") + "'"
+
+
 def emit_phase_scan_plot(csv_path: str, image_path: str = "phase_scan.png") -> str:
     """Gnuplot commands for a period-colored map of the scan grid."""
     return "\n".join(
         [
             "set datafile separator ','",
             "set terminal pngcairo size 900,800",
-            f"set output '{image_path}'",
+            f"set output {_gp_string(image_path)}",
             "set xlabel 'theta_1'",
             "set ylabel 'theta_2'",
             "set xrange [0:1]",
@@ -857,7 +893,7 @@ def emit_phase_scan_plot(csv_path: str, image_path: str = "phase_scan.png") -> s
             "set cblabel 'Poincare period'",
             "set cbrange [1:5]",
             "set palette maxcolors 5",
-            f"plot '{csv_path}' using 1:2:5 with points pt 5 ps 0.6 palette notitle",
+            f"plot {_gp_string(csv_path)} using 1:2:5 with points pt 5 ps 0.6 palette notitle",
             "",
         ]
     )
@@ -872,12 +908,12 @@ def emit_param_scan_plot(
         [
             "set datafile separator ','",
             "set terminal pngcairo size 900,800",
-            f"set output '{image_path}'",
+            f"set output {_gp_string(image_path)}",
             "set xlabel 'epsilon'",
             "set ylabel 'tau'",
             "set cbrange [0:1]",
             "unset colorbox",
-            f"plot '{csv_path}' using 1:2:{column} with points pt 5 ps 1.2 palette notitle",
+            f"plot {_gp_string(csv_path)} using 1:2:{column} with points pt 5 ps 1.2 palette notitle",
             "",
         ]
     )
@@ -890,14 +926,14 @@ def emit_projection_plot(csv_path: str, image_path: str = "projection.png") -> s
         [
             "set datafile separator ','",
             "set terminal pngcairo size 900,800",
-            f"set output '{image_path}'",
+            f"set output {_gp_string(image_path)}",
             "set xlabel 'theta_1'",
             "set ylabel 'theta_2'",
-            f"plot '{csv_path}' using (strcol(1) eq 'analytic' ? $2 : NaN):3 "
+            f"plot {_gp_string(csv_path)} using (strcol(1) eq 'analytic' ? $2 : NaN):3 "
             "with points pt 7 ps 0.5 lc rgb '#9ecae1' title 'analytic', \\",
-            f"     '{csv_path}' using (strcol(1) eq 'scan' ? $2 : NaN):3 "
+            f"     {_gp_string(csv_path)} using (strcol(1) eq 'scan' ? $2 : NaN):3 "
             "with points pt 7 ps 0.7 lc rgb '#d62728' title 'scan', \\",
-            f"     '{csv_path}' using (strcol(1) eq 'seeded' ? $2 : NaN):3 "
+            f"     {_gp_string(csv_path)} using (strcol(1) eq 'seeded' ? $2 : NaN):3 "
             "with points pt 6 ps 0.7 lc rgb '#2ca02c' title 'seeded'",
             "",
         ]

@@ -919,6 +919,37 @@ class TestSeed:
         assert not out.exists()
 
 
+class TestTimestamp:
+    """A timestamp holding a line break, from a flag or from --config, is
+    rejected before any output is declared: it would end the header's
+    comment line."""
+
+    @pytest.mark.parametrize("value", ["2000\ntheta1,x", "2000\r"], ids=["lf", "cr"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "phases", "--step", "0.5", "--out-csv"],
+            ["region", "sample", "--samples", "3", "--out"],
+            ["verify", "--samples", "3", "--out"],
+        ],
+        ids=["scan-phases", "region-sample", "verify"],
+    )
+    def test_line_break_rejected(self, capsys, tmp_path, argv, source, value):
+        out = tmp_path / "out"
+        if source == "flag":
+            argv = [*argv, str(out), "--timestamp", value]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"timestamp": value}))
+            argv = [*argv, str(out), "--config", str(config)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: --timestamp must be one line, got {value!r}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestTol:
     """Every command with --tol rejects a NaN, infinite or negative
     tolerance, from a flag or from --config, before it computes or creates

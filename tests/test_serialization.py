@@ -12,6 +12,7 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,9 +20,9 @@ from hypothesis import strategies as st
 from isochron._serial import plain, write_json
 from isochron.engine import TraceEvent, network_state
 from isochron.model import ModelParams
-from isochron.poincare import NotPeriodic
-from isochron.regions import Functional, OracleReport, RegionSpec
-from isochron.sweep import EscapeReport, StabilityFailure, StabilityReport
+from isochron.poincare import NotPeriodic, PulseSignature
+from isochron.regions import Functional, OracleReport, RegionSpec, VolumeReport
+from isochron.sweep import EscapeReport, ScanRecord, StabilityFailure, StabilityReport
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
 
@@ -211,9 +212,22 @@ def test_writer_matches_json_dump_on_every_golden(name):
     assert dumped(payload) == json_dumped(payload) == text
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+#: Records that the writer fills into their class's template as list
+#: items, with the values whose text is easiest to get wrong.
+TEMPLATED = {
+    "scan-record": ScanRecord(
+        -0.0, 5e-324, True, 0, 4, float("inf"), None, ((0.0, -0.0), (0.5, -float("inf")))
+    ),
+    "scan-record-not-periodic": ScanRecord(0.25, float("nan"), False),
+    "volume-report": VolumeReport(
+        volume=0.125, stderr=float("nan"), method="exact", degenerate=True, vertex_count=4
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + sorted(TEMPLATED))
 def test_writer_matches_json_dump_on_records(case):
-    instance, _, _ = CASES[case]
+    instance = CASES[case][0] if case in CASES else TEMPLATED[case]
     payload = {"record": instance, "records": (instance, instance), "none": ()}
     assert dumped(payload) == json_dumped(payload)
 
@@ -241,4 +255,54 @@ _LEAVES = (
 )
 def test_writer_matches_json_dump_on_drawn_values(value):
     payload = {"value": value, "items": [value, (), {}, [value]], "empty": []}
+    assert dumped(payload) == json_dumped(payload)
+
+
+_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, 5e-324, float("nan"), float("inf"), -float("inf")]
+)
+_POINTS = st.lists(st.tuples(_FLOATS, _FLOATS), max_size=3).map(tuple)
+_COUNTS = st.none() | st.integers()
+# Equal projections, one with -0.0, as two tuple objects.
+_ZEROS = (
+    ScanRecord(0.0, 0.5, True, 0, 1, 0.5, 0, ((0.0, 0.5),)),
+    ScanRecord(-0.0, 0.5, True, 0, 1, 0.5, 0, ((-0.0, 0.5),)),
+)
+
+
+@st.composite
+def _records(draw):
+    """ScanRecords, one projection tuple shared among them, mixed with
+    records of other classes and with numpy floats in a field."""
+    shared = draw(_POINTS)
+    scan = st.builds(
+        ScanRecord,
+        theta1=_FLOATS | _FLOATS.map(np.float64),
+        theta2=_FLOATS,
+        periodic=st.booleans(),
+        transient_iters=_COUNTS,
+        poincare_period=_COUNTS,
+        orbit_period=st.none() | _FLOATS,
+        signature_id=_COUNTS,
+        projection=_POINTS | st.just(shared),
+    )
+    other = (
+        st.builds(VolumeReport, volume=_FLOATS, stderr=_FLOATS, method=st.text(), samples=_COUNTS)
+        | st.builds(
+            PulseSignature,
+            period=_FLOATS,
+            receptions=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 3), _FLOATS)).map(
+                tuple
+            ),
+        )
+        | st.just(CASES["escape-report"][0].result)
+    )
+    records = draw(st.lists(scan | other, max_size=8))
+    return (*records, *_ZEROS, *records)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_records())
+def test_writer_matches_json_dump_on_drawn_records(records):
+    payload = {"records": records, "first": records[0], "seed": None}
     assert dumped(payload) == json_dumped(payload)

@@ -2,6 +2,7 @@
 existence maps, the analytic/numeric projection overlay, stability probes,
 the boundary-escape demonstration, and the reproducible dataset writers."""
 
+import csv
 import functools
 import json
 import re
@@ -634,6 +635,50 @@ class TestDatasetHeader:
         assert lines[1].index('"aa"') < lines[1].index('"zz"')
 
 
+# Cell values for the CSV writers: both zeros, NaN, the infinities, the
+# smallest subnormal and integers among the floats.
+_CELL_FLOATS = (
+    st.floats()
+    | st.sampled_from([0.0, -0.0, 5e-324, float("nan"), float("inf"), -float("inf")])
+    | st.integers(-3, 3)
+)
+_CELL_INTS = st.none() | st.integers(-1, 10**20)
+_CELL_POINTS = st.lists(st.tuples(_CELL_FLOATS, _CELL_FLOATS), max_size=3).map(tuple)
+# Two equal projections and two equal values that the writers must still
+# write apart.
+_ZEROS = (
+    sweep.ScanRecord(0.0, 0.0, True, 0, 1, 0.0, 0, ((0.0, 0.5),)),
+    sweep.ScanRecord(-0.0, -0.0, True, 0, 1, -0.0, 0, ((-0.0, 0.5),)),
+)
+
+
+@st.composite
+def _scan_records(draw):
+    shared = draw(_CELL_POINTS)
+    records = draw(
+        st.lists(
+            st.builds(
+                sweep.ScanRecord,
+                theta1=_CELL_FLOATS,
+                theta2=_CELL_FLOATS,
+                periodic=st.booleans(),
+                transient_iters=_CELL_INTS,
+                poincare_period=_CELL_INTS,
+                orbit_period=st.none() | _CELL_FLOATS,
+                signature_id=_CELL_INTS,
+                projection=_CELL_POINTS | st.just(shared),
+            ),
+            max_size=6,
+        )
+    )
+    return (*records, *_ZEROS, *records)
+
+
+def _csv_rows(path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(line for line in fh if not line.startswith("#")))[1:]
+
+
 class TestDatasetWriters:
     def test_phase_scan_csv_is_byte_reproducible(self, tmp_path):
         first = tmp_path / "a.csv"
@@ -745,6 +790,46 @@ class TestDatasetWriters:
         assert payload["version"] == __version__
 
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        records=_scan_records(),
+        values=st.lists(st.tuples(_CELL_FLOATS, st.booleans(), st.none() | _CELL_FLOATS)),
+    )
+    def test_csv_cells_are_formatted_per_cell(self, tmp_path_factory, records, values):
+        # Every cell holds the text _fmt or _opt gives its own value, however
+        # often an equal value or one projection tuple recurs.
+        fmt, opt = sweep._fmt, sweep._opt
+        path = tmp_path_factory.getbasetemp() / "cells.csv"
+        write_phase_scan_csv(replace(scan25(), records=records), path)
+        assert _csv_rows(path) == [
+            [fmt(r.theta1), fmt(r.theta2), str(int(r.periodic)), opt(r.transient_iters),
+             opt(r.poincare_period), opt(r.orbit_period), opt(r.signature_id),
+             ";".join(f"{fmt(x)} {fmt(y)}" for x, y in r.projection)]
+            for r in records
+        ]
+        values = [*values, (0.0, True, 0.0), (-0.0, False, -0.0), *values]
+        params = [
+            sweep.ParamScanRecord(
+                x, -x, {k: flag for k in sweep.KINDS}, {k: v for k in sweep.KINDS}
+            )
+            for x, flag, v in values
+        ]
+        write_param_scan_csv(replace(param_grid_scan(), records=params), path)
+        assert _csv_rows(path) == [
+            [fmt(x), fmt(-x), *[str(int(flag))] * 3, *[opt(v)] * 3] for x, flag, v in values
+        ]
+        points = tuple((x, -x) for x, _, _ in values)
+        report = replace(reference_overlay(), analytic_points=points, seeded_points=points)
+        write_projection_csv(report, path)
+        expected = [
+            [label, fmt(x), fmt(y)]
+            for label, group in (("analytic", points), ("scan", report.numeric_points),
+                                 ("seeded", points))
+            for x, y in group
+        ]
+        assert _csv_rows(path) == expected
+
+
 class TestPlotEmitters:
     def test_phase_scan_plot_script(self):
         script = emit_phase_scan_plot("scan.csv", "scan.png")
@@ -766,3 +851,15 @@ class TestPlotEmitters:
         script = emit_projection_plot("projection.csv")
         for label in ("analytic", "scan", "seeded"):
             assert f"strcol(1) eq '{label}'" in script
+
+    @pytest.mark.parametrize(
+        "emit", [emit_phase_scan_plot, emit_param_scan_plot, emit_projection_plot]
+    )
+    def test_paths_with_quotes_round_trip(self, emit):
+        # A gnuplot single-quoted string writes ' as ''; read back, every
+        # quoted string of the script is one of the emitter's own.
+        csv_path, image_path = "it's.csv", "a''b'.png"
+        script = emit(csv_path, image_path=image_path)
+        strings = [s.replace("''", "'") for s in re.findall(r"'((?:[^']|'')*)'", script)]
+        assert csv_path in strings
+        assert image_path in strings

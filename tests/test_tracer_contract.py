@@ -118,3 +118,22 @@ def test_tracer_counts_the_interning_of_a_phase_scan():
         tracer.uninstall()
     assert tracer.counts["sweep.intern.compares"] > 0
     assert tracer.span_name.count(tracer.names.index("poincare.signature")) > 0
+
+
+def test_tracer_times_and_sizes_both_writers_of_a_phase_scan(tmp_path):
+    """The writer layer (``sweep.write.s`` and ``sweep.write.bytes``) is
+    traced through the ``write_*`` names that the CLI looks up: one span per
+    file, and exactly the bytes that land on disk."""
+    out_csv, out_json = tmp_path / "scan.csv", tmp_path / "scan.json"
+    argv = ["scan", "phases", "--step", "0.1", "--out-csv", str(out_csv),
+            "--out-json", str(out_json), "--timestamp", "2000-01-01T00:00:00+00:00"]
+    tracer = _load_tracer_module().Tracer()
+    try:
+        tracer.install()
+        assert isochron.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    counts = tracer.deterministic_counts()
+    assert counts["sweep.write.spans"] == 2
+    assert counts["sweep.write.bytes"] == out_csv.stat().st_size + out_json.stat().st_size > 0
+    assert tracer.metrics()["sweep.write.s"] > 0
