@@ -789,7 +789,6 @@ class TestDatasetWriters:
         assert payload["contained"] is True
         assert payload["version"] == __version__
 
-
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         records=_scan_records(),
@@ -856,8 +855,8 @@ class TestPlotEmitters:
         "emit", [emit_phase_scan_plot, emit_param_scan_plot, emit_projection_plot]
     )
     def test_paths_with_quotes_round_trip(self, emit):
-        # A gnuplot single-quoted string writes ' as ''; read back, every
-        # quoted string of the script is one of the emitter's own.
+        # A gnuplot single-quoted string writes ' as ''; read back string
+        # by string, the script holds both paths whole.
         csv_path, image_path = "it's.csv", "a''b'.png"
         script = emit(csv_path, image_path=image_path)
         strings = [s.replace("''", "'") for s in re.findall(r"'((?:[^']|'')*)'", script)]
