@@ -128,13 +128,20 @@ class _Run:
     def config(self) -> dict:
         return dict(self.resolved)
 
-    def params(self) -> ModelParams:
-        return ModelParams(
+    def params(self, three: bool = False) -> ModelParams:
+        """The model parameters.  A command whose starts are three-oscillator
+        states (three=True) refuses any other --n."""
+        params = ModelParams(
             b=self.get("b", 3.0, float),
             eps=self.get("eps", 0.58, float),
             n=self.get("n", 3, int),
             tau=self.get("tau", 0.58, float),
         )
+        if three and params.n != 3:
+            raise DomainError(
+                f"--n must be 3: {self.resolved['command']} runs three oscillators, got {params.n}"
+            )
+        return params
 
     def threads(self) -> int:
         value = self.get("threads", cast=int)
@@ -192,11 +199,17 @@ class _Run:
         the header is built once, from the options resolved so far.  A plot
         script plots the CSV, so one without --out-csv is rejected, and so
         are two options naming one file, which would overwrite each other.
-        Returns the header, then each path (None where not given).
+        The script names the CSV in a gnuplot string, which cannot hold a
+        line break.  Returns the header, then each path (None where not
+        given).
         """
         paths = {name: self.get(name, cast=os.fspath) for name in names}
-        if paths.get("plot_script") is not None and paths.get("out_csv") is None:
-            raise DomainError("--plot-script needs --out-csv, the CSV it plots")
+        if paths.get("plot_script") is not None:
+            csv_path = paths.get("out_csv")
+            if csv_path is None:
+                raise DomainError("--plot-script needs --out-csv, the CSV it plots")
+            if "\n" in csv_path or "\r" in csv_path:
+                raise DomainError(f"--out-csv must be one line to be plotted, got {csv_path!r}")
         seen: dict[str, str] = {}
         for name, path in paths.items():
             if path is not None:
@@ -546,7 +559,7 @@ def _cmd_region_project(run: _Run) -> int:
 
 
 def _cmd_scan_phases(run: _Run) -> int:
-    params = run.params()
+    params = run.params(three=True)
     step = run.get("step", DEFAULT_SCAN_STEP, float)
     max_iter, tol = run.budget()
     threads = run.threads()
@@ -618,7 +631,7 @@ def _cmd_scan_params(run: _Run) -> int:
 
 def _cmd_verify(run: _Run) -> int:
     suite = run.get("suite", "ir4")
-    params = run.params()
+    params = run.params(three=True)
     n = run.get("samples", 1000, int)
     if n < 1:
         raise DomainError(f"--samples must be at least 1, got {n}")

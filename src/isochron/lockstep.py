@@ -116,7 +116,10 @@ class LockstepEngine(Engine):
         row_ix = np.arange(rows)[:, None]
         times = np.where(senders < n, tau - ftds, np.inf)
         order = np.argsort(times, axis=1, kind="stable")
-        q_time, q_send = times[row_ix, order], senders[row_ix, order]
+        # Senders in the narrowest type, as the queue is as wide as the most
+        # pulses pending in any row.
+        small = np.min_scalar_type(n)
+        q_time, q_send = times[row_ix, order], senders[row_ix, order].astype(small)
         tail = q_time.shape[1]
         a_tab, c_tab = self._coeffs
         theta = phases.copy()
@@ -126,11 +129,11 @@ class LockstepEngine(Engine):
         end_theta = np.zeros((rows, n))
         end_clock = np.zeros(rows)
         end_time = np.full(q_time.shape, np.inf)
-        end_send = np.full(q_time.shape, n)
+        end_send = np.full(q_time.shape, n, small)
         replay: list[int] = []
         # Per step: the stepped rows, their timestamp, their multiplicities
         # and which of their oscillators fired.
-        log = [(live[:0], clock[:0], np.zeros((0, n), dtype=np.intp), np.zeros((0, n), bool))]
+        log = [(live[:0], clock[:0], np.zeros((0, n), dtype=np.uint8), np.zeros((0, n), bool))]
 
         for _ in range(_MAX_SECTION_EVENTS):
             if not live.size:
@@ -158,7 +161,7 @@ class LockstepEngine(Engine):
             fired = fire.any(axis=1)
             # No event at all (n >= 2, so a due pulse always has a receiver).
             bad = (t_star > _MAX_SECTION_TIME) | ~(fired | got.any(axis=1))
-            log.append((live, t_star, mult, fire))
+            log.append((live, t_star, mult.astype(np.min_scalar_type(top)), fire))
 
             if fired.any():
                 land = t_star + tau
@@ -180,27 +183,34 @@ class LockstepEngine(Engine):
             done = fire[:, -1] & ~bad
             leave = done | bad
             if leave.any():
-                d = live[done]
-                end_theta[d], end_clock[d] = theta[done], clock[done]
+                # Rows taken by index: a boolean mask is slow on 2-d arrays.
+                at, keep = np.flatnonzero(done), np.flatnonzero(~leave)
+                d = live[at]
+                end_theta[d], end_clock[d] = theta.take(at, axis=0), clock[at]
                 width = q_time.shape[1]
-                end_time[d, :width], end_send[d, :width] = q_time[done], q_send[done]
+                end_time[d, :width] = q_time.take(at, axis=0)
+                end_send[d, :width] = q_send.take(at, axis=0)
                 replay.extend(live[bad].tolist())
-                keep = ~leave
-                live, theta, clock = live[keep], theta[keep], clock[keep]
-                q_time, q_send = q_time[keep], q_send[keep]
+                live, theta, clock = live[keep], theta.take(keep, axis=0), clock[keep]
+                q_time, q_send = q_time.take(keep, axis=0), q_send.take(keep, axis=0)
         replay.extend(live.tolist())
 
-        # Engine.state(): sigma = clock + tau - t, clamped.  Reversed, each
-        # row's pending pulses run from the latest delivery (the smallest
-        # sigma) back, and a stable sort by sender keeps that order; the
-        # empty slots sort last.
-        key = np.where(np.isfinite(end_time), end_send, n)[:, ::-1]
-        width = int(np.count_nonzero(key < n, axis=1).max(initial=0))
-        by = np.argsort(key, axis=1, kind="stable")[:, :width]
-        out_senders = key[row_ix, by]
-        sigma = (end_clock[:, None] + tau) - end_time[:, ::-1][row_ix, by]
-        sigma = np.where(sigma < 0.0, 0.0, np.where(sigma > tau, tau, sigma))
-        out_ftds = np.where(out_senders < n, sigma, 0.0)
+        # Engine.state(): sigma = clock + tau - t, clamped.  Each row's
+        # pending pulses, taken from the latest delivery (the smallest
+        # sigma) back, are sorted stably by row and sender into the row's
+        # first slots; the queue is as wide as any row's, so they are
+        # sorted as one flat list.
+        row, col = np.nonzero(np.isfinite(end_time[:, ::-1]))
+        send = end_send[:, ::-1][row, col]
+        by = np.argsort(row * (n + 1) + send, kind="stable")
+        row, col, send = row[by], col[by], send[by]
+        count = np.bincount(row, minlength=rows)
+        slot = np.arange(len(row)) - (np.cumsum(count) - count)[row]
+        out_senders = np.full((rows, int(count.max(initial=0))), n, small)
+        out_ftds = np.zeros(out_senders.shape)
+        out_senders[row, slot] = send
+        sigma = (end_clock[row] + tau) - end_time[:, ::-1][row, col]
+        out_ftds[row, slot] = np.where(sigma < 0.0, 0.0, np.where(sigma > tau, tau, sigma))
 
         stepped, at, mults, fires = (np.concatenate(col) for col in zip(*log))
         if replay:
@@ -277,107 +287,206 @@ class LockstepEngine(Engine):
 
 class _History:
     """The section returns of a LockstepEngine's rows so far, for batched
-    detection, as one flat log.
+    detection, as one flat log in which no entry is padded.
 
-    Entry e is the state of row slot[e] after age[e] returns: column 0 its
-    phases, 1 FTD entries and 2 their senders (LockstepReturns' layout),
-    then 3 the time and 4-5 the deliveries (LockstepReturns' when and
-    mult) of the return that reached it.  A row's entry at age 0 is its
-    start, with no deliveries.  Each row's entries follow in age order, so
-    rows of any age share the log and none pads another; entries are
-    padded to the widest one logged.  The first size entries are used, and
-    a row that leaves takes its entries with it.
+    Entry e is the state of row slot[e] after age[e] returns: its phases
+    (phases[e]) and the time of the return that reached it (elapsed[e]).
+    Its FTD entries with their senders (ftds, in LockstepReturns' order)
+    and that return's deliveries (deliveries: their times, and one row of
+    n multiplicities each, in order) are _Ragged, stored flat with offsets
+    per entry.  A row's entry at age 0 is its start, with no
+    deliveries.  Each row's entries follow in age order, so rows of any
+    age share the log.  The first size entries are used, and a row that
+    leaves takes its entries with it.  Row slots stay below rows, and ages
+    at most max_age.
     """
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n: int, rows: int, max_age: int) -> None:
         self.n = n
-        self.fills = (0.0, 0.0, n, 0.0, 0.0, 0)
         self.size = 0
-        self.slot = self.age = np.zeros(0, dtype=np.int32)
-        small = np.min_scalar_type(n)
-        self.columns = [
-            np.zeros((0, n)),
-            np.zeros((0, 0)),
-            np.zeros((0, 0), small),
-            np.zeros((0, 1)),
-            np.zeros((0, 0)),
-            np.zeros((0, n, 0), np.uint8),
-        ]
+        self.slot = np.zeros(0, np.min_scalar_type(rows))
+        self.age = np.zeros(0, np.min_scalar_type(max_age))
+        self.phases, self.elapsed = np.zeros((0, n)), np.zeros(0)
+        self.ftds = _Ragged([np.zeros(0), np.zeros(0, np.min_scalar_type(n))], (0.0, n))
+        self.deliveries = _Ragged([np.zeros(0), np.zeros((0, n), np.uint8)], (0.0, 0))
+
+    def _columns(self) -> tuple:
+        """The columns of one item per entry."""
+        return self.slot, self.age, self.phases, self.elapsed
 
     def add(self, slots: np.ndarray, ages: np.ndarray, entry: list[np.ndarray]) -> None:
-        """Log entry (the six columns, one row per entry) as the states of
-        rows slots after ages returns."""
-        entry = [*entry[:2], entry[2].astype(np.min_scalar_type(self.n)), *entry[3:]]
-        entry[5] = entry[5].astype(np.min_scalar_type(int(entry[5].max(initial=0))))
-        at = self.size
-        if at + len(slots) > len(self.slot):
-            self._resize(at + 2 * len(slots) + len(self.slot) // 4)
-        self.size += len(slots)
+        """Log entry (phases, ftds and senders, elapsed as a column, when
+        and mult, in LockstepReturns' layout, one row per entry) as the
+        states of rows slots after ages returns."""
+        phases, ftds, senders, elapsed, when, mult = entry
+        at, self.size = self.size, self.size + len(slots)
+        for column in self._columns():
+            _grow(column, self.size, len(slots))
         self.slot[at : self.size], self.age[at : self.size] = slots, ages
-        for k, (e, fill) in enumerate(zip(entry, self.fills)):
-            column = self.columns[k]
-            width = e.shape[-1]
-            if width > column.shape[-1] or not np.can_cast(e.dtype, column.dtype):
-                grown = np.full(
-                    (*column.shape[:-1], max(width, column.shape[-1])),
-                    fill,
-                    np.result_type(e, column),
-                )
-                grown[:at, ..., : column.shape[-1]] = column[:at]
-                self.columns[k] = column = grown
-            column[at : self.size, ..., :width] = e
-            column[at : self.size, ..., width:] = fill
-
-    def _resize(self, capacity: int) -> None:
-        """Reallocate the log for capacity entries, one column at a time, so
-        that it is never held twice."""
-
-        def moved(column: np.ndarray) -> np.ndarray:
-            out = np.empty((capacity, *column.shape[1:]), column.dtype)
-            out[: self.size] = column[: self.size]
-            return out
-
-        self.slot, self.age = moved(self.slot), moved(self.age)
-        for k in range(len(self.columns)):
-            self.columns[k] = moved(self.columns[k])
+        self.phases[at : self.size], self.elapsed[at : self.size] = phases, elapsed[:, 0]
+        held = senders < self.n
+        who = senders[held].astype(np.min_scalar_type(self.n))
+        self.ftds.add(at, held.sum(axis=1), [ftds[held], who])
+        # A delivery hands some oscillator a pulse; the slots after a row's
+        # last delivery are empty.
+        got = mult.any(axis=1)
+        mult = np.compress(got.ravel(), mult.transpose(0, 2, 1).reshape(-1, self.n), axis=0)
+        mult = mult.astype(np.min_scalar_type(int(mult.max(initial=0))))
+        self.deliveries.add(at, got.sum(axis=1), [when[got], mult])
 
     def match(self, phases, ftds, senders, tol: float) -> np.ndarray:
         """For each row, the age of its earliest logged state that its
         given state matches by detection's rule, _row_distance <= tol, or
-        -1.  The prefilter keeps the entries whose phase 0 is within tol of
-        the row's by the subtraction _row_distance makes, so it drops no
-        match."""
+        -1.  Entries are first kept only where every phase is within tol
+        of the row's, by the subtraction _row_distance makes, so no match
+        is dropped; only those entries' FTD entries are read."""
         slot = self.slot[: self.size]
-        old = self.columns[0][: self.size, 0]
-        at = np.flatnonzero(np.abs(old - phases[slot, 0]) <= tol)
+        old = self.phases
+        gap = phases[:, 0][slot]
+        np.subtract(old[: self.size, 0], gap, out=gap)
+        at = np.flatnonzero(np.abs(gap, out=gap) <= tol)
+        del gap
+        for i in range(1, self.n):
+            at = at[np.abs(old[at, i] - phases[slot[at], i]) <= tol]
         row = slot[at]
-        new = [phases[row], ftds[row], senders[row]]
-        hit = _row_distance(self.n, [col[at] for col in self.columns[:3]], new) <= tol
+        was = [old[at], *self.ftds.padded(at)]
+        hit = _row_distance(self.n, was, [phases[row], ftds[row], senders[row]]) <= tol
         row, first = np.unique(row[hit], return_index=True)
         matched = np.full(len(phases), -1)
         matched[row] = self.age[at[hit][first]]
         return matched
 
-    def entries(self, cols, lo: np.ndarray, hi: np.ndarray) -> list[np.ndarray]:
-        """Columns cols of each row r's entries from age lo[r] to hi[r] - 1,
-        row after row, in age order."""
+    def entries(self, lo: np.ndarray, hi: np.ndarray, returns: bool = False) -> list[np.ndarray]:
+        """Each row r's entries from age lo[r] to hi[r] - 1, row after row,
+        in age order, padded to the widest of them in LockstepReturns'
+        layout: their phases, ftds and senders, or with returns=True the
+        time (as a column), when and mult of the returns that reached them."""
         slot, age = self.slot[: self.size], self.age[: self.size]
         at = np.flatnonzero((age >= lo[slot]) & (age < hi[slot]))
         at = at[np.argsort(slot[at], kind="stable")]
-        return [self.columns[k][at] for k in cols]
+        if returns:
+            when, mult = self.deliveries.padded(at)
+            return [self.elapsed[at, None], when, mult.transpose(0, 2, 1)]
+        return [self.phases[at], *self.ftds.padded(at)]
 
     def keep(self, rows: np.ndarray) -> None:
         """Keep only the entries of the rows the boolean mask selects, as
         the rows of the kept ones in order.  Entries move down in place, and
         the log shrinks once it has room for over twice the kept entries
         and two more per row."""
-        at = np.flatnonzero(rows[self.slot[: self.size]])
-        self.size = len(at)
-        for column in [self.slot, self.age, *self.columns]:
-            np.take(column, at, axis=0, out=column[: self.size])
-        self.slot[: self.size] = (np.cumsum(rows) - 1)[self.slot[: self.size]]
-        if len(self.slot) > 2 * (self.size + 2 * len(rows)):
-            self._resize(self.size + 2 * len(rows))
+        kept = rows[self.slot[: self.size]]
+        self.ftds.keep(kept, len(rows))
+        self.deliveries.keep(kept, len(rows))
+        self.size = int(np.count_nonzero(kept))
+        for column in self._columns():
+            _compact(column, kept, self.size, len(rows))
+        renumbered = (np.cumsum(rows) - 1).astype(self.slot.dtype)
+        np.take(renumbered, self.slot[: self.size], out=self.slot[: self.size])
+
+
+class _Ragged:
+    """Items of a varying count per entry: each column holds the items of
+    all entries flat, one after another, and entry e's are items at[e] to
+    at[e + 1] - 1 (compressed sparse rows, Saad 2003, section 3.4).  An
+    entry's items are padded only when read out, by fills."""
+
+    def __init__(self, columns: list[np.ndarray], fills: tuple) -> None:
+        self.columns, self.fills = columns, fills
+        # Narrow offsets, widened if the items ever outgrow them.
+        self.at = np.zeros(1, dtype=np.int32)
+
+    def add(self, first: int, counts: np.ndarray, items: list[np.ndarray]) -> None:
+        """Log entries first, first + 1, ... with counts[k] of the items
+        each, in order; the entries before first are kept."""
+        end = first + len(counts)
+        used = int(self.at[first])
+        top = used + int(counts.sum())
+        # The smallest signed type that holds top.
+        self.at = _widened(self.at, np.min_scalar_type(-top))
+        _grow(self.at, end + 1, len(counts))
+        np.cumsum(counts, out=self.at[first + 1 : end + 1])
+        self.at[first + 1 : end + 1] += used
+        for k, values in enumerate(items):
+            self.columns[k] = column = _widened(self.columns[k], values.dtype)
+            _grow(column, top, len(values))
+            column[used:top] = values
+
+    def padded(self, entries: np.ndarray) -> list[np.ndarray]:
+        """Each column's items of the given entries, one row per entry,
+        padded by its fill to the most items of any of them."""
+        lo = self.at[entries]
+        count = self.at[entries + 1] - lo
+        held = np.arange(int(count.max(initial=0))) < count[:, None]
+        at, items = np.flatnonzero(held), _ranges(lo, count)
+        out = []
+        for column, fill in zip(self.columns, self.fills):
+            rows = np.full((held.size, *column.shape[1:]), fill, column.dtype)
+            rows[at] = column.take(items, axis=0)
+            out.append(rows.reshape(*held.shape, *column.shape[1:]))
+        return out
+
+    def keep(self, kept: np.ndarray, rows: int) -> None:
+        """Keep only the items of the first len(kept) entries that the
+        boolean mask kept selects, in order, moved down in place; rows is
+        the count of rows before the keep."""
+        count = np.diff(self.at[: len(kept) + 1])
+        held = np.repeat(kept, count)
+        count = count[kept]
+        used = int(count.sum())
+        for column in self.columns:
+            _compact(column, held, used, rows)
+        np.cumsum(count, out=self.at[1 : len(count) + 1])
+        _fit(self.at, len(count) + 1, rows)
+
+
+def _widened(column: np.ndarray, dtype) -> np.ndarray:
+    """column, or a copy of it in a dtype that also holds dtype's values."""
+    kind = np.result_type(column.dtype, dtype)
+    return column if kind == column.dtype else column.astype(kind)
+
+
+def _grow(column: np.ndarray, need: int, more: int) -> None:
+    """Give column room for need items along its first axis, if it has
+    fewer: need + more + need // 8, so the log grows by an eighth, or by
+    one more batch."""
+    if need > len(column):
+        _resize(column, need + more + need // 8)
+
+
+#: Bytes that _compact moves at once.
+_BLOCK = 1 << 18
+
+
+def _compact(column: np.ndarray, kept: np.ndarray, used: int, rows: int) -> None:
+    """Move the used items among the first len(kept) of column that the
+    boolean mask kept selects to its front, in order, _BLOCK bytes at a
+    time so that no copy of the whole column is held; then _fit it."""
+    done, step = 0, max(1, _BLOCK // (column.itemsize * int(np.prod(column.shape[1:]))))
+    for lo in range(0, len(kept), step):
+        hi = min(lo + step, len(kept))
+        part = column[lo:hi]
+        # A boolean mask is slow on a 2-d array, and compress holds more on a 1-d one.
+        part = part[kept[lo:hi]] if part.ndim == 1 else np.compress(kept[lo:hi], part, axis=0)
+        column[done : done + len(part)] = part
+        done += len(part)
+    _fit(column, used, rows)
+
+
+def _fit(column: np.ndarray, used: int, rows: int) -> None:
+    """Cut column down to its first used items plus two more per row, once
+    it has room for over twice that many."""
+    keep = used + 2 * rows
+    if len(column) > 2 * keep:
+        _resize(column, keep)
+
+
+def _resize(column: np.ndarray, capacity: int) -> None:
+    """Reallocate column in place for capacity items along its first axis,
+    keeping the first ones: the allocator may extend or remap the block
+    where a new array would hold the old one beside it.  The log's columns
+    are never handed out, and no view of one outlives the method that made
+    it, so no view is left on the old block."""
+    column.resize((capacity, *column.shape[1:]), refcheck=False)
 
 
 def _encode(n: int, states) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -468,6 +577,11 @@ def _widen(a: np.ndarray, width: int, fill) -> np.ndarray:
     out = np.full((*a.shape[:-1], width), fill, dtype=a.dtype)
     out[..., : a.shape[-1]] = a
     return out
+
+
+def _ranges(starts, sizes):
+    """The ranges starts[i] .. starts[i] + sizes[i] - 1, one after another."""
+    return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
 
 
 def _stack(arrays, fill) -> np.ndarray:

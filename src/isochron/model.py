@@ -47,13 +47,13 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         if not (self.b > 0.0) or not math.isfinite(self.b):
-            raise DomainError(f"rise steepness b must be positive, got {self.b}")
+            raise DomainError(f"rise steepness b must be positive and finite, got {self.b}")
         if self.eps < 0.0 or not math.isfinite(self.eps):
-            raise DomainError(f"coupling eps must be non-negative, got {self.eps}")
+            raise DomainError(f"coupling eps must be finite and non-negative, got {self.eps}")
         if self.n < 2:
             raise DomainError(f"need at least two oscillators, got n={self.n}")
         if self.tau < 0.0 or not math.isfinite(self.tau):
-            raise DomainError(f"delay tau must be non-negative, got {self.tau}")
+            raise DomainError(f"delay tau must be finite and non-negative, got {self.tau}")
         e1 = self.eps_hat
         for m in (1, 2):
             a, c = _affine(self.b, m * e1)

@@ -27,7 +27,7 @@ from .engine import (
     is_section_state,
     validate_state,
 )
-from .lockstep import LockstepEngine, _bad_rows, _decode, _encode, _History, _stack
+from .lockstep import LockstepEngine, _bad_rows, _decode, _encode, _History, _ranges, _stack
 from .model import ModelParams
 
 #: Default tolerance for declaring two section states equal.
@@ -278,11 +278,6 @@ def _cycle_results(table: _CycleTable, cycles) -> list[PeriodicityResult]:
     return results
 
 
-def _ranges(starts, sizes):
-    """The ranges starts[i] .. starts[i] + sizes[i] - 1, one after another."""
-    return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-
-
 def _check_budget(max_iter: int, tol: float, names: tuple[str, str] = ("max_iter", "tol")) -> None:
     """Raise ValueError unless max_iter >= 1 and 0 < tol < inf, calling the
     two values by names."""
@@ -323,12 +318,12 @@ def detect_periodicity_many(
     lockstep._History, and the newest state is compared against earlier
     ones by one rule: equal FTD row lengths and state_distance <= tol, the
     earliest match first, so the reported transient and period are
-    minimal.  The prefilter on phase 0 (_History.match) makes the same
-    subtraction as the distance, so it drops no match.  A start that finishes leaves the
-    history, and a found cycle's rows are copied out.  A start with no
-    revisit after max_iter iterations gets a NotPeriodic report.  If any
-    start raises, the error of the first such start (in the given order)
-    is raised.
+    minimal.  The prefilter on every phase (_History.match) makes the same
+    subtraction as the distance, so it drops no match.  A start that
+    finishes leaves the history, and a found cycle's rows are copied out.
+    A start with no revisit after max_iter iterations gets a NotPeriodic
+    report.  If any start raises, the error of the first such start (in
+    the given order) is raised.
     """
     cycle, ends, table = _detect(params, states, max_iter, tol)
     results: list = [None] * len(cycle)
@@ -371,13 +366,27 @@ def _section_rows(params: ModelParams, states: list):
 
 
 #: Starts that detection runs at once, as the rows of one LockstepEngine.
-#: More rows share each return's fixed cost but hold more history.  The
-#: CLI scan of the 0.01 grid at the reference parameters, which detects
-#: its 5,050 cells with theta1 <= theta2, peaks at 42.6-42.7 MB resident
-#: at 100 rows, 42.5-42.6 MB at 300 and 43.2-43.3 MB at 1000 (three runs
-#: each): the peak comes after detection, while the records are built
-#: beside the triangle's cycle table (2-core Xeon, Python 3.11).
-_LIVE_ROWS = 300
+#: A return or a step costs about the same numpy calls at any width, so
+#: more rows take fewer of them (25 returns on the 0.01 grid's triangle
+#: here, 109 at 300 rows), but the history and the engine's per-return
+#: arrays grow with the rows.  Measured on a 2-core Xeon (Python 3.11),
+#: two runs per width of the benchmark's phase-portrait workload
+#: (perfbench/run.py --seconds 8) and of the CLI scan --eps 0.005 --step
+#: 0.02, whose 1,275 starts are all live from 1,275 rows on:
+#:
+#:     rows   wall_ref_s   peak_rss_mb    weak-coupling peak (MB)
+#:      300   0.54-0.63    43.35-43.36    37.5
+#:     1000   0.49-0.51    43.67-43.68    41.2-41.3
+#:     2000   0.44-0.46    43.67-43.73    41.8
+#:     2500   0.42-0.44    43.93-43.97    41.8
+#:     3000   0.45-0.47    44.19-44.28    41.7-41.8
+#:     4000   0.41-0.45    44.36-44.40    41.7
+#:
+#: (padded history at 300 rows: 0.52-0.60 s, 43.62-43.65 MB and 38.1-38.3
+#: MB).  Wider windows are no faster within the noise, and from 3,000 rows
+#: the peak comes within 0.3 MB of 2% over the padded history's, less than
+#: identical runs' peaks differ with the allocator's layout.
+_LIVE_ROWS = 2500
 
 
 def _detect(params: ModelParams, states, max_iter: int, tol: float) -> tuple:
@@ -401,7 +410,7 @@ def _detect(params: ModelParams, states, max_iter: int, tol: float) -> tuple:
     width = _LIVE_ROWS
     states = iter(states)
     eng = LockstepEngine(params, *_encode(n, []))
-    hist = _History(n)
+    hist = _History(n, width, max_iter)
     # Per row, in start order: its start's index and its returns so far.
     start = age = np.zeros(0, dtype=int)
     errors: dict[int, Exception] = {}
@@ -458,8 +467,8 @@ def _detect(params: ModelParams, states, max_iter: int, tol: float) -> tuple:
                 (
                     matched[found],
                     (age - matched)[found],
-                    *hist.entries((0, 1, 2), lo, age),
-                    *hist.entries((3, 4, 5), lo + 1, age + 1),
+                    *hist.entries(lo, age),
+                    *hist.entries(lo + 1, age + 1, returns=True),
                 )
             )
             finders.append(start[found])

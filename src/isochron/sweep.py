@@ -27,7 +27,6 @@ from ._version import __version__
 from .engine import NetworkState, TraceEvent, format_trace_text, init_engine, network_state
 from .model import DomainError, ModelParams
 from .poincare import (
-    _LIVE_ROWS,
     DEFAULT_MATCH_TOL,
     NotPeriodic,
     PeriodicityResult,
@@ -179,12 +178,19 @@ def _scan_triangle(params: ModelParams, values: list, max_iter: int, tol: float,
     return np.maximum(grid, grid.T), _stack_tables(tables)
 
 
+#: Grid cells per block of _scan_cells: about 3 grid rows at step 0.01.
+#: Records are built block by block, beside one block's cycle table, so
+#: this bounds the memory a scan holds for them; detection runs the
+#: triangle as one stream whatever the block size.
+_BLOCK_CELLS = 300
+
+
 def _scan_cells(params: ModelParams, step: float, max_iter: int, tol: float, workers: int):
     """Yield (cells, cycle, table) for each block of rows of the
     initial-phase grid, in grid order: the block's (theta1, theta2) cells,
     and each cell's cycle in the _CycleTable table, or -1 if it found none
-    within max_iter returns.  A block holds whole rows, about _LIVE_ROWS
-    cells, which bounds the memory used while its records are built.
+    within max_iter returns.  A block holds whole rows, about _BLOCK_CELLS
+    cells, however many rows detection runs live (poincare._LIVE_ROWS).
 
     The oscillators are identical, so swapping the free two maps cell
     (a, b)'s eq_init_state start, and with it the whole orbit, onto cell
@@ -196,7 +202,7 @@ def _scan_cells(params: ModelParams, step: float, max_iter: int, tol: float, wor
     values = _grid_values(step)
     grid, triangle = _scan_triangle(params, values, max_iter, tol, workers)
     below = np.tri(len(values), k=-1, dtype=bool)
-    rows = max(1, _LIVE_ROWS // len(values))
+    rows = max(1, _BLOCK_CELLS // len(values))
     for lo in range(0, len(values), rows):
         source = grid[lo : lo + rows].ravel()
         mirrored = below[lo : lo + rows].ravel() & (source >= 0)
@@ -875,7 +881,10 @@ def write_projection_json(
 
 
 def _gp_string(text: str) -> str:
-    """text as a gnuplot single-quoted string, which writes ' as ''."""
+    """text as a gnuplot single-quoted string, which writes ' as ''.  Such
+    a string cannot hold a line break, so one raises DomainError."""
+    if "\n" in text or "\r" in text:
+        raise DomainError(f"a gnuplot string cannot hold a line break, got {text!r}")
     return "'" + text.replace("'", "''") + "'"
 
 

@@ -20,6 +20,11 @@ and builds its one cycle return by return (``cycle_result``).
 ``scan_reference`` is the reference for the initial-phase scan: one
 ``PeriodicityResult`` and one ``PulseSignature`` per cell, interned by
 ``pulse_equivalent``, where the library's scan works on cycle columns.
+
+``PaddedHistory`` is the reference for detection's history
+(``lockstep._History``): every logged state as plain Python values, read
+out padded row by row, where the library stores FTD entries and
+deliveries flat with offsets.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import math
 from itertools import chain
 
 import mpmath as mp
+import numpy as np
 
 from isochron import (
     DEFAULT_MATCH_TOL,
@@ -265,3 +271,82 @@ def scan_reference(params, step: float, max_iter: int = 10_000, tol: float = DEF
             )
         )
     return tuple(records), tuple(signatures)
+
+
+class PaddedHistory:
+    """lockstep._History's log, entry by entry as plain Python values.
+
+    add, keep, match and entries take and give what _History's do.  A
+    state matches a logged state of its row when their FTD entries have the
+    same senders in the same order and no phase or FTD entry differs by
+    more than tol (old minus new, as the library subtracts); match gives
+    the earliest such state's age.  entries pads each row's FTD entries by
+    (0.0, n) and its deliveries by (0.0, no multiplicities) to the widest
+    of the entries read.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.log: list[dict] = []
+
+    def add(self, slots, ages, entry):
+        phases, ftds, senders, elapsed, when, mult = entry
+        for k, (slot, age) in enumerate(zip(slots.tolist(), ages.tolist())):
+            held = [j for j in range(senders.shape[1]) if senders[k, j] < self.n]
+            got = [d for d in range(when.shape[1]) if mult[k, :, d].any()]
+            self.log.append(
+                {
+                    "slot": slot,
+                    "age": age,
+                    "phases": phases[k].tolist(),
+                    "ftds": [float(ftds[k, j]) for j in held],
+                    "who": [int(senders[k, j]) for j in held],
+                    "elapsed": float(elapsed[k, 0]),
+                    "when": [float(when[k, d]) for d in got],
+                    "mult": [mult[k, :, d].tolist() for d in got],
+                }
+            )
+
+    def keep(self, rows):
+        renumbered = np.cumsum(rows) - 1
+        self.log = [
+            dict(e, slot=int(renumbered[e["slot"]])) for e in self.log if rows[e["slot"]]
+        ]
+
+    def match(self, phases, ftds, senders, tol):
+        matched = []
+        for r in range(len(phases)):
+            held = senders[r] < self.n
+            who, values = senders[r][held].tolist(), phases[r].tolist() + ftds[r][held].tolist()
+            ages = (
+                e["age"]
+                for e in self.log
+                if e["slot"] == r
+                and e["who"] == who
+                and all(abs(a - b) <= tol for a, b in zip(e["phases"] + e["ftds"], values))
+            )
+            matched.append(next(ages, -1))
+        return np.array(matched)
+
+    def entries(self, lo, hi, returns=False):
+        picked = [
+            e
+            for r in range(len(lo))
+            for e in sorted(self.log, key=lambda e: e["age"])
+            if e["slot"] == r and lo[r] <= e["age"] < hi[r]
+        ]
+        if returns:
+            width = max((len(e["when"]) for e in picked), default=0)
+            when = np.zeros((len(picked), width))
+            mult = np.zeros((len(picked), self.n, width), dtype=int)
+            for k, e in enumerate(picked):
+                for d, (t, m) in enumerate(zip(e["when"], e["mult"])):
+                    when[k, d], mult[k, :, d] = t, m
+            return [np.array([[e["elapsed"]] for e in picked]).reshape(-1, 1), when, mult]
+        width = max((len(e["ftds"]) for e in picked), default=0)
+        ftds = np.zeros((len(picked), width))
+        senders = np.full((len(picked), width), self.n)
+        for k, e in enumerate(picked):
+            ftds[k, : len(e["ftds"])], senders[k, : len(e["who"])] = e["ftds"], e["who"]
+        phases = np.array([e["phases"] for e in picked], dtype=float).reshape(-1, self.n)
+        return [phases, ftds, senders]

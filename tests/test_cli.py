@@ -3,6 +3,7 @@ precedence, output-file headers, dataset layout, exit codes, and the
 interrupted-run marker."""
 
 import json
+import math
 
 import pytest
 
@@ -885,6 +886,75 @@ class TestOutputPath:
         assert main([*argv, str(tmp_path / "out")]) == 2
         assert error in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+    @pytest.mark.parametrize("value", ["a\nb.csv", "a\rb.csv"], ids=["lf", "cr"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "phases", "--step", "0.5"],
+            ["scan", "params", "--grid", "2x2"],
+            ["region", "project", "--samples", "5"],
+        ],
+        ids=["scan-phases", "scan-params", "region-project"],
+    )
+    def test_plotted_csv_path_with_a_line_break_rejected(
+        self, capsys, tmp_path, argv, source, value
+    ):
+        # The plot script names the CSV in a gnuplot string, which cannot
+        # hold a line break: refused before any output is declared.
+        csv_path, script = str(tmp_path / value), tmp_path / "plot.gp"
+        argv = [*argv, "--plot-script", str(script)]
+        if source == "flag":
+            argv = [*argv, "--out-csv", csv_path]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"out_csv": csv_path}))
+            argv = [*argv, "--config", str(config)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: --out-csv must be one line to be plotted, got {csv_path!r}" in captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == (["config.json"] if source == "config" else [])
+
+
+class TestModelOptions:
+    """A model parameter outside its domain, from a flag or from --config,
+    is refused with the rule it breaks before any output is declared; so is
+    a network size other than 3 where the starts are three-oscillator
+    states."""
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "argv, option, value, message",
+        [
+            (["scan", "phases", "--step", "0.5", "--out-csv"], "tau", math.inf,
+             "delay tau must be finite and non-negative, got inf"),
+            (["scan", "phases", "--step", "0.5", "--out-csv"], "b", math.inf,
+             "rise steepness b must be positive and finite, got inf"),
+            (["verify", "--samples", "3", "--out"], "eps", math.inf,
+             "coupling eps must be finite and non-negative, got inf"),
+            (["scan", "phases", "--step", "0.5", "--out-csv"], "n", 4,
+             "--n must be 3: scan phases runs three oscillators, got 4"),
+            (["verify", "--samples", "3", "--out"], "n", 4,
+             "--n must be 3: verify runs three oscillators, got 4"),
+        ],
+        ids=["scan-phases-tau", "scan-phases-b", "verify-eps", "scan-phases-n", "verify-n"],
+    )
+    def test_bad_value_rejected(self, capsys, tmp_path, argv, option, value, message, source):
+        out = tmp_path / "out"
+        if source == "flag":
+            argv = [*argv, str(out), f"--{option}", str(value)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({option: value}))
+            argv = [*argv, str(out), "--config", str(config)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestSeed:

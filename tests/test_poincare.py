@@ -4,12 +4,13 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracle import cycle_result, o_distance, o_section_return, scalar_detect
+from oracle import PaddedHistory, cycle_result, o_distance, o_section_return, scalar_detect
 
 from isochron import (
     DEFAULT_MATCH_TOL,
@@ -738,6 +739,34 @@ class TestBatchedDetection:
         want = assert_batch_matches(weak, starts)
         assert max(w.transient_iters + w.detected_period for w in want) > 64
 
+    def test_the_history_holds_little_beyond_its_content(self, monkeypatch):
+        # The same weak grid.  Where the log holds the most states, its
+        # arrays take at most a quarter more than the values in them:
+        # phases and return time, each FTD entry with its sender, and each
+        # delivery with its n multiplicities.  Padded to the widest entry,
+        # as it once was, the log took about half again as much.
+        weak = ModelParams(b=3.0, eps=0.005, n=3, tau=0.58)
+        grid = [i * 0.2 for i in range(5)]
+        starts = [eq_init_state(weak, t1, t2) for t1 in grid for t2 in grid]
+        logged, add = [], lockstep._History.add
+
+        def measured(self, *args):
+            add(self, *args)
+            ftds, deliveries = self.ftds, self.deliveries
+            held = [self.slot, self.age, self.phases, self.elapsed, ftds.at, deliveries.at]
+            held += [*ftds.columns, *deliveries.columns]
+            items, received = int(ftds.at[self.size]), int(deliveries.at[self.size])
+            content = self.size * 8 * (self.n + 1)
+            content += items * (8 + ftds.columns[1].itemsize)
+            content += received * (8 + self.n * deliveries.columns[1].itemsize)
+            logged.append((self.size, sum(a.nbytes for a in held), content))
+
+        monkeypatch.setattr(lockstep._History, "add", measured)
+        detect_periodicity_many(weak, starts)
+        size, allocated, content = max(logged)
+        assert size > 500
+        assert allocated <= 1.25 * content
+
     def test_finished_starts_release_their_history(self, monkeypatch):
         # Weak coupling, as above: once only the longest orbits are left, a
         # batch holds their history plus the copied-out cycle of each start
@@ -1047,3 +1076,106 @@ class TestDetectionStream:
             "section": [(2, []), (1, []), (1, [0])],
         }[late]
         assert [(rows, failed) for rows, _, failed in returns] == want_returns
+
+
+class TestRaggedHistory:
+    """lockstep._History, which stores FTD entries and deliveries flat with
+    offsets, logs and reads out what the padded reference in
+    tests/oracle.py does, over any sequence of admissions, returns and
+    departures."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_the_padded_reference(self, data):
+        n = data.draw(st.integers(2, 4), label="n")
+        tol = data.draw(st.sampled_from([1e-9, 0.3]), label="tol")
+        values = st.sampled_from([0.0, 0.25, 0.5, 0.5 + 1e-12, 0.75])
+        hist, ref = lockstep._History(n, 16, 64), PaddedHistory(n)
+        ages: list[int] = []
+
+        def draw_entries(count: int, deliveries: bool) -> list:
+            phases = np.array(data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
+                                                 min_size=count, max_size=count)))
+            phases = phases.reshape(count, n)
+            sizes = data.draw(st.lists(st.integers(0, 4), min_size=count, max_size=count))
+            width = max(sizes, default=0) + data.draw(st.integers(0, 2))
+            ftds, senders = np.zeros((count, width)), np.full((count, width), n)
+            for k, size in enumerate(sizes):
+                senders[k, :size] = sorted(data.draw(
+                    st.lists(st.integers(0, n - 1), min_size=size, max_size=size)))
+                ftds[k, :size] = data.draw(st.lists(values, min_size=size, max_size=size))
+            elapsed = np.array(data.draw(st.lists(values, min_size=count, max_size=count)))
+            got = [data.draw(st.integers(0, 3)) if deliveries else 0 for _ in range(count)]
+            slots = max(got, default=0) + data.draw(st.integers(0, 1))
+            when, mult = np.zeros((count, slots)), np.zeros((count, n, slots), dtype=int)
+            for k, size in enumerate(got):
+                for d in range(size):
+                    when[k, d] = data.draw(values)
+                    mult[k, :, d] = data.draw(st.lists(st.sampled_from([0, 1, 2, 300]),
+                                                       min_size=n, max_size=n))
+                    mult[k, data.draw(st.integers(0, n - 1)), d] = 1
+            return [phases, ftds, senders, elapsed.reshape(-1, 1), when, mult]
+
+        def revisit(states: list) -> list:
+            # Each row's state, or a copy of one it logged, so that a state
+            # may match several logged ones.
+            for r in range(len(states[0])):
+                mine = [e for e in ref.log if e["slot"] == r]
+                if mine and data.draw(st.booleans()):
+                    e = data.draw(st.sampled_from(mine))
+                    states[0][r] = e["phases"]
+                    if len(e["who"]) <= states[1].shape[1]:
+                        states[1][r], states[2][r] = 0.0, n
+                        states[1][r, : len(e["who"])] = e["ftds"]
+                        states[2][r, : len(e["who"])] = e["who"]
+            return states
+
+        def check():
+            # Query states in a padding of their own.
+            query = revisit(draw_entries(len(ages), False)[:3])
+            assert hist.match(*query, tol).tolist() == ref.match(*query, tol).tolist()
+            lo = np.array([data.draw(st.integers(0, a + 1)) for a in ages], dtype=int)
+            hi = lo + np.array([data.draw(st.integers(0, 3)) for _ in ages], dtype=int)
+            for returns in (False, True):
+                got, want = hist.entries(lo, hi, returns), ref.entries(lo, hi, returns)
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and np.array_equal(a, b)
+
+        # Tiny compaction blocks, so that departures move items block by block.
+        with patch.object(lockstep, "_BLOCK", 16):
+            for _ in range(data.draw(st.integers(1, 12), label="steps")):
+                step = data.draw(st.sampled_from(["admit", "return", "leave"]))
+                if step == "admit" and len(ages) < 16:
+                    count = data.draw(st.integers(1, min(3, 16 - len(ages))))
+                    entry, slots = draw_entries(count, False), np.arange(len(ages), len(ages) + count)
+                    for log in (hist, ref):
+                        log.add(slots, np.zeros(count, dtype=int), entry)
+                    ages += [0] * count
+                elif step == "return" and ages:
+                    ages = [a + 1 for a in ages]
+                    entry = draw_entries(len(ages), True)
+                    entry[:3] = revisit(entry[:3])
+                    for log in (hist, ref):
+                        log.add(np.arange(len(ages)), np.array(ages), entry)
+                elif step == "leave" and ages:
+                    rows = np.array(data.draw(st.lists(st.booleans(), min_size=len(ages),
+                                                       max_size=len(ages))))
+                    for log in (hist, ref):
+                        log.keep(rows)
+                    ages = [a for a, kept in zip(ages, rows) if kept]
+                check()
+
+    @pytest.mark.parametrize("coordinate", [0, 1, 2])
+    def test_every_phase_is_filtered_by_the_distance_subtraction(self, coordinate):
+        # |old - new| <= tol, but old lies outside the rounded bounds new -
+        # tol, new + tol: the prefilter on each phase subtracts as the
+        # distance does, so the logged state still matches.
+        old, new, tol = 0.08433871791675089, 0.4453871940548014, 0.3610484761380505
+        assert abs(old - new) <= tol and not new - tol <= old <= new + tol
+        hist = lockstep._History(3, 1, 1)
+        logged, query = np.full((1, 3), 0.25), np.full((1, 3), 0.25)
+        logged[0, coordinate], query[0, coordinate] = old, new
+        ftds, senders = np.zeros((1, 1)), np.full((1, 1), 2)
+        empty = [np.zeros((1, 1)), np.zeros((1, 0)), np.zeros((1, 3, 0), dtype=int)]
+        hist.add(np.zeros(1, dtype=int), np.zeros(1, dtype=int), [logged, ftds, senders, *empty])
+        assert hist.match(query, ftds, senders, tol).tolist() == [0]

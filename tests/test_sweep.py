@@ -233,9 +233,9 @@ class TestPhaseScanReference:
 
     def test_blocks_and_workers_leave_the_bytes_unchanged(self, tmp_path, monkeypatch):
         # The whole step-0.1 grid live at once, against one and seven live
-        # rows, serially and on two workers.
+        # rows, serially and on two workers, and the default window.
         written = []
-        for rows, workers in ((1000, 1), (1, 1), (1, 2), (7, 2)):
+        for rows, workers in ((1000, 1), (1, 1), (1, 2), (7, 2), (poincare._LIVE_ROWS, 2)):
             monkeypatch.setattr(poincare, "_LIVE_ROWS", rows)
             result = phase_scan(P, step=0.1, workers=workers)
             csv_path = tmp_path / f"{rows}-{workers}.csv"
@@ -243,7 +243,17 @@ class TestPhaseScanReference:
             write_phase_scan_csv(result, csv_path)
             write_phase_scan_json(result, json_path)
             written.append((csv_path.read_bytes(), json_path.read_bytes()))
-        assert written[0] == written[1] == written[2] == written[3]
+        assert written[0] == written[1] == written[2] == written[3] == written[4]
+
+    def test_record_blocks_do_not_follow_the_window(self, monkeypatch):
+        # Records are built block by block, about _BLOCK_CELLS cells at a
+        # time, however many starts detection runs live.
+        monkeypatch.setattr(poincare, "_LIVE_ROWS", 5050)
+        values = sweep._grid_values(0.02)
+        blocks = [len(cells) for cells, _, _ in sweep._scan_cells(P, 0.02, 10_000, 1e-9, 1)]
+        assert sum(blocks) == len(values) ** 2
+        assert all(sweep._BLOCK_CELLS - len(values) < b <= sweep._BLOCK_CELLS for b in blocks[:-1])
+        assert 0 < blocks[-1] <= sweep._BLOCK_CELLS
 
     def test_first_failing_cell_in_grid_order_raises(self):
         # At zero delay this coupling stalls the cascade of some cells.
@@ -862,3 +872,15 @@ class TestPlotEmitters:
         strings = [s.replace("''", "'") for s in re.findall(r"'((?:[^']|'')*)'", script)]
         assert csv_path in strings
         assert image_path in strings
+
+    @pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
+    @pytest.mark.parametrize("which", ["csv", "image"])
+    @pytest.mark.parametrize(
+        "emit", [emit_phase_scan_plot, emit_param_scan_plot, emit_projection_plot]
+    )
+    def test_paths_with_a_line_break_raise(self, emit, which, brk):
+        # A gnuplot string cannot hold a line break, so no script is made.
+        paths = {"csv": "scan.csv", "image": "scan.png"}
+        paths[which] = f"a{brk}b"
+        with pytest.raises(DomainError, match="cannot hold a line break"):
+            emit(paths["csv"], image_path=paths["image"])

@@ -10,6 +10,7 @@ from pathlib import Path
 from oracle import scalar_detect
 
 import isochron.cli
+import isochron.lockstep
 import isochron.poincare
 import isochron.regions
 import isochron.sweep
@@ -137,3 +138,26 @@ def test_tracer_times_and_sizes_both_writers_of_a_phase_scan(tmp_path):
     assert counts["sweep.write.spans"] == 2
     assert counts["sweep.write.bytes"] == out_csv.stat().st_size + out_json.stat().st_size > 0
     assert tracer.metrics()["sweep.write.s"] > 0
+
+
+def test_tracer_counts_every_lockstep_return_of_a_phase_scan(tmp_path, monkeypatch):
+    """``engine.section_returns`` counts the lockstep returns that detection
+    runs, one per ``LockstepEngine._section_return`` call, so it shows how
+    many returns a window of live rows takes."""
+    calls = []
+    section_return = isochron.lockstep.LockstepEngine._section_return
+
+    def counted(self, trace):
+        calls.append(len(self.phases))
+        return section_return(self, trace)
+
+    monkeypatch.setattr(isochron.lockstep.LockstepEngine, "_section_return", counted)
+    argv = ["scan", "phases", "--step", "0.1", "--out-csv", str(tmp_path / "scan.csv"),
+            "--timestamp", "2000-01-01T00:00:00+00:00"]
+    tracer = _load_tracer_module().Tracer()
+    try:
+        tracer.install()
+        assert isochron.cli.main(argv) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["engine.section_returns"] == len(calls) > 0
