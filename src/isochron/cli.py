@@ -132,10 +132,10 @@ class _Run:
         """The model parameters.  A command whose starts are three-oscillator
         states (three=True) refuses any other --n."""
         params = ModelParams(
-            b=self.get("b", 3.0, float),
-            eps=self.get("eps", 0.58, float),
-            n=self.get("n", 3, int),
-            tau=self.get("tau", 0.58, float),
+            b=self.get("b", 3.0, _parse_float),
+            eps=self.get("eps", 0.58, _parse_float),
+            n=self.get("n", 3, _parse_int),
+            tau=self.get("tau", 0.58, _parse_float),
         )
         if three and params.n != 3:
             raise DomainError(
@@ -144,7 +144,7 @@ class _Run:
         return params
 
     def threads(self) -> int:
-        value = self.get("threads", cast=int)
+        value = self.get("threads", cast=_parse_int)
         if value is None:
             raw = os.environ.get(THREADS_ENV, "1")
             try:
@@ -157,7 +157,7 @@ class _Run:
         return value
 
     def seed(self) -> int:
-        value = self.get("seed", 0, int)
+        value = self.get("seed", 0, _parse_int)
         if value < 0:
             raise DomainError(f"--seed must be non-negative, got {value}")
         return value
@@ -165,13 +165,13 @@ class _Run:
     def budget(self) -> tuple[int, float]:
         """--max-iter and --tol of a cycle detection, checked by the
         detector's own rule."""
-        max_iter = self.get("max_iter", DEFAULT_SCAN_MAX_ITER, int)
-        tol = self.get("tol", DEFAULT_MATCH_TOL, float)
+        max_iter = self.get("max_iter", DEFAULT_SCAN_MAX_ITER, _parse_int)
+        tol = self.get("tol", DEFAULT_MATCH_TOL, _parse_float)
         _check_budget(max_iter, tol, ("--max-iter", "--tol"))
         return max_iter, tol
 
     def tol(self, default: float) -> float:
-        value = self.get("tol", default, float)
+        value = self.get("tol", default, _parse_float)
         if not 0.0 <= value < math.inf:
             raise DomainError(f"--tol must be finite and non-negative, got {value}")
         return value
@@ -302,6 +302,25 @@ def _read(name: str, parse, value):
         raise DomainError(f"--{name.replace('_', '-')}: cannot read {value!r}: {exc}") from exc
 
 
+def _parse_int(value) -> int:
+    """An integer, which a config file must give as a JSON integer (not a
+    boolean, nor a float with a zero fraction)."""
+    if type(value) is not int:
+        raise TypeError("expected an integer")
+    return value
+
+
+def _parse_float(value) -> float:
+    """A number, which a config file must give as a JSON number (not a
+    boolean)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("expected a number")
+    try:
+        return float(value)
+    except OverflowError:  # an integer past the double range
+        raise TypeError("out of the double range") from None
+
+
 def _parse_bool(value) -> bool:
     """An on/off value, which a config file must give as a JSON boolean."""
     if not isinstance(value, bool):
@@ -391,7 +410,7 @@ def _write_trace_jsonl(events, path, config: dict, timestamp: str) -> None:
 def _cmd_simulate(run: _Run) -> int:
     params = run.params()
     state = _resolve_state(run, params)
-    horizon = run.get("horizon", 3 * params.tau, float)
+    horizon = run.get("horizon", 3 * params.tau, _parse_float)
     header, out_text, out_jsonl = run.outputs("out_text", "out_jsonl")
 
     events = init_engine(params, state).simulate(horizon)
@@ -462,7 +481,7 @@ def _cmd_region_volume(run: _Run) -> int:
     method = run.get("method", "exact")
     if method not in ("exact", "montecarlo", "both"):
         raise DomainError(f"unknown volume method {method!r}")
-    samples = run.get("samples", 1_000_000, int)
+    samples = run.get("samples", 1_000_000, _parse_int)
     seed = run.seed()
     threads = run.threads()
     _, out = run.outputs("out", seed=seed)
@@ -495,7 +514,7 @@ def _cmd_region_volume(run: _Run) -> int:
 def _cmd_region_sample(run: _Run) -> int:
     kind = _parse_kind(run.get("kind", "ir4"))
     params = run.params()
-    n = run.get("samples", 100, int)
+    n = run.get("samples", 100, _parse_int)
     seed = run.seed()
     header, out = run.outputs("out", seed=seed)
     spec = region_spec(params, kind)
@@ -510,11 +529,11 @@ def _cmd_region_sample(run: _Run) -> int:
 
 def _cmd_region_project(run: _Run) -> int:
     params = run.params()
-    n = run.get("samples", 1000, int)
+    n = run.get("samples", 1000, _parse_int)
     seed = run.seed()
     compare = run.get("compare", False, _parse_bool)
     if compare:
-        step = run.get("step", 0.05, float)
+        step = run.get("step", 0.05, _parse_float)
         tol = run.tol(1e-6)
     elif run.given("step"):
         raise DomainError("--step needs --compare: only the overlay scans a grid")
@@ -560,7 +579,7 @@ def _cmd_region_project(run: _Run) -> int:
 
 def _cmd_scan_phases(run: _Run) -> int:
     params = run.params(three=True)
-    step = run.get("step", DEFAULT_SCAN_STEP, float)
+    step = run.get("step", DEFAULT_SCAN_STEP, _parse_float)
     max_iter, tol = run.budget()
     threads = run.threads()
     _, out_csv, out_json, plot_script = run.outputs("out_csv", "out_json", "plot_script")
@@ -583,8 +602,8 @@ def _cmd_scan_phases(run: _Run) -> int:
 
 
 def _cmd_scan_params(run: _Run) -> int:
-    b = run.get("b", 3.0, float)
-    n = run.get("n", 3, int)
+    b = run.get("b", 3.0, _parse_float)
+    n = run.get("n", 3, _parse_int)
     grid_raw = run.get("grid", "100x100")
     n_eps, n_tau = _read("grid", _parse_grid, grid_raw)
     kind = _parse_kind(run.get("kind", "ir4"))
@@ -592,7 +611,7 @@ def _cmd_scan_params(run: _Run) -> int:
     parts = _read("volume_kinds", lambda v: v.split(","), volume_raw)
     volume_kinds = tuple(_parse_kind(part) for part in parts if part)
     volume_method = run.get("volume_method", "exact")
-    volume_samples = run.get("volume_samples", 100_000, int)
+    volume_samples = run.get("volume_samples", 100_000, _parse_int)
     seed = run.seed()
     threads = run.threads()
     _, out_csv, out_json, plot_script = run.outputs(
@@ -632,7 +651,7 @@ def _cmd_scan_params(run: _Run) -> int:
 def _cmd_verify(run: _Run) -> int:
     suite = run.get("suite", "ir4")
     params = run.params(three=True)
-    n = run.get("samples", 1000, int)
+    n = run.get("samples", 1000, _parse_int)
     if n < 1:
         raise DomainError(f"--samples must be at least 1, got {n}")
     seed = run.seed()

@@ -17,7 +17,12 @@ lowest phase at which a pulse of multiplicity m does that.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+
+#: The largest rise steepness b whose expm1(b), the denominator of every
+#: jump coefficient, is a finite double: ln(DBL_MAX) = 709.782712893384.
+_B_MAX = math.log(sys.float_info.max)
 
 
 class DomainError(ValueError):
@@ -28,7 +33,8 @@ class DomainError(ValueError):
 class ModelParams:
     """Network-level parameters shared by all oscillators.
 
-    b        steepness of the concave rise profile (must be > 0)
+    b        steepness of the concave rise profile (must be > 0 and at
+             most _B_MAX, past which expm1(b) overflows)
     eps      total coupling strength a firing oscillator delivers, split
              evenly over the n-1 receivers (must be >= 0)
     n        number of oscillators (>= 2)
@@ -48,6 +54,13 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not (self.b > 0.0) or not math.isfinite(self.b):
             raise DomainError(f"rise steepness b must be positive and finite, got {self.b}")
+        try:
+            math.expm1(self.b)
+        except OverflowError:
+            raise DomainError(
+                f"rise steepness b must be at most {_B_MAX!r}, where expm1(b) overflows, "
+                f"got {self.b}"
+            ) from None
         if self.eps < 0.0 or not math.isfinite(self.eps):
             raise DomainError(f"coupling eps must be finite and non-negative, got {self.eps}")
         if self.n < 2:

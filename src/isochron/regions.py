@@ -634,28 +634,99 @@ def _subset_index(rows: int, dim: int) -> np.ndarray:
     return idx
 
 
-def _enumerate_vertices(spec: RegionSpec, feas_tol: float = 1e-9) -> np.ndarray:
-    """All vertices of the closed polytope: solve every dim-subset of the
-    halfspace boundaries in one stacked call, keep feasible solutions, dedupe.
+@cache
+def _slab_free_index(rows: int, dim: int, slabs: int) -> np.ndarray:
+    """The rows of _subset_index(rows, dim) that hold at most one row of
+    each slab, in the same order (read-only, like it).  The last 2*slabs
+    rows are the slabs: a functional's upper row, then its lower row, its
+    exact negative, so a subset holding both is singular."""
+    group = np.arange(rows)
+    group[rows - 2 * slabs :] = rows - 2 * slabs + np.arange(2 * slabs) // 2
+    idx = _subset_index(rows, dim)
+    idx = idx[np.all(np.diff(group[idx], axis=1) != 0, axis=1)]
+    idx.setflags(write=False)
+    return idx
 
-    ``det != 0`` drops exactly the subsets whose LU factorization (the one
-    ``solve`` runs) has a zero pivot.
+
+#: Relative rounding allowance of the emptiness certificate.  Every term it
+#: bounds is a dot product of at most 4 terms or a sum of at most 6, each
+#: within 1e-15 of the magnitudes it adds (Higham 2002, ch. 3: gamma_4 =
+#: 4.4e-16 per dot product, half an ulp per rounded sum); 1e-12 leaves a
+#: factor of 1000 above that.
+_EMPTY_ROUNDING = 1e-12
+
+
+def _certainly_empty(spec: RegionSpec, feas_tol: float) -> bool:
+    """Whether _enumerate_vertices can keep no vertex of spec, decided from
+    the functionals alone.
+
+    The k functionals that share F1's bounds (the single-pulse ones, F1 to
+    F3, F4 or F5) have weights that cancel, so their sum is the constant
+    sum of their offsets, which no point of the region can take outside
+    [k*lower, k*upper].  A candidate x is kept only if fl(x . w) <=
+    fl(bound + feas_tol) on every halfspace row.  Summed over the k upper
+    rows (or the k lower rows), that puts the offsets' sum within the range
+    widened by a margin of three terms:
+
+    - k * feas_tol, the slack of the test itself;
+    - |sum of w|_1 * span: the float weights cancel only up to rounding,
+      and a kept x satisfies the ordering chain within feas_tol a row, so
+      every |x_j| <= span = tau + (dim + 1) * feas_tol;
+    - k * _EMPTY_ROUNDING * (1 + scale), the rounding of x @ a.T, of the
+      bounds and of these sums, where scale bounds the magnitudes they add:
+      the largest |w|_1 * span + |offset|, plus |lower| + |upper|.
+
+    Outside the widened range no subset can pass, and this returns True.
+    A spec whose orderings are not its family's chain gives no span, and a
+    non-finite sum no verdict: both return False.
     """
-    a, b = _halfspaces(spec)
+    family = FAMILIES.get(spec.kind)
+    if (
+        family is None
+        or not spec.functionals
+        or spec.orderings != _chain_orderings(spec.dim, spec.tau, family.order)
+    ):
+        return False
+    first = spec.functionals[0]
+    same = [f for f in spec.functionals if (f.lower, f.upper) == (first.lower, first.upper)]
+    k = len(same)
+    span = spec.tau + (spec.dim + 1) * feas_tol
+    try:
+        total = math.fsum(f.offset for f in same)
+        drift = math.fsum(abs(math.fsum(col)) for col in zip(*(f.weights for f in same)))
+        scale = max(math.fsum(map(abs, f.weights)) * span + abs(f.offset) for f in same)
+    except (OverflowError, ValueError):  # an infinite or overflowing functional
+        return False
+    scale += abs(first.lower) + abs(first.upper)
+    margin = k * (feas_tol + _EMPTY_ROUNDING * (1.0 + scale)) + drift * span
+    return total < k * first.lower - margin or total > k * first.upper + margin
+
+
+def _enumerate_vertices(spec: RegionSpec, feas_tol: float = 1e-9) -> np.ndarray:
+    """All vertices of the closed polytope, as rows in the order of the
+    first dim-subset of halfspace boundaries that yields each.
+
+    A polytope that _certainly_empty rules out returns no rows before any
+    system is built.  Otherwise every dim-subset that holds at most one row
+    of each slab is solved in one stacked call; the feasible finite
+    solutions are kept and deduplicated on their coordinates rounded to
+    1e-10, the first of each key kept.  ``det != 0`` drops exactly the
+    subsets whose LU factorization (the one ``solve`` runs) has a zero
+    pivot.
+    """
     dim = spec.dim
-    idx = _subset_index(len(a), dim)
+    if _certainly_empty(spec, feas_tol):
+        return np.empty((0, dim))
+    a, b = _halfspaces(spec)
+    idx = _slab_free_index(len(a), dim, len(spec.functionals))
     sub_a, sub_b = a[idx], b[idx]
     ok = np.linalg.det(sub_a) != 0.0
     x = np.linalg.solve(sub_a[ok], sub_b[ok][..., None])[..., 0]
     x = x[np.all(np.isfinite(x), axis=1)]
     x = x[np.all(x @ a.T <= b + feas_tol, axis=1)]
-    seen: dict[tuple[int, ...], np.ndarray] = {}
-    for row in x:
-        key = tuple(int(round(v * 1e10)) for v in row)
-        seen.setdefault(key, row)
-    if not seen:
-        return np.empty((0, dim))
-    return np.vstack(list(seen.values()))
+    # + 0.0 makes -0.0 keys 0.0, as int(round(-0.0)) is 0.
+    _, first = np.unique(np.rint(x * 1e10) + 0.0, axis=0, return_index=True)
+    return x[np.sort(first)]
 
 
 def _fan_volume(vertices: np.ndarray) -> float:

@@ -202,6 +202,42 @@ class TestConfigResolution:
         resolved = json.loads(out.read_text().splitlines()[1][len("# config: ") :])
         assert resolved[option] == default
 
+    @pytest.mark.parametrize(
+        "config, option, message",
+        [
+            ({"samples": 2.5}, "--samples", "expected an integer"),
+            ({"samples": True}, "--samples", "expected an integer"),
+            ({"samples": "abc"}, "--samples", "expected an integer"),
+            ({"eps": "x"}, "--eps", "expected a number"),
+            ({"eps": False}, "--eps", "expected a number"),
+            ({"eps": 10**400}, "--eps", "out of the double range"),
+        ],
+        ids=["samples-float", "samples-bool", "samples-text", "eps-text", "eps-bool", "eps-huge"],
+    )
+    def test_number_of_the_wrong_json_type_is_refused(
+        self, capsys, tmp_path, config, option, message
+    ):
+        """An integer option takes a JSON integer and a float option a JSON
+        number, neither a boolean; before, 2.5 and true were cast to 2 and 1
+        samples and a string was refused without the option's name."""
+        cfg, out = tmp_path / "cfg.json", tmp_path / "points.csv"
+        cfg.write_text(json.dumps(config))
+        assert main(["region", "sample", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {option}: ")
+        assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_integral_number_for_a_float_option(self, capsys, tmp_path):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "points.csv"
+        cfg.write_text(json.dumps({"b": 3, "samples": 2}))
+        argv = ["region", "sample", "--config", str(cfg), "--out", str(out), "--timestamp", TS]
+        assert main(argv) == 0
+        resolved = json.loads(out.read_text().splitlines()[1][len("# config: ") :])
+        assert (resolved["b"], resolved["samples"]) == (3.0, 2)
+        assert type(resolved["b"]) is float
+
     def test_compare_false_in_a_config_file_runs_no_comparison(self, capsys, tmp_path):
         cfg, out = tmp_path / "cfg.json", tmp_path / "out.csv"
         cfg.write_text(json.dumps({"compare": False}))
@@ -955,6 +991,24 @@ class TestModelOptions:
         assert f"error: {message}" in captured.err
         assert captured.out == ""
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_steepness_past_the_double_range_rejected(self, capsys, tmp_path, source):
+        """expm1(b) overflows past b = ln(DBL_MAX); before, b = 800 ended
+        in an OverflowError traceback."""
+        argv = ["region", "exists", "--eps", "0.5", "--tau", "0.3"]
+        if source == "flag":
+            argv += ["--b", "800"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"b": 800}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: rise steepness b must be at most 709.78" in captured.err
+        assert "got 800.0" in captured.err
+        assert captured.out == ""
 
 
 class TestSeed:

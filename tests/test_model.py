@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isochron.model import (
+    _B_MAX,
     DomainError,
     ModelParams,
     jump,
@@ -267,6 +268,20 @@ class TestValidation:
             ModelParams(b=3.0, eps=0.3, n=1)
         with pytest.raises(DomainError):
             ModelParams(b=3.0, eps=0.3, tau=-0.5)
+
+    def test_steepness_bound_is_where_expm1_overflows(self):
+        """b up to ln(DBL_MAX) keeps its coefficients; one ulp past it,
+        expm1(b) overflows and the parameters are refused naming the bound."""
+        assert _B_MAX == pytest.approx(709.78, abs=0.01)
+        assert math.isfinite(math.expm1(_B_MAX))
+        for b in (700.0, _B_MAX):
+            p = ModelParams(b=b, eps=0.5)
+            assert jump_coeffs(p, 1) == (math.exp(b * 0.25), math.expm1(b * 0.25) / math.expm1(b))
+        for b in (math.nextafter(_B_MAX, math.inf), 710.0, 800.0, 1e300):
+            with pytest.raises(OverflowError):
+                math.expm1(b)
+            with pytest.raises(DomainError, match=r"b must be at most 709\.78\d*, where expm1"):
+                ModelParams(b=b, eps=0.5)
 
     def test_eps_hat(self):
         assert ModelParams(b=3.0, eps=0.58, n=3).eps_hat == pytest.approx(0.29)

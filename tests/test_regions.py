@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracle import scalar_detect
 from scipy.spatial import ConvexHull
@@ -52,10 +52,12 @@ from isochron.engine import HorizonExceededError, StateError
 from isochron.poincare import SectionError
 from isochron.regions import (
     Functional,
+    _certainly_empty,
     _enumerate_vertices,
     _halfspaces,
     _network_sort,
     _ordering_simplex_sample,
+    _slab_free_index,
     _subset_index,
 )
 
@@ -996,6 +998,127 @@ class TestVolumeMatchesReferenceLoops:
     def test_seeded_sweep_equals_the_reference_volumes(self):
         golden = json.loads(VOLUME_SWEEP.read_text())
         assert _sweep_rows(region_volume) == golden
+
+
+def _existence_flips(b, tau, kind, grid=48):
+    """For each coupling in [0, 3] where region_exists flips at (b, tau),
+    the two adjacent doubles around it: a grid, then bisection to one ulp."""
+    def exists(eps):
+        return region_exists(ModelParams(b=b, eps=eps, n=3, tau=tau), kind)
+
+    values = np.linspace(0.0, 3.0, grid + 1).tolist()
+    flips = []
+    for lo, hi in zip(values, values[1:]):
+        inside = exists(lo)
+        if inside == exists(hi):
+            continue
+        while math.nextafter(lo, hi) < hi:
+            mid = lo + (hi - lo) / 2
+            if mid in (lo, hi):
+                mid = math.nextafter(lo, hi)
+            lo, hi = (mid, hi) if exists(mid) == inside else (lo, mid)
+        flips.append((lo, hi))
+    return flips
+
+
+def _search_only(spec):
+    """_enumerate_vertices with the emptiness certificate switched off."""
+    with mock.patch.object(regions, "_certainly_empty", lambda spec, tol: False):
+        return _enumerate_vertices(spec)
+
+
+class TestEmptinessCertificate:
+    """The certificate fires only where the reference loops find no vertex
+    (sound), and on every empty polytope of the sweep and the atlas grid
+    (strong)."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        b=st.floats(0.1, 50.0),
+        eps=st.one_of(
+            st.just(0.0), st.floats(-300.0, math.log10(3.0)).map(lambda e: 10.0**e)
+        ),
+        tau=st.one_of(st.sampled_from([0.0, 1e-12]), st.floats(0.0, 2.0)),
+    )
+    @example(b=3.0, eps=0.58, tau=0.0)
+    @example(b=50.0, eps=5e-324, tau=1e-12)
+    @example(b=0.1, eps=3.0, tau=2.0)
+    def test_fires_only_where_the_loops_find_no_vertex(self, b, eps, tau):
+        for kind in KINDS:
+            points = [eps, *itertools.chain(*_existence_flips(b, tau, kind))]
+            for value, feas_tol in itertools.product(points, (1e-9, 0.0)):
+                spec = region_spec(ModelParams(b=b, eps=value, n=3, tau=tau), kind)
+                if _certainly_empty(spec, feas_tol):
+                    assert _loop_vertices(spec, feas_tol).shape == (0, spec.dim)
+                    assert _enumerate_vertices(spec, feas_tol).shape == (0, spec.dim)
+
+    def test_fires_on_every_empty_polytope_of_the_sweep(self):
+        golden = json.loads(VOLUME_SWEEP.read_text())
+        fired = 0
+        for row in golden:
+            params = ModelParams(b=row[0], eps=row[1], n=3, tau=row[2])
+            for i, kind in enumerate(KINDS):
+                empty = row[4 + 2 * i] == 0
+                assert _certainly_empty(region_spec(params, kind), 1e-9) == empty
+                fired += empty
+        assert fired == 2499
+
+    def test_fires_on_every_empty_polytope_of_the_atlas_grid(self):
+        fired = 0
+        for i, j in itertools.product(range(1, 11), repeat=2):
+            params = ModelParams(b=3.0, eps=i / 10, n=3, tau=j / 10)
+            for kind in KINDS:
+                spec = region_spec(params, kind)
+                empty = len(_search_only(spec)) == 0
+                assert _certainly_empty(spec, 1e-9) == empty
+                fired += empty
+        assert fired == 177
+
+    def test_needs_the_family_chain(self):
+        """Without the chain no span bounds the coordinates, so a spec with
+        other orderings is searched."""
+        spec = region_spec(ModelParams(b=3.0, eps=0.58, n=3, tau=0.10), "IR4")
+        assert _certainly_empty(spec, 1e-9)
+        for orderings in ((), spec.orderings[:-1]):
+            assert not _certainly_empty(dataclasses.replace(spec, orderings=orderings), 1e-9)
+
+    def test_skips_the_search(self, monkeypatch):
+        spec = region_spec(ModelParams(b=3.0, eps=0.58, n=3, tau=0.10), "IR4")
+        monkeypatch.setattr(regions, "_halfspaces", None)
+        assert _enumerate_vertices(spec).shape == (0, 3)
+
+
+class TestSlabFreeSubsets:
+    @pytest.mark.parametrize(
+        "rows, dim, slabs, count", [(15, 2, 6, 99), (12, 3, 4, 180), (15, 4, 5, 985)]
+    )
+    def test_table_drops_exactly_the_subsets_holding_a_slab(self, rows, dim, slabs, count):
+        table = _slab_free_index(rows, dim, slabs)
+        assert _slab_free_index(rows, dim, slabs) is table
+        assert not table.flags.writeable
+        first = rows - 2 * slabs
+        pairs = [{first + 2 * i, first + 2 * i + 1} for i in range(slabs)]
+        want = [
+            list(c) for c in itertools.combinations(range(rows), dim)
+            if not any(pair <= set(c) for pair in pairs)
+        ]
+        assert table.tolist() == want
+        assert len(want) == count
+
+    @pytest.mark.parametrize("b", [0.1, 3.0, 50.0])
+    @pytest.mark.parametrize("tau", [0.0, 1e-12, 0.58])
+    @pytest.mark.parametrize("eps", [0.0, 5e-324, 1e-300, 1e-12, 1e-9])
+    def test_thin_and_zero_width_slabs_equal_the_loops(self, b, eps, tau):
+        """At eps = 0 every slab of IR3's double-pulse functionals has
+        upper == lower, and near it the single-pulse slabs are thin: the
+        subsets holding both rows of one are where skipping could move a
+        vertex."""
+        params = ModelParams(b=b, eps=eps, n=3, tau=tau)
+        for kind in KINDS:
+            spec = region_spec(params, kind)
+            want = _loop_vertices(spec)
+            assert np.array_equal(_enumerate_vertices(spec), want)
+            assert region_volume(spec) == _reference_report(spec, want)
 
 
 class TestOracle:
