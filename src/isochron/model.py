@@ -54,13 +54,11 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not (self.b > 0.0) or not math.isfinite(self.b):
             raise DomainError(f"rise steepness b must be positive and finite, got {self.b}")
-        try:
-            math.expm1(self.b)
-        except OverflowError:
+        if self.b > _B_MAX:
             raise DomainError(
                 f"rise steepness b must be at most {_B_MAX!r}, where expm1(b) overflows, "
                 f"got {self.b}"
-            ) from None
+            )
         if self.eps < 0.0 or not math.isfinite(self.eps):
             raise DomainError(f"coupling eps must be finite and non-negative, got {self.eps}")
         if self.n < 2:
