@@ -19,21 +19,20 @@ class's field plan is built once, on first use.
 write_json writes a value's plain() form as text, byte for byte as
 json.dump(..., sort_keys=True, indent=1) would, without building the
 plain() copy or the text of the whole value.  The recursive _emit writes
-any value.  A list item whose class writes no _spread, _command or
-_reshape field is written through its class's %-template instead, built
-once per class and depth from its field plan: each field's value is
-filled in by its exact type, as _emit would write it, and a tuple's text
-is made once per tuple object.  Every other item and value goes to _emit.
-List items are written _BATCH at a time, so the text of a long list is
-never held whole.
+any value.  List items are written _BATCH at a time, so the text of a
+long list is never held whole.  A writer that holds its items as columns
+(a phase scan's records) hands write_json their texts batch by batch,
+each made by fill_template: the item class's %-template, built once from
+its field plan, filled with each field's value_text, as _emit would
+write it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import fields, is_dataclass
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 
 _SCALARS = frozenset({bool, int, float, str, type(None)})
 
@@ -175,63 +174,60 @@ def _emit_dict(value: dict, indent: str, out: list) -> None:
     out.append("\n" + indent + "}")
 
 
-@cache
-def _template(cls, indent: str):
-    """(getter, template) of a Record class written at indent: getter(item)
-    gives its written values in key order, and template % their texts is
-    its _emit text.  None for any other class, or where a field is spread
-    or reshaped or a command is written."""
-    if not issubclass(cls, Record) or cls._command is not None:
-        return None
-    direct, spread = _plan(cls, False)
-    keys = sorted(name for name, convert in direct)
-    # attrgetter of a single name gives the bare value, not a tuple.
-    if spread or len(keys) < 2 or any(convert for name, convert in direct):
-        return None
-    lines = [f"\n{indent} {encode_basestring_ascii(k)}: %s" for k in keys]
-    return attrgetter(*keys), "{" + ",".join(lines) + "\n" + indent + "}"
-
-
 def _text(value, indent: str) -> str:
     out: list = []
     _emit(value, indent, out)
     return "".join(out)
 
 
-def _item_text(item, indent: str, tuples: dict) -> str:
-    """The _emit text of a list item at indent.  tuples maps id(t) to (t,
-    its text) for each tuple field written so far at this indent."""
-    compiled = _template(type(item), indent)
-    if compiled is None:
-        return _text(item, indent)
-    getter, template = compiled
-    texts = []
-    for value in getter(item):
-        scalar = _SCALAR_TEXT.get(type(value))
-        if scalar is not None:
-            texts.append(scalar(value))
-        elif type(value) is not tuple:
-            texts.append(_text(value, indent + " "))
-        else:
-            if id(value) not in tuples:
-                tuples[id(value)] = (value, _text(value, indent + " "))
-            texts.append(tuples[id(value)][1])
-    return template % tuple(texts)
+@cache
+def _template(cls) -> tuple[list[str], str]:
+    """(names, template) of a Record class whose fields are all written
+    under their own names in their plain() form: its keys in order, and
+    template % their value_texts, its _emit text as a list item of
+    write_json."""
+    direct, spread = _plan(cls, False)
+    if spread or cls._command is not None or any(convert for _, convert in direct):
+        raise TypeError(f"{cls.__name__} has no field-by-field template")
+    names = sorted(name for name, _ in direct)
+    lines = [f"\n   {encode_basestring_ascii(k)}: %s" for k in names]
+    return names, "{" + ",".join(lines) + "\n  }"
+
+
+def value_text(value) -> str:
+    """The _emit text of a field's value in a list item of write_json."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    return scalar(value) if scalar is not None else _text(value, "   ")
+
+
+def fill_template(cls, columns: dict):
+    """The texts of cls items, each as write_json writes a list item, from
+    columns: field name -> the value_texts of its values, item by item."""
+    names, template = _template(cls)
+    return map(template.__mod__, zip(*(columns[name] for name in names)))
 
 
 def write_json(fh, payload: dict) -> None:
     """Write plain(payload) and a newline to the text file fh, byte for byte
     as json.dump(plain(payload), fh, sort_keys=True, indent=1) would.  The
-    items of each list or tuple in payload are written _BATCH at a time."""
-    tuples: dict = {}
+    items of each list or tuple in payload are written _BATCH at a time.
+    An iterator in payload stands for a list given by its items' texts,
+    batch by batch: it yields nonempty lists of texts, each as _emit writes
+    an item at indent "  "."""
     for i, key in enumerate(sorted(payload)):
         fh.write(("{\n " if not i else ",\n ") + encode_basestring_ascii(str(key)) + ": ")
-        value = payload[key]
-        if not isinstance(value, (tuple, list)) or not value:
+        value = items = payload[key]
+        if isinstance(items, (tuple, list)):
+            value = (
+                [_text(item, "  ") for item in items[start : start + _BATCH]]
+                for start in range(0, len(items), _BATCH)
+            )
+        if not isinstance(value, Iterator):
             fh.write(_text(value, " "))
             continue
-        for start in range(0, len(value), _BATCH):
-            batch = [_item_text(item, "  ", tuples) for item in value[start : start + _BATCH]]
-            fh.write(("[\n  " if not start else ",\n  ") + ",\n  ".join(batch))
-        fh.write("\n ]")
+        opened = False
+        for batch in value:
+            fh.write((",\n  " if opened else "[\n  ") + ",\n  ".join(batch))
+            opened = True
+        fh.write("\n ]" if opened else "[]")
     fh.write("\n}\n" if payload else "{}\n")

@@ -590,12 +590,8 @@ def _cmd_scan_phases(run: _Run) -> int:
     run.write(out_json, write_phase_scan_json, result, timestamp=run.timestamp)
     run.write(plot_script, _write_plot, emit_phase_scan_plot, out_csv)
 
-    census: dict[int, int] = {}
-    for record in result.records:
-        if record.poincare_period is not None:
-            census[record.poincare_period] = census.get(record.poincare_period, 0) + 1
-    summary = ", ".join(f"{k}: {census[k]}" for k in sorted(census))
-    print(f"{len(result.records)} cells; section periods {{{summary}}}")
+    summary = ", ".join(f"{k}: {cells}" for k, cells in result.period_census().items())
+    print(f"{result.grid.size} cells; section periods {{{summary}}}")
     if result.not_periodic_count():
         print(f"not periodic within budget: {result.not_periodic_count()} cells")
     return 0

@@ -113,7 +113,10 @@ def jump(params: ModelParams, theta: float, delta: float) -> float:
 
 def _affine(b: float, delta: float) -> tuple[float, float]:
     """jump's affine coefficients for strength delta, rounded the one way
-    that jump, jump_m and jump_coeffs all share."""
+    that jump, jump_m and jump_coeffs all share; where exp(b * delta)
+    overflows, delta > 1 (b <= _B_MAX), so (0, 1): phase 1 from any phase."""
+    if b * delta > _B_MAX:
+        return 0.0, 1.0
     return math.exp(b * delta), math.expm1(b * delta) / math.expm1(b)
 
 

@@ -238,15 +238,23 @@ def _mirror_table(table: _CycleTable) -> _CycleTable:
     """
     senders = table.senders ^ (table.senders < 2)
     by_sender = np.argsort(senders, axis=1, kind="stable")
-    k, who, mult, offset = table.receptions
-    who = who ^ (who < 2)
-    order = np.lexsort((who, offset, k))
+    k, _, mult, offset = table.receptions
+    who, order = _mirror_order(table.receptions)
     return table._replace(
         phases=table.phases[:, [1, 0, *range(2, table.phases.shape[1])]],
         ftds=np.take_along_axis(table.ftds, by_sender, axis=1),
         senders=np.take_along_axis(senders, by_sender, axis=1),
         receptions=(k[order], who[order], mult[order], offset[order]),
     )
+
+
+def _mirror_order(receptions: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(who, order) of _mirror_table's receptions: the recipients with 0
+    and 1 swapped, and the order that re-sorts the receptions by (cycle,
+    offset, recipient)."""
+    k, who, _, offset = receptions
+    who = who ^ (who < 2)
+    return who, np.lexsort((who, offset, k))
 
 
 def _cycle_results(table: _CycleTable, cycles) -> list[PeriodicityResult]:

@@ -12,17 +12,15 @@ off by default.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._serial import Record, write_json
+from ._serial import Record, fill_template, value_text, write_json
 from ._version import __version__
 from .engine import NetworkState, TraceEvent, format_trace_text, init_engine, network_state
 from .model import DomainError, ModelParams
@@ -32,7 +30,9 @@ from .poincare import (
     PeriodicityResult,
     PulseSignature,
     _cycle_results,
+    _CycleTable,
     _detect,
+    _mirror_order,
     _mirror_table,
     _stack_tables,
     _take_cycles,
@@ -119,28 +119,49 @@ class ScanRecord(Record):
     projection: tuple[tuple[float, float], ...] = ()
 
 
-@dataclass(frozen=True)
+#: ScanRecord's fields, in order: the columns of a phase scan's datasets.
+_SCAN_FIELDS = tuple(f.name for f in fields(ScanRecord))
+
+
+@dataclass(frozen=True, eq=False)
 class PhaseScanResult(Record):
-    """Full initial-phase scan: one record per grid cell plus the interned
-    signature table (signature_id indexes it)."""
+    """Full initial-phase scan, as columns: grid[i, j] is the cycle in table
+    of cell (values[i], values[j]), values = _grid_values(step), or -1 if
+    it found none; a cell below the diagonal reads its cycle's mirror image
+    (see phase_scan).  signature_ids[0, k] indexes signatures with cycle
+    k's signature, signature_ids[1, k] with its mirror's (-1 if no cell
+    reads it).  records builds the cells' ScanRecords, in grid order."""
 
     params: ModelParams
     step: float
     max_iter: int
     tol: float
-    records: tuple[ScanRecord, ...]
+    grid: np.ndarray
+    table: _CycleTable
+    signature_ids: np.ndarray
     signatures: tuple[PulseSignature, ...]
 
     _command = "phase_scan"
     _config = ("params", "step", "max_iter", "tol")
+    _omit = ("grid", "table", "signature_ids")
+    _extra = ("records",)
+
+    @property
+    def records(self) -> tuple[ScanRecord, ...]:
+        rows = _scan_rows(self, _same, _same)
+        return tuple(record for row in rows for record in map(ScanRecord, *row))
+
+    def period_census(self) -> dict[int, int]:
+        """Periodic cells by section period, in increasing period order."""
+        found = self.table.periods[self.grid[self.grid >= 0]]
+        periods, cells = np.unique(found, return_counts=True)
+        return dict(zip(periods.tolist(), cells.tolist()))
 
     def observed_periods(self) -> set[int]:
-        return {
-            r.poincare_period for r in self.records if r.poincare_period is not None
-        }
+        return set(self.period_census())
 
     def not_periodic_count(self) -> int:
-        return sum(1 for r in self.records if not r.periodic)
+        return int(np.count_nonzero(self.grid < 0))
 
 
 def _grid_values(step: float) -> list[float]:
@@ -178,45 +199,65 @@ def _scan_triangle(params: ModelParams, values: list, max_iter: int, tol: float,
     return np.maximum(grid, grid.T), _stack_tables(tables)
 
 
-#: Grid cells per block of _scan_cells: about 3 grid rows at step 0.01.
-#: Records are built block by block, beside one block's cycle table, so
-#: this bounds the memory a scan holds for them; detection runs the
-#: triangle as one stream whatever the block size.
-_BLOCK_CELLS = 300
+def _slots(grid: np.ndarray, count: int) -> np.ndarray:
+    """The slot of each cell of a grid of count cycles: k for cycle k,
+    count + k for its mirror image, which the cells below the diagonal
+    read, and 2 * count for no cycle."""
+    below = np.tri(len(grid), k=-1, dtype=bool)
+    return np.where(grid < 0, 2 * count, grid + count * below)
 
 
-def _scan_cells(params: ModelParams, step: float, max_iter: int, tol: float, workers: int):
-    """Yield (cells, cycle, table) for each block of rows of the
-    initial-phase grid, in grid order: the block's (theta1, theta2) cells,
-    and each cell's cycle in the _CycleTable table, or -1 if it found none
-    within max_iter returns.  A block holds whole rows, about _BLOCK_CELLS
-    cells, however many rows detection runs live (poincare._LIVE_ROWS).
+def _slot_results(table: _CycleTable, slots) -> list[PeriodicityResult]:
+    """The PeriodicityResults of the given slots (see _slots) of table's
+    cycles, in that order; a mirror's from _mirror_table."""
+    count, slots = len(table.periods), list(slots)
+    flipped = _mirror_table(_take_cycles(table, [s - count for s in slots if s >= count]))
+    direct = iter(_cycle_results(table, [s for s in slots if s < count]))
+    swapped = iter(_cycle_results(flipped, range(len(flipped.periods))))
+    return [next(swapped) if s >= count else next(direct) for s in slots]
 
-    The oscillators are identical, so swapping the free two maps cell
-    (a, b)'s eq_init_state start, and with it the whole orbit, onto cell
-    (b, a)'s.  So only the triangle theta1 <= theta2 is detected
-    (_scan_triangle), and a cell below the diagonal reads the
-    _mirror_table of its transpose's cycle.  The first failing cell in
-    grid order lies in the triangle, since its mirror fails too, so the
-    error raised is the full grid's."""
-    values = _grid_values(step)
-    grid, triangle = _scan_triangle(params, values, max_iter, tol, workers)
-    below = np.tri(len(values), k=-1, dtype=bool)
-    rows = max(1, _BLOCK_CELLS // len(values))
-    for lo in range(0, len(values), rows):
-        source = grid[lo : lo + rows].ravel()
-        mirrored = below[lo : lo + rows].ravel() & (source >= 0)
-        direct = ~below[lo : lo + rows].ravel() & (source >= 0)
-        cycle = np.full(len(source), -1)
-        cycle[mirrored] = np.arange(mirrored.sum())
-        cycle[direct] = mirrored.sum() + np.arange(direct.sum())
-        table = _stack_tables(
-            [
-                _mirror_table(_take_cycles(triangle, source[mirrored])),
-                _take_cycles(triangle, source[direct]),
-            ]
-        )
-        yield [(a, b) for a in values[lo : lo + rows] for b in values], cycle, table
+
+def _intern(params: ModelParams, grid: np.ndarray, table: _CycleTable) -> tuple:
+    """(signature_ids, signatures) of a phase scan (see PhaseScanResult).
+
+    Slots alike in the pulses they receive (recipient and multiplicity, in
+    order; a mirror's re-sorted as _mirror_table does) and in orbit period
+    form a class, interned once, at its first cell in grid order: its
+    pulse_signature takes the id of the first earlier signature with its
+    per-recipient pattern that pulse_equivalent accepts, else a new one."""
+    count = len(table.periods)
+    k, who, mult, offset = table.receptions
+    bounds = np.searchsorted(k, np.arange(count + 1)).tolist()
+    orbits = table.orbits.tolist()
+    who = who.astype(np.min_scalar_type(params.n - 1))
+    swapped, order = _mirror_order((k, who, mult, offset))
+    classes: dict[tuple, int] = {}
+    slot_class = []
+    for pulses in (np.stack([who, mult], axis=1), np.stack([swapped, mult], axis=1)[order]):
+        data, width = pulses.tobytes(), pulses.strides[0]
+        slot_class += [
+            classes.setdefault((data[lo * width : hi * width], t), len(classes))
+            for lo, hi, t in zip(bounds, bounds[1:], orbits)
+        ]
+    slot_class = np.array(slot_class, dtype=int)
+    slots = _slots(grid, count).ravel()
+    slots = slots[slots < 2 * count]
+    cell_class = slot_class[slots]
+    first = np.sort(np.unique(cell_class, return_index=True)[1])
+
+    signatures: list[PulseSignature] = []
+    buckets: dict[tuple, list[int]] = {}
+    ids = np.full(len(classes), -1)
+    for c, result in zip(cell_class[first].tolist(), _slot_results(table, slots[first])):
+        signature = pulse_signature(params, result)
+        bucket = buckets.setdefault(tuple(sorted(signature.per_recipient().items())), [])
+        sid = next((i for i in bucket if pulse_equivalent(signatures[i], signature)), None)
+        if sid is None:
+            signatures.append(signature)
+            sid = len(signatures) - 1
+            bucket.append(sid)
+        ids[c] = sid
+    return ids[slot_class].reshape(2, count), tuple(signatures)
 
 
 def phase_scan(
@@ -226,73 +267,58 @@ def phase_scan(
     tol: float = DEFAULT_MATCH_TOL,
     workers: int = 1,
 ) -> PhaseScanResult:
-    """Scan the initial-phase square [0,1)^2 on a regular grid.
+    """Scan the initial-phase square [0,1)^2 on a regular grid: each cell
+    starts from eq_init_state and runs the cycle detector.
 
-    Each cell starts from eq_init_state, runs the cycle detector, and
-    records the orbit's period data, interned pulse signature, and
-    attractor projection, read off its block's cycle table.  Only the cells
-    with theta1 <= theta2 are detected; each cell below the diagonal reads
-    the mirror image of its transpose's cycle (see _scan_cells), the same
-    result bit for bit.  With workers > 1 that triangle is cut into one
-    span per worker, each detected on a process pool, and the spans are
-    gathered in order, so the result is identical to a serial run.
+    The oscillators are identical, so swapping the free two maps cell (a,
+    b)'s start, and with it the whole orbit, onto cell (b, a)'s.  So only
+    the triangle theta1 <= theta2 is detected (_scan_triangle), and a cell
+    below the diagonal reads the mirror image of its transpose's cycle,
+    the same result bit for bit.  The first failing cell in grid order
+    lies in the triangle, since its mirror fails too, so the error raised
+    is the full grid's.  With workers > 1 the triangle is cut into one span
+    per worker, detected on a process pool and gathered in order, so the
+    result is identical to a serial run.
     """
-    records: list[ScanRecord] = []
-    signatures: list[PulseSignature] = []
-    # Signature ids by per-recipient multiplicity pattern, which equivalent
-    # signatures share; only the period is left to compare within a bucket.
-    buckets: dict[tuple, list[int]] = {}
-    # Signature ids by the pulses a cycle receives (recipient and
-    # multiplicity, in order) and its orbit period: cells alike in both
-    # intern alike, so only each such class's first cell is interned.
-    interned: dict[tuple, int] = {}
-    # Projections by value: cells on one attractor often project onto the
-    # very same points, and then share one tuple, which keeps the records
-    # small.
-    projections: dict[tuple, tuple] = {}
-    for cells, cycle, table in _scan_cells(params, step, max_iter, tol, workers):
-        rec_cycle, who, mult, _ = table.receptions
-        pulses = np.stack([who, mult], axis=1)
-        recs = [0, *np.cumsum(np.bincount(rec_cycle, minlength=len(table.periods))).tolist()]
-        rows = [0, *np.cumsum(table.periods).tolist()]
-        points = list(map(tuple, table.phases[:, :-1].tolist()))
-        projected = [
-            projections.setdefault(p, p)
-            for p in (tuple(points[lo:hi]) for lo, hi in zip(rows, rows[1:]))
-        ]
-        transients, periods, orbits = (
-            column.tolist() for column in (table.transients, table.periods, table.orbits)
-        )
-        keys = [(pulses[lo:hi].tobytes(), t) for lo, hi, t in zip(recs, recs[1:], orbits)]
-        new: dict[tuple, int] = {}  # the first cycle of each class, in grid order
-        for k in cycle[cycle >= 0].tolist():
-            if keys[k] not in interned:
-                new.setdefault(keys[k], k)
-        for key, result in zip(new, _cycle_results(table, list(new.values()))):
-            signature = pulse_signature(params, result)
-            bucket = buckets.setdefault(tuple(sorted(signature.per_recipient().items())), [])
-            sid = next((i for i in bucket if pulse_equivalent(signatures[i], signature)), None)
-            if sid is None:
-                signatures.append(signature)
-                sid = len(signatures) - 1
-                bucket.append(sid)
-            interned[key] = sid
-        records += (
-            ScanRecord(
-                *cell, True, transients[k], periods[k], orbits[k], interned[keys[k]], projected[k]
-            )
-            if k >= 0
-            else ScanRecord(*cell, False)
-            for cell, k in zip(cells, cycle.tolist())
-        )
-    return PhaseScanResult(
-        params=params,
-        step=step,
-        max_iter=max_iter,
-        tol=tol,
-        records=tuple(records),
-        signatures=tuple(signatures),
+    grid, table = _scan_triangle(params, _grid_values(step), max_iter, tol, workers)
+    return PhaseScanResult(params, step, max_iter, tol, grid, table, *_intern(params, grid, table))
+
+
+def _same(value):
+    return value
+
+
+def _scan_rows(result: PhaseScanResult, text, projection) -> Iterator[tuple]:
+    """Per grid row of result, in grid order: its cells' ScanRecord fields,
+    one list per field, read off the fields of the cells' slots (_slots).
+    Each value is as text gives it, once per distinct value of a field
+    (_Cells), and each projection as projection gives it of its (theta1,
+    theta2) pairs, once per distinct projection by bits (equal points
+    differ when one holds -0.0)."""
+    table = result.table
+    count = len(table.periods)
+    # Each slot's points are consecutive rows, a mirror's after every cycle's.
+    points = np.concatenate([table.phases[:, :2], table.phases[:, 1::-1]])
+    hi = np.cumsum(np.tile(table.periods, 2))
+    data, width = points.tobytes(), points.strides[0]
+    made = {b"": projection(())}
+    projections = []
+    for a, b in zip([0, *hi.tolist()], [*hi.tolist(), 0]):
+        key = data[a * width : b * width]
+        if key not in made:
+            made[key] = projection(tuple(map(tuple, points[a:b].tolist())))
+        projections.append(made[key])
+    del points, data, made
+    slot_fields = (
+        [True] * (2 * count) + [False],
+        *([*column.tolist() * 2, None] for column in table[:3]),
+        [*result.signature_ids.ravel().tolist(), None],
     )
+    columns = [*(list(map(_Cells(text).__getitem__, f)) for f in slot_fields), projections]
+    del slot_fields
+    thetas = list(map(_Cells(text).__getitem__, _grid_values(result.step)))
+    for theta1, row in zip(thetas, _slots(result.grid, count).tolist()):
+        yield [theta1] * len(row), thetas, *(list(map(c.__getitem__, row)) for c in columns)
 
 
 # -- parameter-plane scan -------------------------------------------------------
@@ -463,12 +489,6 @@ def _identify_family_cycle(
     return None
 
 
-def _period4_cycles(cycle, table) -> list[int]:
-    """The period-4 cycles in table of the starts, in start order, where
-    cycle[s] is start s's cycle in table or -1."""
-    return [k for k in cycle.tolist() if k >= 0 and table.periods[k] == 4]
-
-
 def projection_compare(
     params: ModelParams,
     n_samples: int = 200,
@@ -498,27 +518,30 @@ def projection_compare(
     numeric_orbits = 0
     mirror_orbits = 0
     unidentified = 0
-    for _, cycle, table in _scan_cells(params, step, max_iter, DEFAULT_MATCH_TOL, workers):
-        for result in _cycle_results(table, _period4_cycles(cycle, table)):
-            identified = _identify_family_cycle(params, spec, result, tol=1e-7)
-            if identified is None:
-                unidentified += 1
-                continue
-            mirrored, sigma = identified
-            numeric_orbits += 1
-            if mirrored:
-                mirror_orbits += 1
-            cur = sigma
-            for _ in range(4):
-                numeric.append(_ir4_phase_plane(params, cur))
-                cur = g_map(cur, params.tau)
+    grid, table = _scan_triangle(params, _grid_values(step), max_iter, DEFAULT_MATCH_TOL, workers)
+    slots = _slots(grid, len(table.periods)).ravel()
+    period4 = slots[np.append(np.tile(table.periods, 2), 0)[slots] == 4]
+    for result in _slot_results(table, period4):
+        identified = _identify_family_cycle(params, spec, result, tol=1e-7)
+        if identified is None:
+            unidentified += 1
+            continue
+        mirrored, sigma = identified
+        numeric_orbits += 1
+        if mirrored:
+            mirror_orbits += 1
+        cur = sigma
+        for _ in range(4):
+            numeric.append(_ir4_phase_plane(params, cur))
+            cur = g_map(cur, params.tau)
 
     seeded_sigma = sample_interior(params, "IR4", n_samples, seed=seed + 1)
     seeds = (s_embed(params, "IR4", tuple(map(float, row))) for row in seeded_sigma)
     cycle, _, table = _detect(params, seeds, 16, DEFAULT_MATCH_TOL)
     # The seeded cycles' states are only projected, so their phases are read
     # off the table, with no PeriodicityResult built.
-    four = _take_cycles(table, _period4_cycles(cycle, table))
+    cycle = cycle[cycle >= 0]
+    four = _take_cycles(table, cycle[table.periods[cycle] == 4])
     seeded = list(map(tuple, four.phases[:, :-1].tolist()))
     seeded_orbits = len(four.periods)
 
@@ -725,13 +748,14 @@ def dataset_header(
     return lines
 
 
-def _write_csv(path, header_lines: list[str], columns: list[str], rows) -> None:
+def _write_csv(path, header_lines: list[str], columns, rows) -> None:
+    """A CSV dataset: the header lines, the column names, then the rows,
+    each a sequence of cell texts.  No cell holds a comma, a quote or a
+    line break, so a row is its cells joined by commas, as csv.writer
+    writes it."""
     with open(path, "w", newline="") as fh:
-        for line in header_lines:
-            fh.write(line + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
+        fh.writelines(line + "\n" for line in [*header_lines, ",".join(columns)])
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _write_json(path, timestamp: str | None, **fields) -> None:
@@ -747,76 +771,46 @@ def _opt(value) -> str:
 
 
 class _Cells(dict):
-    """The _opt text of each CSV cell value, formatted once per distinct
-    value.  A zero is formatted each time: 0.0 == -0.0 and the two hash
-    alike, but they are written "0" and "-0"."""
+    """The text(value) of each cell value, made once per distinct value.  A
+    zero is formatted each time: 0.0 == -0.0 and the two hash alike, but
+    they are written "0" and "-0"."""
 
-    def __init__(self) -> None:
+    def __init__(self, text=_opt) -> None:
         super().__init__()
-        self._points: dict = {}
+        self._text = text
 
     def __missing__(self, value) -> str:
-        text = _opt(value)
+        text = self._text(value)
         if value:
             self[value] = text
         return text
-
-    def points(self, points: tuple) -> str:
-        """Points as one cell, "x y" pairs joined by ";", formatted once per
-        tuple object (equal tuples differ when one holds -0.0)."""
-        seen = self._points.get(id(points))
-        if seen is None:
-            text = ";".join(f"{_fmt(x)} {_fmt(y)}" for x, y in points)
-            seen = self._points[id(points)] = (points, text)
-        return seen[1]
 
 
 def write_phase_scan_csv(result: PhaseScanResult, path, timestamp: str | None = None) -> None:
     """One row per grid cell; projection points are semicolon-joined
     "x y" pairs so the cell needs no quoting."""
-    records = result.records
     cells = _Cells()
-
-    def column(name: str, text=cells.__getitem__):
-        return map(text, map(attrgetter(name), records))
-
-    rows = zip(
-        column("theta1"),
-        column("theta2"),
-        column("periodic", int),
-        column("transient_iters"),
-        column("poincare_period"),
-        column("orbit_period"),
-        column("signature_id"),
-        column("projection", cells.points),
-    )
+    rows = _scan_rows(result, _opt, lambda points: ";".join(f"{cells[x]} {cells[y]}" for x, y in points))
     _write_csv(
         path,
         dataset_header(result.config_dict(), timestamp=timestamp),
-        [
-            "theta1",
-            "theta2",
-            "periodic",
-            "transient_iters",
-            "poincare_period",
-            "orbit_period",
-            "signature_id",
-            "projection",
-        ],
-        rows,
+        _SCAN_FIELDS,
+        (cell for row in rows for cell in zip(*row)),
     )
 
 
 def write_phase_scan_json(result: PhaseScanResult, path, timestamp: str | None = None) -> None:
     """The phase scan as JSON; a phase scan draws no random numbers, so its
-    seed is null."""
+    seed is null.  Each record is written through ScanRecord's template,
+    one grid row at a time."""
+    rows = _scan_rows(result, value_text, value_text)
     _write_json(
         path,
         timestamp,
         config=result.config_dict(),
         seed=None,
         signatures=result.signatures,
-        records=result.records,
+        records=(list(fill_template(ScanRecord, dict(zip(_SCAN_FIELDS, row)))) for row in rows),
     )
 
 
@@ -828,7 +822,7 @@ def write_param_scan_csv(
     cells = _Cells()
     rows = (
         (cells[r.eps], cells[r.tau])
-        + tuple(int(r.exists[k]) for k in KINDS)
+        + tuple(str(int(r.exists[k])) for k in KINDS)
         + tuple(cells[r.volumes[k]] for k in KINDS)
         for r in result.records
     )

@@ -16,7 +16,7 @@ from isochron import (
     region_volume,
     s_embed,
 )
-from isochron import cli
+from isochron import cli, sweep
 from isochron.cli import FAILED_MARKER, THREADS_ENV, main
 from isochron.engine import Engine
 
@@ -653,6 +653,26 @@ class TestScanPhases:
         assert lines[0] == f"# isochron {__version__}"
         assert str(csv) in plot.read_text()
 
+    def test_builds_no_scan_records(self, capsys, tmp_path, monkeypatch):
+        # The summary and all three outputs read the scan's columns; only a
+        # library caller that asks for records builds them.
+        built = []
+        init = sweep.ScanRecord.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sweep.ScanRecord, "__init__", counting)
+        outputs = ["--out-csv", "--out-json", "--plot-script"]
+        argv = ["scan", "phases", "--step", "0.1", "--timestamp", TS]
+        argv += [item for i, flag in enumerate(outputs) for item in (flag, str(tmp_path / f"{i}"))]
+        assert main(argv) == 0
+        assert "100 cells" in capsys.readouterr().out
+        assert built == []
+        assert len(sweep.phase_scan(sweep.ModelParams(3.0, 0.58, 3, 0.58), step=0.5).records) == 4
+        assert len(built) == 4
+
     def test_env_thread_count_is_recorded_and_neutral(
         self, capsys, tmp_path, monkeypatch
     ):
@@ -1009,6 +1029,19 @@ class TestModelOptions:
         assert "error: rise steepness b must be at most 709.78" in captured.err
         assert "got 800.0" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("eps", ["300", "1e308"])
+    def test_coupling_past_the_exponent_range_runs(self, capsys, eps):
+        """b * m * eps_hat past ln(DBL_MAX) overflowed exp; such a reception
+        fires from any phase.  Before, each command ended in an
+        OverflowError traceback."""
+        common = ["--eps", eps, "--tau", "0.3"]
+        assert main(["scan", "phases", "--step", "0.5", *common]) == 0
+        assert "4 cells; section periods {1: 4}" in capsys.readouterr().out
+        assert main(["region", "exists", *common]) == 0
+        assert capsys.readouterr().out.strip() == "false"
+        assert main(["region", "volume", *common]) == 0
+        assert capsys.readouterr().out.strip() == "exact: 0"
 
 
 class TestSeed:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isochron.lockstep import _coeff_table
 from isochron.model import (
     _B_MAX,
     DomainError,
@@ -254,6 +255,59 @@ class TestJumpCoeffs:
         assert (0.7 * 3) * p.eps_hat != 0.7 * (3 * p.eps_hat)
         a, c = jump_coeffs(p, 3)
         assert a * 0.5 + c == jump_m(p, 0.5, 3)
+
+
+def _edge(b: float) -> float:
+    """The largest strength delta with b * delta <= _B_MAX."""
+    delta = _B_MAX / b
+    while b * delta > _B_MAX:
+        delta = math.nextafter(delta, 0.0)
+    while b * math.nextafter(delta, math.inf) <= _B_MAX:
+        delta = math.nextafter(delta, math.inf)
+    return delta
+
+
+class TestCoefficientsPastTheExponentRange:
+    """Past b * delta = ln(DBL_MAX), exp(b * delta) overflows.  The strength
+    delta then exceeds 1, so the jump passes phase 1 from any phase, and
+    the coefficients are (0, 1)."""
+
+    @pytest.mark.parametrize("b", [3.0, 50.0, 700.0, _B_MAX])
+    def test_both_sides_of_the_edge(self, b):
+        below = _edge(b)
+        above = math.nextafter(below, math.inf)
+        # One ulp below: the bits of exp and expm1, close to the oracle's.
+        x = b * below
+        a, c = jump_coeffs(ModelParams(b=b, eps=below, n=2), 1)
+        assert (a, c) == (math.exp(x), math.expm1(x) / math.expm1(b))
+        # (compared in mp: the exact exponent may put the oracle past DBL_MAX)
+        assert abs(mp.mpf(a) / mp.exp(mp.mpf(b) * below) - 1) < 1e-12
+        assert abs(mp.mpf(c) / (mp.expm1(mp.mpf(b) * below) / mp.expm1(b)) - 1) < 1e-12
+        # One ulp above: exp overflows, and the oracle's jump passes phase 1
+        # from phase 0, so the reception fires from any phase.
+        with pytest.raises(OverflowError):
+            math.exp(b * above)
+        past = ModelParams(b=b, eps=above, n=2)
+        assert jump_coeffs(past, 1) == (0.0, 1.0)
+        assert o_jump(b, 0.0, above) > 1
+        for theta in (0.0, 0.5, math.nextafter(1.0, 0.0)):
+            assert min(1.0, jump_m(past, theta, 1)) == 1.0
+            assert min(1.0, jump(past, theta, above)) == 1.0
+
+    def test_multiplicities_past_the_edge(self):
+        # eps_hat = 150: one pulse stays in range, two or more pass it.
+        p = ModelParams(b=3.0, eps=300.0)
+        a, c = _coeff_table(p, 4)
+        assert a.tolist() == [1.0, math.exp(450.0), 0.0, 0.0, 0.0]
+        assert c.tolist() == [0.0, math.expm1(450.0) / math.expm1(3.0), 1.0, 1.0, 1.0]
+        assert [jump_coeffs(p, m) for m in (2, 3, 4)] == [(0.0, 1.0)] * 3
+        assert jump_coeffs(ModelParams(b=3.0, eps=1e308), 1) == (0.0, 1.0)
+
+    def test_table_holds_the_coefficients_at_every_multiplicity(self):
+        a, c = _coeff_table(P, 6)
+        assert list(zip(a.tolist(), c.tolist())) == [
+            (1.0, 0.0), *(jump_coeffs(P, m) for m in range(1, 7))
+        ]
 
 
 class TestValidation:

@@ -4,6 +4,7 @@ the boundary-escape demonstration, and the reproducible dataset writers."""
 
 import csv
 import functools
+import io
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -56,6 +57,7 @@ from isochron import (
     write_projection_json,
 )
 from isochron import poincare, sweep
+from isochron._serial import plain
 from isochron.engine import EngineStallError, HorizonExceededError, StateError
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
@@ -245,15 +247,19 @@ class TestPhaseScanReference:
             written.append((csv_path.read_bytes(), json_path.read_bytes()))
         assert written[0] == written[1] == written[2] == written[3] == written[4]
 
-    def test_record_blocks_do_not_follow_the_window(self, monkeypatch):
-        # Records are built block by block, about _BLOCK_CELLS cells at a
-        # time, however many starts detection runs live.
-        monkeypatch.setattr(poincare, "_LIVE_ROWS", 5050)
-        values = sweep._grid_values(0.02)
-        blocks = [len(cells) for cells, _, _ in sweep._scan_cells(P, 0.02, 10_000, 1e-9, 1)]
-        assert sum(blocks) == len(values) ** 2
-        assert all(sweep._BLOCK_CELLS - len(values) < b <= sweep._BLOCK_CELLS for b in blocks[:-1])
-        assert 0 < blocks[-1] <= sweep._BLOCK_CELLS
+    def test_workers_leave_the_bytes_unchanged_at_any_window(self, tmp_path, monkeypatch):
+        # The step-0.02 grid's 1,275 triangle cells with 7 live rows, and
+        # with all of them live at once (5,050 rows), serially and on two
+        # workers: the datasets are read off one cycle table either way.
+        written = set()
+        for rows in (7, 5050):
+            monkeypatch.setattr(poincare, "_LIVE_ROWS", rows)
+            for workers in (1, 2):
+                result = phase_scan(P, step=0.02, workers=workers)
+                write_phase_scan_csv(result, tmp_path / "scan.csv")
+                write_phase_scan_json(result, tmp_path / "scan.json")
+                written.add(((tmp_path / "scan.csv").read_bytes(), (tmp_path / "scan.json").read_bytes()))
+        assert len(written) == 1
 
     def test_first_failing_cell_in_grid_order_raises(self):
         # At zero delay this coupling stalls the cascade of some cells.
@@ -294,9 +300,12 @@ class TestPhaseScanReference:
         assert repr(got.signatures) == repr(signatures)
 
     def test_interning_follows_pulse_equivalent(self, monkeypatch):
-        # Four one-state cycles of recipient 1 alone: the first two differ
-        # only in the order of their multiplicities, the third is the first
-        # with its period 5e-10 longer, the fourth with it 2e-9 longer.
+        # Four one-state cycles of recipient 0 alone, the cells of the first
+        # grid row: the first two differ only in the order of their
+        # multiplicities, the third is the first with its period 5e-10
+        # longer, the fourth with it 2e-9 longer.  The first cells of the
+        # later rows read the mirrors of cycles 1-3, received by recipient
+        # 1; no other cell found a cycle.
         periods = [1.0, 1.0, 1.0 + 5e-10, 1.0 + 2e-9]
         table = poincare._CycleTable(
             transients=np.zeros(4, dtype=int),
@@ -313,17 +322,39 @@ class TestPhaseScanReference:
                 np.tile([0.25, 0.5], 4),
             ),
         )
-        cells = [(0.0, 0.1 * k) for k in range(4)]
-        block = (cells, np.arange(4), table)
-        monkeypatch.setattr(sweep, "_scan_cells", lambda *args: [block])
-        result = phase_scan(P)
-        assert [r.signature_id for r in result.records] == [0, 1, 0, 2]
+        grid = np.full((4, 4), -1)
+        grid[0] = grid[:, 0] = np.arange(4)
+        monkeypatch.setattr(sweep, "_scan_triangle", lambda *args: (grid, table))
+        result = phase_scan(P, step=0.25)
+        ids = [r.signature_id for r in result.records]
+        assert ids == [0, 1, 0, 2, 3, None, None, None, 4, None, None, None, 5, None, None, None]
         sigs = [
-            PulseSignature(period=t, receptions=tuple(zip([0, 0], m, [0.25, 0.5])))
+            PulseSignature(period=t, receptions=tuple(zip([r, r], m, [0.25, 0.5])))
+            for r in (0, 1)
             for t, m in zip(periods, [(2, 1), (1, 2), (2, 1), (2, 1)])
         ]
-        assert [pulse_equivalent(sigs[0], s) for s in sigs] == [True, False, True, False]
-        assert result.signatures == (sigs[0], sigs[1], sigs[3])
+        assert [pulse_equivalent(sigs[0], s) for s in sigs[:4]] == [True, False, True, False]
+        assert result.signatures == (sigs[0], sigs[1], sigs[3], sigs[5], sigs[6], sigs[7])
+
+    def test_mirrored_ties_intern_as_the_reference(self):
+        # At P, some cycles of cells above the diagonal have recipients 0
+        # and 1 receive at one offset with unequal multiplicities.  Their
+        # mirrors' receptions, recipients swapped, must be re-sorted by
+        # (offset, recipient), and the mirror then holds another key.
+        for step in (0.1, 0.25):
+            result = phase_scan(P, step=step)
+            k, who, mult, offset = result.table.receptions
+            tie = (k[1:] == k[:-1]) & (offset[1:] == offset[:-1]) & (mult[1:] != mult[:-1])
+            tied = set(k[1:][tie & (who[1:] != who[:-1])].tolist())
+            upper = result.grid[np.triu_indices(len(result.grid), 1)]
+            assert tied & set(upper.tolist())
+            swapped, order = poincare._mirror_order(result.table.receptions)
+            for cycle in tied:
+                rows = k == cycle
+                assert not np.array_equal(swapped[rows], swapped[order][rows])
+            records, signatures = scan_reference(P, step)
+            assert repr(result.records) == repr(records)
+            assert repr(result.signatures) == repr(signatures)
 
     def test_config_dict_round_trips_through_json(self):
         config = scan05().config_dict()
@@ -383,7 +414,9 @@ class TestMirror:
     def test_only_the_triangle_is_detected(self, monkeypatch):
         # Every cell of the step-0.1 grid at P is periodic: the 55 cells
         # with theta1 <= theta2 (n (n + 1) / 2 for n = 10) are detected, in
-        # spans of equal size, and the 45 below the diagonal are mirrored.
+        # spans of equal size.  The 45 below the diagonal read mirrored
+        # cycles, but a mirror's table is built only for the first cell of
+        # a class (phase_scan's interning), once per scan.
         counted, mirrored = [], []
         detect, mirror_table = sweep._detect, sweep._mirror_table
 
@@ -408,7 +441,8 @@ class TestMirror:
             assert sum(counted) == 55
             assert len(counted) == workers
             assert max(counted) - min(counted) <= 1
-            assert sum(mirrored) == 45
+            assert len(mirrored) == 1
+            assert 0 < mirrored[0] <= len(result.signatures)
 
 
 class TestParamScan:
@@ -652,41 +686,83 @@ _CELL_FLOATS = (
     | st.sampled_from([0.0, -0.0, 5e-324, float("nan"), float("inf"), -float("inf")])
     | st.integers(-3, 3)
 )
-_CELL_INTS = st.none() | st.integers(-1, 10**20)
-_CELL_POINTS = st.lists(st.tuples(_CELL_FLOATS, _CELL_FLOATS), max_size=3).map(tuple)
-# Two equal projections and two equal values that the writers must still
-# write apart.
-_ZEROS = (
-    sweep.ScanRecord(0.0, 0.0, True, 0, 1, 0.0, 0, ((0.0, 0.5),)),
-    sweep.ScanRecord(-0.0, -0.0, True, 0, 1, -0.0, 0, ((-0.0, 0.5),)),
-)
+_CELL_INTS = st.integers(-1, 2**62)
 
 
 @st.composite
-def _scan_records(draw):
-    shared = draw(_CELL_POINTS)
-    records = draw(
-        st.lists(
-            st.builds(
-                sweep.ScanRecord,
-                theta1=_CELL_FLOATS,
-                theta2=_CELL_FLOATS,
-                periodic=st.booleans(),
-                transient_iters=_CELL_INTS,
-                poincare_period=_CELL_INTS,
-                orbit_period=st.none() | _CELL_FLOATS,
-                signature_id=_CELL_INTS,
-                projection=_CELL_POINTS | st.just(shared),
-            ),
-            max_size=6,
-        )
+def _scan_results(draw):
+    """A phase scan on the step-0.25 grid whose cycles hold drawn values.
+    Two of them are equal but for the signs of their zeros, which the
+    writers must still write apart; the cells read any cycle or none."""
+    periods = draw(st.lists(st.integers(1, 3), max_size=4)) + [1, 1]
+    count, rows = len(periods), sum(periods)
+    points = draw(st.lists(st.tuples(_CELL_FLOATS, _CELL_FLOATS), min_size=rows, max_size=rows))
+    points[-2:] = [(0.0, 0.5), (-0.0, 0.5)]
+    orbits = draw(st.lists(_CELL_FLOATS, min_size=count, max_size=count))
+    orbits[-2:] = [0.0, -0.0]
+    table = poincare._CycleTable(
+        transients=np.array(draw(st.lists(_CELL_INTS, min_size=count, max_size=count))),
+        periods=np.array(periods),
+        orbits=np.array(orbits, dtype=float),
+        phases=np.array([(x, y, 0.0) for x, y in points], dtype=float),
+        ftds=np.zeros((rows, 0)),
+        senders=np.zeros((rows, 0), dtype=int),
+        returns=np.zeros(rows),
+        receptions=(np.zeros(0, dtype=int),) * 3 + (np.zeros(0),),
     )
-    return (*records, *_ZEROS, *records)
+    cells = draw(st.lists(st.integers(-1, count - 1), min_size=16, max_size=16))
+    cells[:2] = [count - 2, count - 1]
+    ids = draw(st.lists(_CELL_INTS, min_size=2 * count, max_size=2 * count))
+    return sweep.PhaseScanResult(
+        params=P,
+        step=0.25,
+        max_iter=1,
+        tol=1e-9,
+        grid=np.array(cells).reshape(4, 4),
+        table=table,
+        signature_ids=np.array(ids).reshape(2, count),
+        signatures=(),
+    )
 
 
 def _csv_rows(path) -> list[list[str]]:
     with open(path, newline="") as fh:
         return list(csv.reader(line for line in fh if not line.startswith("#")))[1:]
+
+
+def _record_dumps(result) -> tuple[bytes, bytes]:
+    """A phase scan's CSV and JSON datasets as csv.writer and json.dumps
+    write its records, cell by cell."""
+    fmt, opt = sweep._fmt, sweep._opt
+    out = io.StringIO()
+    out.writelines(line + "\n" for line in dataset_header(result.config_dict()))
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(
+        ["theta1", "theta2", "periodic", "transient_iters", "poincare_period", "orbit_period",
+         "signature_id", "projection"]
+    )
+    writer.writerows(
+        [fmt(r.theta1), fmt(r.theta2), int(r.periodic), opt(r.transient_iters),
+         opt(r.poincare_period), opt(r.orbit_period), opt(r.signature_id),
+         ";".join(f"{fmt(x)} {fmt(y)}" for x, y in r.projection)]
+        for r in result.records
+    )
+    payload = {
+        "version": __version__,
+        "timestamp": None,
+        "config": result.config_dict(),
+        "seed": None,
+        "signatures": result.signatures,
+        "records": result.records,
+    }
+    return out.getvalue().encode(), (json.dumps(plain(payload), sort_keys=True, indent=1) + "\n").encode()
+
+
+def _written(result, directory) -> tuple[bytes, bytes]:
+    """The bytes write_phase_scan_csv and write_phase_scan_json write."""
+    write_phase_scan_csv(result, directory / "scan.csv")
+    write_phase_scan_json(result, directory / "scan.json")
+    return (directory / "scan.csv").read_bytes(), (directory / "scan.json").read_bytes()
 
 
 class TestDatasetWriters:
@@ -759,6 +835,23 @@ class TestDatasetWriters:
         write_phase_scan_json(scan25(), tmp_path / "again.json")
         assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(0.2, 8.0),
+        st.floats(0.0, 0.95),
+        st.floats(0.01, 1.2),
+        st.sampled_from([0.1, 0.25]),
+        st.sampled_from([3, 10_000]),
+    )
+    # Cells that find no cycle within three returns beside periodic ones.
+    @example(1.5, 0.2, 0.9, 0.1, 3)
+    def test_writers_agree_with_the_serializer(self, tmp_path_factory, b, eps, tau, step, max_iter):
+        # The columnar writers write what csv.writer and the one Record
+        # serializer make of the scan's records.
+        params = ModelParams(b=b, eps=eps, n=3, tau=tau)
+        result = phase_scan(params, step=step, max_iter=max_iter)
+        assert _written(result, tmp_path_factory.getbasetemp()) == _record_dumps(result)
+
     def test_param_scan_writers(self, tmp_path):
         result = param_scan((0.45, 0.7), (0.45, 0.7), volume_kinds=("IR4",), seed=9)
         csv_path = tmp_path / "params.csv"
@@ -801,21 +894,31 @@ class TestDatasetWriters:
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
-        records=_scan_records(),
+        result=_scan_results(),
         values=st.lists(st.tuples(_CELL_FLOATS, st.booleans(), st.none() | _CELL_FLOATS)),
     )
-    def test_csv_cells_are_formatted_per_cell(self, tmp_path_factory, records, values):
+    def test_csv_cells_are_formatted_per_cell(self, tmp_path_factory, result, values):
         # Every cell holds the text _fmt or _opt gives its own value, however
-        # often an equal value or one projection tuple recurs.
+        # often an equal value or one projection recurs.  A phase scan's
+        # records read each cell's cycle, or its mirror below the diagonal.
         fmt, opt = sweep._fmt, sweep._opt
+        records = result.records
+        table, values4 = result.table, sweep._grid_values(0.25)
+        starts = np.cumsum(table.periods) - table.periods
+        for (i, j), r in zip(np.ndindex(4, 4), records):
+            k = result.grid[i, j]
+            assert (r.theta1, r.theta2, r.periodic) == (values4[i], values4[j], k >= 0)
+            if k < 0:
+                assert r == sweep.ScanRecord(values4[i], values4[j], False)
+                continue
+            points = table.phases[starts[k] : starts[k] + table.periods[k], :2]
+            read = tuple(map(tuple, (points[:, ::-1] if j < i else points).tolist()))
+            assert repr(r.projection) == repr(read)
+            assert (r.transient_iters, r.poincare_period) == (table.transients[k], table.periods[k])
+            assert repr(r.orbit_period) == repr(table.orbits[k].item())
+            assert r.signature_id == result.signature_ids[int(j < i), k]
+        assert _written(result, tmp_path_factory.getbasetemp()) == _record_dumps(result)
         path = tmp_path_factory.getbasetemp() / "cells.csv"
-        write_phase_scan_csv(replace(scan25(), records=records), path)
-        assert _csv_rows(path) == [
-            [fmt(r.theta1), fmt(r.theta2), str(int(r.periodic)), opt(r.transient_iters),
-             opt(r.poincare_period), opt(r.orbit_period), opt(r.signature_id),
-             ";".join(f"{fmt(x)} {fmt(y)}" for x, y in r.projection)]
-            for r in records
-        ]
         values = [*values, (0.0, True, 0.0), (-0.0, False, -0.0), *values]
         params = [
             sweep.ParamScanRecord(
