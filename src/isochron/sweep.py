@@ -308,6 +308,7 @@ def _scan_rows(result: PhaseScanResult, text, projection) -> Iterator[tuple]:
         if key not in made:
             made[key] = projection(tuple(map(tuple, points[a:b].tolist())))
         projections.append(made[key])
+    # Free what the rows do not read before they are made.
     del points, data, made
     slot_fields = (
         [True] * (2 * count) + [False],

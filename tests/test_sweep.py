@@ -345,7 +345,7 @@ class TestPhaseScanReference:
             result = phase_scan(P, step=step)
             k, who, mult, offset = result.table.receptions
             tie = (k[1:] == k[:-1]) & (offset[1:] == offset[:-1]) & (mult[1:] != mult[:-1])
-            tied = set(k[1:][tie & (who[1:] != who[:-1])].tolist())
+            tied = set(k[1:][tie & (who[:-1] == 0) & (who[1:] == 1)].tolist())
             upper = result.grid[np.triu_indices(len(result.grid), 1)]
             assert tied & set(upper.tolist())
             swapped, order = poincare._mirror_order(result.table.receptions)
