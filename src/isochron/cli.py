@@ -294,11 +294,11 @@ def _add_dataset_outputs(parser: argparse.ArgumentParser) -> None:
 
 
 def _read(name: str, parse, value):
-    """parse(value), or a DomainError naming the option if the value has a
-    type that parse cannot read (a config file can hold any JSON type)."""
+    """parse(value), or a DomainError naming the option if parse cannot
+    read the value (a config file can hold any JSON type)."""
     try:
         return parse(value)
-    except (TypeError, AttributeError) as exc:
+    except (TypeError, AttributeError, ValueError) as exc:
         raise DomainError(f"--{name.replace('_', '-')}: cannot read {value!r}: {exc}") from exc
 
 
@@ -344,10 +344,7 @@ def _parse_kind(value: str) -> str:
 
 def _parse_floats(value) -> tuple[float, ...]:
     """Comma-separated floats, or a list of numbers from a config file."""
-    try:
-        return tuple(map(float, value.split(",") if isinstance(value, str) else value))
-    except ValueError as exc:
-        raise DomainError(f"expected comma-separated floats, got {value!r}") from exc
+    return tuple(map(float, value.split(",") if isinstance(value, str) else value))
 
 
 def _parse_grid(value) -> tuple[int, int]:
@@ -357,14 +354,14 @@ def _parse_grid(value) -> tuple[int, int]:
         try:
             left, _, right = value.lower().partition("x")
             counts = (int(left), int(right))
-        except ValueError as exc:
-            raise DomainError(f"--grid: expected a grid like 100x100, got {value!r}") from exc
+        except ValueError:
+            raise ValueError("expected a grid like 100x100") from None
     else:
         counts = tuple(value)
         if len(counts) != 2 or any(type(c) is not int for c in counts):
             raise TypeError("expected two integers")
     if min(counts) < 2:
-        raise DomainError(f"--grid: needs at least 2 cells per axis, got {value!r}")
+        raise ValueError("needs at least 2 cells per axis")
     return counts
 
 
@@ -378,7 +375,7 @@ def _resolve_state(run: _Run, params: ModelParams):
         return s_embed(params, kind, region_center(kind, params.tau))
     if state_json is None:
         raise DomainError("an initial state is required (--state or --center)")
-    payload = json.loads(state_json) if isinstance(state_json, str) else state_json
+    payload = _read("state", json.loads, state_json) if isinstance(state_json, str) else state_json
     if not isinstance(payload, dict) or set(payload) != {"phases", "ftds"}:
         raise DomainError('state must be an object with keys "phases" and "ftds"')
     state = _read("state", lambda p: network_state(**p), payload)

@@ -189,86 +189,26 @@ def _cycle_table(n: int, chunks: list[tuple]) -> _CycleTable:
     )
 
 
-def _take_cycles(table: _CycleTable, cycles) -> _CycleTable:
-    """The table of the given cycles of table, in that order."""
-    cycles = np.asarray(cycles, dtype=int)
-    rec_cycle, who, mult, offset = table.receptions
-    first = np.searchsorted(rec_cycle, cycles)  # receptions are in cycle order
-    received = np.searchsorted(rec_cycle, cycles, side="right") - first
-    rows = _ranges((np.cumsum(table.periods) - table.periods)[cycles], table.periods[cycles])
-    recs = _ranges(first, received)
-    return _CycleTable(
-        transients=table.transients[cycles],
-        periods=table.periods[cycles],
-        orbits=table.orbits[cycles],
-        phases=table.phases[rows],
-        ftds=table.ftds[rows],
-        senders=table.senders[rows],
-        returns=table.returns[rows],
-        receptions=(
-            np.repeat(np.arange(len(cycles)), received), who[recs], mult[recs], offset[recs]
-        ),
-    )
-
-
-def _stack_tables(tables: list) -> _CycleTable:
-    """The cycles of the given tables as one table, table after table."""
-    shift = np.cumsum([0, *(len(t.periods) for t in tables)])
-    k, who, mult, offset = zip(*(t.receptions for t in tables))
-    return _CycleTable(
-        *(np.concatenate(column) for column in zip(*(t[:4] for t in tables))),
-        ftds=_stack([t.ftds for t in tables], 0.0),
-        senders=_stack([t.senders for t in tables], tables[0].phases.shape[1]),
-        returns=np.concatenate([t.returns for t in tables]),
-        receptions=(
-            np.concatenate([c + s for c, s in zip(k, shift)]),
-            *map(np.concatenate, (who, mult, offset)),
-        ),
-    )
-
-
-def _mirror_table(table: _CycleTable) -> _CycleTable:
-    """The table with oscillators 0 and 1 swapped in every cycle.
-
-    Phase columns 0 and 1 swap, and so do those senders and recipients
-    (a ^ (a < 2) swaps 0 and 1 and keeps the rest).  Each row's FTD
-    entries are then re-sorted stably by sender, in _encode's order, and
-    the receptions by (cycle, offset, recipient), in _cycle_table's;
-    transients, periods and times are kept.
-    """
-    senders = table.senders ^ (table.senders < 2)
-    by_sender = np.argsort(senders, axis=1, kind="stable")
-    k, _, mult, offset = table.receptions
-    who, order = _mirror_order(table.receptions)
-    return table._replace(
-        phases=table.phases[:, [1, 0, *range(2, table.phases.shape[1])]],
-        ftds=np.take_along_axis(table.ftds, by_sender, axis=1),
-        senders=np.take_along_axis(senders, by_sender, axis=1),
-        receptions=(k[order], who[order], mult[order], offset[order]),
-    )
-
-
-def _mirror_order(receptions: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(who, order) of _mirror_table's receptions: the recipients with 0
-    and 1 swapped, and the order that re-sorts the receptions by (cycle,
-    offset, recipient)."""
-    k, who, _, offset = receptions
-    who = who ^ (who < 2)
-    return who, np.lexsort((who, offset, k))
+def _cycle_rows(table: _CycleTable, cycles) -> np.ndarray:
+    """The rows of the table's given cycles, cycle after cycle."""
+    return _ranges((np.cumsum(table.periods) - table.periods)[cycles], table.periods[cycles])
 
 
 def _cycle_results(table: _CycleTable, cycles) -> list[PeriodicityResult]:
     """The PeriodicityResults of the table's given cycles, in that order:
-    the object stage of cycle assembly."""
-    table = _take_cycles(table, cycles)
+    the object stage of cycle assembly.  Each cycle reads its rows
+    (_cycle_rows) and the range of receptions that carry its number."""
+    cycles = np.asarray(cycles, dtype=int)
     rec_cycle, who, mult, offset = table.receptions
-    received = np.bincount(rec_cycle, minlength=len(table.periods))
-    states = _decode(table.phases, table.ftds, table.senders)
-    return_times = table.returns.tolist()
-    receptions = list(zip(who.tolist(), mult.tolist(), offset.tolist()))
+    first = np.searchsorted(rec_cycle, cycles)  # receptions are in cycle order
+    received = np.searchsorted(rec_cycle, cycles, side="right") - first
+    rows, recs = _cycle_rows(table, cycles), _ranges(first, received)
+    states = _decode(table.phases[rows], table.ftds[rows], table.senders[rows])
+    return_times = table.returns[rows].tolist()
+    receptions = list(zip(who[recs].tolist(), mult[recs].tolist(), offset[recs].tolist()))
     results = []
     lo = rec_lo = 0
-    columns = (table.transients, table.periods, table.orbits, received)
+    columns = (table.transients[cycles], table.periods[cycles], table.orbits[cycles], received)
     for transient, period, orbit_period, count in zip(*(column.tolist() for column in columns)):
         hi, rec_hi = lo + period, rec_lo + count
         results.append(
@@ -333,9 +273,10 @@ def detect_periodicity_many(
     report.  If any start raises, the error of the first such start (in
     the given order) is raised.
     """
-    cycle, ends, table = _detect(params, states, max_iter, tol)
+    cycle, ends, chunks = _detect(params, states, max_iter, tol)
     results: list = [None] * len(cycle)
     periodic = np.flatnonzero(cycle >= 0)
+    table = _cycle_table(params.n, chunks)
     for s, result in zip(periodic.tolist(), _cycle_results(table, cycle[periodic])):
         results[s] = result
     for s, state in zip(np.flatnonzero(cycle < 0).tolist(), _decode(*ends)):
@@ -399,19 +340,18 @@ _LIVE_ROWS = 2500
 
 def _detect(params: ModelParams, states, max_iter: int, tol: float) -> tuple:
     """detect_periodicity_many's detection over an iterable of starts:
-    (cycle, ends, table), once every start has finished.  cycle[s] is
-    start s's cycle in the _CycleTable table, whose cycles are in the
-    order they were found, or -1 if it found none within max_iter
-    returns; ends holds the last rows (lockstep's layout) of those, in
-    start order.
+    (cycle, ends, chunks), once every start has finished.  chunks are the
+    found cycles' rows, for _cycle_table to build their table from, in
+    the order they were found; cycle[s] is start s's cycle in that table,
+    or -1 if it found none within max_iter returns; ends holds the last
+    rows (lockstep's layout) of those, in start order.
 
     At most _LIVE_ROWS starts run at once, as the rows of one
-    LockstepEngine, and after every return the next starts, in the given
-    order, take the rows of those that finished or failed.  Starts are
-    taken from states and checked _LIVE_ROWS at a time, as rows are
-    needed.  Once a start has failed no later start is admitted, and the
-    error of the first failing start is raised when the starts before it
-    have finished.
+    LockstepEngine.  After every return, as many starts as there are free
+    rows, the rows of those that finished or failed, are taken from
+    states in the given order, checked, and admitted.  Once a start has
+    failed no later start is admitted, and the error of the first failing
+    start is raised when the starts before it have finished.
     """
     _check_budget(max_iter, tol)
     n = params.n
@@ -428,31 +368,22 @@ def _detect(params: ModelParams, states, max_iter: int, tol: float) -> tuple:
     empty = (np.zeros((0, n)), np.zeros((0, 0)), np.zeros((0, 0), np.min_scalar_type(n)))
     no_returns = (np.zeros((0, 1)), np.zeros((0, 0)), np.zeros((0, n, 0), np.uint8))
     chunks, finders, ends = [(none, none, *empty, *no_returns)], [none], [empty]
-    # The checked rows of the newest starts not yet admitted, from start
-    # first on; pulled counts the starts taken from states.
-    waiting, first, pulled = _encode(n, []), 0, 0
+    pulled = 0  # the starts taken from states
 
     while True:
         # Admit the next starts into the free rows, none after a failed one.
-        while len(start) < width:
-            if not len(waiting[0]):
-                batch = [] if errors else list(islice(states, width))
-                if not batch:
-                    break
-                waiting, bad = _section_rows(params, batch)
-                errors.update((pulled + i, exc) for i, exc in bad.items())
-                first, pulled = pulled, pulled + len(batch)
-            take = min(width - len(start), len(waiting[0]), min(errors, default=pulled) - first)
-            if take <= 0:
-                break
-            rows, waiting = [c[:take] for c in waiting], [c[take:] for c in waiting]
+        batch = [] if errors else list(islice(states, width - len(start)))
+        if batch:
+            rows, bad = _section_rows(params, batch)
+            errors.update((pulled + i, exc) for i, exc in bad.items())
+            take = len(rows[0])
             eng.add(*rows)
             no_returns = [np.zeros((take, 1)), np.zeros((take, 0)), np.zeros((take, n, 0))]
             slots = np.arange(len(start), len(start) + take)
-            hist.add(slots, np.zeros(take, dtype=int), rows + no_returns)
-            start = np.concatenate([start, first + np.arange(take)])
+            hist.add(slots, np.zeros(take, dtype=int), [*rows, *no_returns])
+            start = np.concatenate([start, pulled + np.arange(take)])
             age = np.concatenate([age, np.zeros(take, dtype=int)])
-            first += take
+            pulled += len(batch)
         if not len(start):
             break
 
@@ -500,7 +431,7 @@ def _detect(params: ModelParams, states, max_iter: int, tol: float) -> tuple:
     # admitted, and starts are admitted in order, so ends are in start order.
     phases, ftds, senders = zip(*ends)
     ends = (np.concatenate(phases), _stack(ftds, 0.0), _stack(senders, n))
-    return cycle, ends, _cycle_table(n, chunks)
+    return cycle, ends, chunks
 
 
 @dataclass(frozen=True)

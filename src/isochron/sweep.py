@@ -16,7 +16,7 @@ import json
 import math
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -30,12 +30,10 @@ from .poincare import (
     PeriodicityResult,
     PulseSignature,
     _cycle_results,
+    _cycle_rows,
+    _cycle_table,
     _CycleTable,
     _detect,
-    _mirror_order,
-    _mirror_table,
-    _stack_tables,
-    _take_cycles,
     detect_periodicity,
     poincare_map,  # noqa: F401  (bound here for perfbench/tracer.py)
     pulse_equivalent,
@@ -75,9 +73,12 @@ def _run_tasks(fn, tasks: list, workers: int) -> Iterator:
     """Run independent tasks, serially or on a process pool, and yield
     their results in task order either way, so the output is identical
     and a consumer can drop each result before the next arrives."""
+    workers = min(workers, len(tasks))
     if workers <= 1:
         yield from map(fn, tasks)
         return
+    # A pool forks all its workers at the first task, so it has no more
+    # workers than tasks.
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, tasks)
 
@@ -172,12 +173,12 @@ def _grid_values(step: float) -> list[float]:
 
 
 def _scan_span(args) -> tuple:
-    """Worker task: poincare._detect's (cycle, table) over a span of grid
+    """Worker task: poincare._detect's (cycle, chunks) over a span of grid
     cells, from their eq_init_state starts."""
     params, cells, max_iter, tol = args
     starts = (eq_init_state(params, *cell) for cell in cells)
-    cycle, _, table = _detect(params, starts, max_iter, tol)
-    return cycle, table
+    cycle, _, chunks = _detect(params, starts, max_iter, tol)
+    return cycle, chunks
 
 
 def _scan_triangle(params: ModelParams, values: list, max_iter: int, tol: float, workers: int):
@@ -186,17 +187,19 @@ def _scan_triangle(params: ModelParams, values: list, max_iter: int, tol: float,
     or, below the diagonal, of its transpose; -1 where that cell found
     none within max_iter returns.  The triangle runs as one
     poincare._detect stream, or with workers > 1 as one span of equal cell
-    count per worker."""
+    count per worker; one table is built from every span's chunks, in span
+    order."""
     triangle = [(a, b) for i, a in enumerate(values) for b in values[i:]]
     span = -(-len(triangle) // max(workers, 1))
     tasks = [(params, triangle[i : i + span], max_iter, tol) for i in range(0, len(triangle), span)]
-    cycles, tables = zip(*_run_tasks(_scan_span, tasks, workers))
-    found = np.cumsum([0, *(len(t.periods) for t in tables)])
+    cycles, chunks = zip(*_run_tasks(_scan_span, tasks, workers))
+    found = np.cumsum([0, *(np.count_nonzero(c >= 0) for c in cycles)])
     grid = np.full((len(values), len(values)), -1)
     grid[np.triu_indices(len(values))] = np.concatenate(
         [np.where(c >= 0, c + shift, -1) for c, shift in zip(cycles, found)]
     )
-    return np.maximum(grid, grid.T), _stack_tables(tables)
+    table = _cycle_table(params.n, [chunk for span_chunks in chunks for chunk in span_chunks])
+    return np.maximum(grid, grid.T), table
 
 
 def _slots(grid: np.ndarray, count: int) -> np.ndarray:
@@ -209,19 +212,41 @@ def _slots(grid: np.ndarray, count: int) -> np.ndarray:
 
 def _slot_results(table: _CycleTable, slots) -> list[PeriodicityResult]:
     """The PeriodicityResults of the given slots (see _slots) of table's
-    cycles, in that order; a mirror's from _mirror_table."""
-    count, slots = len(table.periods), list(slots)
-    flipped = _mirror_table(_take_cycles(table, [s - count for s in slots if s >= count]))
-    direct = iter(_cycle_results(table, [s for s in slots if s < count]))
-    swapped = iter(_cycle_results(flipped, range(len(flipped.periods))))
-    return [next(swapped) if s >= count else next(direct) for s in slots]
+    cycles, in that order; a mirror's is its cycle's, mirrored by
+    _mirror_result."""
+    count, slots = len(table.periods), np.asarray(slots, dtype=int)
+    mirrored = slots >= count
+    results = _cycle_results(table, slots - count * mirrored)
+    return [_mirror_result(r) if m else r for r, m in zip(results, mirrored.tolist())]
+
+
+def _mirror_result(result: PeriodicityResult) -> PeriodicityResult:
+    """result with the two free oscillators swapped: each state by
+    _swap_free_oscillators, and recipients 0 and 1 swapped in the
+    receptions, which are then re-sorted stably by (offset, recipient),
+    as poincare._cycle_table orders them."""
+    receptions = [({0: 1, 1: 0}.get(who, who), mult, t) for who, mult, t in result.receptions]
+    return replace(
+        result,
+        cycle_states=tuple(map(_swap_free_oscillators, result.cycle_states)),
+        receptions=tuple(sorted(receptions, key=lambda rec: (rec[2], rec[0]))),
+    )
+
+
+def _mirror_order(receptions: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(who, order) of the mirrors' receptions, as _mirror_result makes
+    them: the recipients with 0 and 1 swapped, and the order that re-sorts
+    the receptions by (cycle, offset, recipient)."""
+    k, who, _, offset = receptions
+    who = who ^ (who < 2)
+    return who, np.lexsort((who, offset, k))
 
 
 def _intern(params: ModelParams, grid: np.ndarray, table: _CycleTable) -> tuple:
     """(signature_ids, signatures) of a phase scan (see PhaseScanResult).
 
     Slots alike in the pulses they receive (recipient and multiplicity, in
-    order; a mirror's re-sorted as _mirror_table does) and in orbit period
+    order; a mirror's re-sorted as _mirror_result does) and in orbit period
     form a class, interned once, at its first cell in grid order: its
     pulse_signature takes the id of the first earlier signature with its
     per-recipient pattern that pulse_equivalent accepts, else a new one."""
@@ -538,13 +563,14 @@ def projection_compare(
 
     seeded_sigma = sample_interior(params, "IR4", n_samples, seed=seed + 1)
     seeds = (s_embed(params, "IR4", tuple(map(float, row))) for row in seeded_sigma)
-    cycle, _, table = _detect(params, seeds, 16, DEFAULT_MATCH_TOL)
+    cycle, _, chunks = _detect(params, seeds, 16, DEFAULT_MATCH_TOL)
+    table = _cycle_table(params.n, chunks)
     # The seeded cycles' states are only projected, so their phases are read
     # off the table, with no PeriodicityResult built.
     cycle = cycle[cycle >= 0]
-    four = _take_cycles(table, cycle[table.periods[cycle] == 4])
-    seeded = list(map(tuple, four.phases[:, :-1].tolist()))
-    seeded_orbits = len(four.periods)
+    four = cycle[table.periods[cycle] == 4]
+    seeded = list(map(tuple, table.phases[_cycle_rows(table, four), :-1].tolist()))
+    seeded_orbits = len(four)
 
     violations = tuple(
         p for p in numeric if not ir4_projection_contains(params, p[0], p[1], tol=tol)

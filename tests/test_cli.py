@@ -2,6 +2,7 @@
 precedence, output-file headers, dataset layout, exit codes, and the
 interrupted-run marker."""
 
+import dataclasses
 import json
 import math
 
@@ -16,7 +17,7 @@ from isochron import (
     region_volume,
     s_embed,
 )
-from isochron import cli, sweep
+from isochron import cli, regions, sweep
 from isochron.cli import FAILED_MARKER, THREADS_ENV, main
 from isochron.engine import Engine
 
@@ -28,6 +29,8 @@ TS = "2026-01-01T00:00:00+00:00"
 GENERIC_SIGMA = (0.30, 0.10, 0.40)
 #: region project with an output, and --compare left to the config file.
 PROJECT_COMPARE = ["region", "project", "--samples", "5", "--out-csv", "{out}"]
+# A state of the right shape with an FTD entry that is no number.
+BAD_STATE = '{"phases": [0.1, 0.2, 0.0], "ftds": [[], [], ["a"]]}'
 
 
 def state_flag(sigma=GENERIC_SIGMA) -> str:
@@ -226,6 +229,32 @@ class TestConfigResolution:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {option}: ")
         assert message in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, option, flag, config",
+        [
+            (["simulate", "--out-text", "{out}"], "state", BAD_STATE, json.loads(BAD_STATE)),
+            (["poincare", "--out", "{out}"], "state", BAD_STATE, json.loads(BAD_STATE)),
+            (["region", "member"], "sigma", "a,b,c", ["a", "b", "c"]),
+        ],
+        ids=["simulate", "poincare", "region-member"],
+    )
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_a_value_that_reads_no_floats_names_its_option(
+        self, capsys, tmp_path, argv, option, flag, config, form
+    ):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        argv = [arg.replace("{out}", str(out)) for arg in argv]
+        if form == "flag":
+            argv += [f"--{option}", flag]
+        else:
+            cfg.write_text(json.dumps({option: config}))
+            argv += ["--config", str(cfg)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --{option}: cannot read ")
         assert captured.out == ""
         assert not out.exists()
 
@@ -795,6 +824,21 @@ class TestVerify:
         assert main(["verify", "--samples", "0", "--out", str(out)]) == 2
         assert "--samples must be at least 1" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_failing_oracle_fails_the_suite_with_exit_1(self, capsys, monkeypatch):
+        # Every detection of the oracle's batch reports a transient of one
+        # return, which no on-orbit family state needs.
+        detect = regions.detect_periodicity_many
+
+        def transient(*args, **kwargs):
+            results = detect(*args, **kwargs)
+            return [dataclasses.replace(r, transient_iters=1) if r.periodic else r for r in results]
+
+        monkeypatch.setattr(regions, "detect_periodicity_many", transient)
+        assert main(["verify", "--samples", "3"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL ir4-oracle: section periods {4: 3}, 3 failures" in out
+        assert "verify: FAIL (5 checks)" in out
 
     def test_empty_region_fails_with_exit_1(self, capsys):
         assert main(["verify", "--tau", "0.10", "--samples", "3"]) == 1

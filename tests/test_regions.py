@@ -24,6 +24,7 @@ from isochron import (
     KINDS,
     DomainError,
     ModelParams,
+    NotPeriodic,
     cycle_state,
     detect_periodicity,
     g_algebra,
@@ -550,6 +551,45 @@ class TestSharedChecks:
             regions, "g_map", lambda sigma, tau: tuple(perturb(v) for v in exact(sigma, tau))
         )
         assert regions.g_algebra_deviation(tau, points, offsets) > 1e-12
+
+    def test_oracle_reports_each_way_a_cycle_can_fail(self, monkeypatch):
+        # Five sampled period-3 points whose detections are replaced, in
+        # order, by no cycle, a transient, a wrong section period, an orbit
+        # period off by more than tol and a locked pair that drifts apart;
+        # the center's detection is kept.
+        detect, drift = regions.detect_periodicity_many, []
+
+        def crafted(params, starts, **kwargs):
+            *results, center = detect(params, starts, **kwargs)
+            good = results[0]
+            drifted = network_state((0.1, 0.2, 0.0), good.cycle_states[1].ftds)
+            drift.append(good.orbit_period + 2e-9)
+            return [
+                NotPeriodic(iterations=kwargs["max_iter"], last_state=good.cycle_states[0]),
+                dataclasses.replace(good, transient_iters=1),
+                dataclasses.replace(good, poincare_period=2, detected_period=2),
+                dataclasses.replace(good, orbit_period=drift[0]),
+                dataclasses.replace(good, cycle_states=(good.cycle_states[0], drifted)),
+                center,
+            ]
+
+        monkeypatch.setattr(regions, "detect_periodicity_many", crafted)
+        report = region_oracle(P, "IR3", n_samples=5, seed=4)
+        sigmas = [tuple(map(float, row)) for row in sample_interior(P, "IR3", 5, seed=4)]
+        assert report.failures == tuple(
+            zip(
+                sigmas,
+                [
+                    "no cycle within 64 iterations",
+                    "cycle state needed a transient of 1",
+                    "poincare period 2 != 3",
+                    f"orbit period {drift[0]} != 2*tau",
+                    "locked pair drifted apart",
+                ],
+            )
+        )
+        assert report.ok is False
+        assert report.pair_synchronized is False
 
 
 def scalar_intertwining(params, sigmas, starts=None):

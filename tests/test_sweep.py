@@ -34,6 +34,7 @@ from isochron import (
     emit_projection_plot,
     eq_init_state,
     format_trace_text,
+    g_map,
     init_engine,
     ir4_projection_contains,
     network_state,
@@ -56,7 +57,7 @@ from isochron import (
     write_projection_csv,
     write_projection_json,
 )
-from isochron import poincare, sweep
+from isochron import lockstep, poincare, sweep
 from isochron._serial import plain
 from isochron.engine import EngineStallError, HorizonExceededError, StateError
 
@@ -235,17 +236,21 @@ class TestPhaseScanReference:
 
     def test_blocks_and_workers_leave_the_bytes_unchanged(self, tmp_path, monkeypatch):
         # The whole step-0.1 grid live at once, against one and seven live
-        # rows, serially and on two workers, and the default window.
-        written = []
+        # rows, serially and on two workers, and the default window.  With
+        # one live row cycles are found in start order, so the spans' chunks
+        # build the serial table column for column.
+        written, tables = [], []
         for rows, workers in ((1000, 1), (1, 1), (1, 2), (7, 2), (poincare._LIVE_ROWS, 2)):
             monkeypatch.setattr(poincare, "_LIVE_ROWS", rows)
             result = phase_scan(P, step=0.1, workers=workers)
+            tables.append([*result.table[:-1], *result.table.receptions])
             csv_path = tmp_path / f"{rows}-{workers}.csv"
             json_path = tmp_path / f"{rows}-{workers}.json"
             write_phase_scan_csv(result, csv_path)
             write_phase_scan_json(result, json_path)
             written.append((csv_path.read_bytes(), json_path.read_bytes()))
         assert written[0] == written[1] == written[2] == written[3] == written[4]
+        assert all(map(np.array_equal, tables[1], tables[2]))
 
     def test_workers_leave_the_bytes_unchanged_at_any_window(self, tmp_path, monkeypatch):
         # The step-0.02 grid's 1,275 triangle cells with 7 live rows, and
@@ -348,7 +353,7 @@ class TestPhaseScanReference:
             tied = set(k[1:][tie & (who[:-1] == 0) & (who[1:] == 1)].tolist())
             upper = result.grid[np.triu_indices(len(result.grid), 1)]
             assert tied & set(upper.tolist())
-            swapped, order = poincare._mirror_order(result.table.receptions)
+            swapped, order = sweep._mirror_order(result.table.receptions)
             for cycle in tied:
                 rows = k == cycle
                 assert not np.array_equal(swapped[rows], swapped[order][rows])
@@ -405,9 +410,10 @@ class TestMirror:
             return
         got = detect_periodicity_many(params, mirrored, max_iter)
         assert repr(got) == repr(list(map(mirror, results)))
-        cycle, _, table = poincare._detect(params, starts, max_iter, DEFAULT_MATCH_TOL)
+        cycle, _, chunks = poincare._detect(params, starts, max_iter, DEFAULT_MATCH_TOL)
+        table = poincare._cycle_table(params.n, chunks)
         found = cycle[cycle >= 0]
-        swapped = poincare._cycle_results(poincare._mirror_table(table), found)
+        swapped = sweep._slot_results(table, found + len(table.periods))
         want = map(mirror, poincare._cycle_results(table, found))
         assert repr(swapped) == repr(list(want))
 
@@ -415,22 +421,22 @@ class TestMirror:
         # Every cell of the step-0.1 grid at P is periodic: the 55 cells
         # with theta1 <= theta2 (n (n + 1) / 2 for n = 10) are detected, in
         # spans of equal size.  The 45 below the diagonal read mirrored
-        # cycles, but a mirror's table is built only for the first cell of
-        # a class (phase_scan's interning), once per scan.
+        # cycles, but a mirror's result is built only for the first cell of
+        # a class (phase_scan's interning), at most one per signature.
         counted, mirrored = [], []
-        detect, mirror_table = sweep._detect, sweep._mirror_table
+        detect, mirror_result = sweep._detect, sweep._mirror_result
 
         def counting(params, states, *args):
             states = list(states)
             counted.append(len(states))
             return detect(params, states, *args)
 
-        def counting_mirror(table):
-            mirrored.append(len(table.periods))
-            return mirror_table(table)
+        def counting_mirror(result):
+            mirrored.append(result)
+            return mirror_result(result)
 
         monkeypatch.setattr(sweep, "_detect", counting)
-        monkeypatch.setattr(sweep, "_mirror_table", counting_mirror)
+        monkeypatch.setattr(sweep, "_mirror_result", counting_mirror)
         # Threads in place of processes, so that the workers count here.
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", ThreadPoolExecutor)
         for workers in (1, 2):
@@ -441,8 +447,26 @@ class TestMirror:
             assert sum(counted) == 55
             assert len(counted) == workers
             assert max(counted) - min(counted) <= 1
-            assert len(mirrored) == 1
-            assert 0 < mirrored[0] <= len(result.signatures)
+            assert 0 < len(mirrored) <= len(result.signatures)
+
+
+class TestWorkerPool:
+    def test_a_pool_has_no_more_workers_than_tasks(self, monkeypatch):
+        # A process pool forks all its workers at its first task, so 16
+        # workers for the 4 cells of a 2x2 parameter grid, or for the 3
+        # spans of the step-0.5 triangle, would leave most idle.  Threads
+        # stand in for the processes.
+        pools = []
+
+        def recording(max_workers):
+            pools.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", recording)
+        axes = ((0.45, 0.7), (0.45, 0.7))
+        assert param_scan(*axes, workers=16).records == param_scan(*axes).records
+        assert repr(phase_scan(P, 0.5, workers=16).records) == repr(phase_scan(P, 0.5).records)
+        assert pools == [4, 3]
 
 
 class TestParamScan:
@@ -549,6 +573,42 @@ class TestProjectionCompare:
     def test_rejects_parameters_without_family(self):
         with pytest.raises(DomainError):
             projection_compare(P_OUTSIDE, n_samples=5)
+
+    def test_scan_cycles_are_identified_directly_mirrored_or_not(self, monkeypatch):
+        # Cell (0, 0.25) reads a family cycle and cell (0.25, 0) its mirror;
+        # cell (0.5, 0.5) reads a period-4 cycle that embeds no family
+        # point: three of its states have FTD shape (1, 1, 1), and the
+        # fourth's coordinates break the family's ordering.
+        family = detect_periodicity(P, s_embed(P, "IR4", (0.30, 0.10, 0.40))).cycle_states
+        assert len(family) == 4
+        other = [
+            network_state((0.1 * k, 0.2, 0.0), ((0.1,), (0.2,), (0.0,))) for k in range(1, 4)
+        ]
+        other.append(network_state((0.5, 0.3, 0.0), ((0.1,), (0.3,), (0.0, 0.4))))
+        phases, ftds, senders = lockstep._encode(3, [*family, *other])
+        table = poincare._CycleTable(
+            transients=np.zeros(2, dtype=int),
+            periods=np.array([4, 4]),
+            orbits=np.full(2, 3 * P.tau),
+            phases=phases,
+            ftds=ftds,
+            senders=senders,
+            returns=np.full(8, 0.75 * P.tau),
+            receptions=(np.zeros(0, dtype=int),) * 3 + (np.zeros(0),),
+        )
+        grid = np.full((4, 4), -1)
+        grid[0, 1] = grid[1, 0] = 0
+        grid[2, 2] = 1
+        monkeypatch.setattr(sweep, "_scan_triangle", lambda *args: (grid, table))
+        report = projection_compare(P, n_samples=5, step=0.25)
+        points, sigma = [], (0.30, 0.10, 0.40)
+        for _ in range(4):
+            points.append(sweep._ir4_phase_plane(P, sigma))
+            sigma = g_map(sigma, P.tau)
+        assert report.numeric_points == tuple(points * 2)
+        assert report.numeric_orbit_count == 2
+        assert report.mirror_orbit_count == 1
+        assert report.unidentified_period4_count == 1
 
     def test_json_dict_round_trips(self):
         payload = reference_overlay().to_json_dict()
