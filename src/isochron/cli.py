@@ -29,6 +29,7 @@ import numpy as np
 
 from ._version import __version__
 from .engine import (
+    NetworkState,
     format_trace_jsonl,
     format_trace_text,
     init_engine,
@@ -42,6 +43,7 @@ from .poincare import (
     detect_periodicity,
     poincare_map,  # noqa: F401  (bound here for perfbench/tracer.py)
     pulse_signature,
+    require_section_state,
 )
 from .regions import (
     KINDS,
@@ -365,7 +367,11 @@ def _parse_grid(value) -> tuple[int, int]:
     return counts
 
 
-def _resolve_state(run: _Run, params: ModelParams):
+def _resolve_state(run: _Run, params: ModelParams, section: bool = False):
+    """The start: the --center family's center state, or the --state
+    object checked by validate_state, or by require_section_state where
+    the start must be a section state (section=True); a refusal of the
+    object names --state."""
     state_json = run.get("state")
     center = run.get("center")
     if state_json is not None and center is not None:
@@ -378,9 +384,22 @@ def _resolve_state(run: _Run, params: ModelParams):
     payload = _read("state", json.loads, state_json) if isinstance(state_json, str) else state_json
     if not isinstance(payload, dict) or set(payload) != {"phases", "ftds"}:
         raise DomainError('state must be an object with keys "phases" and "ftds"')
-    state = _read("state", lambda p: network_state(**p), payload)
-    validate_state(params, state)
+    state = _read("state", _parse_state, payload)
+    try:
+        (require_section_state if section else validate_state)(params, state)
+    except ValueError as exc:
+        raise DomainError(f"--state: {exc}") from exc
     return state
+
+
+def _parse_state(payload: dict) -> NetworkState:
+    """The state of a --state object, whose phases and firing-time
+    distances a config file must give as JSON numbers (not booleans or
+    strings)."""
+    return network_state(
+        map(_parse_float, payload["phases"]),
+        [map(_parse_float, row) for row in payload["ftds"]],
+    )
 
 
 def _write_lines(lines: list[str], path) -> None:
@@ -426,7 +445,7 @@ def _cmd_simulate(run: _Run) -> int:
 
 def _cmd_poincare(run: _Run) -> int:
     params = run.params()
-    state = _resolve_state(run, params)
+    state = _resolve_state(run, params, section=True)
     max_iter, tol = run.budget()
     _, out = run.outputs("out")
 

@@ -24,6 +24,10 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
+# The gufunc behind np.linalg.solve, called directly: the public solve turns
+# the invalid flag of one singular system into a LinAlgError for the whole
+# stack, where this returns that system's solution as NaN.
+from numpy.linalg import _umath_linalg
 
 from ._serial import Record, rows
 from .engine import NetworkState, network_state
@@ -708,11 +712,13 @@ def _enumerate_vertices(spec: RegionSpec, feas_tol: float = 1e-9) -> np.ndarray:
 
     A polytope that _certainly_empty rules out returns no rows before any
     system is built.  Otherwise every dim-subset that holds at most one row
-    of each slab is solved in one stacked call; the feasible finite
-    solutions are kept and deduplicated on their coordinates rounded to
-    1e-10, the first of each key kept.  ``det != 0`` drops exactly the
-    subsets whose LU factorization (the one ``solve`` runs) has a zero
-    pivot.
+    of each slab is solved in one stacked call, which factors each system
+    once (LAPACK dgesv, as np.linalg.solve).  A singular system, one with
+    an exactly zero pivot, comes back as a row of NaN and is dropped with
+    the other non-finite solutions; no determinant is formed, so a
+    nonsingular system whose pivot product underflows is kept (Higham
+    2002, section 14.6).  The feasible solutions are kept and deduplicated
+    on their coordinates rounded to 1e-10, the first of each key kept.
     """
     dim = spec.dim
     if _certainly_empty(spec, feas_tol):
@@ -720,8 +726,9 @@ def _enumerate_vertices(spec: RegionSpec, feas_tol: float = 1e-9) -> np.ndarray:
     a, b = _halfspaces(spec)
     idx = _slab_free_index(len(a), dim, len(spec.functionals))
     sub_a, sub_b = a.take(idx, axis=0), b.take(idx)  # take: a quarter of a[idx]'s time
-    ok = np.linalg.det(sub_a) != 0.0
-    x = np.linalg.solve(sub_a[ok], sub_b[ok][..., None])[..., 0]
+    # np.linalg.solve's own error settings, with invalid ignored, not raised.
+    with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore"):
+        x = _umath_linalg.solve(sub_a, sub_b[..., None])[..., 0]
     x = x[np.all(np.isfinite(x), axis=1)]
     x = x[np.all(x @ a.T <= b + feas_tol, axis=1)]
     # Float keys equal exactly where the integers int(round(v * 1e10)) do;

@@ -430,6 +430,73 @@ class TestPoincare:
         assert payload["result"]["iterations"] == 1
 
 
+#: simulate and poincare, each writing one output file at {out}.
+STATE_COMMANDS = pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--out-text", "{out}"], ["poincare", "--out", "{out}"]],
+    ids=["simulate", "poincare"],
+)
+
+
+class TestStateOption:
+    """A --state object, from the flag or from --config, is refused with
+    exit 2 and the option's name before any output is written."""
+
+    def run_state(self, capsys, tmp_path, argv, state, form):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out"
+        argv = [arg.replace("{out}", str(out)) for arg in argv]
+        if form == "flag":
+            argv += ["--state", json.dumps(state)]
+        else:
+            cfg.write_text(json.dumps({"state": state}))
+            argv += ["--config", str(cfg)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert not out.exists()
+        return code, captured.err
+
+    @STATE_COMMANDS
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {"phases": ["0.1", 0.2, 0.0], "ftds": [[], [], [0.0]]},
+            {"phases": [0.1, False, 0.0], "ftds": [[], [], [0.0]]},
+            {"phases": [0.1, 0.2, 0.0], "ftds": [[], [], ["0"]]},
+            {"phases": [0.1, 0.2, 0.0], "ftds": [[], [], [False]]},
+        ],
+        ids=["phase-text", "phase-bool", "ftd-text", "ftd-bool"],
+    )
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_entries_must_be_json_numbers(self, capsys, tmp_path, argv, state, form):
+        """Before, each entry was read with float(), so "0.1" and false ran
+        as 0.1 and 0.0."""
+        code, err = self.run_state(capsys, tmp_path, argv, state, form)
+        assert code == 2
+        assert err.startswith("error: --state: cannot read ")
+        assert err.endswith(": expected a number\n")
+
+    @STATE_COMMANDS
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_a_broken_invariant_names_the_option(self, capsys, tmp_path, argv, form):
+        state = {"phases": [0.1, 0.2, 0.0], "ftds": [[], [], [0.7]]}
+        code, err = self.run_state(capsys, tmp_path, argv, state, form)
+        assert code == 2
+        assert err == (
+            "error: --state: firing-time distance 0.7 of oscillator 3 outside [0, tau=0.58]\n"
+        )
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_poincare_names_the_option_of_an_off_section_start(self, capsys, tmp_path, form):
+        state = {"phases": [0.1, 0.2, 0.3], "ftds": [[], [], []]}
+        argv = ["poincare", "--out", "{out}"]
+        code, err = self.run_state(capsys, tmp_path, argv, state, form)
+        assert code == 2
+        assert err == (
+            "error: --state: expected phase 0 and a zero firing-time distance for oscillator 3\n"
+        )
+
+
 class TestRegionQueries:
     def test_exists_true_and_false(self, capsys):
         assert main(["region", "exists"]) == 0

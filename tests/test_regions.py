@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 from oracle import scalar_detect
 from scipy.spatial import ConvexHull
 from test_poincare import shorten_horizon
@@ -53,6 +54,7 @@ from isochron.engine import HorizonExceededError, StateError
 from isochron.poincare import SectionError
 from isochron.regions import (
     Functional,
+    RegionSpec,
     _certainly_empty,
     _enumerate_vertices,
     _halfspaces,
@@ -1159,6 +1161,95 @@ class TestSlabFreeSubsets:
             want = _loop_vertices(spec)
             assert np.array_equal(_enumerate_vertices(spec), want)
             assert region_volume(spec) == _reference_report(spec, want)
+
+
+def _atlas_and_sweep_specs():
+    """Every kind's spec at the atlas grid's 100 points (b = 3, eps and tau
+    in 0.1 .. 1.0), then at the volume sweep's 1000."""
+    points = [(3.0, i / 10, j / 10) for i, j in itertools.product(range(1, 11), repeat=2)]
+    for b, eps, tau in points + _sweep_points():
+        params = ModelParams(b=b, eps=eps, n=3, tau=tau)
+        for kind in KINDS:
+            yield region_spec(params, kind)
+
+
+class _RecordingSolve:
+    """Stands in for regions' _umath_linalg: runs the real solve gufunc and
+    keeps each call's stacked systems and solutions."""
+
+    def __init__(self):
+        self.calls = []
+
+    def solve(self, a, b):
+        x = _umath_linalg.solve(a, b)
+        self.calls.append((a, x))
+        return x
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("vertex enumeration formed a determinant or called solve")
+
+
+class TestOneFactorization:
+    """Vertex enumeration factors each system once: one solve call per
+    searched polytope, no determinant, singular systems dropped as the NaN
+    rows the solve returns."""
+
+    def test_unit_box_scaled_past_the_determinant_range(self):
+        """Each 2x2 system is diag(1e-200, 1e-200): nonsingular, but its
+        pivot product 1e-400 underflows, so a det != 0 rule dropped it."""
+        box = tuple(
+            Functional(f"F{i}", w, 0.0, 0.0, 1e-200)
+            for i, w in enumerate(((1e-200, 0.0), (0.0, 1e-200)))
+        )
+        spec = RegionSpec(
+            kind="BOX", dim=2, labels=("x", "y"), tau=1.0, orderings=(), functionals=box
+        )
+        assert spec.kind not in FAMILIES
+        vertices = _enumerate_vertices(spec)
+        assert sorted(map(tuple, vertices.tolist())) == [
+            (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)
+        ]
+        report = region_volume(spec)
+        assert (report.volume, report.vertex_count, report.degenerate) == (1.0, 4, False)
+
+    def test_one_solve_per_searched_polytope_and_no_determinant(self, monkeypatch):
+        recorder = _RecordingSolve()
+        monkeypatch.setattr(regions, "_umath_linalg", recorder)
+        searched = 0
+        with mock.patch.object(np.linalg, "det", _fail), \
+                mock.patch.object(np.linalg, "solve", _fail), \
+                np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spec in _atlas_and_sweep_specs():
+                before = len(recorder.calls)
+                _enumerate_vertices(spec)
+                search = not _certainly_empty(spec, 1e-9)
+                assert len(recorder.calls) - before == search
+                searched += search
+        assert searched == len(recorder.calls) == 3 * 1100 - 177 - 2499
+
+    def test_kept_subsets_equal_a_determinant_then_solve_reference(self, monkeypatch):
+        """The finite solutions are those of the subsets with det != 0 and a
+        finite np.linalg.solve, in subset order and bit for bit."""
+        recorder = _RecordingSolve()
+        monkeypatch.setattr(regions, "_umath_linalg", recorder)
+        for spec in _atlas_and_sweep_specs():
+            if _certainly_empty(spec, 1e-9):
+                continue
+            _enumerate_vertices(spec)
+            sub_a, x = recorder.calls.pop()
+            x = x[..., 0]
+            kept = np.flatnonzero(np.all(np.isfinite(x), axis=1))
+
+            a, b = _halfspaces(spec)
+            idx = _slab_free_index(len(a), spec.dim, len(spec.functionals))
+            assert np.array_equal(sub_a, a[idx])
+            ok = np.flatnonzero(np.linalg.det(a[idx]) != 0.0)
+            want = np.linalg.solve(a[idx[ok]], b[idx[ok]][..., None])[..., 0]
+            finite = np.all(np.isfinite(want), axis=1)
+            assert np.array_equal(kept, ok[finite])
+            assert np.array_equal(x[kept], want[finite])
 
 
 class TestOracle:
