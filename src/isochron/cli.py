@@ -172,6 +172,13 @@ class _Run:
         _check_budget(max_iter, tol, ("--max-iter", "--tol"))
         return max_iter, tol
 
+    def samples(self, default: int, name: str = "samples") -> int:
+        """A sample budget, refused below 1 whether or not the run draws."""
+        value = self.get(name, default, _parse_int)
+        if value < 1:
+            raise DomainError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+        return value
+
     def tol(self, default: float) -> float:
         value = self.get("tol", default, _parse_float)
         if not 0.0 <= value < math.inf:
@@ -497,7 +504,7 @@ def _cmd_region_volume(run: _Run) -> int:
     method = run.get("method", "exact")
     if method not in ("exact", "montecarlo", "both"):
         raise DomainError(f"unknown volume method {method!r}")
-    samples = run.get("samples", 1_000_000, _parse_int)
+    samples = run.samples(1_000_000)
     seed = run.seed()
     threads = run.threads()
     _, out = run.outputs("out", seed=seed)
@@ -623,7 +630,7 @@ def _cmd_scan_params(run: _Run) -> int:
     parts = _read("volume_kinds", lambda v: v.split(","), volume_raw)
     volume_kinds = tuple(_parse_kind(part) for part in parts if part)
     volume_method = run.get("volume_method", "exact")
-    volume_samples = run.get("volume_samples", 100_000, _parse_int)
+    volume_samples = run.samples(100_000, "volume_samples")
     seed = run.seed()
     threads = run.threads()
     _, out_csv, out_json, plot_script = run.outputs(
@@ -663,9 +670,7 @@ def _cmd_scan_params(run: _Run) -> int:
 def _cmd_verify(run: _Run) -> int:
     suite = run.get("suite", "ir4")
     params = run.params(three=True)
-    n = run.get("samples", 1000, _parse_int)
-    if n < 1:
-        raise DomainError(f"--samples must be at least 1, got {n}")
+    n = run.samples(1000)
     seed = run.seed()
     tol = run.tol(1e-9)
     _, out = run.outputs("out", seed=seed)

@@ -16,10 +16,10 @@ cross-checks the analytic picture against the event engine.
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import math
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 
@@ -310,19 +310,25 @@ def membership_margin(spec: RegionSpec, sigma) -> float:
 
 def membership_many(spec: RegionSpec, sigmas: np.ndarray, margin: float = 0.0) -> np.ndarray:
     """Vectorized membership over an (n, dim) array of sigma points, one matmul
-    per constraint: a stacked matmul rounds differently, so hit counts would move.
-    A row holding +-inf or NaN is outside, without a warning (a zero weight
-    times inf is NaN, and NaN compares False)."""
+    per constraint into one reused buffer: a stacked matmul rounds differently,
+    so hit counts would move.  A row holding +-inf or NaN is outside, without a
+    warning (a zero weight times inf is NaN, and NaN compares False)."""
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.ndim != 2 or sigmas.shape[1] != spec.dim:
         raise DomainError(f"sigmas must have shape (rows, {spec.dim}), got {sigmas.shape}")
     ok = np.ones(len(sigmas), dtype=bool)
+    v = np.empty(len(sigmas))
+    t = np.empty(len(sigmas), dtype=bool)
     with np.errstate(invalid="ignore"):
         for w, w0 in spec.orderings:
-            ok &= sigmas @ np.asarray(w) + w0 > margin
+            np.matmul(sigmas, np.asarray(w), out=v)
+            v += w0
+            ok &= np.greater(v, margin, out=t)
         for f in spec.functionals:
-            v = sigmas @ np.asarray(f.weights) + f.offset
-            ok &= (v >= f.lower + margin) & (v <= f.upper - margin)
+            np.matmul(sigmas, np.asarray(f.weights), out=v)
+            v += f.offset
+            ok &= np.greater_equal(v, f.lower + margin, out=t)
+            ok &= np.less_equal(v, f.upper - margin, out=t)
     return ok
 
 
@@ -542,14 +548,47 @@ def g_algebra_deviation(tau: float, points, line_offsets) -> float:
 _NETWORKS = ((), (), ((0, 1),), ((0, 1), (1, 2), (0, 1)), ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2)))
 
 
+#: Rows per block of _network_sort; its (dim + 2)-row scratch, 384 KiB at
+#: dim 4, stays in cache.  The three default 10^6-sample volumes took 0.109 s
+#: in process at 8,192, 0.106 s at 16,384, 0.118 s at 32,768, and 0.136 s at
+#: 1,024 and at 100,000 (medians of 5, 2-core Xeon).
+_SORT_BLOCK = 8192
+
+
+@cache
+def _sort_plan(wires: tuple[int, ...]) -> tuple:
+    """The network on wires as steps (a, b, lo, hi) over a block's operands,
+    the dim + 2 scratch rows and then x's columns: min(a, b) goes to scratch
+    row lo and max(a, b) to row hi, both free, and the rows a and b held
+    are freed.  Also (column, row): where each column's sorted values end."""
+    dim = len(wires)
+    held = {i: dim + 2 + wires[i] for i in range(dim)}
+    free = list(range(dim + 2))
+    steps = []
+    for i, j in _NETWORKS[dim]:
+        lo, hi = free.pop(), free.pop()
+        steps.append((held[i], held[j], lo, hi))
+        free += [held[k] for k in (i, j) if held[k] < dim + 2]
+        held[i], held[j] = lo, hi
+    return tuple(steps), tuple((wires[i], held[i]) for i in range(dim))
+
+
 def _network_sort(x: np.ndarray, wires: tuple[int, ...]) -> np.ndarray:
-    """Sort each row of x in place: column wires[k] gets the k-th smallest."""
-    buf = np.empty(len(x))
-    for i, j in _NETWORKS[len(wires)]:
-        lo, hi = x[:, wires[i]], x[:, wires[j]]
-        np.minimum(lo, hi, out=buf)
-        np.maximum(lo, hi, out=hi)
-        lo[...] = buf
+    """Sort each row of x in place: column wires[k] gets the k-th smallest.
+    Block by block, the first comparators read x's strided columns into a
+    contiguous scratch, the rest work there, and the block is written back."""
+    steps, back = _sort_plan(wires)
+    if not steps:
+        return x
+    scratch = np.empty((len(wires) + 2, min(len(x), _SORT_BLOCK)))
+    for start in range(0, len(x), _SORT_BLOCK):
+        block = x[start:start + _SORT_BLOCK]
+        ops = [*scratch[:, :len(block)], *block.T]
+        for a, b, lo, hi in steps:
+            np.minimum(ops[a], ops[b], out=ops[lo])
+            np.maximum(ops[a], ops[b], out=ops[hi])
+        for col, row in back:
+            block[:, col] = ops[row]
     return x
 
 
@@ -557,9 +596,13 @@ def _ordering_simplex_sample(rng: np.random.Generator, kind: str, tau: float, n:
     """Uniform points of the ordering simplex: dim uniforms on (0, tau) a row,
     sorted in place by a compare-exchange network wired in the family's chain
     order.  Column order[k] gets the k-th smallest value, and comparators only
-    move values, so rows equal np.sort's scattered into chain order, bit for bit."""
+    move values, so rows equal np.sort's scattered into chain order, bit for bit.
+    rng.random scaled by tau has the bits of rng.uniform(0.0, tau), which
+    computes 0.0 + tau * u from the same stream."""
     order = _family(kind).order
-    return _network_sort(rng.uniform(0.0, tau, size=(n, len(order))), order)
+    x = rng.random((n, len(order)))
+    x *= tau
+    return _network_sort(x, order)
 
 
 def sample_interior(
@@ -793,7 +836,7 @@ def _volume_montecarlo(
         return int(np.count_nonzero(membership_many(spec, cand)))
 
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             hits = sum(pool.map(run_shard, zip(shard_sizes, seeds)))
     else:
         hits = sum(run_shard(args) for args in zip(shard_sizes, seeds))

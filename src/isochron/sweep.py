@@ -12,10 +12,10 @@ off by default.
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import math
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -78,8 +78,9 @@ def _run_tasks(fn, tasks: list, workers: int) -> Iterator:
         yield from map(fn, tasks)
         return
     # A pool forks all its workers at the first task, so it has no more
-    # workers than tasks.
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # workers than tasks.  Named through the package, which loads
+    # multiprocessing on first use, so a serial run never imports it.
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, tasks)
 
 

@@ -576,6 +576,19 @@ class TestRegionVolume:
         assert main(["region", "volume", "--method", "quadrature"]) == 2
         assert "method" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["exact", "montecarlo", "both"])
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_bad_sample_count_rejected_before_any_output(self, capsys, tmp_path, method, samples):
+        # The exact volume draws no sample, but a count below 1 is refused
+        # all the same, before the exact line is printed or a report declared.
+        out = tmp_path / "volume.json"
+        argv = ["region", "volume", "--method", method, "--samples", samples, "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --samples must be at least 1, got {samples}\n"
+        assert not out.exists()
+
 
 class TestRegionSample:
     def test_stdout_layout(self, capsys):
@@ -847,6 +860,27 @@ class TestScanParams:
             argv += ["--config", str(config)]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: --grid: ")
+
+    @pytest.mark.parametrize("method", ["exact", "montecarlo"])
+    @pytest.mark.parametrize("samples", [0, -3])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_bad_volume_sample_count_rejected(self, capsys, tmp_path, method, samples, via_config):
+        # Refused before the scan, whichever volume method runs, so no
+        # dataset header carries the count.
+        csv = tmp_path / "params.csv"
+        argv = ["scan", "params", "--grid", "2x2", "--volume-kinds", "ir4",
+                "--volume-method", method, "--out-csv", str(csv)]
+        if via_config:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"volume_samples": samples}))
+            argv += ["--config", str(config)]
+        else:
+            argv += ["--volume-samples", str(samples)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --volume-samples must be at least 1, got {samples}\n"
+        assert not csv.exists()
 
 
 class TestVerify:

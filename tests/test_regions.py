@@ -823,7 +823,13 @@ class TestSortingNetwork:
     """The sampler sorts with a compare-exchange network; every row it
     returns must equal np.sort's scattered into chain order, bit for bit."""
 
-    @pytest.mark.parametrize("n", [0, 1, 1023, 100_000])
+    # The network sorts _SORT_BLOCK rows at a time; the counts around the
+    # block edges leave a last block of 8191, 1 and 3 rows.
+    @pytest.mark.parametrize(
+        "n",
+        [0, 1, 1023, 100_000, regions._SORT_BLOCK - 1, regions._SORT_BLOCK,
+         regions._SORT_BLOCK + 1, 2 * regions._SORT_BLOCK + 3],
+    )
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     @pytest.mark.parametrize("kind", KINDS)
     def test_sampler_equals_sort_and_scatter(self, kind, seed, n):
@@ -833,6 +839,28 @@ class TestSortingNetwork:
         want = sort_and_scatter(uniforms, family.order)
         assert got.shape == want.shape == (n, family.dim)
         assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(-300.0, 300.0).map(lambda e: 10.0**e),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 64),
+    )
+    @example(1e-300, 0, 64)
+    @example(1e300, 0, 64)
+    @example(P.tau, 2024, 64)
+    def test_scaled_random_is_uniform_bit_for_bit(self, tau, seed, n):
+        """The sampler scales rng.random by tau in place of rng.uniform(0.0,
+        tau), which computes 0.0 + tau * u from the same stream."""
+        x = np.random.default_rng(seed).random((n, 4))
+        x *= tau
+        want = np.random.default_rng(seed).uniform(0.0, tau, size=(n, 4))
+        assert x.tobytes() == want.tobytes()
+        for kind in KINDS:
+            family = FAMILIES[kind]
+            got = _ordering_simplex_sample(np.random.default_rng(seed), kind, tau, n)
+            uniforms = np.random.default_rng(seed).uniform(0.0, tau, size=(n, family.dim))
+            assert got.tobytes() == sort_and_scatter(uniforms, family.order).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -903,6 +931,20 @@ class TestVolume:
         )
         assert serial.volume == threaded.volume
         assert serial.stderr == threaded.stderr
+
+    def test_montecarlo_memory_stays_bounded(self):
+        # One 100,000-row shard of IR5: the candidates (3.1 MiB) and
+        # membership_many's one float and two bool buffers peak near
+        # 4.0 MiB.  A fresh product and sum per constraint peaked near
+        # 4.7 MiB.
+        spec = region_spec(P, "IR5")
+        tracemalloc.start()
+        try:
+            region_volume(spec, method="montecarlo", samples=100_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.4 * 2**20
 
     @pytest.mark.parametrize("tau", [0.0, 0.10])
     @pytest.mark.parametrize("kind", KINDS)

@@ -2,13 +2,18 @@
 existence maps, the analytic/numeric projection overlay, stability probes,
 the boundary-escape demonstration, and the reproducible dataset writers."""
 
+import concurrent.futures
 import csv
 import functools
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +62,7 @@ from isochron import (
     write_projection_csv,
     write_projection_json,
 )
+import isochron
 from isochron import lockstep, poincare, sweep
 from isochron._serial import plain
 from isochron.engine import EngineStallError, HorizonExceededError, StateError
@@ -438,7 +444,7 @@ class TestMirror:
         monkeypatch.setattr(sweep, "_detect", counting)
         monkeypatch.setattr(sweep, "_mirror_result", counting_mirror)
         # Threads in place of processes, so that the workers count here.
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", ThreadPoolExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
         for workers in (1, 2):
             counted.clear()
             mirrored.clear()
@@ -462,11 +468,25 @@ class TestWorkerPool:
             pools.append(max_workers)
             return ThreadPoolExecutor(max_workers)
 
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", recording)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
         axes = ((0.45, 0.7), (0.45, 0.7))
         assert param_scan(*axes, workers=16).records == param_scan(*axes).records
         assert repr(phase_scan(P, 0.5, workers=16).records) == repr(phase_scan(P, 0.5).records)
         assert pools == [4, 3]
+
+    def test_importing_the_cli_loads_no_process_machinery(self):
+        # concurrent.futures loads its process pool, and multiprocessing
+        # with it, on first use: only a run with workers > 1 pays for it.
+        probe = (
+            "import sys, isochron.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+        )
+        src = str(Path(isochron.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "[]\n"
 
 
 class TestParamScan:
