@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracle import scan_reference
 
+import isochron
 from isochron import (
     DEFAULT_MATCH_TOL,
     DEFAULT_SCAN_MAX_ITER,
@@ -62,7 +63,6 @@ from isochron import (
     write_projection_csv,
     write_projection_json,
 )
-import isochron
 from isochron import lockstep, poincare, sweep
 from isochron._serial import plain
 from isochron.engine import EngineStallError, HorizonExceededError, StateError
