@@ -139,6 +139,14 @@ def _emit(value, indent: str, out: list) -> None:
             out.append("[]")
             return
         inner = indent + " "
+        for item in value:
+            if type(item) is not float:
+                break
+        else:
+            # Plain floats, a projection's points say, in one join.
+            sep = ",\n" + inner
+            out.append("[" + sep[1:] + sep.join(map(_float_text, value)) + "\n" + indent + "]")
+            return
         out.append("[\n" + inner)
         for i, item in enumerate(value):
             if i:

@@ -172,11 +172,11 @@ class _Run:
         _check_budget(max_iter, tol, ("--max-iter", "--tol"))
         return max_iter, tol
 
-    def samples(self, default: int, name: str = "samples") -> int:
-        """A sample budget, refused below 1 whether or not the run draws."""
+    def samples(self, default: int, name: str = "samples", least: int = 1) -> int:
+        """A sample budget, refused below least whether or not the run draws."""
         value = self.get(name, default, _parse_int)
-        if value < 1:
-            raise DomainError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+        if value < least:
+            raise DomainError(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
         return value
 
     def tol(self, default: float) -> float:
@@ -537,7 +537,7 @@ def _cmd_region_volume(run: _Run) -> int:
 def _cmd_region_sample(run: _Run) -> int:
     kind = _parse_kind(run.get("kind", "ir4"))
     params = run.params()
-    n = run.get("samples", 100, _parse_int)
+    n = run.samples(100, least=0)
     seed = run.seed()
     header, out = run.outputs("out", seed=seed)
     spec = region_spec(params, kind)
@@ -552,7 +552,7 @@ def _cmd_region_sample(run: _Run) -> int:
 
 def _cmd_region_project(run: _Run) -> int:
     params = run.params()
-    n = run.get("samples", 1000, _parse_int)
+    n = run.samples(1000, least=0)
     seed = run.seed()
     compare = run.get("compare", False, _parse_bool)
     if compare:

@@ -338,8 +338,10 @@ class _History:
         """For each row, the age of its earliest logged state that its
         given state matches by detection's rule, _row_distance <= tol, or
         -1.  Entries are first kept only where every phase is within tol
-        of the row's, by the subtraction _row_distance makes, so no match
-        is dropped; only those entries' FTD entries are read."""
+        of the row's, by the subtraction _row_distance makes, and the count
+        of FTD entries is the row's, so no match is dropped; only those
+        entries' FTD entries are read.  (At a large delay the phases repeat
+        while the pulses in flight pile up, so the count rejects most.)"""
         slot = self.slot[: self.size]
         old = self.phases
         gap = phases[:, 0][slot]
@@ -348,6 +350,9 @@ class _History:
         del gap
         for i in range(1, self.n):
             at = at[np.abs(old[at, i] - phases[slot[at], i]) <= tol]
+        # _row_distance is infinite where the FTD counts differ.
+        held = np.count_nonzero(senders < self.n, axis=1)
+        at = at[self.ftds.at[at + 1] - self.ftds.at[at] == held[slot[at]]]
         row = slot[at]
         was = [old[at], *self.ftds.padded(at)]
         hit = _row_distance(self.n, was, [phases[row], ftds[row], senders[row]]) <= tol

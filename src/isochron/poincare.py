@@ -273,7 +273,7 @@ def detect_periodicity_many(
     report.  If any start raises, the error of the first such start (in
     the given order) is raised.
     """
-    cycle, ends, chunks = _detect(params, states, max_iter, tol)
+    cycle, ends, chunks = _detect(params, _state_source(params, states), max_iter, tol)
     results: list = [None] * len(cycle)
     periodic = np.flatnonzero(cycle >= 0)
     table = _cycle_table(params.n, chunks)
@@ -314,6 +314,18 @@ def _section_rows(params: ModelParams, states: list):
     return rows, errors
 
 
+def _state_source(params: ModelParams, states):
+    """The row source (see _detect) of an iterable of NetworkState starts:
+    each batch is taken in order and checked by _section_rows."""
+    states = iter(states)
+
+    def take(count: int) -> tuple:
+        batch = list(islice(states, count))
+        return (*_section_rows(params, batch), len(batch))
+
+    return take
+
+
 #: Starts that detection runs at once, as the rows of one LockstepEngine.
 #: A return or a step costs about the same numpy calls at any width, so
 #: more rows take fewer of them (25 returns on the 0.01 grid's triangle
@@ -338,25 +350,31 @@ def _section_rows(params: ModelParams, states: list):
 _LIVE_ROWS = 2500
 
 
-def _detect(params: ModelParams, states, max_iter: int, tol: float) -> tuple:
-    """detect_periodicity_many's detection over an iterable of starts:
-    (cycle, ends, chunks), once every start has finished.  chunks are the
-    found cycles' rows, for _cycle_table to build their table from, in
-    the order they were found; cycle[s] is start s's cycle in that table,
-    or -1 if it found none within max_iter returns; ends holds the last
-    rows (lockstep's layout) of those, in start order.
+def _detect(params: ModelParams, source, max_iter: int, tol: float) -> tuple:
+    """detect_periodicity_many's detection over the starts of a row
+    source: (cycle, ends, chunks), once every start has finished.  chunks
+    are the found cycles' rows, for _cycle_table to build their table
+    from, in the order they were found; cycle[s] is start s's cycle in
+    that table, or -1 if it found none within max_iter returns; ends holds
+    the last rows (lockstep's layout) of those, in start order.
+
+    source(count) takes the next count starts, or as many as are left, and
+    returns (rows, errors, taken): the rows, in lockstep's layout, of the
+    taken starts up to the first that require_section_state rejects;
+    {its index among them: that error}, or {}; and how many it took.
+    NetworkStates come through _state_source; the phase scan writes its
+    grid starts as rows (sweep._grid_source), with no NetworkState.
 
     At most _LIVE_ROWS starts run at once, as the rows of one
     LockstepEngine.  After every return, as many starts as there are free
-    rows, the rows of those that finished or failed, are taken from
-    states in the given order, checked, and admitted.  Once a start has
-    failed no later start is admitted, and the error of the first failing
-    start is raised when the starts before it have finished.
+    rows, the rows of those that finished or failed, are taken from the
+    source in order and admitted.  Once a start has failed no later start
+    is admitted, and the error of the first failing start is raised when
+    the starts before it have finished.
     """
     _check_budget(max_iter, tol)
     n = params.n
     width = _LIVE_ROWS
-    states = iter(states)
     eng = LockstepEngine(params, *_encode(n, []))
     hist = _History(n, width, max_iter)
     # Per row, in start order: its start's index and its returns so far.
@@ -372,9 +390,10 @@ def _detect(params: ModelParams, states, max_iter: int, tol: float) -> tuple:
 
     while True:
         # Admit the next starts into the free rows, none after a failed one.
-        batch = [] if errors else list(islice(states, width - len(start)))
-        if batch:
-            rows, bad = _section_rows(params, batch)
+        taken = 0
+        if not errors and len(start) < width:
+            rows, bad, taken = source(width - len(start))
+        if taken:
             errors.update((pulled + i, exc) for i, exc in bad.items())
             take = len(rows[0])
             eng.add(*rows)
@@ -383,7 +402,7 @@ def _detect(params: ModelParams, states, max_iter: int, tol: float) -> tuple:
             hist.add(slots, np.zeros(take, dtype=int), [*rows, *no_returns])
             start = np.concatenate([start, pulled + np.arange(take)])
             age = np.concatenate([age, np.zeros(take, dtype=int)])
-            pulled += len(batch)
+            pulled += taken
         if not len(start):
             break
 

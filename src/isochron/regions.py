@@ -308,21 +308,52 @@ def membership_margin(spec: RegionSpec, sigma) -> float:
     return min(slacks)
 
 
+def _difference(weights) -> tuple | None:
+    """(plus, minus) of an ordering row whose weights are 1.0 at plus, -1.0
+    at minus and 0.0 elsewhere, one of the two absent (None) where the row
+    reads a single coordinate; None for a row of any other shape."""
+    plus = [i for i, w in enumerate(weights) if w == 1.0]
+    minus = [i for i, w in enumerate(weights) if w == -1.0]
+    if len(plus) > 1 or len(minus) > 1 or not plus + minus:
+        return None
+    if sum(w != 0.0 for w in weights) != len(plus + minus):
+        return None
+    return (plus or [None])[0], (minus or [None])[0]
+
+
 def membership_many(spec: RegionSpec, sigmas: np.ndarray, margin: float = 0.0) -> np.ndarray:
-    """Vectorized membership over an (n, dim) array of sigma points, one matmul
-    per constraint into one reused buffer: a stacked matmul rounds differently,
-    so hit counts would move.  A row holding +-inf or NaN is outside, without a
-    warning (a zero weight times inf is NaN, and NaN compares False)."""
+    """Vectorized membership over an (n, dim) array of sigma points, one
+    constraint at a time into one reused buffer, with the verdicts of one
+    matmul per constraint: a stacked matmul rounds differently, so hit
+    counts would move.  A chain row (see _difference) is a subtraction of
+    columns instead, which rounds as that matmul does, once, without BLAS.
+    On a family's spec a row holding +-inf or NaN is outside, without a
+    warning: in a matmul a zero weight times inf is NaN, which compares
+    False, and the chain rows read every coordinate with both signs, so
+    one of them is -inf or NaN.  Where they do not, every row is a matmul."""
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.ndim != 2 or sigmas.shape[1] != spec.dim:
         raise DomainError(f"sigmas must have shape (rows, {spec.dim}), got {sigmas.shape}")
+    chain = [_difference(w) for w, _ in spec.orderings]
+    read = [t for t in chain if t is not None]
+    if not all(set(range(spec.dim)) <= {t[k] for t in read} for k in (0, 1)):
+        chain = [None] * len(chain)
     ok = np.ones(len(sigmas), dtype=bool)
     v = np.empty(len(sigmas))
     t = np.empty(len(sigmas), dtype=bool)
     with np.errstate(invalid="ignore"):
-        for w, w0 in spec.orderings:
-            np.matmul(sigmas, np.asarray(w), out=v)
-            v += w0
+        for (w, w0), terms in zip(spec.orderings, chain):
+            if terms is None:
+                np.matmul(sigmas, np.asarray(w), out=v)
+            elif terms[0] is None:
+                np.negative(sigmas[:, terms[1]], out=v)
+            elif terms[1] is None:
+                np.copyto(v, sigmas[:, terms[0]])
+            else:
+                np.subtract(sigmas[:, terms[0]], sigmas[:, terms[1]], out=v)
+            # Adding 0.0 only turns -0.0 into 0.0, which compares the same.
+            if w0:
+                v += w0
             ok &= np.greater(v, margin, out=t)
         for f in spec.functionals:
             np.matmul(sigmas, np.asarray(f.weights), out=v)

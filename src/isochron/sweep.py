@@ -17,12 +17,14 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
 from ._serial import Record, fill_template, value_text, write_json
 from ._version import __version__
 from .engine import NetworkState, TraceEvent, format_trace_text, init_engine, network_state
+from .lockstep import _bad_rows, _decode
 from .model import DomainError, ModelParams
 from .poincare import (
     DEFAULT_MATCH_TOL,
@@ -34,6 +36,8 @@ from .poincare import (
     _cycle_table,
     _CycleTable,
     _detect,
+    _section_rows,
+    _state_source,
     detect_periodicity,
     poincare_map,  # noqa: F401  (bound here for perfbench/tracer.py)
     pulse_equivalent,
@@ -88,15 +92,50 @@ def _run_tasks(fn, tasks: list, workers: int) -> Iterator:
 
 
 def eq_init_state(params: ModelParams, theta1: float, theta2: float) -> NetworkState:
-    """Scan-grid initial state: phases (theta_1, theta_2, 0); each of the
-    first two oscillators remembers a firing theta_i ago iff theta_i lies
-    within the delay window (boundary included); the reference oscillator
-    fired at time zero."""
-    theta1, theta2 = float(theta1), float(theta2)
-    ftd1 = (theta1,) if theta1 <= params.tau else ()
-    ftd2 = (theta2,) if theta2 <= params.tau else ()
-    # Rows of at most one entry are sorted already, as network_state keeps them.
-    return NetworkState((theta1, theta2, 0.0), (ftd1, ftd2, (0.0,)))
+    """Scan-grid initial state of cell (theta1, theta2): the state of its
+    one row from _grid_rows."""
+    return _decode(*_grid_rows(params, [float(theta1)], [float(theta2)]))[0]
+
+
+def _grid_rows(params: ModelParams, theta1, theta2) -> tuple:
+    """The scan-grid starts of cells (theta1[k], theta2[k]), as rows in
+    lockstep's layout (see lockstep._encode): phases (theta_1, theta_2,
+    0); each of the first two oscillators remembers a firing theta_i ago
+    iff theta_i lies within the delay window (boundary included); the
+    reference oscillator fired at time zero.  A start holds three
+    oscillators whatever params.n is, and require_section_state refuses it
+    for any other n."""
+    phases = np.zeros((len(theta1), 3))
+    phases[:, 0], phases[:, 1] = theta1, theta2
+    held = np.ones(phases.shape, dtype=bool)
+    held[:, :2] = phases[:, :2] <= params.tau
+    # One entry per held memory, in sender order; empty slots are (0.0, 3).
+    row, sender = np.nonzero(held)
+    slot = np.cumsum(held, axis=1)[row, sender] - 1
+    ftds = np.zeros((len(phases), int(held.sum(axis=1).max(initial=0))))
+    senders = np.full(ftds.shape, 3)
+    ftds[row, slot], senders[row, slot] = phases[row, sender], sender
+    return phases, ftds, senders
+
+
+def _grid_source(params: ModelParams, theta1: np.ndarray, theta2: np.ndarray):
+    """The row source (see poincare._detect) of the scan-grid starts of
+    cells (theta1[k], theta2[k]), in order, made by _grid_rows one batch at
+    a time.  The rows are checked by _bad_rows; a batch that holds a
+    rejected start goes through _section_rows as NetworkStates, which
+    keeps the rows before it and gives the error require_section_state
+    raises for it."""
+    end = 0
+
+    def take(count: int) -> tuple:
+        nonlocal end
+        lo, end = end, min(end + count, len(theta1))
+        rows = _grid_rows(params, theta1[lo:end], theta2[lo:end])
+        if _bad_rows(params, *rows).any():
+            return (*_section_rows(params, _decode(*rows)), end - lo)
+        return rows, {}, end - lo
+
+    return take
 
 
 @dataclass(frozen=True)
@@ -132,7 +171,10 @@ class PhaseScanResult(Record):
     it found none; a cell below the diagonal reads its cycle's mirror image
     (see phase_scan).  signature_ids[0, k] indexes signatures with cycle
     k's signature, signature_ids[1, k] with its mirror's (-1 if no cell
-    reads it).  records builds the cells' ScanRecords, in grid order."""
+    reads it).  records builds the cells' ScanRecords, in grid order.
+    The starts behind the table were written as lockstep rows
+    (_grid_source), so no cell has a NetworkState unless records or a
+    signature builds one from the table."""
 
     params: ModelParams
     step: float
@@ -153,6 +195,14 @@ class PhaseScanResult(Record):
         rows = _scan_rows(self, _same, _same)
         return tuple(record for row in rows for record in map(ScanRecord, *row))
 
+    @cached_property
+    def _projections(self) -> tuple[np.ndarray, np.ndarray]:
+        """(group, first) of the slots' projections by _groups: slots whose
+        cycle states project to the same (theta1, theta2) pairs, compared
+        by bits (equal points differ when one holds -0.0), share a group.
+        Made once, for records and both writers."""
+        return _groups(_slot_points(self.table), np.tile(self.table.periods, 2))
+
     def period_census(self) -> dict[int, int]:
         """Periodic cells by section period, in increasing period order."""
         found = self.table.periods[self.grid[self.grid >= 0]]
@@ -166,6 +216,12 @@ class PhaseScanResult(Record):
         return int(np.count_nonzero(self.grid < 0))
 
 
+def _slot_points(table: _CycleTable) -> np.ndarray:
+    """The (theta1, theta2) projections of each slot's cycle states (see
+    _slots), as consecutive rows, a mirror's after every cycle's."""
+    return np.concatenate([table.phases[:, :2], table.phases[:, 1::-1]])
+
+
 def _grid_values(step: float) -> list[float]:
     if not 0.0 < step < 1.0:
         raise DomainError(f"grid step must lie in (0, 1), got {step}")
@@ -175,10 +231,9 @@ def _grid_values(step: float) -> list[float]:
 
 def _scan_span(args) -> tuple:
     """Worker task: poincare._detect's (cycle, chunks) over a span of grid
-    cells, from their eq_init_state starts."""
-    params, cells, max_iter, tol = args
-    starts = (eq_init_state(params, *cell) for cell in cells)
-    cycle, _, chunks = _detect(params, starts, max_iter, tol)
+    cells (theta1[k], theta2[k]), from their _grid_source rows."""
+    params, theta1, theta2, max_iter, tol = args
+    cycle, _, chunks = _detect(params, _grid_source(params, theta1, theta2), max_iter, tol)
     return cycle, chunks
 
 
@@ -190,13 +245,17 @@ def _scan_triangle(params: ModelParams, values: list, max_iter: int, tol: float,
     poincare._detect stream, or with workers > 1 as one span of equal cell
     count per worker; one table is built from every span's chunks, in span
     order."""
-    triangle = [(a, b) for i, a in enumerate(values) for b in values[i:]]
-    span = -(-len(triangle) // max(workers, 1))
-    tasks = [(params, triangle[i : i + span], max_iter, tol) for i in range(0, len(triangle), span)]
+    upper = np.triu_indices(len(values))
+    theta1, theta2 = (np.array(values)[axis] for axis in upper)
+    span = -(-len(theta1) // max(workers, 1))
+    tasks = [
+        (params, theta1[i : i + span], theta2[i : i + span], max_iter, tol)
+        for i in range(0, len(theta1), span)
+    ]
     cycles, chunks = zip(*_run_tasks(_scan_span, tasks, workers))
     found = np.cumsum([0, *(np.count_nonzero(c >= 0) for c in cycles)])
     grid = np.full((len(values), len(values)), -1)
-    grid[np.triu_indices(len(values))] = np.concatenate(
+    grid[upper] = np.concatenate(
         [np.where(c >= 0, c + shift, -1) for c, shift in zip(cycles, found)]
     )
     table = _cycle_table(params.n, [chunk for span_chunks in chunks for chunk in span_chunks])
@@ -237,10 +296,39 @@ def _mirror_result(result: PeriodicityResult) -> PeriodicityResult:
 def _mirror_order(receptions: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(who, order) of the mirrors' receptions, as _mirror_result makes
     them: the recipients with 0 and 1 swapped, and the order that re-sorts
-    the receptions by (cycle, offset, recipient)."""
+    the receptions by (cycle, offset, recipient).  The receptions are in
+    that order already, so only runs of one (cycle, offset) move."""
     k, who, _, offset = receptions
     who = who ^ (who < 2)
-    return who, np.lexsort((who, offset, k))
+    run = np.ones(len(k), dtype=bool)
+    run[1:] = (k[1:] != k[:-1]) | (offset[1:] != offset[:-1])
+    run = np.cumsum(run) * (int(who.max(initial=0)) + 1)
+    return who, np.argsort(run + who, kind="stable")
+
+
+def _groups(items: np.ndarray, counts: np.ndarray, head: np.ndarray | None = None) -> tuple:
+    """(group, first) of slots that each hold counts[s] consecutive rows of
+    items, after a row of head if given: slots alike byte for byte share a
+    group, numbered in order of first appearance, and first[g] is group
+    g's first slot.  Slots of one count are compared at once, so no row is
+    padded.  Without a head, every count is at least 1."""
+    width = items.itemsize * items.shape[1]
+    items = items.view(np.uint8).reshape(len(items), width)
+    starts = np.cumsum(counts) - counts
+    key = np.empty(len(counts), dtype=int)
+    for c in np.flatnonzero(np.bincount(counts)).tolist():
+        slots = np.flatnonzero(counts == c)
+        rows = items[(starts[slots, None] + np.arange(c)).ravel()].reshape(len(slots), c * width)
+        if head is not None:
+            rows = np.hstack([head[slots].view(np.uint8), rows])
+        rows = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+        # Keys of one count follow those of smaller counts.
+        key[slots] = np.unique(rows, return_inverse=True)[1] + c * len(counts)
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[group], first[order]
 
 
 def _intern(params: ModelParams, grid: np.ndarray, table: _CycleTable) -> tuple:
@@ -248,24 +336,21 @@ def _intern(params: ModelParams, grid: np.ndarray, table: _CycleTable) -> tuple:
 
     Slots alike in the pulses they receive (recipient and multiplicity, in
     order; a mirror's re-sorted as _mirror_result does) and in orbit period
-    form a class, interned once, at its first cell in grid order: its
-    pulse_signature takes the id of the first earlier signature with its
-    per-recipient pattern that pulse_equivalent accepts, else a new one."""
+    (by its bits) form a class, grouped on arrays (_groups), and each class
+    is interned once, at its first cell in grid order: its pulse_signature
+    takes the id of the first earlier signature with its per-recipient
+    pattern that pulse_equivalent accepts, else a new one."""
     count = len(table.periods)
     k, who, mult, offset = table.receptions
-    bounds = np.searchsorted(k, np.arange(count + 1)).tolist()
-    orbits = table.orbits.tolist()
-    who = who.astype(np.min_scalar_type(params.n - 1))
     swapped, order = _mirror_order((k, who, mult, offset))
-    classes: dict[tuple, int] = {}
-    slot_class = []
-    for pulses in (np.stack([who, mult], axis=1), np.stack([swapped, mult], axis=1)[order]):
-        data, width = pulses.tobytes(), pulses.strides[0]
-        slot_class += [
-            classes.setdefault((data[lo * width : hi * width], t), len(classes))
-            for lo, hi, t in zip(bounds, bounds[1:], orbits)
-        ]
-    slot_class = np.array(slot_class, dtype=int)
+    # Each slot's orbit period, by its bits, then its (recipient,
+    # multiplicity) pairs in order; a mirror's after every cycle's.
+    pulses = np.empty((2, len(k), 2), np.min_scalar_type(max(params.n - 1, int(mult.max(initial=0)))))
+    pulses[0, :, 0], pulses[0, :, 1] = who, mult
+    pulses[1, :, 0], pulses[1, :, 1] = swapped[order], mult[order]
+    received = np.tile(np.bincount(k, minlength=count), 2)
+    orbits = np.tile(table.orbits, 2)[:, None]
+    slot_class = _groups(pulses.reshape(-1, 2), received, orbits)[0]
     slots = _slots(grid, count).ravel()
     slots = slots[slots < 2 * count]
     cell_class = slot_class[slots]
@@ -273,7 +358,7 @@ def _intern(params: ModelParams, grid: np.ndarray, table: _CycleTable) -> tuple:
 
     signatures: list[PulseSignature] = []
     buckets: dict[tuple, list[int]] = {}
-    ids = np.full(len(classes), -1)
+    ids = np.full(int(slot_class.max(initial=-1)) + 1, -1)
     for c, result in zip(cell_class[first].tolist(), _slot_results(table, slots[first])):
         signature = pulse_signature(params, result)
         bucket = buckets.setdefault(tuple(sorted(signature.per_recipient().items())), [])
@@ -294,7 +379,8 @@ def phase_scan(
     workers: int = 1,
 ) -> PhaseScanResult:
     """Scan the initial-phase square [0,1)^2 on a regular grid: each cell
-    starts from eq_init_state and runs the cycle detector.
+    starts from eq_init_state, written as its lockstep row (_grid_rows),
+    and runs the cycle detector.
 
     The oscillators are identical, so swapping the free two maps cell (a,
     b)'s start, and with it the whole orbit, onto cell (b, a)'s.  So only
@@ -319,23 +405,19 @@ def _scan_rows(result: PhaseScanResult, text, projection) -> Iterator[tuple]:
     one list per field, read off the fields of the cells' slots (_slots).
     Each value is as text gives it, once per distinct value of a field
     (_Cells), and each projection as projection gives it of its (theta1,
-    theta2) pairs, once per distinct projection by bits (equal points
-    differ when one holds -0.0)."""
+    theta2) pairs, once per group of result._projections."""
     table = result.table
     count = len(table.periods)
-    # Each slot's points are consecutive rows, a mirror's after every cycle's.
-    points = np.concatenate([table.phases[:, :2], table.phases[:, 1::-1]])
-    hi = np.cumsum(np.tile(table.periods, 2))
-    data, width = points.tobytes(), points.strides[0]
-    made = {b"": projection(())}
-    projections = []
-    for a, b in zip([0, *hi.tolist()], [*hi.tolist(), 0]):
-        key = data[a * width : b * width]
-        if key not in made:
-            made[key] = projection(tuple(map(tuple, points[a:b].tolist())))
-        projections.append(made[key])
+    group, first = result._projections
+    periods = np.tile(table.periods, 2)
+    lo, points = (np.cumsum(periods) - periods)[first].tolist(), _slot_points(table)
+    made = [
+        projection(tuple(map(tuple, points[a : a + p].tolist())))
+        for a, p in zip(lo, periods[first].tolist())
+    ]
+    projections = [*map(made.__getitem__, group.tolist()), projection(())]
     # Free what the rows do not read before they are made.
-    del points, data, made
+    del points, made
     slot_fields = (
         [True] * (2 * count) + [False],
         *([*column.tolist() * 2, None] for column in table[:3]),
@@ -564,7 +646,7 @@ def projection_compare(
 
     seeded_sigma = sample_interior(params, "IR4", n_samples, seed=seed + 1)
     seeds = (s_embed(params, "IR4", tuple(map(float, row))) for row in seeded_sigma)
-    cycle, _, chunks = _detect(params, seeds, 16, DEFAULT_MATCH_TOL)
+    cycle, _, chunks = _detect(params, _state_source(params, seeds), 16, DEFAULT_MATCH_TOL)
     table = _cycle_table(params.n, chunks)
     # The seeded cycles' states are only projected, so their phases are read
     # off the table, with no PeriodicityResult built.

@@ -631,6 +631,29 @@ class TestRegionSample:
         assert all(ln.startswith("# ") for ln in lines[:-1])
         assert lines[-1] == "sigma1,sigma2,sigma3"
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["region", "sample", "--out"], ["region", "project", "--out-csv"]],
+        ids=["sample", "project"],
+    )
+    def test_negative_sample_count_names_the_option(self, capsys, tmp_path, argv, source):
+        # Zero points are a valid request here; a negative count is refused
+        # naming --samples, flag or config entry, before any output is declared.
+        out = tmp_path / "out.csv"
+        argv = [*argv, str(out)]
+        if source == "flag":
+            argv += ["--samples", "-3"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"samples": -3}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --samples must be at least 0, got -3\n"
+        assert not out.exists()
+
     def test_empty_region_exits_2(self, capsys):
         argv = ["region", "sample", "--kind", "ir4", "--b", "1.5", "--eps", "0.7",
                 "--tau", "0.8", "--samples", "10"]

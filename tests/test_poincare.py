@@ -1179,3 +1179,27 @@ class TestRaggedHistory:
         empty = [np.zeros((1, 1)), np.zeros((1, 0)), np.zeros((1, 3, 0), dtype=int)]
         hist.add(np.zeros(1, dtype=int), np.zeros(1, dtype=int), [logged, ftds, senders, *empty])
         assert hist.match(query, ftds, senders, tol).tolist() == [0]
+
+    def test_no_ftd_compare_before_the_first_pulse_arrives(self, monkeypatch):
+        # At tau = 1000 the phases repeat at every return while each return
+        # adds a firing memory per oscillator, until the first pulse arrives
+        # after about 1000 returns.  Every logged state passes the phase
+        # prefilter, but none has the row's count of FTD entries, so
+        # _row_distance is handed no state to compare.
+        params = ModelParams(b=3.0, eps=0.58, n=3, tau=1000.0)
+        compared, row_distance = [], lockstep._row_distance
+
+        def counting(n, a, b):
+            compared.append(len(a[0]))
+            return row_distance(n, a, b)
+
+        monkeypatch.setattr(lockstep, "_row_distance", counting)
+        result = detect_periodicity(params, eq_init_state(params, 0.0, 0.5), max_iter=300)
+        assert isinstance(result, NotPeriodic)
+        assert result.last_state.phases == (0.0, 0.5, 0.0)
+        assert len(compared) == 300 and sum(compared) == 0
+        # The stand-in counts: at the reference delay the orbit is found by
+        # comparing logged states.
+        compared.clear()
+        assert detect_periodicity(P, eq_init_state(P, 0.0, 0.5)).periodic
+        assert sum(compared) > 0

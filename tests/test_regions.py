@@ -292,6 +292,44 @@ class TestMembership:
             mask = membership_many(region_spec(P, "IR4"), sigmas)
         assert mask.tolist() == [False] * 3
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(KINDS),
+        st.floats(0.05, 2.0),
+        st.floats(0.0, 0.95),
+        st.sampled_from([0.0, 1e-9]),
+        st.sampled_from(["chain", "first-row-only"]),
+        st.booleans(),
+        st.data(),
+    )
+    def test_chain_rows_equal_the_matmul_reference(
+        self, kind, tau, eps, margin, orderings, functionals, data
+    ):
+        # The chain rows are decided by column subtractions; every row's
+        # verdict must be the per-constraint matmul's, on drawn rows with
+        # ties, zeros of both signs, the delay itself and non-finite
+        # entries.  Without the functionals the chain alone must keep a
+        # non-finite row outside; with only its first row it no longer
+        # reads every coordinate with both signs, and every row is a matmul.
+        spec = region_spec(ModelParams(b=3.0, eps=eps, n=3, tau=tau), kind)
+        if orderings == "first-row-only":
+            spec = dataclasses.replace(spec, orderings=spec.orderings[:1])
+        if not functionals:
+            spec = dataclasses.replace(spec, functionals=())
+        pool = data.draw(st.lists(st.floats(-0.1, tau + 0.1), min_size=1, max_size=3))
+        entries = st.sampled_from([*pool, 0.0, -0.0, tau, np.inf, -np.inf, np.nan])
+        rows = data.draw(st.lists(st.lists(entries, min_size=spec.dim, max_size=spec.dim)))
+        drawn = _ordering_simplex_sample(np.random.default_rng(len(rows)), kind, tau, 64)
+        sigmas = np.concatenate([np.array(rows, dtype=float).reshape(-1, spec.dim), drawn])
+        want = np.ones(len(sigmas), dtype=bool)
+        with np.errstate(invalid="ignore"):
+            for w, w0 in spec.orderings:
+                want &= sigmas @ np.asarray(w) + w0 > margin
+            for f in spec.functionals:
+                v = sigmas @ np.asarray(f.weights) + f.offset
+                want &= (v >= f.lower + margin) & (v <= f.upper - margin)
+        assert membership_many(spec, sigmas, margin=margin).tolist() == want.tolist()
+
 
 class TestExistence:
     def test_reference_parameters(self):

@@ -306,3 +306,26 @@ def _records(draw):
 def test_writer_matches_json_dump_on_drawn_records(records):
     payload = {"records": records, "first": records[0], "seed": None}
     assert dumped(payload) == json_dumped(payload)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(_FLOATS, max_size=6),
+    st.lists(st.lists(_FLOATS, max_size=3).map(tuple), max_size=4),
+    st.lists(_FLOATS | st.integers() | st.booleans() | _FLOATS.map(np.float64), max_size=4),
+)
+def test_writer_matches_json_dump_on_float_lists(floats, pairs, mixed):
+    # A list or tuple of plain floats is written in one join; lists of
+    # them, lists mixing floats with other scalars or with float
+    # subclasses, and the empty list are written as json.dumps does.
+    payload = {
+        "floats": floats,
+        "tuple": tuple(floats),
+        "pairs": pairs,
+        "nested": [[floats, tuple(floats)], pairs],
+        "mixed": mixed,
+        "specials": [-0.0, float("nan"), float("inf"), -float("inf"), 0.0],
+        "empty": [[], ()],
+    }
+    assert dumped(payload) == json_dumped(payload)
+    assert dumped({"items": [pairs, floats]}) == json_dumped({"items": [pairs, floats]})

@@ -129,6 +129,35 @@ class TestEqInitState:
             for j in range(10):
                 validate_state(P, eq_init_state(P, i * 0.1, j * 0.1))
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from([0.01, 0.05, 0.1, 0.25]),
+        st.data(),
+        st.sampled_from(["zero", "tiny", "on-grid", "large"]),
+    )
+    def test_grid_rows_are_the_encoded_starts(self, step, data, delay):
+        # The scan writes its starts as rows, with no NetworkState; they
+        # must be lockstep._encode of the eq_init_state starts, bit for bit,
+        # at a delay window that holds no memory but the reference's, one
+        # whose boundary is a grid value exactly, and one that holds all.
+        values = sweep._grid_values(step)
+        cells = data.draw(
+            st.lists(st.tuples(st.sampled_from(values), st.sampled_from(values)), max_size=12)
+        )
+        tau = {
+            "zero": 0.0,
+            "tiny": 1e-12,
+            "on-grid": data.draw(st.sampled_from(values)),
+            "large": data.draw(st.floats(1.0, 1e6)),
+        }[delay]
+        params = ModelParams(b=3.0, eps=0.58, n=3, tau=tau)
+        theta1, theta2 = (np.array([cell[k] for cell in cells], dtype=float) for k in (0, 1))
+        got = sweep._grid_rows(params, theta1, theta2)
+        want = lockstep._encode(3, [eq_init_state(params, a, b) for a, b in cells])
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+
 
 class TestPhaseScanGrid:
     @pytest.mark.parametrize(
@@ -155,6 +184,41 @@ class TestPhaseScanGrid:
         with pytest.raises(StateError) as got:
             phase_scan(params, step=0.5)
         assert str(got.value) == str(want.value)
+
+    def test_scan_builds_no_state_per_cell(self, monkeypatch):
+        # The grid starts are written as rows, so the scan never asks for
+        # a cell's NetworkState.
+        want = phase_scan(P, step=0.1)
+
+        def refused(*args):
+            raise AssertionError("phase_scan built a per-cell start state")
+
+        monkeypatch.setattr(sweep, "eq_init_state", refused)
+        got = phase_scan(P, step=0.1)
+        assert repr(got.records) == repr(want.records)
+
+    @pytest.mark.parametrize("rows", [1, 7, 2500])
+    def test_scan_equals_the_state_path_at_any_window(self, monkeypatch, rows):
+        # The grid rows against detection from the cells' eq_init_state
+        # NetworkStates (tests/oracle.py), with 1, 7 and 2,500 live rows.
+        monkeypatch.setattr(poincare, "_LIVE_ROWS", rows)
+        records, signatures = scan_reference(P, 0.1)
+        result = phase_scan(P, step=0.1)
+        assert repr(result.records) == repr(records)
+        assert repr(result.signatures) == repr(signatures)
+
+    def test_slot_groups_compare_bits_in_order_of_first_appearance(self):
+        # Slots of 1, 2, 1, 2, 1 and 0 rows: -0.0 differs from 0.0, a slot
+        # differs from its own prefix, and the head tells equal rows apart.
+        items = np.array([[0.5, 0.25], [0.5, 0.25], [0.0, 1.0], [-0.0, 0.5], [0.5, 0.25],
+                          [0.0, 1.0], [0.0, 0.5]])
+        counts = np.array([1, 2, 1, 2, 1, 0])
+        group, first = sweep._groups(items, counts[:5])
+        assert group.tolist() == [0, 1, 2, 1, 3] and first.tolist() == [0, 1, 2, 4]
+        head = np.array([[7.0], [7.0], [7.0], [8.0], [7.0], [7.0]])
+        group, first = sweep._groups(items, counts, head)
+        assert group.tolist() == [0, 1, 2, 3, 4, 5] and first.tolist() == list(range(6))
+        assert sweep._groups(items, counts[:5], head[:5])[0].tolist() == [0, 1, 2, 3, 4]
 
     @pytest.mark.parametrize("step", [0.0, -0.1, 1.0, 1.5])
     def test_rejects_degenerate_step(self, step):
@@ -416,7 +480,8 @@ class TestMirror:
             return
         got = detect_periodicity_many(params, mirrored, max_iter)
         assert repr(got) == repr(list(map(mirror, results)))
-        cycle, _, chunks = poincare._detect(params, starts, max_iter, DEFAULT_MATCH_TOL)
+        source = poincare._state_source(params, starts)
+        cycle, _, chunks = poincare._detect(params, source, max_iter, DEFAULT_MATCH_TOL)
         table = poincare._cycle_table(params.n, chunks)
         found = cycle[cycle >= 0]
         swapped = sweep._slot_results(table, found + len(table.periods))
@@ -432,10 +497,18 @@ class TestMirror:
         counted, mirrored = [], []
         detect, mirror_result = sweep._detect, sweep._mirror_result
 
-        def counting(params, states, *args):
-            states = list(states)
-            counted.append(len(states))
-            return detect(params, states, *args)
+        def counting(params, source, *args):
+            taken = []
+
+            def take(count):
+                rows, errors, took = source(count)
+                taken.append(took)
+                return rows, errors, took
+
+            try:
+                return detect(params, take, *args)
+            finally:
+                counted.append(sum(taken))
 
         def counting_mirror(result):
             mirrored.append(result)
