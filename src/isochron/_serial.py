@@ -143,7 +143,7 @@ def _emit(value, indent: str, out: list) -> None:
             if type(item) is not float:
                 break
         else:
-            # Plain floats, a projection's points say, in one join.
+            # Plain floats, such as a projection point, in one join.
             sep = ",\n" + inner
             out.append("[" + sep[1:] + sep.join(map(_float_text, value)) + "\n" + indent + "]")
             return

@@ -172,9 +172,7 @@ class PhaseScanResult(Record):
     (see phase_scan).  signature_ids[0, k] indexes signatures with cycle
     k's signature, signature_ids[1, k] with its mirror's (-1 if no cell
     reads it).  records builds the cells' ScanRecords, in grid order.
-    The starts behind the table were written as lockstep rows
-    (_grid_source), so no cell has a NetworkState unless records or a
-    signature builds one from the table."""
+    The cells' starts were lockstep rows (_grid_source), not NetworkStates."""
 
     params: ModelParams
     step: float
@@ -345,7 +343,8 @@ def _intern(params: ModelParams, grid: np.ndarray, table: _CycleTable) -> tuple:
     swapped, order = _mirror_order((k, who, mult, offset))
     # Each slot's orbit period, by its bits, then its (recipient,
     # multiplicity) pairs in order; a mirror's after every cycle's.
-    pulses = np.empty((2, len(k), 2), np.min_scalar_type(max(params.n - 1, int(mult.max(initial=0)))))
+    small = np.min_scalar_type(max(params.n - 1, int(mult.max(initial=0))))
+    pulses = np.empty((2, len(k), 2), small)
     pulses[0, :, 0], pulses[0, :, 1] = who, mult
     pulses[1, :, 0], pulses[1, :, 1] = swapped[order], mult[order]
     received = np.tile(np.bincount(k, minlength=count), 2)
