@@ -62,7 +62,9 @@ from .regions import (
 from .sweep import (
     DEFAULT_SCAN_MAX_ITER,
     DEFAULT_SCAN_STEP,
+    MAX_GRID_CELLS,
     _fmt,
+    _grid_count,
     _write_json,
     dataset_header,
     emit_param_scan_plot,
@@ -177,6 +179,13 @@ class _Run:
         value = self.get(name, default, _parse_int)
         if value < least:
             raise DomainError(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
+        return value
+
+    def step(self, default: float) -> float:
+        """A scan grid step, checked by the grid's own rule before any
+        output is declared."""
+        value = self.get("step", default, _parse_float)
+        _grid_count(value, "--step")
         return value
 
     def tol(self, default: float) -> float:
@@ -358,7 +367,7 @@ def _parse_floats(value) -> tuple[float, ...]:
 
 def _parse_grid(value) -> tuple[int, int]:
     """A grid like 100x100, or a pair of integer counts from a config
-    file; each count at least 2."""
+    file; each count at least 2, and at most MAX_GRID_CELLS cells."""
     if isinstance(value, str):
         try:
             left, _, right = value.lower().partition("x")
@@ -371,6 +380,8 @@ def _parse_grid(value) -> tuple[int, int]:
             raise TypeError("expected two integers")
     if min(counts) < 2:
         raise ValueError("needs at least 2 cells per axis")
+    if counts[0] * counts[1] > MAX_GRID_CELLS:
+        raise ValueError(f"a scan grid holds at most {MAX_GRID_CELLS} cells")
     return counts
 
 
@@ -556,7 +567,7 @@ def _cmd_region_project(run: _Run) -> int:
     seed = run.seed()
     compare = run.get("compare", False, _parse_bool)
     if compare:
-        step = run.get("step", 0.05, _parse_float)
+        step = run.step(0.05)
         tol = run.tol(1e-6)
     elif run.given("step"):
         raise DomainError("--step needs --compare: only the overlay scans a grid")
@@ -602,7 +613,7 @@ def _cmd_region_project(run: _Run) -> int:
 
 def _cmd_scan_phases(run: _Run) -> int:
     params = run.params(three=True)
-    step = run.get("step", DEFAULT_SCAN_STEP, _parse_float)
+    step = run.step(DEFAULT_SCAN_STEP)
     max_iter, tol = run.budget()
     threads = run.threads()
     _, out_csv, out_json, plot_script = run.outputs("out_csv", "out_json", "plot_script")

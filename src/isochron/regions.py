@@ -31,7 +31,7 @@ from numpy.linalg import _umath_linalg
 
 from ._serial import Record, rows
 from .engine import NetworkState, network_state
-from .lockstep import LockstepEngine, _bad_rows, _row_distance
+from .lockstep import LockstepEngine, _bad_rows, _by_row, _row_distance
 from .model import (
     DomainError,
     ModelParams,
@@ -465,9 +465,24 @@ def _embed_rows(params: ModelParams, kind: str, cols) -> tuple:
     def stack(values) -> np.ndarray:
         return np.column_stack([np.broadcast_to(v, size) for v in values])
 
-    entries = np.concatenate([np.sort(stack(row), axis=1) for row in ftds], axis=1)
+    entries = stack([column for row in ftds for column in _ascending(row, size)])
     senders = np.repeat(np.arange(len(ftds)), [len(row) for row in ftds])
     return stack(phases), entries, np.tile(senders, (size, 1))
+
+
+def _ascending(values, size: int) -> list[np.ndarray]:
+    """The columns values (scalars broadcast to size rows) sorted ascending
+    row by row by odd-even transposition: each lap swaps the adjacent pairs
+    that are strictly descending, so ties (0.0 and -0.0 too) keep their
+    column order, and a NaN, which np.sort would move last, stays.  Whole
+    columns are compared, not one short row at a time."""
+    columns = [np.broadcast_to(v, size) for v in values]
+    for lap in range(len(columns)):
+        for i in range(lap % 2, len(columns) - 1, 2):
+            low, high = columns[i], columns[i + 1]
+            swap = high < low
+            columns[i], columns[i + 1] = np.where(swap, high, low), np.where(swap, low, high)
+    return columns
 
 
 def cycle_state(params: ModelParams, kind: str, sigma) -> NetworkState:
@@ -803,8 +818,8 @@ def _enumerate_vertices(spec: RegionSpec, feas_tol: float = 1e-9) -> np.ndarray:
     # np.linalg.solve's own error settings, with invalid ignored, not raised.
     with np.errstate(over="ignore", divide="ignore", under="ignore", invalid="ignore"):
         x = _umath_linalg.solve(sub_a, sub_b[..., None])[..., 0]
-    x = x[np.all(np.isfinite(x), axis=1)]
-    x = x[np.all(x @ a.T <= b + feas_tol, axis=1)]
+    x = x[_by_row(np.all, np.isfinite(x))]
+    x = x[_by_row(np.all, x @ a.T <= b + feas_tol)]
     # Float keys equal exactly where the integers int(round(v * 1e10)) do;
     # -0.0 and 0.0 are one dict key.
     first: dict[tuple[float, ...], int] = {}

@@ -21,10 +21,10 @@ from functools import cached_property
 
 import numpy as np
 
-from ._serial import Record, fill_template, value_text, write_json
+from ._serial import Record, _float_text, fill_template, rows_template, value_text, write_json
 from ._version import __version__
 from .engine import NetworkState, TraceEvent, format_trace_text, init_engine, network_state
-from .lockstep import _bad_rows, _decode
+from .lockstep import _bad_rows, _by_row, _decode, _row_col
 from .model import DomainError, ModelParams
 from .poincare import (
     DEFAULT_MATCH_TOL,
@@ -110,9 +110,10 @@ def _grid_rows(params: ModelParams, theta1, theta2) -> tuple:
     held = np.ones(phases.shape, dtype=bool)
     held[:, :2] = phases[:, :2] <= params.tau
     # One entry per held memory, in sender order; empty slots are (0.0, 3).
-    row, sender = np.nonzero(held)
-    slot = np.cumsum(held, axis=1)[row, sender] - 1
-    ftds = np.zeros((len(phases), int(held.sum(axis=1).max(initial=0))))
+    row, sender = _row_col(held)
+    count = _by_row(np.sum, held)
+    slot = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
+    ftds = np.zeros((len(phases), int(count.max(initial=0))))
     senders = np.full(ftds.shape, 3)
     ftds[row, slot], senders[row, slot] = phases[row, sender], sender
     return phases, ftds, senders
@@ -190,7 +191,7 @@ class PhaseScanResult(Record):
 
     @property
     def records(self) -> tuple[ScanRecord, ...]:
-        rows = _scan_rows(self, _same, _same)
+        rows = _scan_rows(self, _same, lambda flat: tuple(zip(flat[::2], flat[1::2])))
         return tuple(record for row in rows for record in map(ScanRecord, *row))
 
     @cached_property
@@ -220,11 +221,31 @@ def _slot_points(table: _CycleTable) -> np.ndarray:
     return np.concatenate([table.phases[:, :2], table.phases[:, 1::-1]])
 
 
-def _grid_values(step: float) -> list[float]:
+#: The most cells a scan grid may hold.  A phase scan's peak memory grows
+#: by about 0.7 kB a cell (61 MB for the 0.005 grid's 40,000 cells, 141 MB
+#: for the 0.0025 grid's 160,000), so this many would take some 7 GB.  A
+#: finer step or a larger grid is refused before any of its values is made.
+MAX_GRID_CELLS = 10**7
+
+
+def _grid_count(step: float, name: str = "grid step") -> int:
+    """The count of values per axis of the phase-scan grid of step, which
+    must lie in (0, 1) and give at most MAX_GRID_CELLS cells, or
+    DomainError calling it name."""
     if not 0.0 < step < 1.0:
-        raise DomainError(f"grid step must lie in (0, 1), got {step}")
-    count = int(math.floor((1.0 - 1e-12) / step)) + 1
-    return [i * step for i in range(count)]
+        raise DomainError(f"{name} must lie in (0, 1), got {step}")
+    # Checked before it is made an integer, which may be inf or 10^300.
+    span, most = (1.0 - 1e-12) / step, math.isqrt(MAX_GRID_CELLS)
+    if not span < most:
+        raise DomainError(
+            f"{name} {step} is too fine: a scan grid holds at most {most} values per axis"
+            f" ({MAX_GRID_CELLS} cells)"
+        )
+    return int(math.floor(span)) + 1
+
+
+def _grid_values(step: float) -> list[float]:
+    return [i * step for i in range(_grid_count(step))]
 
 
 def _scan_span(args) -> tuple:
@@ -403,18 +424,19 @@ def _scan_rows(result: PhaseScanResult, text, projection) -> Iterator[tuple]:
     """Per grid row of result, in grid order: its cells' ScanRecord fields,
     one list per field, read off the fields of the cells' slots (_slots).
     Each value is as text gives it, once per distinct value of a field
-    (_Cells), and each projection as projection gives it of its (theta1,
-    theta2) pairs, once per group of result._projections."""
+    (_Cells), and each projection as projection gives it of the flat list
+    of its points' coordinates (theta1, theta2, theta1, ...), once per
+    group of result._projections."""
     table = result.table
     count = len(table.periods)
     group, first = result._projections
     periods = np.tile(table.periods, 2)
     lo, points = (np.cumsum(periods) - periods)[first].tolist(), _slot_points(table)
     made = [
-        projection(tuple(map(tuple, points[a : a + p].tolist())))
+        projection(points[a : a + p].ravel().tolist())
         for a, p in zip(lo, periods[first].tolist())
     ]
-    projections = [*map(made.__getitem__, group.tolist()), projection(())]
+    projections = [*map(made.__getitem__, group.tolist()), projection([])]
     # Free what the rows do not read before they are made.
     del points, made
     slot_fields = (
@@ -899,7 +921,11 @@ def write_phase_scan_csv(result: PhaseScanResult, path, timestamp: str | None = 
     """One row per grid cell; projection points are semicolon-joined
     "x y" pairs so the cell needs no quoting."""
     cells = _Cells()
-    rows = _scan_rows(result, _opt, lambda points: ";".join(f"{cells[x]} {cells[y]}" for x, y in points))
+    # One template per period: the points' "x y" texts joined by ";".
+    templates = _Cells(lambda size: ";".join(["%s %s"] * (size // 2)))
+    rows = _scan_rows(
+        result, _opt, lambda flat: templates[len(flat)] % tuple(map(cells.__getitem__, flat))
+    )
     _write_csv(
         path,
         dataset_header(result.config_dict(), timestamp=timestamp),
@@ -912,7 +938,11 @@ def write_phase_scan_json(result: PhaseScanResult, path, timestamp: str | None =
     """The phase scan as JSON; a phase scan draws no random numbers, so its
     seed is null.  Each record is written through ScanRecord's template,
     one grid row at a time."""
-    rows = _scan_rows(result, value_text, value_text)
+    # One template per period: value_text of the points as pairs.
+    templates = _Cells(lambda size: rows_template(size // 2, 2))
+    rows = _scan_rows(
+        result, value_text, lambda flat: templates[len(flat)] % tuple(map(_float_text, flat))
+    )
     _write_json(
         path,
         timestamp,

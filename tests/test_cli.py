@@ -842,6 +842,68 @@ class TestScanPhases:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestGridBounds:
+    """A scan grid's size is checked before any of its values is made: a
+    step too fine or a grid too large exits 2 naming its option, before
+    any output is declared."""
+
+    @pytest.fixture(autouse=True)
+    def no_scan(self, monkeypatch):
+        # A refused grid never reaches a scan, which would build its values
+        # for minutes.
+        def ran(*args, **kwargs):
+            raise AssertionError("the scan ran")
+
+        for name in ("phase_scan", "projection_compare", "param_scan"):
+            monkeypatch.setattr(cli, name, ran)
+
+    @pytest.mark.parametrize("step", [1e-300, 5e-324, 3e-4])
+    @pytest.mark.parametrize(
+        "command", [["scan", "phases"], ["region", "project", "--compare"]], ids=["scan", "compare"]
+    )
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_too_fine_step_names_the_option(self, capsys, tmp_path, step, command, source):
+        out = tmp_path / "out.csv"
+        argv = [*command, "--out-csv", str(out)]
+        if source == "flag":
+            argv += ["--step", repr(step)]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"step": step}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --step {step!r} is too fine: a scan grid holds at most 3162 values"
+            " per axis (10000000 cells)\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["3163x3162", [3162, 3163]])
+    def test_too_large_grid_names_the_option(self, capsys, tmp_path, grid):
+        out = tmp_path / "params.csv"
+        argv = ["scan", "params", "--out-csv", str(out)]
+        if isinstance(grid, str):
+            argv += ["--grid", grid]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"grid": grid}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --grid: ")
+        assert captured.err.endswith(": a scan grid holds at most 10000000 cells\n")
+        assert not out.exists()
+
+    def test_grid_counts_are_checked_before_any_value_is_made(self):
+        # 10^16 cells, refused from the two counts alone.
+        with pytest.raises(ValueError, match="at most 10000000 cells"):
+            cli._parse_grid("100000000x100000000")
+        assert cli._parse_grid("3162x3162") == (3162, 3162)
+
+
 class TestScanParams:
     def test_small_grid_counts(self, capsys, tmp_path):
         csv = tmp_path / "params.csv"

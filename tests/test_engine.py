@@ -30,6 +30,7 @@ from isochron.engine import (
 from isochron.lockstep import LockstepEngine, _bad_rows, _decode, _encode, _row_distance
 from isochron.model import DomainError, ModelParams, jump, jump_m
 from isochron.poincare import require_section_state, state_distance
+from isochron.sweep import _grid_values, eq_init_state
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
 
@@ -593,10 +594,29 @@ class TestLockstepEngine:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(lockstep_batch())
     def test_rows_equal_scalar_returns(self, drawn):
-        params, states = drawn
+        self.assert_two_returns_match(*drawn)
+
+    @pytest.mark.parametrize("tau", [1e-3, 0.58, 5.0])
+    def test_wide_batch_equals_scalar_returns(self, tau):
+        # Hundreds of rows whose queues differ in width advance together,
+        # so the queue is widened and cut while rows of every width live.
+        params = ModelParams(b=3.0, eps=0.58, n=3, tau=tau)
+        values = _grid_values(0.05)
+        states = [eq_init_state(params, a, b) for a in values for b in values]
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            ftds = [np.sort(rng.random(rng.integers(0, 4))) * tau for _ in range(3)]
+            states.append(network_state(rng.random(3).tolist(), [f.tolist() for f in ftds]))
+        assert len(states) == 500
+        self.assert_two_returns_match(params, states)
+
+    @classmethod
+    def assert_two_returns_match(cls, params, states):
+        """Two returns of a LockstepEngine of states against each row's
+        scalar engine, events_processed included."""
         lockstep = LockstepEngine(params, *_encode(params.n, states))
         got = lockstep.run_until_section()
-        ok, events = self.assert_rows_match(params, states, got)
+        ok, events = cls.assert_rows_match(params, states, got)
         assert lockstep.events_processed == events
         assert type(lockstep.events_processed) is int
         # The second return starts from the exported states, as a new
@@ -607,7 +627,7 @@ class TestLockstepEngine:
         again = lockstep.run_until_section()
         decoded = _decode(got.phases, got.ftds, got.senders)
         starts = [decoded[r] for r in ok]
-        _, more = self.assert_rows_match(params, starts, again)
+        _, more = cls.assert_rows_match(params, starts, again)
         assert lockstep.events_processed == events + more
 
     def test_runs_returns_without_a_trace_only(self):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isochron._serial import plain, write_json
+from isochron._serial import _float_text, plain, rows_template, value_text, write_json
 from isochron.engine import TraceEvent, network_state
 from isochron.model import ModelParams
 from isochron.poincare import NotPeriodic, PulseSignature
@@ -329,3 +329,14 @@ def test_writer_matches_json_dump_on_float_lists(floats, pairs, mixed):
     }
     assert dumped(payload) == json_dumped(payload)
     assert dumped({"items": [pairs, floats]}) == json_dumped({"items": [pairs, floats]})
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 3).flatmap(lambda w: st.lists(st.lists(_FLOATS, min_size=w, max_size=w))))
+def test_rows_template_is_value_text_of_float_rows(rows):
+    # A phase scan writes each projection as its period's template filled
+    # with the points' float texts, in place of value_text of the pairs.
+    width = len(rows[0]) if rows else 2
+    flat = [x for row in rows for x in row]
+    got = rows_template(len(rows), width) % tuple(map(_float_text, flat))
+    assert got == value_text([tuple(row) for row in rows])

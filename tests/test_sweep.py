@@ -7,6 +7,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -224,6 +225,17 @@ class TestPhaseScanGrid:
     def test_rejects_degenerate_step(self, step):
         with pytest.raises(DomainError):
             phase_scan(P, step=step)
+
+    @pytest.mark.parametrize("step", [1e-300, 5e-324, 1 / 3163])
+    def test_rejects_a_step_past_the_cell_bound(self, monkeypatch, step):
+        # Refused from the step alone, before any value or start is made.
+        monkeypatch.setattr(sweep, "_scan_triangle", None)
+        with pytest.raises(DomainError, match="too fine: a scan grid holds at most 3162 values"):
+            phase_scan(P, step=step)
+
+    def test_finest_step_fits_the_cell_bound(self):
+        assert sweep._grid_count(1 / 3162) == 3162 == math.isqrt(sweep.MAX_GRID_CELLS)
+        assert sweep._grid_count(0.01) == 100
 
     def test_defaults_exported(self):
         assert DEFAULT_SCAN_STEP == 0.01
