@@ -208,11 +208,11 @@ def value_text(value) -> str:
     return scalar(value) if scalar is not None else _text(value, "   ")
 
 
-def rows_template(rows: int, width: int) -> str:
-    """value_text of a list of rows lists of width floats each, with %s for
-    each float's _float_text, in order: the text of such a list of 0.5s,
-    in which every "0.5" is one of them."""
-    return value_text([[0.5] * width] * rows).replace("0.5", "%s")
+def pairs_template(count: int) -> str:
+    """value_text of a list of count pairs of floats, with %s for each
+    float's _float_text, in order: the text of such a list of 0.5s, in
+    which every "0.5" is one of them."""
+    return value_text([(0.5, 0.5)] * count).replace("0.5", "%s")
 
 
 def fill_template(cls, columns: dict):

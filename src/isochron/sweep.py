@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._serial import Record, _float_text, fill_template, rows_template, value_text, write_json
+from ._serial import Record, _float_text, fill_template, pairs_template, value_text, write_json
 from ._version import __version__
 from .engine import NetworkState, TraceEvent, format_trace_text, init_engine, network_state
 from .lockstep import _bad_rows, _by_row, _decode, _row_col
@@ -939,7 +939,7 @@ def write_phase_scan_json(result: PhaseScanResult, path, timestamp: str | None =
     seed is null.  Each record is written through ScanRecord's template,
     one grid row at a time."""
     # One template per period: value_text of the points as pairs.
-    templates = _Cells(lambda size: rows_template(size // 2, 2))
+    templates = _Cells(lambda size: pairs_template(size // 2))
     rows = _scan_rows(
         result, value_text, lambda flat: templates[len(flat)] % tuple(map(_float_text, flat))
     )

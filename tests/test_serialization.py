@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isochron._serial import _float_text, plain, rows_template, value_text, write_json
+from isochron._serial import _float_text, pairs_template, plain, value_text, write_json
 from isochron.engine import TraceEvent, network_state
 from isochron.model import ModelParams
 from isochron.poincare import NotPeriodic, PulseSignature
@@ -332,11 +332,10 @@ def test_writer_matches_json_dump_on_float_lists(floats, pairs, mixed):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 3).flatmap(lambda w: st.lists(st.lists(_FLOATS, min_size=w, max_size=w))))
-def test_rows_template_is_value_text_of_float_rows(rows):
+@given(_POINTS | st.lists(st.tuples(_FLOATS, _FLOATS), min_size=4, max_size=12).map(tuple))
+def test_pairs_template_is_value_text_of_the_pairs(points):
     # A phase scan writes each projection as its period's template filled
     # with the points' float texts, in place of value_text of the pairs.
-    width = len(rows[0]) if rows else 2
-    flat = [x for row in rows for x in row]
-    got = rows_template(len(rows), width) % tuple(map(_float_text, flat))
-    assert got == value_text([tuple(row) for row in rows])
+    flat = [x for point in points for x in point]
+    got = pairs_template(len(points)) % tuple(map(_float_text, flat))
+    assert got == value_text(points)
