@@ -9,16 +9,22 @@ and detect_periodicity as a batch of one) and the intertwining check
 call) run their section returns here.
 
 Rows are the first axis of every array, and n (3 on the scan) or a
-queue about 12 wide the second, so nothing here reduces or sorts along
-that short axis or takes a 2-d np.nonzero: numpy would run one inner
-loop per row, at 10-30 times the cost over the columns of a contiguous
-transpose.  _by_row reduces each row that way, and _row_col splits
-np.flatnonzero's indices into rows and columns.  Both read the elements
-in numpy's order and are exact.  Only a max or a min may return the
-other zero of a +-0.0 tie, and none reaches an output: the phases' max
-is subtracted from clock + 1 >= 1; the queue holds a -0.0 only at tau =
--0.0, where every row is replayed on a scalar engine; and _row_distance
-takes maxima of absolute values.
+pulse queue about 12 wide the second, so nothing here reduces or sorts
+along that short axis or takes a 2-d np.nonzero: numpy would run one
+inner loop per row, at 10-30 times the cost over the columns of a
+contiguous transpose.  _by_row reduces each row that way, and _row_col
+splits np.flatnonzero's indices into rows and columns.  Both read the
+elements in numpy's order and are exact.  Only a max or a min may return
+the other zero of a +-0.0 tie, and none reaches an output: the phases'
+max is subtracted from clock + 1 >= 1; the queue holds a -0.0 only at
+tau = -0.0, where no row steps and every row is replayed on a scalar
+engine; and _row_distance takes maxima of absolute values.
+
+A return's deliveries, a varying count per row, stay flat in row order
+with a count per row (compressed sparse rows) from the step log to the
+cycle table: LockstepReturns hands them over that way, _History logs and
+reads them back flat, and poincare._cycle_table builds the receptions
+from them.
 """
 
 from __future__ import annotations
@@ -45,16 +51,18 @@ class LockstepReturns:
     """One section return of every row of a LockstepEngine.  Row r's state
     is phases[r] plus the FTD entries ftds[r, q] of senders[r, q], ordered
     by sender and then ascending, with the empty slots at the end (sender
-    n, entry 0.0).  Row r's deliveries are run_until_section's, in order:
-    delivery d is at time when[r, d] with multiplicity mult[r, i, d] for
-    oscillator i (0: none), and the slots after the row's last delivery
-    are 0.  errors maps a row to what the scalar engine raised for it;
-    that row's other fields are meaningless."""
+    n, entry 0.0).  The deliveries are run_until_section's, flat, row
+    after row and each row's in order (compressed sparse rows): row r has
+    delivered[r] of them, and delivery d is at time when[d] with
+    multiplicity mult[d, i] for oscillator i (0: none).  errors maps a row
+    to what the scalar engine raised for it; that row's other fields are
+    meaningless, and it has no deliveries."""
 
     phases: np.ndarray
     ftds: np.ndarray
     senders: np.ndarray
     elapsed: np.ndarray
+    delivered: np.ndarray
     when: np.ndarray
     mult: np.ndarray
     errors: dict[int, Exception]
@@ -78,8 +86,8 @@ class LockstepEngine(Engine):
     _MAX_SECTION_TIME horizon or the _MAX_SECTION_EVENTS budget -- is
     replayed from its start on a scalar Engine, which handles it or raises
     exactly as for a single network, and its deliveries are the scalar
-    engine's.  At tau <= COINCIDENCE_TOL every fire cascades, so every row
-    is replayed on every return.
+    engine's.  At tau <= COINCIDENCE_TOL every fire cascades, so no row
+    steps and every row is replayed on every return.
 
     It is an Engine so that run_until_section stays the one entry point of
     a section return, batched or not (perfbench/tracer.py counts engine
@@ -122,14 +130,15 @@ class LockstepEngine(Engine):
 
         # Each row's pulses form a queue in delivery order: a timestamp
         # delivers a prefix of the pending pulses (their slots turn to inf)
-        # and its fires fill the next n slots (inf where an oscillator did
-        # not fire), because a pulse sent now lands no earlier than a
-        # pending one.
+        # and its fires fill the n slots from the tail (inf where an
+        # oscillator did not fire), because a pulse sent now lands no
+        # earlier than a pending one.  Where the tail meets the end, each
+        # row's pending pulses move to its first slots (_compact_queue).
         row_ix = np.arange(rows)[:, None]
         times = np.where(senders < n, tau - ftds, np.inf)
         order = np.argsort(times, axis=1, kind="stable")
-        # Senders in the narrowest type, as the queue is as wide as the most
-        # pulses pending in any row.
+        # Senders in the narrowest type, as every row has a slot for as
+        # many pulses as the row with the most.
         small = np.min_scalar_type(n)
         q_time, q_send = times[row_ix, order], senders[row_ix, order].astype(small)
         tail = q_time.shape[1]
@@ -137,17 +146,19 @@ class LockstepEngine(Engine):
         theta = phases.copy()
         clock = np.zeros(rows)
         live = np.arange(rows)
-        # Where each row's return ended: phases, clock and pulse queue.
+        # Where each row's return ended: phases and clock.
         end_theta = np.zeros((rows, n))
         end_clock = np.zeros(rows)
-        end_time = np.full(q_time.shape, np.inf)
-        end_send = np.full(q_time.shape, n, small)
         replay: list[int] = []
         # Per step: the stepped rows, their timestamp, their multiplicities
         # and which of their oscillators fired.
         log = [(live[:0], clock[:0], np.zeros((0, n), dtype=np.uint8), np.zeros((0, n), bool))]
+        # Per step that ended rows: their pending pulses, each row's latest
+        # first, as their rows, sigma and senders.
+        pending = [(live[:0], clock[:0], np.zeros(0, small))]
 
-        for _ in range(_MAX_SECTION_EVENTS):
+        # At tau <= COINCIDENCE_TOL every fire cascades, so no row steps.
+        for _ in range(_MAX_SECTION_EVENTS if tau > COINCIDENCE_TOL else 0):
             if not live.size:
                 break
             t_fire = (clock + 1.0) - _by_row(np.max, theta)
@@ -179,15 +190,7 @@ class LockstepEngine(Engine):
                 land = t_star + tau
                 bad |= fired & (land <= due_at)
                 if tail + n > q_time.shape[1]:
-                    # Drop the slots every row has delivered, and leave room
-                    # for as many pending ones again.
-                    pending = (q_time[:, :tail] < np.inf).any(axis=0)
-                    gone = int(np.argmax(pending)) if pending.any() else tail
-                    tail -= gone
-                    width = 2 * (tail + n)
-                    q_time = _widen(q_time[:, gone : gone + width], width, np.inf)
-                    q_send = _widen(q_send[:, gone : gone + width], width, n)
-                    end_time, end_send = _widen(end_time, width, np.inf), _widen(end_send, width, n)
+                    q_time, q_send, tail = _compact_queue(q_time, q_send, n)
                 q_time[:, tail : tail + n] = np.where(fire, land[:, None], np.inf)
                 q_send[:, tail : tail + n] = np.where(fire, oscillators, n)
                 tail += n
@@ -199,29 +202,26 @@ class LockstepEngine(Engine):
                 at, keep = np.flatnonzero(done), np.flatnonzero(~leave)
                 d = live[at]
                 end_theta[d], end_clock[d] = theta.take(at, axis=0), clock[at]
-                width = q_time.shape[1]
-                end_time[d, :width] = q_time.take(at, axis=0)
-                end_send[d, :width] = q_send.take(at, axis=0)
+                # Engine.state(): sigma = clock + tau - t, of the latest
+                # delivery (the smallest sigma) first.
+                time = q_time.take(at, axis=0)[:, ::-1]
+                row, slot = _row_col(time < np.inf)
+                sigma = (clock[at][row] + tau) - time[row, slot]
+                pending.append((d[row], sigma, q_send.take(at, axis=0)[:, ::-1][row, slot]))
                 replay.extend(live[bad].tolist())
                 live, theta, clock = live[keep], theta.take(keep, axis=0), clock[keep]
                 q_time, q_send = q_time.take(keep, axis=0), q_send.take(keep, axis=0)
         replay.extend(live.tolist())
 
-        # Engine.state(): sigma = clock + tau - t, clamped.  Each row's
-        # pending pulses, taken from the latest delivery (the smallest
-        # sigma) back, are sorted stably by row and sender into the row's
-        # first slots; the queue is as wide as any row's, so they are
-        # sorted as one flat list.
-        row, col = _row_col(np.isfinite(end_time[:, ::-1]))
-        send = end_send[:, ::-1][row, col]
+        # The rows' pending pulses, clamped, sorted stably by row and sender
+        # into each row's first slots: each row's latest first.
+        row, sigma, send = (np.concatenate(col) for col in zip(*pending))
         by = np.argsort(row * (n + 1) + send, kind="stable")
-        row, col, send = row[by], col[by], send[by]
-        count = np.bincount(row, minlength=rows)
-        slot = np.arange(len(row)) - (np.cumsum(count) - count)[row]
+        row, sigma, send = row[by], sigma[by], send[by]
+        count, slot = _places(row, rows)
         out_senders = np.full((rows, int(count.max(initial=0))), n, small)
         out_ftds = np.zeros(out_senders.shape)
         out_senders[row, slot] = send
-        sigma = (end_clock[row] + tau) - end_time[:, ::-1][row, col]
         out_ftds[row, slot] = np.where(sigma < 0.0, 0.0, np.where(sigma > tau, tau, sigma))
 
         stepped, at, mults, fires = (np.concatenate(col) for col in zip(*log))
@@ -239,8 +239,8 @@ class LockstepEngine(Engine):
         self.events_processed += int(np.count_nonzero(new) + np.count_nonzero(fires))
         # A step that delivers is one delivery round of its row; its first
         # nonzero multiplicity is new.
-        delivered = new.any(axis=0)
-        stepped, at, mults = stepped[delivered], at[delivered], mults[delivered]
+        rounds = new.any(axis=0)
+        stepped, at, mults = stepped[rounds], at[rounds], mults[rounds]
 
         errors: dict[int, Exception] = {}
         # Replayed deliveries, and the row of each.
@@ -275,13 +275,6 @@ class LockstepEngine(Engine):
         # Each row's deliveries in order: a stable sort by row keeps the
         # steps' order, and a replayed row has only its scalar deliveries.
         order = np.argsort(stepped, kind="stable")
-        stepped = stepped[order]
-        slot = np.arange(len(stepped)) - np.searchsorted(stepped, stepped)
-        slots = int(slot.max(initial=-1)) + 1
-        when = np.zeros((rows, slots))
-        when[stepped, slot] = at[order]
-        mult = np.zeros((rows, n, slots), dtype=mults.dtype)
-        mult[stepped, :, slot] = mults[order]
         width = int(_by_row(np.count_nonzero, out_senders < n).max(initial=0))
         out_ftds, out_senders = out_ftds[:, :width], out_senders[:, :width]
 
@@ -293,8 +286,9 @@ class LockstepEngine(Engine):
             ftds=out_ftds,
             senders=out_senders,
             elapsed=end_clock,
-            when=when,
-            mult=mult,
+            delivered=np.bincount(stepped, minlength=rows),
+            when=at[order],
+            mult=mults[order],
             errors=errors,
         )
 
@@ -308,11 +302,11 @@ class _History:
     Its FTD entries with their senders (ftds, in LockstepReturns' order)
     and that return's deliveries (deliveries: their times, and one row of
     n multiplicities each, in order) are _Ragged, stored flat with offsets
-    per entry.  A row's entry at age 0 is its start, with no
-    deliveries.  Each row's entries follow in age order, so rows of any
-    age share the log.  The first size entries are used, and a row that
-    leaves takes its entries with it.  Row slots stay below rows, and ages
-    at most max_age.
+    per entry, as LockstepReturns hands the deliveries over.  A row's
+    entry at age 0 is its start, with no deliveries.  Each row's entries
+    follow in age order, so rows of any age share the log.  The first size
+    entries are used, and a row that leaves takes its entries with it.
+    Row slots stay below rows, and ages at most max_age.
     """
 
     def __init__(self, n: int, rows: int, max_age: int) -> None:
@@ -322,31 +316,27 @@ class _History:
         self.age = np.zeros(0, np.min_scalar_type(max_age))
         self.phases, self.elapsed = np.zeros((0, n)), np.zeros(0)
         self.ftds = _Ragged([np.zeros(0), np.zeros(0, np.min_scalar_type(n))], (0.0, n))
-        self.deliveries = _Ragged([np.zeros(0), np.zeros((0, n), np.uint8)], (0.0, 0))
+        self.deliveries = _Ragged([np.zeros(0), np.zeros((0, n), np.uint8)])
 
     def _columns(self) -> tuple:
         """The columns of one item per entry."""
         return self.slot, self.age, self.phases, self.elapsed
 
     def add(self, slots: np.ndarray, ages: np.ndarray, entry: list[np.ndarray]) -> None:
-        """Log entry (phases, ftds and senders, elapsed as a column, when
-        and mult, in LockstepReturns' layout, one row per entry) as the
-        states of rows slots after ages returns."""
-        phases, ftds, senders, elapsed, when, mult = entry
+        """Log entry (phases, ftds, senders, elapsed, delivered, when and
+        mult, in LockstepReturns' layout, one row or count per entry) as
+        the states of rows slots after ages returns."""
+        phases, ftds, senders, elapsed, delivered, when, mult = entry
         at, self.size = self.size, self.size + len(slots)
         for column in self._columns():
             _grow(column, self.size, len(slots))
         self.slot[at : self.size], self.age[at : self.size] = slots, ages
-        self.phases[at : self.size], self.elapsed[at : self.size] = phases, elapsed[:, 0]
+        self.phases[at : self.size], self.elapsed[at : self.size] = phases, elapsed
         held = senders < self.n
         who = senders[held].astype(np.min_scalar_type(self.n))
         self.ftds.add(at, _by_row(np.sum, held), [ftds[held], who])
-        # A delivery hands some oscillator a pulse; the slots after a row's
-        # last delivery are empty.
-        got = _by_row(np.any, mult)
-        mult = np.compress(got.ravel(), mult.transpose(0, 2, 1).reshape(-1, self.n), axis=0)
         mult = mult.astype(np.min_scalar_type(int(mult.max(initial=0))))
-        self.deliveries.add(at, _by_row(np.sum, got), [when[got], mult])
+        self.deliveries.add(at, delivered, [when, mult])
 
     def match(self, phases, ftds, senders, tol: float) -> np.ndarray:
         """For each row, the age of its earliest logged state that its
@@ -377,15 +367,14 @@ class _History:
 
     def entries(self, lo: np.ndarray, hi: np.ndarray, returns: bool = False) -> list[np.ndarray]:
         """Each row r's entries from age lo[r] to hi[r] - 1, row after row,
-        in age order, padded to the widest of them in LockstepReturns'
-        layout: their phases, ftds and senders, or with returns=True the
-        time (as a column), when and mult of the returns that reached them."""
+        in age order, in LockstepReturns' layout: their phases, ftds and
+        senders, padded to the widest of them, or with returns=True the
+        elapsed, delivered, when and mult of the returns that reached them."""
         slot, age = self.slot[: self.size], self.age[: self.size]
         at = np.flatnonzero((age >= lo[slot]) & (age < hi[slot]))
         at = at[np.argsort(slot[at], kind="stable")]
         if returns:
-            when, mult = self.deliveries.padded(at)
-            return [self.elapsed[at, None], when, mult.transpose(0, 2, 1)]
+            return [self.elapsed[at], *self.deliveries.flat(at)]
         return [self.phases[at], *self.ftds.padded(at)]
 
     def keep(self, rows: np.ndarray) -> None:
@@ -406,10 +395,10 @@ class _History:
 class _Ragged:
     """Items of a varying count per entry: each column holds the items of
     all entries flat, one after another, and entry e's are items at[e] to
-    at[e + 1] - 1 (compressed sparse rows, Saad 2003, section 3.4).  An
-    entry's items are padded only when read out, by fills."""
+    at[e + 1] - 1 (compressed sparse rows, Saad 2003, section 3.4).  They
+    are read out flat, or padded by fills."""
 
-    def __init__(self, columns: list[np.ndarray], fills: tuple) -> None:
+    def __init__(self, columns: list[np.ndarray], fills: tuple = ()) -> None:
         self.columns, self.fills = columns, fills
         # Narrow offsets, widened if the items ever outgrow them.
         self.at = np.zeros(1, dtype=np.int32)
@@ -430,18 +419,24 @@ class _Ragged:
             _grow(column, top, len(values))
             column[used:top] = values
 
+    def flat(self, entries: np.ndarray) -> list[np.ndarray]:
+        """The count of items of each of the given entries, then each
+        column's items of them, one entry after another."""
+        lo = self.at[entries]
+        count = self.at[entries + 1] - lo
+        items = _ranges(lo, count)
+        return [count, *(column.take(items, axis=0) for column in self.columns)]
+
     def padded(self, entries: np.ndarray) -> list[np.ndarray]:
         """Each column's items of the given entries, one row per entry,
         padded by its fill to the most items of any of them."""
-        lo = self.at[entries]
-        count = self.at[entries + 1] - lo
+        count, *columns = self.flat(entries)
         held = np.arange(int(count.max(initial=0))) < count[:, None]
-        at, items = np.flatnonzero(held), _ranges(lo, count)
-        out = []
-        for column, fill in zip(self.columns, self.fills):
-            rows = np.full((held.size, *column.shape[1:]), fill, column.dtype)
-            rows[at] = column.take(items, axis=0)
-            out.append(rows.reshape(*held.shape, *column.shape[1:]))
+        at, out = np.flatnonzero(held), []
+        for items, fill in zip(columns, self.fills):
+            rows = np.full((held.size, *items.shape[1:]), fill, items.dtype)
+            rows[at] = items
+            out.append(rows.reshape(*held.shape, *items.shape[1:]))
         return out
 
     def keep(self, kept: np.ndarray, rows: int) -> None:
@@ -597,6 +592,26 @@ def _by_row(reduce, a: np.ndarray, **kwargs) -> np.ndarray:
     its columns.  Exact for max, min, any, all, count and integer sums; a
     max or min may differ only in the sign of a zero it returns."""
     return reduce(np.ascontiguousarray(a.swapaxes(0, 1)), axis=0, **kwargs)
+
+
+def _compact_queue(q_time: np.ndarray, q_send: np.ndarray, n: int) -> tuple:
+    """The pulse queue (q_time, q_send) with each row's pending pulses (a
+    finite time) moved to its first slots, in order, 2 * (most pending + n)
+    slots wide; and that most pending."""
+    row, col = _row_col(q_time < np.inf)
+    count, slot = _places(row, len(q_time))
+    most = int(count.max(initial=0))
+    time = np.full((len(q_time), 2 * (most + n)), np.inf)
+    send = np.full(time.shape, n, q_send.dtype)
+    time[row, slot], send[row, slot] = q_time[row, col], q_send[row, col]
+    return time, send, most
+
+
+def _places(row: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """For items of the sorted rows row (each below rows): the count of
+    items per row, and each item's place among its row's."""
+    count = np.bincount(row, minlength=rows)
+    return count, np.arange(len(row)) - (np.cumsum(count) - count)[row]
 
 
 def _row_col(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

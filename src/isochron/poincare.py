@@ -27,7 +27,16 @@ from .engine import (
     is_section_state,
     validate_state,
 )
-from .lockstep import LockstepEngine, _bad_rows, _decode, _encode, _History, _ranges, _stack
+from .lockstep import (
+    LockstepEngine,
+    _bad_rows,
+    _decode,
+    _encode,
+    _History,
+    _ranges,
+    _row_col,
+    _stack,
+)
 from .model import ModelParams
 
 #: Default tolerance for declaring two section states equal.
@@ -132,13 +141,13 @@ def _cycle_table(n: int, chunks: list[tuple]) -> _CycleTable:
     """The detected cycles of chunks, on arrays for all at once.
 
     Each chunk holds some cycles as (transients, periods, phases, ftds,
-    senders, returns, when, mult).  Cycle k's orbit revisits, after
-    periods[k] more returns, the state it reached after transients[k]
-    returns; its periods[k] states are consecutive rows of the other
-    arrays, in cycle order and chunk after chunk.  A row holds a
+    senders, returns, delivered, when, mult).  Cycle k's orbit revisits,
+    after periods[k] more returns, the state it reached after
+    transients[k] returns; its periods[k] states are consecutive rows of
+    the other arrays, in cycle order and chunk after chunk.  A row holds a
     state in lockstep's row layout (phases, FTD entries, their senders),
-    then the time (returns[:, 0]) and the deliveries (LockstepReturns' when
-    and mult) of the return that leaves it.
+    then the time (returns) and the deliveries (LockstepReturns'
+    delivered, when and mult, flat) of the return that leaves it.
 
     Detection stops at the first revisit, so every cycle is minimal: were
     each state of cycle k within the match tolerance of the one d returns
@@ -157,9 +166,10 @@ def _cycle_table(n: int, chunks: list[tuple]) -> _CycleTable:
     cycle, each cycle's in order.
     """
     cols = list(zip(*chunks))
-    transients, periods, phases, returns = (np.concatenate(cols[i]) for i in (0, 1, 2, 5))
+    transients, periods, phases, returns, delivered, when, mult = (
+        np.concatenate(cols[i]) for i in (0, 1, 2, 5, 6, 7, 8)
+    )
     ftds, senders = _stack(cols[3], 0.0), _stack(cols[4], n)
-    when, mult = _stack(cols[6], 0.0), _stack(cols[7], 0)
 
     count = len(periods)
     cycle = np.repeat(np.arange(count), periods)
@@ -168,15 +178,24 @@ def _cycle_table(n: int, chunks: list[tuple]) -> _CycleTable:
     # clock[k, m]: the time of cycle k's first m returns, summed from the
     # left as sum() does.
     clock = np.zeros((count, int(periods.max(initial=0)) + 1))
-    clock[cycle, pos + 1] = returns[:, 0]
+    clock[cycle, pos + 1] = returns
     np.cumsum(clock, axis=1, out=clock)
     orbit = clock[np.arange(count), periods]
 
-    row, slot, who = np.nonzero((mult > 0).transpose(0, 2, 1))
+    # The receptions, in (row, delivery, who) order, are the table's
+    # longest columns: each array is dropped once it has been read.
+    at, who = _row_col(mult > 0)
+    who, got = who.astype(np.min_scalar_type(n)), mult[at, who]
+    row = np.repeat(np.arange(len(delivered)), delivered)[at]
+    offset = when[at]
+    del at, when, mult
     k = cycle[row]
-    offset = clock[k, pos[row]] + when[row, slot]
+    offset = clock[k, pos[row]] + offset
+    del row
     offset[offset >= (orbit - DEFAULT_MATCH_TOL)[k]] = 0.0
     order = np.lexsort((who, offset, k))
+    k, who = k[order], who[order]
+    got, offset = got[order], offset[order]
     return _CycleTable(
         transients=transients,
         periods=periods,
@@ -184,8 +203,8 @@ def _cycle_table(n: int, chunks: list[tuple]) -> _CycleTable:
         phases=phases,
         ftds=ftds,
         senders=senders,
-        returns=returns[:, 0],
-        receptions=(k[order], who[order], mult[row, who, slot][order], offset[order]),
+        returns=returns,
+        receptions=(k, who, got, offset),
     )
 
 
@@ -384,7 +403,7 @@ def _detect(params: ModelParams, source, max_iter: int, tol: float) -> tuple:
     # found them; the last rows of the starts that found none.
     none = np.zeros(0, dtype=int)
     empty = (np.zeros((0, n)), np.zeros((0, 0)), np.zeros((0, 0), np.min_scalar_type(n)))
-    no_returns = (np.zeros((0, 1)), np.zeros((0, 0)), np.zeros((0, n, 0), np.uint8))
+    no_returns = (np.zeros(0), none, np.zeros(0), np.zeros((0, n), np.uint8))
     chunks, finders, ends = [(none, none, *empty, *no_returns)], [none], [empty]
     pulled = 0  # the starts taken from states
 
@@ -397,11 +416,11 @@ def _detect(params: ModelParams, source, max_iter: int, tol: float) -> tuple:
             errors.update((pulled + i, exc) for i, exc in bad.items())
             take = len(rows[0])
             eng.add(*rows)
-            no_returns = [np.zeros((take, 1)), np.zeros((take, 0)), np.zeros((take, n, 0))]
-            slots = np.arange(len(start), len(start) + take)
-            hist.add(slots, np.zeros(take, dtype=int), [*rows, *no_returns])
+            slots, zero = np.arange(len(start), len(start) + take), np.zeros(take, dtype=int)
+            # Age 0: no return has reached a start, so no time and no deliveries.
+            hist.add(slots, zero, [*rows, zero, zero, *no_returns[2:]])
             start = np.concatenate([start, pulled + np.arange(take)])
-            age = np.concatenate([age, np.zeros(take, dtype=int)])
+            age = np.concatenate([age, zero])
             pulled += taken
         if not len(start):
             break
@@ -409,8 +428,8 @@ def _detect(params: ModelParams, source, max_iter: int, tol: float) -> tuple:
         out = eng.run_until_section()
         age = age + 1
         matched = hist.match(out.phases, out.ftds, out.senders, tol)
-        returned = [out.phases, out.ftds, out.senders, out.elapsed[:, None], out.when, out.mult]
-        hist.add(np.arange(len(start)), age, returned)
+        returned = [out.phases, out.ftds, out.senders, out.elapsed, out.delivered, out.when]
+        hist.add(np.arange(len(start)), age, [*returned, out.mult])
         failed = np.zeros(len(start), dtype=bool)
         failed[list(out.errors)] = True
         errors.update((int(start[p]), exc) for p, exc in out.errors.items())

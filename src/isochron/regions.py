@@ -54,8 +54,8 @@ _MC_SHARD = 100_000
 
 #: Rows per LockstepEngine in intertwining_distances.  An engine's pulse
 #: queue (rows x pulses) and per-step log grow with its rows: at 20,000
-#: rows the check's tracemalloc peak is about 25 MiB as one engine and
-#: about 2.3 MiB in blocks of 1000.
+#: rows the check's tracemalloc peak is about 16 MiB as one engine and
+#: about 1.6 MiB in blocks of 1000.
 _INTERTWINING_BLOCK = 1000
 
 

@@ -222,8 +222,8 @@ def _slot_points(table: _CycleTable) -> np.ndarray:
 
 
 #: The most cells a scan grid may hold.  A phase scan's peak memory grows
-#: by about 0.7 kB a cell (61 MB for the 0.005 grid's 40,000 cells, 141 MB
-#: for the 0.0025 grid's 160,000), so this many would take some 7 GB.  A
+#: by about 0.65 kB a cell (60 MB for the 0.005 grid's 40,000 cells, 137 MB
+#: for the 0.0025 grid's 160,000), so this many would take some 6.5 GB.  A
 #: finer step or a larger grid is refused before any of its values is made.
 MAX_GRID_CELLS = 10**7
 
@@ -938,10 +938,11 @@ def write_phase_scan_json(result: PhaseScanResult, path, timestamp: str | None =
     """The phase scan as JSON; a phase scan draws no random numbers, so its
     seed is null.  Each record is written through ScanRecord's template,
     one grid row at a time."""
+    cells = _Cells(_float_text)
     # One template per period: value_text of the points as pairs.
     templates = _Cells(lambda size: pairs_template(size // 2))
     rows = _scan_rows(
-        result, value_text, lambda flat: templates[len(flat)] % tuple(map(_float_text, flat))
+        result, value_text, lambda flat: templates[len(flat)] % tuple(map(cells.__getitem__, flat))
     )
     _write_json(
         path,

@@ -281,8 +281,8 @@ class PaddedHistory:
     same senders in the same order and no phase or FTD entry differs by
     more than tol (old minus new, as the library subtracts); match gives
     the earliest such state's age.  entries pads each row's FTD entries by
-    (0.0, n) and its deliveries by (0.0, no multiplicities) to the widest
-    of the entries read.
+    (0.0, n) to the widest of the entries read, and gives their
+    deliveries flat, entry after entry, with the count of each.
     """
 
     def __init__(self, n: int):
@@ -290,10 +290,12 @@ class PaddedHistory:
         self.log: list[dict] = []
 
     def add(self, slots, ages, entry):
-        phases, ftds, senders, elapsed, when, mult = entry
+        phases, ftds, senders, elapsed, delivered, when, mult = entry
+        first = 0
         for k, (slot, age) in enumerate(zip(slots.tolist(), ages.tolist())):
             held = [j for j in range(senders.shape[1]) if senders[k, j] < self.n]
-            got = [d for d in range(when.shape[1]) if mult[k, :, d].any()]
+            got = range(first, first + int(delivered[k]))
+            first = got.stop
             self.log.append(
                 {
                     "slot": slot,
@@ -301,11 +303,12 @@ class PaddedHistory:
                     "phases": phases[k].tolist(),
                     "ftds": [float(ftds[k, j]) for j in held],
                     "who": [int(senders[k, j]) for j in held],
-                    "elapsed": float(elapsed[k, 0]),
-                    "when": [float(when[k, d]) for d in got],
-                    "mult": [mult[k, :, d].tolist() for d in got],
+                    "elapsed": float(elapsed[k]),
+                    "when": [float(when[d]) for d in got],
+                    "mult": [mult[d].tolist() for d in got],
                 }
             )
+        assert first == len(when) == len(mult)
 
     def keep(self, rows):
         renumbered = np.cumsum(rows) - 1
@@ -336,13 +339,12 @@ class PaddedHistory:
             if e["slot"] == r and lo[r] <= e["age"] < hi[r]
         ]
         if returns:
-            width = max((len(e["when"]) for e in picked), default=0)
-            when = np.zeros((len(picked), width))
-            mult = np.zeros((len(picked), self.n, width), dtype=int)
-            for k, e in enumerate(picked):
-                for d, (t, m) in enumerate(zip(e["when"], e["mult"])):
-                    when[k, d], mult[k, :, d] = t, m
-            return [np.array([[e["elapsed"]] for e in picked]).reshape(-1, 1), when, mult]
+            return [
+                np.array([e["elapsed"] for e in picked], dtype=float),
+                np.array([len(e["when"]) for e in picked], dtype=int),
+                np.array([t for e in picked for t in e["when"]], dtype=float),
+                np.array([m for e in picked for m in e["mult"]], dtype=int).reshape(-1, self.n),
+            ]
         width = max((len(e["ftds"]) for e in picked), default=0)
         ftds = np.zeros((len(picked), width))
         senders = np.full((len(picked), width), self.n)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isochron import engine
+from isochron import engine, lockstep
 from isochron.engine import (
     Engine,
     EngineStallError,
@@ -557,8 +557,9 @@ class TestDeliveries:
         rounds = [[1, 1, 0], [1, 0, 1], [1, 2, 1]]
         assert deliveries == list(zip([0.0, elapsed, elapsed], rounds))
         got = LockstepEngine(params, *_encode(params.n, [start])).run_until_section()
-        assert got.when.tolist() == [[0.0, elapsed, elapsed]]
-        assert got.mult[0].T.tolist() == rounds
+        assert got.delivered.tolist() == [3]
+        assert got.when.tolist() == [0.0, elapsed, elapsed]
+        assert got.mult.tolist() == rounds
 
 
 class TestLockstepEngine:
@@ -572,22 +573,26 @@ class TestLockstepEngine:
         the rows that did not raise and the scalar engines' event count."""
         ok, events = [], 0
         decoded = _decode(got.phases, got.ftds, got.senders)
-        for r, start in enumerate(starts):
+        # Each row's deliveries, flat, row after row.
+        assert got.delivered.shape == (len(starts),)
+        assert len(got.when) == len(got.mult) == got.delivered.sum()
+        assert got.mult.shape[1:] == (params.n,)
+        ends = np.cumsum(got.delivered).tolist()
+        for r, (start, lo, hi) in enumerate(zip(starts, [0, *ends], ends)):
             eng = init_engine(params, start)
             try:
                 state, elapsed, deliveries = eng.run_until_section()
             except RuntimeError as exc:
                 assert type(got.errors[r]) is type(exc)
                 assert str(got.errors[r]) == str(exc)
+                assert lo == hi
                 continue
             finally:
                 events += eng.events_processed
             assert r not in got.errors
             assert repr(decoded[r]) == repr(state)
             assert repr(got.elapsed[r].item()) == repr(elapsed)
-            # Padded with empty deliveries to the widest row.
-            pad = [(0.0, [0] * params.n)] * (got.when.shape[1] - len(deliveries))
-            assert list(zip(got.when[r].tolist(), got.mult[r].T.tolist())) == deliveries + pad
+            assert list(zip(got.when[lo:hi].tolist(), got.mult[lo:hi].tolist())) == deliveries
             ok.append(r)
         return ok, events
 
@@ -629,6 +634,64 @@ class TestLockstepEngine:
         starts = [decoded[r] for r in ok]
         _, more = cls.assert_rows_match(params, starts, again)
         assert lockstep.events_processed == events + more
+
+    @staticmethod
+    def watch_steps(monkeypatch) -> list[tuple[int, int]]:
+        """Per vector step from now on: the pulse queue's width and the most
+        pulses pending in one of its rows, read where the step takes each
+        row's next arrival (the queue's minimum)."""
+        steps, by_row = [], lockstep._by_row
+
+        def watched(reduce, a, **kwargs):
+            if reduce is np.min and kwargs.get("initial") == np.inf:
+                pending = np.count_nonzero(a < np.inf, axis=1)
+                steps.append((a.shape[1], int(pending.max(initial=0))))
+            return by_row(reduce, a, **kwargs)
+
+        monkeypatch.setattr(lockstep, "_by_row", watched)
+        return steps
+
+    @pytest.mark.parametrize("tau, many", [(5.0, 12), (0.58, 0)])
+    def test_the_pulse_queue_is_compacted_by_row(self, monkeypatch, tau, many):
+        # The 0.05 grid's starts hold a few pulses each; at tau = 5 one more
+        # row holds 12 per sender in flight.  Where a step rebuilds the
+        # queue, it is at most twice as wide as the most pulses pending in
+        # a live row at that step, plus n: each row's pending pulses move to
+        # its first slots, so the slots that other rows have delivered do
+        # not keep it wide.  (Cut only where every row had delivered, the
+        # grid's queue at tau = 0.58 grew to 26 slots where a row held 4.)
+        params = ModelParams(b=3.0, eps=0.58, n=3, tau=tau)
+        values = _grid_values(0.05)
+        states = [eq_init_state(params, a, b) for a in values for b in values]
+        rng = np.random.default_rng(33)
+        if many:
+            ftds = [np.sort(rng.random(many)) * tau for _ in range(3)]
+            states.append(network_state(rng.random(3).tolist(), [f.tolist() for f in ftds]))
+        steps = self.watch_steps(monkeypatch)
+        lockstep_engine = LockstepEngine(params, *_encode(params.n, states))
+        rebuilt = []
+        for _ in range(2):
+            steps.clear()
+            assert not lockstep_engine.run_until_section().errors
+            rebuilt += [(w, most) for (was, most), (w, _) in zip(steps, steps[1:]) if w != was]
+        assert len(rebuilt) >= 2
+        assert all(w <= 2 * (most + params.n) for w, most in rebuilt)
+        self.assert_two_returns_match(params, states)
+
+    @pytest.mark.parametrize("tau", [0.0, 1e-12])
+    def test_no_vector_step_at_zero_delay(self, monkeypatch, tau):
+        # At tau <= COINCIDENCE_TOL every fire lands within the coincidence
+        # window, so every row is replayed on a scalar engine at once.
+        params = ModelParams(b=3.0, eps=0.58, n=3, tau=tau)
+        values = _grid_values(0.1)
+        states = [eq_init_state(params, a, b) for a in values for b in values]
+        steps = self.watch_steps(monkeypatch)
+        self.assert_two_returns_match(params, states)
+        assert steps == []
+        # Just above the window, the rows step.
+        above = ModelParams(b=3.0, eps=0.58, n=3, tau=2e-12)
+        LockstepEngine(above, *_encode(3, states)).run_until_section()
+        assert steps
 
     def test_runs_returns_without_a_trace_only(self):
         lockstep = LockstepEngine(P, *_encode(P.n, [rotating_wave_state(P.tau)]))

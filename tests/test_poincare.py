@@ -359,18 +359,17 @@ def cycle_rows(n: int, cycles: list[tuple]) -> tuple:
     reception becomes a delivery of its own, in the order received."""
     states = [s for cycle in cycles for s in cycle[1]]
     received = [got for cycle in cycles for got in cycle[3]]
-    slots = max(map(len, received), default=0)
-    when = np.zeros((len(received), slots))
-    mult = np.zeros((len(received), n, slots), dtype=int)
-    for row, got in enumerate(received):
-        for slot, (r, m, t) in enumerate(got):
-            when[row, slot], mult[row, r, slot] = t, m
+    flat = [reception for got in received for reception in got]
+    mult = np.zeros((len(flat), n), dtype=int)
+    for d, (r, m, _) in enumerate(flat):
+        mult[d, r] = m
     return (
         np.array([cycle[0] for cycle in cycles], dtype=int),
         np.array([len(cycle[1]) for cycle in cycles], dtype=int),
         *lockstep._encode(n, states),
-        np.array([r for cycle in cycles for r in cycle[2]], dtype=float)[:, None],
-        when,
+        np.array([r for cycle in cycles for r in cycle[2]], dtype=float),
+        np.array([len(got) for got in received], dtype=int),
+        np.array([t for _, _, t in flat], dtype=float),
         mult,
     )
 
@@ -1106,15 +1105,14 @@ class TestRaggedHistory:
                 ftds[k, :size] = data.draw(st.lists(values, min_size=size, max_size=size))
             elapsed = np.array(data.draw(st.lists(values, min_size=count, max_size=count)))
             got = [data.draw(st.integers(0, 3)) if deliveries else 0 for _ in range(count)]
-            slots = max(got, default=0) + data.draw(st.integers(0, 1))
-            when, mult = np.zeros((count, slots)), np.zeros((count, n, slots), dtype=int)
-            for k, size in enumerate(got):
-                for d in range(size):
-                    when[k, d] = data.draw(values)
-                    mult[k, :, d] = data.draw(st.lists(st.sampled_from([0, 1, 2, 300]),
-                                                       min_size=n, max_size=n))
-                    mult[k, data.draw(st.integers(0, n - 1)), d] = 1
-            return [phases, ftds, senders, elapsed.reshape(-1, 1), when, mult]
+            when, mult = np.zeros(sum(got)), np.zeros((sum(got), n), dtype=int)
+            for d in range(sum(got)):
+                when[d] = data.draw(values)
+                mult[d] = data.draw(st.lists(st.sampled_from([0, 1, 2, 300]),
+                                             min_size=n, max_size=n))
+                mult[d, data.draw(st.integers(0, n - 1))] = 1
+            return [phases, ftds, senders, elapsed.reshape(count), np.array(got, dtype=int),
+                    when, mult]
 
         def revisit(states: list) -> list:
             # Each row's state, or a copy of one it logged, so that a state
@@ -1176,7 +1174,7 @@ class TestRaggedHistory:
         logged, query = np.full((1, 3), 0.25), np.full((1, 3), 0.25)
         logged[0, coordinate], query[0, coordinate] = old, new
         ftds, senders = np.zeros((1, 1)), np.full((1, 1), 2)
-        empty = [np.zeros((1, 1)), np.zeros((1, 0)), np.zeros((1, 3, 0), dtype=int)]
+        empty = [np.zeros(1), np.zeros(1, dtype=int), np.zeros(0), np.zeros((0, 3), dtype=int)]
         hist.add(np.zeros(1, dtype=int), np.zeros(1, dtype=int), [logged, ftds, senders, *empty])
         assert hist.match(query, ftds, senders, tol).tolist() == [0]
 

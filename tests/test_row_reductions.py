@@ -1,22 +1,27 @@
-"""No reduction, sort or 2-d nonzero in lockstep runs along the short last
-axis of its (rows, n) and (rows, width) arrays.  numpy runs such a
-reduction as one inner loop per row, 10-30 times the cost of the same
-reduction over the columns of a contiguous transpose, which is what
-lockstep._by_row makes; lockstep._row_col splits np.flatnonzero's indices
-in place of a 2-d np.nonzero.  The one exception is listed with its
-reason."""
+"""No reduction, sort or 2-d nonzero in lockstep, poincare or sweep runs
+along the short last axis of the (rows, n) and (rows, width) arrays they
+share.  numpy runs such a reduction as one inner loop per row, 10-30 times
+the cost of the same reduction over the columns of a contiguous
+transpose, which is what lockstep._by_row makes; lockstep._row_col splits
+np.flatnonzero's indices in place of a 2-d np.nonzero.  The one exception
+is listed with its reason."""
 
 import ast
 from pathlib import Path
 
-LOCKSTEP = Path(__file__).resolve().parents[1] / "src" / "isochron" / "lockstep.py"
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "isochron"
+
+#: The modules that work on row arrays, by file name.
+GUARDED = ("lockstep.py", "poincare.py", "sweep.py")
 
 #: Methods and numpy functions that reduce or sort along an axis.
 REDUCERS = {"max", "min", "any", "all", "sum", "count_nonzero", "sort", "argsort"}
 
 #: (function, source text of the call) of the allowed calls, with the reason.
 ALLOWED = {
-    ("_section_return", "np.argsort(times, axis=1, kind='stable')"): (
+    ("lockstep.py", "_section_return", "np.argsort(times, axis=1, kind='stable')"): (
         "the start queue's stable order by time, once per return; no column"
         " operation gives it, and it takes about 1.7 ms over the 25 returns"
         " of the 0.01-grid phase scan"
@@ -52,13 +57,28 @@ def row_calls(source: str) -> list[tuple[str, str]]:
     return sorted(set(found))
 
 
-def test_lockstep_reduces_no_row_along_its_short_axis():
-    found = row_calls(LOCKSTEP.read_text())
-    assert [f for f in found if f not in ALLOWED] == []
+def guarded_calls() -> list[tuple[str, str, str]]:
+    """(file, function, source text) of the row calls in the guarded files."""
+    return [(name, *call) for name in GUARDED for call in row_calls((PACKAGE / name).read_text())]
+
+
+def test_no_row_is_reduced_along_its_short_axis():
+    assert [f for f in guarded_calls() if f not in ALLOWED] == []
 
 
 def test_the_allowed_calls_are_still_there():
-    assert set(row_calls(LOCKSTEP.read_text())) == set(ALLOWED)
+    assert set(guarded_calls()) == set(ALLOWED)
+
+
+@pytest.mark.parametrize("name", GUARDED)
+def test_the_guard_reads_each_file(name):
+    # Each guarded file has functions for the guard to walk, and a row
+    # reduction added to its source is found there.
+    source = (PACKAGE / name).read_text()
+    tree = ast.parse(source)
+    assert any(isinstance(node, ast.FunctionDef) for node in ast.walk(tree))
+    planted = source + "\n\ndef _planted(a):\n    return a.sum(axis=1)\n"
+    assert set(row_calls(planted)) - set(row_calls(source)) == {("_planted", "a.sum(axis=1)")}
 
 
 def test_the_guard_sees_row_reductions():
