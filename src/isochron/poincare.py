@@ -381,8 +381,9 @@ def _detect(params: ModelParams, source, max_iter: int, tol: float) -> tuple:
     returns (rows, errors, taken): the rows, in lockstep's layout, of the
     taken starts up to the first that require_section_state rejects;
     {its index among them: that error}, or {}; and how many it took.
-    NetworkStates come through _state_source; the phase scan writes its
-    grid starts as rows (sweep._grid_source), with no NetworkState.
+    NetworkStates come through _state_source; the phase scan
+    (sweep._grid_source) and the region checks (regions._family_source)
+    write their starts as rows, with no NetworkState.
 
     At most _LIVE_ROWS starts run at once, as the rows of one
     LockstepEngine.  After every return, as many starts as there are free
@@ -508,7 +509,7 @@ def pulse_signature(params: ModelParams, result: PeriodicityResult) -> PulseSign
     return PulseSignature(period=result.orbit_period, receptions=result.receptions)
 
 
-def pulse_equivalent(a: PulseSignature, b: PulseSignature, tol: float = 1e-9) -> bool:
+def pulse_equivalent(a: PulseSignature, b: PulseSignature, tol: float = DEFAULT_MATCH_TOL) -> bool:
     """Same period (within tol), same reception count, and per recipient the
     same time-ordered multiplicity sequence."""
     if abs(a.period - b.period) > tol:

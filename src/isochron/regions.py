@@ -39,24 +39,25 @@ from .model import (
     trigger_threshold,
 )
 from .poincare import (
-    NotPeriodic,
-    PeriodicityResult,
-    _section_rows,
+    DEFAULT_MATCH_TOL,
+    _cycle_table,
+    _CycleTable,
+    _detect,
+    _state_source,
     detect_periodicity,  # noqa: F401  (bound here for perfbench/tracer.py)
-    detect_periodicity_many,
     poincare_map,  # noqa: F401  (bound here for perfbench/tracer.py)
-    pulse_equivalent,
-    pulse_signature,
+    pulse_signature,  # noqa: F401  (bound here for perfbench/tracer.py)
     require_section_state,
 )
 
 _MC_SHARD = 100_000
 
 #: Rows per LockstepEngine in intertwining_distances.  An engine's pulse
-#: queue (rows x pulses) and per-step log grow with its rows: at 20,000
-#: rows the check's tracemalloc peak is about 16 MiB as one engine and
-#: about 1.6 MiB in blocks of 1000.
-_INTERTWINING_BLOCK = 1000
+#: queue and per-step log grow with its rows, and each block pays the same
+#: numpy calls.  The 20,000-point check in process (2-core Xeon, medians of
+#: 15, alternating) at 1000 / 2500 / 5000 / 20000 rows took 50.0 / 35.5 /
+#: 30.8 / 35.0 ms, with a tracemalloc peak of 1.6 / 3.1 / 5.6 / 16.1 MiB.
+_INTERTWINING_BLOCK = 2500
 
 
 @dataclass(frozen=True)
@@ -434,14 +435,8 @@ def _require_chain(params: ModelParams, kind: str, sigma) -> None:
 
 def s_embed(params: ModelParams, kind: str, sigma) -> NetworkState:
     """Canonical section state of a family point: the reference oscillator
-    has just fired, and every firing memory is a sigma coordinate.
-
-    For the period-3 family this state is not on the closed orbit — the
-    locked pair still has one reception to absorb — so orbits started here
-    carry a transient, and from part of the region's interior that
-    transient escapes to the synchronous orbit rather than settling on the
-    cycle.  Use cycle_state for the exact on-orbit state.
-    """
+    has just fired, and every firing memory is a sigma coordinate.  For
+    the period-3 family it is off the closed orbit (see cycle_state)."""
     _require_chain(params, kind, sigma)
     phases, ftds = FAMILIES[kind].embed(params, sigma)
     return network_state(phases=phases, ftds=ftds)
@@ -504,6 +499,36 @@ def cycle_state(params: ModelParams, kind: str, sigma) -> NetworkState:
     return network_state(phases=(theta, theta, 0.0), ftds=state.ftds)
 
 
+def _family_source(params: ModelParams, kind: str, points, on_cycle: bool = False):
+    """The row source (see poincare._detect) of family points, rows of
+    coordinates: their cycle_states with on_cycle, else their s_embeds,
+    written by _embed_rows and checked by _on_chain and _bad_rows.  The
+    rows stop at the first failing point, with the error that its state
+    and require_section_state raise."""
+    points = np.asarray(points, dtype=float)
+    state = cycle_state if on_cycle else s_embed
+    end = 0
+
+    def take(count: int) -> tuple:
+        nonlocal end
+        lo, end = end, min(end + count, len(points))
+        cols = tuple(points[lo:end].T)
+        rows = _embed_rows(params, kind, cols)
+        if on_cycle and FAMILIES[kind].locked_pair:
+            rows[0][:, :2] = _jump1(params, cols[0])[:, None]
+        bad = ~_on_chain(params, kind, cols) | _bad_rows(params, *rows)
+        if not bad.any():
+            return rows, {}, end - lo
+        stop = int(np.argmax(bad))
+        sigma = tuple(points[lo + stop].tolist())
+        try:
+            require_section_state(params, state(params, kind, sigma))
+        except ValueError as exc:
+            return tuple(a[:stop] for a in rows), {stop: exc}, end - lo
+
+    return take
+
+
 # -- checks of the period-4 self-map -------------------------------------------
 
 
@@ -530,20 +555,16 @@ def intertwining_distances(params: ModelParams, sigmas, starts=None) -> list[flo
     if sigmas.ndim != 2 or sigmas.shape[1] != 3:
         raise DomainError(f"IR4 needs rows of 3 coordinates, got shape {sigmas.shape}")
     n, tau = params.n, params.tau
+    embedded = _family_source(params, "IR4", sigmas)
+    source = embedded if starts is None else _state_source(params, starts)
 
     distances: list[float] = []
     for lo in range(0, len(sigmas), _INTERTWINING_BLOCK):
         block = sigmas[lo : lo + _INTERTWINING_BLOCK]
         cols, size = tuple(block.T), len(block)
+        rows, errors, _ = source(size)
         # stop is the first row whose start fails; only the rows before it run.
-        if starts is None:
-            rows = _embed_rows(params, "IR4", cols)
-            bad = ~_on_chain(params, "IR4", cols) | _bad_rows(params, *rows)
-            stop = int(np.argmax(bad)) if bad.any() else size
-            rows = tuple(a[:stop] for a in rows)
-        else:
-            rows, errors = _section_rows(params, starts[lo : lo + size])
-            stop = min(errors, default=size)
+        stop = min(errors, default=size)
         out = LockstepEngine(params, *rows).run_until_section()
         targets = g_map(cols, tau)
         on_chain = _on_chain(params, "IR4", targets)[:stop]
@@ -553,14 +574,11 @@ def intertwining_distances(params: ModelParams, sigmas, starts=None) -> list[flo
         if first < size:
             # The per-point loop's error: the first failing point's first
             # failing check.
-            sigma = tuple(block[first].tolist())
             if first == ran_out:
                 raise out.errors[first]
             if first == off_chain:
-                s_embed(params, "IR4", g_map(sigma, tau))
-            if starts is not None:
-                raise errors[first]
-            require_section_state(params, s_embed(params, "IR4", sigma))
+                s_embed(params, "IR4", g_map(tuple(block[first].tolist()), tau))
+            raise errors[first]
         target = _embed_rows(params, "IR4", targets)
         distances += _row_distance(n, (out.phases, out.ftds, out.senders), target).tolist()
     return distances
@@ -967,62 +985,47 @@ def region_oracle(
     the expected minimal Poincare period, the expected orbit period,
     pairwise pulse equivalence, and — for the period-3 family — that the
     locked pair stays locked around the whole cycle.  The family's center
-    is detected in the same batch, after the samples."""
+    is detected in the same batch, after the samples.  Each verdict is
+    read off the cycle table, with no state or result built per sample."""
     _require_nonempty(params, kind)
     family = FAMILIES[kind]
     expected = family.poincare_period
     expected_period = family.period_delays * params.tau
     sigmas = sample_interior(params, kind, n_samples, seed=seed)
+    points = np.vstack([sigmas, region_center(kind, params.tau)])
+    source = _family_source(params, kind, points, on_cycle=True)
+    cycle, _, chunks = _detect(params, source, max_iter, tol)
+    table = _cycle_table(params.n, chunks)
+    transients, periods, orbits = (
+        c.tolist() for c in (table.transients, table.periods, table.orbits)
+    )
+    # Per cycle: whether the pair's phases part by more than tol in a state.
+    apart = np.abs(table.phases[:, 0] - table.phases[:, 1]) > tol
+    drifted = np.bincount(np.repeat(np.arange(len(periods)), table.periods), apart, len(periods))
 
     failures: list[tuple[tuple[float, ...], str]] = []
     counts: dict[int, int] = {}
-    signatures = []
+    kept: list[int] = []  # the cycles whose pulse signatures are compared
     pair_ok: bool | None = True if family.locked_pair else None
-
-    samples = [tuple(float(v) for v in row) for row in sigmas]
-    starts = [cycle_state(params, kind, s) for s in samples]
-    starts.append(cycle_state(params, kind, region_center(kind, params.tau)))
-    *results, center_result = detect_periodicity_many(params, starts, max_iter=max_iter, tol=tol)
-    for sigma, result in zip(samples, results):
-        if isinstance(result, NotPeriodic):
+    *found, center = cycle.tolist()
+    for sigma, k in zip(map(tuple, sigmas.tolist()), found):
+        if k < 0:
             failures.append((sigma, f"no cycle within {max_iter} iterations"))
             continue
-        counts[result.poincare_period] = counts.get(result.poincare_period, 0) + 1
-        if result.transient_iters != 0:
-            failures.append(
-                (sigma, f"cycle state needed a transient of {result.transient_iters}")
-            )
+        counts[periods[k]] = counts.get(periods[k], 0) + 1
+        if transients[k] != 0:
+            failures.append((sigma, f"cycle state needed a transient of {transients[k]}"))
             continue
-        if result.poincare_period != expected:
-            failures.append(
-                (sigma, f"poincare period {result.poincare_period} != {expected}")
-            )
+        if periods[k] != expected:
+            failures.append((sigma, f"poincare period {periods[k]} != {expected}"))
             continue
-        if abs(result.orbit_period - expected_period) > tol:
-            failures.append(
-                (
-                    sigma,
-                    f"orbit period {result.orbit_period} != "
-                    f"{family.period_delays}*tau",
-                )
-            )
+        if abs(orbits[k] - expected_period) > tol:
+            failures.append((sigma, f"orbit period {orbits[k]} != {family.period_delays}*tau"))
             continue
-        if family.locked_pair and any(
-            abs(state.phases[0] - state.phases[1]) > tol for state in result.cycle_states
-        ):
+        if family.locked_pair and drifted[k]:
             pair_ok = False
             failures.append((sigma, "locked pair drifted apart"))
-        signatures.append(pulse_signature(params, result))
-
-    all_equivalent = all(
-        pulse_equivalent(signatures[0], s) for s in signatures[1:]
-    ) if signatures else False
-
-    center_tp: int | None = None
-    center_t: float | None = None
-    if isinstance(center_result, PeriodicityResult):
-        center_tp = center_result.poincare_period
-        center_t = center_result.orbit_period
+        kept.append(k)
 
     return OracleReport(
         kind=kind,
@@ -1031,11 +1034,26 @@ def region_oracle(
         expected_poincare_period=expected,
         poincare_period_counts=counts,
         failures=tuple(failures),
-        all_pulse_equivalent=all_equivalent,
+        all_pulse_equivalent=bool(kept) and _pulse_equivalent(table, kept),
         pair_synchronized=pair_ok,
-        center_poincare_period=center_tp,
-        center_orbit_period=center_t,
+        center_poincare_period=periods[center] if center >= 0 else None,
+        center_orbit_period=orbits[center] if center >= 0 else None,
     )
+
+
+def _pulse_equivalent(table: _CycleTable, cycles: list[int]) -> bool:
+    """Whether pulse_equivalent (default tol) accepts the pulse_signature
+    of each of the table's given cycles against the first one's: orbit
+    periods within tol and the same (recipient, multiplicity) pairs."""
+    k, who, mult, _ = table.receptions
+    received = np.bincount(k, minlength=len(table.periods))[cycles]
+    far = np.abs(table.orbits[cycles] - table.orbits[cycles[0]]) > DEFAULT_MATCH_TOL
+    if far.any() or (received != received[0]).any():
+        return False
+    # The receptions are in cycle order, so each cycle keeps its place.
+    order = np.argsort(k * table.phases.shape[1] + who, kind="stable")
+    at = order[np.searchsorted(k, cycles)[:, None] + np.arange(received[0])]
+    return bool((who[at] == who[at[0]]).all() and (mult[at] == mult[at[0]]).all())
 
 
 # -- projection of the period-4 family to the phase plane -----------------------

@@ -37,7 +37,6 @@ from .poincare import (
     _CycleTable,
     _detect,
     _section_rows,
-    _state_source,
     detect_periodicity,
     poincare_map,  # noqa: F401  (bound here for perfbench/tracer.py)
     pulse_equivalent,
@@ -46,6 +45,7 @@ from .poincare import (
 )
 from .regions import (
     KINDS,
+    _family_source,
     _ir4_phase_plane,
     _require_nonempty,
     g_map,
@@ -666,8 +666,8 @@ def projection_compare(
             cur = g_map(cur, params.tau)
 
     seeded_sigma = sample_interior(params, "IR4", n_samples, seed=seed + 1)
-    seeds = (s_embed(params, "IR4", tuple(map(float, row))) for row in seeded_sigma)
-    cycle, _, chunks = _detect(params, _state_source(params, seeds), 16, DEFAULT_MATCH_TOL)
+    seeds = _family_source(params, "IR4", seeded_sigma)
+    cycle, _, chunks = _detect(params, seeds, 16, DEFAULT_MATCH_TOL)
     table = _cycle_table(params.n, chunks)
     # The seeded cycles' states are only projected, so their phases are read
     # off the table, with no PeriodicityResult built.
@@ -1008,7 +1008,7 @@ def write_projection_csv(
 def write_projection_json(
     report: ProjectionCompareReport, path, timestamp: str | None = None
 ) -> None:
-    _write_json(path, timestamp, **report.to_json_dict())
+    _write_json(path, timestamp, **report._fields(False))
 
 
 # -- plot-script emitters ----------------------------------------------------------

@@ -21,6 +21,11 @@ and builds its one cycle return by return (``cycle_result``).
 ``PeriodicityResult`` and one ``PulseSignature`` per cell, interned by
 ``pulse_equivalent``, where the library's scan works on cycle columns.
 
+``scalar_oracle`` is the per-sample region oracle: one ``cycle_state``,
+``PeriodicityResult`` and ``PulseSignature`` per sample, where
+``region_oracle`` writes its starts as rows and reads its verdicts off the
+cycle table.
+
 ``PaddedHistory`` is the reference for detection's history
 (``lockstep._History``): every logged state as plain Python values, read
 out padded row by row, where the library stores FTD entries and
@@ -38,18 +43,24 @@ import numpy as np
 
 from isochron import (
     DEFAULT_MATCH_TOL,
+    FAMILIES,
     Engine,
     NotPeriodic,
+    OracleReport,
     PeriodicityResult,
     ScanRecord,
+    cycle_state,
     detect_periodicity_many,
     eq_init_state,
     phase_projection,
     pulse_equivalent,
     pulse_signature,
+    region_center,
     require_section_state,
+    sample_interior,
     states_match,
 )
+from isochron.regions import _require_nonempty
 from isochron.sweep import _grid_values
 
 mp.mp.dps = 50
@@ -271,6 +282,67 @@ def scan_reference(params, step: float, max_iter: int = 10_000, tol: float = DEF
             )
         )
     return tuple(records), tuple(signatures)
+
+
+def scalar_oracle(params, kind, n_samples=100, seed=0, tol=1e-9, max_iter=64):
+    """region_oracle sample by sample: each sample's cycle_state is built,
+    every start (the center last) is detected in one
+    detect_periodicity_many batch, each result is checked in turn, and the
+    kept results' pulse_signatures are compared by pulse_equivalent."""
+    _require_nonempty(params, kind)
+    family = FAMILIES[kind]
+    expected = family.poincare_period
+    expected_period = family.period_delays * params.tau
+    sigmas = sample_interior(params, kind, n_samples, seed=seed)
+
+    failures = []
+    counts = {}
+    signatures = []
+    pair_ok = True if family.locked_pair else None
+
+    samples = [tuple(float(v) for v in row) for row in sigmas]
+    starts = [cycle_state(params, kind, s) for s in samples]
+    starts.append(cycle_state(params, kind, region_center(kind, params.tau)))
+    *results, center_result = detect_periodicity_many(params, starts, max_iter=max_iter, tol=tol)
+    for sigma, result in zip(samples, results):
+        if isinstance(result, NotPeriodic):
+            failures.append((sigma, f"no cycle within {max_iter} iterations"))
+            continue
+        counts[result.poincare_period] = counts.get(result.poincare_period, 0) + 1
+        if result.transient_iters != 0:
+            failures.append((sigma, f"cycle state needed a transient of {result.transient_iters}"))
+            continue
+        if result.poincare_period != expected:
+            failures.append((sigma, f"poincare period {result.poincare_period} != {expected}"))
+            continue
+        if abs(result.orbit_period - expected_period) > tol:
+            failures.append(
+                (sigma, f"orbit period {result.orbit_period} != {family.period_delays}*tau")
+            )
+            continue
+        if family.locked_pair and any(
+            abs(state.phases[0] - state.phases[1]) > tol for state in result.cycle_states
+        ):
+            pair_ok = False
+            failures.append((sigma, "locked pair drifted apart"))
+        signatures.append(pulse_signature(params, result))
+
+    all_equivalent = all(
+        pulse_equivalent(signatures[0], s) for s in signatures[1:]
+    ) if signatures else False
+    periodic = isinstance(center_result, PeriodicityResult)
+    return OracleReport(
+        kind=kind,
+        n_samples=n_samples,
+        seed=seed,
+        expected_poincare_period=expected,
+        poincare_period_counts=counts,
+        failures=tuple(failures),
+        all_pulse_equivalent=all_equivalent,
+        pair_synchronized=pair_ok,
+        center_poincare_period=center_result.poincare_period if periodic else None,
+        center_orbit_period=center_result.orbit_period if periodic else None,
+    )
 
 
 class PaddedHistory:

@@ -2,7 +2,6 @@
 precedence, output-file headers, dataset layout, exit codes, and the
 interrupted-run marker."""
 
-import dataclasses
 import json
 import math
 
@@ -1012,15 +1011,15 @@ class TestVerify:
         assert not out.exists()
 
     def test_a_failing_oracle_fails_the_suite_with_exit_1(self, capsys, monkeypatch):
-        # Every detection of the oracle's batch reports a transient of one
+        # Every cycle of the oracle's table reports a transient of one
         # return, which no on-orbit family state needs.
-        detect = regions.detect_periodicity_many
+        table = regions._cycle_table
 
-        def transient(*args, **kwargs):
-            results = detect(*args, **kwargs)
-            return [dataclasses.replace(r, transient_iters=1) if r.periodic else r for r in results]
+        def transient(*args):
+            cycles = table(*args)
+            return cycles._replace(transients=cycles.transients + 1)
 
-        monkeypatch.setattr(regions, "detect_periodicity_many", transient)
+        monkeypatch.setattr(regions, "_cycle_table", transient)
         assert main(["verify", "--samples", "3"]) == 1
         out = capsys.readouterr().out
         assert "FAIL ir4-oracle: section periods {4: 3}, 3 failures" in out

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
-from oracle import scalar_detect
+from oracle import scalar_detect, scalar_oracle
 from scipy.spatial import ConvexHull
 from test_poincare import shorten_horizon
 
@@ -25,7 +25,7 @@ from isochron import (
     KINDS,
     DomainError,
     ModelParams,
-    NotPeriodic,
+    NetworkState,
     cycle_state,
     detect_periodicity,
     g_algebra,
@@ -37,7 +37,11 @@ from isochron import (
     membership_many,
     membership_margin,
     network_state,
+    phase_scan,
     poincare_map,
+    projection_compare,
+    pulse_equivalent,
+    pulse_signature,
     region_center,
     region_exists,
     region_oracle,
@@ -51,7 +55,7 @@ from isochron import (
 )
 from isochron import lockstep, regions
 from isochron.engine import HorizonExceededError, StateError
-from isochron.poincare import SectionError
+from isochron.poincare import SectionError, _cycle_results, _cycle_rows
 from isochron.regions import (
     Functional,
     RegionSpec,
@@ -593,28 +597,45 @@ class TestSharedChecks:
         assert regions.g_algebra_deviation(tau, points, offsets) > 1e-12
 
     def test_oracle_reports_each_way_a_cycle_can_fail(self, monkeypatch):
-        # Five sampled period-3 points whose detections are replaced, in
-        # order, by no cycle, a transient, a wrong section period, an orbit
-        # period off by more than tol and a locked pair that drifts apart;
-        # the center's detection is kept.
-        detect, drift = regions.detect_periodicity_many, []
+        # Five sampled period-3 points whose cycles are replaced, in order,
+        # by no cycle, a transient, a wrong section period, an orbit period
+        # off by more than tol and a locked pair that drifts apart; the
+        # center's cycle is kept.  The crafted cycles reach the oracle as
+        # detection's chunks (rows of a true cycle, without deliveries), so
+        # each verdict is read off the cycle table they make.
+        detect, orbit = regions._detect, []
 
-        def crafted(params, starts, **kwargs):
-            *results, center = detect(params, starts, **kwargs)
-            good = results[0]
-            drifted = network_state((0.1, 0.2, 0.0), good.cycle_states[1].ftds)
-            drift.append(good.orbit_period + 2e-9)
-            return [
-                NotPeriodic(iterations=kwargs["max_iter"], last_state=good.cycle_states[0]),
-                dataclasses.replace(good, transient_iters=1),
-                dataclasses.replace(good, poincare_period=2, detected_period=2),
-                dataclasses.replace(good, orbit_period=drift[0]),
-                dataclasses.replace(good, cycle_states=(good.cycle_states[0], drifted)),
-                center,
+        def crafted(params, source, max_iter, tol):
+            cycle, ends, chunks = detect(params, source, max_iter, tol)
+            table = regions._cycle_table(params.n, chunks)
+
+            def chunk(k, transient=0, period=None, late=0.0, drift=False):
+                rows = _cycle_rows(table, [k])[:period]
+                phases, returns = table.phases[rows], table.returns[rows]
+                returns[-1] += late
+                if drift:
+                    phases[1] = (0.1, 0.2, 0.0)
+                none = np.zeros(len(rows), dtype=int)
+                return (
+                    np.array([transient]), np.array([len(rows)]),
+                    phases, table.ftds[rows], table.senders[rows], returns,
+                    none, np.zeros(0), np.zeros((0, params.n), np.uint8),
+                )
+
+            good = cycle[0]
+            chunks = [
+                chunk(good, transient=1),
+                chunk(good, period=2),
+                chunk(good, late=2e-9),
+                chunk(good, drift=True),
+                chunk(cycle[-1]),
             ]
+            orbit.append(regions._cycle_table(params.n, chunks).orbits.tolist()[2])
+            return np.array([-1, 0, 1, 2, 3, 4]), ends, chunks
 
-        monkeypatch.setattr(regions, "detect_periodicity_many", crafted)
+        monkeypatch.setattr(regions, "_detect", crafted)
         report = region_oracle(P, "IR3", n_samples=5, seed=4)
+        assert abs(orbit[0] - 2 * P.tau) > 1e-9
         sigmas = [tuple(map(float, row)) for row in sample_interior(P, "IR3", 5, seed=4)]
         assert report.failures == tuple(
             zip(
@@ -623,7 +644,7 @@ class TestSharedChecks:
                     "no cycle within 64 iterations",
                     "cycle state needed a transient of 1",
                     "poincare period 2 != 3",
-                    f"orbit period {drift[0]} != 2*tau",
+                    f"orbit period {orbit[0]} != 2*tau",
                     "locked pair drifted apart",
                 ],
             )
@@ -785,8 +806,8 @@ class TestBatchedIntertwining:
         assert isinstance(assert_intertwining_matches(P, sigmas), DomainError)
 
     def test_memory_stays_bounded(self):
-        # One engine for all 20,000 points peaks near 34 MiB, blocks of
-        # 1000 near 3 MiB.
+        # One engine for all 20,000 points peaks near 16 MiB, blocks of
+        # 2500 near 3.1 MiB.
         sigmas = sample_interior(P, "IR4", 20_000, seed=1)
         tracemalloc.start()
         try:
@@ -1332,7 +1353,96 @@ class TestOneFactorization:
             assert np.array_equal(x[kept], want[finite])
 
 
+@st.composite
+def family_draws(draw):
+    """A kind and parameters with n = 3 where its family is not empty, a
+    seed, a sample count and an iteration budget.  The center value is
+    affine in tau with intercept c, the single-pulse jump of phase 0, so tau
+    is drawn inside the window where it lies in [h1, 1], away from its ends;
+    families too thin to sample are passed over."""
+    kind = draw(st.sampled_from(KINDS))
+    b, eps = draw(st.floats(0.2, 8.0)), draw(st.floats(0.01, 0.95))
+    unit = ModelParams(b=b, eps=eps, n=3, tau=1.0)
+    c = jump_coeffs(unit, 1)[1]
+    slope = FAMILIES[kind].center_value(unit, region_center(kind, 1.0)) - c
+    lo, hi = max(trigger_threshold(unit, 1) - c, 0.0) / slope, (1.0 - c) / slope
+    assume(hi > lo)
+    params = ModelParams(b=b, eps=eps, n=3, tau=lo + draw(st.floats(0.05, 0.95)) * (hi - lo))
+    assume(region_exists(params, kind))
+    seed, n_samples = draw(st.integers(0, 2**16)), draw(st.sampled_from([40, 5, 1, 0]))
+    try:
+        sample_interior(params, kind, n_samples, seed=seed, max_draws=100_000)
+    except RuntimeError:
+        assume(False)
+    return params, kind, seed, n_samples, draw(st.sampled_from([64, 2, 1]))
+
+
 class TestOracle:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(family_draws())
+    def test_equals_the_per_sample_oracle(self, drawn):
+        # The report is repr-identical to the per-sample reference's, or
+        # both raise the same error; budgets of 1 and 2 returns leave
+        # samples without a cycle.
+        params, kind, seed, n_samples, max_iter = drawn
+        args = (params, kind, n_samples, seed)
+        try:
+            want = scalar_oracle(*args, max_iter=max_iter)
+        except (ValueError, RuntimeError) as exc:
+            with pytest.raises(type(exc)) as got:
+                region_oracle(*args, max_iter=max_iter)
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+            return
+        assert repr(region_oracle(*args, max_iter=max_iter)) == repr(want)
+
+    def test_pulse_equivalence_is_read_off_the_table(self):
+        # The 0.1 grid's 55 cycles differ in orbit period, in reception
+        # count, or only in their pulses: every pair gets pulse_equivalent's
+        # verdict on their signatures, and a list of cycles the verdict of
+        # each against the first.
+        table = phase_scan(P, step=0.1).table
+        signatures = [pulse_signature(P, r) for r in _cycle_results(table, range(55))]
+        verdicts = {}
+        for i, j in itertools.product(range(55), repeat=2):
+            verdicts[i, j] = pulse_equivalent(signatures[i], signatures[j])
+            assert regions._pulse_equivalent(table, [i, j]) is verdicts[i, j]
+        for cycles in ([0, 1, 2], [3, *range(55)], [7, 7]):
+            want = all(verdicts[cycles[0], k] for k in cycles)
+            assert regions._pulse_equivalent(table, cycles) is want
+        # One more pulse in cycle 0's first reception (the table's first):
+        # no cycle that was equivalent to it still is.
+        k, who, mult, offset = table.receptions
+        bumped = table._replace(receptions=(k, who, mult + (np.arange(len(k)) == 0), offset))
+        alike = [j for j in range(1, 55) if verdicts[0, j]]
+        assert alike and not any(regions._pulse_equivalent(bumped, [0, j]) for j in alike)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda n: region_oracle(P, "IR3", n_samples=n, seed=2),
+            lambda n: projection_compare(P, n_samples=n, seed=2, step=0.25),
+        ],
+        ids=["region_oracle", "projection_compare"],
+    )
+    def test_no_state_is_built_per_sample(self, monkeypatch, run):
+        # The starts are lockstep rows and the verdicts and seeded points
+        # are read off the cycle table, so the NetworkStates built (those
+        # of projection_compare's scan) do not grow with the samples.
+        built, init = [], NetworkState.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(None)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(NetworkState, "__init__", counted)
+        counts = []
+        for n in (10, 100):
+            built.clear()
+            run(n)
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
     def test_period4_family_verified_by_simulation(self):
         rep = region_oracle(P, "IR4", n_samples=12, seed=3)
         assert rep.ok

@@ -1,10 +1,10 @@
-"""No reduction, sort or 2-d nonzero in lockstep, poincare or sweep runs
-along the short last axis of the (rows, n) and (rows, width) arrays they
-share.  numpy runs such a reduction as one inner loop per row, 10-30 times
+"""No reduction, sort or 2-d nonzero in lockstep, poincare, sweep or
+regions runs along the short last axis of the (rows, n) and (rows, width)
+arrays they share.  numpy runs such a reduction as one inner loop per row, 10-30 times
 the cost of the same reduction over the columns of a contiguous
 transpose, which is what lockstep._by_row makes; lockstep._row_col splits
-np.flatnonzero's indices in place of a 2-d np.nonzero.  The one exception
-is listed with its reason."""
+np.flatnonzero's indices in place of a 2-d np.nonzero.  The exceptions
+are listed with their reasons."""
 
 import ast
 from pathlib import Path
@@ -14,7 +14,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "isochron"
 
 #: The modules that work on row arrays, by file name.
-GUARDED = ("lockstep.py", "poincare.py", "sweep.py")
+GUARDED = ("lockstep.py", "poincare.py", "sweep.py", "regions.py")
 
 #: Methods and numpy functions that reduce or sort along an axis.
 REDUCERS = {"max", "min", "any", "all", "sum", "count_nonzero", "sort", "argsort"}
@@ -25,6 +25,10 @@ ALLOWED = {
         "the start queue's stable order by time, once per return; no column"
         " operation gives it, and it takes about 1.7 ms over the 25 returns"
         " of the 0.01-grid phase scan"
+    ),
+    ("regions.py", "_slab_free_index", "np.all(np.diff(group[idx], axis=1) != 0, axis=1)"): (
+        "the slab-free subsets of a (rows, dim) halfspace system, a table that"
+        " is cached and built once per shape"
     ),
 }
 
