@@ -360,9 +360,19 @@ def _parse_kind(value: str) -> str:
     return kind
 
 
+def _parse_suite(value) -> tuple[str, ...]:
+    """The kinds a verify suite checks: one kind, or all, in any case."""
+    kind = str(value).upper()
+    if kind != "ALL" and kind not in KINDS:
+        raise ValueError(f"expected one of {', '.join(k.lower() for k in KINDS)} or all")
+    return KINDS if kind == "ALL" else (kind,)
+
+
 def _parse_floats(value) -> tuple[float, ...]:
     """Comma-separated floats, or a list of numbers from a config file."""
-    return tuple(map(float, value.split(",") if isinstance(value, str) else value))
+    if isinstance(value, str):
+        return tuple(map(float, value.split(",")))
+    return tuple(map(_parse_float, value))
 
 
 def _parse_grid(value) -> tuple[int, int]:
@@ -679,7 +689,7 @@ def _cmd_scan_params(run: _Run) -> int:
 
 
 def _cmd_verify(run: _Run) -> int:
-    suite = run.get("suite", "ir4")
+    kinds = _read("suite", _parse_suite, run.get("suite", "ir4"))
     params = run.params(three=True)
     n = run.samples(1000)
     seed = run.seed()
@@ -687,7 +697,6 @@ def _cmd_verify(run: _Run) -> int:
     _, out = run.outputs("out", seed=seed)
     tau = params.tau
 
-    kinds = KINDS if suite == "all" else (_parse_kind(suite),)
     checks: list[tuple[str, bool, str]] = []
     for kind in kinds:
         exists = region_exists(params, kind)

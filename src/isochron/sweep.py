@@ -24,7 +24,7 @@ import numpy as np
 from ._serial import Record, _float_text, fill_template, pairs_template, value_text, write_json
 from ._version import __version__
 from .engine import NetworkState, TraceEvent, format_trace_text, init_engine, network_state
-from .lockstep import _bad_rows, _by_row, _decode, _row_col
+from .lockstep import _bad_rows, _by_row, _decode, _row_col, _row_distance, _widen
 from .model import DomainError, ModelParams
 from .poincare import (
     DEFAULT_MATCH_TOL,
@@ -41,12 +41,14 @@ from .poincare import (
     poincare_map,  # noqa: F401  (bound here for perfbench/tracer.py)
     pulse_equivalent,
     pulse_signature,
-    states_match,
+    states_match,  # noqa: F401  (bound here for perfbench/tracer.py)
 )
 from .regions import (
     KINDS,
+    _embed_rows,
     _family_source,
     _ir4_phase_plane,
+    _on_chain,
     _require_nonempty,
     g_map,
     intertwining_distances,
@@ -215,10 +217,14 @@ class PhaseScanResult(Record):
         return int(np.count_nonzero(self.grid < 0))
 
 
+#: The oscillators' order with the two free ones swapped (see phase_scan).
+_MIRROR = np.array([1, 0, 2])
+
+
 def _slot_points(table: _CycleTable) -> np.ndarray:
     """The (theta1, theta2) projections of each slot's cycle states (see
     _slots), as consecutive rows, a mirror's after every cycle's."""
-    return np.concatenate([table.phases[:, :2], table.phases[:, 1::-1]])
+    return np.concatenate([table.phases[:, :2], table.phases[:, _MIRROR[:2]]])
 
 
 #: The most cells a scan grid may hold.  A phase scan's peak memory grows
@@ -289,36 +295,13 @@ def _slots(grid: np.ndarray, count: int) -> np.ndarray:
     return np.where(grid < 0, 2 * count, grid + count * below)
 
 
-def _slot_results(table: _CycleTable, slots) -> list[PeriodicityResult]:
-    """The PeriodicityResults of the given slots (see _slots) of table's
-    cycles, in that order; a mirror's is its cycle's, mirrored by
-    _mirror_result."""
-    count, slots = len(table.periods), np.asarray(slots, dtype=int)
-    mirrored = slots >= count
-    results = _cycle_results(table, slots - count * mirrored)
-    return [_mirror_result(r) if m else r for r, m in zip(results, mirrored.tolist())]
-
-
-def _mirror_result(result: PeriodicityResult) -> PeriodicityResult:
-    """result with the two free oscillators swapped: each state by
-    _swap_free_oscillators, and recipients 0 and 1 swapped in the
-    receptions, which are then re-sorted stably by (offset, recipient),
-    as poincare._cycle_table orders them."""
-    receptions = [({0: 1, 1: 0}.get(who, who), mult, t) for who, mult, t in result.receptions]
-    return replace(
-        result,
-        cycle_states=tuple(map(_swap_free_oscillators, result.cycle_states)),
-        receptions=tuple(sorted(receptions, key=lambda rec: (rec[2], rec[0]))),
-    )
-
-
 def _mirror_order(receptions: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(who, order) of the mirrors' receptions, as _mirror_result makes
-    them: the recipients with 0 and 1 swapped, and the order that re-sorts
-    the receptions by (cycle, offset, recipient).  The receptions are in
-    that order already, so only runs of one (cycle, offset) move."""
+    """(who, order) of the mirrors' receptions: the recipients mirrored
+    (_MIRROR), and the order that re-sorts the receptions stably by (cycle,
+    offset, recipient), as poincare._cycle_table does.  The receptions are
+    in that order already, so only runs of one (cycle, offset) move."""
     k, who, _, offset = receptions
-    who = who ^ (who < 2)
+    who = _MIRROR[who]
     run = np.ones(len(k), dtype=bool)
     run[1:] = (k[1:] != k[:-1]) | (offset[1:] != offset[:-1])
     run = np.cumsum(run) * (int(who.max(initial=0)) + 1)
@@ -354,11 +337,12 @@ def _intern(params: ModelParams, grid: np.ndarray, table: _CycleTable) -> tuple:
     """(signature_ids, signatures) of a phase scan (see PhaseScanResult).
 
     Slots alike in the pulses they receive (recipient and multiplicity, in
-    order; a mirror's re-sorted as _mirror_result does) and in orbit period
-    (by its bits) form a class, grouped on arrays (_groups), and each class
-    is interned once, at its first cell in grid order: its pulse_signature
-    takes the id of the first earlier signature with its per-recipient
-    pattern that pulse_equivalent accepts, else a new one."""
+    order; a mirror's by _mirror_order) and in orbit period (by its bits)
+    form a class, grouped on arrays (_groups), and each class is interned
+    once, at its first cell in grid order: the pulse_signature of its
+    cycle's _cycle_results, with the mirrored receptions below the
+    diagonal, takes the id of the first earlier signature with its
+    per-recipient pattern that pulse_equivalent accepts, else a new one."""
     count = len(table.periods)
     k, who, mult, offset = table.receptions
     swapped, order = _mirror_order((k, who, mult, offset))
@@ -375,11 +359,22 @@ def _intern(params: ModelParams, grid: np.ndarray, table: _CycleTable) -> tuple:
     slots = slots[slots < 2 * count]
     cell_class = slot_class[slots]
     first = np.sort(np.unique(cell_class, return_index=True)[1])
+    slots = slots[first]
+    below = slots >= count
+    cycles = slots - count * below
+    # A mirror's receptions keep its cycle's range.
+    lo = np.searchsorted(k, cycles)
+    spans = zip(below.tolist(), lo.tolist(), (lo + received[cycles]).tolist())
 
     signatures: list[PulseSignature] = []
     buckets: dict[tuple, list[int]] = {}
     ids = np.full(int(slot_class.max(initial=-1)) + 1, -1)
-    for c, result in zip(cell_class[first].tolist(), _slot_results(table, slots[first])):
+    results = zip(cell_class[first].tolist(), _cycle_results(table, cycles), spans)
+    for c, result, (flip, a, b) in results:
+        if flip:
+            at = order[a:b]
+            receptions = zip(swapped[at].tolist(), mult[at].tolist(), offset[at].tolist())
+            result = replace(result, receptions=tuple(receptions))
         signature = pulse_signature(params, result)
         bucket = buckets.setdefault(tuple(sorted(signature.per_recipient().items())), [])
         sid = next((i for i in bucket if pulse_equivalent(signatures[i], signature)), None)
@@ -577,46 +572,36 @@ class ProjectionCompareReport(Record):
     _config = ("params", "n_samples", "step", "tol")
 
 
-def _swap_free_oscillators(state: NetworkState) -> NetworkState:
-    """Relabel the two non-reference oscillators."""
-    return network_state(
-        phases=(state.phases[1], state.phases[0], state.phases[2]),
-        ftds=(state.ftds[1], state.ftds[0], state.ftds[2]),
-    )
-
-
-def _invert_family_state(params: ModelParams, state: NetworkState):
-    """Read the family coordinate off a period-4 state: (sigma, canonical
-    state of sigma), or None when the state has the wrong shape or
-    ordering."""
-    if tuple(len(r) for r in state.ftds) != (1, 1, 2):
-        return None
-    if state.ftds[2][0] != 0.0:
-        return None
-    sigma = (state.ftds[0][0], state.ftds[1][0], state.ftds[2][1])
-    try:
-        return sigma, s_embed(params, "IR4", sigma)
-    except DomainError:
-        return None
-
-
-def _identify_family_cycle(
-    params: ModelParams, spec, result: PeriodicityResult, tol: float
-):
-    """Match a detected cycle against the period-4 family, directly or
-    after relabeling the free oscillators.  Returns (mirrored, sigma) for
-    the first cycle state that embeds a member, else None."""
-    for mirrored in (False, True):
-        for state in result.cycle_states:
-            candidate = _swap_free_oscillators(state) if mirrored else state
-            inverted = _invert_family_state(params, candidate)
-            if inverted is not None:
-                sigma, canonical = inverted
-                if membership(spec, sigma, margin=-tol) and states_match(
-                    candidate, canonical, tol
-                ):
-                    return mirrored, sigma
-    return None
+def _family_sigmas(params: ModelParams, spec, table: _CycleTable, cycles) -> list[list]:
+    """Per given cycle of table, [direct, swapped]: the period-4 family
+    point of its first state, in cycle order, that holds one as it stands
+    and with the free oscillators swapped (_MIRROR), or None.  A state
+    holds sigma = (its first, second and fourth FTD entries) when the
+    entries are those of oscillators 0, 1, 2 and 2, the third exactly 0.0,
+    sigma is on the family's chain, its _embed_rows are within 1e-7 of
+    the state (_row_distance), and scalar membership in spec holds with
+    margin -1e-7, on the few rows that pass the rest (membership_many
+    rounds otherwise)."""
+    tol, n = 1e-7, params.n
+    rows = _cycle_rows(table, cycles)
+    cycle = np.repeat(np.arange(len(cycles)), table.periods[cycles])
+    senders, ftds = _widen(table.senders[rows], 4, n), _widen(table.ftds[rows], 4, 0.0)
+    layout = _widen(np.array([[0, 1, 2, 2]]), senders.shape[1], n)
+    shaped = _by_row(np.all, senders == layout) & (ftds[:, 2] == 0.0)
+    rows, cycle, ftds = rows[shaped], cycle[shaped], ftds[shaped, :4]
+    found = [[None, None] for _ in range(len(cycles))]
+    for guise, order in enumerate((np.arange(3), _MIRROR)):
+        # Oscillator i's first entry is in column i, the reference's in 2 and 3.
+        phases, entries = table.phases[rows][:, order], ftds[:, [*order[:2], 2, 3]]
+        sigma = tuple(entries[:, [0, 1, 3]].T)
+        target = _embed_rows(params, "IR4", sigma)
+        near = _row_distance(n, (phases, entries, target[2]), target) <= tol
+        hit = np.flatnonzero(_on_chain(params, "IR4", sigma) & near)
+        points = map(tuple, entries[hit][:, [0, 1, 3]].tolist())
+        for c, point in zip(cycle[hit].tolist(), points):
+            if found[c][guise] is None and membership(spec, point, margin=-tol):
+                found[c][guise] = point
+    return found
 
 
 def projection_compare(
@@ -649,21 +634,23 @@ def projection_compare(
     mirror_orbits = 0
     unidentified = 0
     grid, table = _scan_triangle(params, _grid_values(step), max_iter, DEFAULT_MATCH_TOL, workers)
-    slots = _slots(grid, len(table.periods)).ravel()
-    period4 = slots[np.append(np.tile(table.periods, 2), 0)[slots] == 4]
-    for result in _slot_results(table, period4):
-        identified = _identify_family_cycle(params, spec, result, tol=1e-7)
-        if identified is None:
+    count = len(table.periods)
+    slots = _slots(grid, count).ravel()
+    slots = slots[np.append(np.tile(table.periods, 2), 0)[slots] == 4]
+    below = slots >= count
+    found = _family_sigmas(params, spec, table, slots - count * below)
+    for flip, guises in zip(below.tolist(), found):
+        # A mirror's direct guise is its cycle's swapped one.
+        mirrored = guises[flip] is None
+        sigma = guises[flip ^ mirrored]
+        if sigma is None:
             unidentified += 1
             continue
-        mirrored, sigma = identified
         numeric_orbits += 1
-        if mirrored:
-            mirror_orbits += 1
-        cur = sigma
+        mirror_orbits += mirrored
         for _ in range(4):
-            numeric.append(_ir4_phase_plane(params, cur))
-            cur = g_map(cur, params.tau)
+            numeric.append(_ir4_phase_plane(params, sigma))
+            sigma = g_map(sigma, params.tau)
 
     seeded_sigma = sample_interior(params, "IR4", n_samples, seed=seed + 1)
     seeds = _family_source(params, "IR4", seeded_sigma)

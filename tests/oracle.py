@@ -26,6 +26,13 @@ and builds its one cycle return by return (``cycle_result``).
 ``region_oracle`` writes its starts as rows and reads its verdicts off the
 cycle table.
 
+``scalar_overlay`` is the analytic-versus-numeric overlay cycle by cycle:
+every grid cell is detected (not only the triangle theta1 <= theta2),
+and each period-4 result is matched against the family state by state,
+with its own swap of the free oscillators (``swap_free``), where
+``projection_compare`` reads the family points off the cycle table's
+rows.
+
 ``PaddedHistory`` is the reference for detection's history
 (``lockstep._History``): every logged state as plain Python values, read
 out padded row by row, where the library stores FTD entries and
@@ -43,20 +50,29 @@ import numpy as np
 
 from isochron import (
     DEFAULT_MATCH_TOL,
+    DEFAULT_SCAN_MAX_ITER,
     FAMILIES,
+    DomainError,
     Engine,
     NotPeriodic,
     OracleReport,
     PeriodicityResult,
+    ProjectionCompareReport,
     ScanRecord,
     cycle_state,
     detect_periodicity_many,
     eq_init_state,
+    g_map,
+    ir4_projection_contains,
+    membership,
+    network_state,
     phase_projection,
     pulse_equivalent,
     pulse_signature,
     region_center,
+    region_spec,
     require_section_state,
+    s_embed,
     sample_interior,
     states_match,
 )
@@ -342,6 +358,99 @@ def scalar_oracle(params, kind, n_samples=100, seed=0, tol=1e-9, max_iter=64):
         pair_synchronized=pair_ok,
         center_poincare_period=center_result.poincare_period if periodic else None,
         center_orbit_period=center_result.orbit_period if periodic else None,
+    )
+
+
+def swap_free(state):
+    """state with its two free oscillators (the first two) relabeled."""
+    return network_state(
+        phases=(state.phases[1], state.phases[0], state.phases[2]),
+        ftds=(state.ftds[1], state.ftds[0], state.ftds[2]),
+    )
+
+
+def family_point(params, spec, result, tol: float = 1e-7):
+    """(mirrored, sigma) of the first state of a detected cycle, in cycle
+    order, that embeds a period-4 family point: directly (mirrored False),
+    else after swap_free.  A state embeds sigma = (its FTD of oscillator
+    0, of oscillator 1, the reference's second) when its FTD rows hold 1,
+    1 and 2 entries, the reference's first exactly 0.0, s_embed accepts
+    sigma, membership holds within tol, and the state matches s_embed's
+    within tol.  None if no state does."""
+    for mirrored in (False, True):
+        for state in result.cycle_states:
+            candidate = swap_free(state) if mirrored else state
+            if tuple(map(len, candidate.ftds)) != (1, 1, 2) or candidate.ftds[2][0] != 0.0:
+                continue
+            sigma = (candidate.ftds[0][0], candidate.ftds[1][0], candidate.ftds[2][1])
+            try:
+                canonical = s_embed(params, "IR4", sigma)
+            except DomainError:
+                continue
+            if membership(spec, sigma, margin=-tol) and states_match(candidate, canonical, tol):
+                return mirrored, sigma
+    return None
+
+
+def scalar_overlay(
+    params, n_samples=200, seed=0, step=0.05, max_iter=DEFAULT_SCAN_MAX_ITER, tol=1e-6
+):
+    """projection_compare cycle by cycle.  The analytic points are each
+    sample's embedding, projected.  Every cell of the grid starts from its
+    eq_init_state, all in one detect_periodicity_many batch, and each
+    period-4 result, in grid order, is identified by family_point; an
+    identified sigma gives the projections of its four g_map images.  The
+    seeded orbits start from each sample's s_embed, detected in one batch
+    with a budget of 16 returns, and every period-4 cycle state is
+    projected."""
+    _require_nonempty(params, "IR4")
+    spec = region_spec(params, "IR4")
+
+    def plane(sigma):
+        return FAMILIES["IR4"].embed(params, sigma)[0][:2]
+
+    samples = sample_interior(params, "IR4", n_samples, seed=seed).tolist()
+    analytic = tuple(plane(tuple(sigma)) for sigma in samples)
+    values = _grid_values(step)
+    starts = [eq_init_state(params, theta1, theta2) for theta1 in values for theta2 in values]
+    numeric, identified, mirrors, unidentified = [], 0, 0, 0
+    for result in detect_periodicity_many(params, starts, max_iter=max_iter):
+        if not isinstance(result, PeriodicityResult) or result.poincare_period != 4:
+            continue
+        found = family_point(params, spec, result)
+        if found is None:
+            unidentified += 1
+            continue
+        mirrored, sigma = found
+        identified, mirrors = identified + 1, mirrors + mirrored
+        for _ in range(4):
+            numeric.append(plane(sigma))
+            sigma = g_map(sigma, params.tau)
+
+    samples = sample_interior(params, "IR4", n_samples, seed=seed + 1).tolist()
+    seeds = [s_embed(params, "IR4", tuple(sigma)) for sigma in samples]
+    seeded, seeded_orbits = [], 0
+    for result in detect_periodicity_many(params, seeds, max_iter=16):
+        if isinstance(result, PeriodicityResult) and result.poincare_period == 4:
+            seeded_orbits += 1
+            seeded += map(phase_projection, result.cycle_states)
+
+    violations = tuple(p for p in numeric if not ir4_projection_contains(params, *p, tol=tol))
+    return ProjectionCompareReport(
+        params=params,
+        n_samples=n_samples,
+        seed=seed,
+        step=step,
+        tol=tol,
+        analytic_points=analytic,
+        numeric_points=tuple(numeric),
+        numeric_orbit_count=identified,
+        mirror_orbit_count=mirrors,
+        unidentified_period4_count=unidentified,
+        seeded_points=tuple(seeded),
+        seeded_orbit_count=seeded_orbits,
+        contained=not violations,
+        violations=violations,
     )
 
 

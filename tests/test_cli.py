@@ -170,6 +170,9 @@ class TestConfigResolution:
             ),
             (["scan", "params", "--out-csv", "{out}"], {"grid": ["a", "b"]}, "--grid"),
             (["scan", "params", "--out-csv", "{out}"], {"grid": [2.5, 3]}, "--grid"),
+            (["region", "member"], {"sigma": [True, 0.1, 0.5]}, "--sigma"),
+            (["region", "member"], {"sigma": [10**400, 0.1, 0.5]}, "--sigma"),
+            (["verify", "--samples", "3", "--out", "{out}"], {"suite": ["ir4"]}, "--suite"),
         ],
     )
     def test_value_of_a_wrong_json_type_is_a_config_error(
@@ -1003,6 +1006,19 @@ class TestVerify:
         assert payload["ok"] is True
         assert len(payload["checks"]) == 9
         assert all(c["ok"] for c in payload["checks"])
+
+    @pytest.mark.parametrize("suite", ["All", "ALL", "Ir4"])
+    def test_suite_is_read_in_any_case(self, capsys, suite):
+        assert main(["verify", "--suite", suite, "--samples", "3"]) == 0
+        checks = 9 if suite.lower() == "all" else 5
+        assert f"verify: PASS ({checks} checks)" in capsys.readouterr().out
+
+    def test_unknown_suite_is_refused_before_any_output(self, capsys, tmp_path):
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--suite", "every", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --suite: cannot read 'every': expected one of ir3, ir4, ir5 or all\n"
+        assert not out.exists()
 
     def test_zero_samples_rejected_before_any_output(self, capsys, tmp_path):
         out = tmp_path / "verify.json"

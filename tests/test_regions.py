@@ -26,6 +26,7 @@ from isochron import (
     DomainError,
     ModelParams,
     NetworkState,
+    PeriodicityResult,
     cycle_state,
     detect_periodicity,
     g_algebra,
@@ -1421,27 +1422,27 @@ class TestOracle:
         "run",
         [
             lambda n: region_oracle(P, "IR3", n_samples=n, seed=2),
-            lambda n: projection_compare(P, n_samples=n, seed=2, step=0.25),
+            lambda n: projection_compare(P, n_samples=n, seed=2, step=0.05),
         ],
         ids=["region_oracle", "projection_compare"],
     )
     def test_no_state_is_built_per_sample(self, monkeypatch, run):
-        # The starts are lockstep rows and the verdicts and seeded points
-        # are read off the cycle table, so the NetworkStates built (those
-        # of projection_compare's scan) do not grow with the samples.
-        built, init = [], NetworkState.__init__
+        # The starts are lockstep rows, and the verdicts, the scan's family
+        # points (two of its four orbits met as mirrors on the 0.05 grid)
+        # and the seeded points are read off the cycle table, so no
+        # NetworkState or PeriodicityResult is built at all.
+        built = []
+        for cls in (NetworkState, PeriodicityResult):
 
-        def counted(self, *args, **kwargs):
-            built.append(None)
-            init(self, *args, **kwargs)
+            def counted(self, *args, init=cls.__init__, **kwargs):
+                built.append(type(self))
+                init(self, *args, **kwargs)
 
-        monkeypatch.setattr(NetworkState, "__init__", counted)
-        counts = []
+            monkeypatch.setattr(cls, "__init__", counted)
         for n in (10, 100):
             built.clear()
             run(n)
-            counts.append(len(built))
-        assert counts[0] == counts[1]
+            assert built == []
 
     def test_period4_family_verified_by_simulation(self):
         rep = region_oracle(P, "IR4", n_samples=12, seed=3)

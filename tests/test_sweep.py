@@ -18,15 +18,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from oracle import scan_reference
+from oracle import scalar_overlay, scan_reference, swap_free
 
 import isochron
 from isochron import (
     DEFAULT_MATCH_TOL,
     DEFAULT_SCAN_MAX_ITER,
     DEFAULT_SCAN_STEP,
+    FAMILIES,
     DomainError,
     ModelParams,
     PeriodicityResult,
@@ -44,6 +45,7 @@ from isochron import (
     g_map,
     init_engine,
     ir4_projection_contains,
+    jump_coeffs,
     network_state,
     param_scan,
     phase_scan,
@@ -55,7 +57,9 @@ from isochron import (
     region_volume,
     require_section_state,
     s_embed,
+    sample_interior,
     stability_probe,
+    trigger_threshold,
     validate_state,
     write_param_scan_csv,
     write_param_scan_json,
@@ -453,14 +457,14 @@ class TestPhaseScanReference:
 
 def mirror(result):
     """A detection result with the two free oscillators swapped: each state
-    by sweep._swap_free_oscillators, and the receptions' recipients 0 and 1
-    swapped and stably re-sorted by (offset, recipient)."""
+    by swap_free, and the receptions' recipients 0 and 1 swapped and
+    stably re-sorted by (offset, recipient)."""
     if not result.periodic:
-        return replace(result, last_state=sweep._swap_free_oscillators(result.last_state))
+        return replace(result, last_state=swap_free(result.last_state))
     receptions = [({0: 1, 1: 0}.get(r, r), m, t) for r, m, t in result.receptions]
     return replace(
         result,
-        cycle_states=tuple(map(sweep._swap_free_oscillators, result.cycle_states)),
+        cycle_states=tuple(map(swap_free, result.cycle_states)),
         receptions=tuple(sorted(receptions, key=lambda rec: (rec[2], rec[0]))),
     )
 
@@ -497,19 +501,29 @@ class TestMirror:
         source = poincare._state_source(params, starts)
         cycle, _, chunks = poincare._detect(params, source, max_iter, DEFAULT_MATCH_TOL)
         table = poincare._cycle_table(params.n, chunks)
-        found = cycle[cycle >= 0]
-        swapped = sweep._slot_results(table, found + len(table.periods))
-        want = map(mirror, poincare._cycle_results(table, found))
-        assert repr(swapped) == repr(list(want))
+        # The table's array mirror: the mirror slots' projections
+        # (_slot_points) and the mirrored reception columns (_mirror_order),
+        # each cycle's in its range.
+        count = len(table.periods)
+        want = list(map(mirror, poincare._cycle_results(table, range(count))))
+        points = sweep._slot_points(table)[len(table.phases) :]
+        assert repr(list(map(tuple, points.tolist()))) == repr(
+            [state.phases[:2] for result in want for state in result.cycle_states]
+        )
+        k, _, mult, offset = table.receptions
+        swapped, order = sweep._mirror_order(table.receptions)
+        assert np.array_equal(k[order], k)
+        receptions = zip(swapped[order].tolist(), mult[order].tolist(), offset[order].tolist())
+        assert repr(list(receptions)) == repr([r for result in want for r in result.receptions])
 
     def test_only_the_triangle_is_detected(self, monkeypatch):
         # Every cell of the step-0.1 grid at P is periodic: the 55 cells
         # with theta1 <= theta2 (n (n + 1) / 2 for n = 10) are detected, in
         # spans of equal size.  The 45 below the diagonal read mirrored
-        # cycles, but a mirror's result is built only for the first cell of
-        # a class (phase_scan's interning), at most one per signature.
-        counted, mirrored = [], []
-        detect, mirror_result = sweep._detect, sweep._mirror_result
+        # cycles, but a mirror's signature is made only for the first cell
+        # of a class (phase_scan's interning), at most one per signature.
+        counted, signed = [], []
+        detect, signature = sweep._detect, sweep.pulse_signature
 
         def counting(params, source, *args):
             taken = []
@@ -524,22 +538,27 @@ class TestMirror:
             finally:
                 counted.append(sum(taken))
 
-        def counting_mirror(result):
-            mirrored.append(result)
-            return mirror_result(result)
+        def counting_signature(params, result):
+            signed.append(result)
+            return signature(params, result)
 
         monkeypatch.setattr(sweep, "_detect", counting)
-        monkeypatch.setattr(sweep, "_mirror_result", counting_mirror)
+        monkeypatch.setattr(sweep, "pulse_signature", counting_signature)
         # Threads in place of processes, so that the workers count here.
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ThreadPoolExecutor)
         for workers in (1, 2):
             counted.clear()
-            mirrored.clear()
+            signed.clear()
             result = phase_scan(P, step=0.1, workers=workers)
             assert result.not_periodic_count() == 0
             assert sum(counted) == 55
             assert len(counted) == workers
             assert max(counted) - min(counted) <= 1
+            # A mirrored signature is made of its cycle's states with the
+            # mirror's receptions, which are not that cycle's own.
+            own = poincare._cycle_results(result.table, range(55))
+            own = {repr(r.cycle_states): r.receptions for r in own}
+            mirrored = [r for r in signed if r.receptions != own.get(repr(r.cycle_states))]
             assert 0 < len(mirrored) <= len(result.signatures)
 
 
@@ -638,7 +657,49 @@ class TestParamScan:
         assert json.loads(json.dumps(config)) == config
 
 
+@st.composite
+def ir4_draws(draw):
+    """Parameters with n = 3 where the period-4 family is not empty, a
+    grid step and a seed.  The family's center value is affine in tau
+    with intercept c, the single-pulse jump of phase 0, so tau is drawn
+    inside the window where it lies in [h1, 1], away from its ends;
+    families too thin to sample are passed over."""
+    b, eps = draw(st.floats(0.2, 8.0)), draw(st.floats(0.01, 0.95))
+    unit = ModelParams(b=b, eps=eps, n=3, tau=1.0)
+    c = jump_coeffs(unit, 1)[1]
+    slope = FAMILIES["IR4"].center_value(unit, region_center("IR4", 1.0)) - c
+    lo, hi = max(trigger_threshold(unit, 1) - c, 0.0) / slope, (1.0 - c) / slope
+    assume(hi > lo)
+    params = ModelParams(b=b, eps=eps, n=3, tau=lo + draw(st.floats(0.05, 0.95)) * (hi - lo))
+    assume(region_exists(params, "IR4"))
+    seed = draw(st.integers(0, 2**16))
+    try:
+        sample_interior(params, "IR4", 20, seed=seed, max_draws=100_000)
+    except RuntimeError:
+        assume(False)
+    return params, draw(st.sampled_from([0.1, 0.05])), seed
+
+
 class TestProjectionCompare:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(ir4_draws())
+    # Four scan orbits of the family, two of them met as mirrors.
+    @example((P, 0.05, 0))
+    def test_equals_the_scalar_overlay(self, drawn):
+        # The report is repr-identical to the cycle-by-cycle reference's,
+        # which detects every cell and swaps states, or both raise the
+        # same error.
+        params, step, seed = drawn
+        args = (params, 20, seed, step)
+        try:
+            want = scalar_overlay(*args)
+        except (RuntimeError, EngineStallError, HorizonExceededError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                projection_compare(*args)
+            assert str(raised.value) == str(exc)
+            return
+        assert repr(projection_compare(*args)) == repr(want)
+
     def test_scan_attractors_identified_and_contained(self):
         report = reference_overlay()
         assert report.numeric_orbit_count == 4
@@ -716,6 +777,41 @@ class TestProjectionCompare:
         assert report.numeric_orbit_count == 2
         assert report.mirror_orbit_count == 1
         assert report.unidentified_period4_count == 1
+
+    @pytest.mark.parametrize(
+        "move, identified",
+        [
+            # The reference's first FTD entry off 0.0: within the match
+            # tolerance, but no family state.
+            (lambda s: (s.phases, (*s.ftds[:2], (5e-8, s.ftds[2][1]))), 0),
+            # The first phase within 1e-7 of the family state's, then past it.
+            (lambda s: ((s.phases[0] + 5e-8, *s.phases[1:]), s.ftds), 2),
+            (lambda s: ((s.phases[0] + 2e-7, *s.phases[1:]), s.ftds), 0),
+        ],
+        ids=["reference-entry", "phase-within", "phase-past"],
+    )
+    def test_a_family_state_is_matched_within_1e_7(self, monkeypatch, move, identified):
+        # Cell (0, 0.25) reads a family cycle and cell (0.25, 0) its mirror,
+        # every state moved alike.
+        family = detect_periodicity(P, s_embed(P, "IR4", (0.30, 0.10, 0.40))).cycle_states
+        phases, ftds, senders = lockstep._encode(3, [network_state(*move(s)) for s in family])
+        table = poincare._CycleTable(
+            transients=np.zeros(1, dtype=int),
+            periods=np.array([4]),
+            orbits=np.full(1, 3 * P.tau),
+            phases=phases,
+            ftds=ftds,
+            senders=senders,
+            returns=np.full(4, 0.75 * P.tau),
+            receptions=(np.zeros(0, dtype=int),) * 3 + (np.zeros(0),),
+        )
+        grid = np.full((4, 4), -1)
+        grid[0, 1] = grid[1, 0] = 0
+        monkeypatch.setattr(sweep, "_scan_triangle", lambda *args: (grid, table))
+        report = projection_compare(P, n_samples=5, step=0.25)
+        assert report.numeric_orbit_count == identified
+        assert report.mirror_orbit_count == identified // 2
+        assert report.unidentified_period4_count == 2 - identified
 
     def test_json_dict_round_trips(self):
         payload = reference_overlay().to_json_dict()
