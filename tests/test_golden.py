@@ -10,6 +10,11 @@ file it writes against the copy under tests/golden/.  Exact volumes pass
 through LAPACK and qhull, so they are compared within 1e-12 relative; every
 other byte must match.
 
+The datasets of the 0.01-grid phase scan, which the phase-portrait
+benchmark writes, are pinned by their sha256 alone (HASHED, listed in
+tests/golden/hashes.sha256 as sha256sum writes them): at 3.9 MB together
+they are too large to keep.
+
 Regenerate the goldens (only when a change of output is intended, and say
 which bytes changed and why) with:
 
@@ -21,9 +26,11 @@ golden; with no names, every case is.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -75,6 +82,14 @@ CASES = {
     },
 }
 
+#: Cases whose files are pinned by their sha256 in HASHES.
+HASHED = {
+    "scan-phases-0.01": ["scan", "phases", "--step", "0.01", "--out-csv", "phases-0.01.csv",
+                         "--out-json", "phases-0.01.json"],
+}
+
+HASHES = GOLDEN_DIR / "hashes.sha256"
+
 
 def _run(argv: list[str]) -> list[str]:
     """Run one case in the current directory; return its output file names.
@@ -105,8 +120,35 @@ def test_golden_output(case, tmp_path, monkeypatch, capsys):
         assert actual == golden, f"{name} differs from its golden copy"
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _hashes() -> dict[str, str]:
+    """File name -> sha256, as HASHES lists them."""
+    return {name: digest for digest, name in map(str.split, HASHES.read_text().splitlines())}
+
+
+@pytest.mark.parametrize("case", sorted(HASHED))
+def test_golden_hash(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    hashes = _hashes()
+    for name in _run(HASHED[case]):
+        assert _sha256(tmp_path / name) == hashes[name], f"{name} differs from its golden hash"
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     os.chdir(GOLDEN_DIR)
-    for case in sys.argv[1:] or CASES:
-        _run(CASES[case])
+    names = sys.argv[1:] or [*CASES, *HASHED]
+    for case in names:
+        if case in CASES:
+            _run(CASES[case])
+    hashed = [case for case in names if case in HASHED]
+    if hashed:
+        hashes = _hashes() if HASHES.exists() else {}
+        with tempfile.TemporaryDirectory() as scratch:
+            os.chdir(scratch)
+            for case in hashed:
+                hashes.update((name, _sha256(name)) for name in _run(HASHED[case]))
+        HASHES.write_text("".join(f"{hashes[name]}  {name}\n" for name in sorted(hashes)))
