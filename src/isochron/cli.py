@@ -353,10 +353,11 @@ def _parse_text(value) -> str:
     return value
 
 
-def _parse_kind(value: str) -> str:
+def _parse_kind(value) -> str:
+    """A region family, named in any case."""
     kind = str(value).upper()
     if kind not in KINDS:
-        raise DomainError(f"unknown region kind {value!r}; expected one of {KINDS}")
+        raise ValueError(f"expected one of {', '.join(k.lower() for k in KINDS)}")
     return kind
 
 
@@ -405,7 +406,7 @@ def _resolve_state(run: _Run, params: ModelParams, section: bool = False):
     if state_json is not None and center is not None:
         raise DomainError("--state and --center are mutually exclusive")
     if center is not None:
-        kind = _parse_kind(center)
+        kind = _read("center", _parse_kind, center)
         return s_embed(params, kind, region_center(kind, params.tau))
     if state_json is None:
         raise DomainError("an initial state is required (--state or --center)")
@@ -496,14 +497,14 @@ def _cmd_poincare(run: _Run) -> int:
 
 
 def _cmd_region_exists(run: _Run) -> int:
-    kind = _parse_kind(run.get("kind", "ir4"))
+    kind = _read("kind", _parse_kind, run.get("kind", "ir4"))
     params = run.params()
     print("true" if region_exists(params, kind) else "false")
     return 0
 
 
 def _cmd_region_member(run: _Run) -> int:
-    kind = _parse_kind(run.get("kind", "ir4"))
+    kind = _read("kind", _parse_kind, run.get("kind", "ir4"))
     params = run.params()
     sigma_raw = run.get("sigma")
     if sigma_raw is None:
@@ -520,7 +521,7 @@ def _cmd_region_member(run: _Run) -> int:
 
 
 def _cmd_region_volume(run: _Run) -> int:
-    kind = _parse_kind(run.get("kind", "ir4"))
+    kind = _read("kind", _parse_kind, run.get("kind", "ir4"))
     params = run.params()
     method = run.get("method", "exact")
     if method not in ("exact", "montecarlo", "both"):
@@ -556,7 +557,7 @@ def _cmd_region_volume(run: _Run) -> int:
 
 
 def _cmd_region_sample(run: _Run) -> int:
-    kind = _parse_kind(run.get("kind", "ir4"))
+    kind = _read("kind", _parse_kind, run.get("kind", "ir4"))
     params = run.params()
     n = run.samples(100, least=0)
     seed = run.seed()
@@ -646,10 +647,10 @@ def _cmd_scan_params(run: _Run) -> int:
     n = run.get("n", 3, _parse_int)
     grid_raw = run.get("grid", "100x100")
     n_eps, n_tau = _read("grid", _parse_grid, grid_raw)
-    kind = _parse_kind(run.get("kind", "ir4"))
+    kind = _read("kind", _parse_kind, run.get("kind", "ir4"))
     volume_raw = run.get("volume_kinds", "") or ""
     parts = _read("volume_kinds", lambda v: v.split(","), volume_raw)
-    volume_kinds = tuple(_parse_kind(part) for part in parts if part)
+    volume_kinds = tuple(_read("volume_kinds", _parse_kind, part) for part in parts if part)
     volume_method = run.get("volume_method", "exact")
     volume_samples = run.samples(100_000, "volume_samples")
     seed = run.seed()

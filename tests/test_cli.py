@@ -527,6 +527,40 @@ class TestRegionQueries:
         assert "--sigma" in capsys.readouterr().err
 
 
+#: A family named where none is: the argv ({out} for an output file, {config}
+#: for a config file holding config) and the option the refusal names.
+UNKNOWN_KINDS = {
+    "region-exists": (["region", "exists", "--kind", "foo"], None, "--kind"),
+    "region-member": (["region", "member", "--kind", "foo", "--sigma", "0.3,0.1,0.4"], None,
+                      "--kind"),
+    "region-volume": (["region", "volume", "--kind", "foo", "--out", "{out}"], None, "--kind"),
+    "region-sample": (["region", "sample", "--kind", "foo", "--out", "{out}"], None, "--kind"),
+    "scan-params": (["scan", "params", "--grid", "2x2", "--kind", "foo", "--out-csv", "{out}"],
+                    None, "--kind"),
+    "scan-params-volume-kinds": (["scan", "params", "--grid", "2x2", "--volume-kinds",
+                                  "ir4,foo", "--out-csv", "{out}"], None, "--volume-kinds"),
+    "poincare-center-config": (["poincare", "--config", "{config}", "--out", "{out}"],
+                               {"center": "foo"}, "--center"),
+    "simulate-center-config": (["simulate", "--config", "{config}", "--out-text", "{out}"],
+                               {"center": "foo"}, "--center"),
+}
+
+
+class TestUnknownKind:
+    @pytest.mark.parametrize("case", sorted(UNKNOWN_KINDS))
+    def test_is_refused_naming_its_option(self, capsys, tmp_path, case):
+        argv, config, option = UNKNOWN_KINDS[case]
+        out, path = tmp_path / "out", tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = [arg.format(out=out, config=path) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        expected = f"error: {option}: cannot read 'foo': expected one of ir3, ir4, ir5\n"
+        assert captured.err == expected
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestRegionVolume:
     def test_exact_matches_library(self, capsys):
         assert main(["region", "volume", "--kind", "ir4"]) == 0
