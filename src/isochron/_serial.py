@@ -22,9 +22,10 @@ plain() copy or the text of the whole value.  The recursive _emit writes
 any value.  List items are written _BATCH at a time, so the text of a
 long list is never held whole.  A writer that holds its items as columns
 (a phase scan's records) hands write_json their texts batch by batch,
-each made by fill_template: the item class's %-template, built once from
-its field plan, filled with each field's value_text, as _emit would
-write it.
+joined from parts of item_template, the item class's template with a
+%(name)s marker per field.  Its numbers' texts come from number_texts:
+each distinct bit pattern of a column formatted once, in one %-pass,
+keyed by bits so that -0.0, equal to 0.0, is still written apart.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from collections.abc import Iterator
 from dataclasses import fields, is_dataclass
 from functools import cache
 from json.encoder import encode_basestring_ascii
+
+import numpy as np
 
 _SCALARS = frozenset({bool, int, float, str, type(None)})
 
@@ -189,17 +192,15 @@ def _text(value, indent: str) -> str:
 
 
 @cache
-def _template(cls) -> tuple[list[str], str]:
-    """(names, template) of a Record class whose fields are all written
-    under their own names in their plain() form: its keys in order, and
-    template % their value_texts, its _emit text as a list item of
-    write_json."""
+def item_template(cls) -> str:
+    """The _emit text of a cls item as a list item of write_json, with
+    %(name)s for each field's value_text: cls's fields must all be written
+    under their own names in their plain() form."""
     direct, spread = _plan(cls, False)
     if spread or cls._command is not None or any(convert for _, convert in direct):
         raise TypeError(f"{cls.__name__} has no field-by-field template")
-    names = sorted(name for name, _ in direct)
-    lines = [f"\n   {encode_basestring_ascii(k)}: %s" for k in names]
-    return names, "{" + ",".join(lines) + "\n  }"
+    lines = [f"\n   {encode_basestring_ascii(k)}: %({k})s" for k in sorted(n for n, _ in direct)]
+    return "{" + ",".join(lines) + "\n  }"
 
 
 def value_text(value) -> str:
@@ -215,11 +216,20 @@ def pairs_template(count: int) -> str:
     return value_text([(0.5, 0.5)] * count).replace("0.5", "%s")
 
 
-def fill_template(cls, columns: dict):
-    """The texts of cls items, each as write_json writes a list item, from
-    columns: field name -> the value_texts of its values, item by item."""
-    names, template = _template(cls)
-    return map(template.__mod__, zip(*(columns[name] for name in names)))
+def number_texts(values, spec: str) -> tuple[list[str], np.ndarray]:
+    """(texts, code): spec % v for each distinct bit pattern v among the
+    numbers in values, made in one %-pass, and code[i], the index in texts
+    of values[i]'s.  For floats "%.17g" gives format(v, ".17g") and "%r"
+    _float_text(v), JSON's words for NaN and the infinities included.  Keys
+    of bits keep -0.0 apart from 0.0, which compare equal but are written
+    "-0" and "0"."""
+    values = np.asarray(values)
+    bits = values.view(np.uint64) if values.dtype.kind == "f" else values
+    _, first, code = np.unique(bits, return_index=True, return_inverse=True)
+    texts = ((spec + "\n") * len(first) % tuple(values[first].tolist())).split("\n")[:-1]
+    if spec == "%r":
+        texts = [_FLOAT_WORDS.get(text, text) for text in texts]
+    return texts, code
 
 
 def write_json(fh, payload: dict) -> None:

@@ -15,13 +15,14 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
 
-from ._serial import Record, _float_text, fill_template, pairs_template, value_text, write_json
+from ._serial import Record, item_template, number_texts, pairs_template, value_text, write_json
 from ._version import __version__
 from .engine import NetworkState, TraceEvent, format_trace_text, init_engine, network_state
 from .lockstep import _bad_rows, _by_row, _decode, _row_col, _row_distance, _widen
@@ -193,15 +194,31 @@ class PhaseScanResult(Record):
 
     @property
     def records(self) -> tuple[ScanRecord, ...]:
-        rows = _scan_rows(self, _same, lambda flat: tuple(zip(flat[::2], flat[1::2])))
-        return tuple(record for row in rows for record in map(ScanRecord, *row))
+        """The cells' ScanRecords, in grid order, read off the fields of
+        their slots (_slots); each projection is made once per group of
+        _projections."""
+        table, values = self.table, _grid_values(self.step)
+        group, first = self._projections
+        periods = np.tile(table.periods, 2)
+        points, lo = _slot_points(table), (np.cumsum(periods) - periods)[first]
+        made = [tuple(map(tuple, points[a : a + p].tolist())) for a, p in zip(lo, periods[first])]
+        columns = (
+            [True] * len(periods) + [False],
+            *([*column.tolist() * 2, None] for column in table[:3]),
+            [*self.signature_ids.ravel().tolist(), None],
+            [*map(made.__getitem__, group.tolist()), ()],
+        )
+        slots = _slots(self.grid, len(table.periods)).ravel().tolist()
+        theta1 = [value for value in values for _ in values]
+        cells = (map(column.__getitem__, slots) for column in columns)
+        return tuple(map(ScanRecord, theta1, values * len(values), *cells))
 
     @cached_property
     def _projections(self) -> tuple[np.ndarray, np.ndarray]:
         """(group, first) of the slots' projections by _groups: slots whose
         cycle states project to the same (theta1, theta2) pairs, compared
         by bits (equal points differ when one holds -0.0), share a group.
-        Made once, for records and both writers."""
+        Made once, for records and both writers (_scan_parts)."""
         return _groups(_slot_points(self.table), np.tile(self.table.periods, 2))
 
     def period_census(self) -> dict[int, int]:
@@ -409,41 +426,6 @@ def phase_scan(
     """
     grid, table = _scan_triangle(params, _grid_values(step), max_iter, tol, workers)
     return PhaseScanResult(params, step, max_iter, tol, grid, table, *_intern(params, grid, table))
-
-
-def _same(value):
-    return value
-
-
-def _scan_rows(result: PhaseScanResult, text, projection) -> Iterator[tuple]:
-    """Per grid row of result, in grid order: its cells' ScanRecord fields,
-    one list per field, read off the fields of the cells' slots (_slots).
-    Each value is as text gives it, once per distinct value of a field
-    (_Cells), and each projection as projection gives it of the flat list
-    of its points' coordinates (theta1, theta2, theta1, ...), once per
-    group of result._projections."""
-    table = result.table
-    count = len(table.periods)
-    group, first = result._projections
-    periods = np.tile(table.periods, 2)
-    lo, points = (np.cumsum(periods) - periods)[first].tolist(), _slot_points(table)
-    made = [
-        projection(points[a : a + p].ravel().tolist())
-        for a, p in zip(lo, periods[first].tolist())
-    ]
-    projections = [*map(made.__getitem__, group.tolist()), projection([])]
-    # Free what the rows do not read before they are made.
-    del points, made
-    slot_fields = (
-        [True] * (2 * count) + [False],
-        *([*column.tolist() * 2, None] for column in table[:3]),
-        [*result.signature_ids.ravel().tolist(), None],
-    )
-    columns = [*(list(map(_Cells(text).__getitem__, f)) for f in slot_fields), projections]
-    del slot_fields
-    thetas = list(map(_Cells(text).__getitem__, _grid_values(result.step)))
-    for theta1, row in zip(thetas, _slots(result.grid, count).tolist()):
-        yield [theta1] * len(row), thetas, *(list(map(c.__getitem__, row)) for c in columns)
 
 
 # -- parameter-plane scan -------------------------------------------------------
@@ -866,14 +848,14 @@ def dataset_header(
     return lines
 
 
-def _write_csv(path, header_lines: list[str], columns, rows) -> None:
-    """A CSV dataset: the header lines, the column names, then the rows,
-    each a sequence of cell texts.  No cell holds a comma, a quote or a
-    line break, so a row is its cells joined by commas, as csv.writer
-    writes it."""
+def _write_csv(path, header_lines: list[str], columns, lines) -> None:
+    """A CSV dataset: the header lines, the column names, then lines, the
+    rows' texts, each ending in a line break.  No cell holds a comma, a
+    quote or a line break, so a row is its cells joined by commas, as
+    csv.writer writes it."""
     with open(path, "w", newline="") as fh:
         fh.writelines(line + "\n" for line in [*header_lines, ",".join(columns)])
-        fh.writelines(",".join(row) + "\n" for row in rows)
+        fh.writelines(lines)
 
 
 def _write_json(path, timestamp: str | None, **fields) -> None:
@@ -888,48 +870,90 @@ def _opt(value) -> str:
     return "" if value is None else _fmt(value)
 
 
-class _Cells(dict):
-    """The text(value) of each cell value, made once per distinct value.  A
-    zero is formatted each time: 0.0 == -0.0 and the two hash alike, but
-    they are written "0" and "-0"."""
+def _fill(template: str, **columns) -> list[str]:
+    """template, whose %(name)s markers stand for columns[name], filled with
+    each item's texts of the columns in turn."""
+    names = re.findall(r"%\((\w+)\)s", template)
+    filled = re.sub(r"%\(\w+\)s", "%s", template)
+    return list(map(filled.__mod__, zip(*map(columns.__getitem__, names))))
 
-    def __init__(self, text=_opt) -> None:
-        super().__init__()
-        self._text = text
 
-    def __missing__(self, value) -> str:
-        text = self._text(value)
-        if value:
-            self[value] = text
-        return text
+def _scan_parts(result: PhaseScanResult, spec: str, text, pairs, head: str, tail: str) -> tuple:
+    """(thetas, heads, tails, slots): the parts a phase-scan writer joins
+    into each cell's text.  thetas holds the grid values' texts, slots per
+    grid row its cells' slots (_slots), and heads[s] and tails[s] slot s's
+    head and tail templates filled (_fill) with its fields' texts: numbers
+    by number_texts with spec, periodic and empty fields by text, and the
+    projection by pairs(period), a %s per coordinate.  A head is made once
+    per head key (projection group, which fixes the period; orbit period
+    bits; signature id), a tail once per transient; the no-cycle slot, the
+    last, has its own of each."""
+    table = result.table
+    group, first = result._projections
+    periods = np.tile(table.periods, 2)
+    # Each group's first slot's points; first increases, as the groups do.
+    at = np.repeat(np.isin(np.arange(len(periods)), first), periods)
+    coords, code = number_texts(_slot_points(table)[at].ravel(), spec)
+    made = {size: pairs(size) for size in set(periods[first].tolist())}
+    projections = "\0".join(map(made.__getitem__, periods[first].tolist()))
+    projections = (projections % tuple(map(coords.__getitem__, code.tolist()))).split("\0")
+    sizes, size = number_texts(periods, spec)
+    orbits, orbit = number_texts(np.tile(table.orbits, 2), spec)
+    sids, sid = number_texts(result.signature_ids.ravel(), spec)
+    key = np.unique(group * len(orbits) + orbit, return_inverse=True)[1] * len(sids) + sid
+    _, one, head_of = np.unique(key, return_index=True, return_inverse=True)
+    transients, transient = number_texts(np.tile(table.transients, 2), spec)
+    yes, no, none = text(True), text(False), text(None)
+    tails = _fill(
+        tail, periodic=[yes] * len(transients) + [no], transient_iters=[*transients, none]
+    )
+    heads = _fill(
+        head,
+        periodic=[yes] * len(one) + [no],
+        poincare_period=[*map(sizes.__getitem__, size[one].tolist()), none],
+        orbit_period=[*map(orbits.__getitem__, orbit[one].tolist()), none],
+        signature_id=[*map(sids.__getitem__, sid[one].tolist()), none],
+        projection=[*map(projections.__getitem__, group[one].tolist()), pairs(0)],
+    )
+    thetas, code = number_texts(_grid_values(result.step), spec)
+    return (
+        list(map(thetas.__getitem__, code.tolist())),
+        [*map(heads.__getitem__, head_of.tolist()), heads[-1]],
+        [*map(tails.__getitem__, transient.tolist()), tails[-1]],
+        _slots(result.grid, len(table.periods)).tolist(),
+    )
 
 
 def write_phase_scan_csv(result: PhaseScanResult, path, timestamp: str | None = None) -> None:
     """One row per grid cell; projection points are semicolon-joined
-    "x y" pairs so the cell needs no quoting."""
-    cells = _Cells()
-    # One template per period: the points' "x y" texts joined by ";".
-    templates = _Cells(lambda size: ";".join(["%s %s"] * (size // 2)))
-    rows = _scan_rows(
-        result, _opt, lambda flat: templates[len(flat)] % tuple(map(cells.__getitem__, flat))
+    "x y" pairs so the cell needs no quoting.  Each line is joined from
+    _scan_parts, one grid row at a time."""
+    thetas, heads, tails, slots = _scan_parts(
+        result,
+        "%.17g",
+        _opt,
+        lambda size: ";".join(["%s %s"] * size),
+        "%(poincare_period)s,%(orbit_period)s,%(signature_id)s,%(projection)s",
+        "%(periodic)s,%(transient_iters)s,",
     )
-    _write_csv(
-        path,
-        dataset_header(result.config_dict(), timestamp=timestamp),
-        _SCAN_FIELDS,
-        (cell for row in rows for cell in zip(*row)),
+    lines = (
+        "".join([row + theta + "," + tails[s] + heads[s] + "\n" for theta, s in zip(thetas, cells)])
+        for row, cells in zip((theta1 + "," for theta1 in thetas), slots)
     )
+    _write_csv(path, dataset_header(result.config_dict(), timestamp=timestamp), _SCAN_FIELDS, lines)
 
 
 def write_phase_scan_json(result: PhaseScanResult, path, timestamp: str | None = None) -> None:
     """The phase scan as JSON; a phase scan draws no random numbers, so its
-    seed is null.  Each record is written through ScanRecord's template,
-    one grid row at a time."""
-    cells = _Cells(_float_text)
-    # One template per period: value_text of the points as pairs.
-    templates = _Cells(lambda size: pairs_template(size // 2))
-    rows = _scan_rows(
-        result, value_text, lambda flat: templates[len(flat)] % tuple(map(cells.__getitem__, flat))
+    seed is null.  ScanRecord's template is cut at theta1 and theta2 into
+    a head and a tail, and each record is joined from _scan_parts, one grid
+    row at a time, as one batch of write_json."""
+    head, rest = item_template(ScanRecord).split("%(theta1)s")
+    mid, tail = rest.split("%(theta2)s")
+    thetas, heads, tails, slots = _scan_parts(result, "%r", value_text, pairs_template, head, tail)
+    records = (
+        [heads[s] + row + theta + tails[s] for theta, s in zip(thetas, cells)]
+        for row, cells in zip((theta1 + mid for theta1 in thetas), slots)
     )
     _write_json(
         path,
@@ -937,7 +961,7 @@ def write_phase_scan_json(result: PhaseScanResult, path, timestamp: str | None =
         config=result.config_dict(),
         seed=None,
         signatures=result.signatures,
-        records=(list(fill_template(ScanRecord, dict(zip(_SCAN_FIELDS, row)))) for row in rows),
+        records=records,
     )
 
 
@@ -946,18 +970,17 @@ def write_param_scan_csv(
 ) -> None:
     exists = [f"exists_{k.lower()}" for k in KINDS]
     volumes = [f"volume_{k.lower()}" for k in KINDS]
-    cells = _Cells()
-    rows = (
-        (cells[r.eps], cells[r.tau])
-        + tuple(str(int(r.exists[k])) for k in KINDS)
-        + tuple(cells[r.volumes[k]] for k in KINDS)
+    lines = (
+        f"{_fmt(r.eps)},{_fmt(r.tau)},"
+        + ",".join([str(int(r.exists[k])) for k in KINDS] + [_opt(r.volumes[k]) for k in KINDS])
+        + "\n"
         for r in result.records
     )
     _write_csv(
         path,
         dataset_header(result.config_dict(), seed=result.seed, timestamp=timestamp),
         ["eps", "tau"] + exists + volumes,
-        rows,
+        lines,
     )
 
 
@@ -975,8 +998,8 @@ def write_projection_csv(
     """Long format: one point per row, tagged by which set it belongs to
     (analytic image, scan attractor, or seeded orbit)."""
     # Nearly every point differs, so its cells are formatted one by one.
-    rows = (
-        (label, _fmt(x), _fmt(y))
+    lines = (
+        f"{label},{_fmt(x)},{_fmt(y)}\n"
         for label, points in (
             ("analytic", report.analytic_points),
             ("scan", report.numeric_points),
@@ -988,7 +1011,7 @@ def write_projection_csv(
         path,
         dataset_header(report.config_dict(), seed=report.seed, timestamp=timestamp),
         ["set", "theta1", "theta2"],
-        rows,
+        lines,
     )
 
 

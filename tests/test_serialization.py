@@ -17,12 +17,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isochron._serial import _float_text, pairs_template, plain, value_text, write_json
+from isochron._serial import (
+    _float_text,
+    number_texts,
+    pairs_template,
+    plain,
+    value_text,
+    write_json,
+)
 from isochron.engine import TraceEvent, network_state
 from isochron.model import ModelParams
 from isochron.poincare import NotPeriodic, PulseSignature
 from isochron.regions import Functional, OracleReport, RegionSpec, VolumeReport
-from isochron.sweep import EscapeReport, ScanRecord, StabilityFailure, StabilityReport
+from isochron.sweep import EscapeReport, ScanRecord, StabilityFailure, StabilityReport, _fmt
 
 P = ModelParams(b=3.0, eps=0.58, n=3, tau=0.58)
 
@@ -339,3 +346,34 @@ def test_pairs_template_is_value_text_of_the_pairs(points):
     flat = [x for point in points for x in point]
     got = pairs_template(len(points)) % tuple(map(_float_text, flat))
     assert got == value_text(points)
+
+
+#: Bit patterns of doubles: NaNs of both signs with the smallest, the
+#: largest and a drawn payload, and any pattern at all.
+_NAN_BITS = st.builds(
+    lambda sign, payload: sign << 63 | 0x7FF << 52 | payload,
+    st.integers(0, 1),
+    st.sampled_from([1, 2**51, 2**52 - 1]) | st.integers(1, 2**52 - 1),
+)
+_BITS = _NAN_BITS | st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(_FLOATS | st.sampled_from([-5e-324, 2.2250738585072014e-308, 1e16, 1e17])),
+    st.lists(_BITS),
+    st.lists(st.integers(-(2**63), 2**63 - 1)),
+)
+def test_number_texts_are_the_writers_texts(floats, bits, ints):
+    # Each number is written as _fmt ("%.17g") or _float_text ("%r") writes
+    # it, once per bit pattern: -0.0 apart from 0.0, every NaN alike.
+    drawn = np.array(bits, dtype=np.uint64).view(float)
+    doubles = np.concatenate([floats, drawn, drawn[::-1], floats[::-1]]).astype(float)
+    for values, cases in (
+        (doubles, (("%.17g", _fmt), ("%r", _float_text))),
+        (np.array(ints * 2, dtype=np.int64), (("%.17g", _fmt), ("%r", repr))),
+    ):
+        for spec, text in cases:
+            texts, code = number_texts(values, spec)
+            assert [texts[c] for c in code.tolist()] == list(map(text, values.tolist()))
+            assert len(texts) == len(set(values.view(np.uint64).tolist()))
