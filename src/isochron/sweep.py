@@ -900,6 +900,7 @@ def _scan_parts(result: PhaseScanResult, spec: str, text, pairs, head: str, tail
     sizes, size = number_texts(periods, spec)
     orbits, orbit = number_texts(np.tile(table.orbits, 2), spec)
     sids, sid = number_texts(result.signature_ids.ravel(), spec)
+    # Ranked after two fields, so no key exceeds the slot count squared.
     key = np.unique(group * len(orbits) + orbit, return_inverse=True)[1] * len(sids) + sid
     _, one, head_of = np.unique(key, return_index=True, return_inverse=True)
     transients, transient = number_texts(np.tile(table.transients, 2), spec)
